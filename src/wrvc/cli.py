@@ -203,6 +203,8 @@ def cmd_vk(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.seed < 0:
+        raise UsageError(f"seed must be a non-negative integer, got {args.seed}")
     set_thread_count(args.threads)
     names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
     results = run_suites(names, seed=args.seed)
@@ -255,7 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--seed", type=int, default=DEFAULT_SEED,
                        help="seed for the randomized checks (printed)")
     p_ver.add_argument("--threads", type=int, default=None,
-                       help="node-evaluation threads "
+                       help="threads for the final quadrature dot product, "
+                            "used only when a chart has more than 8192 nodes "
                             "(default: WRVC_THREADS or 1)")
     p_ver.add_argument("--json", action="store_true",
                        help="emit a single JSON document")

@@ -4,6 +4,12 @@ Curvature is evaluated exactly from the metric jets: Christoffel symbols
 are kept as jets (one order below the metric) so their derivatives at the
 point are exact coefficients rather than finite differences.
 
+The metric is held as a coefficient array ``G`` of shape (n, n, ncoef)
+(see ``wrvc.jets``), and the inverse, determinant and Christoffel symbols
+are array contractions on it: the inverse is the Neumann series
+``sum_k (-G0^{-1} N)^k G0^{-1}`` in the part ``N`` of ``G`` with zero
+constant term, which is nilpotent in the truncated ring.
+
 Sign convention: ``R^a_{bcd} = d_c Gamma^a_{db} - d_d Gamma^a_{cb}
 + Gamma^a_{ce} Gamma^e_{db} - Gamma^a_{de} Gamma^e_{cb}`` with
 ``Ric_{bd} = R^a_{bad}``, so the unit round sphere has ``Ric = (n-1) g``
@@ -13,52 +19,88 @@ and ``R = n(n-1)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, OrderError
-from .jets import Jet
+from .jets import (
+    Jet,
+    compose_coeffs,
+    derivative_coeffs,
+    from_columns,
+    gradient_index,
+    hessian_index,
+    jet_matmul,
+    jet_matmul_operator,
+    jet_tensor,
+    mult_matrix,
+    n_coeffs,
+    to_columns,
+    _univariate_coeffs,
+)
 
 
-def _jet_matrix_det(g):
-    """Determinant of a square matrix of jets by cofactor expansion (n <= 4)."""
-    n = len(g)
-    if n == 1:
-        return g[0][0]
-    det = None
-    for j in range(n):
-        minor = [
-            [g[r][c] for c in range(n) if c != j]
-            for r in range(1, n)
-        ]
-        term = g[0][j] * _jet_matrix_det(minor)
-        if j % 2 == 1:
-            term = -term
-        det = term if det is None else det + term
-    return det
+def _stack(g):
+    """(n, n, ncoef) coefficients of a square nested list of jets, truncated
+    to the lowest entry order; returns (array, jet dim, order)."""
+    rows = [list(row) for row in g]
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise DimensionMismatch("matrix of jets must be square")
+    dim = rows[0][0].dim
+    if any(e.dim != dim for row in rows for e in row):
+        raise DimensionMismatch("matrix entries are jets of different dimensions")
+    order = min(e.order for row in rows for e in row)
+    nc = n_coeffs(dim, order)
+    return np.array([[e.coeffs[:nc] for e in row] for row in rows]), dim, order
+
+
+def _constant_inverse(G0: np.ndarray) -> np.ndarray:
+    if abs(np.linalg.det(G0)) < 1e-300:
+        raise DomainError("singular constant-term matrix")
+    return np.linalg.inv(G0)
+
+
+def _inverse_coeffs(G: np.ndarray, dim: int, order: int) -> np.ndarray:
+    """Inverse of the jet matrix G (n, n, ncoef) by the Neumann series
+    sum_{k <= order} X^k G0^{-1} with X = -G0^{-1} N, evaluated by Horner."""
+    n, _, nc = G.shape
+    G0inv = _constant_inverse(G[:, :, 0])
+    X = -np.einsum("ik,kjc->ijc", G0inv, G)
+    X[:, :, 0] = 0.0
+    T = jet_matmul_operator(X, dim, order)
+    Y0 = np.zeros((n * nc, n))
+    Y0[::nc] = G0inv
+    Y = Y0
+    for _ in range(order):
+        Y = Y0 + T @ Y
+    return from_columns(Y, nc)
+
+
+def _det_coeffs(G: np.ndarray, dim: int, order: int) -> np.ndarray:
+    """det G = det(G0) exp(tr log(I + X)), X = G0^{-1} N nilpotent."""
+    n, _, nc = G.shape
+    G0 = G[:, :, 0]
+    X = np.einsum("ik,kjc->ijc", _constant_inverse(G0), G)
+    X[:, :, 0] = 0.0
+    T = jet_matmul_operator(X, dim, order)
+    power = to_columns(X)
+    log_det = np.zeros(nc)
+    for k in range(1, order + 1):
+        if k > 1:
+            power = T @ power
+        trace = np.einsum("qcq->c", power.reshape(n, nc, n))
+        log_det += (-1.0) ** (k + 1) / k * trace
+    exp_coeffs = _univariate_coeffs("exp", 0.0, order, None)
+    return np.linalg.det(G0) * compose_coeffs(log_det, exp_coeffs, dim, order)
 
 
 def jet_matrix_inverse(g):
-    """Inverse of a square matrix of jets via the adjugate (deterministic, n <= 4)."""
-    n = len(g)
-    det = _jet_matrix_det(g)
-    if abs(det.value) < 1e-300:
-        raise DomainError("singular constant-term matrix")
-    inv_det = det.reciprocal()
-    if n == 1:
-        return [[inv_det]]
-    inv = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [
-                [g[r][c] for c in range(n) if c != i]
-                for r in range(n) if r != j
-            ]
-            cof = _jet_matrix_det(minor)
-            if (i + j) % 2 == 1:
-                cof = -cof
-            inv[i][j] = cof * inv_det
-    return inv
+    """Inverse of a square matrix of jets, as a nested list of jets at the
+    lowest entry order."""
+    G, dim, order = _stack(g)
+    return jet_tensor(_inverse_coeffs(G, dim, order), dim, order)
 
 
 class MetricAtPoint:
@@ -66,54 +108,74 @@ class MetricAtPoint:
 
     ``g`` is an n x n nested list (or object array) of jets, symmetric
     coefficient-wise, with a positive-definite constant-term matrix.
+    ``G`` holds the same jets as one (n, n, ncoef) coefficient array at the
+    lowest entry order, which is ``order``.
     """
 
     def __init__(self, g, point):
         g = [list(row) for row in g]
-        n = len(g)
-        if any(len(row) != n for row in g):
-            raise DimensionMismatch("metric must be square")
-        dim = g[0][0].dim
-        if dim != n:
+        G, dim, order = _stack(g)
+        if dim != len(g):
             raise DimensionMismatch(
-                f"metric size {n} does not match jet dimension {dim}"
+                f"metric size {len(g)} does not match jet dimension {dim}"
             )
-        for i in range(n):
-            for j in range(n):
-                if not np.allclose(g[i][j].coeffs, g[j][i].coeffs, atol=1e-12):
-                    raise DomainError(f"metric jets not symmetric at ({i},{j})")
-        g0 = np.array([[g[i][j].value for j in range(n)] for i in range(n)])
+        self._setup(G, order, point)
+        self.g = g
+
+    @classmethod
+    def from_coeffs(cls, G: np.ndarray, order: int, point) -> "MetricAtPoint":
+        """Metric from an (n, n, n_coeffs(n, order)) coefficient array."""
+        metric = cls.__new__(cls)
+        metric._setup(G, order, point)
+        metric.g = jet_tensor(G, metric.n, order)
+        return metric
+
+    def _setup(self, G: np.ndarray, order: int, point):
+        n = G.shape[0]
+        transposed = G.transpose(1, 0, 2)
+        if not np.array_equal(G, transposed):
+            symmetric = np.isclose(G, transposed, atol=1e-12).all(axis=2)
+            if not symmetric.all():
+                i, j = np.argwhere(~symmetric)[0]
+                raise DomainError(f"metric jets not symmetric at ({i},{j})")
         try:
-            np.linalg.cholesky(g0)
+            np.linalg.cholesky(G[:, :, 0])
         except np.linalg.LinAlgError:
             raise DomainError("constant-term metric is not positive definite")
         self.n = n
-        self.g = g
+        self.G = G
         self.point = np.asarray(point, dtype=float)
-        self.order = min(g[i][j].order for i in range(n) for j in range(n))
+        self.order = order
+        self._ginv0 = None
         self._gamma = None
+        self._gamma_coeffs = None
 
     @property
     def matrix(self) -> np.ndarray:
         """Constant-term metric matrix g_ij at the point."""
-        return np.array(
-            [[self.g[i][j].value for j in range(self.n)] for i in range(self.n)]
-        )
+        return self.G[:, :, 0].copy()
 
     @property
     def inverse_matrix(self) -> np.ndarray:
-        return np.linalg.inv(self.matrix)
+        if self._ginv0 is None:
+            self._ginv0 = np.linalg.inv(self.G[:, :, 0])
+        return self._ginv0.copy()
 
     def det_jet(self) -> Jet:
-        return _jet_matrix_det(self.g)
+        return Jet._unchecked(
+            self.n, self.order, _det_coeffs(self.G, self.n, self.order)
+        )
 
     def rescale(self, factor: Jet) -> "MetricAtPoint":
         """Pointwise conformal rescale g -> factor * g (factor a positive jet)."""
-        n = self.n
-        return MetricAtPoint(
-            [[factor * self.g[i][j] for j in range(n)] for i in range(n)],
-            self.point,
-        )
+        if factor.dim != self.n:
+            raise DimensionMismatch(
+                f"jet dims differ: {self.n} vs {factor.dim}"
+            )
+        order = min(self.order, factor.order)
+        nc = n_coeffs(self.n, order)
+        M = mult_matrix(factor.coeffs[:nc], self.n, order)
+        return MetricAtPoint.from_coeffs(self.G[:, :, :nc] @ M.T, order, self.point)
 
 
 @dataclass
@@ -134,48 +196,54 @@ class CurvatureBundle:
         )
 
 
+def _christoffel_coeffs(metric: MetricAtPoint) -> np.ndarray:
+    """Gamma^k_{ij} as a (n, n, n, ncoef) array at the metric order - 1."""
+    n, order = metric.n, metric.order - 1
+    nc = n_coeffs(n, order)
+    ginv = _inverse_coeffs(metric.G[:, :, :nc], n, order)
+    dg = derivative_coeffs(metric.G, n, metric.order)  # dg[l, i, j] = d_l g_ij
+    # first-kind symbols [ij, l] = d_i g_jl + d_j g_il - d_l g_ij, indexed (l, i, j)
+    first = np.einsum("ijlc->lijc", dg) + np.einsum("jilc->lijc", dg) - dg
+    gamma = 0.5 * jet_matmul(ginv, first.reshape(n, n * n, nc), n, order)
+    gamma = gamma.reshape(n, n, n, nc)
+    rows, cols = _upper_pairs(n)
+    gamma[:, cols, rows] = gamma[:, rows, cols]   # exactly symmetric in (i, j)
+    return gamma
+
+
+@lru_cache(maxsize=None)
+def _upper_pairs(n: int):
+    return np.triu_indices(n, 1)
+
+
 def christoffel(metric: MetricAtPoint):
     """Christoffel symbols Gamma^k_{ij} as jets (metric order - 1)."""
     if metric._gamma is not None:
         return metric._gamma
     if metric.order < 1:
         raise OrderError("christoffel needs metric jets of order >= 1")
-    n = metric.n
-    ginv = jet_matrix_inverse(metric.g)
-    dg = [[[metric.g[i][j].derivative(l) for j in range(n)] for i in range(n)]
-          for l in range(n)]
-    order = metric.order - 1
-    gamma = [[[None] * n for _ in range(n)] for _ in range(n)]
-    for k in range(n):
-        for i in range(n):
-            for j in range(i, n):
-                acc = Jet.constant(0.0, n, order)
-                for l in range(n):
-                    acc = acc + ginv[k][l].truncate(order) * (
-                        dg[i][j][l] + dg[j][i][l] - dg[l][i][j]
-                    )
-                gamma[k][i][j] = gamma[k][j][i] = acc * 0.5
-    metric._gamma = gamma
-    return gamma
+    coeffs = _christoffel_coeffs(metric)
+    metric._gamma_coeffs = coeffs
+    metric._gamma = jet_tensor(coeffs, metric.n, metric.order - 1)
+    return metric._gamma
+
+
+def _gamma_values(metric: MetricAtPoint) -> np.ndarray:
+    christoffel(metric)
+    return metric._gamma_coeffs[..., 0]
 
 
 def curvature(metric: MetricAtPoint) -> CurvatureBundle:
     """Riemann, Ricci and scalar curvature values at the point."""
     if metric.order < 2:
         raise OrderError("curvature needs metric jets of order >= 2")
-    n = metric.n
     gamma = christoffel(metric)
+    coeffs = metric._gamma_coeffs
     g0 = metric.matrix
     ginv0 = metric.inverse_matrix
-    gv = np.array(
-        [[[gamma[k][i][j].value for j in range(n)] for i in range(n)]
-         for k in range(n)]
-    )
-    dgv = np.array(
-        [[[[gamma[k][i][j].partial(tuple(int(l == a) for a in range(n)))
-            for j in range(n)] for i in range(n)] for k in range(n)]
-         for l in range(n)]
-    )  # dgv[l, k, i, j] = d_l Gamma^k_{ij}
+    gv = coeffs[..., 0]
+    # dgv[l, k, i, j] = d_l Gamma^k_{ij}
+    dgv = np.moveaxis(coeffs[..., gradient_index(metric.n)], -1, 0)
 
     # R^a_{bcd} with the antisymmetric derivative pair in (c, d)
     up = (
@@ -194,22 +262,17 @@ def hessian(u: Jet, metric: MetricAtPoint) -> np.ndarray:
     """Covariant Hessian (nabla^2 u)_ij at the point."""
     if u.order < 2:
         raise OrderError("hessian needs a jet of order >= 2")
-    n = metric.n
-    gamma = christoffel(metric)
-    du = np.array([u.partial(tuple(int(i == a) for a in range(n)))
-                   for i in range(n)])
-    out = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            second = u.partial(tuple(int(i == a) + int(j == a) for a in range(n)))
-            corr = sum(gamma[k][i][j].value * du[k] for k in range(n))
-            out[i, j] = second - corr
-    return out
+    du = gradient(u, metric.n)
+    slots, factors = hessian_index(metric.n)
+    return u.coeffs[slots] * factors - np.einsum("kij,k->ij", _gamma_values(metric), du)
 
 
 def gradient(u: Jet, n: int) -> np.ndarray:
-    return np.array([u.partial(tuple(int(i == a) for a in range(n)))
-                     for i in range(n)])
+    if u.dim != n:
+        raise DimensionMismatch(f"jet of dimension {u.dim} in a chart of dimension {n}")
+    if u.order < 1:
+        raise OrderError("gradient needs a jet of order >= 1")
+    return u.coeffs[gradient_index(n)]
 
 
 def laplacian(u: Jet, metric: MetricAtPoint) -> float:

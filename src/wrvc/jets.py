@@ -48,7 +48,10 @@ def _rank_table(dim: int, order: int) -> dict[tuple[int, ...], int]:
 
 @lru_cache(maxsize=None)
 def _product_triples(dim: int, order: int):
-    """Index triples (ia, ib, ic) with monomial(ia) + monomial(ib) = monomial(ic)."""
+    """Index triples (ia, ib, ic) with monomial(ia) + monomial(ib) = monomial(ic).
+
+    Each pair (ib, ic) occurs at most once, since ia is then determined.
+    """
     monos = _monomials(dim, order)
     rank = _rank_table(dim, order)
     ia, ib, ic = [], [], []
@@ -65,24 +68,129 @@ def _product_triples(dim: int, order: int):
 
 
 @lru_cache(maxsize=None)
-def _derivative_pairs(dim: int, order: int, axis: int):
-    """Pairs (src, dst, factor): coeff(dst) of d/dx_axis = factor * coeff(src)."""
+def _derivative_matrices(dim: int, order: int) -> np.ndarray:
+    """D of shape (dim, n_coeffs(dim, order-1), n_coeffs(dim, order)) with
+    D[l] @ coeffs the coefficients of d/dx_l."""
     monos = _monomials(dim, order)
-    rank_lower = _rank_table(dim, order - 1) if order > 0 else {}
-    src, dst, fac = [], [], []
+    rank_lower = _rank_table(dim, order - 1)
+    out = np.zeros((dim, n_coeffs(dim, order - 1), len(monos)))
     for i, a in enumerate(monos):
-        if a[axis] == 0:
-            continue
-        b = list(a)
-        b[axis] -= 1
-        src.append(i)
-        dst.append(rank_lower[tuple(b)])
-        fac.append(a[axis])
-    return np.array(src), np.array(dst), np.array(fac, dtype=float)
+        for axis in range(dim):
+            if a[axis]:
+                b = list(a)
+                b[axis] -= 1
+                out[axis, rank_lower[tuple(b)], i] = a[axis]
+    return out
+
+
+@lru_cache(maxsize=None)
+def gradient_index(dim: int) -> np.ndarray:
+    """Coefficient slots of x_0 .. x_{dim-1}: the first partials at the point."""
+    rank = _rank_table(dim, 1)
+    return np.array([rank[_unit(dim, i)] for i in range(dim)])
+
+
+@lru_cache(maxsize=None)
+def hessian_index(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """(slots, factors), both (dim, dim): the second partial d_i d_j at the
+    point is ``coeffs[slots[i, j]] * factors[i, j]`` (factor alpha! = 2 on
+    the diagonal)."""
+    rank = _rank_table(dim, 2)
+    slots = np.empty((dim, dim), dtype=int)
+    for i in range(dim):
+        for j in range(dim):
+            alpha = tuple(x + y for x, y in zip(_unit(dim, i), _unit(dim, j)))
+            slots[i, j] = rank[alpha]
+    return slots, 1.0 + np.eye(dim)
+
+
+def _unit(dim: int, i: int) -> tuple[int, ...]:
+    return tuple(int(a == i) for a in range(dim))
 
 
 def n_coeffs(dim: int, order: int) -> int:
     return math.comb(dim + order, order)
+
+
+# -- coefficient-array arithmetic ---------------------------------------------
+#
+# A jet-valued tensor is a float array of shape (..., ncoef): the leading axes
+# index the tensor entries, the last one the graded monomials of one
+# (dim, order).  The functions below act on such arrays directly, so a matrix
+# of jets costs a few numpy calls instead of one Python object per entry.
+
+
+def mul_coeffs(a: np.ndarray, b: np.ndarray, dim: int, order: int) -> np.ndarray:
+    """Truncated product of two scalar jets given as coefficient vectors."""
+    ia, ib, ic = _product_triples(dim, order)
+    return np.bincount(ic, a[ia] * b[ib], minlength=a.shape[-1])
+
+
+def mult_matrix(a: np.ndarray, dim: int, order: int) -> np.ndarray:
+    """Multiplication operators of jets a (..., ncoef): M (..., ncoef, ncoef)
+    with ``M @ b`` the coefficients of ``a * b``."""
+    ia, ib, ic = _product_triples(dim, order)
+    nc = a.shape[-1]
+    out = np.zeros(a.shape[:-1] + (nc, nc))
+    out[..., ic, ib] = a[..., ia]
+    return out
+
+
+def jet_matmul_operator(A: np.ndarray, dim: int, order: int) -> np.ndarray:
+    """Left multiplication by the jet matrix A (p, q, ncoef) as one
+    (p*ncoef, q*ncoef) matrix acting on the column layout of ``to_columns``."""
+    p, q, nc = A.shape
+    return mult_matrix(A, dim, order).transpose(0, 2, 1, 3).reshape(p * nc, q * nc)
+
+
+def to_columns(B: np.ndarray) -> np.ndarray:
+    """Jet matrix (q, r, ncoef) -> (q*ncoef, r), rows ordered (entry row, slot)."""
+    q, r, nc = B.shape
+    return B.transpose(0, 2, 1).reshape(q * nc, r)
+
+
+def from_columns(C: np.ndarray, nc: int) -> np.ndarray:
+    """Inverse of ``to_columns``."""
+    return C.reshape(-1, nc, C.shape[-1]).transpose(0, 2, 1)
+
+
+def jet_matmul(A: np.ndarray, B: np.ndarray, dim: int, order: int) -> np.ndarray:
+    """Product of jet matrices A (p, q, ncoef) and B (q, r, ncoef)."""
+    T = jet_matmul_operator(A, dim, order)
+    return from_columns(T @ to_columns(B), A.shape[-1])
+
+
+def derivative_coeffs(a: np.ndarray, dim: int, order: int) -> np.ndarray:
+    """All first derivatives of jets a (..., ncoef) at order ``order``:
+    shape (dim, ..., n_coeffs(dim, order-1))."""
+    D = _derivative_matrices(dim, order)
+    return np.einsum("lcb,...b->l...c", D, a)
+
+
+def compose_coeffs(a: np.ndarray, c: np.ndarray, dim: int, order: int) -> np.ndarray:
+    """sum_k c[k] (a - a0)^k for a scalar jet a, by Horner on its
+    multiplication matrix (exact to the truncation order)."""
+    u = a.copy()
+    u[0] = 0.0
+    T = mult_matrix(u, dim, order)
+    out = np.zeros_like(u)
+    out[0] = c[order]
+    for k in range(order - 1, -1, -1):
+        out = T @ out
+        out[0] += c[k]
+    return out
+
+
+def jet_tensor(coeffs: np.ndarray, dim: int, order: int):
+    """Nested lists of jets over the leading axes of a (..., ncoef) array;
+    each jet's coefficients are a view of ``coeffs``."""
+    if coeffs.ndim == 1:
+        return Jet._unchecked(dim, order, coeffs)
+    return [jet_tensor(c, dim, order) for c in coeffs]
+
+
+_SCALARS = (int, float, np.floating, np.integer)
+_new_object = object.__new__
 
 
 class Jet:
@@ -112,6 +220,15 @@ class Jet:
                     f"got shape {arr.shape}"
                 )
             self.coeffs = arr
+
+    @staticmethod
+    def _unchecked(dim: int, order: int, coeffs: np.ndarray) -> "Jet":
+        """Wrap a float coefficient vector already of length n_coeffs(dim, order)."""
+        j = _new_object(Jet)
+        j.dim = dim
+        j.order = order
+        j.coeffs = coeffs
+        return j
 
     # -- constructors -------------------------------------------------
 
@@ -144,7 +261,9 @@ class Jet:
     def truncate(self, order: int) -> "Jet":
         if order >= self.order:
             return self
-        return Jet(self.dim, order, self.coeffs[: n_coeffs(self.dim, order)].copy())
+        return Jet._unchecked(
+            self.dim, order, self.coeffs[: n_coeffs(self.dim, order)].copy()
+        )
 
     def partial(self, multi_index) -> float:
         """Value of the mixed partial d^alpha at the base point."""
@@ -167,59 +286,57 @@ class Jet:
             raise DimensionMismatch(f"axis {axis} out of range for dim {self.dim}")
         if self.order == 0:
             raise OrderError("cannot differentiate an order-0 jet")
-        out = Jet(self.dim, self.order - 1)
-        src, dst, fac = _derivative_pairs(self.dim, self.order, axis)
-        if len(src):
-            np.add.at(out.coeffs, dst, self.coeffs[src] * fac)
-        return out
+        D = _derivative_matrices(self.dim, self.order)[axis]
+        return Jet._unchecked(self.dim, self.order - 1, D @ self.coeffs)
 
     # -- ring operations ----------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, Jet):
-            if other.dim != self.dim:
-                raise DimensionMismatch(
-                    f"jet dims differ: {self.dim} vs {other.dim}"
-                )
-            return other
-        if isinstance(other, (int, float, np.floating, np.integer)):
-            return Jet.constant(float(other), self.dim, self.order)
-        return None
+    def _common(self, other: "Jet"):
+        """Both coefficient vectors at the smaller order, and that order."""
+        if other.dim != self.dim:
+            raise DimensionMismatch(f"jet dims differ: {self.dim} vs {other.dim}")
+        if other.order == self.order:
+            return self.coeffs, other.coeffs, self.order
+        k = min(self.order, other.order)
+        nc = n_coeffs(self.dim, k)
+        return self.coeffs[:nc], other.coeffs[:nc], k
+
+    def _shifted(self, value: float) -> "Jet":
+        out = self.coeffs.copy()
+        out[0] += value
+        return Jet._unchecked(self.dim, self.order, out)
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        k = min(self.order, o.order)
-        a, b = self.truncate(k), o.truncate(k)
-        return Jet(self.dim, k, a.coeffs + b.coeffs)
+        if isinstance(other, Jet):
+            a, b, k = self._common(other)
+            return Jet._unchecked(self.dim, k, a + b)
+        if isinstance(other, _SCALARS):
+            return self._shifted(float(other))
+        return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(self.dim, self.order, -self.coeffs)
+        return Jet._unchecked(self.dim, self.order, -self.coeffs)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        if isinstance(other, Jet):
+            a, b, k = self._common(other)
+            return Jet._unchecked(self.dim, k, a - b)
+        if isinstance(other, _SCALARS):
+            return self._shifted(-float(other))
+        return NotImplemented
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, float, np.floating, np.integer)):
-            return Jet(self.dim, self.order, self.coeffs * float(other))
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        k = min(self.order, o.order)
-        a, b = self.truncate(k), o.truncate(k)
-        out = Jet(self.dim, k)
-        ia, ib, ic = _product_triples(self.dim, k)
-        np.add.at(out.coeffs, ic, a.coeffs[ia] * b.coeffs[ib])
-        return out
+        if isinstance(other, Jet):
+            a, b, k = self._common(other)
+            return Jet._unchecked(self.dim, k, mul_coeffs(a, b, self.dim, k))
+        if isinstance(other, _SCALARS):
+            return Jet._unchecked(self.dim, self.order, self.coeffs * float(other))
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -229,12 +346,11 @@ class Jet:
         return self.apply("pow", -1.0)
 
     def __truediv__(self, other):
-        if isinstance(other, (int, float, np.floating, np.integer)):
-            return Jet(self.dim, self.order, self.coeffs / float(other))
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.reciprocal()
+        if isinstance(other, _SCALARS):
+            return Jet._unchecked(self.dim, self.order, self.coeffs / float(other))
+        if isinstance(other, Jet):
+            return self * other.reciprocal()
+        return NotImplemented
 
     def __rtruediv__(self, other):
         return self.reciprocal() * other
@@ -244,14 +360,17 @@ class Jet:
             n = int(exponent)
             if n < 0:
                 return self.reciprocal() ** (-n)
-            result = Jet.constant(1.0, self.dim, self.order)
-            base = self
+            dim, order = self.dim, self.order
+            result = np.zeros_like(self.coeffs)
+            result[0] = 1.0
+            base = self.coeffs
             while n:
                 if n & 1:
-                    result = result * base
-                base = base * base if n > 1 else base
+                    result = mul_coeffs(result, base, dim, order)
+                if n > 1:
+                    base = mul_coeffs(base, base, dim, order)
                 n >>= 1
-            return result
+            return Jet._unchecked(dim, order, result)
         return self.apply("pow", float(exponent))
 
     # -- analytic composition ------------------------------------------
@@ -264,12 +383,10 @@ class Jet:
         exact to the truncation order.
         """
         c = _univariate_coeffs(fn, self.value, self.order, alpha)
-        u = Jet(self.dim, self.order, self.coeffs.copy())
-        u.coeffs[0] = 0.0
-        result = Jet.constant(c[self.order], self.dim, self.order)
-        for k in range(self.order - 1, -1, -1):
-            result = result * u + c[k]
-        return result
+        return Jet._unchecked(
+            self.dim, self.order,
+            compose_coeffs(self.coeffs, c, self.dim, self.order),
+        )
 
     def exp(self):
         return self.apply("exp")

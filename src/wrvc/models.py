@@ -11,6 +11,7 @@ ambient expansion g_rho = (1+lam rho)^2 g, f_rho = (1+lam rho) f.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +19,7 @@ import numpy as np
 from .errors import ModelError
 from .expr import Node, evaluate, parse_expression
 from .geometry import MetricAtPoint
-from .jets import Jet
+from .jets import Jet, n_coeffs
 from .rho import AmbientExpansion, load_ambient_file
 from .weighted import MetricMeasurePoint
 
@@ -69,16 +70,28 @@ class ModelSpec:
         }
 
     def metric_at(self, point, order: int = DEFAULT_ORDER) -> MetricAtPoint:
+        """Metric jets at a point; each distinct component expression is
+        evaluated once."""
         env = self._env(point, order)
-        zero = Jet.constant(0.0, self.n, order)
-        g = [[None] * self.n for _ in range(self.n)]
-        for i in range(self.n):
-            for j in range(self.n):
-                val = evaluate(self.g_exprs[i][j], env)
-                if not isinstance(val, Jet):
-                    val = zero + float(val)
-                g[i][j] = val
-        return MetricAtPoint(g, point)
+        n = self.n
+        G = np.zeros((n, n, n_coeffs(n, order)))
+        done = []   # (expression, coefficients) per distinct expression
+        for i in range(n):
+            for j in range(n):
+                node = self.g_exprs[i][j]
+                for seen, coeffs in done:
+                    if seen is node or seen == node:
+                        break
+                else:
+                    val = evaluate(node, env)
+                    if isinstance(val, Jet):
+                        coeffs = val.coeffs
+                    else:
+                        coeffs = np.zeros(G.shape[2])
+                        coeffs[0] = float(val)
+                    done.append((node, coeffs))
+                G[i, j] = coeffs
+        return MetricAtPoint.from_coeffs(G, order, point)
 
     def density_at(self, point, order: int = DEFAULT_ORDER) -> Jet:
         val = evaluate(self.f_expr, self._env(point, order))
@@ -119,6 +132,12 @@ class ModelSpec:
 # -- builtin structures ---------------------------------------------------
 
 
+def _require_finite(**params):
+    for name, value in params.items():
+        if value is not None and not math.isfinite(value):
+            raise ModelError(f"parameter {name} must be finite, got {value}")
+
+
 def _delta_exprs(n, diagonal: str):
     g = [[parse_expression("0") for _ in range(n)] for _ in range(n)]
     for i in range(n):
@@ -145,6 +164,7 @@ def builtin_model(name: str, n: int = 3, m: float | None = None,
         )
     if not 2 <= n <= 4:
         raise ModelError(f"built-in models support 2 <= n <= 4, got n = {n}")
+    _require_finite(m=m, mu=mu)
     coords = _COORD_NAMES[:n]
     if name == "qe_sphere":
         m = 2.0 if m is None else float(m)
@@ -276,6 +296,7 @@ def load_model_file(path) -> ModelSpec:
         mu = cp.getfloat("space", "mu", fallback=0.0)
     except ValueError as exc:
         raise ModelError(f"bad [space] entry: {exc}")
+    _require_finite(m=m, mu=mu)
     if not 1 <= n <= 4:
         raise ModelError(f"model dimension must be 1..4, got {n}")
     coords_raw = cp.get("space", "coords", fallback=", ".join(_COORD_NAMES[:n]))
@@ -309,6 +330,7 @@ def load_model_file(path) -> ModelSpec:
     if "ambient" in cp:
         if cp.has_option("ambient", "lambda"):
             lam = cp.getfloat("ambient", "lambda")
+            _require_finite(**{"lambda": lam})
         if cp.has_option("ambient", "coefficients"):
             ambient_file = cp.get("ambient", "coefficients")
 

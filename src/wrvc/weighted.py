@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -256,6 +257,13 @@ def generalized_binomial(m: float, j: int) -> float:
     return out
 
 
+@lru_cache(maxsize=None)
+def _principal_index(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column index arrays selecting every k x k principal minor."""
+    idx = np.array(list(combinations(range(n), k)))
+    return idx[:, :, None], idx[:, None, :]
+
+
 def elementary_symmetric_matrix(a: np.ndarray, k: int) -> float:
     """e_k of the eigenvalues of a, as the sum of k x k principal minors."""
     n = a.shape[0]
@@ -263,10 +271,9 @@ def elementary_symmetric_matrix(a: np.ndarray, k: int) -> float:
         return 1.0
     if k > n:
         return 0.0
-    total = 0.0
-    for idx in combinations(range(n), k):
-        total += float(np.linalg.det(a[np.ix_(idx, idx)]))
-    return total
+    rows, cols = _principal_index(n, k)
+    # summed left to right from 0, as one determinant at a time would be
+    return float(sum(np.linalg.det(a[rows, cols]).tolist()))
 
 
 def elementary_symmetric_values(values, k: int) -> float:

@@ -1,0 +1,391 @@
+"""The coefficient-array geometry against an independent exact route, and
+structural guards on how many jets and expression evaluations the
+pointwise pipeline makes.
+
+The reference differentiates random polynomial metrics exactly: sympy's
+polynomial ring QQ[y] shifts each polynomial to the chart point, which
+gives its exact Taylor coefficients, and the inverse, Christoffel
+symbols, curvature and Hessian follow from those derivative values by the
+Leibniz rule in rational arithmetic, the determinant by the permutation
+expansion in that ring.  It shares no product table, series or inverse with the code
+under test.
+"""
+
+import math
+from contextlib import contextmanager
+from fractions import Fraction
+from functools import lru_cache
+from itertools import permutations, product
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import QQ, Matrix
+from sympy.polys.rings import ring
+
+import wrvc.models
+from wrvc.expr import parse_expression
+from wrvc.geometry import (
+    MetricAtPoint,
+    christoffel,
+    curvature,
+    hessian,
+    jet_matrix_inverse,
+)
+from wrvc.jets import Jet
+from wrvc.models import ModelSpec, builtin_model, load_model_file
+from wrvc.weighted import weighted_invariants
+
+REL_TOL = 1e-12
+
+
+# -- exact reference ------------------------------------------------------------
+
+
+def multi_indices(n, max_degree):
+    """All multi-indices of total degree <= max_degree, by degree."""
+    out = [a for a in product(range(max_degree + 1), repeat=n) if sum(a) <= max_degree]
+    return sorted(out, key=sum)
+
+
+def binom(alpha, beta):
+    return math.prod(math.comb(a, b) for a, b in zip(alpha, beta))
+
+
+def factorial(alpha):
+    return math.prod(math.factorial(a) for a in alpha)
+
+
+def sub(alpha, beta):
+    return tuple(a - b for a, b in zip(alpha, beta))
+
+
+def below(alpha):
+    """Multi-indices beta <= alpha componentwise."""
+    return product(*(range(a + 1) for a in alpha))
+
+
+def taylor_at(poly, point):
+    """Exact Taylor coefficients at ``point`` of a polynomial {alpha: coeff},
+    as an element of sympy's ring QQ[y] in the shifted variables y = x - point."""
+    R, ys = shift_ring(len(point))
+    shifted = [QQ(p.numerator, p.denominator) + y for p, y in zip(point, ys)]
+    out = R.zero
+    for alpha, c in poly.items():
+        term = R(QQ(c.numerator, c.denominator))
+        for x, k in zip(shifted, alpha):
+            term *= x**k
+        out += term
+    return out
+
+
+@lru_cache(maxsize=None)
+def shift_ring(n):
+    R, *ys = ring(",".join(f"y{i}" for i in range(n)), QQ)
+    return R, ys
+
+
+def derivatives(element, n, max_degree):
+    """{alpha: d^alpha at the point} from a shifted ring element, as Fractions."""
+    terms = dict(element.terms())
+    out = {}
+    for alpha in multi_indices(n, max_degree):
+        c = terms.get(alpha, QQ(0))
+        out[alpha] = Fraction(int(c.numerator), int(c.denominator)) * factorial(alpha)
+    return out
+
+
+def matmul(a, b):
+    n = len(a)
+    return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)]
+
+
+def exact_inverse(a):
+    inv = Matrix(a).inv()
+    return [[Fraction(int(v.p), int(v.q)) for v in row] for row in inv.tolist()]
+
+
+def permutation_sign(perm):
+    sign = 1
+    for i in range(len(perm)):
+        for j in range(i + 1, len(perm)):
+            if perm[i] > perm[j]:
+                sign = -sign
+    return sign
+
+
+class ExactGeometry:
+    """Exact derivative values at the chart point of a polynomial metric."""
+
+    def __init__(self, entries, point, order):
+        n = len(point)
+        self.n, self.order = n, order
+        shifted = [[taylor_at(entries[i, j], point) for j in range(n)] for i in range(n)]
+        entry = [[derivatives(shifted[i][j], n, order) for j in range(n)]
+                 for i in range(n)]
+        alphas = multi_indices(n, order)
+        # dg[alpha][i][j] = d^alpha g_ij at the point
+        self.dg = {a: [[entry[i][j][a] for j in range(n)] for i in range(n)]
+                   for a in alphas}
+        # d^alpha (g^-1) from d^alpha (g g^-1) = 0 for alpha != 0
+        zero = (0,) * n
+        h0 = exact_inverse(self.dg[zero])
+        self.dh = {zero: h0}
+        for a in alphas[1:]:
+            acc = [[Fraction(0)] * n for _ in range(n)]
+            for b in below(a):
+                if sum(b) > 0:
+                    c = binom(a, b)
+                    prod = matmul(self.dg[b], self.dh[sub(a, b)])
+                    acc = [[x + c * y for x, y in zip(r, s)] for r, s in zip(acc, prod)]
+            self.dh[a] = [[-v for v in row] for row in matmul(h0, acc)]
+        # d^alpha Gamma^k_ij for |alpha| <= order - 1
+        self.dgamma = {
+            a: [[[self._gamma_derivative(a, k, i, j) for j in range(n)]
+                 for i in range(n)] for k in range(n)]
+            for a in multi_indices(n, order - 1)
+        }
+        # determinant by the permutation expansion, in the shifted ring
+        det = sum(
+            (permutation_sign(perm)
+             * math.prod((shifted[i][perm[i]] for i in range(n)), start=shifted[0][0].ring.one)
+             for perm in permutations(range(n))),
+            shifted[0][0].ring.zero,
+        )
+        self.ddet = derivatives(det, n, order)
+
+    def _first_kind(self, a, l, i, j):
+        """d^alpha (d_i g_jl + d_j g_il - d_l g_ij)."""
+        up = lambda s: tuple(x + int(t == s) for t, x in enumerate(a))  # noqa: E731
+        return self.dg[up(i)][j][l] + self.dg[up(j)][i][l] - self.dg[up(l)][i][j]
+
+    def _gamma_derivative(self, a, k, i, j):
+        total = Fraction(0)
+        for b in below(a):
+            c = binom(a, b)
+            for l in range(self.n):
+                total += c * self.dh[b][k][l] * self._first_kind(sub(a, b), l, i, j)
+        return total / 2
+
+    def gamma(self, alpha):
+        return np.array(self.dgamma[alpha], dtype=float)
+
+    def curvature(self):
+        n = self.n
+        e = [tuple(int(t == s) for t in range(n)) for s in range(n)]
+        G = self.dgamma[(0,) * n]
+        dG = [self.dgamma[e[l]] for l in range(n)]   # dG[l][k][i][j]
+        up = [[[[dG[c][a][d][b] - dG[d][a][c][b]
+                 + sum(G[a][c][s] * G[s][d][b] - G[a][d][s] * G[s][c][b]
+                       for s in range(n))
+                 for d in range(n)] for c in range(n)] for b in range(n)]
+              for a in range(n)]
+        g0, h0 = self.dg[(0,) * n], self.dh[(0,) * n]
+        riem = [[[[sum(g0[a][s] * up[s][b][c][d] for s in range(n))
+                   for d in range(n)] for c in range(n)] for b in range(n)]
+                for a in range(n)]
+        ric = [[sum(up[a][b][a][d] for a in range(n)) for d in range(n)]
+               for b in range(n)]
+        scalar = sum(h0[b][d] * ric[b][d] for b in range(n) for d in range(n))
+        return (np.array(riem, dtype=float), np.array(ric, dtype=float),
+                float(scalar))
+
+    def hessian(self, du):
+        """nabla^2 u at the point from d^alpha u (|alpha| <= 2)."""
+        n = self.n
+        e = [tuple(int(t == s) for t in range(n)) for s in range(n)]
+        G = self.dgamma[(0,) * n]
+        out = [[du[tuple(x + y for x, y in zip(e[i], e[j]))]
+                - sum(G[k][i][j] * du[e[k]] for k in range(n))
+                for j in range(n)] for i in range(n)]
+        return np.array(out, dtype=float)
+
+
+def assert_rel_close(actual, expected, what):
+    actual = np.asarray(actual, dtype=float)
+    expected = np.asarray(expected, dtype=float)
+    scale = max(1.0, float(np.max(np.abs(expected))))
+    err = float(np.max(np.abs(actual - expected)))
+    assert err <= REL_TOL * scale, f"{what}: error {err:.3e} at scale {scale:.3e}"
+
+
+# -- random polynomial metrics ----------------------------------------------------
+
+# dyadic coefficients and points are exact in both float and rational arithmetic
+_small = st.integers(-8, 8).map(lambda k: Fraction(k, 64))
+
+
+@st.composite
+def polynomial_metrics(draw):
+    """(n, order, point, entries, u): entries[(i, j)] and u map multi-indices
+    of degree <= 2 (u: <= 3) to dyadic coefficients; g = 2 delta + entries is
+    diagonally dominant, hence positive definite, near the point."""
+    n = draw(st.integers(2, 4))
+    order = draw(st.integers(2, 4))
+    point = [draw(st.integers(-16, 16).map(lambda k: Fraction(k, 64))) for _ in range(n)]
+    entries = {}
+    for i in range(n):
+        for j in range(i, n):
+            poly = {a: draw(_small) for a in multi_indices(n, 2)}
+            if i == j:
+                poly[(0,) * n] += 2
+            entries[i, j] = entries[j, i] = poly
+    u = {a: draw(_small) for a in multi_indices(n, 3)}
+    return n, order, point, entries, u
+
+
+def jet_poly(poly, xs):
+    n, order = xs[0].dim, xs[0].order
+    out = Jet.constant(0.0, n, order)
+    for a, c in poly.items():
+        term = Jet.constant(float(c), n, order)
+        for x, k in zip(xs, a):
+            for _ in range(k):
+                term = term * x
+        out = out + term
+    return out
+
+
+@settings(max_examples=12, deadline=None)
+@given(polynomial_metrics())
+def test_array_geometry_matches_exact_derivatives(case):
+    n, order, point, entries, u_poly = case
+    exact = ExactGeometry(entries, point, order)
+
+    jx = [Jet.variable(i, float(point[i]), n, order) for i in range(n)]
+    g = [[jet_poly(entries[i, j], jx) for j in range(n)] for i in range(n)]
+    metric = MetricAtPoint(g, [float(p) for p in point])
+
+    gamma = christoffel(metric)
+    for alpha in multi_indices(n, order - 1):
+        got = [[[gamma[k][i][j].partial(alpha) for j in range(n)]
+                for i in range(n)] for k in range(n)]
+        assert_rel_close(got, exact.gamma(alpha), f"Gamma d^{alpha}")
+
+    inv = jet_matrix_inverse(metric.g)
+    det = metric.det_jet()
+    for alpha in multi_indices(n, order):
+        got = [[inv[i][j].partial(alpha) for j in range(n)] for i in range(n)]
+        assert_rel_close(got, np.array(exact.dh[alpha], dtype=float), f"g^-1 d^{alpha}")
+        assert_rel_close(det.partial(alpha), float(exact.ddet[alpha]), f"det d^{alpha}")
+
+    riem, ric, scalar = exact.curvature()
+    bundle = curvature(metric)
+    assert_rel_close(bundle.riem, riem, "Riemann")
+    assert_rel_close(bundle.ric, ric, "Ricci")
+    assert_rel_close(bundle.scalar, scalar, "scalar")
+
+    du = derivatives(taylor_at(u_poly, point), n, 2)
+    assert_rel_close(hessian(jet_poly(u_poly, jx), metric), exact.hessian(du), "Hessian")
+
+
+# -- structural guards --------------------------------------------------------------
+
+
+@contextmanager
+def counting_jets():
+    """Count every Jet object built, through the checked or the internal
+    constructor."""
+    counter = {"built": 0}
+    init, unchecked = Jet.__dict__["__init__"], Jet.__dict__["_unchecked"]
+    raw = unchecked.__func__
+
+    def counted_init(self, *args, **kwargs):
+        counter["built"] += 1
+        init(self, *args, **kwargs)
+
+    def counted_unchecked(*args):
+        counter["built"] += 1
+        return raw(*args)
+
+    Jet.__init__ = counted_init
+    Jet._unchecked = staticmethod(counted_unchecked)
+    try:
+        yield counter
+    finally:
+        Jet.__init__ = init
+        Jet._unchecked = unchecked
+
+
+def deformed_sphere(n=3, m=2.0, mu=1.0):
+    """qe_sphere(n, m, mu) under (e^{2w} g, e^{w} f) for a quadratic w, so
+    the density is not constant and every phi-term is exercised."""
+    names = ("x", "y", "z", "w")[:n]
+    omega = "0.1+0.2*x-0.15*y+0.05*x*y+0.1*x^2" if n >= 2 else "0.1*x"
+    r2 = "+".join(f"{v}^2" for v in names)
+    diag = parse_expression(f"4*exp(2*({omega}))/(1+{r2})^2")
+    zero = parse_expression("0")
+    f0 = math.sqrt((m - 1) * mu / (n - 1))
+    return ModelSpec(
+        name="deformed", n=n, m=m, mu=mu, coords=names,
+        g_exprs=[[diag if i == j else zero for j in range(n)] for i in range(n)],
+        f_expr=parse_expression(f"{f0!r}*exp({omega})"),
+    )
+
+
+def test_weighted_invariants_builds_few_jets():
+    p = deformed_sphere().structure_at([0.2, -0.1, 0.3], order=4)
+    with counting_jets() as counter:
+        weighted_invariants(p)
+    assert counter["built"] <= 40
+
+
+def test_counting_jets_sees_both_constructors():
+    with counting_jets() as counter:
+        x = Jet.variable(0, 0.5, 2, 3)   # checked constructor
+        x * x                           # internal constructor
+    assert counter["built"] == 2
+
+
+def _count_evaluations(monkeypatch):
+    calls = []
+    original = wrvc.models.evaluate
+
+    def counted(node, env):
+        calls.append(node)
+        return original(node, env)
+
+    monkeypatch.setattr(wrvc.models, "evaluate", counted)
+    return calls
+
+
+@pytest.mark.parametrize("model", [
+    builtin_model("qe_sphere", 3, 2.0, 1.0),
+    builtin_model("hyperbolic_upper_half", 4),
+    deformed_sphere(),
+])
+def test_metric_at_evaluates_each_distinct_component_once(monkeypatch, model):
+    calls = _count_evaluations(monkeypatch)
+    point = model.default_point + 0.1
+    metric = model.metric_at(point)
+    distinct = []
+    for row in model.g_exprs:
+        for node in row:
+            if node not in distinct:
+                distinct.append(node)
+    assert calls == distinct
+    # and the jets agree with evaluating every component on its own
+    monkeypatch.undo()
+    env = model._env(point, 4)
+    for i in range(model.n):
+        for j in range(model.n):
+            val = wrvc.models.evaluate(model.g_exprs[i][j], env)
+            if not isinstance(val, Jet):
+                val = Jet.constant(float(val), model.n, 4)
+            assert np.array_equal(metric.G[i, j], val.coeffs)
+            assert np.array_equal(metric.g[i][j].coeffs, val.coeffs)
+
+
+def test_metric_at_model_file_mirrors_lower_triangle(monkeypatch, tmp_path):
+    path = tmp_path / "offdiag.cfg"
+    path.write_text(
+        "[space]\nn = 2\nm = 2\nmu = 0\n\n"
+        "[metric]\ng_11 = 2+x^2\ng_21 = 0.3*x*y\ng_22 = 1+y^2\n"
+    )
+    spec = load_model_file(path)
+    calls = _count_evaluations(monkeypatch)
+    metric = spec.metric_at([0.2, 0.1])
+    assert len(calls) == 3
+    assert np.array_equal(metric.G[0, 1], metric.G[1, 0])

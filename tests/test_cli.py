@@ -194,3 +194,28 @@ def test_float_serialization_digits(capsys):
     text = [ln for ln in out.split("\n") if '"qe_residual"' in ln][0]
     value = text.split(":")[1].strip().rstrip(",")
     assert float(value) == doc["values"]["qe_residual"]
+
+
+def test_verify_negative_seed_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "verify", "--suite", "jets", "--seed", "-1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "-1" in err
+
+
+@pytest.mark.parametrize("param", ["--m=nan", "--m=inf", "--mu=nan", "--mu=-inf"])
+def test_curvature_rejects_non_finite_parameters(capsys, param):
+    code, out, err = run_cli(capsys, "curvature", "--model", "euclidean", param)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_model_file_non_finite_parameter_exits_2(capsys, tmp_path):
+    path = tmp_path / "nan.cfg"
+    path.write_text("[space]\nn = 2\nm = nan\n\n[metric]\ng_11 = 1\ng_22 = 1\n")
+    code, out, err = run_cli(capsys, "curvature", "--model", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -317,3 +317,31 @@ def test_model_file_ambient_coefficients(tmp_path):
     spec = load_model_file(model_path)
     loaded = spec.ambient_at([0.0, 0.0, 0.0], 4)
     assert np.allclose(loaded.gcoeffs, a.gcoeffs)
+
+
+@pytest.mark.parametrize("name", ["euclidean", "qe_sphere"])
+@pytest.mark.parametrize("params", [
+    {"m": float("nan")}, {"m": float("inf")},
+    {"mu": float("nan")}, {"mu": float("-inf")},
+])
+def test_builtin_model_rejects_non_finite_parameters(name, params):
+    with pytest.raises(ModelError, match="finite"):
+        builtin_model(name, 3, **params)
+
+
+@pytest.mark.parametrize("line", ["m = nan", "m = inf", "mu = -inf", "mu = nan"])
+def test_model_file_rejects_non_finite_parameters(tmp_path, line):
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"[space]\nn = 2\n{line}\n\n[metric]\ng_11 = 1\ng_22 = 1\n")
+    with pytest.raises(ModelError, match="finite"):
+        load_model_file(path)
+
+
+def test_model_file_rejects_non_finite_lambda(tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_text(
+        "[space]\nn = 2\nm = 2\n\n[metric]\ng_11 = 1\ng_22 = 1\n\n"
+        "[ambient]\nlambda = nan\n"
+    )
+    with pytest.raises(ModelError, match="finite"):
+        load_model_file(path)
