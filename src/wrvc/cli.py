@@ -22,20 +22,12 @@ from .errors import WrvcError
 from .models import BUILTIN_NAMES, builtin_model, load_model_file
 from .rho import obstruction_tensors, volume_coefficients
 from .suites import DEFAULT_SEED, SUITE_NAMES, run_suites
-from .variational import set_thread_count
+from .variational import format_value
 from .weighted import quasi_einstein_residual, weighted_invariants
 
 
 class UsageError(WrvcError):
     pass
-
-
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.17g}"
-    return str(value)
 
 
 def _emit_json(obj, indent: int = 0) -> str:
@@ -93,7 +85,7 @@ class ReportDocument:
         lines = [f"command = {self.command}"]
         if self.model is not None:
             for key, val in self.model.items():
-                lines.append(f"model.{key} = {_fmt(val)}")
+                lines.append(f"model.{key} = {format_value(val)}")
         if self.seed is not None:
             lines.append(f"seed = {self.seed}")
         scalar_keys = [k for k, v in self.values.items()
@@ -105,7 +97,7 @@ class ReportDocument:
                 for row in np.atleast_2d(val):
                     lines.append("    " + "  ".join(f"{x:.17g}" for x in row))
             else:
-                lines.append(f"{key:<{width}} = {_fmt(val)}")
+                lines.append(f"{key:<{width}} = {format_value(val)}")
         if self.suites:
             name_width = max(len(f"{c.suite}/{c.name}") for c in self.suites)
             for c in self.suites:
@@ -205,7 +197,6 @@ def cmd_vk(args) -> int:
 def cmd_verify(args) -> int:
     if args.seed < 0:
         raise UsageError(f"seed must be a non-negative integer, got {args.seed}")
-    set_thread_count(args.threads)
     names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
     results = run_suites(names, seed=args.seed)
     status = 0 if all(c.passed for c in results) else 1
@@ -257,9 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--seed", type=int, default=DEFAULT_SEED,
                        help="seed for the randomized checks (printed)")
     p_ver.add_argument("--threads", type=int, default=None,
-                       help="threads for the final quadrature dot product, "
-                            "used only when a chart has more than 8192 nodes "
-                            "(default: WRVC_THREADS or 1)")
+                       help="accepted for compatibility and ignored: "
+                            "verification runs on one thread")
     p_ver.add_argument("--json", action="store_true",
                        help="emit a single JSON document")
     p_ver.set_defaults(func=cmd_verify)

@@ -275,6 +275,19 @@ def evaluate(node: Node, env: dict):
     raise ExpressionError(f"cannot evaluate node {node!r}")
 
 
+def has_vars(node: Node) -> bool:
+    """Whether the AST references any identifier (is not a constant)."""
+    if isinstance(node, Var):
+        return True
+    if isinstance(node, Unary):
+        return has_vars(node.operand)
+    if isinstance(node, Binary):
+        return has_vars(node.left) or has_vars(node.right)
+    if isinstance(node, Call):
+        return any(has_vars(a) for a in node.args)
+    return False
+
+
 # -- printing ------------------------------------------------------------------
 
 

@@ -23,6 +23,7 @@ k <= (n+m)/2; requests beyond that raise ``DeterminacyError``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import permutations
 
@@ -488,25 +489,58 @@ def save_ambient_file(a: AmbientExpansion, m: float, mu: float, path):
 
 
 def load_ambient_file(path):
-    """Read a coefficient file; returns (expansion, m, mu)."""
-    with open(path) as fh:
-        raw = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
+    """Read a coefficient file; returns (expansion, m, mu).
+
+    Every malformed header or row raises ``DomainError`` naming
+    ``path:line``."""
+    try:
+        with open(path) as fh:
+            raw = [(num, ln.strip()) for num, ln in enumerate(fh, start=1)
+                   if ln.strip() and not ln.startswith("#")]
+    except OSError as exc:
+        raise DomainError(f"cannot read ambient coefficient file {path}: "
+                          f"{exc.strerror}")
     if not raw:
         raise DomainError(f"empty ambient coefficient file {path}")
-    head = raw[0].split()
+
+    def fail(num, msg):
+        raise DomainError(f"{path}:{num}: {msg}")
+
+    def number(num, token, kind=float):
+        try:
+            value = kind(token)
+        except ValueError:
+            fail(num, f"bad number {token!r}")
+        if not math.isfinite(value):
+            fail(num, f"non-finite number {token!r}")
+        return value
+
+    def index(num, token, size, name):
+        value = number(num, token, int)
+        if not 0 <= value < size:
+            fail(num, f"{name} = {value} outside 0..{size - 1}")
+        return value
+
+    num, line = raw[0]
+    head = line.split()
     if len(head) != 4:
-        raise DomainError("header must be `n m mu K`")
-    n, m, mu, K = int(head[0]), float(head[1]), float(head[2]), int(head[3])
+        fail(num, "header must be `n m mu K`")
+    n, m, mu, K = (number(num, head[0], int), number(num, head[1]),
+                   number(num, head[2]), number(num, head[3], int))
+    if n < 1 or K < 0:
+        fail(num, f"header needs n >= 1 and K >= 0, got n = {n}, K = {K}")
     gcoeffs = np.zeros((K + 1, n, n))
     fcoeffs = np.zeros(K + 1)
-    for ln in raw[1:]:
+    for num, ln in raw[1:]:
         parts = ln.split()
         if parts[0] == "g" and len(parts) == 5:
-            k, i, j = int(parts[1]), int(parts[2]), int(parts[3])
-            gcoeffs[k, i, j] = float(parts[4])
+            k = index(num, parts[1], K + 1, "k")
+            i = index(num, parts[2], n, "i")
+            j = index(num, parts[3], n, "j")
+            gcoeffs[k, i, j] = number(num, parts[4])
         elif parts[0] == "f" and len(parts) == 3:
-            fcoeffs[int(parts[1])] = float(parts[2])
+            fcoeffs[index(num, parts[1], K + 1, "k")] = number(num, parts[2])
         else:
-            raise DomainError(f"unrecognized row in ambient file: {ln!r}")
+            fail(num, f"unrecognized row in ambient file: {ln!r}")
     gcoeffs = 0.5 * (gcoeffs + np.swapaxes(gcoeffs, -1, -2))
     return AmbientExpansion(gcoeffs=gcoeffs, fcoeffs=fcoeffs, mu=mu), m, mu

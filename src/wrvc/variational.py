@@ -8,16 +8,16 @@ azimuth).  The chart overlap is blended by a partition of unity whose
 radial profile is a C^11 polynomial smoothstep in log-radius; the two
 chart weights sum to the metric measure of the sphere.
 
-All reductions run over fixed-size chunks combined in index order, so
-results are bit-identical whether node chunks are evaluated serially or
-on a thread pool.
+Trial fields enter through closed forms evaluated once per node array:
+the Laplace-Beltrami operator and the gradient norm are built from the
+flat chart Laplacian and gradient, never from an (N, n, n) Hessian.
+Reductions sum fixed-size node chunks in index order, so results are
+bit-identical from run to run.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
 
@@ -25,8 +25,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import DomainError, ModelError
-from .expr import Num, Unary, Var, evaluate
-from .fields import SphereField, coordinate_harmonics
+from .expr import evaluate, has_vars
+from .fields import SphereField, coordinate_harmonics, node_D
 from .models import ModelSpec, quasi_einstein_coeffs
 from .rho import l_operator, volume_coefficients
 from .weighted import generalized_binomial, weighted_invariants
@@ -35,20 +35,6 @@ _CHUNK = 8192
 _DEFAULT_RESOLUTION = 40
 _DEFAULT_RADIUS = 3.0
 _PROFILE_DEGREE = 11
-
-_thread_count = 1
-
-
-def set_thread_count(count: int | None):
-    """Thread count for node-chunk evaluation (reduction order is fixed, so
-    results do not depend on this).  Falls back to WRVC_THREADS, then 1."""
-    global _thread_count
-    if count is None:
-        count = int(os.environ.get("WRVC_THREADS", "1"))
-    _thread_count = max(1, int(count))
-
-
-set_thread_count(None)
 
 
 @lru_cache(maxsize=None)
@@ -166,19 +152,9 @@ class QuadratureGrid:
 
 
 def _chunked_dot(w: np.ndarray, v: np.ndarray) -> float:
-    chunks = range(0, len(w), _CHUNK)
-
-    def one(start):
-        return float(np.dot(w[start:start + _CHUNK], v[start:start + _CHUNK]))
-
-    if _thread_count > 1 and len(w) > _CHUNK:
-        with ThreadPoolExecutor(max_workers=_thread_count) as pool:
-            parts = list(pool.map(one, chunks))
-    else:
-        parts = [one(start) for start in chunks]
     total = 0.0
-    for p in parts:
-        total += p
+    for start in range(0, len(w), _CHUNK):
+        total += float(np.dot(w[start:start + _CHUNK], v[start:start + _CHUNK]))
     return total
 
 
@@ -187,18 +163,6 @@ def _chunked_dot(w: np.ndarray, v: np.ndarray) -> float:
 
 def _env(model: ModelSpec, X: np.ndarray) -> dict:
     return {name: X[:, i] for i, name in enumerate(model.coords)}
-
-
-def _expr_has_vars(node) -> bool:
-    if isinstance(node, Var):
-        return True
-    if isinstance(node, Num):
-        return False
-    if isinstance(node, Unary):
-        return _expr_has_vars(node.operand)
-    if hasattr(node, "args"):
-        return any(_expr_has_vars(a) for a in node.args)
-    return _expr_has_vars(node.left) or _expr_has_vars(node.right)
 
 
 def _require_grid_model(model: ModelSpec, grid: QuadratureGrid):
@@ -229,7 +193,7 @@ def _density_values(model: ModelSpec, grid: QuadratureGrid) -> np.ndarray:
 
 
 def _require_constant_density(model: ModelSpec):
-    if _expr_has_vars(model.f_expr):
+    if has_vars(model.f_expr):
         raise ModelError(
             "this operation needs a constant density (drift terms are not "
             "evaluated on grids)"
@@ -252,13 +216,10 @@ def _batched_vk(model: ModelSpec, grid: QuadratureGrid, K: int, generator):
             )
 
         def generator(chart, X, order):
-            conf = 4.0 / (1.0 + np.sum(X**2, axis=1)) ** 2
-            g = conf[:, None, None] * np.eye(model.n)[None, :, :]
-            f = np.broadcast_to(
-                np.asarray(evaluate(model.f_expr, _env(model, X)), dtype=float),
-                X.shape[:1],
+            g = grid.conf[:, None, None] * np.eye(model.n)[None, :, :]
+            return quasi_einstein_coeffs(
+                g, _density_values(model, grid), model.lam, order
             )
-            return quasi_einstein_coeffs(g, f, model.lam, order)
 
     expansion = generator(grid.charts[0], grid.points, K)
     return volume_coefficients(expansion, model.m)
@@ -322,17 +283,19 @@ def _series_scales(model: ModelSpec, k: int):
 
 def laplace_beltrami_values(field: SphereField, chart, X: np.ndarray) -> np.ndarray:
     """Laplacian of the field in the round metric, from chart data:
-    for g = conf * delta with conf = 4/D^2, D = 1 + r^2."""
+    for g = conf * delta with conf = 4/D^2, D = 1 + r^2,
+    Delta_g u = (D^2/4) (Delta u - 2 (n-2) x.grad u / D)."""
     n = X.shape[1]
-    D = 1.0 + np.sum(X**2, axis=1)
-    flat_lap = np.trace(field.hess(chart, X), axis1=1, axis2=2)
-    radial = np.sum(X * field.grad(chart, X), axis=1)
+    D = node_D(X)
+    flat_lap = field.laplacian(chart, X, D)
+    radial = np.einsum("ij,ij->i", X, field.grad(chart, X, D))
     return (D**2 / 4.0) * (flat_lap - (n - 2.0) * 2.0 * radial / D)
 
 
 def grad_norm2_values(field: SphereField, chart, X: np.ndarray) -> np.ndarray:
-    D = 1.0 + np.sum(X**2, axis=1)
-    flat = np.sum(field.grad(chart, X) ** 2, axis=1)
+    D = node_D(X)
+    du = field.grad(chart, X, D)
+    flat = np.einsum("ij,ij->i", du, du)
     return (D**2 / 4.0) * flat
 
 
@@ -384,7 +347,7 @@ class FunctionalReport:
     def to_text(self) -> str:
         lines = []
         for key, val in self.as_record().items():
-            lines.append(f"{key}: {_fmt(val)}")
+            lines.append(f"{key}: {format_value(val)}")
         return "\n".join(lines)
 
     def as_record(self) -> dict:
@@ -409,10 +372,14 @@ class FunctionalReport:
         return rec
 
 
-def _fmt(val) -> str:
-    if isinstance(val, float):
-        return f"{val:.17g}"
-    return str(val)
+def format_value(value) -> str:
+    """Scalar text form shared by reports and the CLI: floats with 17
+    significant digits, booleans as ``true``/``false``."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (float, np.floating)):
+        return f"{float(value):.17g}"
+    return str(value)
 
 
 def reports_to_csv(reports) -> str:
@@ -423,7 +390,7 @@ def reports_to_csv(reports) -> str:
     lines = [",".join(keys)]
     for rep in reports:
         rec = rep.as_record()
-        lines.append(",".join(_fmt(rec.get(key, "")) for key in keys))
+        lines.append(",".join(format_value(rec.get(key, "")) for key in keys))
     return "\n".join(lines) + "\n"
 
 

@@ -138,6 +138,49 @@ def test_vk_model_file(capsys, tmp_path):
     assert doc["values"]["v_1"] == pytest.approx(1.25, abs=1e-12)
 
 
+def _ambient_model(tmp_path, bad_row):
+    """A flat n=2, K=2 coefficient file whose fourth line is ``bad_row``,
+    and a model file that reads it."""
+    coeff_path = tmp_path / "amb.txt"
+    coeff_path.write_text(
+        "2 2 0 2\n"
+        "g 0 0 0 1\n"
+        "g 0 1 1 1\n"
+        f"{bad_row}\n"
+        "f 0 1\n"
+    )
+    model_path = tmp_path / "model.cfg"
+    model_path.write_text(
+        "[space]\nn = 2\nm = 2\nmu = 0\n\n"
+        "[metric]\ng_11 = 1\ng_22 = 1\n\n"
+        f"[ambient]\ncoefficients = {coeff_path}\n"
+    )
+    return coeff_path, model_path
+
+
+@pytest.mark.parametrize("bad_row, cause", [
+    ("g 9 0 0 1", "k = 9 outside 0..2"),
+    ("g 1 0 2 1", "j = 2 outside 0..1"),
+    ("f 1 x", "bad number 'x'"),
+])
+def test_vk_bad_ambient_row_exits_2(capsys, tmp_path, bad_row, cause):
+    coeff_path, model_path = _ambient_model(tmp_path, bad_row)
+    code, out, err = run_cli(capsys, "vk", "--model", str(model_path),
+                             "--order", "2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{coeff_path}:4: {cause}" in err
+
+
+def test_vk_good_ambient_file(capsys, tmp_path):
+    _, model_path = _ambient_model(tmp_path, "f 1 0")
+    code, out, _ = run_cli(capsys, "vk", "--model", str(model_path),
+                           "--order", "2", "--json")
+    assert code == 0
+    assert json.loads(out)["values"]["v_1"] == 0.0
+
+
 # -- verify -----------------------------------------------------------------------
 
 

@@ -2,13 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from wrvc import fields
 from wrvc.errors import DomainError, ModelError
 from wrvc.expr import evaluate, parse_expression
 from wrvc.fields import (
     AmbientCoordinate,
     Constant,
     Product,
+    SphereField,
+    Sum,
     coordinate_harmonics,
     degree_two_harmonics,
     random_combination,
@@ -32,7 +37,6 @@ from wrvc.variational import (
     reports_to_csv,
     second_variation,
     second_variation_sign_certificate,
-    set_thread_count,
     volume_convergence_study,
     weighted_volume,
 )
@@ -125,6 +129,54 @@ def test_harmonics_are_eigenfunctions():
         assert np.allclose(lap, -3.0 * field.value(chart, X), atol=1e-11)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]),
+       st.sampled_from([1.0, -1.0]), st.floats(0.1, 4.0))
+def test_flat_laplacian_is_hessian_trace(seed, n, sign, spread):
+    # the closed-form flat Laplacian against the trace of the (N, n, n)
+    # Hessian, per node, relative to the size of the diagonal entries
+    rng = np.random.default_rng(seed)
+    chart = Chart(0 if sign > 0 else 1, sign)
+    field = random_combination(rng, n)
+    X = rng.uniform(-spread, spread, (25, n))
+    hess = field.hess(chart, X)
+    trace = np.trace(hess, axis1=1, axis2=2)
+    scale = np.abs(np.diagonal(hess, axis1=1, axis2=2)).sum(axis=1)
+    lap = field.laplacian(chart, X)
+    assert np.all(np.abs(lap - trace) <= 1e-12 * scale)
+    D = fields.node_D(X)
+    assert np.array_equal(field.laplacian(chart, X, D), lap)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_laplace_beltrami_eigenvalues(n, sign):
+    # Delta xi = -l(l+n-1) xi: l = 1 for coordinates, l = 2 for xi_a xi_b
+    chart = Chart(0 if sign > 0 else 1, sign)
+    X = np.random.default_rng(n).uniform(-2.0, 2.0, (60, n))
+    for field in coordinate_harmonics(n):
+        lap = laplace_beltrami_values(field, chart, X)
+        assert np.allclose(lap, -n * field.value(chart, X), rtol=1e-12, atol=1e-12)
+    for field in degree_two_harmonics(n):
+        lap = laplace_beltrami_values(field, chart, X)
+        assert np.allclose(lap, -2.0 * (n + 1) * field.value(chart, X),
+                           rtol=1e-12, atol=1e-12)
+
+
+def test_quadrature_paths_never_build_a_hessian(monkeypatch, grid3, qe3):
+    def no_hessian(self, chart, X, D=None):
+        raise AssertionError(f"{type(self).__name__}.hess called")
+
+    for cls in (SphereField, Constant, AmbientCoordinate, Sum, Product):
+        monkeypatch.setattr(cls, "hess", no_hessian)
+    trial = random_combination(np.random.default_rng(4), 3)
+    assert delta_vk_identity_check(qe3, grid3, 2, trial) <= 1e-6
+    assert second_variation(qe3, grid3, 2, trial).path_agreement <= 1e-6
+    assert rayleigh_quotient(qe3, grid3, degree_two_harmonics(3)[0]) \
+        == pytest.approx(8.0, abs=1e-4)
+    assert eigenvalue_bound_check(qe3, grid3).passed
+
+
 def test_chart_transition_consistency():
     # the same sphere point seen from both charts gives the same field value
     rng = np.random.default_rng(8)
@@ -161,17 +213,6 @@ def test_grid_guards():
         QuadratureGrid(4)
     with pytest.raises(DomainError):
         QuadratureGrid(3, resolution=2)
-
-
-def test_threaded_integration_bit_identical(grid3, qe3):
-    vals = [np.sin(grid3.points[:, 0]), np.cos(grid3.points[:, 1])]
-    serial = grid3.integrate(vals)
-    set_thread_count(4)
-    try:
-        threaded = grid3.integrate(vals)
-    finally:
-        set_thread_count(1)
-    assert serial == threaded
 
 
 # -- weighted volume and functionals ------------------------------------------
