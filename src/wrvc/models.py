@@ -16,11 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ModelError
+from .errors import ModelError, OrderError
 from .expr import Node, evaluate, parse_expression
 from .geometry import MetricAtPoint
 from .jets import Jet, n_coeffs
-from .rho import AmbientExpansion, load_ambient_file
+from .rho import AmbientExpansion, _read_ambient_file
 from .weighted import MetricMeasurePoint
 
 BUILTIN_NAMES = (
@@ -33,6 +33,7 @@ BUILTIN_NAMES = (
 _COORD_NAMES = ("x", "y", "z", "w")
 
 DEFAULT_ORDER = 4
+DEFAULT_AMBIENT_ORDER = 5
 
 
 @dataclass
@@ -107,18 +108,46 @@ class ModelSpec:
             self.mu,
         )
 
-    def ambient_at(self, point, K: int) -> AmbientExpansion:
-        """The model's ambient expansion at one chart point."""
+    def ambient_at(self, point, K: int | None = None) -> AmbientExpansion:
+        """The model's ambient expansion at one chart point, to order K.
+
+        K = None means the coefficient file's own order, or
+        ``DEFAULT_AMBIENT_ORDER`` for a generated expansion.  A coefficient
+        file holds one point's data, so ``point`` does not enter it; its
+        header must match the model's (n, m, mu), and a K above the file's
+        raises ``OrderError``.
+        """
         if self.lam is not None:
             g0 = self.metric_at(point, order=0).matrix
             f0 = self.density_at(point, order=0).value
-            return quasi_einstein_coeffs(g0, f0, self.lam, K)
+            order = DEFAULT_AMBIENT_ORDER if K is None else K
+            return quasi_einstein_coeffs(g0, f0, self.lam, order)
         if self.ambient_file is not None:
-            expansion, _, _ = load_ambient_file(self.ambient_file)
-            return expansion
+            return self._file_ambient(K)
         raise ModelError(
             f"model {self.name!r} carries no ambient generator "
             "(no proportionality constant and no coefficient file)"
+        )
+
+    def _file_ambient(self, K: int | None) -> AmbientExpansion:
+        path = self.ambient_file
+        expansion, m, mu, line = _read_ambient_file(path)
+        if (expansion.n, m, mu) != (self.n, self.m, self.mu):
+            raise ModelError(
+                f"{path}:{line}: header n m mu = {expansion.n} {m:g} {mu:g} "
+                f"does not match model {self.name!r} "
+                f"(n m mu = {self.n} {self.m:g} {self.mu:g})"
+            )
+        if K is None:
+            return expansion
+        if not 1 <= K <= expansion.K:
+            raise OrderError(
+                f"order K = {K} outside 1..{expansion.K} held by {path}"
+            )
+        return AmbientExpansion(
+            gcoeffs=expansion.gcoeffs[: K + 1],
+            fcoeffs=expansion.fcoeffs[: K + 1],
+            mu=mu,
         )
 
     def random_points(self, rng, count: int) -> np.ndarray:

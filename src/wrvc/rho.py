@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import permutations
+from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
@@ -33,21 +34,75 @@ from .errors import DeterminacyError, DimensionMismatch, DomainError, OrderError
 
 _LEADING_TOL = 1e-300
 
+# A product whose coefficients hold at most this many entries gathers every
+# (i, k - i) pair into one multiply; above it (grid-batched series) the
+# product goes one order at a time, so no temporary outgrows a coefficient.
+# Unbatched series hold at most n^2 = 16 entries per coefficient and grid
+# batches thousands.  Used at grid sizes, the gather form (with the
+# determinant's terms stacked) cost the 14000-node quadrature benchmark
+# ~40% of its throughput and ~7.5 MiB of peak memory.
+_GATHER_MAX_ENTRIES = 2048
 
-def _perm_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, length = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+_ELEMENTWISE = "i...,i...->..."
+_MATMUL = "i...jl,i...lm->...jm"
+
+
+@lru_cache(maxsize=None)
+def _pair_tables(K: int):
+    """Indices (i, k - i) of every pair with k <= K, and the (K+1, pairs)
+    0/1 matrix that sums each order's pairs."""
+    i = np.array([i for k in range(K + 1) for i in range(k + 1)])
+    j = np.array([k - i for k in range(K + 1) for i in range(k + 1)])
+    sums = np.zeros((K + 1, i.size))
+    sums[i + j, np.arange(i.size)] = 1.0
+    for arr in (i, j, sums):
+        arr.flags.writeable = False
+    return i, j, sums
+
+
+def _cauchy(a: np.ndarray, b: np.ndarray, matmul: bool = False) -> np.ndarray:
+    """Truncated Cauchy product c_k = sum_i a_i b_{k-i} of two coefficient
+    arrays ``(K+1, ...)``, truncated at the lower order.  Coefficients
+    multiply elementwise with broadcasting, or as matrices when ``matmul``."""
+    K = min(a.shape[0], b.shape[0]) - 1
+    if max(a[0].size, b[0].size) <= _GATHER_MAX_ENTRIES:
+        i, j, sums = _pair_tables(K)
+        prod = np.matmul(a[i], b[j]) if matmul else a[i] * b[j]
+        return (sums @ prod.reshape(i.size, -1)).reshape((K + 1,) + prod.shape[1:])
+    if matmul:
+        batch = np.broadcast_shapes(a.shape[1:-2], b.shape[1:-2])
+        shape = batch + (a.shape[-2], b.shape[-1])
+    else:
+        shape = np.broadcast_shapes(a.shape[1:], b.shape[1:])
+    out = np.empty((K + 1,) + shape)
+    spec = _MATMUL if matmul else _ELEMENTWISE
+    for k in range(K + 1):
+        np.einsum(spec, a[: k + 1], b[k::-1], out=out[k])
+    return out
+
+
+@lru_cache(maxsize=None)
+def _laplace_tables(n: int):
+    """Per level s = 2..n of the Laplace expansion down the rows of an n x n
+    matrix: the row r = n - s and, for every term (column set S with
+    |S| = s, position p in S), the column S[p], the index of S minus S[p]
+    among the previous level's sets, the index of S and the sign (-1)^p;
+    plus the signed (sets, terms) matrix that adds the terms into the
+    minors of the level."""
+    levels = []
+    prev = {(c,): c for c in range(n)}
+    for s in range(2, n + 1):
+        sets = list(combinations(range(n), s))
+        terms = [(S[p], prev[S[:p] + S[p + 1:]], dest, (-1.0) ** p)
+                 for dest, S in enumerate(sets) for p in range(s)]
+        cols, sub, dest, sign = (np.array(col) for col in zip(*terms))
+        signed = np.zeros((len(sets), len(terms)))
+        signed[dest, np.arange(len(terms))] = sign
+        for arr in (cols, sub, dest, sign, signed):
+            arr.flags.writeable = False
+        levels.append((n - s, cols, sub, dest, sign, signed))
+        prev = {S: idx for idx, S in enumerate(sets)}
+    return levels
 
 
 class RhoSeries:
@@ -114,17 +169,14 @@ class RhoSeries:
     def __mul__(self, other):
         if not isinstance(other, RhoSeries):
             return RhoSeries(self.coeffs * float(other), self.kind)
-        K = min(self.K, other.K)
         a, b = self.coeffs, other.coeffs
-        out_kind = "matrix" if "matrix" in (self.kind, other.kind) else "scalar"
-        parts = []
-        for k in range(K + 1):
-            acc = None
-            for i in range(k + 1):
-                term = _coeff_product(a[i], self.kind, b[k - i], other.kind)
-                acc = term if acc is None else acc + term
-            parts.append(acc)
-        return RhoSeries(np.stack(parts), out_kind)
+        if self.kind == other.kind:
+            return RhoSeries(_cauchy(a, b, matmul=self.kind == "matrix"), self.kind)
+        if self.kind == "scalar":
+            a = a[..., None, None]
+        else:
+            b = b[..., None, None]
+        return RhoSeries(_cauchy(a, b), "matrix")
 
     __rmul__ = __mul__
 
@@ -134,18 +186,20 @@ class RhoSeries:
         """d/d rho; the truncation order drops by one."""
         if self.K < 1:
             raise OrderError("cannot differentiate an order-0 series")
-        k = np.arange(1, self.K + 1, dtype=float)
-        shape = (-1,) + (1,) * (self.coeffs.ndim - 1)
-        return RhoSeries(self.coeffs[1:] * k.reshape(shape), self.kind)
+        return RhoSeries(self.coeffs[1:] * self._orders(1, self.K + 1), self.kind)
 
     def antiderivative(self) -> "RhoSeries":
         """int_0^rho; vanishing constant term, order grows by one."""
-        k = np.arange(1, self.K + 2, dtype=float)
-        shape = (-1,) + (1,) * (self.coeffs.ndim - 1)
         out = np.concatenate(
-            [np.zeros((1,) + self.coeffs.shape[1:]), self.coeffs / k.reshape(shape)]
+            [np.zeros((1,) + self.coeffs.shape[1:]),
+             self.coeffs / self._orders(1, self.K + 2)]
         )
         return RhoSeries(out, self.kind)
+
+    def _orders(self, start: int, stop: int) -> np.ndarray:
+        """start..stop-1 shaped to scale coefficients along the order axis."""
+        shape = (-1,) + (1,) * (self.coeffs.ndim - 1)
+        return np.arange(start, stop, dtype=float).reshape(shape)
 
     # -- scalar transcendental heads ---------------------------------------
 
@@ -154,25 +208,20 @@ class RhoSeries:
         a = self.coeffs
         if np.any(np.abs(a[0]) <= _LEADING_TOL):
             raise DomainError("series inverse needs a nonzero leading coefficient")
-        out = np.zeros_like(a)
+        out = np.empty_like(a)
         out[0] = 1.0 / a[0]
         for k in range(1, self.K + 1):
-            acc = np.zeros_like(a[0])
-            for j in range(1, k + 1):
-                acc = acc + a[j] * out[k - j]
-            out[k] = -acc / a[0]
+            out[k] = -np.einsum(_ELEMENTWISE, a[1 : k + 1], out[k - 1 :: -1]) / a[0]
         return RhoSeries(out, "scalar")
 
     def scalar_exp(self) -> "RhoSeries":
         self._require("scalar")
         a = self.coeffs
-        out = np.zeros_like(a)
+        ja = a * self._orders(0, self.K + 1)
+        out = np.empty_like(a)
         out[0] = np.exp(a[0])
         for k in range(1, self.K + 1):
-            acc = np.zeros_like(a[0])
-            for j in range(1, k + 1):
-                acc = acc + j * a[j] * out[k - j]
-            out[k] = acc / k
+            out[k] = np.einsum(_ELEMENTWISE, ja[1 : k + 1], out[k - 1 :: -1]) / k
         return RhoSeries(out, "scalar")
 
     def scalar_log(self) -> "RhoSeries":
@@ -180,13 +229,13 @@ class RhoSeries:
         a = self.coeffs
         if np.any(a[0] <= 0.0):
             raise DomainError("series log needs a positive leading coefficient")
-        out = np.zeros_like(a)
+        out = np.empty_like(a)
+        jout = np.empty_like(a)   # j * out[j]
         out[0] = np.log(a[0])
         for k in range(1, self.K + 1):
-            acc = np.zeros_like(a[0])
-            for j in range(1, k):
-                acc = acc + j * out[j] * a[k - j]
+            acc = np.einsum(_ELEMENTWISE, jout[1:k], a[k - 1 : 0 : -1])
             out[k] = (a[k] - acc / k) / a[0]
+            jout[k] = k * out[k]
         return RhoSeries(out, "scalar")
 
     def scalar_pow(self, alpha: float) -> "RhoSeries":
@@ -201,27 +250,36 @@ class RhoSeries:
             b0 = np.linalg.inv(a[0])
         except np.linalg.LinAlgError:
             raise DomainError("series inverse needs an invertible leading matrix")
-        out = np.zeros_like(a)
+        out = np.empty_like(a)
         out[0] = b0
         for k in range(1, self.K + 1):
-            acc = np.zeros_like(a[0])
-            for j in range(1, k + 1):
-                acc = acc + a[j] @ out[k - j]
-            out[k] = -b0 @ acc
+            out[k] = -b0 @ np.einsum(_MATMUL, a[1 : k + 1], out[k - 1 :: -1])
         return RhoSeries(out, "matrix")
 
     def matrix_det(self) -> "RhoSeries":
+        """Laplace expansion down the rows: the minor on the trailing rows
+        is built once per column set.  A level whose terms fit the gather
+        form is one Cauchy product; otherwise (grid batches) each term is
+        one product of per-entry ``(K+1, batch)`` series, so no working
+        array stacks the terms."""
         self._require("matrix")
-        n = self.n
-        det = None
-        for perm in permutations(range(n)):
-            sign = _perm_sign(perm)
-            term = self.entry(0, perm[0])
-            for i in range(1, n):
-                term = term * self.entry(i, perm[i])
-            term = term * float(sign)
-            det = term if det is None else det + term
-        return det
+        batch = self.coeffs.shape[1:-2]
+        a = np.moveaxis(self.coeffs, (-2, -1), (1, 2))
+        a = a.reshape(a.shape[:3] + (-1,))
+        minors = a[:, -1]
+        for row, cols, sub, dest, sign, signed in _laplace_tables(self.n):
+            if cols.size * a.shape[-1] <= _GATHER_MAX_ENTRIES:
+                minors = signed @ _cauchy(a[:, row, cols], minors[:, sub])
+                continue
+            level = np.zeros((a.shape[0], signed.shape[0], a.shape[-1]))
+            for c, m, j, sg in zip(cols, sub, dest, sign):
+                term = _cauchy(a[:, row, c], minors[:, m])
+                if sg > 0:
+                    level[:, j] += term
+                else:
+                    level[:, j] -= term
+            minors = level
+        return RhoSeries(minors[:, 0].reshape((-1,) + batch), "scalar")
 
     def matrix_trace(self) -> "RhoSeries":
         self._require("matrix")
@@ -243,16 +301,6 @@ class RhoSeries:
 
     def __repr__(self):
         return f"RhoSeries(kind={self.kind}, K={self.K}, shape={self.coeffs.shape})"
-
-
-def _coeff_product(a, kind_a, b, kind_b):
-    if kind_a == "scalar" and kind_b == "scalar":
-        return a * b
-    if kind_a == "scalar":
-        return a[..., None, None] * b
-    if kind_b == "scalar":
-        return a * b[..., None, None]
-    return a @ b
 
 
 # -- ambient expansions -----------------------------------------------------
@@ -339,11 +387,13 @@ def check_determinacy(n: int, m: float, k: int):
 
 
 def volume_series(a: AmbientExpansion, m: float) -> RhoSeries:
-    """The scalar series (f_rho/f)^m (det g_rho / det g)^{1/2}."""
-    f_ratio = a.f_series() * RhoSeries.scalar_constant(1.0 / a.f, a.K)
-    det_g = a.g_series().matrix_det()
-    det_ratio = det_g * RhoSeries.scalar_constant(1.0 / det_g.coeffs[0], det_g.K)
-    return f_ratio.scalar_pow(m) * det_ratio.scalar_pow(0.5)
+    """The scalar series (f_rho/f)^m (det g_rho / det g)^{1/2}, as
+    exp(m log(f_rho/f) + log(det g_rho / det g) / 2)."""
+    log_f = a.f_series().scalar_log().coeffs
+    log_det = a.g_series().matrix_det().scalar_log().coeffs
+    exponent = m * log_f + 0.5 * log_det
+    exponent[0] = 0.0     # both logs of ratios vanish at rho = 0
+    return RhoSeries(exponent, "scalar").scalar_exp()
 
 
 def volume_coefficients(a: AmbientExpansion, m: float) -> VolumeCoefficients:
@@ -360,9 +410,13 @@ def lambda_one_series(a: AmbientExpansion) -> RhoSeries:
         raise OrderError("Lambda^(1) needs K >= 2")
     g = a.g_series()
     gp = g.derivative()
-    gpp = gp.derivative()
-    quad = (gp * g.matrix_inverse() * gp) * 0.5
-    return ((gpp - quad) * 0.5).symmetrize()
+    return _lambda_one(gp, gp * g.matrix_inverse())
+
+
+def _lambda_one(gp: RhoSeries, gp_ginv: RhoSeries) -> RhoSeries:
+    """Lambda^(1) from g' and g' g^{-1}."""
+    quad = (gp_ginv * gp) * 0.5
+    return ((gp.derivative() - quad) * 0.5).symmetrize()
 
 
 @dataclass
@@ -399,17 +453,18 @@ def obstruction_tensors(a: AmbientExpansion) -> ObstructionSet:
     if a.K < 2:
         raise OrderError("obstruction tensors need K >= 2")
     g = a.g_series()
-    ginv = g.matrix_inverse()
     gp = g.derivative()
-    lam = lambda_one_series(a)
+    # g^{-1} g' is the transpose of g' g^{-1}, so the correction is the
+    # symmetric part of g' g^{-1} Lambda^(k)
+    gp_ginv = gp * g.matrix_inverse()
+    lam = _lambda_one(gp, gp_ginv)
     out = ObstructionSet()
     out.lambda_series.append(lam)
     out.omegas.append(lam.coeffs[0].copy())
     for _ in range(2, a.K):
         if lam.K < 1:
             break
-        correction = (gp * ginv * lam + lam * ginv * gp) * 0.5
-        lam = (lam.derivative() - correction).symmetrize()
+        lam = lam.derivative() - (gp_ginv * lam).symmetrize()
         out.lambda_series.append(lam)
         out.omegas.append(lam.coeffs[0].copy())
     return out
@@ -436,18 +491,25 @@ def l_operator(a: AmbientExpansion, m: float, k: int) -> np.ndarray:
     Returns the contravariant symmetric matrix (L_k)^{ij} (batch axes
     preserved when the expansion is batched).
     """
+    return _volume_and_l_operator(a, m, k)[1]
+
+
+def _volume_and_l_operator(a: AmbientExpansion, m: float, k: int):
+    """(v_k, L_k) from one volume series; the order checks of ``l_operator``."""
     if not 1 <= k <= a.K:
         raise OrderError(f"k = {k} outside 1..{a.K}")
     check_determinacy(a.n, m, k)
-    product = l_operator_series(a, m)
-    return -product.coeffs[k]
+    v = volume_series(a, m)
+    return v.coeffs[k], -_l_series(a, v).coeffs[k]
 
 
 def l_operator_series(a: AmbientExpansion, m: float) -> RhoSeries:
     """The matrix series v(rho) * int_0^rho g^{ij}(u) du (order K)."""
-    v = volume_series(a, m)
-    ginv = a.g_series().matrix_inverse()
-    return v * ginv.antiderivative()
+    return _l_series(a, volume_series(a, m))
+
+
+def _l_series(a: AmbientExpansion, v: RhoSeries) -> RhoSeries:
+    return v * a.g_series().matrix_inverse().antiderivative()
 
 
 def poincare_to_ambient(r_coeffs, tol: float = 1e-12) -> RhoSeries:
@@ -493,6 +555,12 @@ def load_ambient_file(path):
 
     Every malformed header or row raises ``DomainError`` naming
     ``path:line``."""
+    expansion, m, mu, _ = _read_ambient_file(path)
+    return expansion, m, mu
+
+
+def _read_ambient_file(path):
+    """``load_ambient_file`` plus the line number of the header."""
     try:
         with open(path) as fh:
             raw = [(num, ln.strip()) for num, ln in enumerate(fh, start=1)
@@ -543,4 +611,4 @@ def load_ambient_file(path):
         else:
             fail(num, f"unrecognized row in ambient file: {ln!r}")
     gcoeffs = 0.5 * (gcoeffs + np.swapaxes(gcoeffs, -1, -2))
-    return AmbientExpansion(gcoeffs=gcoeffs, fcoeffs=fcoeffs, mu=mu), m, mu
+    return AmbientExpansion(gcoeffs=gcoeffs, fcoeffs=fcoeffs, mu=mu), m, mu, raw[0][0]

@@ -28,7 +28,7 @@ from .errors import DomainError, ModelError
 from .expr import evaluate, has_vars
 from .fields import SphereField, coordinate_harmonics, node_D
 from .models import ModelSpec, quasi_einstein_coeffs
-from .rho import l_operator, volume_coefficients
+from .rho import _volume_and_l_operator, volume_coefficients
 from .weighted import generalized_binomial, weighted_invariants
 
 _CHUNK = 8192
@@ -275,10 +275,9 @@ def _series_scales(model: ModelSpec, k: int):
     """(v_k, l_k) at the reference point, extracted through the rho-series
     path: v_k scalar and the scale l_k with (L_k)^{ij} = l_k g^{ij}."""
     a = model.ambient_at(model.default_point, K=k)
-    vk = float(volume_coefficients(a, model.m)[k])
-    L = l_operator(a, model.m, k)
+    vk, L = _volume_and_l_operator(a, model.m, k)
     lk = float(np.trace(L @ a.g) / model.n)
-    return vk, lk
+    return float(vk), lk
 
 
 def laplace_beltrami_values(field: SphereField, chart, X: np.ndarray) -> np.ndarray:

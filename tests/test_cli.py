@@ -138,12 +138,12 @@ def test_vk_model_file(capsys, tmp_path):
     assert doc["values"]["v_1"] == pytest.approx(1.25, abs=1e-12)
 
 
-def _ambient_model(tmp_path, bad_row):
+def _ambient_model(tmp_path, bad_row, header="2 2 0 2"):
     """A flat n=2, K=2 coefficient file whose fourth line is ``bad_row``,
     and a model file that reads it."""
     coeff_path = tmp_path / "amb.txt"
     coeff_path.write_text(
-        "2 2 0 2\n"
+        f"{header}\n"
         "g 0 0 0 1\n"
         "g 0 1 1 1\n"
         f"{bad_row}\n"
@@ -179,6 +179,41 @@ def test_vk_good_ambient_file(capsys, tmp_path):
                            "--order", "2", "--json")
     assert code == 0
     assert json.loads(out)["values"]["v_1"] == 0.0
+
+
+@pytest.mark.parametrize("order, keys", [
+    ([], ["v_1", "v_2", "obstruction_norm_1"]),
+    (["--order", "1"], ["v_1"]),
+    (["--order", "2"], ["v_1", "v_2", "obstruction_norm_1"]),
+])
+def test_vk_order_truncates_coefficient_file(capsys, tmp_path, order, keys):
+    _, model_path = _ambient_model(tmp_path, "g 2 0 0 0.5")
+    code, out, _ = run_cli(capsys, "vk", "--model", str(model_path),
+                           *order, "--json")
+    assert code == 0
+    assert list(json.loads(out)["values"]) == ["point"] + keys
+
+
+@pytest.mark.parametrize("order", ["3", "9", "0"])
+def test_vk_order_beyond_coefficient_file_exits_2(capsys, tmp_path, order):
+    coeff_path, model_path = _ambient_model(tmp_path, "f 1 0")
+    code, out, err = run_cli(capsys, "vk", "--model", str(model_path),
+                             "--order", order)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"order K = {order} outside 1..2 held by {coeff_path}" in err
+
+
+@pytest.mark.parametrize("header", ["2 7 0 2", "2 2 0.5 2", "3 2 0 2"])
+def test_vk_coefficient_header_must_match_model(capsys, tmp_path, header):
+    coeff_path, model_path = _ambient_model(tmp_path, "f 1 0", header=header)
+    code, out, err = run_cli(capsys, "vk", "--model", str(model_path),
+                             "--order", "2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{coeff_path}:1: header n m mu = {header[:-2]} does not match" in err
 
 
 # -- verify -----------------------------------------------------------------------

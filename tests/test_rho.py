@@ -1,13 +1,16 @@
 import math
+from itertools import permutations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wrvc import rho
 from wrvc.errors import DeterminacyError, DomainError, OrderError
 from wrvc.models import lcf_candidate_ambient, quasi_einstein_coeffs
 from wrvc.rho import (
+    _GATHER_MAX_ENTRIES,
     AmbientExpansion,
     RhoSeries,
     determinacy_cap,
@@ -90,6 +93,131 @@ def test_matrix_det_conformal():
     # (1 + lam rho)^6 det g for a 3x3 conformal family
     expected = np.array([math.comb(6, k) * lam**k for k in range(7)]) * np.linalg.det(g)
     assert np.allclose(det.coeffs, expected, atol=1e-12)
+
+
+def loop_product(a, b):
+    """Reference truncated Cauchy product, one coefficient pair at a time."""
+    K = min(len(a), len(b)) - 1
+    return np.array([sum(a[i] * b[k - i] for i in range(k + 1))
+                     for k in range(K + 1)])
+
+
+def permutation_det(coeffs, signed=True):
+    """Reference determinant series: the Leibniz expansion over all n!
+    permutations, with loop products (the permanent when not ``signed``)."""
+    n = coeffs.shape[-1]
+    total = 0.0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = coeffs[..., 0, perm[0]]
+        for i in range(1, n):
+            term = loop_product(term, coeffs[..., i, perm[i]])
+        total = total + (-1.0) ** (inversions if signed else 0) * term
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 5), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_matrix_det_matches_permutation_expansion(n, K, batched, seed):
+    rng = np.random.default_rng(seed)
+    shape = (K + 1,) + ((3,) if batched else ()) + (n, n)
+    coeffs = rng.uniform(-1.0, 1.0, shape)
+    got = RhoSeries(coeffs, "matrix").matrix_det().coeffs
+    ref = permutation_det(coeffs)
+    # rounding is relative to the size of the terms, not of their sum
+    scale = permutation_det(np.abs(coeffs), signed=False)
+    assert got.shape == ref.shape
+    assert np.all(np.abs(got - ref) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("batch", [(), (4,)])
+def test_jacobi_formula(n, batch):
+    # d/drho log det g_rho = tr(g_rho^{-1} g_rho')
+    rng = np.random.default_rng(20 + n)
+    coeffs = rng.uniform(-0.3, 0.3, (6,) + batch + (n, n))
+    coeffs = 0.5 * (coeffs + np.swapaxes(coeffs, -1, -2))
+    coeffs[0] += np.eye(n)
+    g = RhoSeries(coeffs, "matrix")
+    lhs = g.matrix_det().scalar_log().derivative()
+    rhs = (g.matrix_inverse() * g.derivative()).matrix_trace()
+    assert lhs.K == rhs.K == 4
+    assert np.max(np.abs(lhs.coeffs - rhs.coeffs)) < 1e-12
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Wrap ``owner.name`` for the test; returns the list it appends to."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def _forms_agree(got, per_node):
+    ref = np.stack(per_node, axis=1)
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
+
+
+# (kinds, n, entries of one node's coefficient); the batch sizes below
+# put the product just under and just over the gather-form limit
+PRODUCT_CASES = [
+    (("scalar", "scalar"), None, 1),
+    (("matrix", "matrix"), 2, 4),
+    (("scalar", "matrix"), 2, 4),
+]
+
+
+@pytest.mark.parametrize("kinds, n, per_node", PRODUCT_CASES)
+@pytest.mark.parametrize("over", [0, 1])
+def test_product_forms_agree(monkeypatch, kinds, n, per_node, over):
+    batch = _GATHER_MAX_ENTRIES // per_node + over
+    rng = np.random.default_rng(30)
+    K = 4
+
+    def series(kind):
+        tail = () if kind == "scalar" else (n, n)
+        return RhoSeries(rng.uniform(-1.0, 1.0, (K + 1, batch) + tail), kind)
+
+    a, b = series(kinds[0]), series(kinds[1])
+    calls = _count_calls(monkeypatch, np, "einsum")
+    got = (a * b).coeffs
+    assert bool(calls) == bool(over)
+    monkeypatch.undo()
+    per_node = [(RhoSeries(a.coeffs[:, p], a.kind) * RhoSeries(b.coeffs[:, p], b.kind)).coeffs
+                for p in range(batch)]
+    _forms_agree(got, per_node)
+
+
+# (n, batch): the first Laplace level has n (n - 1) terms; its products are
+# stacked into one gather-form product up to the limit, one per term above
+# it, and those per-term products switch to the einsum form above the limit
+@pytest.mark.parametrize("n, batch", [
+    (2, _GATHER_MAX_ENTRIES // 2),
+    (2, _GATHER_MAX_ENTRIES // 2 + 1),
+    (3, _GATHER_MAX_ENTRIES // 6),
+    (3, _GATHER_MAX_ENTRIES // 6 + 1),
+    (3, _GATHER_MAX_ENTRIES + 1),
+])
+def test_determinant_forms_agree(monkeypatch, n, batch):
+    rng = np.random.default_rng(31)
+    coeffs = rng.uniform(-1.0, 1.0, (5, batch, n, n))
+    products = _count_calls(monkeypatch, rho, "_cauchy")
+    calls = _count_calls(monkeypatch, np, "einsum")
+    got = RhoSeries(coeffs, "matrix").matrix_det().coeffs
+    stacked = batch * n * (n - 1) <= _GATHER_MAX_ENTRIES
+    assert (len(products) == n - 1) == stacked
+    assert bool(calls) == (batch > _GATHER_MAX_ENTRIES)
+    monkeypatch.undo()
+    per_node = [RhoSeries(coeffs[:, p], "matrix").matrix_det().coeffs
+                for p in range(batch)]
+    _forms_agree(got, per_node)
 
 
 def test_antiderivative_geometric():
