@@ -12,6 +12,7 @@ success and when every suite passed, 1 when a verification check failed,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -131,6 +132,8 @@ def parse_point(text: str, n: int) -> np.ndarray:
             values.append(float(token))
         except ValueError:
             raise UsageError(f"bad coordinate {token!r} in point {text!r}")
+        if not math.isfinite(values[-1]):
+            raise UsageError(f"non-finite coordinate {token!r} in point {text!r}")
     return np.array(values)
 
 

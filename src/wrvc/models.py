@@ -314,7 +314,16 @@ def load_model_file(path) -> ModelSpec:
     with f; optional [ambient] with lambda or a coefficients file path.
     """
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    read = cp.read(path)
+    try:
+        read = cp.read(path)
+    except configparser.DuplicateOptionError as exc:
+        raise ModelError(f"{path}:{exc.lineno}: duplicate key {exc.option!r} "
+                         f"in [{exc.section}]")
+    except configparser.MissingSectionHeaderError as exc:
+        raise ModelError(f"{path}:{exc.lineno}: no section header before "
+                         f"{exc.line.strip()!r}")
+    except configparser.Error as exc:
+        raise ModelError(f"{path}: {str(exc).splitlines()[0]}")
     if not read:
         raise ModelError(f"cannot read model file {path!r}")
     if "space" not in cp or "metric" not in cp:
@@ -338,8 +347,10 @@ def load_model_file(path) -> ModelSpec:
     g_exprs = [[parse_expression("0") for _ in range(n)] for _ in range(n)]
     seen = set()
     for key, text in cp.items("metric"):
-        if not (key.startswith("g_") and len(key) == 4):
-            raise ModelError(f"bad metric key {key!r}; use g_ij with 1-based i, j")
+        if not (key.startswith("g_") and len(key) == 4 and key[2:].isdecimal()):
+            raise ModelError(
+                f"{path}: bad metric key {key!r}; use g_ij with 1-based i, j"
+            )
         i, j = int(key[2]) - 1, int(key[3]) - 1
         if not (0 <= i < n and 0 <= j < n):
             raise ModelError(f"metric key {key!r} outside the {n}x{n} range")
@@ -358,7 +369,10 @@ def load_model_file(path) -> ModelSpec:
     ambient_file = None
     if "ambient" in cp:
         if cp.has_option("ambient", "lambda"):
-            lam = cp.getfloat("ambient", "lambda")
+            try:
+                lam = cp.getfloat("ambient", "lambda")
+            except ValueError as exc:
+                raise ModelError(f"{path}: bad [ambient] lambda: {exc}")
             _require_finite(**{"lambda": lam})
         if cp.has_option("ambient", "coefficients"):
             ambient_file = cp.get("ambient", "coefficients")
@@ -368,7 +382,10 @@ def load_model_file(path) -> ModelSpec:
         vals = [v.strip() for v in cp.get("space", "point").split(",")]
         if len(vals) != n:
             raise ModelError(f"default point needs {n} coordinates")
-        default_point = np.array([float(v) for v in vals])
+        try:
+            default_point = np.array([float(v) for v in vals])
+        except ValueError as exc:
+            raise ModelError(f"{path}: bad [space] point: {exc}")
 
     return ModelSpec(
         name=str(path), n=n, m=m, mu=mu, coords=coords,

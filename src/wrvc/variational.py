@@ -28,7 +28,7 @@ from .errors import DomainError, ModelError
 from .expr import evaluate, has_vars
 from .fields import SphereField, coordinate_harmonics, node_D
 from .models import ModelSpec, quasi_einstein_coeffs
-from .rho import _volume_and_l_operator, volume_coefficients
+from .rho import VolumeCoefficients, _volume_and_l_operator, volume_coefficients
 from .weighted import generalized_binomial, weighted_invariants
 
 _CHUNK = 8192
@@ -131,6 +131,14 @@ class QuadratureGrid:
         self.points = X[keep]
         self.weights = weights[keep]
         self.conf = conf[keep]
+        self._bound = {}   # id(model) -> GridStructure, which holds the model
+
+    def bind(self, model: ModelSpec) -> "GridStructure":
+        """The model's data on this grid, built once per model object."""
+        bound = self._bound.get(id(model))
+        if bound is None:
+            bound = self._bound[id(model)] = GridStructure(model, self)
+        return bound
 
     @property
     def node_count(self) -> int:
@@ -161,35 +169,69 @@ def _chunked_dot(w: np.ndarray, v: np.ndarray) -> float:
 # -- model/grid coupling -------------------------------------------------------
 
 
-def _env(model: ModelSpec, X: np.ndarray) -> dict:
-    return {name: X[:, i] for i, name in enumerate(model.coords)}
+class GridStructure:
+    """One model bound to one grid (``QuadratureGrid.bind``): the round-metric
+    check on every node, f and f^m per node, the weighted volume, one
+    batched v_1..v_K series regrown only for a larger k, and memoized
+    series scales and lambda_1 estimate.  It keeps the grid's arrays, never
+    the grid, so the grid's memo of structures forms no reference cycle."""
 
-
-def _require_grid_model(model: ModelSpec, grid: QuadratureGrid):
-    if model.n != grid.n:
-        raise ModelError(
-            f"model dimension {model.n} does not match grid dimension {grid.n}"
-        )
-    sample = grid.points[:: max(1, len(grid.points) // 16)]
-    env = _env(model, sample)
-    conf = 4.0 / (1.0 + np.sum(sample**2, axis=1)) ** 2
-    for i in range(model.n):
-        for j in range(model.n):
-            vals = np.broadcast_to(
-                np.asarray(evaluate(model.g_exprs[i][j], env), dtype=float),
-                sample.shape[:1],
+    def __init__(self, model: ModelSpec, grid: QuadratureGrid):
+        if model.n != grid.n:
+            raise ModelError(
+                f"model dimension {model.n} does not match grid dimension {grid.n}"
             )
-            target = conf if i == j else 0.0
-            if not np.allclose(vals, target, atol=1e-10):
+        env = {name: grid.points[:, i] for i, name in enumerate(model.coords)}
+        values = {}   # each distinct component expression evaluated once
+        for i in range(model.n):
+            for j in range(model.n):
+                node = model.g_exprs[i][j]
+                if node not in values:
+                    values[node] = np.asarray(evaluate(node, env), dtype=float)
+                target = grid.conf if i == j else 0.0
+                if not np.allclose(values[node], target, atol=1e-10):
+                    raise ModelError(
+                        "grid quadrature needs the round stereographic metric; "
+                        f"component g_{i + 1}{j + 1} of {model.name!r} differs"
+                    )
+        self.model = model
+        self.conf = grid.conf
+        self.f = np.broadcast_to(
+            np.asarray(evaluate(model.f_expr, env), dtype=float), grid.conf.shape
+        )
+        self.fm = self.f ** model.m
+        self.wvol = grid.integrate([self.fm, self.fm])
+        self._series = None
+        self._scales = {}
+        self.lambda1 = None
+
+    def vk(self, k: int) -> np.ndarray:
+        """Per-node v_k, identical for both charts."""
+        model = self.model
+        if self._series is None or len(self._series) < k:
+            if model.lam is None:
                 raise ModelError(
-                    "grid quadrature needs the round stereographic metric; "
-                    f"component g_{i + 1}{j + 1} of {model.name!r} differs"
+                    f"model {model.name!r} has no ambient generator for grids"
                 )
+            # free the old series first; the (N, n, n) metric is a temporary
+            self._series = None
+            expansion = quasi_einstein_coeffs(
+                self.conf[:, None, None] * np.eye(model.n), self.f, model.lam, k
+            )
+            # a compact copy of v_1..v_K, not a view that keeps the whole series
+            v = volume_coefficients(expansion, model.m).v.copy()
+            self._series = VolumeCoefficients(v)
+        return self._series[k]
 
-
-def _density_values(model: ModelSpec, grid: QuadratureGrid) -> np.ndarray:
-    vals = evaluate(model.f_expr, _env(model, grid.points))
-    return np.broadcast_to(np.asarray(vals, dtype=float), (len(grid.points),))
+    def series_scales(self, k: int):
+        """(v_k, l_k) at the reference point, extracted through the rho-series
+        path: v_k scalar and the scale l_k with (L_k)^{ij} = l_k g^{ij}."""
+        if k not in self._scales:
+            model = self.model
+            a = model.ambient_at(model.default_point, K=k)
+            vk, L = _volume_and_l_operator(a, model.m, k)
+            self._scales[k] = float(vk), float(np.trace(L @ a.g) / model.n)
+        return self._scales[k]
 
 
 def _require_constant_density(model: ModelSpec):
@@ -202,36 +244,13 @@ def _require_constant_density(model: ModelSpec):
 
 def weighted_volume(model: ModelSpec, grid: QuadratureGrid) -> float:
     """Integral of f^m against the metric volume, via the grid weights."""
-    _require_grid_model(model, grid)
-    fm = _density_values(model, grid) ** model.m
-    return grid.integrate([fm, fm])
+    return grid.bind(model).wvol
 
 
-def _batched_vk(model: ModelSpec, grid: QuadratureGrid, K: int, generator):
-    """Per-node volume coefficients v_1..v_K, identical for both charts."""
-    if generator is None:
-        if model.lam is None:
-            raise ModelError(
-                f"model {model.name!r} has no ambient generator for grids"
-            )
-
-        def generator(chart, X, order):
-            g = grid.conf[:, None, None] * np.eye(model.n)[None, :, :]
-            return quasi_einstein_coeffs(
-                g, _density_values(model, grid), model.lam, order
-            )
-
-    expansion = generator(grid.charts[0], grid.points, K)
-    return volume_coefficients(expansion, model.m)
-
-
-def functional_F_k(model: ModelSpec, grid: QuadratureGrid, k: int,
-                   generator=None) -> float:
+def functional_F_k(model: ModelSpec, grid: QuadratureGrid, k: int) -> float:
     """Quadrature of v_k f^m over the sphere."""
-    _require_grid_model(model, grid)
-    vk = _batched_vk(model, grid, k, generator)[k]
-    fm = _density_values(model, grid) ** model.m
-    vals = vk * fm
+    bound = grid.bind(model)
+    vals = bound.vk(k) * bound.fm
     return grid.integrate([vals, vals])
 
 
@@ -240,10 +259,8 @@ def field_values(field: SphereField, grid: QuadratureGrid) -> list:
 
 
 def weighted_mean(model: ModelSpec, grid: QuadratureGrid, values) -> float:
-    fm = _density_values(model, grid) ** model.m
-    num = grid.integrate([v * fm for v in values])
-    den = grid.integrate([fm, fm])
-    return num / den
+    bound = grid.bind(model)
+    return grid.integrate([v * bound.fm for v in values]) / bound.wvol
 
 
 def project_mean_zero(model: ModelSpec, grid: QuadratureGrid, field: SphereField):
@@ -254,30 +271,17 @@ def project_mean_zero(model: ModelSpec, grid: QuadratureGrid, field: SphereField
 
 
 def first_variation(model: ModelSpec, grid: QuadratureGrid, k: int,
-                    omega_values, generator=None) -> float:
+                    omega_values) -> float:
     """(n+m-2k) * integral of v_k omega f^m.
 
     ``omega_values`` is a SphereField or per-chart value arrays.
     """
-    _require_grid_model(model, grid)
+    bound = grid.bind(model)
     if isinstance(omega_values, SphereField):
         omega_values = field_values(omega_values, grid)
-    vk = _batched_vk(model, grid, k, generator)[k]
-    fm = _density_values(model, grid) ** model.m
+    vk = bound.vk(k)
     factor = model.n + model.m - 2.0 * k
-    return factor * grid.integrate([vk * fm * v for v in omega_values])
-
-
-# -- closed-form scales from the series machinery -------------------------------
-
-
-def _series_scales(model: ModelSpec, k: int):
-    """(v_k, l_k) at the reference point, extracted through the rho-series
-    path: v_k scalar and the scale l_k with (L_k)^{ij} = l_k g^{ij}."""
-    a = model.ambient_at(model.default_point, K=k)
-    vk, L = _volume_and_l_operator(a, model.m, k)
-    lk = float(np.trace(L @ a.g) / model.n)
-    return float(vk), lk
+    return factor * grid.integrate([vk * bound.fm * v for v in omega_values])
 
 
 def laplace_beltrami_values(field: SphereField, chart, X: np.ndarray) -> np.ndarray:
@@ -306,14 +310,13 @@ def delta_vk_identity_check(model: ModelSpec, grid: QuadratureGrid, k: int,
     l_k * Laplacian(omega), whose weighted integral must vanish; the
     returned magnitude is pure quadrature error.
     """
-    _require_grid_model(model, grid)
+    bound = grid.bind(model)
     _require_constant_density(model)
     if model.lam is None:
         raise ModelError("identity check needs a proportional (lam) model")
-    _, lk = _series_scales(model, k)
-    fm = _density_values(model, grid) ** model.m
+    _, lk = bound.series_scales(k)
     vals = [
-        lk * laplace_beltrami_values(field, c, grid.points) * fm
+        lk * laplace_beltrami_values(field, c, grid.points) * bound.fm
         for c in grid.charts
     ]
     return abs(grid.integrate(vals))
@@ -451,8 +454,8 @@ def second_variation_sign_certificate(n: int, m: float, k: int, lam: float) -> d
 def rayleigh_quotient(model: ModelSpec, grid: QuadratureGrid,
                       field: SphereField) -> float:
     """Dirichlet energy over mass for the mean-zero projection of the trial."""
+    fm = grid.bind(model).fm
     _require_constant_density(model)
-    fm = _density_values(model, grid) ** model.m
     values = project_mean_zero(model, grid, field)
     num = grid.integrate(
         [grad_norm2_values(field, c, grid.points) * fm for c in grid.charts]
@@ -462,9 +465,12 @@ def rayleigh_quotient(model: ModelSpec, grid: QuadratureGrid,
 
 
 def lambda1_estimate(model: ModelSpec, grid: QuadratureGrid) -> float:
-    return min(
-        rayleigh_quotient(model, grid, f) for f in coordinate_harmonics(model.n)
-    )
+    bound = grid.bind(model)
+    if bound.lambda1 is None:
+        bound.lambda1 = min(
+            rayleigh_quotient(model, grid, f) for f in coordinate_harmonics(model.n)
+        )
+    return bound.lambda1
 
 
 def second_variation(model: ModelSpec, grid: QuadratureGrid, k: int,
@@ -478,7 +484,7 @@ def second_variation(model: ModelSpec, grid: QuadratureGrid, k: int,
     projected to weighted mean zero (or verified against the tolerance
     when ``project`` is false).
     """
-    _require_grid_model(model, grid)
+    bound = grid.bind(model)
     _require_constant_density(model)
     if model.lam is None or model.lam == 0.0:
         raise ModelError("second variation needs a proportional model with "
@@ -486,8 +492,7 @@ def second_variation(model: ModelSpec, grid: QuadratureGrid, k: int,
     n, m, lam = model.n, model.m, model.lam
     nm = n + m
 
-    fm = _density_values(model, grid) ** model.m
-    wvol = grid.integrate([fm, fm])
+    fm, wvol = bound.fm, bound.wvol
 
     values = field_values(field, grid)
     mean = weighted_mean(model, grid, values)
@@ -503,7 +508,7 @@ def second_variation(model: ModelSpec, grid: QuadratureGrid, k: int,
         [grad_norm2_values(field, c, grid.points) * fm for c in grid.charts]
     )
 
-    vk, lk = _series_scales(model, k)
+    vk, lk = bound.series_scales(k)
     q_general = -(nm - 2.0 * k) * (2.0 * k * vk * omega2 + lk * dirichlet)
 
     ck = c_k_constant(n, m, k)
@@ -563,7 +568,7 @@ def eigenvalue_bound_check(model: ModelSpec, grid: QuadratureGrid,
     """Rayleigh quotients of mean-zero trials against the spectral bound
     2(n+m) lam, after verifying the curvature lower bound
     Ric_phi >= 2(n+m-1) lam g on a deterministic node subsample."""
-    _require_grid_model(model, grid)
+    grid.bind(model)
     _require_constant_density(model)
     if model.lam is None:
         raise ModelError("eigenvalue bound needs a proportional model")

@@ -76,6 +76,17 @@ def test_parse_point_errors():
     assert np.allclose(parse_point("1, 2, 3", 3), [1.0, 2.0, 3.0])
 
 
+@pytest.mark.parametrize("point", ["nan,0,0", "0,inf,0", "0,0,-inf"])
+def test_curvature_non_finite_point_exits_2(capsys, point):
+    code, out, err = run_cli(
+        capsys, "curvature", "--model", "qe_sphere", f"--point={point}",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "non-finite coordinate" in err
+
+
 def test_unknown_model(capsys):
     code, _, err = run_cli(capsys, "curvature", "--model", "nonsense")
     assert code == 2
@@ -136,6 +147,26 @@ def test_vk_model_file(capsys, tmp_path):
     assert code == 0
     doc = json.loads(out)
     assert doc["values"]["v_1"] == pytest.approx(1.25, abs=1e-12)
+
+
+_FLAT2 = "[space]\nn = 2\n\n[metric]\ng_11 = 1\ng_22 = 1\n"
+
+
+@pytest.mark.parametrize("text, cause", [
+    (_FLAT2 + "g_ab = 1\n", "bad metric key 'g_ab'"),
+    (_FLAT2 + "g_11 = 2\n", ":7: duplicate key 'g_11' in [metric]"),
+    ("n = 2\n" + _FLAT2, ":1: no section header before 'n = 2'"),
+    (_FLAT2.replace("n = 2", "n = 2\npoint = 1, q"), "bad [space] point"),
+    (_FLAT2 + "\n[ambient]\nlambda = x\n", "bad [ambient] lambda"),
+], ids=["key", "duplicate", "no-header", "point", "lambda"])
+def test_malformed_model_file_exits_2(capsys, tmp_path, text, cause):
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "vk", "--model", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{path}" in err and cause in err
 
 
 def _ambient_model(tmp_path, bad_row, header="2 2 0 2"):

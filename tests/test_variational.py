@@ -1,4 +1,7 @@
+import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -20,8 +23,10 @@ from wrvc.fields import (
 )
 from wrvc.jets import Jet
 from wrvc.models import builtin_model
+from wrvc import variational
 from wrvc.variational import (
     Chart,
+    GridStructure,
     QuadratureGrid,
     c_k_constant,
     delta_vk_identity_check,
@@ -239,6 +244,64 @@ def test_non_sphere_model_rejected(grid3):
     eu = builtin_model("euclidean", 3, m=2.0)
     with pytest.raises(ModelError):
         weighted_volume(eu, grid3)
+
+
+def test_round_check_covers_every_node(grid3, qe3):
+    # g_11 carries a 1e-3 bump at one node and is round to 1e-300 elsewhere
+    # (the nearest other node is ~0.11 away)
+    node = grid3.points[3501]
+    dist2 = "+".join(f"({c}-({float(v)!r}))^2" for c, v in zip("xyz", node))
+    g = [row[:] for row in qe3.g_exprs]
+    g[0][0] = parse_expression(
+        f"4/(1+x^2+y^2+z^2)^2 + 0.001*exp(-1e6*({dist2}))"
+    )
+    bumped = dataclasses.replace(qe3, name="bumped", g_exprs=g)
+    with pytest.raises(ModelError, match="g_11"):
+        weighted_volume(bumped, grid3)
+
+
+def test_one_structure_and_one_growing_series_per_grid(monkeypatch, qe3):
+    counts = {"series": 0, "structures": 0}
+    series, init = variational.volume_coefficients, GridStructure.__init__
+
+    def counted_series(*args):
+        counts["series"] += 1
+        return series(*args)
+
+    def counted_init(self, *args):
+        counts["structures"] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(variational, "volume_coefficients", counted_series)
+    monkeypatch.setattr(GridStructure, "__init__", counted_init)
+    grid = QuadratureGrid(3, resolution=20)
+    for k in (1, 2, 3):
+        functional_F_k(qe3, grid, k)
+    trial = AmbientCoordinate(0, 3)
+    first_variation(qe3, grid, 2, project_mean_zero(qe3, grid, trial))
+    second_variation(qe3, grid, 2, trial)
+    assert counts == {"series": 3, "structures": 1}
+
+
+def test_grown_series_matches_fresh_series(qe3):
+    grid = QuadratureGrid(3, resolution=20)
+    grown = grid.bind(qe3)
+    grown.vk(4)
+    for k in (1, 2, 3, 4):
+        fresh = GridStructure(qe3, grid)
+        assert np.array_equal(grown.vk(k), fresh.vk(k))
+
+
+def test_bound_grid_freed_without_cycle_collector(qe3):
+    grid = QuadratureGrid(3, resolution=10)
+    second_variation(qe3, grid, 2, AmbientCoordinate(0, 3))
+    ref = weakref.ref(grid)
+    gc.disable()
+    try:
+        del grid
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_functional_F_k(grid3, qe3):
