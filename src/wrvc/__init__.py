@@ -30,7 +30,6 @@ from .models import (
     builtin_model,
     lcf_candidate_ambient,
     load_model_file,
-    quasi_einstein_ambient,
 )
 from .rho import (
     AmbientExpansion,

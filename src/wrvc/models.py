@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ModelError, OrderError
+from .errors import DomainError, ModelError, OrderError
 from .expr import Node, evaluate, parse_expression
 from .geometry import MetricAtPoint
 from .jets import Jet, n_coeffs
@@ -77,28 +77,39 @@ class ModelSpec:
         n = self.n
         G = np.zeros((n, n, n_coeffs(n, order)))
         done = []   # (expression, coefficients) per distinct expression
-        for i in range(n):
-            for j in range(n):
-                node = self.g_exprs[i][j]
-                for seen, coeffs in done:
-                    if seen is node or seen == node:
-                        break
-                else:
-                    val = evaluate(node, env)
-                    if isinstance(val, Jet):
-                        coeffs = val.coeffs
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(n):
+                for j in range(n):
+                    node = self.g_exprs[i][j]
+                    for seen, coeffs in done:
+                        if seen is node or seen == node:
+                            break
                     else:
-                        coeffs = np.zeros(G.shape[2])
-                        coeffs[0] = float(val)
-                    done.append((node, coeffs))
-                G[i, j] = coeffs
+                        val = evaluate(node, env)
+                        if isinstance(val, Jet):
+                            coeffs = val.coeffs
+                        else:
+                            coeffs = np.zeros(G.shape[2])
+                            coeffs[0] = float(val)
+                        done.append((node, coeffs))
+                    G[i, j] = coeffs
+        self._require_finite_jets(G, "metric", point)
         return MetricAtPoint.from_coeffs(G, order, point)
 
     def density_at(self, point, order: int = DEFAULT_ORDER) -> Jet:
-        val = evaluate(self.f_expr, self._env(point, order))
+        with np.errstate(over="ignore", invalid="ignore"):
+            val = evaluate(self.f_expr, self._env(point, order))
         if not isinstance(val, Jet):
             val = Jet.constant(float(val), self.n, order)
+        self._require_finite_jets(val.coeffs, "density", point)
         return val
+
+    def _require_finite_jets(self, coeffs, what: str, point):
+        if not np.isfinite(coeffs).all():
+            coords = ", ".join(f"{float(c):g}" for c in point)
+            raise DomainError(
+                f"{what} of model {self.name!r} is not finite at point ({coords})"
+            )
 
     def structure_at(self, point, order: int = DEFAULT_ORDER) -> MetricMeasurePoint:
         return MetricMeasurePoint(
@@ -268,15 +279,6 @@ def quasi_einstein_coeffs(g, f, lam: float, K: int) -> AmbientExpansion:
     )
 
 
-def quasi_einstein_ambient(spec: ModelSpec, point, K: int) -> AmbientExpansion:
-    """The canonical expansion of a model carrying a proportionality constant."""
-    if spec.lam is None:
-        raise ModelError(f"model {spec.name!r} has no proportionality constant")
-    g0 = spec.metric_at(point, order=0).matrix
-    f0 = spec.density_at(point, order=0).value
-    return quasi_einstein_coeffs(g0, f0, spec.lam, K)
-
-
 def lcf_candidate_ambient(g, f, P, Y: float, m: float, K: int) -> AmbientExpansion:
     """Conformally-flat-type expansion from pointwise data (P, Y):
 
@@ -379,13 +381,16 @@ def load_model_file(path) -> ModelSpec:
 
     default_point = np.zeros(n)
     if cp.has_option("space", "point"):
-        vals = [v.strip() for v in cp.get("space", "point").split(",")]
+        text = cp.get("space", "point")
+        vals = [v.strip() for v in text.split(",")]
         if len(vals) != n:
             raise ModelError(f"default point needs {n} coordinates")
         try:
             default_point = np.array([float(v) for v in vals])
         except ValueError as exc:
             raise ModelError(f"{path}: bad [space] point: {exc}")
+        if not np.all(np.isfinite(default_point)):
+            raise ModelError(f"{path}: non-finite [space] point {text!r}")
 
     return ModelSpec(
         name=str(path), n=n, m=m, mu=mu, coords=coords,

@@ -3,8 +3,11 @@ coefficient pipeline built on them.
 
 ``RhoSeries`` holds Taylor coefficients c_0..c_K (so the stored entry k is
 (1/k!) d_rho^k at 0, not the raw derivative).  Coefficients are scalars or
-symmetric matrices; an optional leading batch axis lets a whole quadrature
-grid of expansions flow through the same arithmetic at once.
+symmetric matrices, optionally batched along leading axes after the order
+axis.  Every series product is one truncated Cauchy product that gathers
+all (i, k - i) pairs into a single multiply, so its temporaries hold
+about K^2/2 coefficients: sized for a few points at a time, not for a
+quadrature grid (which needs one scalar v_k per proportional model).
 
 The ambient data of a structure at a point is an ``AmbientExpansion``:
 coefficient lists of the metric family g_rho and density family f_rho.
@@ -34,15 +37,6 @@ from .errors import DeterminacyError, DimensionMismatch, DomainError, OrderError
 
 _LEADING_TOL = 1e-300
 
-# A product whose coefficients hold at most this many entries gathers every
-# (i, k - i) pair into one multiply; above it (grid-batched series) the
-# product goes one order at a time, so no temporary outgrows a coefficient.
-# Unbatched series hold at most n^2 = 16 entries per coefficient and grid
-# batches thousands.  Used at grid sizes, the gather form (with the
-# determinant's terms stacked) cost the 14000-node quadrature benchmark
-# ~40% of its throughput and ~7.5 MiB of peak memory.
-_GATHER_MAX_ENTRIES = 2048
-
 _ELEMENTWISE = "i...,i...->..."
 _MATMUL = "i...jl,i...lm->...jm"
 
@@ -65,30 +59,18 @@ def _cauchy(a: np.ndarray, b: np.ndarray, matmul: bool = False) -> np.ndarray:
     arrays ``(K+1, ...)``, truncated at the lower order.  Coefficients
     multiply elementwise with broadcasting, or as matrices when ``matmul``."""
     K = min(a.shape[0], b.shape[0]) - 1
-    if max(a[0].size, b[0].size) <= _GATHER_MAX_ENTRIES:
-        i, j, sums = _pair_tables(K)
-        prod = np.matmul(a[i], b[j]) if matmul else a[i] * b[j]
-        return (sums @ prod.reshape(i.size, -1)).reshape((K + 1,) + prod.shape[1:])
-    if matmul:
-        batch = np.broadcast_shapes(a.shape[1:-2], b.shape[1:-2])
-        shape = batch + (a.shape[-2], b.shape[-1])
-    else:
-        shape = np.broadcast_shapes(a.shape[1:], b.shape[1:])
-    out = np.empty((K + 1,) + shape)
-    spec = _MATMUL if matmul else _ELEMENTWISE
-    for k in range(K + 1):
-        np.einsum(spec, a[: k + 1], b[k::-1], out=out[k])
-    return out
+    i, j, sums = _pair_tables(K)
+    prod = np.matmul(a[i], b[j]) if matmul else a[i] * b[j]
+    return (sums @ prod.reshape(i.size, -1)).reshape((K + 1,) + prod.shape[1:])
 
 
 @lru_cache(maxsize=None)
 def _laplace_tables(n: int):
     """Per level s = 2..n of the Laplace expansion down the rows of an n x n
     matrix: the row r = n - s and, for every term (column set S with
-    |S| = s, position p in S), the column S[p], the index of S minus S[p]
-    among the previous level's sets, the index of S and the sign (-1)^p;
-    plus the signed (sets, terms) matrix that adds the terms into the
-    minors of the level."""
+    |S| = s, position p in S), the column S[p] and the index of S minus
+    S[p] among the previous level's sets; plus the (sets, terms) matrix
+    whose entry (-1)^p adds each term into the minor of S."""
     levels = []
     prev = {(c,): c for c in range(n)}
     for s in range(2, n + 1):
@@ -98,9 +80,9 @@ def _laplace_tables(n: int):
         cols, sub, dest, sign = (np.array(col) for col in zip(*terms))
         signed = np.zeros((len(sets), len(terms)))
         signed[dest, np.arange(len(terms))] = sign
-        for arr in (cols, sub, dest, sign, signed):
+        for arr in (cols, sub, signed):
             arr.flags.writeable = False
-        levels.append((n - s, cols, sub, dest, sign, signed))
+        levels.append((n - s, cols, sub, signed))
         prev = {S: idx for idx, S in enumerate(sets)}
     return levels
 
@@ -258,27 +240,15 @@ class RhoSeries:
 
     def matrix_det(self) -> "RhoSeries":
         """Laplace expansion down the rows: the minor on the trailing rows
-        is built once per column set.  A level whose terms fit the gather
-        form is one Cauchy product; otherwise (grid batches) each term is
-        one product of per-entry ``(K+1, batch)`` series, so no working
-        array stacks the terms."""
+        is built once per column set, and each level is one Cauchy product
+        of its stacked terms."""
         self._require("matrix")
         batch = self.coeffs.shape[1:-2]
         a = np.moveaxis(self.coeffs, (-2, -1), (1, 2))
         a = a.reshape(a.shape[:3] + (-1,))
         minors = a[:, -1]
-        for row, cols, sub, dest, sign, signed in _laplace_tables(self.n):
-            if cols.size * a.shape[-1] <= _GATHER_MAX_ENTRIES:
-                minors = signed @ _cauchy(a[:, row, cols], minors[:, sub])
-                continue
-            level = np.zeros((a.shape[0], signed.shape[0], a.shape[-1]))
-            for c, m, j, sg in zip(cols, sub, dest, sign):
-                term = _cauchy(a[:, row, c], minors[:, m])
-                if sg > 0:
-                    level[:, j] += term
-                else:
-                    level[:, j] -= term
-            minors = level
+        for row, cols, sub, signed in _laplace_tables(self.n):
+            minors = signed @ _cauchy(a[:, row, cols], minors[:, sub])
         return RhoSeries(minors[:, 0].reshape((-1,) + batch), "scalar")
 
     def matrix_trace(self) -> "RhoSeries":

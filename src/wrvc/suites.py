@@ -18,7 +18,7 @@ from .errors import DeterminacyError
 from .fields import AmbientCoordinate, coordinate_harmonics, degree_two_harmonics, random_combination
 from .geometry import MetricAtPoint, curvature, laplacian
 from .jets import Jet
-from .models import builtin_model, lcf_candidate_ambient, quasi_einstein_ambient
+from .models import builtin_model, lcf_candidate_ambient
 from .rho import (
     RhoSeries,
     f_second_residual,
@@ -295,7 +295,7 @@ def suite_ambient(rng) -> list:
     out = []
     qe = builtin_model("qe_sphere", 3, 2, 1)
     point = [0.1, 0.2, 0.0]
-    a = quasi_einstein_ambient(qe, point, 5)
+    a = qe.ambient_at(point, K=5)
     v = volume_coefficients(a, qe.m)
     expected = np.array([5 / 4, 5 / 8, 5 / 32, 5 / 256, 1 / 1024])
     out.append(CheckResult(
@@ -377,8 +377,7 @@ def suite_ambient(rng) -> list:
 
     try:
         volume_coefficients(
-            quasi_einstein_ambient(builtin_model("qe_sphere", 2, 2, 1),
-                                   [0.1, 0.0], 3),
+            builtin_model("qe_sphere", 2, 2, 1).ambient_at([0.1, 0.0], K=3),
             2.0,
         )
         cap_ok = False

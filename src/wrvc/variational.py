@@ -27,14 +27,15 @@ from numpy.polynomial.legendre import leggauss
 from .errors import DomainError, ModelError
 from .expr import evaluate, has_vars
 from .fields import SphereField, coordinate_harmonics, node_D
-from .models import ModelSpec, quasi_einstein_coeffs
-from .rho import VolumeCoefficients, _volume_and_l_operator, volume_coefficients
+from .models import ModelSpec
+from .rho import _volume_and_l_operator
 from .weighted import generalized_binomial, weighted_invariants
 
 _CHUNK = 8192
 _DEFAULT_RESOLUTION = 40
 _DEFAULT_RADIUS = 3.0
 _PROFILE_DEGREE = 11
+_SAMPLE_NODES = 32   # nodes checked by the eigenvalue bound's precondition
 
 
 @lru_cache(maxsize=None)
@@ -154,10 +155,6 @@ class QuadratureGrid:
             total += _chunked_dot(self.weights, values)
         return total
 
-    def integrate_field(self, fn) -> float:
-        """fn(chart, X) -> per-node values; integrates over both charts."""
-        return self.integrate([fn(c, self.points) for c in self.charts])
-
 
 def _chunked_dot(w: np.ndarray, v: np.ndarray) -> float:
     total = 0.0
@@ -171,10 +168,13 @@ def _chunked_dot(w: np.ndarray, v: np.ndarray) -> float:
 
 class GridStructure:
     """One model bound to one grid (``QuadratureGrid.bind``): the round-metric
-    check on every node, f and f^m per node, the weighted volume, one
-    batched v_1..v_K series regrown only for a larger k, and memoized
-    series scales and lambda_1 estimate.  It keeps the grid's arrays, never
-    the grid, so the grid's memo of structures forms no reference cycle."""
+    check on every node, f and f^m per node, the weighted volume, and
+    memoized series scales and lambda_1 estimate.  The model's expansion
+    g_rho = (1 + lam rho)^2 g, f_rho = (1 + lam rho) f scales g and f by
+    functions of rho alone, so v_k = C(n+m, k) lam^k is one constant for
+    every node, read from the series scales.  It keeps the grid's arrays,
+    never the grid, so the grid's memo of structures forms no reference
+    cycle."""
 
     def __init__(self, model: ModelSpec, grid: QuadratureGrid):
         if model.n != grid.n:
@@ -195,33 +195,23 @@ class GridStructure:
                         f"component g_{i + 1}{j + 1} of {model.name!r} differs"
                     )
         self.model = model
-        self.conf = grid.conf
         self.f = np.broadcast_to(
             np.asarray(evaluate(model.f_expr, env), dtype=float), grid.conf.shape
         )
         self.fm = self.f ** model.m
         self.wvol = grid.integrate([self.fm, self.fm])
-        self._series = None
         self._scales = {}
         self.lambda1 = None
 
-    def vk(self, k: int) -> np.ndarray:
-        """Per-node v_k, identical for both charts."""
-        model = self.model
-        if self._series is None or len(self._series) < k:
-            if model.lam is None:
-                raise ModelError(
-                    f"model {model.name!r} has no ambient generator for grids"
-                )
-            # free the old series first; the (N, n, n) metric is a temporary
-            self._series = None
-            expansion = quasi_einstein_coeffs(
-                self.conf[:, None, None] * np.eye(model.n), self.f, model.lam, k
+    def vk(self, k: int) -> float:
+        """v_k, the same on every node (both charts)."""
+        if self.model.lam is None:
+            raise ModelError(
+                f"model {self.model.name!r} has no ambient generator for grids"
             )
-            # a compact copy of v_1..v_K, not a view that keeps the whole series
-            v = volume_coefficients(expansion, model.m).v.copy()
-            self._series = VolumeCoefficients(v)
-        return self._series[k]
+        if np.any(self.f <= 0.0):
+            raise DomainError("base density must be positive")
+        return self.series_scales(k)[0]
 
     def series_scales(self, k: int):
         """(v_k, l_k) at the reference point, extracted through the rho-series
@@ -563,8 +553,7 @@ class EigenvalueBoundReport:
 
 
 def eigenvalue_bound_check(model: ModelSpec, grid: QuadratureGrid,
-                           trials=None, sample_nodes: int = 32,
-                           tol: float = 1e-6) -> EigenvalueBoundReport:
+                           trials=None, tol: float = 1e-6) -> EigenvalueBoundReport:
     """Rayleigh quotients of mean-zero trials against the spectral bound
     2(n+m) lam, after verifying the curvature lower bound
     Ric_phi >= 2(n+m-1) lam g on a deterministic node subsample."""
@@ -574,9 +563,9 @@ def eigenvalue_bound_check(model: ModelSpec, grid: QuadratureGrid,
         raise ModelError("eigenvalue bound needs a proportional model")
     n, m, lam = model.n, model.m, model.lam
 
-    step = max(1, len(grid.points) // sample_nodes)
+    step = max(1, len(grid.points) // _SAMPLE_NODES)
     worst = 0.0
-    for point in grid.points[::step][:sample_nodes]:
+    for point in grid.points[::step][:_SAMPLE_NODES]:
         p = model.structure_at(point, order=2)
         w = weighted_invariants(p)
         gap = w.ric_phi - 2.0 * (n + m - 1.0) * lam * p.g.matrix

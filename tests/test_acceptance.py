@@ -17,7 +17,6 @@ from wrvc.jets import Jet
 from wrvc.models import (
     builtin_model,
     lcf_candidate_ambient,
-    quasi_einstein_ambient,
 )
 from wrvc.rho import (
     l_operator,
@@ -66,7 +65,7 @@ def grid3():
 
 def test_criterion_1_quasi_einstein_closed_form(qe3):
     start = time.perf_counter()
-    a = quasi_einstein_ambient(qe3, [0.1, 0.2, 0.0], 5)
+    a = qe3.ambient_at([0.1, 0.2, 0.0], K=5)
     v = volume_coefficients(a, qe3.m)
     expected = np.array([5 / 4, 5 / 8, 5 / 32, 5 / 256, 1 / 1024])
     err = float(np.abs(v.v - expected).max())
@@ -164,7 +163,7 @@ def test_criterion_4_conformal_laws(qe3):
 
 
 def test_criterion_5_l_operator_closed_form(qe3):
-    a = quasi_einstein_ambient(qe3, [0.1, 0.2, 0.0], 5)
+    a = qe3.ambient_at([0.1, 0.2, 0.0], K=5)
     ginv = np.linalg.inv(a.g)
     lam = qe3.lam
     worst_l = 0.0
@@ -277,7 +276,7 @@ def test_criterion_10_divergence_identity(qe3, grid3):
 def test_criterion_11_determinacy_cap():
     model = builtin_model("qe_sphere", 2, 2, 1)
     try:
-        volume_coefficients(quasi_einstein_ambient(model, [0.1, 0.0], 3), 2.0)
+        volume_coefficients(model.ambient_at([0.1, 0.0], K=3), 2.0)
         raised = False
         message = "(no error raised)"
     except DeterminacyError as exc:

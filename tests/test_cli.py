@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -87,6 +88,20 @@ def test_curvature_non_finite_point_exits_2(capsys, point):
     assert "non-finite coordinate" in err
 
 
+def test_curvature_overflowing_point_exits_2(capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(
+            capsys, "curvature", "--model", "qe_sphere", "--point", "1e308,0,0",
+        )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "metric of model 'qe_sphere' is not finite at point (1e+308, 0, 0)" in err
+    assert "RuntimeWarning" not in err
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+
 def test_unknown_model(capsys):
     code, _, err = run_cli(capsys, "curvature", "--model", "nonsense")
     assert code == 2
@@ -158,7 +173,8 @@ _FLAT2 = "[space]\nn = 2\n\n[metric]\ng_11 = 1\ng_22 = 1\n"
     ("n = 2\n" + _FLAT2, ":1: no section header before 'n = 2'"),
     (_FLAT2.replace("n = 2", "n = 2\npoint = 1, q"), "bad [space] point"),
     (_FLAT2 + "\n[ambient]\nlambda = x\n", "bad [ambient] lambda"),
-], ids=["key", "duplicate", "no-header", "point", "lambda"])
+    (_FLAT2.replace("n = 2", "n = 2\npoint = nan, 0"), "non-finite [space] point"),
+], ids=["key", "duplicate", "no-header", "point", "lambda", "nan-point"])
 def test_malformed_model_file_exits_2(capsys, tmp_path, text, cause):
     path = tmp_path / "bad.cfg"
     path.write_text(text)

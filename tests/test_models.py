@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from wrvc.models import (
     builtin_model,
     lcf_candidate_ambient,
     load_model_file,
-    quasi_einstein_ambient,
 )
 from wrvc.rho import obstruction_tensors, save_ambient_file, volume_coefficients
 from wrvc.weighted import (
@@ -187,7 +188,7 @@ def test_builtin_models_evaluate_on_domain():
 def test_quasi_einstein_ambient_structure():
     spec = builtin_model("qe_sphere", 3, 2, 1)
     point = [0.1, 0.2, 0.0]
-    a = quasi_einstein_ambient(spec, point, 5)
+    a = spec.ambient_at(point, K=5)
     g0 = spec.metric_at(point, 0).matrix
     f0 = spec.density_at(point, 0).value
     lam = spec.lam
@@ -206,15 +207,24 @@ def test_quasi_einstein_ambient_structure():
 
 def test_lambda_zero_gives_constant_expansion():
     spec = builtin_model("euclidean", 3, m=2.0)
-    a = quasi_einstein_ambient(spec, [0.0, 0.0, 0.0], 4)
+    a = spec.ambient_at([0.0, 0.0, 0.0], K=4)
     assert np.allclose(volume_coefficients(a, 2.0).v, 0.0, atol=1e-14)
+
+
+def test_non_finite_density_raises_domain_error():
+    spec = dataclasses.replace(builtin_model("euclidean", 2, m=1.0),
+                               f_expr=parse_expression("exp(x)"))
+    with np.errstate(all="raise"):   # any warning left unsuppressed raises
+        with pytest.raises(DomainError, match=r"density of model 'euclidean' "
+                           r"is not finite at point \(1000, 0\)"):
+            spec.density_at([1000.0, 0.0])
 
 
 def test_missing_lambda_errors():
     spec = builtin_model("round_sphere_stereographic", 3, m=2.0)
     assert spec.lam is None
     with pytest.raises(ModelError):
-        quasi_einstein_ambient(spec, [0.0, 0.0, 0.0], 3)
+        spec.ambient_at([0.0, 0.0, 0.0], K=3)
 
 
 def test_lcf_specializes_to_quasi_einstein():

@@ -23,6 +23,7 @@ from wrvc.fields import (
 )
 from wrvc.jets import Jet
 from wrvc.models import builtin_model
+from wrvc.rho import AmbientExpansion
 from wrvc import variational
 from wrvc.variational import (
     Chart,
@@ -260,36 +261,54 @@ def test_round_check_covers_every_node(grid3, qe3):
         weighted_volume(bumped, grid3)
 
 
-def test_one_structure_and_one_growing_series_per_grid(monkeypatch, qe3):
-    counts = {"series": 0, "structures": 0}
-    series, init = variational.volume_coefficients, GridStructure.__init__
-
-    def counted_series(*args):
-        counts["series"] += 1
-        return series(*args)
+def test_one_structure_and_one_unbatched_series_per_k(monkeypatch, qe3):
+    structures, series, expansions = [], [], []
+    init, scales = GridStructure.__init__, variational._volume_and_l_operator
+    post_init = AmbientExpansion.__post_init__
 
     def counted_init(self, *args):
-        counts["structures"] += 1
+        structures.append(args)
         init(self, *args)
 
-    monkeypatch.setattr(variational, "volume_coefficients", counted_series)
+    def counted_scales(a, m, k):
+        series.append((a.gcoeffs.ndim, k))
+        return scales(a, m, k)
+
+    def counted_expansion(self):
+        post_init(self)
+        expansions.append(self.gcoeffs.ndim)
+
     monkeypatch.setattr(GridStructure, "__init__", counted_init)
+    monkeypatch.setattr(variational, "_volume_and_l_operator", counted_scales)
+    monkeypatch.setattr(AmbientExpansion, "__post_init__", counted_expansion)
     grid = QuadratureGrid(3, resolution=20)
     for k in (1, 2, 3):
         functional_F_k(qe3, grid, k)
     trial = AmbientCoordinate(0, 3)
     first_variation(qe3, grid, 2, project_mean_zero(qe3, grid, trial))
     second_variation(qe3, grid, 2, trial)
-    assert counts == {"series": 3, "structures": 1}
+    assert len(structures) == 1
+    assert series == [(3, 1), (3, 2), (3, 3)]
+    assert expansions == [3, 3, 3]   # no grid function builds a batched one
 
 
-def test_grown_series_matches_fresh_series(qe3):
+def test_grid_vk_closed_form(qe3):
     grid = QuadratureGrid(3, resolution=20)
-    grown = grid.bind(qe3)
-    grown.vk(4)
+    bound = grid.bind(qe3)
+    nm, lam = qe3.n + qe3.m, qe3.lam
     for k in (1, 2, 3, 4):
-        fresh = GridStructure(qe3, grid)
-        assert np.array_equal(grown.vk(k), fresh.vk(k))
+        exact = math.comb(round(nm), k) * lam**k
+        assert abs(bound.vk(k) - exact) <= 1e-15 * exact
+
+
+def test_grid_vk_needs_positive_density_on_every_node(qe3):
+    # positive at the origin, where the series scales are taken, and
+    # negative on the nodes with x < -1/2
+    tilted = dataclasses.replace(qe3, name="tilted",
+                                 f_expr=parse_expression("1 + 2*x"))
+    grid = QuadratureGrid(3, resolution=10)
+    with pytest.raises(DomainError, match="base density must be positive"):
+        functional_F_k(tilted, grid, 1)
 
 
 def test_bound_grid_freed_without_cycle_collector(qe3):
