@@ -23,7 +23,7 @@ from .geometry import (
     laplacian,
     weighted_laplacian,
 )
-from .jets import Jet, jet_apply_analytic, jet_mul, jet_partial, jet_variable
+from .jets import Jet
 from .models import (
     BUILTIN_NAMES,
     ModelSpec,

@@ -1,8 +1,9 @@
 """Classical Riemannian quantities at a chart point from jet-valued metrics.
 
 Curvature is evaluated exactly from the metric jets: Christoffel symbols
-are kept as jets (one order below the metric) so their derivatives at the
-point are exact coefficients rather than finite differences.
+are kept as jet coefficients (one order below the metric) so their
+derivatives at the point are exact coefficients rather than finite
+differences.
 
 The metric is held as a coefficient array ``G`` of shape (n, n, ncoef)
 (see ``wrvc.jets``), and the inverse, determinant and Christoffel symbols
@@ -33,7 +34,6 @@ from .jets import (
     hessian_index,
     jet_matmul,
     jet_matmul_operator,
-    jet_tensor,
     mult_matrix,
     n_coeffs,
     to_columns,
@@ -96,38 +96,28 @@ def _det_coeffs(G: np.ndarray, dim: int, order: int) -> np.ndarray:
     return np.linalg.det(G0) * compose_coeffs(log_det, exp_coeffs, dim, order)
 
 
-def jet_matrix_inverse(g):
-    """Inverse of a square matrix of jets, as a nested list of jets at the
-    lowest entry order."""
-    G, dim, order = _stack(g)
-    return jet_tensor(_inverse_coeffs(G, dim, order), dim, order)
-
-
 class MetricAtPoint:
     """A Riemannian metric's jets at one chart point.
 
-    ``g`` is an n x n nested list (or object array) of jets, symmetric
-    coefficient-wise, with a positive-definite constant-term matrix.
-    ``G`` holds the same jets as one (n, n, ncoef) coefficient array at the
-    lowest entry order, which is ``order``.
+    ``G`` is the (n, n, ncoef) coefficient array of the metric jets at
+    ``order``, symmetric coefficient-wise, with a positive-definite
+    constant-term matrix.  The constructor takes an n x n nested list (or
+    object array) of jets and keeps them at the lowest entry order.
     """
 
     def __init__(self, g, point):
-        g = [list(row) for row in g]
         G, dim, order = _stack(g)
-        if dim != len(g):
+        if dim != G.shape[0]:
             raise DimensionMismatch(
-                f"metric size {len(g)} does not match jet dimension {dim}"
+                f"metric size {G.shape[0]} does not match jet dimension {dim}"
             )
         self._setup(G, order, point)
-        self.g = g
 
     @classmethod
     def from_coeffs(cls, G: np.ndarray, order: int, point) -> "MetricAtPoint":
         """Metric from an (n, n, n_coeffs(n, order)) coefficient array."""
         metric = cls.__new__(cls)
         metric._setup(G, order, point)
-        metric.g = jet_tensor(G, metric.n, order)
         return metric
 
     def _setup(self, G: np.ndarray, order: int, point):
@@ -148,7 +138,6 @@ class MetricAtPoint:
         self.order = order
         self._ginv0 = None
         self._gamma = None
-        self._gamma_coeffs = None
 
     @property
     def matrix(self) -> np.ndarray:
@@ -180,20 +169,11 @@ class MetricAtPoint:
 
 @dataclass
 class CurvatureBundle:
-    """Curvature data at the point: Christoffel jets and pointwise tensors."""
+    """Pointwise curvature tensors at the point."""
 
-    gamma: list           # gamma[k][i][j]: jets of Gamma^k_{ij}
     riem: np.ndarray      # R_{ijkl}, antisymmetric pairs (ij) and (kl)
     ric: np.ndarray       # Ric_ij
     scalar: float
-
-    @property
-    def gamma_values(self) -> np.ndarray:
-        n = len(self.gamma)
-        return np.array(
-            [[[self.gamma[k][i][j].value for j in range(n)] for i in range(n)]
-             for k in range(n)]
-        )
 
 
 def _christoffel_coeffs(metric: MetricAtPoint) -> np.ndarray:
@@ -216,29 +196,21 @@ def _upper_pairs(n: int):
     return np.triu_indices(n, 1)
 
 
-def christoffel(metric: MetricAtPoint):
-    """Christoffel symbols Gamma^k_{ij} as jets (metric order - 1)."""
-    if metric._gamma is not None:
-        return metric._gamma
-    if metric.order < 1:
-        raise OrderError("christoffel needs metric jets of order >= 1")
-    coeffs = _christoffel_coeffs(metric)
-    metric._gamma_coeffs = coeffs
-    metric._gamma = jet_tensor(coeffs, metric.n, metric.order - 1)
+def christoffel(metric: MetricAtPoint) -> np.ndarray:
+    """Christoffel symbols Gamma^k_{ij}, cached on the metric, as a
+    (n, n, n, ncoef) coefficient array at the metric order - 1."""
+    if metric._gamma is None:
+        if metric.order < 1:
+            raise OrderError("christoffel needs metric jets of order >= 1")
+        metric._gamma = _christoffel_coeffs(metric)
     return metric._gamma
-
-
-def _gamma_values(metric: MetricAtPoint) -> np.ndarray:
-    christoffel(metric)
-    return metric._gamma_coeffs[..., 0]
 
 
 def curvature(metric: MetricAtPoint) -> CurvatureBundle:
     """Riemann, Ricci and scalar curvature values at the point."""
     if metric.order < 2:
         raise OrderError("curvature needs metric jets of order >= 2")
-    gamma = christoffel(metric)
-    coeffs = metric._gamma_coeffs
+    coeffs = christoffel(metric)
     g0 = metric.matrix
     ginv0 = metric.inverse_matrix
     gv = coeffs[..., 0]
@@ -255,7 +227,7 @@ def curvature(metric: MetricAtPoint) -> CurvatureBundle:
     riem = np.einsum("ae,ebcd->abcd", g0, up)
     ric = np.einsum("abad->bd", up)
     scalar = float(np.einsum("bd,bd->", ginv0, ric))
-    return CurvatureBundle(gamma=gamma, riem=riem, ric=ric, scalar=scalar)
+    return CurvatureBundle(riem=riem, ric=ric, scalar=scalar)
 
 
 def hessian(u: Jet, metric: MetricAtPoint) -> np.ndarray:
@@ -264,7 +236,8 @@ def hessian(u: Jet, metric: MetricAtPoint) -> np.ndarray:
         raise OrderError("hessian needs a jet of order >= 2")
     du = gradient(u, metric.n)
     slots, factors = hessian_index(metric.n)
-    return u.coeffs[slots] * factors - np.einsum("kij,k->ij", _gamma_values(metric), du)
+    gamma0 = christoffel(metric)[..., 0]
+    return u.coeffs[slots] * factors - np.einsum("kij,k->ij", gamma0, du)
 
 
 def gradient(u: Jet, n: int) -> np.ndarray:

@@ -181,14 +181,6 @@ def compose_coeffs(a: np.ndarray, c: np.ndarray, dim: int, order: int) -> np.nda
     return out
 
 
-def jet_tensor(coeffs: np.ndarray, dim: int, order: int):
-    """Nested lists of jets over the leading axes of a (..., ncoef) array;
-    each jet's coefficients are a view of ``coeffs``."""
-    if coeffs.ndim == 1:
-        return Jet._unchecked(dim, order, coeffs)
-    return [jet_tensor(c, dim, order) for c in coeffs]
-
-
 _SCALARS = (int, float, np.floating, np.integer)
 _new_object = object.__new__
 
@@ -257,13 +249,6 @@ class Jet:
     def value(self) -> float:
         """The function value at the base point (constant term)."""
         return float(self.coeffs[0])
-
-    def truncate(self, order: int) -> "Jet":
-        if order >= self.order:
-            return self
-        return Jet._unchecked(
-            self.dim, order, self.coeffs[: n_coeffs(self.dim, order)].copy()
-        )
 
     def partial(self, multi_index) -> float:
         """Value of the mixed partial d^alpha at the base point."""
@@ -470,25 +455,3 @@ def _pow_coeffs(a0: float, alpha: float, order: int):
 @lru_cache(maxsize=None)
 def _factorials(order: int):
     return np.array([math.factorial(i) for i in range(order + 1)], dtype=float)
-
-
-# Functional aliases matching the operation-level API.
-
-def jet_variable(index: int, value: float, dim: int, order: int) -> Jet:
-    return Jet.variable(index, value, dim, order)
-
-
-def jet_constant(value: float, dim: int, order: int) -> Jet:
-    return Jet.constant(value, dim, order)
-
-
-def jet_mul(a: Jet, b: Jet) -> Jet:
-    return a * b
-
-
-def jet_apply_analytic(fn: str, a: Jet, alpha: float | None = None) -> Jet:
-    return a.apply(fn, alpha)
-
-
-def jet_partial(a: Jet, multi_index) -> float:
-    return a.partial(multi_index)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import configparser
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,7 +78,7 @@ class ModelSpec:
         n = self.n
         G = np.zeros((n, n, n_coeffs(n, order)))
         done = []   # (expression, coefficients) per distinct expression
-        with np.errstate(over="ignore", invalid="ignore"):
+        with self._evaluating("metric", point):
             for i in range(n):
                 for j in range(n):
                     node = self.g_exprs[i][j]
@@ -97,19 +98,35 @@ class ModelSpec:
         return MetricAtPoint.from_coeffs(G, order, point)
 
     def density_at(self, point, order: int = DEFAULT_ORDER) -> Jet:
-        with np.errstate(over="ignore", invalid="ignore"):
-            val = evaluate(self.f_expr, self._env(point, order))
+        env = self._env(point, order)
+        with self._evaluating("density", point):
+            val = evaluate(self.f_expr, env)
         if not isinstance(val, Jet):
             val = Jet.constant(float(val), self.n, order)
         self._require_finite_jets(val.coeffs, "density", point)
         return val
 
+    def _at_point(self, what: str, point, detail: str) -> str:
+        coords = ", ".join(f"{float(c):g}" for c in point)
+        return f"{what} of model {self.name!r} {detail} at point ({coords})"
+
+    @contextmanager
+    def _evaluating(self, what: str, point):
+        """Evaluate the metric or density expressions at a point, silencing
+        overflow warnings (the result is checked for finiteness instead) and
+        naming the model, the point and its domain on a ``DomainError``."""
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                yield
+        except DomainError as exc:
+            raise DomainError(
+                f"{self._at_point(what, point, 'is undefined')} "
+                f"(model domain: {self.domain}): {exc}"
+            ) from exc
+
     def _require_finite_jets(self, coeffs, what: str, point):
         if not np.isfinite(coeffs).all():
-            coords = ", ".join(f"{float(c):g}" for c in point)
-            raise DomainError(
-                f"{what} of model {self.name!r} is not finite at point ({coords})"
-            )
+            raise DomainError(self._at_point(what, point, "is not finite"))
 
     def structure_at(self, point, order: int = DEFAULT_ORDER) -> MetricMeasurePoint:
         return MetricMeasurePoint(
@@ -158,15 +175,12 @@ class ModelSpec:
         return AmbientExpansion(
             gcoeffs=expansion.gcoeffs[: K + 1],
             fcoeffs=expansion.fcoeffs[: K + 1],
-            mu=mu,
         )
 
     def random_points(self, rng, count: int) -> np.ndarray:
-        """Sample points in the documented interior region of the chart."""
-        pts = rng.uniform(-0.8, 0.8, size=(count, self.n))
-        if self.name == "hyperbolic_upper_half":
-            pts[:, -1] = rng.uniform(0.5, 1.8, size=count)
-        return pts
+        """Sample points in the box of half-width 0.8 around the default
+        point, which lies inside the chart for every built-in model."""
+        return self.default_point + rng.uniform(-0.8, 0.8, size=(count, self.n))
 
 
 # -- builtin structures ---------------------------------------------------
@@ -274,9 +288,7 @@ def quasi_einstein_coeffs(g, f, lam: float, K: int) -> AmbientExpansion:
         gcoeffs[2] = lam**2 * g
     fcoeffs[0] = f
     fcoeffs[1] = lam * f
-    return AmbientExpansion(
-        gcoeffs=gcoeffs, fcoeffs=fcoeffs, self_consistent=True
-    )
+    return AmbientExpansion(gcoeffs=gcoeffs, fcoeffs=fcoeffs)
 
 
 def lcf_candidate_ambient(g, f, P, Y: float, m: float, K: int) -> AmbientExpansion:
@@ -301,7 +313,7 @@ def lcf_candidate_ambient(g, f, P, Y: float, m: float, K: int) -> AmbientExpansi
         gcoeffs[2] = P @ A
     fcoeffs[0] = f
     fcoeffs[1] = f * (Y / m if m > 0 else 0.0)
-    return AmbientExpansion(gcoeffs=gcoeffs, fcoeffs=fcoeffs, self_consistent=True)
+    return AmbientExpansion(gcoeffs=gcoeffs, fcoeffs=fcoeffs)
 
 
 # -- model files --------------------------------------------------------------

@@ -110,21 +110,6 @@ class RhoSeries:
             raise DimensionMismatch("scalar series has no matrix size")
         return self.coeffs.shape[-1]
 
-    @staticmethod
-    def scalar_constant(value, K: int) -> "RhoSeries":
-        value = np.asarray(value, dtype=float)
-        c = np.zeros((K + 1,) + value.shape)
-        c[0] = value
-        return RhoSeries(c, "scalar")
-
-    def copy(self) -> "RhoSeries":
-        return RhoSeries(self.coeffs.copy(), self.kind)
-
-    def truncate(self, K: int) -> "RhoSeries":
-        if K >= self.K:
-            return self
-        return RhoSeries(self.coeffs[: K + 1].copy(), self.kind)
-
     # -- linear structure ------------------------------------------------
 
     def __add__(self, other):
@@ -255,10 +240,6 @@ class RhoSeries:
         self._require("matrix")
         return RhoSeries(np.trace(self.coeffs, axis1=-2, axis2=-1), "scalar")
 
-    def entry(self, i: int, j: int) -> "RhoSeries":
-        self._require("matrix")
-        return RhoSeries(self.coeffs[..., i, j], "scalar")
-
     def symmetrize(self) -> "RhoSeries":
         self._require("matrix")
         return RhoSeries(
@@ -282,14 +263,11 @@ class AmbientExpansion:
 
     ``gcoeffs[k]`` and ``fcoeffs[k]`` are Taylor coefficients
     (1/k!) d_rho^k at rho = 0, so gcoeffs[0] is the base metric and
-    fcoeffs[0] the base density.  ``self_consistent`` marks expansions whose
-    generator guarantees the f''-trace relation (checked, never imposed).
+    fcoeffs[0] the base density.
     """
 
     gcoeffs: np.ndarray   # (K+1, ..., n, n)
     fcoeffs: np.ndarray   # (K+1, ...)
-    self_consistent: bool = False
-    mu: float | None = None
 
     def __post_init__(self):
         self.gcoeffs = np.asarray(self.gcoeffs, dtype=float)
@@ -391,11 +369,9 @@ def _lambda_one(gp: RhoSeries, gp_ginv: RhoSeries) -> RhoSeries:
 
 @dataclass
 class ObstructionSet:
-    """Restrictions Omega^(k) = Lambda^(k)(0) together with the retained
-    in-rho series for diagnostics."""
+    """Restrictions Omega^(k) = Lambda^(k)(0) of the curvature-normal series."""
 
     omegas: list = field(default_factory=list)      # Omega^(1)..Omega^(K-1)
-    lambda_series: list = field(default_factory=list)
 
     def trace_norms(self, base_g: np.ndarray) -> np.ndarray:
         """|g^{ij} Omega^(k)_{ij}| for each k (max over any batch axes)."""
@@ -429,13 +405,11 @@ def obstruction_tensors(a: AmbientExpansion) -> ObstructionSet:
     gp_ginv = gp * g.matrix_inverse()
     lam = _lambda_one(gp, gp_ginv)
     out = ObstructionSet()
-    out.lambda_series.append(lam)
     out.omegas.append(lam.coeffs[0].copy())
     for _ in range(2, a.K):
         if lam.K < 1:
             break
         lam = lam.derivative() - (gp_ginv * lam).symmetrize()
-        out.lambda_series.append(lam)
         out.omegas.append(lam.coeffs[0].copy())
     return out
 
@@ -581,4 +555,4 @@ def _read_ambient_file(path):
         else:
             fail(num, f"unrecognized row in ambient file: {ln!r}")
     gcoeffs = 0.5 * (gcoeffs + np.swapaxes(gcoeffs, -1, -2))
-    return AmbientExpansion(gcoeffs=gcoeffs, fcoeffs=fcoeffs, mu=mu), m, mu, raw[0][0]
+    return AmbientExpansion(gcoeffs=gcoeffs, fcoeffs=fcoeffs), m, mu, raw[0][0]

@@ -207,10 +207,7 @@ def suite_curvature(rng) -> list:
     rescale_res = 0.0
     for c in (0.5, 2.0):
         metric = _random_metric(rng)
-        scaled = MetricAtPoint(
-            [[metric.g[i][j] * c**2 for j in range(3)] for i in range(3)],
-            metric.point,
-        )
+        scaled = MetricAtPoint.from_coeffs(metric.G * c**2, metric.order, metric.point)
         rescale_res = max(
             rescale_res,
             abs(curvature(scaled).scalar - curvature(metric).scalar / c**2),

@@ -28,12 +28,12 @@ import wrvc.models
 from wrvc.expr import parse_expression
 from wrvc.geometry import (
     MetricAtPoint,
+    _inverse_coeffs,
     christoffel,
     curvature,
     hessian,
-    jet_matrix_inverse,
 )
-from wrvc.jets import Jet
+from wrvc.jets import Jet, n_coeffs
 from wrvc.models import ModelSpec, builtin_model, load_model_file
 from wrvc.weighted import weighted_invariants
 
@@ -260,14 +260,14 @@ def test_array_geometry_matches_exact_derivatives(case):
 
     gamma = christoffel(metric)
     for alpha in multi_indices(n, order - 1):
-        got = [[[gamma[k][i][j].partial(alpha) for j in range(n)]
+        got = [[[Jet(n, order - 1, gamma[k, i, j]).partial(alpha) for j in range(n)]
                 for i in range(n)] for k in range(n)]
         assert_rel_close(got, exact.gamma(alpha), f"Gamma d^{alpha}")
 
-    inv = jet_matrix_inverse(metric.g)
+    inv = _inverse_coeffs(metric.G, n, metric.order)
     det = metric.det_jet()
     for alpha in multi_indices(n, order):
-        got = [[inv[i][j].partial(alpha) for j in range(n)] for i in range(n)]
+        got = [[Jet(n, order, inv[i, j]).partial(alpha) for j in range(n)] for i in range(n)]
         assert_rel_close(got, np.array(exact.dh[alpha], dtype=float), f"g^-1 d^{alpha}")
         assert_rel_close(det.partial(alpha), float(exact.ddet[alpha]), f"det d^{alpha}")
 
@@ -329,7 +329,24 @@ def test_weighted_invariants_builds_few_jets():
     p = deformed_sphere().structure_at([0.2, -0.1, 0.3], order=4)
     with counting_jets() as counter:
         weighted_invariants(p)
-    assert counter["built"] <= 40
+    assert counter["built"] <= 2
+
+
+@pytest.mark.parametrize("model", [
+    builtin_model("qe_sphere", 3, 2.0, 1.0),
+    builtin_model("hyperbolic_upper_half", 4),
+    deformed_sphere(),
+])
+def test_christoffel_is_one_cached_coefficient_array(model):
+    metric = model.metric_at(model.default_point + 0.1, order=4)
+    n = model.n
+    gamma = christoffel(metric)
+    assert isinstance(gamma, np.ndarray)
+    assert gamma.shape == (n, n, n, n_coeffs(n, metric.order - 1))
+    assert christoffel(metric) is gamma
+    curvature(metric)
+    assert christoffel(metric) is gamma
+    assert not hasattr(metric, "g")
 
 
 def test_counting_jets_sees_both_constructors():
@@ -375,7 +392,6 @@ def test_metric_at_evaluates_each_distinct_component_once(monkeypatch, model):
             if not isinstance(val, Jet):
                 val = Jet.constant(float(val), model.n, 4)
             assert np.array_equal(metric.G[i, j], val.coeffs)
-            assert np.array_equal(metric.g[i][j].coeffs, val.coeffs)
 
 
 def test_metric_at_model_file_mirrors_lower_triangle(monkeypatch, tmp_path):

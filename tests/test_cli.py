@@ -102,6 +102,19 @@ def test_curvature_overflowing_point_exits_2(capsys):
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
+def test_curvature_chart_edge_names_model_point_and_domain(capsys):
+    code, out, err = run_cli(
+        capsys, "curvature", "--model", "hyperbolic_upper_half", "--point", "0,0,0",
+    )
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    for part in ("hyperbolic_upper_half", "0, 0, 0", "z > 0"):
+        assert part in lines[0]
+    assert "Traceback" not in err
+
+
 def test_unknown_model(capsys):
     code, _, err = run_cli(capsys, "curvature", "--model", "nonsense")
     assert code == 2

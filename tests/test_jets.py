@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wrvc.errors import DimensionMismatch, DomainError, OrderError
-from wrvc.jets import Jet, jet_mul, jet_partial, jet_variable
+from wrvc.jets import Jet
 
 
 def random_jet(rng, dim, order, scale=1.0, shift=0.0):
@@ -19,7 +19,7 @@ def random_jet(rng, dim, order, scale=1.0, shift=0.0):
 
 
 def test_variable_layout():
-    j = jet_variable(0, 2.0, 2, 2)
+    j = Jet.variable(0, 2.0, 2, 2)
     expected = np.zeros(6)
     expected[0] = 2.0
     expected[1] = 1.0
@@ -27,26 +27,26 @@ def test_variable_layout():
 
 
 def test_variable_second_slot():
-    j = jet_variable(1, 0.0, 2, 1)
+    j = Jet.variable(1, 0.0, 2, 1)
     assert j.coeffs.tolist() == [0.0, 0.0, 1.0]
 
 
 def test_variable_square():
-    x = jet_variable(0, 3.0, 1, 2)
+    x = Jet.variable(0, 3.0, 1, 2)
     assert np.allclose((x * x).coeffs, [9.0, 6.0, 1.0])
 
 
 def test_variable_index_out_of_range():
     with pytest.raises(DimensionMismatch):
-        jet_variable(2, 0.0, 2, 3)
+        Jet.variable(2, 0.0, 2, 3)
 
 
 # -- multiplication ----------------------------------------------------
 
 
 def test_mul_bivariate():
-    x = jet_variable(0, 0.0, 2, 2)
-    y = jet_variable(1, 0.0, 2, 2)
+    x = Jet.variable(0, 0.0, 2, 2)
+    y = Jet.variable(1, 0.0, 2, 2)
     p = (1.0 + x) * (1.0 + y)
     # graded order: 1, x, y, x^2, xy, y^2
     assert np.allclose(p.coeffs, [1, 1, 1, 0, 1, 0])
@@ -60,7 +60,7 @@ def test_mul_identity():
 
 
 def test_mul_truncates():
-    x = jet_variable(0, 0.0, 1, 2)
+    x = Jet.variable(0, 0.0, 1, 2)
     a = 1.0 + x + x * x          # 1 + x + x^2
     b = 1.0 - x
     prod = a * b                 # 1 - x^3, truncated at order 2
@@ -69,12 +69,12 @@ def test_mul_truncates():
 
 def test_mul_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        jet_mul(Jet(2, 2), Jet(3, 2))
+        Jet(2, 2) * Jet(3, 2)
 
 
 def test_mixed_order_truncates_down():
-    x2 = jet_variable(0, 1.0, 1, 2)
-    x5 = jet_variable(0, 1.0, 1, 5)
+    x2 = Jet.variable(0, 1.0, 1, 2)
+    x5 = Jet.variable(0, 1.0, 1, 5)
     assert (x2 * x5).order == 2
     assert (x2 + x5).order == 2
 
@@ -83,13 +83,13 @@ def test_mixed_order_truncates_down():
 
 
 def test_exp_series():
-    x = jet_variable(0, 0.0, 1, 3)
+    x = Jet.variable(0, 0.0, 1, 3)
     e = x.exp()
     assert np.allclose(e.coeffs, [1.0, 1.0, 0.5, 1.0 / 6.0])
 
 
 def test_sqrt_binomial():
-    x = jet_variable(0, 0.0, 1, 2)
+    x = Jet.variable(0, 0.0, 1, 2)
     s = (1.0 + x).apply("pow", 0.5)
     assert np.allclose(s.coeffs, [1.0, 0.5, -0.125])
 
@@ -110,7 +110,7 @@ def test_log_domain_error():
 
 
 def test_sin_cos_derivative_chain():
-    x = jet_variable(0, 0.3, 1, 4)
+    x = Jet.variable(0, 0.3, 1, 4)
     s, c = x.sin(), x.cos()
     # sin' = cos at the base point, read off the linear coefficient
     assert math.isclose(s.coeffs[1], math.cos(0.3), rel_tol=1e-14)
@@ -119,40 +119,40 @@ def test_sin_cos_derivative_chain():
 
 
 def test_pow_negative_integer_any_sign_base():
-    x = jet_variable(0, -2.0, 1, 3)
+    x = Jet.variable(0, -2.0, 1, 3)
     inv = x.apply("pow", -1.0)
     assert np.allclose((inv * x).coeffs, [1, 0, 0, 0], atol=1e-14)
 
 
 def test_reciprocal_guard():
     with pytest.raises(DomainError):
-        jet_variable(0, 0.0, 1, 2).reciprocal()
+        Jet.variable(0, 0.0, 1, 2).reciprocal()
 
 
 # -- partial extraction -------------------------------------------------
 
 
 def test_partial_x2y():
-    x = jet_variable(0, 0.0, 2, 3)
-    y = jet_variable(1, 0.0, 2, 3)
+    x = Jet.variable(0, 0.0, 2, 3)
+    y = Jet.variable(1, 0.0, 2, 3)
     a = x * x * y
-    assert jet_partial(a, (2, 1)) == pytest.approx(2.0)
-    assert jet_partial(a, (0, 0)) == pytest.approx(0.0)
+    assert a.partial((2, 1)) == pytest.approx(2.0)
+    assert a.partial((0, 0)) == pytest.approx(0.0)
 
 
 def test_partial_constant_term():
     a = Jet.constant(4.5, 2, 2)
-    assert jet_partial(a, (0, 0)) == pytest.approx(4.5)
+    assert a.partial((0, 0)) == pytest.approx(4.5)
 
 
 def test_partial_exp_third():
-    x = jet_variable(0, 0.0, 1, 3)
-    assert jet_partial(x.exp(), (3,)) == pytest.approx(1.0)
+    x = Jet.variable(0, 0.0, 1, 3)
+    assert x.exp().partial((3,)) == pytest.approx(1.0)
 
 
 def test_partial_order_exceeded():
     with pytest.raises(OrderError):
-        jet_partial(Jet(1, 2), (3,))
+        Jet(1, 2).partial((3,))
 
 
 # -- ring axioms and derivation property ---------------------------------
@@ -184,8 +184,8 @@ def test_ring_axioms(a, b, c):
 @given(jets(), jets())
 def test_derivation_property(a, b):
     e0 = (1, 0)
-    lhs = jet_partial(a * b, e0)
-    rhs = jet_partial(a, e0) * b.value + a.value * jet_partial(b, e0)
+    lhs = (a * b).partial(e0)
+    rhs = a.partial(e0) * b.value + a.value * b.partial(e0)
     assert lhs == pytest.approx(rhs, abs=1e-13)
 
 
@@ -200,8 +200,8 @@ def test_exp_homomorphism(a, b):
 
 def test_polynomial_exactness():
     # polynomials of degree <= order are reproduced without truncation error
-    x = jet_variable(0, 1.5, 2, 4)
-    y = jet_variable(1, -0.5, 2, 4)
+    x = Jet.variable(0, 1.5, 2, 4)
+    y = Jet.variable(1, -0.5, 2, 4)
     p = 2.0 + 3.0 * x * y - x * x * y * y
     # compare against an independent reconstruction from partials
     assert p.partial((1, 1)) == pytest.approx(3.0 - 4.0 * 1.5 * (-0.5))

@@ -5,6 +5,7 @@ import pytest
 
 from wrvc.errors import DomainError, ExpressionError, ModelError
 from wrvc.expr import evaluate, parse_expression, to_string
+from wrvc.geometry import curvature
 from wrvc.jets import Jet
 from wrvc.models import (
     BUILTIN_NAMES,
@@ -171,6 +172,20 @@ def test_hyperbolic_constants():
     w = weighted_invariants(p)
     assert w.r_phi == pytest.approx(-6.0, abs=1e-11)
     assert spec.lam == pytest.approx(-0.5)
+
+
+def test_random_points_box_around_default_point():
+    for name in ("euclidean", "round_sphere_stereographic", "qe_sphere"):
+        spec = builtin_model(name, 3)
+        rng, twin = np.random.default_rng(8), np.random.default_rng(8)
+        assert np.array_equal(spec.random_points(rng, 7),
+                              twin.uniform(-0.8, 0.8, size=(7, 3)))
+    spec = builtin_model("hyperbolic_upper_half", 3)
+    pts = spec.random_points(np.random.default_rng(8), 200)
+    assert np.all((pts[:, -1] > 0.2) & (pts[:, -1] < 1.8))
+    assert pts[:, -1].min() < 0.3
+    for point in list(pts[:: 20]) + [pts[np.argmin(pts[:, -1])]]:
+        assert curvature(spec.metric_at(point)).scalar == pytest.approx(-6.0, abs=1e-11)
 
 
 def test_builtin_models_evaluate_on_domain():

@@ -3,7 +3,7 @@ import pytest
 
 from wrvc.errors import DomainError
 from wrvc.geometry import MetricAtPoint
-from wrvc.jets import Jet, jet_variable
+from wrvc.jets import Jet
 from wrvc.weighted import (
     ConformalDeformation,
     MetricMeasurePoint,
@@ -21,7 +21,7 @@ from wrvc.weighted import (
 
 def coords(point, order=4):
     n = len(point)
-    return [jet_variable(i, point[i], n, order) for i in range(n)]
+    return [Jet.variable(i, point[i], n, order) for i in range(n)]
 
 
 def euclidean_mmp(point, f=None, m=0.0, mu=0.0, order=4):
