@@ -48,7 +48,7 @@ def _emit_json(obj, indent: int = 0) -> str:
         return "[\n" + ",\n".join(rows) + f"\n{pad}]"
     if isinstance(obj, np.ndarray):
         return _emit_json(obj.tolist(), indent)
-    if isinstance(obj, bool):
+    if isinstance(obj, (bool, np.bool_)):
         return "true" if obj else "false"
     if obj is None:
         return "null"

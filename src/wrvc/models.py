@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import configparser
 import math
+from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -52,6 +53,7 @@ class ModelSpec:
     ambient_file: str | None = None
     default_point: np.ndarray = None
     domain: str = "all points of the chart"
+    inside: Callable | None = None   # point -> bool, true exactly on ``domain``
 
     def __post_init__(self):
         if self.default_point is None:
@@ -114,8 +116,11 @@ class ModelSpec:
     def _evaluating(self, what: str, point):
         """Evaluate the metric or density expressions at a point, silencing
         overflow warnings (the result is checked for finiteness instead) and
-        naming the model, the point and its domain on a ``DomainError``."""
+        naming the model, the point and its domain on a ``DomainError``,
+        which a point that ``inside`` rejects also raises."""
         try:
+            if self.inside is not None and not self.inside(point):
+                raise DomainError("the point lies outside the domain")
             with np.errstate(over="ignore", invalid="ignore"):
                 yield
         except DomainError as exc:
@@ -261,7 +266,7 @@ def builtin_model(name: str, n: int = 3, m: float | None = None,
     spec = ModelSpec(
         name=name, n=n, m=m, mu=mu, coords=coords,
         g_exprs=_delta_exprs(n, f"{last}^-2"), f_expr=f_expr, lam=lam,
-        domain=f"points with {last} > 0",
+        domain=f"points with {last} > 0", inside=lambda x: x[-1] > 0.0,
     )
     spec.default_point = np.zeros(n)
     spec.default_point[-1] = 1.0
@@ -408,4 +413,5 @@ def load_model_file(path) -> ModelSpec:
         name=str(path), n=n, m=m, mu=mu, coords=coords,
         g_exprs=g_exprs, f_expr=f_expr, lam=lam,
         ambient_file=ambient_file, default_point=default_point,
+        domain="not declared by the model file",
     )

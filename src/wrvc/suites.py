@@ -53,7 +53,7 @@ class CheckResult:
 
     @property
     def passed(self) -> bool:
-        return self.residual <= self.tolerance
+        return bool(self.residual <= self.tolerance)
 
     def as_record(self) -> dict:
         return {

@@ -133,6 +133,7 @@ class QuadratureGrid:
         self.weights = weights[keep]
         self.conf = conf[keep]
         self._bound = {}   # id(model) -> GridStructure, which holds the model
+        self._lb = None    # (field, per-chart Laplace-Beltrami values), last field
 
     def bind(self, model: ModelSpec) -> "GridStructure":
         """The model's data on this grid, built once per model object."""
@@ -140,6 +141,15 @@ class QuadratureGrid:
         if bound is None:
             bound = self._bound[id(model)] = GridStructure(model, self)
         return bound
+
+    def _laplace_beltrami(self, field: SphereField) -> list:
+        """Per-chart Laplace-Beltrami values of the field, memoized for the
+        most recent field only; the entry holds the field, so its id is
+        never reused while the values are kept."""
+        if self._lb is None or self._lb[0] is not field:
+            self._lb = (field, [laplace_beltrami_values(field, c, self.points)
+                                for c in self.charts])
+        return self._lb[1]
 
     @property
     def node_count(self) -> int:
@@ -169,12 +179,12 @@ def _chunked_dot(w: np.ndarray, v: np.ndarray) -> float:
 class GridStructure:
     """One model bound to one grid (``QuadratureGrid.bind``): the round-metric
     check on every node, f and f^m per node, the weighted volume, and
-    memoized series scales and lambda_1 estimate.  The model's expansion
-    g_rho = (1 + lam rho)^2 g, f_rho = (1 + lam rho) f scales g and f by
-    functions of rho alone, so v_k = C(n+m, k) lam^k is one constant for
-    every node, read from the series scales.  It keeps the grid's arrays,
-    never the grid, so the grid's memo of structures forms no reference
-    cycle."""
+    memoized series scales and coordinate-harmonic Rayleigh quotients.
+    The model's expansion g_rho = (1 + lam rho)^2 g, f_rho = (1 + lam rho) f
+    scales g and f by functions of rho alone, so v_k = C(n+m, k) lam^k is
+    one constant for every node, read from the series scales.  It keeps the
+    grid's arrays, never the grid, so the grid's memo of structures forms no
+    reference cycle."""
 
     def __init__(self, model: ModelSpec, grid: QuadratureGrid):
         if model.n != grid.n:
@@ -201,7 +211,7 @@ class GridStructure:
         self.fm = self.f ** model.m
         self.wvol = grid.integrate([self.fm, self.fm])
         self._scales = {}
-        self.lambda1 = None
+        self.harmonic_quotients = None   # set by _harmonic_quotients
 
     def vk(self, k: int) -> float:
         """v_k, the same on every node (both charts)."""
@@ -305,10 +315,7 @@ def delta_vk_identity_check(model: ModelSpec, grid: QuadratureGrid, k: int,
     if model.lam is None:
         raise ModelError("identity check needs a proportional (lam) model")
     _, lk = bound.series_scales(k)
-    vals = [
-        lk * laplace_beltrami_values(field, c, grid.points) * bound.fm
-        for c in grid.charts
-    ]
+    vals = [lk * lb * bound.fm for lb in grid._laplace_beltrami(field)]
     return abs(grid.integrate(vals))
 
 
@@ -454,13 +461,19 @@ def rayleigh_quotient(model: ModelSpec, grid: QuadratureGrid,
     return num / den
 
 
-def lambda1_estimate(model: ModelSpec, grid: QuadratureGrid) -> float:
+def _harmonic_quotients(model: ModelSpec, grid: QuadratureGrid) -> list:
+    """Rayleigh quotients of the coordinate harmonics, computed once per
+    bound (model, grid)."""
     bound = grid.bind(model)
-    if bound.lambda1 is None:
-        bound.lambda1 = min(
+    if bound.harmonic_quotients is None:
+        bound.harmonic_quotients = [
             rayleigh_quotient(model, grid, f) for f in coordinate_harmonics(model.n)
-        )
-    return bound.lambda1
+        ]
+    return bound.harmonic_quotients
+
+
+def lambda1_estimate(model: ModelSpec, grid: QuadratureGrid) -> float:
+    return min(_harmonic_quotients(model, grid))
 
 
 def second_variation(model: ModelSpec, grid: QuadratureGrid, k: int,
@@ -576,8 +589,9 @@ def eigenvalue_bound_check(model: ModelSpec, grid: QuadratureGrid,
         )
 
     if trials is None:
-        trials = coordinate_harmonics(n)
-    quotients = [rayleigh_quotient(model, grid, f) for f in trials]
+        quotients = list(_harmonic_quotients(model, grid))
+    else:
+        quotients = [rayleigh_quotient(model, grid, f) for f in trials]
     bound = 2.0 * (n + m) * lam
     min_q = min(quotients)
     passed = min_q >= bound - tol

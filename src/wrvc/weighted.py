@@ -44,7 +44,10 @@ _F_CONSTANT_TOL = 1e-12
 
 class MetricMeasurePoint:
     """Pointwise data of a smooth metric measure structure: jets of g and f
-    plus the parameters (m, mu)."""
+    plus the parameters (m, mu).
+
+    ``phi()`` and ``weighted_invariants`` are computed once per structure
+    and cached on it, like the Christoffel symbols on its metric."""
 
     def __init__(self, g: MetricAtPoint, f: Jet, m: float, mu: float = 0.0):
         if f.dim != g.n:
@@ -67,16 +70,21 @@ class MetricMeasurePoint:
         self.f = f
         self.m = float(m)
         self.mu = float(mu)
+        self._phi = None
+        self._invariants = None
 
     @property
     def n(self) -> int:
         return self.g.n
 
     def phi(self) -> Jet:
-        """phi = -m ln f (the zero jet when m = 0)."""
-        if self.m == 0:
-            return Jet.constant(0.0, self.g.n, self.f.order)
-        return self.f.log() * (-self.m)
+        """phi = -m ln f (the zero jet when m = 0), cached on the structure."""
+        if self._phi is None:
+            if self.m == 0:
+                self._phi = Jet.constant(0.0, self.g.n, self.f.order)
+            else:
+                self._phi = self.f.log() * (-self.m)
+        return self._phi
 
 
 @dataclass
@@ -94,7 +102,14 @@ class WeightedInvariants:
 
 
 def weighted_invariants(p: MetricMeasurePoint) -> WeightedInvariants:
-    """Evaluate the weighted curvature invariants at the chart point."""
+    """The weighted curvature invariants at the chart point, cached on the
+    structure (every caller shares one result)."""
+    if p._invariants is None:
+        p._invariants = _weighted_invariants(p)
+    return p._invariants
+
+
+def _weighted_invariants(p: MetricMeasurePoint) -> WeightedInvariants:
     n, m, mu = p.n, p.m, p.mu
     bundle = curvature(p.g)
     ric, scal = bundle.ric, bundle.scalar

@@ -115,6 +115,41 @@ def test_curvature_chart_edge_names_model_point_and_domain(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["curvature", "vk"])
+@pytest.mark.parametrize("point, shown", [
+    ("0,0,-1", "0, 0, -1"), ("0.3,-0.2,-2.5", "0.3, -0.2, -2.5"),
+])
+def test_point_below_upper_half_space_exits_2(capsys, command, point, shown):
+    code, out, err = run_cli(
+        capsys, command, "--model", "hyperbolic_upper_half", "--point", point,
+    )
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(
+        f"error: metric of model 'hyperbolic_upper_half' is undefined at point "
+        f"({shown}) (model domain: points with z > 0): "
+    )
+
+
+def test_model_file_chart_edge_does_not_claim_whole_chart(capsys, tmp_path):
+    path = tmp_path / "edge.cfg"
+    path.write_text("[space]\nn = 2\n\n[metric]\ng_11 = 1/x^2\ng_22 = 1/x^2\n")
+    code, out, err = run_cli(
+        capsys, "curvature", "--model", str(path), "--point", "0,0.5",
+    )
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(
+        f"error: metric of model '{path}' is undefined at point (0, 0.5) "
+        "(model domain: not declared by the model file): "
+    )
+    assert "all points of the chart" not in err
+
+
 def test_unknown_model(capsys):
     code, _, err = run_cli(capsys, "curvature", "--model", "nonsense")
     assert code == 2
@@ -292,7 +327,8 @@ def test_verify_all_json(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["exit_status"] == 0
-    assert all(check["passed"] for check in doc["suites"])
+    assert len(doc["suites"]) == 54
+    assert all(check["passed"] is True for check in doc["suites"])
     assert doc["seed"] == 20240601
 
 

@@ -197,6 +197,23 @@ def test_builtin_models_evaluate_on_domain():
             spec.structure_at(point)   # must not raise
 
 
+def test_domain_predicate_rejects_points_off_the_domain():
+    spec = builtin_model("hyperbolic_upper_half", 2, m=1.0)
+    for point in ([0.0, -1.0], [0.4, 0.0], [-2.0, -1e-12]):
+        for evaluate_at in (spec.metric_at, spec.density_at, spec.structure_at):
+            with pytest.raises(DomainError, match=r"\(model domain: points with "
+                               r"y > 0\): the point lies outside the domain"):
+                evaluate_at(point)
+    spec.structure_at([-2.0, 1e-3])   # any y > 0 is inside
+    # the domain is one model field, not a rule about the model's name
+    mirror = dataclasses.replace(spec, name="lower_half", domain="points with y < 0",
+                                 inside=lambda x: x[1] < 0.0)
+    assert weighted_invariants(mirror.structure_at([0.0, -1.0])).J == pytest.approx(
+        weighted_invariants(spec.structure_at([0.0, 1.0])).J, abs=1e-12)
+    with pytest.raises(DomainError, match="lower_half"):
+        mirror.metric_at([0.0, 1.0])
+
+
 # -- ambient generators -------------------------------------------------------
 
 

@@ -24,7 +24,7 @@ from wrvc.fields import (
 from wrvc.jets import Jet
 from wrvc.models import builtin_model
 from wrvc.rho import AmbientExpansion
-from wrvc import variational
+from wrvc import suites, variational
 from wrvc.variational import (
     Chart,
     GridStructure,
@@ -383,6 +383,43 @@ def test_divergence_identity_needs_lam(grid3):
         delta_vk_identity_check(rs, grid3, 1, AmbientCoordinate(0, 3))
 
 
+def test_suite_evaluates_each_trial_laplacian_once(monkeypatch):
+    fields_seen = []
+    original = variational.laplace_beltrami_values
+
+    def counted(field, chart, X):
+        fields_seen.append(field)
+        return original(field, chart, X)
+
+    monkeypatch.setattr(variational, "laplace_beltrami_values", counted)
+    suites.suite_variational(np.random.default_rng(suites.DEFAULT_SEED))
+    # ten trials, two charts each, shared by k = 1, 2, 3
+    assert len(fields_seen) == 20
+    assert len({id(f) for f in fields_seen}) == 10
+
+
+def test_divergence_identity_memo_cold_and_warm(qe3):
+    grid = QuadratureGrid(3, resolution=20)
+    trials = coordinate_harmonics(3)[:2] + degree_two_harmonics(3)[:2]
+    for field in trials:
+        for k in (1, 2, 3):
+            cold = delta_vk_identity_check(
+                qe3, QuadratureGrid(3, resolution=20), k, field)
+            warm = delta_vk_identity_check(qe3, grid, k, field)
+            assert warm == cold
+    # a field freed right after its check: an entry keyed by id alone would
+    # hand its values to the next field allocated at the same address
+    first = AmbientCoordinate(0, 3)
+    delta_vk_identity_check(qe3, grid, 1, first)
+    del first
+    second = AmbientCoordinate(2, 3)
+    for chart, values in zip(grid.charts, grid._laplace_beltrami(second)):
+        assert np.array_equal(values,
+                              laplace_beltrami_values(second, chart, grid.points))
+    assert delta_vk_identity_check(qe3, grid, 2, second) == \
+        delta_vk_identity_check(qe3, QuadratureGrid(3, resolution=20), 2, second)
+
+
 # -- second variation -----------------------------------------------------------
 
 
@@ -486,6 +523,35 @@ def test_degree_two_quotient(grid3, qe3):
 
 def test_lambda1_estimate(grid3, qe3):
     assert lambda1_estimate(qe3, grid3) == pytest.approx(3.0, abs=1e-4)
+
+
+def test_eigenvalue_bound_reuses_harmonic_quotients(monkeypatch, qe3):
+    def fresh(resolution):
+        grid = QuadratureGrid(3, resolution=resolution)
+        return [rayleigh_quotient(qe3, grid, f) for f in coordinate_harmonics(3)]
+
+    expected, coarse = fresh(20), fresh(10)
+    grid = QuadratureGrid(3, resolution=20)
+    assert lambda1_estimate(qe3, grid) == min(expected)
+    calls = []
+    original = variational.rayleigh_quotient
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(variational, "rayleigh_quotient", counted)
+    rep = eigenvalue_bound_check(qe3, grid)
+    assert calls == []
+    assert rep.quotients == expected
+    rep.quotients.clear()   # the report holds a copy of the memo
+    assert eigenvalue_bound_check(qe3, grid).quotients == expected
+    assert lambda1_estimate(qe3, grid) == min(expected)
+    assert calls == []
+    # another grid is another bound structure, with its own quotients
+    other = QuadratureGrid(3, resolution=10)
+    assert eigenvalue_bound_check(qe3, other).quotients == coarse
+    assert len(calls) == 4 and coarse != expected
 
 
 # -- report emission ---------------------------------------------------------------

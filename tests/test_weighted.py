@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from wrvc import weighted
 from wrvc.errors import DomainError
 from wrvc.geometry import MetricAtPoint
 from wrvc.jets import Jet
@@ -225,6 +228,41 @@ def test_conformal_laws_random_omega(builder):
             p, ConformalDeformation(random_omega(rng), "weighted")
         )
         assert rep.max_residual <= 1e-9
+
+
+def test_conformal_laws_evaluate_the_base_structure_once(monkeypatch):
+    p = gaussian_mmp([0.3, -0.1, 0.2])
+    rng = np.random.default_rng(78)
+    omegas = [random_omega(rng) for _ in range(20)]
+    # the same laws on a fresh copy of the structure for every deformation
+    expected = [
+        dataclasses.astuple(check_conformal_laws(
+            gaussian_mmp([0.3, -0.1, 0.2]), ConformalDeformation(w, "weighted")))
+        for w in omegas
+    ]
+    metrics, logs = [], []
+    curvature, log = weighted.curvature, Jet.log
+
+    def counted_curvature(metric):
+        metrics.append(metric)
+        return curvature(metric)
+
+    def counted_log(self):
+        logs.append(self)
+        return log(self)
+
+    monkeypatch.setattr(weighted, "curvature", counted_curvature)
+    monkeypatch.setattr(Jet, "log", counted_log)
+    got = [
+        dataclasses.astuple(check_conformal_laws(p, ConformalDeformation(w, "weighted")))
+        for w in omegas
+    ]
+    assert got == expected
+    assert sum(metric is p.g for metric in metrics) == 1
+    assert len(metrics) == 21   # plus one per rescaled structure
+    assert sum(jet is p.f for jet in logs) == 1
+    assert p.phi() is p.phi()
+    assert weighted_invariants(p) is weighted_invariants(p)
 
 
 def test_conformal_laws_require_weighted_convention():
