@@ -21,14 +21,32 @@ import numpy as np
 
 from .errors import WrvcError
 from .models import BUILTIN_NAMES, builtin_model, load_model_file
-from .rho import obstruction_tensors, volume_coefficients
+from .rho import MAX_AMBIENT_ORDER, obstruction_tensors, volume_coefficients
 from .suites import DEFAULT_SEED, SUITE_NAMES, run_suites
-from .variational import format_value
 from .weighted import quasi_einstein_residual, weighted_invariants
+
+
+MAX_JET_ORDER = 8   # the printed invariants need jets of order 2 only
 
 
 class UsageError(WrvcError):
     pass
+
+
+def _at_most(value, limit: int, flag: str):
+    if value is not None and value > limit:
+        raise UsageError(f"{flag} {value} is above the largest supported value {limit}")
+    return value
+
+
+def format_value(value) -> str:
+    """Scalar text form: floats with 17 significant digits, booleans as
+    ``true``/``false``."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (float, np.floating)):
+        return f"{float(value):.17g}"
+    return str(value)
 
 
 def _emit_json(obj, indent: int = 0) -> str:
@@ -154,10 +172,11 @@ def _model_record(model) -> dict:
 
 
 def cmd_curvature(args) -> int:
+    order = _at_most(args.jet_order, MAX_JET_ORDER, "--jet-order")
     model = resolve_model(args)
     point = (parse_point(args.point, model.n) if args.point
              else model.default_point)
-    p = model.structure_at(point, order=args.jet_order)
+    p = model.structure_at(point, order=order)
     w = weighted_invariants(p)
     lam, residual = quasi_einstein_residual(w, p.g.matrix, model.n, model.m)
     doc = ReportDocument(
@@ -179,10 +198,11 @@ def cmd_curvature(args) -> int:
 
 
 def cmd_vk(args) -> int:
+    order = _at_most(args.order, MAX_AMBIENT_ORDER, "--order")
     model = resolve_model(args)
     point = (parse_point(args.point, model.n) if args.point
              else model.default_point)
-    expansion = model.ambient_at(point, K=args.order)
+    expansion = model.ambient_at(point, K=order)
     coeffs = volume_coefficients(expansion, model.m)
     values = {"point": np.asarray(point)}
     for k in range(1, len(coeffs) + 1):

@@ -4,7 +4,10 @@ Grammar: numbers, coordinate identifiers, ``+ - * / ^``, unary minus,
 and calls to ``sin cos exp log sqrt pow``.  ``^`` binds tightest and is
 right-associative; unary minus sits between ``^`` and ``* /``; the binary
 arithmetic operators are left-associative.  Whitespace is insignificant.
-Errors carry the byte offset of the offending token.
+Errors carry the byte offset of the offending token.  An expression may
+nest at most ``MAX_DEPTH`` levels (parentheses, operands and call
+arguments), so the recursive parser, evaluator and printer stay within
+Python's recursion limit.
 
 Expressions evaluate over floats or jets interchangeably; on jets the
 order-0 coefficient of the result equals the float evaluation.
@@ -22,6 +25,7 @@ from .errors import DomainError, ExpressionError
 from .jets import Jet
 
 FUNCTIONS = {"sin": 1, "cos": 1, "exp": 1, "log": 1, "sqrt": 1, "pow": 2}
+MAX_DEPTH = 200
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
@@ -108,6 +112,7 @@ class _Parser:
         self.text = text
         self.tokens = tokenize(text)
         self.i = 0
+        self.nesting = 0
 
     @property
     def current(self) -> Token:
@@ -137,6 +142,9 @@ class _Parser:
         return node
 
     def expression(self, min_bp: int) -> Node:
+        self.nesting += 1
+        if self.nesting > MAX_DEPTH:
+            raise _too_deep(self.current.pos)
         left = self.prefix()
         while True:
             tok = self.current
@@ -149,6 +157,7 @@ class _Parser:
             # right-associative ^ re-enters at its own level, others above it
             right = self.expression(bp if tok.text == "^" else bp + 1)
             left = Binary(tok.text, left, right, pos=tok.pos)
+        self.nesting -= 1
         return left
 
     def prefix(self) -> Node:
@@ -188,8 +197,32 @@ class _Parser:
         return Call(name, tuple(args), pos=name_tok.pos)
 
 
+def _too_deep(pos: int) -> ExpressionError:
+    return ExpressionError(f"expression nests deeper than {MAX_DEPTH} levels",
+                           position=pos)
+
+
+def _children(node: Node) -> tuple:
+    if isinstance(node, Unary):
+        return (node.operand,)
+    if isinstance(node, Binary):
+        return (node.left, node.right)
+    if isinstance(node, Call):
+        return node.args
+    return ()
+
+
 def parse_expression(text: str) -> Node:
-    return _Parser(text).parse()
+    """Parse ``text``; an AST deeper than ``MAX_DEPTH`` (a long chain of
+    left-associative operators) is rejected like a syntax error."""
+    root = _Parser(text).parse()
+    stack = [(root, 1)]
+    while stack:
+        node, depth = stack.pop()
+        if depth > MAX_DEPTH:
+            raise _too_deep(node.pos)
+        stack.extend((child, depth + 1) for child in _children(node))
+    return root
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -277,15 +310,7 @@ def evaluate(node: Node, env: dict):
 
 def has_vars(node: Node) -> bool:
     """Whether the AST references any identifier (is not a constant)."""
-    if isinstance(node, Var):
-        return True
-    if isinstance(node, Unary):
-        return has_vars(node.operand)
-    if isinstance(node, Binary):
-        return has_vars(node.left) or has_vars(node.right)
-    if isinstance(node, Call):
-        return any(has_vars(a) for a in node.args)
-    return False
+    return isinstance(node, Var) or any(has_vars(c) for c in _children(node))
 
 
 # -- printing ------------------------------------------------------------------

@@ -241,11 +241,9 @@ def degree_two_harmonics(n: int) -> list:
     return out
 
 
-def random_combination(rng, n: int, include_degree_two: bool = True) -> SphereField:
+def random_combination(rng, n: int) -> SphereField:
     """Seeded random span of the low harmonics (plus a constant offset,
     removed later by mean-zero projection where required)."""
-    fields = [Constant(1.0)] + coordinate_harmonics(n)
-    if include_degree_two:
-        fields += degree_two_harmonics(n)
+    fields = [Constant(1.0)] + coordinate_harmonics(n) + degree_two_harmonics(n)
     coeffs = rng.uniform(-1.0, 1.0, len(fields))
     return Sum(fields, coeffs)

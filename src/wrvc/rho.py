@@ -34,8 +34,10 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DeterminacyError, DimensionMismatch, DomainError, OrderError
+from .jets import MAX_DIM
 
 _LEADING_TOL = 1e-300
+MAX_AMBIENT_ORDER = 32   # largest K taken from a file header or the command line
 
 _ELEMENTWISE = "i...,i...->..."
 _MATMUL = "i...jl,i...lm->...jm"
@@ -539,8 +541,9 @@ def _read_ambient_file(path):
         fail(num, "header must be `n m mu K`")
     n, m, mu, K = (number(num, head[0], int), number(num, head[1]),
                    number(num, head[2]), number(num, head[3], int))
-    if n < 1 or K < 0:
-        fail(num, f"header needs n >= 1 and K >= 0, got n = {n}, K = {K}")
+    if not (1 <= n <= MAX_DIM and 0 <= K <= MAX_AMBIENT_ORDER):
+        fail(num, f"header needs n in 1..{MAX_DIM} and K in 0..{MAX_AMBIENT_ORDER}, "
+                  f"got n = {n}, K = {K}")
     gcoeffs = np.zeros((K + 1, n, n))
     fcoeffs = np.zeros(K + 1)
     for num, ln in raw[1:]:

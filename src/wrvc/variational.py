@@ -18,7 +18,7 @@ bit-identical from run to run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -33,9 +33,10 @@ from .weighted import generalized_binomial, weighted_invariants
 
 _CHUNK = 8192
 _DEFAULT_RESOLUTION = 40
-_DEFAULT_RADIUS = 3.0
+_RADIUS = 3.0        # chart radius where the partition of unity reaches 0
 _PROFILE_DEGREE = 11
 _SAMPLE_NODES = 32   # nodes checked by the eigenvalue bound's precondition
+_BOUND_TOL = 1e-6    # margin of the eigenvalue bound against 2(n+m) lam
 
 
 @lru_cache(maxsize=None)
@@ -59,13 +60,13 @@ def smoothstep_down(s, p: int = _PROFILE_DEGREE):
     return 1.0 - mass / total
 
 
-def partition_profile(r, radius: float = _DEFAULT_RADIUS):
+def partition_profile(r):
     """Radial partition-of-unity weight psi with psi(r) + psi(1/r) = 1,
-    equal to 1 inside radius^{-1} and 0 outside ``radius``."""
+    equal to 1 inside 1/_RADIUS and 0 outside _RADIUS."""
     r = np.asarray(r, dtype=float)
     s = np.full_like(r, -1.0)
     pos = r > 0
-    s[pos] = np.log(r[pos]) / np.log(radius)
+    s[pos] = np.log(r[pos]) / np.log(_RADIUS)
     return smoothstep_down(s)
 
 
@@ -85,20 +86,18 @@ class QuadratureGrid:
     so ``sum(weights) = Vol(S^n)`` up to the radial quadrature error.
     """
 
-    def __init__(self, n: int, resolution: int = _DEFAULT_RESOLUTION,
-                 radius: float = _DEFAULT_RADIUS):
+    def __init__(self, n: int, resolution: int = _DEFAULT_RESOLUTION):
         if n not in (2, 3):
             raise DomainError(f"grids cover sphere dimensions 2 and 3, got {n}")
         if resolution < 4:
             raise DomainError("resolution must be at least 4")
         self.n = n
         self.resolution = resolution
-        self.radius = radius
         self.charts = (Chart(0, 1.0), Chart(1, -1.0))
 
         xs, ws = leggauss(resolution)
-        r = 0.5 * radius * (xs + 1.0)
-        wr = 0.5 * radius * ws
+        r = 0.5 * _RADIUS * (xs + 1.0)
+        wr = 0.5 * _RADIUS * ws
 
         l_count = max(6, resolution // 4)
         if n == 3:
@@ -124,7 +123,7 @@ class QuadratureGrid:
         X = (r[:, None, None] * dirs[None, :, :]).reshape(-1, n)
         w_geom = (wr[:, None] * wdir[None, :]).ravel()
         rr = np.repeat(r, dirs.shape[0])
-        psi = partition_profile(rr, radius)
+        psi = partition_profile(rr)
         conf = 4.0 / (1.0 + rr**2) ** 2
         weights = w_geom * psi * rr ** (n - 1) * conf ** (n / 2.0)
 
@@ -324,7 +323,8 @@ def delta_vk_identity_check(model: ModelSpec, grid: QuadratureGrid, k: int,
 
 @dataclass
 class FunctionalReport:
-    """Quadrature results for one (model, k, trial) computation."""
+    """Second variation of F_k for one (model, k, trial): both displays,
+    their agreement, and the observed and predicted signs."""
 
     model: str
     n: int
@@ -332,65 +332,12 @@ class FunctionalReport:
     k: int
     lam: float
     weighted_volume: float
-    F_k: float
-    first_variation: float
     Q_general: float
     Q_reduced: float
     path_agreement: float
     sign: int
     predicted_sign: int
     c_k: float
-    lambda1_estimate: float
-    extras: dict = dataclass_field(default_factory=dict)
-
-    def to_text(self) -> str:
-        lines = []
-        for key, val in self.as_record().items():
-            lines.append(f"{key}: {format_value(val)}")
-        return "\n".join(lines)
-
-    def as_record(self) -> dict:
-        rec = {
-            "model": self.model,
-            "n": self.n,
-            "m": self.m,
-            "k": self.k,
-            "lambda": self.lam,
-            "weighted_volume": self.weighted_volume,
-            "F_k": self.F_k,
-            "first_variation": self.first_variation,
-            "Q_general": self.Q_general,
-            "Q_reduced": self.Q_reduced,
-            "path_agreement": self.path_agreement,
-            "sign": self.sign,
-            "predicted_sign": self.predicted_sign,
-            "c_k": self.c_k,
-            "lambda1_estimate": self.lambda1_estimate,
-        }
-        rec.update(self.extras)
-        return rec
-
-
-def format_value(value) -> str:
-    """Scalar text form shared by reports and the CLI: floats with 17
-    significant digits, booleans as ``true``/``false``."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.17g}"
-    return str(value)
-
-
-def reports_to_csv(reports) -> str:
-    """One CSV row per report (batched over k)."""
-    if not reports:
-        return ""
-    keys = list(reports[0].as_record().keys())
-    lines = [",".join(keys)]
-    for rep in reports:
-        rec = rep.as_record()
-        lines.append(",".join(format_value(rec.get(key, "")) for key in keys))
-    return "\n".join(lines) + "\n"
 
 
 def c_k_constant(n: int, m: float, k: int) -> float:
@@ -477,15 +424,13 @@ def lambda1_estimate(model: ModelSpec, grid: QuadratureGrid) -> float:
 
 
 def second_variation(model: ModelSpec, grid: QuadratureGrid, k: int,
-                     field: SphereField, project: bool = True,
-                     mean_zero_tol: float = 1e-8) -> FunctionalReport:
+                     field: SphereField) -> FunctionalReport:
     """Second-variation quadratic form at a proportional structure,
     evaluated through both displays and cross-checked.
 
     The general display uses the series-extracted v_k and L_k scales; the
     reduced display uses the binomial closed forms.  The trial is
-    projected to weighted mean zero (or verified against the tolerance
-    when ``project`` is false).
+    projected to weighted mean zero first.
     """
     bound = grid.bind(model)
     _require_constant_density(model)
@@ -495,20 +440,10 @@ def second_variation(model: ModelSpec, grid: QuadratureGrid, k: int,
     n, m, lam = model.n, model.m, model.lam
     nm = n + m
 
-    fm, wvol = bound.fm, bound.wvol
-
-    values = field_values(field, grid)
-    mean = weighted_mean(model, grid, values)
-    if project:
-        values = [v - mean for v in values]
-    elif abs(mean) * wvol > mean_zero_tol:
-        raise DomainError(
-            f"trial is not weighted-mean-zero (integral {mean * wvol:.3e})"
-        )
-
-    omega2 = grid.integrate([v**2 * fm for v in values])
+    values = project_mean_zero(model, grid, field)
+    omega2 = grid.integrate([v**2 * bound.fm for v in values])
     dirichlet = grid.integrate(
-        [grad_norm2_values(field, c, grid.points) * fm for c in grid.charts]
+        [grad_norm2_values(field, c, grid.points) * bound.fm for c in grid.charts]
     )
 
     vk, lk = bound.series_scales(k)
@@ -517,27 +452,15 @@ def second_variation(model: ModelSpec, grid: QuadratureGrid, k: int,
     ck = c_k_constant(n, m, k)
     q_reduced = ck * lam ** (k - 1) * (dirichlet - 2.0 * nm * lam * omega2)
 
-    fk = functional_F_k(model, grid, k)
-    fv = first_variation(model, grid, k, values)
-
     return FunctionalReport(
         model=model.name, n=n, m=m, k=k, lam=lam,
-        weighted_volume=wvol,
-        F_k=fk,
-        first_variation=fv,
+        weighted_volume=bound.wvol,
         Q_general=q_general,
         Q_reduced=q_reduced,
         path_agreement=abs(q_general - q_reduced),
         sign=int(np.sign(q_reduced)),
         predicted_sign=predicted_second_variation_sign(n, m, k, lam),
         c_k=ck,
-        lambda1_estimate=lambda1_estimate(model, grid),
-        extras={
-            "trial_mass": omega2,
-            "trial_dirichlet": dirichlet,
-            "series_v_k": vk,
-            "series_l_k": lk,
-        },
     )
 
 
@@ -553,22 +476,10 @@ class EigenvalueBoundReport:
     precondition_residual: float
     passed: bool
 
-    def to_text(self) -> str:
-        rows = [
-            f"bound: {self.bound:.17g}",
-            f"min_quotient: {self.min_quotient:.17g}",
-            f"strict_expected: {self.strict_expected}",
-            f"precondition_residual: {self.precondition_residual:.3e}",
-            f"passed: {self.passed}",
-        ]
-        rows += [f"quotient_{i}: {q:.17g}" for i, q in enumerate(self.quotients)]
-        return "\n".join(rows)
 
-
-def eigenvalue_bound_check(model: ModelSpec, grid: QuadratureGrid,
-                           trials=None, tol: float = 1e-6) -> EigenvalueBoundReport:
-    """Rayleigh quotients of mean-zero trials against the spectral bound
-    2(n+m) lam, after verifying the curvature lower bound
+def eigenvalue_bound_check(model: ModelSpec, grid: QuadratureGrid) -> EigenvalueBoundReport:
+    """Rayleigh quotients of the mean-zero coordinate harmonics against the
+    spectral bound 2(n+m) lam, after verifying the curvature lower bound
     Ric_phi >= 2(n+m-1) lam g on a deterministic node subsample."""
     grid.bind(model)
     _require_constant_density(model)
@@ -588,16 +499,13 @@ def eigenvalue_bound_check(model: ModelSpec, grid: QuadratureGrid,
             f"curvature lower bound fails on the sample (violation {worst:.3e})"
         )
 
-    if trials is None:
-        quotients = list(_harmonic_quotients(model, grid))
-    else:
-        quotients = [rayleigh_quotient(model, grid, f) for f in trials]
+    quotients = list(_harmonic_quotients(model, grid))
     bound = 2.0 * (n + m) * lam
     min_q = min(quotients)
-    passed = min_q >= bound - tol
+    passed = min_q >= bound - _BOUND_TOL
     strict = m > 0
     if strict:
-        passed = passed and (min_q > bound + tol)
+        passed = passed and (min_q > bound + _BOUND_TOL)
     return EigenvalueBoundReport(
         bound=bound,
         quotients=quotients,

@@ -311,6 +311,47 @@ def test_vk_coefficient_header_must_match_model(capsys, tmp_path, header):
     assert f"{coeff_path}:1: header n m mu = {header[:-2]} does not match" in err
 
 
+@pytest.mark.parametrize("header, n, K", [("2 2 0 33", 2, 33), ("5 2 0 2", 5, 2)])
+def test_vk_coefficient_header_bounds_exit_2(capsys, tmp_path, header, n, K):
+    coeff_path, model_path = _ambient_model(tmp_path, "f 1 0", header=header)
+    code, out, err = run_cli(capsys, "vk", "--model", str(model_path),
+                             "--order", "2")
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: {coeff_path}:1: header needs n in 1..4 and K in "
+                   f"0..32, got n = {n}, K = {K}\n")
+
+
+@pytest.mark.parametrize("command, flag, bound", [
+    ("curvature", "--jet-order", 8),
+    ("vk", "--order", 32),
+])
+def test_order_flags_are_bounded(capsys, command, flag, bound):
+    code, _, _ = run_cli(capsys, command, "--model", "qe_sphere", flag, str(bound))
+    assert code == 0
+    code, out, err = run_cli(capsys, command, "--model", "qe_sphere",
+                             flag, str(bound + 1))
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: {flag} {bound + 1} is above the largest supported "
+                   f"value {bound}\n")
+
+
+@pytest.mark.parametrize("component", [
+    "1" + "+x" * 1000,
+    "(" * 900 + "1" + ")" * 900,
+], ids=["chain", "parentheses"])
+def test_deep_model_expression_exits_2(capsys, tmp_path, component):
+    path = tmp_path / "deep.cfg"
+    path.write_text(f"[space]\nn = 2\n\n[metric]\ng_11 = {component}\ng_22 = 1\n")
+    code, out, err = run_cli(capsys, "curvature", "--model", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: expression nests deeper than 200 levels "
+                          "(at offset ")
+    assert err.count("\n") == 1
+
+
 # -- verify -----------------------------------------------------------------------
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wrvc.errors import DomainError, ExpressionError, ModelError
-from wrvc.expr import evaluate, parse_expression, to_string
+from wrvc.expr import MAX_DEPTH, evaluate, parse_expression, to_string
 from wrvc.geometry import curvature
 from wrvc.jets import Jet
 from wrvc.models import (
@@ -88,6 +88,19 @@ def test_precedence_structure():
 def test_print_parse_roundtrip(text):
     ast = parse_expression(text)
     assert parse_expression(to_string(ast)) == ast
+
+
+def test_expression_depth_bound():
+    # a chain at the bound parses, evaluates, compares and prints; one more
+    # level is a parse error at an offset, before any recursive walk
+    ast = parse_expression("1" + "+x" * (MAX_DEPTH - 1))
+    jet = evaluate(ast, {"x": Jet.variable(0, 0.5, 1, 2)})
+    assert jet.value == pytest.approx(1.0 + 0.5 * (MAX_DEPTH - 1))
+    assert parse_expression(to_string(ast)) == ast
+    for text in ("1" + "+x" * MAX_DEPTH, "(" * MAX_DEPTH + "1" + ")" * MAX_DEPTH):
+        with pytest.raises(ExpressionError, match="nests deeper") as err:
+            parse_expression(text)
+        assert err.value.position is not None
 
 
 def test_jet_float_agreement():

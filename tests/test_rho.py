@@ -1,4 +1,5 @@
 import math
+import time
 from itertools import permutations
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wrvc.errors import DeterminacyError, DomainError, OrderError
-from wrvc.models import lcf_candidate_ambient, quasi_einstein_coeffs
+from wrvc.models import builtin_model, lcf_candidate_ambient, quasi_einstein_coeffs
 from wrvc.rho import (
     AmbientExpansion,
     RhoSeries,
@@ -248,6 +249,12 @@ def test_quasi_einstein_closed_form():
     v = volume_coefficients(a, 2.0)
     expected = [5 / 4, 5 / 8, 5 / 32, 5 / 256, 1 / 1024]
     assert np.allclose(v.v, expected, atol=1e-12)
+    # the builtin model's own expansion, within a second
+    start = time.perf_counter()
+    qe = builtin_model("qe_sphere", 3, 2, 1)
+    v = volume_coefficients(qe.ambient_at([0.1, 0.2, 0.0], K=5), qe.m)
+    assert time.perf_counter() - start < 1.0
+    assert np.allclose(v.v, expected, atol=1e-12)
 
 
 def test_constant_expansion_zero_coefficients():
@@ -292,7 +299,7 @@ def test_determinacy_cap():
     assert determinacy_cap(3, 2.5) is None          # non-integer total
     assert determinacy_cap(3, 3.0) == 3
     a = quasi_einstein_coeffs(np.eye(2), 1.0, 0.1, 3)
-    with pytest.raises(DeterminacyError):
+    with pytest.raises(DeterminacyError, match="beyond determinacy order 2"):
         volume_coefficients(a, 2.0)
     with pytest.raises(DeterminacyError):
         l_operator(a, 2.0, 3)
