@@ -58,7 +58,6 @@ from .variational import (
     weighted_volume,
 )
 from .weighted import (
-    ConformalDeformation,
     MetricMeasurePoint,
     WeightedInvariants,
     check_conformal_laws,

@@ -23,7 +23,6 @@ from .errors import WrvcError
 from .models import BUILTIN_NAMES, builtin_model, load_model_file
 from .rho import MAX_AMBIENT_ORDER, obstruction_tensors, volume_coefficients
 from .suites import DEFAULT_SEED, SUITE_NAMES, run_suites
-from .weighted import quasi_einstein_residual, weighted_invariants
 
 
 MAX_JET_ORDER = 8   # the printed invariants need jets of order 2 only
@@ -176,9 +175,7 @@ def cmd_curvature(args) -> int:
     model = resolve_model(args)
     point = (parse_point(args.point, model.n) if args.point
              else model.default_point)
-    p = model.structure_at(point, order=order)
-    w = weighted_invariants(p)
-    lam, residual = quasi_einstein_residual(w, p.g.matrix, model.n, model.m)
+    w, lam, residual = model.invariants_at(point, order=order)
     doc = ReportDocument(
         command="curvature",
         model=_model_record(model),
@@ -271,9 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=("all",) + SUITE_NAMES)
     p_ver.add_argument("--seed", type=int, default=DEFAULT_SEED,
                        help="seed for the randomized checks (printed)")
-    p_ver.add_argument("--threads", type=int, default=None,
-                       help="accepted for compatibility and ignored: "
-                            "verification runs on one thread")
     p_ver.add_argument("--json", action="store_true",
                        help="emit a single JSON document")
     p_ver.set_defaults(func=cmd_verify)

@@ -241,7 +241,7 @@ def _constant_exponent(value, pos: int) -> float:
 
 def _power(base, exponent, pos: int):
     alpha = _constant_exponent(exponent, pos)
-    if abs(alpha - round(alpha)) < 1e-12:
+    if math.isfinite(alpha) and abs(alpha - round(alpha)) < 1e-12:
         k = int(round(alpha))
         if isinstance(base, Jet):
             return base**k
@@ -262,7 +262,10 @@ def _call_scalar(name: str, x, pos: int):
         raise DomainError(f"{name}({x}) outside the function domain")
     if isinstance(x, np.ndarray):
         return getattr(np, name)(x)
-    return getattr(math, name)(x)
+    try:
+        return getattr(math, name)(x)
+    except ValueError:   # sin(inf), cos(inf)
+        raise DomainError(f"{name}({x}) outside the function domain")
 
 
 def evaluate(node: Node, env: dict):

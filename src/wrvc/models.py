@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import configparser
 import math
+import os
 from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -23,7 +24,7 @@ from .expr import Node, evaluate, parse_expression
 from .geometry import MetricAtPoint
 from .jets import Jet, n_coeffs
 from .rho import AmbientExpansion, _read_ambient_file
-from .weighted import MetricMeasurePoint
+from .weighted import MetricMeasurePoint, quasi_einstein_residual, weighted_invariants
 
 BUILTIN_NAMES = (
     "euclidean",
@@ -96,8 +97,9 @@ class ModelSpec:
                             coeffs[0] = float(val)
                         done.append((node, coeffs))
                     G[i, j] = coeffs
-        self._require_finite_jets(G, "metric", point)
-        return MetricAtPoint.from_coeffs(G, order, point)
+        self._require_finite_at(G, "metric", point)
+        with self._checking("metric", point):
+            return MetricAtPoint.from_coeffs(G, order, point)
 
     def density_at(self, point, order: int = DEFAULT_ORDER) -> Jet:
         env = self._env(point, order)
@@ -105,7 +107,7 @@ class ModelSpec:
             val = evaluate(self.f_expr, env)
         if not isinstance(val, Jet):
             val = Jet.constant(float(val), self.n, order)
-        self._require_finite_jets(val.coeffs, "density", point)
+        self._require_finite_at(val.coeffs, "density", point)
         return val
 
     def _at_point(self, what: str, point, detail: str) -> str:
@@ -113,33 +115,59 @@ class ModelSpec:
         return f"{what} of model {self.name!r} {detail} at point ({coords})"
 
     @contextmanager
-    def _evaluating(self, what: str, point):
-        """Evaluate the metric or density expressions at a point, silencing
-        overflow warnings (the result is checked for finiteness instead) and
-        naming the model, the point and its domain on a ``DomainError``,
-        which a point that ``inside`` rejects also raises."""
+    def _checking(self, what: str, point, detail: str = "is rejected",
+                  note: str = ""):
+        """Name the model and the point on a ``DomainError`` raised while
+        computing ``what`` at a point; a float overflow (``exp(1000)``,
+        ``10^400``) reads as a value that is not finite."""
         try:
-            if self.inside is not None and not self.inside(point):
-                raise DomainError("the point lies outside the domain")
-            with np.errstate(over="ignore", invalid="ignore"):
-                yield
+            yield
+        except OverflowError as exc:
+            raise DomainError(self._at_point(what, point, "is not finite")) from exc
         except DomainError as exc:
             raise DomainError(
-                f"{self._at_point(what, point, 'is undefined')} "
-                f"(model domain: {self.domain}): {exc}"
+                f"{self._at_point(what, point, detail)}{note}: {exc}"
             ) from exc
 
-    def _require_finite_jets(self, coeffs, what: str, point):
+    @contextmanager
+    def _evaluating(self, what: str, point):
+        """Evaluate the metric or density expressions at a point, silencing
+        floating-point warnings (the result is checked for finiteness
+        instead) and naming the model's domain too on a ``DomainError``,
+        which a point that ``inside`` rejects also raises."""
+        note = f" (model domain: {self.domain})"
+        with (self._checking(what, point, "is undefined", note),
+              np.errstate(over="ignore", invalid="ignore", divide="ignore")):
+            if self.inside is not None and not self.inside(point):
+                raise DomainError("the point lies outside the domain")
+            yield
+
+    def _require_finite_at(self, coeffs, what: str, point):
         if not np.isfinite(coeffs).all():
             raise DomainError(self._at_point(what, point, "is not finite"))
 
     def structure_at(self, point, order: int = DEFAULT_ORDER) -> MetricMeasurePoint:
-        return MetricMeasurePoint(
-            self.metric_at(point, order),
-            self.density_at(point, order),
-            self.m,
-            self.mu,
+        g = self.metric_at(point, order)
+        f = self.density_at(point, order)
+        with self._checking("structure", point):
+            return MetricMeasurePoint(g, f, self.m, self.mu)
+
+    def invariants_at(self, point, order: int = DEFAULT_ORDER):
+        """Weighted invariants at a chart point, with the best-fit
+        proportionality constant and its residual (``quasi_einstein_residual``).
+        Values that overflow (a nearly singular metric, a density near 0)
+        raise a ``DomainError`` naming the model and the point."""
+        p = self.structure_at(point, order)
+        what = "weighted curvature"
+        with self._checking(what, point), np.errstate(all="ignore"):
+            w = weighted_invariants(p)
+            lam, residual = quasi_einstein_residual(w, p.g.matrix, self.n, self.m)
+        self._require_finite_at(
+            np.hstack([w.ric_phi.ravel(), w.P.ravel(),
+                       [w.r_phi, w.J, w.Y, w.F_phi, lam, residual]]),
+            what, point,
         )
+        return w, lam, residual
 
     def ambient_at(self, point, K: int | None = None) -> AmbientExpansion:
         """The model's ambient expansion at one chart point, to order K.
@@ -394,7 +422,9 @@ def load_model_file(path) -> ModelSpec:
                 raise ModelError(f"{path}: bad [ambient] lambda: {exc}")
             _require_finite(**{"lambda": lam})
         if cp.has_option("ambient", "coefficients"):
-            ambient_file = cp.get("ambient", "coefficients")
+            # relative to the model file; an absolute path is kept
+            ambient_file = os.path.join(os.path.dirname(path),
+                                        cp.get("ambient", "coefficients"))
 
     default_point = np.zeros(n)
     if cp.has_option("space", "point"):

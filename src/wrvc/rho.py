@@ -207,9 +207,6 @@ class RhoSeries:
             jout[k] = k * out[k]
         return RhoSeries(out, "scalar")
 
-    def scalar_pow(self, alpha: float) -> "RhoSeries":
-        return (self.scalar_log() * float(alpha)).scalar_exp()
-
     # -- matrix heads -------------------------------------------------------
 
     def matrix_inverse(self) -> "RhoSeries":
@@ -237,10 +234,6 @@ class RhoSeries:
         for row, cols, sub, signed in _laplace_tables(self.n):
             minors = signed @ _cauchy(a[:, row, cols], minors[:, sub])
         return RhoSeries(minors[:, 0].reshape((-1,) + batch), "scalar")
-
-    def matrix_trace(self) -> "RhoSeries":
-        self._require("matrix")
-        return RhoSeries(np.trace(self.coeffs, axis1=-2, axis2=-1), "scalar")
 
     def symmetrize(self) -> "RhoSeries":
         self._require("matrix")

@@ -30,9 +30,9 @@ from .rho import (
     volume_coefficients,
 )
 from .weighted import (
-    ConformalDeformation,
     MetricMeasurePoint,
     check_conformal_laws,
+    conformal_rescale,
     generalized_binomial,
     ric_phi_alternate,
     sigma_k_phi,
@@ -114,7 +114,7 @@ def _random_structure(rng, n=3, m=2.0, mu=0.3, order=4):
 
 
 def _random_omega(rng, n=3, order=2, scale=0.4):
-    return Jet(n, order, rng.uniform(-scale, scale, Jet(n, order).coeffs.shape))
+    return _random_jet(rng, n, order, scale)
 
 
 # -- suites ------------------------------------------------------------------
@@ -257,9 +257,7 @@ def suite_conformal(rng) -> list:
     for label, p in _conformal_models():
         res_J = res_P = res_Y = 0.0
         for _ in range(20):
-            rep = check_conformal_laws(
-                p, ConformalDeformation(_random_omega(rng), "weighted")
-            )
+            rep = check_conformal_laws(p, _random_omega(rng))
             res_J = max(res_J, rep.residual_J)
             res_P = max(res_P, rep.residual_P)
             res_Y = max(res_Y, rep.residual_Y)
@@ -278,8 +276,7 @@ def suite_conformal(rng) -> list:
     for _ in range(5):
         p = _random_structure(rng, m=2.0)
         omega = _random_omega(rng, order=4)
-        from .weighted import conformal_rescale
-        q = conformal_rescale(p, ConformalDeformation(omega, "standard"))
+        q = conformal_rescale(p, omega)
         lhs = q.f ** 2 * q.g.det_jet().sqrt()
         rhs = (omega * 5.0).exp() * p.f ** 2 * p.g.det_jet().sqrt()
         scale = max(1.0, np.abs(lhs.coeffs).max())
@@ -472,13 +469,14 @@ def suite_variational(rng) -> list:
         "variational", "second_variation_path_agreement", agree_res, 1e-6,
     ))
 
-    parity_ok = True
-    for k in (1, 2):   # hyperbolic-type lam < 0, (n+m)/2 = 1.5
-        cert = variational.second_variation_sign_certificate(3, 0.0, k, -0.5)
-        parity_ok = parity_ok and cert["agrees"]
-    for k, expected in ((1, 1), (2, -1), (3, 1), (4, 1), (5, -1), (6, 1)):
-        cert = variational.second_variation_sign_certificate(3, 4.0, k, -0.3)
-        parity_ok = parity_ok and cert["sign"] == expected and cert["agrees"]
+    certified = variational.second_variation_sign_certificate
+    predicted = variational.predicted_second_variation_sign
+    parity_ok = all(   # hyperbolic-type lam < 0, (n+m)/2 = 1.5
+        certified(3, 0.0, k, -0.5) == predicted(3, 0.0, k, -0.5) for k in (1, 2)
+    ) and all(
+        certified(3, 4.0, k, -0.3) == expected == predicted(3, 4.0, k, -0.3)
+        for k, expected in ((1, 1), (2, -1), (3, 1), (4, 1), (5, -1), (6, 1))
+    )
     out.append(_contract("variational", "negative_lambda_parity_cases", parity_ok))
 
     rep = variational.eigenvalue_bound_check(qe, grid)

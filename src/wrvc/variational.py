@@ -368,8 +368,8 @@ def predicted_second_variation_sign(n: int, m: float, k: int, lam: float) -> int
     return -1 if odd else 1
 
 
-def second_variation_sign_certificate(n: int, m: float, k: int, lam: float) -> dict:
-    """Quadrature-free sign decomposition of the reduced display.
+def second_variation_sign_certificate(n: int, m: float, k: int, lam: float) -> int:
+    """Quadrature-free sign of the reduced display.
 
     Q(omega) = c_k lam^{k-1} * I(omega) with
     I = integral of |grad omega|^2 - 2(n+m) lam omega^2 over the weighted
@@ -377,22 +377,7 @@ def second_variation_sign_certificate(n: int, m: float, k: int, lam: float) -> d
     the spectral gap bound makes I positive on mean-zero omega.  Either
     way sign(Q) = sign(c_k lam^{k-1}).
     """
-    ck = c_k_constant(n, m, k)
-    prefactor = ck * lam ** (k - 1)
-    integral_positive_reason = (
-        "both integrand terms positive (lam < 0)" if lam < 0
-        else "spectral gap: first nonzero eigenvalue exceeds 2(n+m) lam"
-    )
-    sign = int(np.sign(prefactor))
-    return {
-        "c_k": ck,
-        "prefactor": prefactor,
-        "integral_factor_positive": True,
-        "integral_reason": integral_positive_reason,
-        "sign": sign,
-        "predicted_sign": predicted_second_variation_sign(n, m, k, lam),
-        "agrees": sign == predicted_second_variation_sign(n, m, k, lam),
-    }
+    return int(np.sign(c_k_constant(n, m, k) * lam ** (k - 1)))
 
 
 def rayleigh_quotient(model: ModelSpec, grid: QuadratureGrid,
@@ -514,16 +499,3 @@ def eigenvalue_bound_check(model: ModelSpec, grid: QuadratureGrid) -> Eigenvalue
         precondition_residual=worst,
         passed=passed,
     )
-
-
-# -- convergence ------------------------------------------------------------------
-
-
-def volume_convergence_study(model: ModelSpec, exact: float,
-                             resolutions=(10, 20, 40)) -> list:
-    """(resolution, |error|) pairs for the weighted volume."""
-    out = []
-    for res in resolutions:
-        grid = QuadratureGrid(model.n, resolution=res)
-        out.append((res, abs(weighted_volume(model, grid) - exact)))
-    return out

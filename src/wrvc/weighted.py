@@ -36,6 +36,7 @@ from .geometry import (
     gradient,
     hessian,
     laplacian,
+    weighted_laplacian,
 )
 from .jets import Jet
 
@@ -157,40 +158,10 @@ def ric_phi_alternate(p: MetricMeasurePoint) -> np.ndarray:
 
 # -- conformal change ----------------------------------------------------
 
-CONVENTIONS = ("standard", "weighted")
 
-
-@dataclass
-class ConformalDeformation:
-    """A conformal direction omega together with its parameterization.
-
-    ``standard``: (e^{2 omega} g, e^{omega} f)
-    ``weighted``: (e^{-2 omega/(n+m-2)} g, e^{-omega/(n+m-2)} f)
-
-    The two parameterizations are exchanged by
-    sigma_standard = -omega_weighted / (n+m-2), an exact involution of
-    descriptions of the same rescaled structure.
-    """
-
-    omega: Jet
-    convention: str = "standard"
-
-    def __post_init__(self):
-        if self.convention not in CONVENTIONS:
-            raise DomainError(f"unknown convention {self.convention!r}")
-
-    def log_factor(self, n: int, m: float) -> Jet:
-        """The exponent sigma with (g, f) -> (e^{2 sigma} g, e^{sigma} f)."""
-        if self.convention == "standard":
-            return self.omega
-        return self.omega * (-1.0 / (n + m - 2.0))
-
-
-def conformal_rescale(
-    p: MetricMeasurePoint, d: ConformalDeformation
-) -> MetricMeasurePoint:
-    """Apply the deformation, multiplying the jets through; m, mu unchanged."""
-    sigma = d.log_factor(p.n, p.m)
+def conformal_rescale(p: MetricMeasurePoint, sigma: Jet) -> MetricMeasurePoint:
+    """The structure (e^{2 sigma} g, e^{sigma} f), multiplying the jets
+    through; m, mu unchanged."""
     scale_g = (sigma * 2.0).exp()
     ghat = p.g.rescale(scale_g)
     fhat = sigma.exp() * p.f
@@ -203,18 +174,13 @@ class ConformalLawReport:
     residual_P: float
     residual_Y: float
 
-    @property
-    def max_residual(self) -> float:
-        return max(self.residual_J, self.residual_P, self.residual_Y)
 
-
-def check_conformal_laws(
-    p: MetricMeasurePoint, d: ConformalDeformation
-) -> ConformalLawReport:
+def check_conformal_laws(p: MetricMeasurePoint, omega: Jet) -> ConformalLawReport:
     """Compare a direct re-evaluation on the rescaled structure against the
     quadratic-order change identities for (J, P, Y).
 
-    For (g, f) -> (e^{-2 omega/(n+m-2)} g, e^{-omega/(n+m-2)} f) and
+    The structure is rescaled by sigma = -omega/(n+m-2), that is
+    (g, f) -> (e^{-2 omega/(n+m-2)} g, e^{-omega/(n+m-2)} f).  With
     N = n+m-2, the identities certified here are, with all derivatives
     taken in the original structure,
 
@@ -225,17 +191,14 @@ def check_conformal_laws(
                                    - m |grad omega|^2 / (2 N^2)
 
     Equivalently the unnormalized quantities (N J, N P, N Y) satisfy the
-    same identities with the 1/N factors absorbed.  Returns the maximum
-    absolute residual over the three laws.
+    same identities with the 1/N factors absorbed.  Returns the absolute
+    residual of each of the three laws.
     """
-    if d.convention != "weighted":
-        raise DomainError("law check is stated in the weighted parameterization")
     n, m = p.n, p.m
     N = n + m - 2.0
-    omega = d.omega
 
     base = weighted_invariants(p)
-    hat = weighted_invariants(conformal_rescale(p, d))
+    hat = weighted_invariants(conformal_rescale(p, omega * (-1.0 / N)))
     factor = math.exp(-2.0 * omega.value / N)
 
     phi = p.phi()
@@ -243,7 +206,7 @@ def check_conformal_laws(
     domega = gradient(omega, n)
     grad2 = grad_norm2(omega, p.g)
     hess_omega = hessian(omega, p.g)
-    lap_phi_omega = laplacian(omega, p.g) - grad_inner(phi, omega, p.g)
+    lap_phi_omega = weighted_laplacian(omega, phi, p.g)
 
     rhs_J = base.J + (lap_phi_omega - 0.5 * grad2) / N
     rhs_P = (
@@ -289,17 +252,6 @@ def elementary_symmetric_matrix(a: np.ndarray, k: int) -> float:
     rows, cols = _principal_index(n, k)
     # summed left to right from 0, as one determinant at a time would be
     return float(sum(np.linalg.det(a[rows, cols]).tolist()))
-
-
-def elementary_symmetric_values(values, k: int) -> float:
-    """e_k of an explicit list of numbers (Newton-free DP recursion)."""
-    e = np.zeros(k + 1)
-    e[0] = 1.0
-    for v in values:
-        upper = min(k, len(e) - 1)
-        for j in range(upper, 0, -1):
-            e[j] += v * e[j - 1]
-    return float(e[k])
 
 
 def sigma_k_phi(Y: float, P: np.ndarray, g: np.ndarray, m: float, k: int) -> float:

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from wrvc.cli import main, parse_point
 from wrvc.errors import WrvcError
@@ -150,6 +152,84 @@ def test_model_file_chart_edge_does_not_claim_whole_chart(capsys, tmp_path):
     assert "all points of the chart" not in err
 
 
+def _model_2d(tmp_path, g_11, space="", tail=""):
+    path = tmp_path / "model.cfg"
+    path.write_text(f"[space]\nn = 2\nm = 1\n{space}\n[metric]\ng_11 = {g_11}\n"
+                    f"g_22 = 1\n{tail}")
+    return path
+
+
+_UNDEFINED = "is undefined at point (0, 0) (model domain: not declared by the model file)"
+
+
+@pytest.mark.parametrize("g_11, tail", [
+    ("exp(1000)", "is not finite at point (0, 0)"),
+    ("10^400", "is not finite at point (0, 0)"),
+    ("2+sin(1e400)", f"{_UNDEFINED}: sin(inf) outside the function domain"),
+    ("x^(1e400-1e400)",
+     f"{_UNDEFINED}: pow(nan) needs a positive constant term, got 0.0"),
+])
+def test_non_finite_constant_expression_exits_2(capsys, tmp_path, g_11, tail):
+    path = _model_2d(tmp_path, g_11)
+    code, out, err = run_cli(capsys, "curvature", "--model", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: metric of model '{path}' {tail}\n"
+
+
+@pytest.mark.parametrize("g_11, tail, message", [
+    ("-1", "", "metric of model '{}' is rejected at point (0, 0): "
+     "constant-term metric is not positive definite"),
+    ("1", "\n[density]\nf = -1\n", "structure of model '{}' is rejected at "
+     "point (0, 0): density must be positive, got f = -1.0"),
+], ids=["metric", "density"])
+def test_rejected_structure_names_model_and_point(capsys, tmp_path, g_11, tail,
+                                                  message):
+    path = _model_2d(tmp_path, g_11, tail=tail)
+    code, out, err = run_cli(capsys, "curvature", "--model", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message.format(path)}\n"
+
+
+def test_overflowing_curvature_exits_2(capsys, tmp_path):
+    # positive definite at x = 0, but the inverse metric's jets overflow
+    path = _model_2d(tmp_path, "x+2e-153")
+    code, out, err = run_cli(capsys, "curvature", "--model", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: weighted curvature of model '{path}' is not finite "
+                   "at point (0, 0)\n")
+
+
+_LITERAL = st.one_of(
+    st.integers(0, 1000).map(str),
+    st.builds("{}e{}".format, st.integers(1, 9), st.integers(-400, 399)),
+    st.just("1e400"),
+)
+_EXPRESSION = st.recursive(
+    _LITERAL | st.just("x"),
+    lambda inner: st.one_of(
+        st.builds("({}){}({})".format, inner, st.sampled_from("+-*/^"), inner),
+        st.builds("{}({})".format, st.sampled_from(["exp", "log", "sqrt"]), inner),
+        st.builds("pow({}, {})".format, inner, inner),
+    ),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(g_11=_EXPRESSION, point=st.sampled_from(["0, 0", "0.5, 0"]))
+def test_model_expression_fuzz_exits_0_or_one_error_line(capsys, tmp_path, g_11,
+                                                         point):
+    path = _model_2d(tmp_path, g_11, space=f"point = {point}\n")
+    code, _, err = run_cli(capsys, "curvature", "--model", str(path))
+    assert code in (0, 2)
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_unknown_model(capsys):
     code, _, err = run_cli(capsys, "curvature", "--model", "nonsense")
     assert code == 2
@@ -276,6 +356,17 @@ def test_vk_good_ambient_file(capsys, tmp_path):
     assert json.loads(out)["values"]["v_1"] == 0.0
 
 
+def test_vk_relative_coefficient_path_is_relative_to_model_file(
+        capsys, tmp_path, monkeypatch):
+    (tmp_path / "rel").mkdir()
+    coeff_path, model_path = _ambient_model(tmp_path / "rel", "f 1 0")
+    model_path.write_text(model_path.read_text().replace(str(coeff_path), "amb.txt"))
+    monkeypatch.chdir(tmp_path)   # neither the model's directory nor amb.txt's
+    code, out, _ = run_cli(capsys, "vk", "--model", "rel/model.cfg", "--json")
+    assert code == 0
+    assert json.loads(out)["values"]["v_1"] == 0.0
+
+
 @pytest.mark.parametrize("order, keys", [
     ([], ["v_1", "v_2", "obstruction_norm_1"]),
     (["--order", "1"], ["v_1"]),
@@ -391,11 +482,14 @@ def test_verify_seed_echo(capsys):
     assert "seed = 7" in out
 
 
-def test_verify_threads_match_serial(capsys):
-    _, out1, _ = run_cli(capsys, "verify", "--suite", "variational")
-    _, out2, _ = run_cli(capsys, "verify", "--suite", "variational",
-                         "--threads", "4")
-    assert out1 == out2
+def test_verify_threads_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--threads", "4"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [ln for ln in captured.err.splitlines() if "error:" in ln]
+    assert errors == ["wrvc: error: unrecognized arguments: --threads 4"]
 
 
 def test_float_serialization_digits(capsys):

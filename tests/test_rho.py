@@ -62,17 +62,6 @@ def test_scalar_log_exp_roundtrip():
     assert np.allclose(back.coeffs, s.coeffs, atol=1e-12)
 
 
-def test_scalar_pow_binomial():
-    lam = 0.3
-    s = RhoSeries(np.array([1.0, lam, 0.0, 0.0, 0.0]))
-    p = s.scalar_pow(2.5)
-    expected = [1.0] + [
-        math.prod((2.5 - i) / (i + 1) for i in range(k)) * lam**k
-        for k in range(1, 5)
-    ]
-    assert np.allclose(p.coeffs, expected, atol=1e-13)
-
-
 def test_matrix_inverse_roundtrip():
     rng = np.random.default_rng(3)
     coeffs = rng.uniform(-0.3, 0.3, (5, 3, 3))
@@ -140,9 +129,9 @@ def test_jacobi_formula(n, batch):
     coeffs[0] += np.eye(n)
     g = RhoSeries(coeffs, "matrix")
     lhs = g.matrix_det().scalar_log().derivative()
-    rhs = (g.matrix_inverse() * g.derivative()).matrix_trace()
-    assert lhs.K == rhs.K == 4
-    assert np.max(np.abs(lhs.coeffs - rhs.coeffs)) < 1e-12
+    rhs = np.trace((g.matrix_inverse() * g.derivative()).coeffs, axis1=-2, axis2=-1)
+    assert lhs.K == 4 and rhs.shape == lhs.coeffs.shape
+    assert np.max(np.abs(lhs.coeffs - rhs)) < 1e-12
 
 
 def _forms_agree(got, per_node):

@@ -42,7 +42,6 @@ from wrvc.variational import (
     rayleigh_quotient,
     second_variation,
     second_variation_sign_certificate,
-    volume_convergence_study,
     weighted_volume,
 )
 
@@ -330,10 +329,10 @@ def test_functional_F_k(grid3, qe3):
 
 
 def test_convergence_order(qe3):
-    study = volume_convergence_study(qe3, math.pi**2, (10, 20, 40))
-    order1 = math.log2(study[0][1] / study[1][1])
-    assert order1 >= 4.0
-    assert study[2][1] < 1e-5
+    err = [abs(weighted_volume(qe3, QuadratureGrid(3, resolution=res)) - math.pi**2)
+           for res in (10, 20, 40)]
+    assert math.log2(err[0] / err[1]) >= 4.0
+    assert err[2] < 1e-5
 
 
 # -- variation formulas --------------------------------------------------------
@@ -475,14 +474,13 @@ def test_sign_predictions_lambda_negative():
     assert predicted_second_variation_sign(n, m, 1, lam) == 1   # below, odd
     assert predicted_second_variation_sign(n, m, 2, lam) == 1   # above, even
     for k in (1, 2):
-        cert = second_variation_sign_certificate(n, m, k, lam)
-        assert cert["agrees"]
+        sign = second_variation_sign_certificate(n, m, k, lam)
+        assert sign == predicted_second_variation_sign(n, m, k, lam)
     # a weighted negative-lam structure exercises more parities
     n, m, lam = 3, 4.0, -0.3       # (n+m)/2 = 3.5
     for k, expected in ((1, 1), (2, -1), (3, 1), (4, 1), (5, -1), (6, 1)):
-        cert = second_variation_sign_certificate(n, m, k, lam)
-        assert cert["sign"] == expected, k
-        assert cert["agrees"]
+        sign = second_variation_sign_certificate(n, m, k, lam)
+        assert sign == expected == predicted_second_variation_sign(n, m, k, lam), k
 
 
 def test_sign_prediction_guards():

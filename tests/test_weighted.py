@@ -8,11 +8,9 @@ from wrvc.errors import DomainError
 from wrvc.geometry import MetricAtPoint
 from wrvc.jets import Jet
 from wrvc.weighted import (
-    ConformalDeformation,
     MetricMeasurePoint,
     check_conformal_laws,
     conformal_rescale,
-    elementary_symmetric_values,
     generalized_binomial,
     quasi_einstein_residual,
     ric_phi_alternate,
@@ -166,8 +164,7 @@ def test_ric_phi_alternate_constant_density():
 
 def test_rescale_identity():
     p = qe_sphere_mmp([0.1, 0.0, 0.0])
-    d = ConformalDeformation(Jet.constant(0.0, 3, 4), "standard")
-    q = conformal_rescale(p, d)
+    q = conformal_rescale(p, Jet.constant(0.0, 3, 4))
     assert np.allclose(q.g.matrix, p.g.matrix)
     assert q.f.value == pytest.approx(p.f.value)
 
@@ -175,8 +172,7 @@ def test_rescale_identity():
 def test_rescale_constant_scale():
     p = qe_sphere_mmp([0.1, 0.0, 0.0])
     s = 1.7
-    d = ConformalDeformation(Jet.constant(np.log(s), 3, 4), "standard")
-    q = conformal_rescale(p, d)
+    q = conformal_rescale(p, Jet.constant(np.log(s), 3, 4))
     assert np.allclose(q.g.matrix, s**2 * p.g.matrix, atol=1e-12)
     assert q.f.value == pytest.approx(s * p.f.value)
 
@@ -186,7 +182,7 @@ def test_rescale_volume_density_identity():
     rng = np.random.default_rng(31)
     p = random_structure(rng, m=2.0)
     omega = random_omega(rng, order=4)
-    q = conformal_rescale(p, ConformalDeformation(omega, "standard"))
+    q = conformal_rescale(p, omega)
     n, m = 3, 2.0
     lhs = q.f ** 2 * q.g.det_jet().sqrt()
     rhs = (omega * (n + m)).exp() * p.f ** 2 * p.g.det_jet().sqrt()
@@ -194,25 +190,10 @@ def test_rescale_volume_density_identity():
     assert np.allclose(lhs.coeffs, rhs.coeffs, atol=1e-11 * scale)
 
 
-def test_convention_involution():
-    rng = np.random.default_rng(3)
-    p = qe_sphere_mmp([0.1, 0.2, 0.0])
-    omega = random_omega(rng, order=3)
-    n, m = 3, 2.0
-    d_weighted = ConformalDeformation(omega, "weighted")
-    d_standard = ConformalDeformation(omega * (-1.0 / (n + m - 2)), "standard")
-    a = conformal_rescale(p, d_weighted)
-    b = conformal_rescale(p, d_standard)
-    assert np.allclose(a.g.matrix, b.g.matrix, atol=1e-14)
-    assert np.allclose(a.f.coeffs, b.f.coeffs, atol=1e-14)
-
-
 def test_conformal_laws_zero_deformation():
     p = qe_sphere_mmp([0.1, 0.2, 0.0])
-    rep = check_conformal_laws(
-        p, ConformalDeformation(Jet.constant(0.0, 3, 2), "weighted")
-    )
-    assert rep.max_residual == pytest.approx(0.0, abs=1e-14)
+    rep = check_conformal_laws(p, Jet.constant(0.0, 3, 2))
+    assert max(dataclasses.astuple(rep)) == pytest.approx(0.0, abs=1e-14)
 
 
 @pytest.mark.parametrize("builder", [
@@ -224,10 +205,8 @@ def test_conformal_laws_random_omega(builder):
     rng = np.random.default_rng(77)
     p = builder()
     for _ in range(10):
-        rep = check_conformal_laws(
-            p, ConformalDeformation(random_omega(rng), "weighted")
-        )
-        assert rep.max_residual <= 1e-9
+        rep = check_conformal_laws(p, random_omega(rng))
+        assert max(dataclasses.astuple(rep)) <= 1e-9
 
 
 def test_conformal_laws_evaluate_the_base_structure_once(monkeypatch):
@@ -236,8 +215,7 @@ def test_conformal_laws_evaluate_the_base_structure_once(monkeypatch):
     omegas = [random_omega(rng) for _ in range(20)]
     # the same laws on a fresh copy of the structure for every deformation
     expected = [
-        dataclasses.astuple(check_conformal_laws(
-            gaussian_mmp([0.3, -0.1, 0.2]), ConformalDeformation(w, "weighted")))
+        dataclasses.astuple(check_conformal_laws(gaussian_mmp([0.3, -0.1, 0.2]), w))
         for w in omegas
     ]
     metrics, logs = [], []
@@ -254,7 +232,7 @@ def test_conformal_laws_evaluate_the_base_structure_once(monkeypatch):
     monkeypatch.setattr(weighted, "curvature", counted_curvature)
     monkeypatch.setattr(Jet, "log", counted_log)
     got = [
-        dataclasses.astuple(check_conformal_laws(p, ConformalDeformation(w, "weighted")))
+        dataclasses.astuple(check_conformal_laws(p, w))
         for w in omegas
     ]
     assert got == expected
@@ -263,14 +241,6 @@ def test_conformal_laws_evaluate_the_base_structure_once(monkeypatch):
     assert sum(jet is p.f for jet in logs) == 1
     assert p.phi() is p.phi()
     assert weighted_invariants(p) is weighted_invariants(p)
-
-
-def test_conformal_laws_require_weighted_convention():
-    p = qe_sphere_mmp([0.1, 0.2, 0.0])
-    with pytest.raises(DomainError):
-        check_conformal_laws(
-            p, ConformalDeformation(Jet.constant(0.1, 3, 2), "standard")
-        )
 
 
 # -- sigma_k ------------------------------------------------------------------
@@ -293,7 +263,8 @@ def test_sigma_k_matches_multiset_for_integer_m():
         eigs = np.linalg.eigvals(np.linalg.solve(g, P)).real
         for k in range(0, 5):
             multiset = list(eigs) + [Y / m] * m
-            expected = elementary_symmetric_values(multiset, k)
+            # prod (t - v) = sum_k (-1)^k e_k t^(len - k)
+            expected = (-1) ** k * np.poly(multiset)[k]
             assert sigma_k_phi(Y, P, g, float(m), k) == pytest.approx(
                 expected, abs=1e-12 * max(1, abs(expected))
             )
