@@ -34,26 +34,12 @@ from .jets import (
     hessian_index,
     jet_matmul,
     jet_matmul_operator,
+    jet_order,
     mult_matrix,
     n_coeffs,
     to_columns,
     _univariate_coeffs,
 )
-
-
-def _stack(g):
-    """(n, n, ncoef) coefficients of a square nested list of jets, truncated
-    to the lowest entry order; returns (array, jet dim, order)."""
-    rows = [list(row) for row in g]
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise DimensionMismatch("matrix of jets must be square")
-    dim = rows[0][0].dim
-    if any(e.dim != dim for row in rows for e in row):
-        raise DimensionMismatch("matrix entries are jets of different dimensions")
-    order = min(e.order for row in rows for e in row)
-    nc = n_coeffs(dim, order)
-    return np.array([[e.coeffs[:nc] for e in row] for row in rows]), dim, order
 
 
 def _constant_inverse(G0: np.ndarray) -> np.ndarray:
@@ -99,29 +85,19 @@ def _det_coeffs(G: np.ndarray, dim: int, order: int) -> np.ndarray:
 class MetricAtPoint:
     """A Riemannian metric's jets at one chart point.
 
-    ``G`` is the (n, n, ncoef) coefficient array of the metric jets at
-    ``order``, symmetric coefficient-wise, with a positive-definite
-    constant-term matrix.  The constructor takes an n x n nested list (or
-    object array) of jets and keeps them at the lowest entry order.
+    ``G`` is the (n, n, ncoef) coefficient array of the metric jets,
+    symmetric coefficient-wise, with a positive-definite constant-term
+    matrix; the jet order is the one with ``ncoef = n_coeffs(n, order)``.
     """
 
-    def __init__(self, g, point):
-        G, dim, order = _stack(g)
-        if dim != G.shape[0]:
+    def __init__(self, G: np.ndarray, point):
+        G = np.asarray(G, dtype=float)
+        if G.ndim != 3 or G.shape[0] != G.shape[1]:
             raise DimensionMismatch(
-                f"metric size {G.shape[0]} does not match jet dimension {dim}"
+                f"metric coefficients need shape (n, n, ncoef), got {G.shape}"
             )
-        self._setup(G, order, point)
-
-    @classmethod
-    def from_coeffs(cls, G: np.ndarray, order: int, point) -> "MetricAtPoint":
-        """Metric from an (n, n, n_coeffs(n, order)) coefficient array."""
-        metric = cls.__new__(cls)
-        metric._setup(G, order, point)
-        return metric
-
-    def _setup(self, G: np.ndarray, order: int, point):
         n = G.shape[0]
+        order = jet_order(n, G.shape[2])
         transposed = G.transpose(1, 0, 2)
         if not np.array_equal(G, transposed):
             symmetric = np.isclose(G, transposed, atol=1e-12).all(axis=2)
@@ -164,7 +140,7 @@ class MetricAtPoint:
         order = min(self.order, factor.order)
         nc = n_coeffs(self.n, order)
         M = mult_matrix(factor.coeffs[:nc], self.n, order)
-        return MetricAtPoint.from_coeffs(self.G[:, :, :nc] @ M.T, order, self.point)
+        return MetricAtPoint(self.G[:, :, :nc] @ M.T, self.point)
 
 
 @dataclass

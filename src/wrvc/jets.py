@@ -112,6 +112,21 @@ def n_coeffs(dim: int, order: int) -> int:
     return math.comb(dim + order, order)
 
 
+@lru_cache(maxsize=None)
+def jet_order(dim: int, nc: int) -> int:
+    """The order k with ``n_coeffs(dim, k) == nc``, the inverse of ``n_coeffs``."""
+    if not 1 <= dim <= MAX_DIM:
+        raise DimensionMismatch(f"jet dimension must be in 1..{MAX_DIM}, got {dim}")
+    order = 0
+    while n_coeffs(dim, order) < nc:
+        order += 1
+    if n_coeffs(dim, order) != nc:
+        raise DimensionMismatch(
+            f"{nc} coefficients is no jet order in dimension {dim}"
+        )
+    return order
+
+
 # -- coefficient-array arithmetic ---------------------------------------------
 #
 # A jet-valued tensor is a float array of shape (..., ncoef): the leading axes

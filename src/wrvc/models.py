@@ -48,7 +48,7 @@ class ModelSpec:
     m: float
     mu: float
     coords: tuple
-    g_exprs: list              # n x n nested list of expression ASTs
+    g_exprs: list              # n x n nested list of expression ASTs, read at construction
     f_expr: Node
     lam: float | None = None   # proportionality constant, when known
     ambient_file: str | None = None
@@ -60,6 +60,15 @@ class ModelSpec:
         if self.default_point is None:
             self.default_point = np.zeros(self.n)
         self.default_point = np.asarray(self.default_point, dtype=float)
+        # the distinct metric component ASTs (``in`` and ``index`` try
+        # identity before equality), and each (i, j) slot's index into them
+        self._components = []
+        for row in self.g_exprs:
+            for node in row:
+                if node not in self._components:
+                    self._components.append(node)
+        self._slots = np.array([[self._components.index(node) for node in row]
+                                for row in self.g_exprs])
 
     # -- pointwise evaluation ------------------------------------------
 
@@ -74,32 +83,30 @@ class ModelSpec:
             for i, name in enumerate(self.coords)
         }
 
+    def metric_components(self, env, as_array) -> np.ndarray:
+        """The (n, n, ...) array of metric components over ``env``, whose
+        coordinates are jets or node arrays: each distinct component AST is
+        evaluated once and ``as_array`` turns its value into a float array."""
+        values = np.array([as_array(evaluate(node, env)) for node in self._components])
+        return values[self._slots]
+
     def metric_at(self, point, order: int = DEFAULT_ORDER) -> MetricAtPoint:
-        """Metric jets at a point; each distinct component expression is
-        evaluated once."""
+        """Metric jets at a point."""
         env = self._env(point, order)
-        n = self.n
-        G = np.zeros((n, n, n_coeffs(n, order)))
-        done = []   # (expression, coefficients) per distinct expression
+        nc = n_coeffs(self.n, order)
+
+        def coeffs(val):
+            if isinstance(val, Jet):
+                return val.coeffs
+            out = np.zeros(nc)
+            out[0] = float(val)
+            return out
+
         with self._evaluating("metric", point):
-            for i in range(n):
-                for j in range(n):
-                    node = self.g_exprs[i][j]
-                    for seen, coeffs in done:
-                        if seen is node or seen == node:
-                            break
-                    else:
-                        val = evaluate(node, env)
-                        if isinstance(val, Jet):
-                            coeffs = val.coeffs
-                        else:
-                            coeffs = np.zeros(G.shape[2])
-                            coeffs[0] = float(val)
-                        done.append((node, coeffs))
-                    G[i, j] = coeffs
+            G = self.metric_components(env, coeffs)
         self._require_finite_at(G, "metric", point)
         with self._checking("metric", point):
-            return MetricAtPoint.from_coeffs(G, order, point)
+            return MetricAtPoint(G, point)
 
     def density_at(self, point, order: int = DEFAULT_ORDER) -> Jet:
         env = self._env(point, order)
@@ -176,13 +183,17 @@ class ModelSpec:
         ``DEFAULT_AMBIENT_ORDER`` for a generated expansion.  A coefficient
         file holds one point's data, so ``point`` does not enter it; its
         header must match the model's (n, m, mu), and a K above the file's
-        raises ``OrderError``.
+        raises ``OrderError``.  A generated expansion that overflows or
+        starts from a non-positive density raises a ``DomainError`` naming
+        the model and the point (a coefficient file's errors name
+        ``path:line`` instead).
         """
         if self.lam is not None:
             g0 = self.metric_at(point, order=0).matrix
             f0 = self.density_at(point, order=0).value
             order = DEFAULT_AMBIENT_ORDER if K is None else K
-            return quasi_einstein_coeffs(g0, f0, self.lam, order)
+            with self._checking("ambient expansion", point):
+                return quasi_einstein_coeffs(g0, f0, self.lam, order)
         if self.ambient_file is not None:
             return self._file_ambient(K)
         raise ModelError(

@@ -178,7 +178,7 @@ def _chunked_dot(w: np.ndarray, v: np.ndarray) -> float:
 class GridStructure:
     """One model bound to one grid (``QuadratureGrid.bind``): the round-metric
     check on every node, f and f^m per node, the weighted volume, and
-    memoized series scales and coordinate-harmonic Rayleigh quotients.
+    memoized series scales.
     The model's expansion g_rho = (1 + lam rho)^2 g, f_rho = (1 + lam rho) f
     scales g and f by functions of rho alone, so v_k = C(n+m, k) lam^k is
     one constant for every node, read from the series scales.  It keeps the
@@ -191,26 +191,24 @@ class GridStructure:
                 f"model dimension {model.n} does not match grid dimension {grid.n}"
             )
         env = {name: grid.points[:, i] for i, name in enumerate(model.coords)}
-        values = {}   # each distinct component expression evaluated once
-        for i in range(model.n):
-            for j in range(model.n):
-                node = model.g_exprs[i][j]
-                if node not in values:
-                    values[node] = np.asarray(evaluate(node, env), dtype=float)
-                target = grid.conf if i == j else 0.0
-                if not np.allclose(values[node], target, atol=1e-10):
-                    raise ModelError(
-                        "grid quadrature needs the round stereographic metric; "
-                        f"component g_{i + 1}{j + 1} of {model.name!r} differs"
-                    )
+
+        def on_nodes(value):
+            return np.broadcast_to(np.asarray(value, dtype=float), grid.conf.shape)
+
+        G = model.metric_components(env, on_nodes)
+        round_metric = np.eye(model.n)[:, :, None] * grid.conf
+        matches = np.isclose(G, round_metric, atol=1e-10).all(axis=2)
+        if not matches.all():
+            i, j = np.argwhere(~matches)[0]
+            raise ModelError(
+                "grid quadrature needs the round stereographic metric; "
+                f"component g_{i + 1}{j + 1} of {model.name!r} differs"
+            )
         self.model = model
-        self.f = np.broadcast_to(
-            np.asarray(evaluate(model.f_expr, env), dtype=float), grid.conf.shape
-        )
+        self.f = on_nodes(evaluate(model.f_expr, env))
         self.fm = self.f ** model.m
         self.wvol = grid.integrate([self.fm, self.fm])
         self._scales = {}
-        self.harmonic_quotients = None   # set by _harmonic_quotients
 
     def vk(self, k: int) -> float:
         """v_k, the same on every node (both charts)."""
@@ -393,21 +391,6 @@ def rayleigh_quotient(model: ModelSpec, grid: QuadratureGrid,
     return num / den
 
 
-def _harmonic_quotients(model: ModelSpec, grid: QuadratureGrid) -> list:
-    """Rayleigh quotients of the coordinate harmonics, computed once per
-    bound (model, grid)."""
-    bound = grid.bind(model)
-    if bound.harmonic_quotients is None:
-        bound.harmonic_quotients = [
-            rayleigh_quotient(model, grid, f) for f in coordinate_harmonics(model.n)
-        ]
-    return bound.harmonic_quotients
-
-
-def lambda1_estimate(model: ModelSpec, grid: QuadratureGrid) -> float:
-    return min(_harmonic_quotients(model, grid))
-
-
 def second_variation(model: ModelSpec, grid: QuadratureGrid, k: int,
                      field: SphereField) -> FunctionalReport:
     """Second-variation quadratic form at a proportional structure,
@@ -484,7 +467,7 @@ def eigenvalue_bound_check(model: ModelSpec, grid: QuadratureGrid) -> Eigenvalue
             f"curvature lower bound fails on the sample (violation {worst:.3e})"
         )
 
-    quotients = list(_harmonic_quotients(model, grid))
+    quotients = [rayleigh_quotient(model, grid, f) for f in coordinate_harmonics(n)]
     bound = 2.0 * (n + m) * lam
     min_q = min(quotients)
     passed = min_q >= bound - _BOUND_TOL

@@ -283,15 +283,14 @@ def sigma_k_phi(Y: float, P: np.ndarray, g: np.ndarray, m: float, k: int) -> flo
     return total
 
 
-def v1_v2_closed_form(w: WeightedInvariants, g: np.ndarray) -> tuple[float, float]:
+def v1_v2_closed_form(J: float, P: np.ndarray, Y: float, g: np.ndarray,
+                      m: float) -> tuple[float, float]:
     """The first two volume coefficients from the pointwise invariants:
     v1 = J and v2 = (J^2 - |P|^2 - Y^2/m)/2, with the Y term dropped at m = 0."""
-    A = np.linalg.solve(g, w.P)
+    A = np.linalg.solve(g, P)
     P_norm2 = float(np.einsum("ij,ji->", A, A))
-    v1 = w.J
-    y_term = 0.0 if w.m == 0 else w.Y**2 / w.m
-    v2 = 0.5 * (w.J**2 - P_norm2 - y_term)
-    return v1, v2
+    y_term = 0.0 if m == 0 else Y**2 / m
+    return J, 0.5 * (J**2 - P_norm2 - y_term)
 
 
 def quasi_einstein_residual(

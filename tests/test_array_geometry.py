@@ -25,6 +25,7 @@ from sympy import QQ, Matrix
 from sympy.polys.rings import ring
 
 import wrvc.models
+from wrvc.errors import ModelError
 from wrvc.expr import parse_expression
 from wrvc.geometry import (
     MetricAtPoint,
@@ -35,6 +36,7 @@ from wrvc.geometry import (
 )
 from wrvc.jets import Jet, n_coeffs
 from wrvc.models import ModelSpec, builtin_model, load_model_file
+from wrvc.variational import QuadratureGrid
 from wrvc.weighted import weighted_invariants
 
 REL_TOL = 1e-12
@@ -255,8 +257,9 @@ def test_array_geometry_matches_exact_derivatives(case):
     exact = ExactGeometry(entries, point, order)
 
     jx = [Jet.variable(i, float(point[i]), n, order) for i in range(n)]
-    g = [[jet_poly(entries[i, j], jx) for j in range(n)] for i in range(n)]
-    metric = MetricAtPoint(g, [float(p) for p in point])
+    G = np.array([[jet_poly(entries[i, j], jx).coeffs for j in range(n)]
+                  for i in range(n)])
+    metric = MetricAtPoint(G, [float(p) for p in point])
 
     gamma = christoffel(metric)
     for alpha in multi_indices(n, order - 1):
@@ -383,6 +386,17 @@ def test_metric_at_evaluates_each_distinct_component_once(monkeypatch, model):
             if node not in distinct:
                 distinct.append(node)
     assert calls == distinct
+    # so does binding the model to a grid, whether or not its metric is the
+    # round one that grids need
+    if model.n in (2, 3):
+        calls.clear()
+        grid = QuadratureGrid(model.n, resolution=8)
+        if model.name == "qe_sphere":
+            grid.bind(model)
+        else:
+            with pytest.raises(ModelError, match="round stereographic metric"):
+                grid.bind(model)
+        assert calls == distinct
     # and the jets agree with evaluating every component on its own
     monkeypatch.undo()
     env = model._env(point, 4)

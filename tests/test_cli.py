@@ -292,7 +292,26 @@ def test_vk_model_file(capsys, tmp_path):
     assert doc["values"]["v_1"] == pytest.approx(1.25, abs=1e-12)
 
 
-_FLAT2 = "[space]\nn = 2\n\n[metric]\ng_11 = 1\ng_22 = 1\n"
+@pytest.mark.parametrize("density, lam, point, tail", [
+    ("1", "1e300", "0,0,0", "is not finite at point (0, 0, 0)"),
+    ("-1", "0.25", "0.5,0,1",
+     "is rejected at point (0.5, 0, 1): base density must be positive"),
+], ids=["overflowing_lambda", "negative_density"])
+def test_vk_generated_expansion_error_names_model_and_point(capsys, tmp_path,
+                                                             density, lam, point,
+                                                             tail):
+    path = tmp_path / "flat.cfg"
+    path.write_text(
+        "[space]\nn = 3\nm = 2\n\n[metric]\ng_11 = 1\ng_22 = 1\ng_33 = 1\n\n"
+        f"[density]\nf = {density}\n\n[ambient]\nlambda = {lam}\n"
+    )
+    code, out, err = run_cli(capsys, "vk", "--model", str(path), "--point", point)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: ambient expansion of model '{path}' {tail}\n"
+
+
+_FLAT2 ="[space]\nn = 2\n\n[metric]\ng_11 = 1\ng_22 = 1\n"
 
 
 @pytest.mark.parametrize("text, cause", [

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wrvc.errors import DomainError, OrderError
+from wrvc.errors import DimensionMismatch, DomainError, OrderError
 from wrvc.geometry import (
     MetricAtPoint,
     christoffel,
@@ -12,7 +12,7 @@ from wrvc.geometry import (
     laplacian,
     weighted_laplacian,
 )
-from wrvc.jets import Jet
+from wrvc.jets import Jet, n_coeffs
 
 
 def coords(point, order=4):
@@ -22,19 +22,15 @@ def coords(point, order=4):
 
 def euclidean_metric(point, order=4):
     n = len(point)
-    one = Jet.constant(1.0, n, order)
-    zero = Jet.constant(0.0, n, order)
-    return MetricAtPoint(
-        [[one if i == j else zero for j in range(n)] for i in range(n)], point
-    )
+    G = np.zeros((n, n, n_coeffs(n, order)))
+    G[:, :, 0] = np.eye(n)
+    return MetricAtPoint(G, point)
 
 
 def conformal_metric(point, factor_jet):
     """g = factor * delta, factor a positive jet."""
     n = len(point)
-    zero = Jet.constant(0.0, n, factor_jet.order)
-    g = [[factor_jet if i == j else zero for j in range(n)] for i in range(n)]
-    return MetricAtPoint(g, point)
+    return MetricAtPoint(np.eye(n)[:, :, None] * factor_jet.coeffs, point)
 
 
 def sphere_metric(point, order=4):
@@ -48,7 +44,7 @@ def sphere_metric(point, order=4):
 def random_metric(rng, n, order=4, scale=0.15):
     """delta plus a small random polynomial symmetric perturbation."""
     x = coords(np.zeros(n) + rng.uniform(-0.2, 0.2, n), order)
-    g = [[None] * n for _ in range(n)]
+    G = np.zeros((n, n, n_coeffs(n, order)))
     for i in range(n):
         for j in range(i, n):
             pert = Jet.constant(0.0, n, order)
@@ -57,8 +53,8 @@ def random_metric(rng, n, order=4, scale=0.15):
                 for l in range(k, n):
                     pert = pert + rng.uniform(-scale, scale) * x[k] * x[l]
             base = 1.0 if i == j else 0.0
-            g[i][j] = g[j][i] = pert + base
-    return MetricAtPoint(g, [xi.value for xi in x])
+            G[i, j] = G[j, i] = (pert + base).coeffs
+    return MetricAtPoint(G, [xi.value for xi in x])
 
 
 def test_inverse_coeffs_roundtrip():
@@ -77,11 +73,33 @@ def test_inverse_coeffs_roundtrip():
 
 def test_metric_validation():
     x = coords([0.0, 0.0])
-    one = Jet.constant(1.0, 2, 4)
-    with pytest.raises(DomainError):
-        MetricAtPoint([[one, x[0]], [one * 0.0, one]], [0.0, 0.0])  # not symmetric
-    with pytest.raises(DomainError):
-        MetricAtPoint([[-one, one * 0.0], [one * 0.0, one]], [0.0, 0.0])  # not PD
+    one = Jet.constant(1.0, 2, 4).coeffs
+    zero = np.zeros_like(one)
+    with pytest.raises(DomainError):   # not symmetric
+        MetricAtPoint(np.array([[one, x[0].coeffs], [zero, one]]), [0.0, 0.0])
+    with pytest.raises(DomainError):   # not positive definite
+        MetricAtPoint(np.array([[-one, zero], [zero, one]]), [0.0, 0.0])
+
+
+@pytest.mark.parametrize("shape", [
+    (2, 3, 15),    # not square
+    (2, 2),        # no coefficient axis
+    (3, 3, 11),    # C(3+k, k) is 1, 4, 10, 20, ...: 11 is no order
+    (2, 2, 0),
+])
+def test_metric_shape_validation(shape):
+    G = np.zeros(shape)
+    if len(shape) == 3 and shape[2]:
+        G[:, :, 0] = np.eye(*shape[:2])
+    with pytest.raises(DimensionMismatch):
+        MetricAtPoint(G, np.zeros(shape[0]))
+
+
+@pytest.mark.parametrize("n, order", [(1, 0), (2, 1), (3, 4), (4, 2)])
+def test_metric_order_from_coefficient_count(n, order):
+    G = np.zeros((n, n, n_coeffs(n, order)))
+    G[:, :, 0] = np.eye(n)
+    assert MetricAtPoint(G, np.zeros(n)).order == order
 
 
 # -- Christoffel symbols -------------------------------------------------
@@ -118,10 +136,11 @@ def test_christoffel_conformal_plane():
 def test_christoffel_round_sphere_colatitude():
     # S^2 in (theta, phi): g = diag(1, sin^2 theta), at theta = pi/3
     theta = Jet.variable(0, np.pi / 3, 2, 4)
-    zero = Jet.constant(0.0, 2, 4)
-    one = Jet.constant(1.0, 2, 4)
+    one = Jet.constant(1.0, 2, 4).coeffs
+    zero = np.zeros_like(one)
     s = theta.sin()
-    m = MetricAtPoint([[one, zero], [zero, s * s]], [np.pi / 3, 0.0])
+    G = np.array([[one, zero], [zero, (s * s).coeffs]])
+    m = MetricAtPoint(G, [np.pi / 3, 0.0])
     gamma = christoffel(m)
     assert gamma[0, 1, 1, 0] == pytest.approx(-np.sqrt(3.0) / 4.0, abs=1e-13)
 
@@ -179,16 +198,14 @@ def test_scalar_constant_rescale():
     rng = np.random.default_rng(11)
     for c in (0.5, 2.0):
         m = random_metric(rng, 3)
-        scaled = MetricAtPoint.from_coeffs(m.G * c**2, m.order, m.point)
+        scaled = MetricAtPoint(m.G * c**2, m.point)
         assert curvature(scaled).scalar == pytest.approx(
             curvature(m).scalar / c**2, abs=1e-10
         )
 
 
 def test_insufficient_order():
-    one = Jet.constant(1.0, 2, 1)
-    zero = Jet.constant(0.0, 2, 1)
-    m = MetricAtPoint([[one, zero], [zero, one]], [0.0, 0.0])
+    m = euclidean_metric([0.0, 0.0], order=1)
     with pytest.raises(OrderError):
         curvature(m)
 

@@ -35,7 +35,6 @@ from wrvc.variational import (
     first_variation,
     functional_F_k,
     laplace_beltrami_values,
-    lambda1_estimate,
     partition_profile,
     predicted_second_variation_sign,
     project_mean_zero,
@@ -516,35 +515,9 @@ def test_degree_two_quotient(grid3, qe3):
         assert rayleigh_quotient(qe3, grid3, field) == pytest.approx(8.0, abs=1e-4)
 
 
-def test_lambda1_estimate(grid3, qe3):
-    assert lambda1_estimate(qe3, grid3) == pytest.approx(3.0, abs=1e-4)
-
-
-def test_eigenvalue_bound_reuses_harmonic_quotients(monkeypatch, qe3):
-    def fresh(resolution):
-        grid = QuadratureGrid(3, resolution=resolution)
-        return [rayleigh_quotient(qe3, grid, f) for f in coordinate_harmonics(3)]
-
-    expected, coarse = fresh(20), fresh(10)
-    grid = QuadratureGrid(3, resolution=20)
-    assert lambda1_estimate(qe3, grid) == min(expected)
-    calls = []
-    original = variational.rayleigh_quotient
-
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(variational, "rayleigh_quotient", counted)
-    rep = eigenvalue_bound_check(qe3, grid)
-    assert calls == []
+def test_eigenvalue_bound_quotients_are_fresh_rayleigh_quotients(qe3):
+    expected = [rayleigh_quotient(qe3, QuadratureGrid(3, resolution=20), f)
+                for f in coordinate_harmonics(3)]
+    rep = eigenvalue_bound_check(qe3, QuadratureGrid(3, resolution=20))
     assert rep.quotients == expected
-    rep.quotients.clear()   # the report holds a copy of the memo
-    assert eigenvalue_bound_check(qe3, grid).quotients == expected
-    assert lambda1_estimate(qe3, grid) == min(expected)
-    assert calls == []
-    # another grid is another bound structure, with its own quotients
-    other = QuadratureGrid(3, resolution=10)
-    assert eigenvalue_bound_check(qe3, other).quotients == coarse
-    assert len(calls) == 4 and coarse != expected
 

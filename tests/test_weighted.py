@@ -6,7 +6,7 @@ import pytest
 from wrvc import weighted
 from wrvc.errors import DomainError
 from wrvc.geometry import MetricAtPoint
-from wrvc.jets import Jet
+from wrvc.jets import Jet, n_coeffs
 from wrvc.weighted import (
     MetricMeasurePoint,
     check_conformal_laws,
@@ -27,11 +27,9 @@ def coords(point, order=4):
 
 def euclidean_mmp(point, f=None, m=0.0, mu=0.0, order=4):
     n = len(point)
-    one = Jet.constant(1.0, n, order)
-    zero = Jet.constant(0.0, n, order)
-    g = MetricAtPoint(
-        [[one if i == j else zero for j in range(n)] for i in range(n)], point
-    )
+    G = np.zeros((n, n, n_coeffs(n, order)))
+    G[:, :, 0] = np.eye(n)
+    g = MetricAtPoint(G, point)
     if f is None:
         f = Jet.constant(1.0, n, order)
     return MetricMeasurePoint(g, f, m, mu)
@@ -41,10 +39,7 @@ def qe_sphere_mmp(point, n=3, m=2.0, mu=1.0, order=4):
     x = coords(point, order)
     r2 = sum(xi * xi for xi in x)
     factor = 4.0 * (1.0 + r2) ** (-2)
-    zero = Jet.constant(0.0, n, order)
-    g = MetricAtPoint(
-        [[factor if i == j else zero for j in range(n)] for i in range(n)], point
-    )
+    g = MetricAtPoint(np.eye(n)[:, :, None] * factor.coeffs, point)
     f = Jet.constant(np.sqrt((m - 1) * mu / (n - 1)), n, order)
     return MetricMeasurePoint(g, f, m, mu)
 
@@ -58,7 +53,7 @@ def gaussian_mmp(point, m=2.0, order=4):
 def random_structure(rng, n=3, m=2.0, mu=0.3, order=4):
     """Small random perturbation of the flat structure with analytic density."""
     x = coords(rng.uniform(-0.2, 0.2, n), order)
-    g = [[None] * n for _ in range(n)]
+    G = np.zeros((n, n, n_coeffs(n, order)))
     for i in range(n):
         for j in range(i, n):
             pert = Jet.constant(0.0, n, order)
@@ -66,14 +61,14 @@ def random_structure(rng, n=3, m=2.0, mu=0.3, order=4):
                 pert = pert + rng.uniform(-0.1, 0.1) * x[k]
                 for l in range(k, n):
                     pert = pert + rng.uniform(-0.1, 0.1) * x[k] * x[l]
-            g[i][j] = g[j][i] = pert + (1.0 if i == j else 0.0)
+            G[i, j] = G[j, i] = (pert + (1.0 if i == j else 0.0)).coeffs
     u = Jet.constant(0.0, n, order)
     for k in range(n):
         u = u + rng.uniform(-0.3, 0.3) * x[k]
         for l in range(k, n):
             u = u + rng.uniform(-0.3, 0.3) * x[k] * x[l]
     f = u.exp()
-    metric = MetricAtPoint(g, [xi.value for xi in x])
+    metric = MetricAtPoint(G, [xi.value for xi in x])
     return MetricMeasurePoint(metric, f, m, mu)
 
 
@@ -318,14 +313,14 @@ def _sym(rng, n):
 def test_v1_v2_on_model():
     p = qe_sphere_mmp([0.1, 0.2, 0.0])
     w = weighted_invariants(p)
-    v1, v2 = v1_v2_closed_form(w, p.g.matrix)
+    v1, v2 = v1_v2_closed_form(w.J, w.P, w.Y, p.g.matrix, w.m)
     assert v1 == pytest.approx(1.25, abs=1e-11)
     assert v2 == pytest.approx(0.625, abs=1e-11)
 
 
 def test_v1_v2_flat():
     w = weighted_invariants(euclidean_mmp([0.0] * 3, m=2.0))
-    assert v1_v2_closed_form(w, np.eye(3)) == pytest.approx((0.0, 0.0), abs=1e-13)
+    assert v1_v2_closed_form(w.J, w.P, w.Y, np.eye(3), w.m) == pytest.approx((0.0, 0.0), abs=1e-13)
 
 
 def test_v1_v2_equal_sigma_k():
@@ -334,7 +329,7 @@ def test_v1_v2_equal_sigma_k():
         p = random_structure(rng, m=float(rng.uniform(0.5, 3.5)))
         w = weighted_invariants(p)
         g0 = p.g.matrix
-        v1, v2 = v1_v2_closed_form(w, g0)
+        v1, v2 = v1_v2_closed_form(w.J, w.P, w.Y, g0, w.m)
         assert v1 == pytest.approx(sigma_k_phi(w.Y, w.P, g0, w.m, 1), abs=1e-11)
         assert v2 == pytest.approx(sigma_k_phi(w.Y, w.P, g0, w.m, 2), abs=1e-11)
 
