@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import WrvcError
 from .models import BUILTIN_NAMES, builtin_model, load_model_file
-from .rho import MAX_AMBIENT_ORDER, obstruction_tensors, volume_coefficients
+from .rho import MAX_AMBIENT_ORDER
 from .suites import DEFAULT_SEED, SUITE_NAMES, run_suites
 
 
@@ -199,15 +199,12 @@ def cmd_vk(args) -> int:
     model = resolve_model(args)
     point = (parse_point(args.point, model.n) if args.point
              else model.default_point)
-    expansion = model.ambient_at(point, K=order)
-    coeffs = volume_coefficients(expansion, model.m)
+    coeffs, norms = model.volume_coefficients_at(point, K=order)
     values = {"point": np.asarray(point)}
     for k in range(1, len(coeffs) + 1):
         values[f"v_{k}"] = float(coeffs[k])
-    if expansion.K >= 2:
-        obs = obstruction_tensors(expansion)
-        for k, norm in enumerate(obs.sup_norms(), start=1):
-            values[f"obstruction_norm_{k}"] = float(norm)
+    for k, norm in enumerate(norms, start=1):
+        values[f"obstruction_norm_{k}"] = float(norm)
     doc = ReportDocument(
         command="vk", model=_model_record(model), values=values
     )

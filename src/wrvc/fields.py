@@ -6,8 +6,9 @@ chart Laplacian and Hessian, all batched over nodes).  The building
 blocks are the ambient-coordinate restrictions, which span the first
 nonzero eigenspace of the Laplacian; products of two of them supply
 degree-two trials.  Closed forms are used throughout, so grid evaluation
-is a few numpy expressions per field over shared node data (D = 1 + |x|^2),
-and the flat Laplacian never forms the (N, n, n) Hessian.
+is a few numpy expressions per field over shared node data (D = 1 + |x|^2,
+which the caller supplies), and the flat Laplacian never forms the
+(N, n, n) Hessian.
 """
 
 from __future__ import annotations
@@ -21,63 +22,43 @@ def node_D(X: np.ndarray) -> np.ndarray:
 
 
 class SphereField:
-    """Base class; chart is any object with a ``sign`` attribute that flips
-    the last ambient coordinate between the two stereographic charts.
-
-    Every evaluation takes an optional ``D = node_D(X)``; a caller that
-    evaluates several fields or derivatives on one node array computes it
-    once, and ``Sum``/``Product`` pass it down so leaves never recompute it.
+    """Base class.  Every evaluation takes ``(sign, X, D)``: ``sign`` is the
+    chart's +1.0 or -1.0, which flips the last ambient coordinate between
+    the two stereographic charts, and ``D = node_D(X)`` is computed once by
+    the caller (``QuadratureGrid.D`` on grid nodes) and passed down the
+    ``Sum``/``Product`` tree.
     """
 
-    def value(self, chart, X: np.ndarray, D=None) -> np.ndarray:
+    def value(self, sign, X: np.ndarray, D: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def grad(self, chart, X: np.ndarray, D=None) -> np.ndarray:
+    def grad(self, sign, X: np.ndarray, D: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def hess(self, chart, X: np.ndarray, D=None) -> np.ndarray:
+    def hess(self, sign, X: np.ndarray, D: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def laplacian(self, chart, X: np.ndarray, D=None) -> np.ndarray:
+    def laplacian(self, sign, X: np.ndarray, D: np.ndarray) -> np.ndarray:
         """Flat chart Laplacian, the trace of ``hess``, without the
         (N, n, n) Hessian."""
         raise NotImplementedError
-
-    def __add__(self, other):
-        if isinstance(other, (int, float)):
-            other = Constant(float(other))
-        return Sum((self, other), (1.0, 1.0))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, (int, float)):
-            other = Constant(float(other))
-        return Sum((self, other), (1.0, -1.0))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return Sum((self,), (float(other),))
-        return Product(self, other)
-
-    __rmul__ = __mul__
 
 
 class Constant(SphereField):
     def __init__(self, c: float):
         self.c = float(c)
 
-    def value(self, chart, X, D=None):
+    def value(self, sign, X, D):
         return np.full(X.shape[0], self.c)
 
-    def grad(self, chart, X, D=None):
+    def grad(self, sign, X, D):
         return np.zeros_like(X)
 
-    def hess(self, chart, X, D=None):
+    def hess(self, sign, X, D):
         n = X.shape[1]
         return np.zeros((X.shape[0], n, n))
 
-    def laplacian(self, chart, X, D=None):
+    def laplacian(self, sign, X, D):
         return np.zeros(X.shape[0])
 
 
@@ -97,26 +78,20 @@ class AmbientCoordinate(SphereField):
         self.a = a
         self.n = n
 
-    def value(self, chart, X, D=None):
-        if D is None:
-            D = node_D(X)
+    def value(self, sign, X, D):
         if self.a < self.n:
             return 2.0 * X[:, self.a] / D
-        return chart.sign * (D - 2.0) / D   # (r^2 - 1)/(r^2 + 1)
+        return sign * (D - 2.0) / D   # (r^2 - 1)/(r^2 + 1)
 
-    def grad(self, chart, X, D=None):
-        if D is None:
-            D = node_D(X)
+    def grad(self, sign, X, D):
         if self.a < self.n:
             out = -4.0 * X[:, self.a, None] * X / D[:, None] ** 2
             out[:, self.a] += 2.0 / D
             return out
-        return chart.sign * 4.0 * X / D[:, None] ** 2
+        return sign * 4.0 * X / D[:, None] ** 2
 
-    def hess(self, chart, X, D=None):
-        N, n = X.shape
-        if D is None:
-            D = node_D(X)
+    def hess(self, sign, X, D):
+        n = X.shape[1]
         eye = np.eye(n)
         if self.a < self.n:
             xa = X[:, self.a]
@@ -131,17 +106,15 @@ class AmbientCoordinate(SphereField):
             return out
         out = -16.0 * X[:, :, None] * X[:, None, :] / D[:, None, None] ** 3
         out += 4.0 * eye[None, :, :] / D[:, None, None] ** 2
-        return chart.sign * out
+        return sign * out
 
-    def laplacian(self, chart, X, D=None):
+    def laplacian(self, sign, X, D):
         n = X.shape[1]
-        if D is None:
-            D = node_D(X)
         D2 = D * D
         r2_term = 16.0 * (D - 1.0) / (D2 * D)
         if self.a < self.n:
             return X[:, self.a] * (r2_term - (8.0 + 4.0 * n) / D2)
-        return chart.sign * (4.0 * n / D2 - r2_term)
+        return sign * (4.0 * n / D2 - r2_term)
 
 
 class Sum(SphereField):
@@ -149,37 +122,29 @@ class Sum(SphereField):
         self.fields = tuple(fields)
         self.coeffs = tuple(float(c) for c in coeffs)
 
-    def value(self, chart, X, D=None):
-        if D is None:
-            D = node_D(X)
+    def value(self, sign, X, D):
         out = np.zeros(X.shape[0])
         for c, f in zip(self.coeffs, self.fields):
-            out += c * f.value(chart, X, D)
+            out += c * f.value(sign, X, D)
         return out
 
-    def grad(self, chart, X, D=None):
-        if D is None:
-            D = node_D(X)
+    def grad(self, sign, X, D):
         out = np.zeros_like(X)
         for c, f in zip(self.coeffs, self.fields):
-            out += c * f.grad(chart, X, D)
+            out += c * f.grad(sign, X, D)
         return out
 
-    def hess(self, chart, X, D=None):
+    def hess(self, sign, X, D):
         n = X.shape[1]
-        if D is None:
-            D = node_D(X)
         out = np.zeros((X.shape[0], n, n))
         for c, f in zip(self.coeffs, self.fields):
-            out += c * f.hess(chart, X, D)
+            out += c * f.hess(sign, X, D)
         return out
 
-    def laplacian(self, chart, X, D=None):
-        if D is None:
-            D = node_D(X)
+    def laplacian(self, sign, X, D):
         out = np.zeros(X.shape[0])
         for c, f in zip(self.coeffs, self.fields):
-            out += c * f.laplacian(chart, X, D)
+            out += c * f.laplacian(sign, X, D)
         return out
 
 
@@ -188,24 +153,18 @@ class Product(SphereField):
         self.left = left
         self.right = right
 
-    def value(self, chart, X, D=None):
-        if D is None:
-            D = node_D(X)
-        return self.left.value(chart, X, D) * self.right.value(chart, X, D)
+    def value(self, sign, X, D):
+        return self.left.value(sign, X, D) * self.right.value(sign, X, D)
 
-    def grad(self, chart, X, D=None):
-        if D is None:
-            D = node_D(X)
-        u, v = self.left.value(chart, X, D), self.right.value(chart, X, D)
-        du, dv = self.left.grad(chart, X, D), self.right.grad(chart, X, D)
+    def grad(self, sign, X, D):
+        u, v = self.left.value(sign, X, D), self.right.value(sign, X, D)
+        du, dv = self.left.grad(sign, X, D), self.right.grad(sign, X, D)
         return u[:, None] * dv + v[:, None] * du
 
-    def hess(self, chart, X, D=None):
-        if D is None:
-            D = node_D(X)
-        u, v = self.left.value(chart, X, D), self.right.value(chart, X, D)
-        du, dv = self.left.grad(chart, X, D), self.right.grad(chart, X, D)
-        hu, hv = self.left.hess(chart, X, D), self.right.hess(chart, X, D)
+    def hess(self, sign, X, D):
+        u, v = self.left.value(sign, X, D), self.right.value(sign, X, D)
+        du, dv = self.left.grad(sign, X, D), self.right.grad(sign, X, D)
+        hu, hv = self.left.hess(sign, X, D), self.right.hess(sign, X, D)
         cross = du[:, :, None] * dv[:, None, :]
         return (
             u[:, None, None] * hv
@@ -214,15 +173,13 @@ class Product(SphereField):
             + np.swapaxes(cross, 1, 2)
         )
 
-    def laplacian(self, chart, X, D=None):
-        if D is None:
-            D = node_D(X)
+    def laplacian(self, sign, X, D):
         left, right = self.left, self.right
-        u, v = left.value(chart, X, D), right.value(chart, X, D)
-        du, dv = left.grad(chart, X, D), right.grad(chart, X, D)
+        u, v = left.value(sign, X, D), right.value(sign, X, D)
+        du, dv = left.grad(sign, X, D), right.grad(sign, X, D)
         return (
-            u * right.laplacian(chart, X, D)
-            + v * left.laplacian(chart, X, D)
+            u * right.laplacian(sign, X, D)
+            + v * left.laplacian(sign, X, D)
             + 2.0 * np.einsum("ij,ij->i", du, dv)
         )
 

@@ -20,10 +20,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ModelError, OrderError
-from .expr import Node, evaluate, parse_expression
+from .expr import Node, Num, evaluate, parse_expression
 from .geometry import MetricAtPoint
 from .jets import Jet, n_coeffs
-from .rho import AmbientExpansion, _read_ambient_file
+from .rho import (
+    AmbientExpansion,
+    _read_ambient_file,
+    obstruction_tensors,
+    volume_coefficients,
+)
 from .weighted import MetricMeasurePoint, quasi_einstein_residual, weighted_invariants
 
 BUILTIN_NAMES = (
@@ -60,6 +65,11 @@ class ModelSpec:
         if self.default_point is None:
             self.default_point = np.zeros(self.n)
         self.default_point = np.asarray(self.default_point, dtype=float)
+        for i, name in enumerate(self.coords):
+            if name in self.coords[:i]:
+                raise ModelError(
+                    f"model {self.name!r} repeats the coordinate name {name!r}"
+                )
         # the distinct metric component ASTs (``in`` and ``index`` try
         # identity before equality), and each (i, j) slot's index into them
         self._components = []
@@ -201,6 +211,19 @@ class ModelSpec:
             "(no proportionality constant and no coefficient file)"
         )
 
+    def volume_coefficients_at(self, point, K: int | None = None):
+        """v_1..v_K of the ambient expansion at a chart point (``ambient_at``)
+        and, for K >= 2, the sup norms of its obstruction tensors.  A series
+        that overflows (a huge but finite ``lam``) raises a ``DomainError``
+        naming the model and the point."""
+        expansion = self.ambient_at(point, K)
+        with np.errstate(all="ignore"):
+            coeffs = volume_coefficients(expansion, self.m)
+            norms = (obstruction_tensors(expansion).sup_norms()
+                     if expansion.K >= 2 else np.zeros(0))
+        self._require_finite_at(np.hstack([coeffs.v, norms]), "volume series", point)
+        return coeffs, norms
+
     def _file_ambient(self, K: int | None) -> AmbientExpansion:
         path = self.ambient_file
         expansion, m, mu, line = _read_ambient_file(path)
@@ -273,11 +296,16 @@ def builtin_model(name: str, n: int = 3, m: float | None = None,
                 "the constant density would not be real"
             )
         c2 = (m - 1) * mu / (n - 1)
+        if not math.isfinite(c2):
+            raise ModelError(
+                "qe_sphere needs a finite density constant (m-1) mu/(n-1) "
+                f"(got m = {m}, mu = {mu})"
+            )
         lam = (n - 1) / (2.0 * (n + m - 1))
         return ModelSpec(
             name=name, n=n, m=m, mu=mu, coords=coords,
             g_exprs=_delta_exprs(n, f"4/(1+{_r2_text(n)})^2"),
-            f_expr=parse_expression(f"{np.sqrt(c2):.17g}"),
+            f_expr=Num(math.sqrt(c2)),
             lam=lam,
             domain="any chart point (the chart covers the sphere minus a point)",
         )

@@ -445,7 +445,9 @@ def suite_variational(rng) -> list:
     omega = random_combination(rng, 3)
     out.append(CheckResult(
         "variational", "conformally_invariant_order",
-        abs(variational.first_variation(invariant_model, grid, 3, omega)), 0.0,
+        abs(variational.first_variation(
+            invariant_model, grid, 3, variational.field_values(omega, grid))),
+        0.0,
     ))
 
     trials = coordinate_harmonics(3) + degree_two_harmonics(3)

@@ -70,12 +70,6 @@ def partition_profile(r):
     return smoothstep_down(s)
 
 
-@dataclass(frozen=True)
-class Chart:
-    index: int
-    sign: float
-
-
 class QuadratureGrid:
     """Two-chart quadrature for integrals over the round n-sphere.
 
@@ -84,6 +78,8 @@ class QuadratureGrid:
     exactly, giving ~resolution^n nodes over both charts.  Node weights
     include the partition of unity and the round-metric volume factor,
     so ``sum(weights) = Vol(S^n)`` up to the radial quadrature error.
+    ``charts`` holds each chart's sign; both charts share the node array
+    ``points`` and its ``D = node_D(points)``, computed once here.
     """
 
     def __init__(self, n: int, resolution: int = _DEFAULT_RESOLUTION):
@@ -93,7 +89,7 @@ class QuadratureGrid:
             raise DomainError("resolution must be at least 4")
         self.n = n
         self.resolution = resolution
-        self.charts = (Chart(0, 1.0), Chart(1, -1.0))
+        self.charts = (1.0, -1.0)
 
         xs, ws = leggauss(resolution)
         r = 0.5 * _RADIUS * (xs + 1.0)
@@ -131,6 +127,7 @@ class QuadratureGrid:
         self.points = X[keep]
         self.weights = weights[keep]
         self.conf = conf[keep]
+        self.D = node_D(self.points)
         self._bound = {}   # id(model) -> GridStructure, which holds the model
         self._lb = None    # (field, per-chart Laplace-Beltrami values), last field
 
@@ -146,8 +143,10 @@ class QuadratureGrid:
         most recent field only; the entry holds the field, so its id is
         never reused while the values are kept."""
         if self._lb is None or self._lb[0] is not field:
-            self._lb = (field, [laplace_beltrami_values(field, c, self.points)
-                                for c in self.charts])
+            self._lb = (field, [
+                laplace_beltrami_values(field, sign, self.points, self.D)
+                for sign in self.charts
+            ])
         return self._lb[1]
 
     @property
@@ -252,51 +251,37 @@ def functional_F_k(model: ModelSpec, grid: QuadratureGrid, k: int) -> float:
 
 
 def field_values(field: SphereField, grid: QuadratureGrid) -> list:
-    return [field.value(c, grid.points) for c in grid.charts]
-
-
-def weighted_mean(model: ModelSpec, grid: QuadratureGrid, values) -> float:
-    bound = grid.bind(model)
-    return grid.integrate([v * bound.fm for v in values]) / bound.wvol
+    """Per-chart values of the field on the grid nodes."""
+    return [field.value(sign, grid.points, grid.D) for sign in grid.charts]
 
 
 def project_mean_zero(model: ModelSpec, grid: QuadratureGrid, field: SphereField):
     """Subtract the weighted mean; returns per-chart value arrays."""
+    bound = grid.bind(model)
     values = field_values(field, grid)
-    c = weighted_mean(model, grid, values)
+    c = grid.integrate([v * bound.fm for v in values]) / bound.wvol
     return [v - c for v in values]
 
 
 def first_variation(model: ModelSpec, grid: QuadratureGrid, k: int,
                     omega_values) -> float:
-    """(n+m-2k) * integral of v_k omega f^m.
-
-    ``omega_values`` is a SphereField or per-chart value arrays.
-    """
+    """(n+m-2k) * integral of v_k omega f^m, for per-chart value arrays
+    ``omega_values`` (``field_values`` or ``project_mean_zero``)."""
     bound = grid.bind(model)
-    if isinstance(omega_values, SphereField):
-        omega_values = field_values(omega_values, grid)
     vk = bound.vk(k)
     factor = model.n + model.m - 2.0 * k
     return factor * grid.integrate([vk * bound.fm * v for v in omega_values])
 
 
-def laplace_beltrami_values(field: SphereField, chart, X: np.ndarray) -> np.ndarray:
+def laplace_beltrami_values(field: SphereField, sign: float, X: np.ndarray,
+                            D: np.ndarray) -> np.ndarray:
     """Laplacian of the field in the round metric, from chart data:
-    for g = conf * delta with conf = 4/D^2, D = 1 + r^2,
+    for g = conf * delta with conf = 4/D^2, D = node_D(X) = 1 + r^2,
     Delta_g u = (D^2/4) (Delta u - 2 (n-2) x.grad u / D)."""
     n = X.shape[1]
-    D = node_D(X)
-    flat_lap = field.laplacian(chart, X, D)
-    radial = np.einsum("ij,ij->i", X, field.grad(chart, X, D))
+    flat_lap = field.laplacian(sign, X, D)
+    radial = np.einsum("ij,ij->i", X, field.grad(sign, X, D))
     return (D**2 / 4.0) * (flat_lap - (n - 2.0) * 2.0 * radial / D)
-
-
-def grad_norm2_values(field: SphereField, chart, X: np.ndarray) -> np.ndarray:
-    D = node_D(X)
-    du = field.grad(chart, X, D)
-    flat = np.einsum("ij,ij->i", du, du)
-    return (D**2 / 4.0) * flat
 
 
 def delta_vk_identity_check(model: ModelSpec, grid: QuadratureGrid, k: int,
@@ -378,17 +363,27 @@ def second_variation_sign_certificate(n: int, m: float, k: int, lam: float) -> i
     return int(np.sign(c_k_constant(n, m, k) * lam ** (k - 1)))
 
 
+def _mass_and_energy(model: ModelSpec, grid: QuadratureGrid,
+                     field: SphereField) -> tuple:
+    """Weighted mass of the trial's mean-zero projection and its weighted
+    Dirichlet energy, with |grad u|_g^2 = (D^2/4) |grad u|^2 in the chart."""
+    fm = grid.bind(model).fm
+    values = project_mean_zero(model, grid, field)
+    mass = grid.integrate([v**2 * fm for v in values])
+    grads = (field.grad(sign, grid.points, grid.D) for sign in grid.charts)
+    energy = grid.integrate(
+        [(grid.D**2 / 4.0) * np.einsum("ij,ij->i", du, du) * fm for du in grads]
+    )
+    return mass, energy
+
+
 def rayleigh_quotient(model: ModelSpec, grid: QuadratureGrid,
                       field: SphereField) -> float:
     """Dirichlet energy over mass for the mean-zero projection of the trial."""
-    fm = grid.bind(model).fm
+    grid.bind(model)
     _require_constant_density(model)
-    values = project_mean_zero(model, grid, field)
-    num = grid.integrate(
-        [grad_norm2_values(field, c, grid.points) * fm for c in grid.charts]
-    )
-    den = grid.integrate([v**2 * fm for v in values])
-    return num / den
+    mass, energy = _mass_and_energy(model, grid, field)
+    return energy / mass
 
 
 def second_variation(model: ModelSpec, grid: QuadratureGrid, k: int,
@@ -408,11 +403,7 @@ def second_variation(model: ModelSpec, grid: QuadratureGrid, k: int,
     n, m, lam = model.n, model.m, model.lam
     nm = n + m
 
-    values = project_mean_zero(model, grid, field)
-    omega2 = grid.integrate([v**2 * bound.fm for v in values])
-    dirichlet = grid.integrate(
-        [grad_norm2_values(field, c, grid.points) * bound.fm for c in grid.charts]
-    )
+    omega2, dirichlet = _mass_and_energy(model, grid, field)
 
     vk, lk = bound.series_scales(k)
     q_general = -(nm - 2.0 * k) * (2.0 * k * vk * omega2 + lk * dirichlet)

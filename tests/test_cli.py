@@ -311,6 +311,42 @@ def test_vk_generated_expansion_error_names_model_and_point(capsys, tmp_path,
     assert err == f"error: ambient expansion of model '{path}' {tail}\n"
 
 
+@pytest.mark.parametrize("lam", ["1e60", "1e154"])
+def test_vk_overflowing_series_names_model_and_point(capsys, tmp_path, lam):
+    # the expansion itself is finite; its volume series and obstructions
+    # overflow to inf and nan
+    path = tmp_path / "flat.cfg"
+    path.write_text(
+        "[space]\nn = 3\nm = 2\n\n[metric]\ng_11 = 1\ng_22 = 1\ng_33 = 1\n\n"
+        f"[ambient]\nlambda = {lam}\n"
+    )
+    code, out, err = run_cli(capsys, "vk", "--model", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: volume series of model '{path}' is not finite "
+                   "at point (0, 0, 0)\n")
+
+
+def test_repeated_coordinate_name_exits_2(capsys, tmp_path):
+    # x would name the second coordinate, so the metric would read 1+y^2
+    path = _model_2d(tmp_path, "1+x^2", space="coords = x, x\n")
+    path.write_text(path.read_text().replace("g_22 = 1\n", "g_22 = 1+x^2\n"))
+    code, out, err = run_cli(capsys, "curvature", "--model", str(path),
+                             "--point", "0.5,0.3")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: model '{path}' repeats the coordinate name 'x'\n"
+
+
+def test_qe_sphere_overflowing_density_constant_exits_2(capsys):
+    code, out, err = run_cli(capsys, "curvature", "--model", "qe_sphere",
+                             "--m", "1e308", "--mu", "1e308")
+    assert code == 2
+    assert out == ""
+    assert err == ("error: qe_sphere needs a finite density constant "
+                   "(m-1) mu/(n-1) (got m = 1e+308, mu = 1e+308)\n")
+
+
 _FLAT2 ="[space]\nn = 2\n\n[metric]\ng_11 = 1\ng_22 = 1\n"
 
 

@@ -26,12 +26,12 @@ from wrvc.models import builtin_model
 from wrvc.rho import AmbientExpansion
 from wrvc import suites, variational
 from wrvc.variational import (
-    Chart,
     GridStructure,
     QuadratureGrid,
     c_k_constant,
     delta_vk_identity_check,
     eigenvalue_bound_check,
+    field_values,
     first_variation,
     functional_F_k,
     laplace_beltrami_values,
@@ -66,7 +66,7 @@ def qe3():
 # -- fields against the jet oracle ----------------------------------------
 
 
-def field_as_jets(field, chart, point, order=3):
+def field_as_jets(field, sign, point, order=3):
     """Evaluate a sphere field through the expression/jet machinery."""
     n = len(point)
     env = {
@@ -78,7 +78,7 @@ def field_as_jets(field, chart, point, order=3):
         text = f"2*{('x', 'y', 'z', 'w')[field.a]}/(1+{r2_text})"
     else:
         text = f"({r2_text}-1)/(1+{r2_text})"
-        if chart.sign < 0:
+        if sign < 0:
             text = f"-({text})"
     return evaluate(parse_expression(text), env)
 
@@ -87,14 +87,14 @@ def field_as_jets(field, chart, point, order=3):
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_harmonic_fields_match_jets(a, sign):
     rng = np.random.default_rng(a)
-    chart = Chart(0 if sign > 0 else 1, sign)
     field = AmbientCoordinate(a, 3)
     X = rng.uniform(-1.5, 1.5, (6, 3))
-    vals = field.value(chart, X)
-    grads = field.grad(chart, X)
-    hesses = field.hess(chart, X)
+    D = fields.node_D(X)
+    vals = field.value(sign, X, D)
+    grads = field.grad(sign, X, D)
+    hesses = field.hess(sign, X, D)
     for idx in range(len(X)):
-        jet = field_as_jets(field, chart, X[idx])
+        jet = field_as_jets(field, sign, X[idx])
         assert vals[idx] == pytest.approx(jet.value, abs=1e-12)
         for i in range(3):
             e = tuple(int(i == t) for t in range(3))
@@ -108,28 +108,32 @@ def test_harmonic_fields_match_jets(a, sign):
 
 def test_product_field_consistency():
     rng = np.random.default_rng(5)
-    chart = Chart(0, 1.0)
     f = Product(AmbientCoordinate(0, 3), AmbientCoordinate(3, 3))
     X = rng.uniform(-1.0, 1.0, (4, 3))
+    D = fields.node_D(X)
     u = AmbientCoordinate(0, 3)
     v = AmbientCoordinate(3, 3)
-    assert np.allclose(f.value(chart, X), u.value(chart, X) * v.value(chart, X))
+    assert np.allclose(f.value(1.0, X, D), u.value(1.0, X, D) * v.value(1.0, X, D))
     # numeric derivative check of the product gradient
     eps = 1e-6
+
+    def value_at(Y):
+        return f.value(1.0, Y, fields.node_D(Y))
+
     for i in range(3):
         shift = np.zeros(3)
         shift[i] = eps
-        num = (f.value(chart, X + shift) - f.value(chart, X - shift)) / (2 * eps)
-        assert np.allclose(f.grad(chart, X)[:, i], num, atol=1e-8)
+        num = (value_at(X + shift) - value_at(X - shift)) / (2 * eps)
+        assert np.allclose(f.grad(1.0, X, D)[:, i], num, atol=1e-8)
 
 
 def test_harmonics_are_eigenfunctions():
-    chart = Chart(0, 1.0)
     rng = np.random.default_rng(7)
     X = rng.uniform(-2.0, 2.0, (50, 3))
+    D = fields.node_D(X)
     for field in coordinate_harmonics(3):
-        lap = laplace_beltrami_values(field, chart, X)
-        assert np.allclose(lap, -3.0 * field.value(chart, X), atol=1e-11)
+        lap = laplace_beltrami_values(field, 1.0, X, D)
+        assert np.allclose(lap, -3.0 * field.value(1.0, X, D), atol=1e-11)
 
 
 @settings(max_examples=40, deadline=None)
@@ -139,35 +143,35 @@ def test_flat_laplacian_is_hessian_trace(seed, n, sign, spread):
     # the closed-form flat Laplacian against the trace of the (N, n, n)
     # Hessian, per node, relative to the size of the diagonal entries
     rng = np.random.default_rng(seed)
-    chart = Chart(0 if sign > 0 else 1, sign)
     field = random_combination(rng, n)
     X = rng.uniform(-spread, spread, (25, n))
-    hess = field.hess(chart, X)
+    D = fields.node_D(X)
+    hess = field.hess(sign, X, D)
     trace = np.trace(hess, axis1=1, axis2=2)
     scale = np.abs(np.diagonal(hess, axis1=1, axis2=2)).sum(axis=1)
-    lap = field.laplacian(chart, X)
+    lap = field.laplacian(sign, X, D)
     assert np.all(np.abs(lap - trace) <= 1e-12 * scale)
-    D = fields.node_D(X)
-    assert np.array_equal(field.laplacian(chart, X, D), lap)
+    # per node: a sub-array of nodes with its slice of D gives the same rows
+    assert np.array_equal(field.laplacian(sign, X[::3], D[::3]), lap[::3])
 
 
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_laplace_beltrami_eigenvalues(n, sign):
     # Delta xi = -l(l+n-1) xi: l = 1 for coordinates, l = 2 for xi_a xi_b
-    chart = Chart(0 if sign > 0 else 1, sign)
     X = np.random.default_rng(n).uniform(-2.0, 2.0, (60, n))
+    D = fields.node_D(X)
     for field in coordinate_harmonics(n):
-        lap = laplace_beltrami_values(field, chart, X)
-        assert np.allclose(lap, -n * field.value(chart, X), rtol=1e-12, atol=1e-12)
+        lap = laplace_beltrami_values(field, sign, X, D)
+        assert np.allclose(lap, -n * field.value(sign, X, D), rtol=1e-12, atol=1e-12)
     for field in degree_two_harmonics(n):
-        lap = laplace_beltrami_values(field, chart, X)
-        assert np.allclose(lap, -2.0 * (n + 1) * field.value(chart, X),
+        lap = laplace_beltrami_values(field, sign, X, D)
+        assert np.allclose(lap, -2.0 * (n + 1) * field.value(sign, X, D),
                            rtol=1e-12, atol=1e-12)
 
 
 def test_quadrature_paths_never_build_a_hessian(monkeypatch, grid3, qe3):
-    def no_hessian(self, chart, X, D=None):
+    def no_hessian(self, sign, X, D):
         raise AssertionError(f"{type(self).__name__}.hess called")
 
     for cls in (SphereField, Constant, AmbientCoordinate, Sum, Product):
@@ -186,8 +190,8 @@ def test_chart_transition_consistency():
     X = rng.uniform(0.2, 1.5, (10, 3))
     Xb = X / np.sum(X**2, axis=1)[:, None]
     for field in coordinate_harmonics(3):
-        va = field.value(Chart(0, 1.0), X)
-        vb = field.value(Chart(1, -1.0), Xb)
+        va = field.value(1.0, X, fields.node_D(X))
+        vb = field.value(-1.0, Xb, fields.node_D(Xb))
         assert np.allclose(va, vb, atol=1e-12)
 
 
@@ -358,7 +362,7 @@ def test_first_variation_conformally_invariant_order(grid3):
     assert first_variation(model, grid3, 3, ones) == 0.0
     rng = np.random.default_rng(3)
     omega = random_combination(rng, 3)
-    assert first_variation(model, grid3, 3, omega) == 0.0
+    assert first_variation(model, grid3, 3, field_values(omega, grid3)) == 0.0
 
 
 def test_divergence_identity(grid3, qe3):
@@ -384,15 +388,35 @@ def test_suite_evaluates_each_trial_laplacian_once(monkeypatch):
     fields_seen = []
     original = variational.laplace_beltrami_values
 
-    def counted(field, chart, X):
+    def counted(field, sign, X, D):
         fields_seen.append(field)
-        return original(field, chart, X)
+        return original(field, sign, X, D)
 
     monkeypatch.setattr(variational, "laplace_beltrami_values", counted)
     suites.suite_variational(np.random.default_rng(suites.DEFAULT_SEED))
     # ten trials, two charts each, shared by k = 1, 2, 3
     assert len(fields_seen) == 20
     assert len({id(f) for f in fields_seen}) == 10
+
+
+def test_suite_computes_node_D_once_per_grid(monkeypatch):
+    grids, calls = [], []
+    init, node_D = QuadratureGrid.__init__, fields.node_D
+
+    def counted_init(self, *args, **kwargs):
+        grids.append(args)
+        init(self, *args, **kwargs)
+
+    def counted_node_D(X):
+        calls.append(len(X))
+        return node_D(X)
+
+    monkeypatch.setattr(QuadratureGrid, "__init__", counted_init)
+    monkeypatch.setattr(fields, "node_D", counted_node_D)
+    monkeypatch.setattr(variational, "node_D", counted_node_D)
+    suites.suite_variational(np.random.default_rng(suites.DEFAULT_SEED))
+    assert len(grids) == 4
+    assert len(calls) == len(grids)
 
 
 def test_divergence_identity_memo_cold_and_warm(qe3):
@@ -410,9 +434,9 @@ def test_divergence_identity_memo_cold_and_warm(qe3):
     delta_vk_identity_check(qe3, grid, 1, first)
     del first
     second = AmbientCoordinate(2, 3)
-    for chart, values in zip(grid.charts, grid._laplace_beltrami(second)):
-        assert np.array_equal(values,
-                              laplace_beltrami_values(second, chart, grid.points))
+    for sign, values in zip(grid.charts, grid._laplace_beltrami(second)):
+        assert np.array_equal(
+            values, laplace_beltrami_values(second, sign, grid.points, grid.D))
     assert delta_vk_identity_check(qe3, grid, 2, second) == \
         delta_vk_identity_check(qe3, QuadratureGrid(3, resolution=20), 2, second)
 
