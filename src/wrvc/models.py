@@ -25,7 +25,7 @@ from .geometry import MetricAtPoint
 from .jets import Jet, n_coeffs
 from .rho import (
     AmbientExpansion,
-    _read_ambient_file,
+    load_ambient_file,
     obstruction_tensors,
     volume_coefficients,
 )
@@ -226,13 +226,7 @@ class ModelSpec:
 
     def _file_ambient(self, K: int | None) -> AmbientExpansion:
         path = self.ambient_file
-        expansion, m, mu, line = _read_ambient_file(path)
-        if (expansion.n, m, mu) != (self.n, self.m, self.mu):
-            raise ModelError(
-                f"{path}:{line}: header n m mu = {expansion.n} {m:g} {mu:g} "
-                f"does not match model {self.name!r} "
-                f"(n m mu = {self.n} {self.m:g} {self.mu:g})"
-            )
+        expansion, _, _ = load_ambient_file(path, model=self)
         if K is None:
             return expansion
         if not 1 <= K <= expansion.K:

@@ -258,7 +258,8 @@ class AmbientExpansion:
 
     ``gcoeffs[k]`` and ``fcoeffs[k]`` are Taylor coefficients
     (1/k!) d_rho^k at rho = 0, so gcoeffs[0] is the base metric and
-    fcoeffs[0] the base density.
+    fcoeffs[0] the base density.  The base density must be positive and
+    the base metric positive definite.
     """
 
     gcoeffs: np.ndarray   # (K+1, ..., n, n)
@@ -273,6 +274,8 @@ class AmbientExpansion:
             raise DimensionMismatch("gcoeffs and fcoeffs must share the order axis")
         if np.any(self.fcoeffs[0] <= 0.0):
             raise DomainError("base density must be positive")
+        if np.any(np.linalg.eigvalsh(self.gcoeffs[0]) <= 0.0):
+            raise DomainError("base metric must be positive definite")
 
     @property
     def n(self) -> int:
@@ -489,17 +492,12 @@ def save_ambient_file(a: AmbientExpansion, m: float, mu: float, path):
         fh.write("\n".join(lines) + "\n")
 
 
-def load_ambient_file(path):
+def load_ambient_file(path, model=None):
     """Read a coefficient file; returns (expansion, m, mu).
 
-    Every malformed header or row raises ``DomainError`` naming
-    ``path:line``."""
-    expansion, m, mu, _ = _read_ambient_file(path)
-    return expansion, m, mu
-
-
-def _read_ambient_file(path):
-    """``load_ambient_file`` plus the line number of the header."""
+    The header must match ``model`` (a ``ModelSpec``) when one is given.  A
+    malformed header or row raises ``DomainError`` naming ``path:line``;
+    base data that ``AmbientExpansion`` rejects names the header's line."""
     try:
         with open(path) as fh:
             raw = [(num, ln.strip()) for num, ln in enumerate(fh, start=1)
@@ -537,6 +535,9 @@ def _read_ambient_file(path):
     if not (1 <= n <= MAX_DIM and 0 <= K <= MAX_AMBIENT_ORDER):
         fail(num, f"header needs n in 1..{MAX_DIM} and K in 0..{MAX_AMBIENT_ORDER}, "
                   f"got n = {n}, K = {K}")
+    if model is not None and (n, m, mu) != (model.n, model.m, model.mu):
+        fail(num, f"header n m mu = {n} {m:g} {mu:g} does not match model "
+                  f"{model.name!r} (n m mu = {model.n} {model.m:g} {model.mu:g})")
     gcoeffs = np.zeros((K + 1, n, n))
     fcoeffs = np.zeros(K + 1)
     for num, ln in raw[1:]:
@@ -550,5 +551,10 @@ def _read_ambient_file(path):
             fcoeffs[index(num, parts[1], K + 1, "k")] = number(num, parts[2])
         else:
             fail(num, f"unrecognized row in ambient file: {ln!r}")
-    gcoeffs = 0.5 * (gcoeffs + np.swapaxes(gcoeffs, -1, -2))
-    return AmbientExpansion(gcoeffs=gcoeffs, fcoeffs=fcoeffs), m, mu, raw[0][0]
+    # halves first, so two entries near the float limit do not overflow
+    gcoeffs = 0.5 * gcoeffs + 0.5 * np.swapaxes(gcoeffs, -1, -2)
+    try:
+        expansion = AmbientExpansion(gcoeffs=gcoeffs, fcoeffs=fcoeffs)
+    except DomainError as exc:
+        fail(raw[0][0], str(exc))
+    return expansion, m, mu

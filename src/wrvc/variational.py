@@ -29,13 +29,12 @@ from .expr import evaluate, has_vars
 from .fields import SphereField, coordinate_harmonics, node_D
 from .models import ModelSpec
 from .rho import _volume_and_l_operator
-from .weighted import generalized_binomial, weighted_invariants
+from .weighted import generalized_binomial
 
 _CHUNK = 8192
 _DEFAULT_RESOLUTION = 40
 _RADIUS = 3.0        # chart radius where the partition of unity reaches 0
 _PROFILE_DEGREE = 11
-_SAMPLE_NODES = 32   # nodes checked by the eigenvalue bound's precondition
 _BOUND_TOL = 1e-6    # margin of the eigenvalue bound against 2(n+m) lam
 
 
@@ -209,12 +208,18 @@ class GridStructure:
         self.wvol = grid.integrate([self.fm, self.fm])
         self._scales = {}
 
-    def vk(self, k: int) -> float:
-        """v_k, the same on every node (both charts)."""
+    @property
+    def lam(self) -> float:
+        """The model's proportionality constant; grid operations need it."""
         if self.model.lam is None:
             raise ModelError(
-                f"model {self.model.name!r} has no ambient generator for grids"
+                f"grid operations need a proportional model; model "
+                f"{self.model.name!r} has no proportionality constant"
             )
+        return self.model.lam
+
+    def vk(self, k: int) -> float:
+        """v_k, the same on every node (both charts)."""
         if np.any(self.f <= 0.0):
             raise DomainError("base density must be positive")
         return self.series_scales(k)[0]
@@ -223,6 +228,7 @@ class GridStructure:
         """(v_k, l_k) at the reference point, extracted through the rho-series
         path: v_k scalar and the scale l_k with (L_k)^{ij} = l_k g^{ij}."""
         if k not in self._scales:
+            self.lam   # raises unless the expansion is the lam-scaled one
             model = self.model
             a = model.ambient_at(model.default_point, K=k)
             vk, L = _volume_and_l_operator(a, model.m, k)
@@ -294,8 +300,6 @@ def delta_vk_identity_check(model: ModelSpec, grid: QuadratureGrid, k: int,
     """
     bound = grid.bind(model)
     _require_constant_density(model)
-    if model.lam is None:
-        raise ModelError("identity check needs a proportional (lam) model")
     _, lk = bound.series_scales(k)
     vals = [lk * lb * bound.fm for lb in grid._laplace_beltrami(field)]
     return abs(grid.integrate(vals))
@@ -397,10 +401,10 @@ def second_variation(model: ModelSpec, grid: QuadratureGrid, k: int,
     """
     bound = grid.bind(model)
     _require_constant_density(model)
-    if model.lam is None or model.lam == 0.0:
-        raise ModelError("second variation needs a proportional model with "
-                         "nonzero constant")
-    n, m, lam = model.n, model.m, model.lam
+    n, m, lam = model.n, model.m, bound.lam
+    if lam == 0.0:
+        raise ModelError("second variation needs a nonzero proportionality "
+                         "constant")
     nm = n + m
 
     omega2, dirichlet = _mass_and_energy(model, grid, field)
@@ -432,30 +436,25 @@ class EigenvalueBoundReport:
     quotients: list
     min_quotient: float
     strict_expected: bool
-    precondition_residual: float
     passed: bool
 
 
 def eigenvalue_bound_check(model: ModelSpec, grid: QuadratureGrid) -> EigenvalueBoundReport:
     """Rayleigh quotients of the mean-zero coordinate harmonics against the
     spectral bound 2(n+m) lam, after verifying the curvature lower bound
-    Ric_phi >= 2(n+m-1) lam g on a deterministic node subsample."""
-    grid.bind(model)
-    _require_constant_density(model)
-    if model.lam is None:
-        raise ModelError("eigenvalue bound needs a proportional model")
-    n, m, lam = model.n, model.m, model.lam
+    Ric_phi >= 2(n+m-1) lam g on every node.
 
-    step = max(1, len(grid.points) // _SAMPLE_NODES)
-    worst = 0.0
-    for point in grid.points[::step][:_SAMPLE_NODES]:
-        p = model.structure_at(point, order=2)
-        w = weighted_invariants(p)
-        gap = w.ric_phi - 2.0 * (n + m - 1.0) * lam * p.g.matrix
-        worst = max(worst, float(max(0.0, -np.linalg.eigvalsh(gap).min())))
+    ``grid.bind`` has checked the round metric g = conf * delta on every
+    node and the density is constant, so Ric_phi = (n-1) g and the
+    gap Ric_phi - 2(n+m-1) lam g is ((n-1) - 2(n+m-1) lam) conf * I."""
+    structure = grid.bind(model)
+    _require_constant_density(model)
+    n, m, lam = model.n, model.m, structure.lam
+
+    worst = max(0.0, 2.0 * (n + m - 1.0) * lam - (n - 1.0)) * float(grid.conf.max())
     if worst > 1e-8:
         raise DomainError(
-            f"curvature lower bound fails on the sample (violation {worst:.3e})"
+            f"curvature lower bound fails on the grid (violation {worst:.3e})"
         )
 
     quotients = [rayleigh_quotient(model, grid, f) for f in coordinate_harmonics(n)]
@@ -470,6 +469,5 @@ def eigenvalue_bound_check(model: ModelSpec, grid: QuadratureGrid) -> Eigenvalue
         quotients=quotients,
         min_quotient=min_q,
         strict_expected=strict,
-        precondition_residual=worst,
         passed=passed,
     )

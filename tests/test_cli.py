@@ -1,5 +1,6 @@
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -375,9 +376,9 @@ def _ambient_model(tmp_path, bad_row, header="2 2 0 2"):
     coeff_path.write_text(
         f"{header}\n"
         "g 0 0 0 1\n"
-        "g 0 1 1 1\n"
-        f"{bad_row}\n"
         "f 0 1\n"
+        f"{bad_row}\n"
+        "g 0 1 1 1\n"
     )
     model_path = tmp_path / "model.cfg"
     model_path.write_text(
@@ -392,15 +393,78 @@ def _ambient_model(tmp_path, bad_row, header="2 2 0 2"):
     ("g 9 0 0 1", "k = 9 outside 0..2"),
     ("g 1 0 2 1", "j = 2 outside 0..1"),
     ("f 1 x", "bad number 'x'"),
+    ("f 0 0", "base density must be positive"),
+    ("f 0 -1", "base density must be positive"),
+    ("g 0 0 0 -1", "base metric must be positive definite"),
+    ("g 0 1 0 2", "base metric must be positive definite"),
 ])
 def test_vk_bad_ambient_row_exits_2(capsys, tmp_path, bad_row, cause):
+    # base data is checked as a whole and named at the header's line
+    line = 1 if cause.startswith("base ") else 4
     coeff_path, model_path = _ambient_model(tmp_path, bad_row)
     code, out, err = run_cli(capsys, "vk", "--model", str(model_path),
                              "--order", "2")
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert f"{coeff_path}:4: {cause}" in err
+    assert f"{coeff_path}:{line}: {cause}" in err
+
+
+def test_vk_coefficient_file_without_base_density_exits_2(capsys, tmp_path):
+    coeff_path, model_path = _ambient_model(tmp_path, "f 1 0")
+    coeff_path.write_text(coeff_path.read_text().replace("f 0 1\n", ""))
+    code, out, err = run_cli(capsys, "vk", "--model", str(model_path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {coeff_path}:1: base density must be positive\n"
+
+
+def test_vk_coefficient_row_near_float_limit_exits_2(capsys, tmp_path):
+    # the row itself is finite: symmetrizing it must not overflow (pytest
+    # turns the warning into an error), the volume series does
+    _, model_path = _ambient_model(tmp_path, "g 2 1 1 -1e308")
+    code, out, err = run_cli(capsys, "vk", "--model", str(model_path))
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: volume series of model '{model_path}' is not "
+                   "finite at point (0, 0)\n")
+
+
+# mostly in-range indices and finite values, so that most files get past
+# the row checks to the base data and the series
+_COEFF_INDEX = st.sampled_from(["0", "1"] * 4 + ["2", "-1", "3", "x"])
+_COEFF_VALUE = st.sampled_from(
+    ["0", "1", "-1", "0.5", "1e308", "-1e308", "1e-320"] * 2 + ["nan", "inf", "one"])
+_COEFF_ROW = st.one_of(
+    st.builds("g {} {} {} {}".format, _COEFF_INDEX, _COEFF_INDEX, _COEFF_INDEX,
+              _COEFF_VALUE),
+    st.builds("f {} {}".format, _COEFF_INDEX, _COEFF_VALUE),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=st.lists(_COEFF_ROW, max_size=6), base=st.booleans())
+def test_coefficient_file_fuzz_exits_0_or_one_error_line(capsys, tmp_path, rows,
+                                                         base):
+    # with ``base`` the random rows follow (and may overwrite) a valid flat
+    # base metric and density, so the series code is reached too
+    coeff_path, model_path = _ambient_model(tmp_path, "f 1 0")
+    lines = ["2 2 0 2"] + (["g 0 0 0 1", "g 0 1 1 1", "f 0 1"] if base else [])
+    coeff_path.write_text("\n".join(lines + rows) + "\n")
+    code, out, err = run_cli(capsys, "vk", "--model", str(model_path), "--json")
+    assert code in (0, 2)
+    if code == 2:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+    else:
+        assert err == ""
+        json.loads(out, parse_constant=_reject_non_finite)
+
+
+def _reject_non_finite(token):
+    raise AssertionError(f"non-finite {token} in the output")
 
 
 def test_vk_good_ambient_file(capsys, tmp_path):
@@ -496,6 +560,33 @@ def test_deep_model_expression_exits_2(capsys, tmp_path, component):
     assert err.startswith("error: expression nests deeper than 200 levels "
                           "(at offset ")
     assert err.count("\n") == 1
+
+
+def _readme_model_file(tmp_path):
+    """The example of README's ``### Model files`` section, as a file."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("### Model files", 1)[1]
+    example = section.split("```\n", 2)[1]
+    path = tmp_path / "readme.cfg"
+    path.write_text(example)
+    return path
+
+
+@pytest.mark.parametrize("command", ["curvature", "vk"])
+def test_readme_model_file_example_matches_builtin(capsys, tmp_path, command):
+    path = _readme_model_file(tmp_path)
+    point = ("--point", "0.1,0.2,0.0")
+    code, out, _ = run_cli(capsys, command, "--model", str(path), *point, "--json")
+    assert code == 0
+    documented = json.loads(out)["values"]
+    code, out, _ = run_cli(capsys, command, "--model", "qe_sphere", "--n", "3",
+                           "--m", "2", "--mu", "1", *point, "--json")
+    assert code == 0
+    builtin = json.loads(out)["values"]
+    assert list(documented) == list(builtin)
+    for key in builtin:
+        np.testing.assert_allclose(documented[key], builtin[key], rtol=0,
+                                   atol=1e-12, err_msg=key)
 
 
 # -- verify -----------------------------------------------------------------------

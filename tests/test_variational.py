@@ -1,6 +1,8 @@
 import dataclasses
 import gc
 import math
+import re
+import sys
 import weakref
 
 import numpy as np
@@ -22,8 +24,9 @@ from wrvc.fields import (
     random_combination,
 )
 from wrvc.jets import Jet
-from wrvc.models import builtin_model
+from wrvc.models import ModelSpec, builtin_model
 from wrvc.rho import AmbientExpansion
+from wrvc.weighted import weighted_invariants
 from wrvc import suites, variational
 from wrvc.variational import (
     GridStructure,
@@ -532,6 +535,56 @@ def test_eigenvalue_bound_equality_unweighted(grid3):
     assert rep.min_quotient == pytest.approx(3.0, abs=1e-4)
     assert not rep.strict_expected
     assert rep.passed
+
+
+def test_eigenvalue_bound_precondition_rejects_lam_above_bound(grid3, qe3):
+    # qe_sphere sits at lam = (n-1)/(2(n+m-1)) = 0.25, where the gap is 0
+    assert eigenvalue_bound_check(qe3, grid3).passed
+    over = dataclasses.replace(qe3, lam=0.3)
+    worst = (2.0 * 4.0 * 0.3 - 2.0) * grid3.conf.max()
+    with pytest.raises(DomainError, match=re.escape(
+            f"curvature lower bound fails on the grid (violation {worst:.3e})")):
+        eigenvalue_bound_check(over, grid3)
+
+
+def test_eigenvalue_bound_gap_closed_form_matches_jets(grid3):
+    # the closed form ((n-1) - 2(n+m-1) lam) conf I against jet curvature
+    over = dataclasses.replace(builtin_model("qe_sphere", 3, 2, 1), lam=0.3)
+    for node in range(0, len(grid3.points), len(grid3.points) // 7):
+        p = over.structure_at(grid3.points[node], order=2)
+        gap = weighted_invariants(p).ric_phi - 2.0 * 4.0 * 0.3 * p.g.matrix
+        np.testing.assert_allclose(
+            gap, (2.0 - 2.0 * 4.0 * 0.3) * grid3.conf[node] * np.eye(3),
+            rtol=0, atol=1e-12)
+
+
+def test_variational_suite_evaluates_no_jets(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the variational suite evaluated jet curvature")
+
+    monkeypatch.setattr(ModelSpec, "structure_at", forbidden)
+    for module in [mod for name, mod in sys.modules.items()
+                   if name.split(".")[0] == "wrvc"]:
+        for name in ("weighted_invariants", "curvature"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    results = suites.suite_variational(np.random.default_rng(suites.DEFAULT_SEED))
+    assert results and all(r.passed for r in results)
+
+
+def test_grid_operations_without_lam_raise_one_message(grid3):
+    rs = builtin_model("round_sphere_stereographic", 3, m=2.0)
+    assert rs.lam is None
+    xi = AmbientCoordinate(0, 3)
+    message = ("grid operations need a proportional model; model "
+               "'round_sphere_stereographic' has no proportionality constant")
+    for call in (lambda: functional_F_k(rs, grid3, 1),
+                 lambda: delta_vk_identity_check(rs, grid3, 1, xi),
+                 lambda: second_variation(rs, grid3, 1, xi),
+                 lambda: eigenvalue_bound_check(rs, grid3)):
+        with pytest.raises(ModelError) as exc:
+            call()
+        assert str(exc.value) == message
 
 
 def test_degree_two_quotient(grid3, qe3):
