@@ -25,9 +25,6 @@ from .rho import MAX_AMBIENT_ORDER
 from .suites import DEFAULT_SEED, SUITE_NAMES, run_suites
 
 
-MAX_JET_ORDER = 8   # the printed invariants need jets of order 2 only
-
-
 class UsageError(WrvcError):
     pass
 
@@ -171,11 +168,10 @@ def _model_record(model) -> dict:
 
 
 def cmd_curvature(args) -> int:
-    order = _at_most(args.jet_order, MAX_JET_ORDER, "--jet-order")
     model = resolve_model(args)
     point = (parse_point(args.point, model.n) if args.point
              else model.default_point)
-    w, lam, residual = model.invariants_at(point, order=order)
+    w, lam, residual = model.invariants_at(point)
     doc = ReportDocument(
         command="curvature",
         model=_model_record(model),
@@ -249,8 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_curv = sub.add_parser("curvature", help="pointwise weighted invariants")
     add_model_flags(p_curv)
-    p_curv.add_argument("--jet-order", type=int, default=4,
-                        help="Taylor order used for the evaluation")
     p_curv.set_defaults(func=cmd_curvature)
 
     p_vk = sub.add_parser("vk", help="volume coefficients and obstruction norms")

@@ -62,6 +62,11 @@ class ModelSpec:
     inside: Callable | None = None   # point -> bool, true exactly on ``domain``
 
     def __post_init__(self):
+        if not self.m >= 0:
+            raise ModelError(
+                f"model {self.name!r} needs a dimensional parameter m >= 0, "
+                f"got m = {self.m:g}"
+            )
         if self.default_point is None:
             self.default_point = np.zeros(self.n)
         self.default_point = np.asarray(self.default_point, dtype=float)
@@ -338,10 +343,8 @@ def builtin_model(name: str, n: int = 3, m: float | None = None,
 
 
 def quasi_einstein_coeffs(g, f, lam: float, K: int) -> AmbientExpansion:
-    """Expansion of g_rho = (1+lam rho)^2 g, f_rho = (1+lam rho) f.
-
-    Works batched: g may be (..., n, n) with f (...,) matching.
-    """
+    """Expansion of g_rho = (1+lam rho)^2 g, f_rho = (1+lam rho) f at one
+    point: g is (n, n) and f a scalar."""
     if K < 1:
         raise ModelError("ambient expansion needs K >= 1")
     g = np.asarray(g, dtype=float)

@@ -1,13 +1,11 @@
 """Truncated power series in the expansion parameter rho and the ambient
 coefficient pipeline built on them.
 
-``RhoSeries`` holds Taylor coefficients c_0..c_K (so the stored entry k is
-(1/k!) d_rho^k at 0, not the raw derivative).  Coefficients are scalars or
-symmetric matrices, optionally batched along leading axes after the order
-axis.  Every series product is one truncated Cauchy product that gathers
-all (i, k - i) pairs into a single multiply, so its temporaries hold
-about K^2/2 coefficients: sized for a few points at a time, not for a
-quadrature grid (which needs one scalar v_k per proportional model).
+``RhoSeries`` holds Taylor coefficients c_0..c_K at one point (so the
+stored entry k is (1/k!) d_rho^k at 0, not the raw derivative).  The shape
+of the coefficients says what they are: ``(K+1,)`` is a scalar series and
+``(K+1, n, n)`` a matrix series.  Every series product is one truncated
+Cauchy product that gathers all (i, k - i) pairs into a single multiply.
 
 The ambient data of a structure at a point is an ``AmbientExpansion``:
 coefficient lists of the metric family g_rho and density family f_rho.
@@ -38,9 +36,6 @@ from .jets import MAX_DIM
 
 _LEADING_TOL = 1e-300
 MAX_AMBIENT_ORDER = 32   # largest K taken from a file header or the command line
-
-_ELEMENTWISE = "i...,i...->..."
-_MATMUL = "i...jl,i...lm->...jm"
 
 
 @lru_cache(maxsize=None)
@@ -90,17 +85,22 @@ def _laplace_tables(n: int):
 
 
 class RhoSeries:
-    """Polynomial in rho, truncated at order K, with scalar or matrix
-    coefficients (optionally batched along leading axes after the first)."""
+    """Polynomial in rho at one point, truncated at order K: coefficients
+    of shape ``(K+1,)`` make a scalar series, ``(K+1, n, n)`` a matrix
+    series, and any other shape is rejected."""
 
-    def __init__(self, coeffs, kind: str = "scalar"):
-        if kind not in ("scalar", "matrix"):
-            raise DomainError(f"unknown series kind {kind!r}")
+    def __init__(self, coeffs):
         self.coeffs = np.asarray(coeffs, dtype=float)
-        self.kind = kind
-        if kind == "matrix":
-            if self.coeffs.ndim < 3 or self.coeffs.shape[-1] != self.coeffs.shape[-2]:
-                raise DimensionMismatch("matrix series needs (K+1, ..., n, n) coeffs")
+        shape = self.coeffs.shape
+        if len(shape) == 1:
+            self.kind = "scalar"
+        elif len(shape) == 3 and shape[1] == shape[2]:
+            self.kind = "matrix"
+        else:
+            raise DimensionMismatch(
+                f"series coefficients must have shape (K+1,) or (K+1, n, n), "
+                f"got {shape}"
+            )
 
     @property
     def K(self) -> int:
@@ -119,15 +119,15 @@ class RhoSeries:
             if self.kind != other.kind:
                 raise DimensionMismatch("cannot add scalar and matrix series")
             K = min(self.K, other.K)
-            return RhoSeries(self.coeffs[: K + 1] + other.coeffs[: K + 1], self.kind)
+            return RhoSeries(self.coeffs[: K + 1] + other.coeffs[: K + 1])
         out = self.coeffs.copy()
         out[0] = out[0] + other
-        return RhoSeries(out, self.kind)
+        return RhoSeries(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RhoSeries(-self.coeffs, self.kind)
+        return RhoSeries(-self.coeffs)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, RhoSeries) else -np.asarray(other))
@@ -137,15 +137,15 @@ class RhoSeries:
 
     def __mul__(self, other):
         if not isinstance(other, RhoSeries):
-            return RhoSeries(self.coeffs * float(other), self.kind)
+            return RhoSeries(self.coeffs * float(other))
         a, b = self.coeffs, other.coeffs
         if self.kind == other.kind:
-            return RhoSeries(_cauchy(a, b, matmul=self.kind == "matrix"), self.kind)
+            return RhoSeries(_cauchy(a, b, matmul=self.kind == "matrix"))
         if self.kind == "scalar":
-            a = a[..., None, None]
+            a = a[:, None, None]
         else:
-            b = b[..., None, None]
-        return RhoSeries(_cauchy(a, b), "matrix")
+            b = b[:, None, None]
+        return RhoSeries(_cauchy(a, b))
 
     __rmul__ = __mul__
 
@@ -155,7 +155,7 @@ class RhoSeries:
         """d/d rho; the truncation order drops by one."""
         if self.K < 1:
             raise OrderError("cannot differentiate an order-0 series")
-        return RhoSeries(self.coeffs[1:] * self._orders(1, self.K + 1), self.kind)
+        return RhoSeries(self.coeffs[1:] * self._orders(1, self.K + 1))
 
     def antiderivative(self) -> "RhoSeries":
         """int_0^rho; vanishing constant term, order grows by one."""
@@ -163,7 +163,7 @@ class RhoSeries:
             [np.zeros((1,) + self.coeffs.shape[1:]),
              self.coeffs / self._orders(1, self.K + 2)]
         )
-        return RhoSeries(out, self.kind)
+        return RhoSeries(out)
 
     def _orders(self, start: int, stop: int) -> np.ndarray:
         """start..stop-1 shaped to scale coefficients along the order axis."""
@@ -175,13 +175,13 @@ class RhoSeries:
     def scalar_inverse(self) -> "RhoSeries":
         self._require("scalar")
         a = self.coeffs
-        if np.any(np.abs(a[0]) <= _LEADING_TOL):
+        if abs(a[0]) <= _LEADING_TOL:
             raise DomainError("series inverse needs a nonzero leading coefficient")
         out = np.empty_like(a)
         out[0] = 1.0 / a[0]
         for k in range(1, self.K + 1):
-            out[k] = -np.einsum(_ELEMENTWISE, a[1 : k + 1], out[k - 1 :: -1]) / a[0]
-        return RhoSeries(out, "scalar")
+            out[k] = -np.einsum("i,i->", a[1 : k + 1], out[k - 1 :: -1]) / a[0]
+        return RhoSeries(out)
 
     def scalar_exp(self) -> "RhoSeries":
         self._require("scalar")
@@ -190,22 +190,22 @@ class RhoSeries:
         out = np.empty_like(a)
         out[0] = np.exp(a[0])
         for k in range(1, self.K + 1):
-            out[k] = np.einsum(_ELEMENTWISE, ja[1 : k + 1], out[k - 1 :: -1]) / k
-        return RhoSeries(out, "scalar")
+            out[k] = np.einsum("i,i->", ja[1 : k + 1], out[k - 1 :: -1]) / k
+        return RhoSeries(out)
 
     def scalar_log(self) -> "RhoSeries":
         self._require("scalar")
         a = self.coeffs
-        if np.any(a[0] <= 0.0):
+        if a[0] <= 0.0:
             raise DomainError("series log needs a positive leading coefficient")
         out = np.empty_like(a)
         jout = np.empty_like(a)   # j * out[j]
         out[0] = np.log(a[0])
         for k in range(1, self.K + 1):
-            acc = np.einsum(_ELEMENTWISE, jout[1:k], a[k - 1 : 0 : -1])
+            acc = np.einsum("i,i->", jout[1:k], a[k - 1 : 0 : -1])
             out[k] = (a[k] - acc / k) / a[0]
             jout[k] = k * out[k]
-        return RhoSeries(out, "scalar")
+        return RhoSeries(out)
 
     # -- matrix heads -------------------------------------------------------
 
@@ -219,27 +219,24 @@ class RhoSeries:
         out = np.empty_like(a)
         out[0] = b0
         for k in range(1, self.K + 1):
-            out[k] = -b0 @ np.einsum(_MATMUL, a[1 : k + 1], out[k - 1 :: -1])
-        return RhoSeries(out, "matrix")
+            out[k] = -b0 @ np.einsum("ijl,ilm->jm", a[1 : k + 1], out[k - 1 :: -1])
+        return RhoSeries(out)
 
     def matrix_det(self) -> "RhoSeries":
         """Laplace expansion down the rows: the minor on the trailing rows
         is built once per column set, and each level is one Cauchy product
-        of its stacked terms."""
+        of its stacked terms.  A trailing axis of length 1 makes each
+        level's signed sum over terms a matrix product."""
         self._require("matrix")
-        batch = self.coeffs.shape[1:-2]
-        a = np.moveaxis(self.coeffs, (-2, -1), (1, 2))
-        a = a.reshape(a.shape[:3] + (-1,))
+        a = self.coeffs[..., None]
         minors = a[:, -1]
         for row, cols, sub, signed in _laplace_tables(self.n):
             minors = signed @ _cauchy(a[:, row, cols], minors[:, sub])
-        return RhoSeries(minors[:, 0].reshape((-1,) + batch), "scalar")
+        return RhoSeries(minors[:, 0, 0])
 
     def symmetrize(self) -> "RhoSeries":
         self._require("matrix")
-        return RhoSeries(
-            0.5 * (self.coeffs + np.swapaxes(self.coeffs, -1, -2)), "matrix"
-        )
+        return RhoSeries(0.5 * (self.coeffs + np.swapaxes(self.coeffs, -1, -2)))
 
     def _require(self, kind: str):
         if self.kind != kind:
@@ -254,7 +251,7 @@ class RhoSeries:
 
 @dataclass
 class AmbientExpansion:
-    """Taylor data of (g_rho, f_rho) at one point (or a batch of points).
+    """Taylor data of (g_rho, f_rho) at one point.
 
     ``gcoeffs[k]`` and ``fcoeffs[k]`` are Taylor coefficients
     (1/k!) d_rho^k at rho = 0, so gcoeffs[0] is the base metric and
@@ -262,19 +259,21 @@ class AmbientExpansion:
     the base metric positive definite.
     """
 
-    gcoeffs: np.ndarray   # (K+1, ..., n, n)
-    fcoeffs: np.ndarray   # (K+1, ...)
+    gcoeffs: np.ndarray   # (K+1, n, n)
+    fcoeffs: np.ndarray   # (K+1,)
 
     def __post_init__(self):
         self.gcoeffs = np.asarray(self.gcoeffs, dtype=float)
         self.fcoeffs = np.asarray(self.fcoeffs, dtype=float)
-        if self.gcoeffs.ndim < 3 or self.gcoeffs.shape[-1] != self.gcoeffs.shape[-2]:
-            raise DimensionMismatch("gcoeffs must have shape (K+1, ..., n, n)")
-        if self.fcoeffs.shape[0] != self.gcoeffs.shape[0]:
-            raise DimensionMismatch("gcoeffs and fcoeffs must share the order axis")
-        if np.any(self.fcoeffs[0] <= 0.0):
+        g_shape, f_shape = self.gcoeffs.shape, self.fcoeffs.shape
+        if len(g_shape) != 3 or g_shape[1] != g_shape[2] or f_shape != g_shape[:1]:
+            raise DimensionMismatch(
+                f"an expansion needs gcoeffs (K+1, n, n) and fcoeffs (K+1,), "
+                f"got {g_shape} and {f_shape}"
+            )
+        if self.fcoeffs[0] <= 0.0:
             raise DomainError("base density must be positive")
-        if np.any(np.linalg.eigvalsh(self.gcoeffs[0]) <= 0.0):
+        if np.linalg.eigvalsh(self.gcoeffs[0]).min() <= 0.0:
             raise DomainError("base metric must be positive definite")
 
     @property
@@ -290,19 +289,19 @@ class AmbientExpansion:
         return self.gcoeffs[0]
 
     @property
-    def f(self):
+    def f(self) -> float:
         return self.fcoeffs[0]
 
     def g_series(self) -> RhoSeries:
-        return RhoSeries(self.gcoeffs, "matrix")
+        return RhoSeries(self.gcoeffs)
 
     def f_series(self) -> RhoSeries:
-        return RhoSeries(self.fcoeffs, "scalar")
+        return RhoSeries(self.fcoeffs)
 
 
 @dataclass
 class VolumeCoefficients:
-    """v_1..v_K extracted from an expansion (batch axes preserved)."""
+    """v_1..v_K extracted from an expansion."""
 
     v: np.ndarray
 
@@ -339,7 +338,7 @@ def volume_series(a: AmbientExpansion, m: float) -> RhoSeries:
     log_det = a.g_series().matrix_det().scalar_log().coeffs
     exponent = m * log_f + 0.5 * log_det
     exponent[0] = 0.0     # both logs of ratios vanish at rho = 0
-    return RhoSeries(exponent, "scalar").scalar_exp()
+    return RhoSeries(exponent).scalar_exp()
 
 
 def volume_coefficients(a: AmbientExpansion, m: float) -> VolumeCoefficients:
@@ -372,12 +371,9 @@ class ObstructionSet:
     omegas: list = field(default_factory=list)      # Omega^(1)..Omega^(K-1)
 
     def trace_norms(self, base_g: np.ndarray) -> np.ndarray:
-        """|g^{ij} Omega^(k)_{ij}| for each k (max over any batch axes)."""
+        """|g^{ij} Omega^(k)_{ij}| for each k."""
         ginv = np.linalg.inv(base_g)
-        return np.array(
-            [np.max(np.abs(np.einsum("...ij,...ij->...", ginv, om)))
-             for om in self.omegas]
-        )
+        return np.array([abs(np.einsum("ij,ij->", ginv, om)) for om in self.omegas])
 
     def sup_norms(self) -> np.ndarray:
         return np.array([np.max(np.abs(om)) for om in self.omegas])
@@ -423,15 +419,14 @@ def f_second_residual(a: AmbientExpansion, m: float):
         raise OrderError("self-consistency residual needs K >= 2")
     omega1 = lambda_one_series(a).coeffs[0]
     ginv = np.linalg.inv(a.g)
-    trace = np.einsum("...ij,...ij->...", ginv, omega1)
-    return np.abs(2.0 * a.fcoeffs[2] + (a.f / m) * trace)
+    trace = np.einsum("ij,ij->", ginv, omega1)
+    return abs(2.0 * a.fcoeffs[2] + (a.f / m) * trace)
 
 
 def l_operator(a: AmbientExpansion, m: float, k: int) -> np.ndarray:
     """Minus the k-th Taylor coefficient of v(rho) int_0^rho g^{ij}(u) du.
 
-    Returns the contravariant symmetric matrix (L_k)^{ij} (batch axes
-    preserved when the expansion is batched).
+    Returns the contravariant symmetric matrix (L_k)^{ij}.
     """
     return _volume_and_l_operator(a, m, k)[1]
 
@@ -470,7 +465,7 @@ def poincare_to_ambient(r_coeffs, tol: float = 1e-12) -> RhoSeries:
         )
     even = r[0::2]
     k = np.arange(even.size, dtype=float)
-    return RhoSeries(even * (-2.0) ** k, "scalar")
+    return RhoSeries(even * (-2.0) ** k)
 
 
 # -- plain-text coefficient files ---------------------------------------------
@@ -478,8 +473,6 @@ def poincare_to_ambient(r_coeffs, tol: float = 1e-12) -> RhoSeries:
 
 def save_ambient_file(a: AmbientExpansion, m: float, mu: float, path):
     """Write `n m mu K` then `g k i j value` / `f k value` rows."""
-    if a.gcoeffs.ndim != 3:
-        raise DimensionMismatch("only unbatched expansions can be saved")
     n, K = a.n, a.K
     lines = [f"{n} {m:.17g} {mu:.17g} {K}"]
     for k in range(K + 1):

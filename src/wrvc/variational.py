@@ -175,8 +175,8 @@ def _chunked_dot(w: np.ndarray, v: np.ndarray) -> float:
 
 class GridStructure:
     """One model bound to one grid (``QuadratureGrid.bind``): the round-metric
-    check on every node, f and f^m per node, the weighted volume, and
-    memoized series scales.
+    and positive-density checks on every node, f and f^m per node, the
+    weighted volume, and memoized series scales.
     The model's expansion g_rho = (1 + lam rho)^2 g, f_rho = (1 + lam rho) f
     scales g and f by functions of rho alone, so v_k = C(n+m, k) lam^k is
     one constant for every node, read from the series scales.  It keeps the
@@ -204,6 +204,11 @@ class GridStructure:
             )
         self.model = model
         self.f = on_nodes(evaluate(model.f_expr, env))
+        if not (self.f > 0.0).all():
+            raise DomainError(
+                f"base density must be positive: the density of model "
+                f"{model.name!r} is not positive on every grid node"
+            )
         self.fm = self.f ** model.m
         self.wvol = grid.integrate([self.fm, self.fm])
         self._scales = {}
@@ -220,8 +225,6 @@ class GridStructure:
 
     def vk(self, k: int) -> float:
         """v_k, the same on every node (both charts)."""
-        if np.any(self.f <= 0.0):
-            raise DomainError("base density must be positive")
         return self.series_scales(k)[0]
 
     def series_scales(self, k: int):
@@ -313,18 +316,11 @@ class FunctionalReport:
     """Second variation of F_k for one (model, k, trial): both displays,
     their agreement, and the observed and predicted signs."""
 
-    model: str
-    n: int
-    m: float
-    k: int
-    lam: float
-    weighted_volume: float
     Q_general: float
     Q_reduced: float
     path_agreement: float
     sign: int
     predicted_sign: int
-    c_k: float
 
 
 def c_k_constant(n: int, m: float, k: int) -> float:
@@ -416,14 +412,11 @@ def second_variation(model: ModelSpec, grid: QuadratureGrid, k: int,
     q_reduced = ck * lam ** (k - 1) * (dirichlet - 2.0 * nm * lam * omega2)
 
     return FunctionalReport(
-        model=model.name, n=n, m=m, k=k, lam=lam,
-        weighted_volume=bound.wvol,
         Q_general=q_general,
         Q_reduced=q_reduced,
         path_agreement=abs(q_general - q_reduced),
         sign=int(np.sign(q_reduced)),
         predicted_sign=predicted_second_variation_sign(n, m, k, lam),
-        c_k=ck,
     )
 
 

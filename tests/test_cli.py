@@ -221,14 +221,23 @@ _EXPRESSION = st.recursive(
 
 @settings(max_examples=300, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(g_11=_EXPRESSION, point=st.sampled_from(["0, 0", "0.5, 0"]))
+@given(g_11=st.just("1") | _EXPRESSION, f=st.just("1") | _EXPRESSION,
+       point=st.sampled_from(["0, 0", "0.5, 0"]))
 def test_model_expression_fuzz_exits_0_or_one_error_line(capsys, tmp_path, g_11,
-                                                         point):
-    path = _model_2d(tmp_path, g_11, space=f"point = {point}\n")
-    code, _, err = run_cli(capsys, "curvature", "--model", str(path))
-    assert code in (0, 2)
-    if code == 2:
-        assert err.startswith("error: ") and err.count("\n") == 1
+                                                         f, point):
+    # the metric and the density expressions, through the jets (curvature)
+    # and through a generated ambient expansion (vk)
+    path = _model_2d(tmp_path, g_11, space=f"point = {point}\n",
+                     tail=f"\n[density]\nf = {f}\n\n[ambient]\nlambda = 0.2\n")
+    for command in ("curvature", "vk"):
+        code, out, err = run_cli(capsys, command, "--model", str(path), "--json")
+        assert code in (0, 2)
+        if code == 2:
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+        else:
+            assert err == ""
+            json.loads(out, parse_constant=_reject_non_finite)
 
 
 def test_unknown_model(capsys):
@@ -537,6 +546,16 @@ def test_vk_coefficient_header_bounds_exit_2(capsys, tmp_path, header, n, K):
     ("vk", "--order", 32),
 ])
 def test_order_flags_are_bounded(capsys, command, flag, bound):
+    if command == "curvature":
+        # the jet order is fixed at 4: the option is gone, not bounded
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--model", "qe_sphere", flag, str(bound)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [ln for ln in captured.err.splitlines() if "error:" in ln]
+        assert errors == [f"wrvc: error: unrecognized arguments: {flag} {bound}"]
+        return
     code, _, _ = run_cli(capsys, command, "--model", "qe_sphere", flag, str(bound))
     assert code == 0
     code, out, err = run_cli(capsys, command, "--model", "qe_sphere",
@@ -665,6 +684,28 @@ def test_curvature_rejects_non_finite_parameters(capsys, param):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["curvature", "vk"])
+def test_negative_m_exits_2(capsys, command):
+    code, out, err = run_cli(capsys, command, "--model", "euclidean", "--n", "2",
+                             "--m", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == ("error: model 'euclidean' needs a dimensional parameter "
+                   "m >= 0, got m = -1\n")
+
+
+@pytest.mark.parametrize("command", ["curvature", "vk"])
+def test_model_file_negative_m_exits_2(capsys, tmp_path, command):
+    path = tmp_path / "negative.cfg"
+    path.write_text("[space]\nn = 2\nm = -0.5\n\n[metric]\ng_11 = 1\ng_22 = 1\n\n"
+                    "[ambient]\nlambda = 0.2\n")
+    code, out, err = run_cli(capsys, command, "--model", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: model '{path}' needs a dimensional parameter "
+                   "m >= 0, got m = -0.5\n")
 
 
 def test_model_file_non_finite_parameter_exits_2(capsys, tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wrvc.errors import DeterminacyError, DomainError, OrderError
+from wrvc.errors import DeterminacyError, DimensionMismatch, DomainError, OrderError
 from wrvc.models import builtin_model, lcf_candidate_ambient, quasi_einstein_coeffs
 from wrvc.rho import (
     AmbientExpansion,
@@ -66,7 +66,7 @@ def test_matrix_inverse_roundtrip():
     rng = np.random.default_rng(3)
     coeffs = rng.uniform(-0.3, 0.3, (5, 3, 3))
     coeffs[0] = spd(rng, 3)
-    M = RhoSeries(coeffs, "matrix")
+    M = RhoSeries(coeffs)
     prod = (M * M.matrix_inverse()).coeffs
     prod[0] -= np.eye(3)
     assert np.max(np.abs(prod)) < 1e-12
@@ -105,13 +105,11 @@ def permutation_det(coeffs, signed=True):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 4), st.integers(0, 5), st.booleans(),
-       st.integers(0, 2**32 - 1))
-def test_matrix_det_matches_permutation_expansion(n, K, batched, seed):
+@given(st.integers(1, 4), st.integers(0, 5), st.integers(0, 2**32 - 1))
+def test_matrix_det_matches_permutation_expansion(n, K, seed):
     rng = np.random.default_rng(seed)
-    shape = (K + 1,) + ((3,) if batched else ()) + (n, n)
-    coeffs = rng.uniform(-1.0, 1.0, shape)
-    got = RhoSeries(coeffs, "matrix").matrix_det().coeffs
+    coeffs = rng.uniform(-1.0, 1.0, (K + 1, n, n))
+    got = RhoSeries(coeffs).matrix_det().coeffs
     ref = permutation_det(coeffs)
     # rounding is relative to the size of the terms, not of their sum
     scale = permutation_det(np.abs(coeffs), signed=False)
@@ -120,54 +118,46 @@ def test_matrix_det_matches_permutation_expansion(n, K, batched, seed):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-@pytest.mark.parametrize("batch", [(), (4,)])
-def test_jacobi_formula(n, batch):
+def test_jacobi_formula(n):
     # d/drho log det g_rho = tr(g_rho^{-1} g_rho')
     rng = np.random.default_rng(20 + n)
-    coeffs = rng.uniform(-0.3, 0.3, (6,) + batch + (n, n))
+    coeffs = rng.uniform(-0.3, 0.3, (6, n, n))
     coeffs = 0.5 * (coeffs + np.swapaxes(coeffs, -1, -2))
     coeffs[0] += np.eye(n)
-    g = RhoSeries(coeffs, "matrix")
+    g = RhoSeries(coeffs)
     lhs = g.matrix_det().scalar_log().derivative()
     rhs = np.trace((g.matrix_inverse() * g.derivative()).coeffs, axis1=-2, axis2=-1)
     assert lhs.K == 4 and rhs.shape == lhs.coeffs.shape
     assert np.max(np.abs(lhs.coeffs - rhs)) < 1e-12
 
 
-def _forms_agree(got, per_node):
-    ref = np.stack(per_node, axis=1)
-    assert got.shape == ref.shape
-    assert np.max(np.abs(got - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
-
-
-@pytest.mark.parametrize("kinds, n", [
-    (("scalar", "scalar"), None),
-    (("matrix", "matrix"), 2),
-    (("scalar", "matrix"), 2),
-])
-def test_product_forms_agree(kinds, n):
-    batch = 64
+def test_matrix_shaped_coefficients_multiply_as_matrices():
+    # the shape (K+1, n, n) makes a matrix series without being told
     rng = np.random.default_rng(30)
-    K = 4
-
-    def series(kind):
-        tail = () if kind == "scalar" else (n, n)
-        return RhoSeries(rng.uniform(-1.0, 1.0, (K + 1, batch) + tail), kind)
-
-    a, b = series(kinds[0]), series(kinds[1])
-    per_node = [(RhoSeries(a.coeffs[:, p], a.kind) * RhoSeries(b.coeffs[:, p], b.kind)).coeffs
-                for p in range(batch)]
-    _forms_agree((a * b).coeffs, per_node)
+    g, h = rng.uniform(-1.0, 1.0, (2, 3, 2, 2))
+    got = (RhoSeries(g) * RhoSeries(h)).coeffs
+    ref = np.array([sum(g[i] @ h[k - i] for i in range(k + 1)) for k in range(3)])
+    assert RhoSeries(g).kind == "matrix"
+    assert np.max(np.abs(got - ref)) < 1e-14
 
 
-@pytest.mark.parametrize("n, batch", [(2, 1024), (3, 341)])
-def test_determinant_forms_agree(n, batch):
-    rng = np.random.default_rng(31)
-    coeffs = rng.uniform(-1.0, 1.0, (5, batch, n, n))
-    got = RhoSeries(coeffs, "matrix").matrix_det().coeffs
-    per_node = [RhoSeries(coeffs[:, p], "matrix").matrix_det().coeffs
-                for p in range(batch)]
-    _forms_agree(got, per_node)
+@pytest.mark.parametrize("shape", [(3, 4, 2, 2), (3, 2, 3), (3, 4), ()])
+def test_series_of_other_shapes_rejected(shape):
+    with pytest.raises(DimensionMismatch, match="shape"):
+        RhoSeries(np.ones(shape))
+
+
+@pytest.mark.parametrize("g_shape, f_shape", [
+    ((3, 4, 2, 2), (3, 4)),    # a batch of points
+    ((3, 2, 2), (3, 4)),
+    ((3, 2, 2), (2,)),
+    ((3, 2), (3,)),
+])
+def test_expansion_of_other_shapes_rejected(g_shape, f_shape):
+    gcoeffs = np.zeros(g_shape)
+    gcoeffs[0] = 1.0
+    with pytest.raises(DimensionMismatch, match="gcoeffs"):
+        AmbientExpansion(gcoeffs=gcoeffs, fcoeffs=np.ones(f_shape))
 
 
 def test_antiderivative_geometric():
@@ -221,7 +211,7 @@ def test_product_derivative_rule_property(a_tail, b_tail):
 def test_singular_leading_matrix_rejected():
     coeffs = np.zeros((3, 2, 2))
     with pytest.raises(DomainError):
-        RhoSeries(coeffs, "matrix").matrix_inverse()
+        RhoSeries(coeffs).matrix_inverse()
     with pytest.raises(DomainError):
         RhoSeries(np.zeros(4)).scalar_inverse()
     with pytest.raises(DomainError):

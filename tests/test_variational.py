@@ -305,14 +305,17 @@ def test_grid_vk_closed_form(qe3):
         assert abs(bound.vk(k) - exact) <= 1e-15 * exact
 
 
-def test_grid_vk_needs_positive_density_on_every_node(qe3):
+def test_grid_vk_needs_positive_density_on_every_node():
     # positive at the origin, where the series scales are taken, and
-    # negative on the nodes with x < -1/2
-    tilted = dataclasses.replace(qe3, name="tilted",
-                                 f_expr=parse_expression("1 + 2*x"))
+    # negative on the nodes with x < -1/2; binding rejects it before f^m,
+    # which at a non-integer m would be nan with a RuntimeWarning
+    tilted = dataclasses.replace(builtin_model("qe_sphere", 3, 2.5, 1),
+                                 name="tilted", f_expr=parse_expression("1 + 2*x"))
     grid = QuadratureGrid(3, resolution=10)
-    with pytest.raises(DomainError, match="base density must be positive"):
-        functional_F_k(tilted, grid, 1)
+    for operation in (weighted_volume, lambda model, grid: functional_F_k(model, grid, 1)):
+        with pytest.raises(DomainError, match="base density must be positive: the "
+                           "density of model 'tilted' is not positive on every grid node"):
+            operation(tilted, grid)
 
 
 def test_bound_grid_freed_without_cycle_collector(qe3):
