@@ -154,8 +154,14 @@ def parse_point(text: str, n: int) -> np.ndarray:
 def resolve_model(args):
     name = args.model
     if name in BUILTIN_NAMES:
-        return builtin_model(name, n=args.n, m=args.m, mu=args.mu)
+        return builtin_model(name, n=3 if args.n is None else args.n,
+                             m=args.m, mu=args.mu)
     if os.path.exists(name):
+        given = [f"--{flag}" for flag in ("n", "m", "mu")
+                 if getattr(args, flag) is not None]
+        if given:
+            raise UsageError(f"model file {name!r} declares its own n, m and mu; "
+                             f"drop {' '.join(given)}")
         return load_model_file(name)
     raise UsageError(
         f"unknown model {name!r}: not one of {', '.join(BUILTIN_NAMES)} "
@@ -233,11 +239,12 @@ def build_parser() -> argparse.ArgumentParser:
     def add_model_flags(p):
         p.add_argument("--model", required=True,
                        help="builtin model name or model file path")
-        p.add_argument("--n", type=int, default=3, help="chart dimension")
+        p.add_argument("--n", type=int, default=None,
+                       help="chart dimension of a built-in model (default 3)")
         p.add_argument("--m", type=float, default=None,
-                       help="dimensional parameter")
+                       help="dimensional parameter of a built-in model")
         p.add_argument("--mu", type=float, default=None,
-                       help="auxiliary curvature parameter")
+                       help="auxiliary curvature parameter of a built-in model")
         p.add_argument("--point", default=None,
                        help="comma-separated chart coordinates")
         p.add_argument("--json", action="store_true",

@@ -239,6 +239,15 @@ def _constant_exponent(value, pos: int) -> float:
     return float(value)
 
 
+def _shown(x, bad) -> str:
+    """A scalar argument as itself; an array by its shape and first
+    offending entry (``bad`` marks the offending ones), never in full."""
+    if np.ndim(x) == 0:
+        return f"{x}"
+    first = float(np.asarray(x)[bad].flat[0])
+    return f"an array of shape {np.shape(x)}, first offending entry {first}"
+
+
 def _power(base, exponent, pos: int):
     alpha = _constant_exponent(exponent, pos)
     if math.isfinite(alpha) and abs(alpha - round(alpha)) < 1e-12:
@@ -250,16 +259,17 @@ def _power(base, exponent, pos: int):
         return base**k
     if isinstance(base, Jet):
         return base.apply("pow", alpha)  # jets check their own domain
-    if np.any(np.asarray(base) <= 0.0):
-        raise DomainError(f"pow({alpha}) needs a positive base, got {base}")
+    bad = np.asarray(base) <= 0.0
+    if bad.any():
+        raise DomainError(f"pow({alpha}) needs a positive base, got {_shown(base, bad)}")
     return base**alpha
 
 
 def _call_scalar(name: str, x, pos: int):
-    if name == "log" and np.any(np.asarray(x) <= 0.0):
-        raise DomainError(f"{name}({x}) outside the function domain")
-    if name == "sqrt" and np.any(np.asarray(x) < 0.0):
-        raise DomainError(f"{name}({x}) outside the function domain")
+    if name in ("log", "sqrt"):
+        bad = np.asarray(x) <= 0.0 if name == "log" else np.asarray(x) < 0.0
+        if bad.any():
+            raise DomainError(f"{name}({_shown(x, bad)}) outside the function domain")
     if isinstance(x, np.ndarray):
         return getattr(np, name)(x)
     try:
@@ -296,8 +306,10 @@ def evaluate(node: Node, env: dict):
             return a * b
         if isinstance(b, Jet):
             return a * b.reciprocal()
-        if np.any(np.asarray(b) == 0.0):
-            raise DomainError("division by zero")
+        bad = np.asarray(b) == 0.0
+        if bad.any():
+            raise DomainError("division by zero" if bad.ndim == 0 else
+                              f"division by zero: the divisor is {_shown(b, bad)}")
         return a / b
     if isinstance(node, Call):
         if node.name == "pow":

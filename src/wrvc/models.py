@@ -2,10 +2,11 @@
 plain-text model file format.
 
 A ``ModelSpec`` is symbolic: metric and density components are expression
-ASTs over named coordinates, evaluated into jets at any interior chart
-point.  Structures carrying a proportionality constant ``lam`` (so that
-P = lam g and J = (n+m) lam pointwise) also generate their canonical
-ambient expansion g_rho = (1+lam rho)^2 g, f_rho = (1+lam rho) f.
+ASTs over named coordinates, evaluated by one private pass into jets at an
+interior chart point or into arrays on grid nodes.  Structures carrying a
+proportionality constant ``lam`` (so that P = lam g and J = (n+m) lam
+pointwise) also generate their canonical ambient expansion
+g_rho = (1+lam rho)^2 g, f_rho = (1+lam rho) f.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from .errors import DomainError, ModelError, OrderError
 from .expr import Node, Num, evaluate, parse_expression
 from .geometry import MetricAtPoint
-from .jets import Jet, n_coeffs
+from .jets import MAX_DIM, Jet, n_coeffs
 from .rho import (
     AmbientExpansion,
     load_ambient_file,
@@ -46,7 +47,9 @@ DEFAULT_AMBIENT_ORDER = 5
 
 @dataclass
 class ModelSpec:
-    """Symbolic definition of a metric measure structure on one chart."""
+    """Symbolic definition of a metric measure structure on one chart, and
+    the one boundary for model input: the parameters are checked here, and
+    every expression is evaluated by one private pass (``_evaluate``)."""
 
     name: str
     n: int
@@ -59,14 +62,23 @@ class ModelSpec:
     ambient_file: str | None = None
     default_point: np.ndarray = None
     domain: str = "all points of the chart"
-    inside: Callable | None = None   # point -> bool, true exactly on ``domain``
+    inside: Callable | None = None   # point(s) -> bool(s), true exactly on ``domain``
 
     def __post_init__(self):
+        for name, value in (("m", self.m), ("mu", self.mu), ("lambda", self.lam)):
+            if value is not None and not math.isfinite(value):
+                raise ModelError(f"parameter {name} must be finite, got {value}")
         if not self.m >= 0:
             raise ModelError(
                 f"model {self.name!r} needs a dimensional parameter m >= 0, "
                 f"got m = {self.m:g}"
             )
+        if not 1 <= self.n <= MAX_DIM:
+            raise ModelError(f"model {self.name!r} needs a dimension n in "
+                             f"1..{MAX_DIM}, got n = {self.n}")
+        if len(self.coords) != self.n:
+            raise ModelError(f"model {self.name!r} needs {self.n} coordinate "
+                             f"names, got {len(self.coords)}: {self.coords}")
         if self.default_point is None:
             self.default_point = np.zeros(self.n)
         self.default_point = np.asarray(self.default_point, dtype=float)
@@ -75,64 +87,81 @@ class ModelSpec:
                 raise ModelError(
                     f"model {self.name!r} repeats the coordinate name {name!r}"
                 )
-        # the distinct metric component ASTs (``in`` and ``index`` try
-        # identity before equality), and each (i, j) slot's index into them
-        self._components = []
-        for row in self.g_exprs:
-            for node in row:
-                if node not in self._components:
-                    self._components.append(node)
-        self._slots = np.array([[self._components.index(node) for node in row]
+        # the distinct ASTs, metric components first, then the density unless
+        # it is one of them (``in`` and ``index`` try identity before
+        # equality); each (i, j) slot's index into them, and the density's
+        self._nodes = []
+        for node in [node for row in self.g_exprs for node in row] + [self.f_expr]:
+            if node not in self._nodes:
+                self._nodes.append(node)
+        self._slots = np.array([[self._nodes.index(node) for node in row]
                                 for row in self.g_exprs])
+        self._density_slot = self._nodes.index(self.f_expr)
 
-    # -- pointwise evaluation ------------------------------------------
+    # -- the evaluation boundary ---------------------------------------
 
     def _env(self, point, order):
+        """Coordinates as jets of ``order`` at a point, or, for order None,
+        as the columns of an (N, n) array of nodes."""
         point = np.asarray(point, dtype=float)
-        if point.shape != (self.n,):
+        if point.ndim != (2 if order is None else 1) or point.shape[-1] != self.n:
             raise ModelError(
                 f"model {self.name!r} needs a point with {self.n} coordinates"
             )
+        if order is None:
+            return {name: point[:, i] for i, name in enumerate(self.coords)}
         return {
             name: Jet.variable(i, point[i], self.n, order)
             for i, name in enumerate(self.coords)
         }
 
-    def metric_components(self, env, as_array) -> np.ndarray:
-        """The (n, n, ...) array of metric components over ``env``, whose
-        coordinates are jets or node arrays: each distinct component AST is
-        evaluated once and ``as_array`` turns its value into a float array."""
-        values = np.array([as_array(evaluate(node, env)) for node in self._components])
-        return values[self._slots]
-
-    def metric_at(self, point, order: int = DEFAULT_ORDER) -> MetricAtPoint:
-        """Metric jets at a point."""
+    def _evaluate(self, point, order: int = 0, accept_metric=MetricAtPoint,
+                  density: bool = True):
+        """The one evaluation pass: each distinct AST once over one
+        environment (``_env``: jets of ``order`` at a point, node columns
+        for order None), inside the model's error boundary, each result
+        checked finite.  ``accept_metric(G, point)`` checks the (n, n, ...)
+        metric (none is evaluated when it is None) before the density is
+        evaluated, so metric errors come first.  Returns (its result, f);
+        values have the coefficient axis, or the node axis, last."""
         env = self._env(point, order)
-        nc = n_coeffs(self.n, order)
+        point = np.asarray(point, dtype=float)
+        pad = None if order is None else np.zeros(n_coeffs(self.n, order) - 1)
+        values = {}
 
-        def coeffs(val):
-            if isinstance(val, Jet):
-                return val.coeffs
-            out = np.zeros(nc)
-            out[0] = float(val)
+        def run(what, slots):
+            # floating-point warnings are silenced: the values are checked
+            # finite instead; a point or any node outside ``inside`` is an
+            # error that names the model's domain too
+            with (self._checking(what, point, "is undefined",
+                                 f" (model domain: {self.domain})"),
+                  np.errstate(over="ignore", invalid="ignore", divide="ignore")):
+                if self.inside is not None and not np.all(self.inside(point)):
+                    raise DomainError(f"{'the point' if point.ndim == 1 else 'a node'} "
+                                      "lies outside the domain")
+                for i in slots:
+                    if i not in values:
+                        val = evaluate(self._nodes[i], env)
+                        values[i] = (
+                            val.coeffs if isinstance(val, Jet)
+                            else np.broadcast_to(np.asarray(val, dtype=float), len(point))
+                            if pad is None else np.concatenate([[float(val)], pad]))
+            out = np.array([values[i] for i in slots])
+            self._require_finite_at(out, what, point)
             return out
 
-        with self._evaluating("metric", point):
-            G = self.metric_components(env, coeffs)
-        self._require_finite_at(G, "metric", point)
-        with self._checking("metric", point):
-            return MetricAtPoint(G, point)
-
-    def density_at(self, point, order: int = DEFAULT_ORDER) -> Jet:
-        env = self._env(point, order)
-        with self._evaluating("density", point):
-            val = evaluate(self.f_expr, env)
-        if not isinstance(val, Jet):
-            val = Jet.constant(float(val), self.n, order)
-        self._require_finite_at(val.coeffs, "density", point)
-        return val
+        metric = f = None
+        if accept_metric is not None:
+            G = run("metric", range(self._slots.max() + 1))[self._slots]
+            with self._checking("metric", point):
+                metric = accept_metric(G, point)
+        if density:
+            f = run("density", [self._density_slot])[0]
+        return metric, f
 
     def _at_point(self, what: str, point, detail: str) -> str:
+        if np.ndim(point) == 2:
+            return f"{what} of model {self.name!r} {detail} on {len(point)} grid nodes"
         coords = ", ".join(f"{float(c):g}" for c in point)
         return f"{what} of model {self.name!r} {detail} at point ({coords})"
 
@@ -151,28 +180,46 @@ class ModelSpec:
                 f"{self._at_point(what, point, detail)}{note}: {exc}"
             ) from exc
 
-    @contextmanager
-    def _evaluating(self, what: str, point):
-        """Evaluate the metric or density expressions at a point, silencing
-        floating-point warnings (the result is checked for finiteness
-        instead) and naming the model's domain too on a ``DomainError``,
-        which a point that ``inside`` rejects also raises."""
-        note = f" (model domain: {self.domain})"
-        with (self._checking(what, point, "is undefined", note),
-              np.errstate(over="ignore", invalid="ignore", divide="ignore")):
-            if self.inside is not None and not self.inside(point):
-                raise DomainError("the point lies outside the domain")
-            yield
-
-    def _require_finite_at(self, coeffs, what: str, point):
-        if not np.isfinite(coeffs).all():
+    def _require_finite_at(self, values, what: str, point):
+        """A ``DomainError`` naming the point, or the first node of an
+        (N, n) array, unless every value is finite."""
+        finite = np.isfinite(values)
+        if not finite.all():
+            if np.ndim(point) == 2:
+                point = point[np.argmin(finite.reshape(-1, len(point)).all(axis=0))]
             raise DomainError(self._at_point(what, point, "is not finite"))
 
+    def _weight_on(self, nodes, accept_metric) -> np.ndarray:
+        """f^m on an (N, n) array of nodes, from one ``_evaluate`` pass;
+        f and f^m must be finite and positive."""
+        f = self._evaluate(nodes, None, accept_metric)[1]
+        if not (f > 0.0).all():
+            raise DomainError(f"base density must be positive: the density of model "
+                              f"{self.name!r} is not positive on every grid node")
+        with np.errstate(over="ignore"):
+            fm = f ** self.m
+        ok = np.isfinite(fm) & (fm > 0.0)
+        if not ok.all():
+            raise DomainError(self._at_point(f"weight f^m (m = {self.m:g})",
+                                             nodes[np.argmin(ok)],
+                                             "is not a positive finite number"))
+        return fm
+
+    # -- pointwise structures ------------------------------------------
+
+    def metric_at(self, point, order: int = DEFAULT_ORDER) -> MetricAtPoint:
+        """Metric jets at a point."""
+        return self._evaluate(point, order, density=False)[0]
+
+    def density_at(self, point, order: int = DEFAULT_ORDER) -> Jet:
+        f = self._evaluate(point, order, accept_metric=None)[1]
+        return Jet._unchecked(self.n, order, f)
+
     def structure_at(self, point, order: int = DEFAULT_ORDER) -> MetricMeasurePoint:
-        g = self.metric_at(point, order)
-        f = self.density_at(point, order)
+        g, f = self._evaluate(point, order)
         with self._checking("structure", point):
-            return MetricMeasurePoint(g, f, self.m, self.mu)
+            return MetricMeasurePoint(g, Jet._unchecked(self.n, order, f),
+                                      self.m, self.mu)
 
     def invariants_at(self, point, order: int = DEFAULT_ORDER):
         """Weighted invariants at a chart point, with the best-fit
@@ -204,11 +251,10 @@ class ModelSpec:
         ``path:line`` instead).
         """
         if self.lam is not None:
-            g0 = self.metric_at(point, order=0).matrix
-            f0 = self.density_at(point, order=0).value
+            g, f = self._evaluate(point, 0)
             order = DEFAULT_AMBIENT_ORDER if K is None else K
             with self._checking("ambient expansion", point):
-                return quasi_einstein_coeffs(g0, f0, self.lam, order)
+                return quasi_einstein_coeffs(g.matrix, f[0], self.lam, order)
         if self.ambient_file is not None:
             return self._file_ambient(K)
         raise ModelError(
@@ -252,12 +298,6 @@ class ModelSpec:
 # -- builtin structures ---------------------------------------------------
 
 
-def _require_finite(**params):
-    for name, value in params.items():
-        if value is not None and not math.isfinite(value):
-            raise ModelError(f"parameter {name} must be finite, got {value}")
-
-
 def _delta_exprs(n, diagonal: str):
     g = [[parse_expression("0") for _ in range(n)] for _ in range(n)]
     for i in range(n):
@@ -282,32 +322,29 @@ def builtin_model(name: str, n: int = 3, m: float | None = None,
         raise ModelError(
             f"unknown model {name!r}; available: {', '.join(BUILTIN_NAMES)}"
         )
-    if not 2 <= n <= 4:
-        raise ModelError(f"built-in models support 2 <= n <= 4, got n = {n}")
-    _require_finite(m=m, mu=mu)
+    if not 2 <= n <= len(_COORD_NAMES):   # one name per coordinate
+        raise ModelError(f"built-in models support 2 <= n <= "
+                         f"{len(_COORD_NAMES)}, got n = {n}")
     coords = _COORD_NAMES[:n]
+    sphere = {"g_exprs": _delta_exprs(n, f"4/(1+{_r2_text(n)})^2"), "domain":
+              "any chart point (the chart covers the sphere minus a point)"}
     if name == "qe_sphere":
         m = 2.0 if m is None else float(m)
         mu = 1.0 if mu is None else float(mu)
-        if m <= 1 or mu <= 0:
-            raise ModelError(
-                f"qe_sphere needs m > 1 and mu > 0 (got m = {m}, mu = {mu}): "
-                "the constant density would not be real"
-            )
         c2 = (m - 1) * mu / (n - 1)
         if not math.isfinite(c2):
             raise ModelError(
                 "qe_sphere needs a finite density constant (m-1) mu/(n-1) "
                 f"(got m = {m}, mu = {mu})"
             )
-        lam = (n - 1) / (2.0 * (n + m - 1))
-        return ModelSpec(
-            name=name, n=n, m=m, mu=mu, coords=coords,
-            g_exprs=_delta_exprs(n, f"4/(1+{_r2_text(n)})^2"),
-            f_expr=Num(math.sqrt(c2)),
-            lam=lam,
-            domain="any chart point (the chart covers the sphere minus a point)",
-        )
+        if m <= 1 or mu <= 0:
+            raise ModelError(
+                f"qe_sphere needs m > 1 and mu > 0 (got m = {m}, mu = {mu}): "
+                "the constant density would not be real"
+            )
+        return ModelSpec(name=name, n=n, m=m, mu=mu, coords=coords,
+                         f_expr=Num(math.sqrt(c2)),
+                         lam=(n - 1) / (2.0 * (n + m - 1)), **sphere)
 
     m = 0.0 if m is None else float(m)
     mu = 0.0 if mu is None else float(mu)
@@ -319,24 +356,17 @@ def builtin_model(name: str, n: int = 3, m: float | None = None,
             domain="all of the chart",
         )
     if name == "round_sphere_stereographic":
-        lam = 0.5 if m == 0 else None
-        return ModelSpec(
-            name=name, n=n, m=m, mu=mu, coords=coords,
-            g_exprs=_delta_exprs(n, f"4/(1+{_r2_text(n)})^2"),
-            f_expr=f_expr, lam=lam,
-            domain="any chart point (the chart covers the sphere minus a point)",
-        )
+        return ModelSpec(name=name, n=n, m=m, mu=mu, coords=coords, f_expr=f_expr,
+                         lam=0.5 if m == 0 else None, **sphere)
     # hyperbolic_upper_half
     lam = -0.5 if m == 0 else None
     last = coords[-1]
-    spec = ModelSpec(
+    return ModelSpec(
         name=name, n=n, m=m, mu=mu, coords=coords,
         g_exprs=_delta_exprs(n, f"{last}^-2"), f_expr=f_expr, lam=lam,
-        domain=f"points with {last} > 0", inside=lambda x: x[-1] > 0.0,
+        default_point=np.eye(n)[-1],
+        domain=f"points with {last} > 0", inside=lambda x: x[..., -1] > 0.0,
     )
-    spec.default_point = np.zeros(n)
-    spec.default_point[-1] = 1.0
-    return spec
 
 
 # -- ambient generators -----------------------------------------------------
@@ -417,18 +447,10 @@ def load_model_file(path) -> ModelSpec:
         mu = cp.getfloat("space", "mu", fallback=0.0)
     except ValueError as exc:
         raise ModelError(f"bad [space] entry: {exc}")
-    _require_finite(m=m, mu=mu)
-    if not 1 <= n <= 4:
-        raise ModelError(f"model dimension must be 1..4, got {n}")
     coords_raw = cp.get("space", "coords", fallback=", ".join(_COORD_NAMES[:n]))
     coords = tuple(c.strip() for c in coords_raw.split(",") if c.strip())
-    if len(coords) != n:
-        raise ModelError(
-            f"expected {n} coordinate names, got {len(coords)}: {coords}"
-        )
 
-    g_exprs = [[parse_expression("0") for _ in range(n)] for _ in range(n)]
-    seen = set()
+    entries = {}   # (i, j) with i >= j -> AST; key syntax bounds i, j to 0..8
     for key, text in cp.items("metric"):
         if not (key.startswith("g_") and len(key) == 4 and key[2:].isdecimal()):
             raise ModelError(
@@ -437,16 +459,14 @@ def load_model_file(path) -> ModelSpec:
         i, j = int(key[2]) - 1, int(key[3]) - 1
         if not (0 <= i < n and 0 <= j < n):
             raise ModelError(f"metric key {key!r} outside the {n}x{n} range")
-        ast = parse_expression(text)
-        g_exprs[i][j] = ast
-        g_exprs[j][i] = ast
-        seen.add((min(i, j), max(i, j)))
-    for i in range(n):
-        if (i, i) not in seen:
+        entries[max(i, j), min(i, j)] = parse_expression(text)
+    for i in range(n):   # stops by i = 9, so the table below stays small
+        if (i, i) not in entries:
             raise ModelError(f"missing diagonal metric component g_{i + 1}{i + 1}")
+    g_exprs = [[entries.get((max(i, j), min(i, j)), Num(0.0)) for j in range(n)]
+               for i in range(n)]
 
-    f_text = cp.get("density", "f", fallback="1")
-    f_expr = parse_expression(f_text)
+    f_expr = parse_expression(cp.get("density", "f", fallback="1"))
 
     lam = None
     ambient_file = None
@@ -456,13 +476,12 @@ def load_model_file(path) -> ModelSpec:
                 lam = cp.getfloat("ambient", "lambda")
             except ValueError as exc:
                 raise ModelError(f"{path}: bad [ambient] lambda: {exc}")
-            _require_finite(**{"lambda": lam})
         if cp.has_option("ambient", "coefficients"):
             # relative to the model file; an absolute path is kept
             ambient_file = os.path.join(os.path.dirname(path),
                                         cp.get("ambient", "coefficients"))
 
-    default_point = np.zeros(n)
+    default_point = None
     if cp.has_option("space", "point"):
         text = cp.get("space", "point")
         vals = [v.strip() for v in text.split(",")]

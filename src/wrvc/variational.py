@@ -25,7 +25,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import DomainError, ModelError
-from .expr import evaluate, has_vars
+from .expr import has_vars
 from .fields import SphereField, coordinate_harmonics, node_D
 from .models import ModelSpec
 from .rho import _volume_and_l_operator
@@ -175,8 +175,9 @@ def _chunked_dot(w: np.ndarray, v: np.ndarray) -> float:
 
 class GridStructure:
     """One model bound to one grid (``QuadratureGrid.bind``): the round-metric
-    and positive-density checks on every node, f and f^m per node, the
-    weighted volume, and memoized series scales.
+    check on every node, f^m per chart (chart 2's nodes are read at their
+    chart-1 coordinates X/|X|^2), the weighted volume, and memoized series
+    scales.
     The model's expansion g_rho = (1 + lam rho)^2 g, f_rho = (1 + lam rho) f
     scales g and f by functions of rho alone, so v_k = C(n+m, k) lam^k is
     one constant for every node, read from the series scales.  It keeps the
@@ -188,29 +189,24 @@ class GridStructure:
             raise ModelError(
                 f"model dimension {model.n} does not match grid dimension {grid.n}"
             )
-        env = {name: grid.points[:, i] for i, name in enumerate(model.coords)}
 
-        def on_nodes(value):
-            return np.broadcast_to(np.asarray(value, dtype=float), grid.conf.shape)
+        def accept_round(G, nodes):
+            round_metric = np.eye(model.n)[:, :, None] * grid.conf
+            matches = np.isclose(G, round_metric, atol=1e-10).all(axis=2)
+            if not matches.all():
+                i, j = np.argwhere(~matches)[0]
+                raise ModelError(
+                    "grid quadrature needs the round stereographic metric; "
+                    f"component g_{i + 1}{j + 1} of {model.name!r} differs"
+                )
 
-        G = model.metric_components(env, on_nodes)
-        round_metric = np.eye(model.n)[:, :, None] * grid.conf
-        matches = np.isclose(G, round_metric, atol=1e-10).all(axis=2)
-        if not matches.all():
-            i, j = np.argwhere(~matches)[0]
-            raise ModelError(
-                "grid quadrature needs the round stereographic metric; "
-                f"component g_{i + 1}{j + 1} of {model.name!r} differs"
-            )
         self.model = model
-        self.f = on_nodes(evaluate(model.f_expr, env))
-        if not (self.f > 0.0).all():
-            raise DomainError(
-                f"base density must be positive: the density of model "
-                f"{model.name!r} is not positive on every grid node"
-            )
-        self.fm = self.f ** model.m
-        self.wvol = grid.integrate([self.fm, self.fm])
+        fm = model._weight_on(grid.points, accept_round)
+        self.fm = (fm, fm)
+        if has_vars(model.f_expr):   # chart 2's nodes at chart-1 coordinates
+            X = grid.points
+            self.fm = (fm, model._weight_on(X / (X * X).sum(axis=1)[:, None], None))
+        self.wvol = grid.integrate(self.fm)
         self._scales = {}
 
     @property
@@ -255,8 +251,7 @@ def weighted_volume(model: ModelSpec, grid: QuadratureGrid) -> float:
 def functional_F_k(model: ModelSpec, grid: QuadratureGrid, k: int) -> float:
     """Quadrature of v_k f^m over the sphere."""
     bound = grid.bind(model)
-    vals = bound.vk(k) * bound.fm
-    return grid.integrate([vals, vals])
+    return grid.integrate([bound.vk(k) * fm for fm in bound.fm])
 
 
 def field_values(field: SphereField, grid: QuadratureGrid) -> list:
@@ -268,7 +263,7 @@ def project_mean_zero(model: ModelSpec, grid: QuadratureGrid, field: SphereField
     """Subtract the weighted mean; returns per-chart value arrays."""
     bound = grid.bind(model)
     values = field_values(field, grid)
-    c = grid.integrate([v * bound.fm for v in values]) / bound.wvol
+    c = grid.integrate([v * fm for v, fm in zip(values, bound.fm)]) / bound.wvol
     return [v - c for v in values]
 
 
@@ -279,7 +274,8 @@ def first_variation(model: ModelSpec, grid: QuadratureGrid, k: int,
     bound = grid.bind(model)
     vk = bound.vk(k)
     factor = model.n + model.m - 2.0 * k
-    return factor * grid.integrate([vk * bound.fm * v for v in omega_values])
+    return factor * grid.integrate(
+        [vk * fm * v for v, fm in zip(omega_values, bound.fm)])
 
 
 def laplace_beltrami_values(field: SphereField, sign: float, X: np.ndarray,
@@ -304,7 +300,7 @@ def delta_vk_identity_check(model: ModelSpec, grid: QuadratureGrid, k: int,
     bound = grid.bind(model)
     _require_constant_density(model)
     _, lk = bound.series_scales(k)
-    vals = [lk * lb * bound.fm for lb in grid._laplace_beltrami(field)]
+    vals = [lk * lb * fm for lb, fm in zip(grid._laplace_beltrami(field), bound.fm)]
     return abs(grid.integrate(vals))
 
 
@@ -367,12 +363,13 @@ def _mass_and_energy(model: ModelSpec, grid: QuadratureGrid,
                      field: SphereField) -> tuple:
     """Weighted mass of the trial's mean-zero projection and its weighted
     Dirichlet energy, with |grad u|_g^2 = (D^2/4) |grad u|^2 in the chart."""
-    fm = grid.bind(model).fm
+    fms = grid.bind(model).fm
     values = project_mean_zero(model, grid, field)
-    mass = grid.integrate([v**2 * fm for v in values])
+    mass = grid.integrate([v**2 * fm for v, fm in zip(values, fms)])
     grads = (field.grad(sign, grid.points, grid.D) for sign in grid.charts)
     energy = grid.integrate(
-        [(grid.D**2 / 4.0) * np.einsum("ij,ij->i", du, du) * fm for du in grads]
+        [(grid.D**2 / 4.0) * np.einsum("ij,ij->i", du, du) * fm
+         for du, fm in zip(grads, fms)]
     )
     return mass, energy
 

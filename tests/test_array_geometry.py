@@ -11,11 +11,13 @@ expansion in that ring.  It shares no product table, series or inverse with the 
 under test.
 """
 
+import ast
 import math
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -387,16 +389,18 @@ def test_metric_at_evaluates_each_distinct_component_once(monkeypatch, model):
                 distinct.append(node)
     assert calls == distinct
     # so does binding the model to a grid, whether or not its metric is the
-    # round one that grids need
+    # round one that grids need; the same pass then evaluates the (constant)
+    # density once, unless the metric was rejected
     if model.n in (2, 3):
         calls.clear()
         grid = QuadratureGrid(model.n, resolution=8)
         if model.name == "qe_sphere":
             grid.bind(model)
+            assert calls == distinct + [model.f_expr]
         else:
             with pytest.raises(ModelError, match="round stereographic metric"):
                 grid.bind(model)
-        assert calls == distinct
+            assert calls == distinct
     # and the jets agree with evaluating every component on its own
     monkeypatch.undo()
     env = model._env(point, 4)
@@ -419,3 +423,35 @@ def test_metric_at_model_file_mirrors_lower_triangle(monkeypatch, tmp_path):
     metric = spec.metric_at([0.2, 0.1])
     assert len(calls) == 3
     assert np.array_equal(metric.G[0, 1], metric.G[1, 0])
+
+
+@pytest.mark.parametrize("model", [
+    builtin_model("qe_sphere", 3, 2.0, 1.0),
+    builtin_model("euclidean", 3, m=2.0),   # f = 1 is the metric's 1
+    deformed_sphere(),
+])
+def test_structure_at_evaluates_each_distinct_ast_once(monkeypatch, model):
+    calls = _count_evaluations(monkeypatch)
+    p = model.structure_at(model.default_point + 0.1)
+    distinct = []
+    for node in [node for row in model.g_exprs for node in row] + [model.f_expr]:
+        if node not in distinct:
+            distinct.append(node)
+    assert calls == distinct
+    assert len(calls) == {"euclidean": 2}.get(model.name, 3)
+    # the same values as the metric and the density on their own
+    monkeypatch.undo()
+    assert np.array_equal(p.g.G, model.metric_at(model.default_point + 0.1).G)
+    assert np.array_equal(p.f.coeffs,
+                          model.density_at(model.default_point + 0.1).coeffs)
+
+
+def test_expressions_are_evaluated_only_by_models():
+    # wrvc.models is the one boundary that evaluates model expressions
+    calls = set()
+    for path in Path(wrvc.models.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and getattr(
+                    node.func, "id", getattr(node.func, "attr", None)) == "evaluate":
+                calls.add(path.name)
+    assert calls == {"expr.py", "models.py"}

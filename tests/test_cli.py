@@ -715,3 +715,38 @@ def test_model_file_non_finite_parameter_exits_2(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+_QE_FILE = (
+    "[space]\nn = 3\nm = 2\nmu = 1\n\n[metric]\n"
+    "g_11 = 4/(1+x^2+y^2+z^2)^2\ng_22 = 4/(1+x^2+y^2+z^2)^2\n"
+    "g_33 = 4/(1+x^2+y^2+z^2)^2\n\n[density]\nf = 0.70710678118654752\n\n"
+    "[ambient]\nlambda = 0.25\n"
+)
+
+
+@pytest.mark.parametrize("command", ["curvature", "vk"])
+@pytest.mark.parametrize("options, dropped", [
+    (["--n", "4", "--m", "7", "--mu", "9"], "--n --m --mu"),
+    (["--n", "3"], "--n"),
+    (["--m", "2"], "--m"),
+    (["--mu", "1"], "--mu"),
+])
+def test_model_file_rejects_builtin_parameters(capsys, tmp_path, command, options,
+                                               dropped):
+    path = tmp_path / "qe.cfg"
+    path.write_text(_QE_FILE)
+    code, out, err = run_cli(capsys, command, "--model", str(path), *options)
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: model file '{path}' declares its own n, m and mu; "
+                   f"drop {dropped}\n")
+    code, out, _ = run_cli(capsys, command, "--model", str(path))
+    assert code == 0
+    assert text_values(out)["model.n"] == "3"
+
+
+def test_builtin_model_dimension_defaults_to_3(capsys):
+    code, out, _ = run_cli(capsys, "curvature", "--model", "euclidean")
+    assert code == 0
+    assert text_values(out)["model.n"] == "3"

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from wrvc.errors import DomainError, ExpressionError, ModelError
-from wrvc.expr import MAX_DEPTH, evaluate, parse_expression, to_string
+from wrvc.expr import MAX_DEPTH, Num, evaluate, parse_expression, to_string
 from wrvc.geometry import curvature
 from wrvc.jets import Jet
 from wrvc.models import (
     BUILTIN_NAMES,
+    ModelSpec,
     builtin_model,
     lcf_candidate_ambient,
     load_model_file,
@@ -400,3 +401,55 @@ def test_model_file_rejects_non_finite_lambda(tmp_path):
     )
     with pytest.raises(ModelError, match="finite"):
         load_model_file(path)
+
+
+def _flat_spec(**changes):
+    base = dict(name="flat", n=2, m=1.0, mu=0.0, coords=("x", "y"),
+                g_exprs=[[Num(1.0), Num(0.0)], [Num(0.0), Num(1.0)]],
+                f_expr=Num(1.0))
+    return ModelSpec(**{**base, **changes})
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"m": float("nan")}, "parameter m must be finite, got nan"),
+    ({"mu": float("inf")}, "parameter mu must be finite, got inf"),
+    ({"lam": float("-inf")}, "parameter lambda must be finite, got -inf"),
+    ({"m": -1.0}, "model 'flat' needs a dimensional parameter m >= 0, got m = -1"),
+    ({"n": 0}, "model 'flat' needs a dimension n in 1..4, got n = 0"),
+    ({"n": 5}, "model 'flat' needs a dimension n in 1..4, got n = 5"),
+    ({"coords": ("x",)}, r"model 'flat' needs 2 coordinate names, got 1: \('x',\)"),
+])
+def test_model_spec_checks_its_parameters_once(changes, message):
+    _flat_spec()   # the base is accepted
+    with pytest.raises(ModelError, match=f"^{message}$"):
+        _flat_spec(**changes)
+
+
+def test_model_file_and_builtin_parameter_errors_come_from_model_spec(tmp_path):
+    path = tmp_path / "five.cfg"
+    path.write_text("[space]\nn = 5\ncoords = a, b, c, d, e\n\n[metric]\n"
+                    + "".join(f"g_{i}{i} = 1\n" for i in range(1, 6)))
+    with pytest.raises(ModelError, match=f"model '{path}' needs a dimension n in 1..4"):
+        load_model_file(path)
+    path.write_text("[space]\nn = 3\ncoords = x, y\n\n[metric]\n"
+                    "g_11 = 1\ng_22 = 1\ng_33 = 1\n")
+    with pytest.raises(ModelError, match="needs 3 coordinate names, got 2"):
+        load_model_file(path)
+    # a huge n stops at the first missing diagonal, before any n x n table
+    path.write_text("[space]\nn = 1000000000\n\n[metric]\ng_11 = 1\n")
+    with pytest.raises(ModelError, match="missing diagonal metric component g_22"):
+        load_model_file(path)
+    # built-ins name their coordinates x, y, z, w
+    for n in (1, 5):
+        with pytest.raises(ModelError, match=f"built-in models support 2 <= n <= 4, "
+                           f"got n = {n}"):
+            builtin_model("qe_sphere", n)
+
+
+def test_pointwise_methods_take_one_point_only():
+    # node arrays are for grids; a pointwise method rejects them
+    spec = builtin_model("qe_sphere", 3, 2.0, 1.0)
+    for bad in (np.zeros((4, 3)), 0.5, [0.0, 0.0]):
+        for evaluate_at in (spec.metric_at, spec.density_at, spec.structure_at):
+            with pytest.raises(ModelError, match="needs a point with 3 coordinates"):
+                evaluate_at(bad)

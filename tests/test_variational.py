@@ -3,6 +3,7 @@ import gc
 import math
 import re
 import sys
+import warnings
 import weakref
 
 import numpy as np
@@ -316,6 +317,62 @@ def test_grid_vk_needs_positive_density_on_every_node():
         with pytest.raises(DomainError, match="base density must be positive: the "
                            "density of model 'tilted' is not positive on every grid node"):
             operation(tilted, grid)
+
+
+def _with_density(text, name="qe_sphere"):
+    return dataclasses.replace(builtin_model("qe_sphere", 3, 2.5, 1), name=name,
+                               f_expr=parse_expression(text))
+
+
+def test_weighted_volume_reads_each_chart_at_its_own_points():
+    # f = 2 +- xi_3 with xi_3 = (r^2-1)/(r^2+1) in chart 1: the weighted
+    # volume is 4 pi int_0^pi (2 +- cos t)^(5/2) sin^2 t dt, the same for
+    # both signs; chart 2's nodes must be evaluated at X/|X|^2
+    t, w = np.polynomial.legendre.leggauss(200)
+    theta = 0.5 * math.pi * (t + 1.0)
+    exact = 2.0 * math.pi**2 * np.dot(w, (2.0 + np.cos(theta))**2.5 * np.sin(theta)**2)
+    grid = QuadratureGrid(3, resolution=40)
+    xi3 = "(x^2+y^2+z^2-1)/(x^2+y^2+z^2+1)"
+    volumes = [weighted_volume(_with_density(f"2{sign}{xi3}"), grid) for sign in "+-"]
+    for volume in volumes:
+        assert abs(volume - exact) <= 1e-8 * exact
+    assert volumes[0] == pytest.approx(volumes[1], rel=1e-12)
+    # a constant density is evaluated once and shared by both charts
+    bound = grid.bind(builtin_model("qe_sphere", 3, 2.5, 1))
+    assert bound.fm[0] is bound.fm[1]
+
+
+@pytest.mark.parametrize("density, message", [
+    ("exp(1000)", "density of model 'big' is not finite on 648 grid nodes"),
+    ("1e300", r"weight f\^m \(m = 2.5\) of model 'big' is not a positive finite "
+     r"number at point \("),
+    ("1e-320", r"weight f\^m \(m = 2.5\) of model 'big' is not a positive finite "
+     r"number at point \("),
+])
+def test_grid_density_whose_weight_is_not_finite_and_positive(density, message):
+    grid = QuadratureGrid(3, resolution=10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=message):
+            grid.bind(_with_density(density, name="big"))
+
+
+def test_grid_density_domain_error_is_short_and_names_the_model():
+    with pytest.raises(DomainError) as info:
+        weighted_volume(_with_density("log(x)", name="logx"), QuadratureGrid(3, 10))
+    text = str(info.value)
+    assert len(text) < 300
+    assert "density of model 'logx' is undefined on 648 grid nodes" in text
+    assert "log(an array of shape (648,), first offending entry -" in text
+
+
+def test_grid_checks_the_domain_on_every_node():
+    # the hyperbolic domain z > 0 excludes the nodes with z <= 0
+    hyperbolic = builtin_model("hyperbolic_upper_half", 3)
+    with pytest.raises(DomainError, match=r"metric of model 'hyperbolic_upper_half' "
+                       r"is undefined on 648 grid nodes \(model domain: points with "
+                       r"z > 0\): a node lies outside the domain$"):
+        QuadratureGrid(3, resolution=10).bind(hyperbolic)
 
 
 def test_bound_grid_freed_without_cycle_collector(qe3):
