@@ -1,11 +1,14 @@
-"""Truncated multivariate Taylor arithmetic (jets) in up to four variables.
+"""Truncated multivariate Taylor arithmetic (jets) in any number of variables.
 
 A jet stores the Taylor coefficients of an analytic function at a chart
 point: ``coeffs[rank(alpha)] = (1/alpha!) * d^alpha f``.  Monomials are
-ranked in graded order (total degree first), so truncating a jet to a
-lower order is a prefix slice of its coefficient array.  All arithmetic
-is exact for polynomial data up to the truncation order; there is no
-finite-difference error anywhere downstream.
+ranked in graded order (total degree first, descending lex within a
+degree; ``_exponents``), so truncating a jet to a lower order is a prefix
+slice of its coefficient array.  Any dimension works here while
+(order + 1)^dim < 2^63 (the table keys); the bound n <= 4 on a model is
+an input bound, ``rho.MAX_DIM``.  All arithmetic is exact for polynomial
+data up to the truncation order; there is no finite-difference error
+anywhere downstream.
 """
 
 from __future__ import annotations
@@ -17,77 +20,67 @@ import numpy as np
 
 from .errors import DimensionMismatch, DomainError, OrderError
 
-MAX_DIM = 4
-
 _RECIPROCAL_FLOOR = 1e-300
 
 
 @lru_cache(maxsize=None)
-def _monomials(dim: int, order: int) -> tuple[tuple[int, ...], ...]:
-    """All multi-indices with |alpha| <= order, graded, lex within a degree."""
-    by_degree: list[list[tuple[int, ...]]] = [[] for _ in range(order + 1)]
-
-    def rec(prefix, remaining_slots, budget):
-        if remaining_slots == 0:
-            by_degree[sum(prefix)].append(tuple(prefix))
-            return
-        for k in range(budget, -1, -1):
-            rec(prefix + [k], remaining_slots - 1, budget - k)
-
-    rec([], dim, order)
-    out: list[tuple[int, ...]] = []
-    for deg in range(order + 1):
-        out.extend(by_degree[deg])
-    return tuple(out)
+def _exponents(dim: int, order: int) -> np.ndarray:
+    """(ncoef, dim) exponents of the monomials of degree <= order, graded,
+    descending lex within a degree: the one table that fixes the
+    coefficient layout.  Degree k is degree k-1 times x_0, then its rows
+    free of x_0 times x_1, then those free of x_0, x_1 times x_2, ..."""
+    if order == 0:
+        return np.zeros((1, dim), dtype=int)
+    E = _exponents(dim, order - 1)
+    top = E[E.sum(axis=1) == order - 1]
+    return np.concatenate([E] + [top[~top[:, :i].any(axis=1)] + np.eye(dim, dtype=int)[i]
+                                 for i in range(dim)])
 
 
 @lru_cache(maxsize=None)
-def _rank_table(dim: int, order: int) -> dict[tuple[int, ...], int]:
-    return {alpha: i for i, alpha in enumerate(_monomials(dim, order))}
+def _sorted_keys(dim: int, order: int):
+    """Digit weights of the radix-(order + 1) row keys, the table rows' keys
+    sorted, and the rank of each; ``ravel_multi_index`` raises on overflow."""
+    keys = np.ravel_multi_index(_exponents(dim, order).T, (order + 1,) * dim)
+    perm = np.argsort(keys)
+    return (order + 1) ** np.arange(dim - 1, -1, -1), keys[perm], perm
+
+
+def _rank(rows: np.ndarray, dim: int, order: int) -> np.ndarray:
+    """Table ranks of exponent rows (..., dim) of degree <= order."""
+    weights, keys, perm = _sorted_keys(dim, order)
+    return perm[np.searchsorted(keys, rows @ weights)]
 
 
 @lru_cache(maxsize=None)
 def _product_triples(dim: int, order: int):
-    """Index triples (ia, ib, ic) with monomial(ia) + monomial(ib) = monomial(ic).
-
-    Each pair (ib, ic) occurs at most once, since ia is then determined.
-    """
-    monos = _monomials(dim, order)
-    rank = _rank_table(dim, order)
-    ia, ib, ic = [], [], []
-    for i, a in enumerate(monos):
-        da = sum(a)
-        for j, b in enumerate(monos):
-            if da + sum(b) > order:
-                continue
-            c = tuple(x + y for x, y in zip(a, b))
-            ia.append(i)
-            ib.append(j)
-            ic.append(rank[c])
-    return np.array(ia), np.array(ib), np.array(ic)
+    """Index triples (ia, ib, ic) with E[ia] + E[ib] = E[ic] (E the exponent
+    table), one per pair of total degree <= order, row-major in (ia, ib):
+    the partners of ia are the table's prefix of degree <= order - deg(ia)."""
+    E = _exponents(dim, order)
+    deg = E.sum(axis=1)
+    count = np.searchsorted(deg, order - deg, side="right")
+    ia = np.repeat(np.arange(len(E)), count)
+    ib = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+    return ia, ib, _rank(E[ia] + E[ib], dim, order)
 
 
 @lru_cache(maxsize=None)
 def _derivative_matrices(dim: int, order: int) -> np.ndarray:
     """D of shape (dim, n_coeffs(dim, order-1), n_coeffs(dim, order)) with
     D[l] @ coeffs the coefficients of d/dx_l."""
-    monos = _monomials(dim, order)
-    rank_lower = _rank_table(dim, order - 1)
-    out = np.zeros((dim, n_coeffs(dim, order - 1), len(monos)))
-    for i, a in enumerate(monos):
-        for axis in range(dim):
-            if a[axis]:
-                b = list(a)
-                b[axis] -= 1
-                out[axis, rank_lower[tuple(b)], i] = a[axis]
+    E = _exponents(dim, order)
+    axis, i = np.nonzero(E.T)
+    lowered = E[i] - np.eye(dim, dtype=int)[axis]
+    out = np.zeros((dim, n_coeffs(dim, order - 1), len(E)))
+    out[axis, _rank(lowered, dim, order - 1), i] = E[i, axis]
     return out
 
 
 @lru_cache(maxsize=None)
 def gradient_index(dim: int) -> np.ndarray:
     """Coefficient slots of x_0 .. x_{dim-1}: the first partials at the point."""
-    rank = _rank_table(dim, 1)
-    return np.array([rank[_unit(dim, i)] for i in range(dim)])
+    return _rank(np.eye(dim, dtype=int), dim, 1)
 
 
 @lru_cache(maxsize=None)
@@ -95,17 +88,8 @@ def hessian_index(dim: int) -> tuple[np.ndarray, np.ndarray]:
     """(slots, factors), both (dim, dim): the second partial d_i d_j at the
     point is ``coeffs[slots[i, j]] * factors[i, j]`` (factor alpha! = 2 on
     the diagonal)."""
-    rank = _rank_table(dim, 2)
-    slots = np.empty((dim, dim), dtype=int)
-    for i in range(dim):
-        for j in range(dim):
-            alpha = tuple(x + y for x, y in zip(_unit(dim, i), _unit(dim, j)))
-            slots[i, j] = rank[alpha]
-    return slots, 1.0 + np.eye(dim)
-
-
-def _unit(dim: int, i: int) -> tuple[int, ...]:
-    return tuple(int(a == i) for a in range(dim))
+    unit = np.eye(dim, dtype=int)
+    return _rank(unit[:, None, :] + unit, dim, 2), 1.0 + np.eye(dim)
 
 
 def n_coeffs(dim: int, order: int) -> int:
@@ -115,8 +99,8 @@ def n_coeffs(dim: int, order: int) -> int:
 @lru_cache(maxsize=None)
 def jet_order(dim: int, nc: int) -> int:
     """The order k with ``n_coeffs(dim, k) == nc``, the inverse of ``n_coeffs``."""
-    if not 1 <= dim <= MAX_DIM:
-        raise DimensionMismatch(f"jet dimension must be in 1..{MAX_DIM}, got {dim}")
+    if dim < 1:
+        raise DimensionMismatch(f"jet dimension must be >= 1, got {dim}")
     order = 0
     while n_coeffs(dim, order) < nc:
         order += 1
@@ -210,8 +194,8 @@ class Jet:
     __slots__ = ("dim", "order", "coeffs")
 
     def __init__(self, dim: int, order: int, coeffs=None):
-        if not 1 <= dim <= MAX_DIM:
-            raise DimensionMismatch(f"jet dimension must be in 1..{MAX_DIM}, got {dim}")
+        if dim < 1:
+            raise DimensionMismatch(f"jet dimension must be >= 1, got {dim}")
         if order < 0:
             raise OrderError(f"jet order must be >= 0, got {order}")
         self.dim = dim
@@ -274,11 +258,8 @@ class Jet:
             raise OrderError(
                 f"partial of total degree {sum(alpha)} exceeds jet order {self.order}"
             )
-        rank = _rank_table(self.dim, self.order)[alpha]
-        fact = 1.0
-        for a in alpha:
-            fact *= math.factorial(a)
-        return float(self.coeffs[rank] * fact)
+        rank = _rank(alpha, self.dim, self.order)
+        return float(self.coeffs[rank] * math.prod(map(math.factorial, alpha)))
 
     def derivative(self, axis: int) -> "Jet":
         """Jet of the partial derivative along one axis (order drops by one)."""
@@ -404,20 +385,14 @@ class Jet:
         return self.apply("cos")
 
     def __repr__(self):
-        monos = _monomials(self.dim, self.order)
-        names = "xyzw"
+        names = "xyzw" if self.dim <= 4 else [f"x{i}" for i in range(self.dim)]
         terms = []
-        for a, c in zip(monos, self.coeffs):
-            if c == 0.0:
-                continue
-            mono = "".join(
-                names[i] + (f"^{p}" if p > 1 else "")
-                for i, p in enumerate(a)
-                if p > 0
-            )
-            terms.append(f"{c:g}{('*' + mono) if mono else ''}")
-        body = " + ".join(terms) if terms else "0"
-        return f"Jet(dim={self.dim}, order={self.order}: {body})"
+        for a, c in zip(_exponents(self.dim, self.order).tolist(), self.coeffs):
+            if c != 0.0:
+                mono = "".join(names[i] + (f"^{p}" if p > 1 else "")
+                               for i, p in enumerate(a) if p)
+                terms.append(f"{c:g}*{mono}" if mono else f"{c:g}")
+        return f"Jet(dim={self.dim}, order={self.order}: {' + '.join(terms) or '0'})"
 
 
 def _univariate_coeffs(fn: str, a0: float, order: int, alpha: float | None):

@@ -20,12 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ModelError, OrderError
+from .errors import DomainError, ExpressionError, ModelError, OrderError
 from .expr import Node, Num, evaluate, parse_expression
 from .geometry import MetricAtPoint
-from .jets import MAX_DIM, Jet, n_coeffs
+from .jets import Jet, n_coeffs
 from .rho import (
+    MAX_DIM,
     AmbientExpansion,
+    determinacy_cap,
     load_ambient_file,
     obstruction_tensors,
     volume_coefficients,
@@ -241,8 +243,10 @@ class ModelSpec:
     def ambient_at(self, point, K: int | None = None) -> AmbientExpansion:
         """The model's ambient expansion at one chart point, to order K.
 
-        K = None means the coefficient file's own order, or
-        ``DEFAULT_AMBIENT_ORDER`` for a generated expansion.  A coefficient
+        K = None means the coefficient file's own order, or for a generated
+        expansion ``DEFAULT_AMBIENT_ORDER`` lowered to the determinacy order
+        when n+m is an even integer (an explicit K above it stays an
+        error, raised where the volume series is read).  A coefficient
         file holds one point's data, so ``point`` does not enter it; its
         header must match the model's (n, m, mu), and a K above the file's
         raises ``OrderError``.  A generated expansion that overflows or
@@ -252,9 +256,11 @@ class ModelSpec:
         """
         if self.lam is not None:
             g, f = self._evaluate(point, 0)
-            order = DEFAULT_AMBIENT_ORDER if K is None else K
+            if K is None:
+                cap = determinacy_cap(self.n, self.m)   # None or >= 1
+                K = min(DEFAULT_AMBIENT_ORDER, int(cap or DEFAULT_AMBIENT_ORDER))
             with self._checking("ambient expansion", point):
-                return quasi_einstein_coeffs(g.matrix, f[0], self.lam, order)
+                return quasi_einstein_coeffs(g.matrix, f[0], self.lam, K)
         if self.ambient_file is not None:
             return self._file_ambient(K)
         raise ModelError(
@@ -440,15 +446,22 @@ def load_model_file(path) -> ModelSpec:
     if not read:
         raise ModelError(f"cannot read model file {path!r}")
     if "space" not in cp or "metric" not in cp:
-        raise ModelError("model file needs [space] and [metric] sections")
+        raise ModelError(f"{path}: model file needs [space] and [metric] sections")
     try:
         n = cp.getint("space", "n")
         m = cp.getfloat("space", "m", fallback=0.0)
         mu = cp.getfloat("space", "mu", fallback=0.0)
     except ValueError as exc:
-        raise ModelError(f"bad [space] entry: {exc}")
+        raise ModelError(f"{path}: bad [space] entry: {exc}")
     coords_raw = cp.get("space", "coords", fallback=", ".join(_COORD_NAMES[:n]))
     coords = tuple(c.strip() for c in coords_raw.split(",") if c.strip())
+
+    def parse(section, key, text):
+        # the parser's message leads, as for an expression given elsewhere
+        try:
+            return parse_expression(text)
+        except ExpressionError as exc:
+            raise ModelError(f"{exc} in [{section}] {key} of {path}")
 
     entries = {}   # (i, j) with i >= j -> AST; key syntax bounds i, j to 0..8
     for key, text in cp.items("metric"):
@@ -458,19 +471,22 @@ def load_model_file(path) -> ModelSpec:
             )
         i, j = int(key[2]) - 1, int(key[3]) - 1
         if not (0 <= i < n and 0 <= j < n):
-            raise ModelError(f"metric key {key!r} outside the {n}x{n} range")
-        entries[max(i, j), min(i, j)] = parse_expression(text)
+            raise ModelError(f"{path}: metric key {key!r} outside the {n}x{n} range")
+        entries[max(i, j), min(i, j)] = parse("metric", key, text)
     for i in range(n):   # stops by i = 9, so the table below stays small
         if (i, i) not in entries:
-            raise ModelError(f"missing diagonal metric component g_{i + 1}{i + 1}")
+            raise ModelError(f"{path}: missing diagonal metric component g_{i + 1}{i + 1}")
     g_exprs = [[entries.get((max(i, j), min(i, j)), Num(0.0)) for j in range(n)]
                for i in range(n)]
 
-    f_expr = parse_expression(cp.get("density", "f", fallback="1"))
+    f_expr = parse("density", "f", cp.get("density", "f", fallback="1"))
 
     lam = None
     ambient_file = None
     if "ambient" in cp:
+        if cp.has_option("ambient", "lambda") and cp.has_option("ambient", "coefficients"):
+            raise ModelError(f"{path}: [ambient] gives both lambda and coefficients; "
+                             "keep one")
         if cp.has_option("ambient", "lambda"):
             try:
                 lam = cp.getfloat("ambient", "lambda")
@@ -486,7 +502,7 @@ def load_model_file(path) -> ModelSpec:
         text = cp.get("space", "point")
         vals = [v.strip() for v in text.split(",")]
         if len(vals) != n:
-            raise ModelError(f"default point needs {n} coordinates")
+            raise ModelError(f"{path}: default point needs {n} coordinates")
         try:
             default_point = np.array([float(v) for v in vals])
         except ValueError as exc:

@@ -32,10 +32,10 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DeterminacyError, DimensionMismatch, DomainError, OrderError
-from .jets import MAX_DIM
 
 _LEADING_TOL = 1e-300
 MAX_AMBIENT_ORDER = 32   # largest K taken from a file header or the command line
+MAX_DIM = 4              # largest n taken from a model or a file header
 
 
 @lru_cache(maxsize=None)

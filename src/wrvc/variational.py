@@ -128,7 +128,6 @@ class QuadratureGrid:
         self.conf = conf[keep]
         self.D = node_D(self.points)
         self._bound = {}   # id(model) -> GridStructure, which holds the model
-        self._lb = None    # (field, per-chart Laplace-Beltrami values), last field
 
     def bind(self, model: ModelSpec) -> "GridStructure":
         """The model's data on this grid, built once per model object."""
@@ -136,17 +135,6 @@ class QuadratureGrid:
         if bound is None:
             bound = self._bound[id(model)] = GridStructure(model, self)
         return bound
-
-    def _laplace_beltrami(self, field: SphereField) -> list:
-        """Per-chart Laplace-Beltrami values of the field, memoized for the
-        most recent field only; the entry holds the field, so its id is
-        never reused while the values are kept."""
-        if self._lb is None or self._lb[0] is not field:
-            self._lb = (field, [
-                laplace_beltrami_values(field, sign, self.points, self.D)
-                for sign in self.charts
-            ])
-        return self._lb[1]
 
     @property
     def node_count(self) -> int:
@@ -259,6 +247,12 @@ def field_values(field: SphereField, grid: QuadratureGrid) -> list:
     return [field.value(sign, grid.points, grid.D) for sign in grid.charts]
 
 
+def field_laplace_beltrami(field: SphereField, grid: QuadratureGrid) -> list:
+    """Per-chart Laplace-Beltrami values of the field on the grid nodes."""
+    return [laplace_beltrami_values(field, sign, grid.points, grid.D)
+            for sign in grid.charts]
+
+
 def project_mean_zero(model: ModelSpec, grid: QuadratureGrid, field: SphereField):
     """Subtract the weighted mean; returns per-chart value arrays."""
     bound = grid.bind(model)
@@ -290,17 +284,19 @@ def laplace_beltrami_values(field: SphereField, sign: float, X: np.ndarray,
 
 
 def delta_vk_identity_check(model: ModelSpec, grid: QuadratureGrid, k: int,
-                            field: SphereField) -> float:
+                            lb_values) -> float:
     """|integral of the divergence part of the v_k variation|.
 
     At a proportional structure the second-order term reduces to
     l_k * Laplacian(omega), whose weighted integral must vanish; the
-    returned magnitude is pure quadrature error.
+    returned magnitude is pure quadrature error.  ``lb_values`` holds the
+    per-chart Laplace-Beltrami values of omega
+    (``field_laplace_beltrami(omega, grid)``).
     """
     bound = grid.bind(model)
     _require_constant_density(model)
     _, lk = bound.series_scales(k)
-    vals = [lk * lb * fm for lb, fm in zip(grid._laplace_beltrami(field), bound.fm)]
+    vals = [lk * lb * fm for lb, fm in zip(lb_values, bound.fm)]
     return abs(grid.integrate(vals))
 
 

@@ -15,7 +15,7 @@ import ast
 import math
 from contextlib import contextmanager
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import permutations, product
 from pathlib import Path
 
@@ -151,12 +151,19 @@ class ExactGeometry:
                  for i in range(n)] for k in range(n)]
             for a in multi_indices(n, order - 1)
         }
-        # determinant by the permutation expansion, in the shifted ring
+        # determinant by the permutation expansion, in the shifted ring;
+        # products drop terms of degree > order, which no derivative read
+        # here sees (without that, n = 5 takes seconds)
+        ring = shifted[0][0].ring
+
+        def times(p, q):
+            return ring.from_dict({a: c for a, c in (p * q).items() if sum(a) <= order})
+
         det = sum(
             (permutation_sign(perm)
-             * math.prod((shifted[i][perm[i]] for i in range(n)), start=shifted[0][0].ring.one)
+             * reduce(times, (shifted[i][perm[i]] for i in range(n)), ring.one)
              for perm in permutations(range(n))),
-            shifted[0][0].ring.zero,
+            ring.zero,
         )
         self.ddet = derivatives(det, n, order)
 
@@ -217,27 +224,29 @@ def assert_rel_close(actual, expected, what):
 
 # -- random polynomial metrics ----------------------------------------------------
 
-# dyadic coefficients and points are exact in both float and rational arithmetic
-_small = st.integers(-8, 8).map(lambda k: Fraction(k, 64))
+def metric_case(integer, n, order):
+    """(n, order, point, entries, u): entries[(i, j)] and u map multi-indices
+    of degree <= 2 (u: <= 3) to dyadic coefficients, which are exact in
+    both float and rational arithmetic, as are the points; g = 2 delta +
+    entries is diagonally dominant, hence positive definite, near the
+    point.  ``integer(lo, hi)`` draws one integer in [lo, hi]."""
+    small = lambda: Fraction(integer(-8, 8), 64)  # noqa: E731
+    point = [Fraction(integer(-16, 16), 64) for _ in range(n)]
+    entries = {}
+    for i in range(n):
+        for j in range(i, n):
+            poly = {a: small() for a in multi_indices(n, 2)}
+            if i == j:
+                poly[(0,) * n] += 2
+            entries[i, j] = entries[j, i] = poly
+    u = {a: small() for a in multi_indices(n, 3)}
+    return n, order, point, entries, u
 
 
 @st.composite
 def polynomial_metrics(draw):
-    """(n, order, point, entries, u): entries[(i, j)] and u map multi-indices
-    of degree <= 2 (u: <= 3) to dyadic coefficients; g = 2 delta + entries is
-    diagonally dominant, hence positive definite, near the point."""
-    n = draw(st.integers(2, 4))
-    order = draw(st.integers(2, 4))
-    point = [draw(st.integers(-16, 16).map(lambda k: Fraction(k, 64))) for _ in range(n)]
-    entries = {}
-    for i in range(n):
-        for j in range(i, n):
-            poly = {a: draw(_small) for a in multi_indices(n, 2)}
-            if i == j:
-                poly[(0,) * n] += 2
-            entries[i, j] = entries[j, i] = poly
-    u = {a: draw(_small) for a in multi_indices(n, 3)}
-    return n, order, point, entries, u
+    integer = lambda lo, hi: draw(st.integers(lo, hi))  # noqa: E731
+    return metric_case(integer, integer(2, 4), integer(2, 4))
 
 
 def jet_poly(poly, xs):
@@ -255,6 +264,15 @@ def jet_poly(poly, xs):
 @settings(max_examples=12, deadline=None)
 @given(polynomial_metrics())
 def test_array_geometry_matches_exact_derivatives(case):
+    check_against_exact(case)
+
+
+def test_array_geometry_matches_exact_derivatives_beyond_four_dimensions():
+    rng = np.random.default_rng(5)
+    check_against_exact(metric_case(lambda lo, hi: int(rng.integers(lo, hi + 1)), 5, 2))
+
+
+def check_against_exact(case):
     n, order, point, entries, u_poly = case
     exact = ExactGeometry(entries, point, order)
 

@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 from pathlib import Path
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from wrvc.cli import main, parse_point
 from wrvc.errors import WrvcError
+from wrvc.models import BUILTIN_NAMES as MODEL_NAMES
 
 
 def run_cli(capsys, *argv):
@@ -240,6 +242,49 @@ def test_model_expression_fuzz_exits_0_or_one_error_line(capsys, tmp_path, g_11,
             json.loads(out, parse_constant=_reject_non_finite)
 
 
+_NUMBER_TEXT = (st.sampled_from(["0", "1", "2", "-1", "0.5", "3", "1e308", "-1e308", "nan",
+                                 "inf", "-inf", "1e-320", "x", ""])
+                | st.floats(-4.0, 4.0).map(repr))
+_INTEGER_TEXT = st.integers(-2, 40).map(str) | st.sampled_from(["x", "1.5", "10" * 10])
+
+
+@st.composite
+def _cli_argv(draw):
+    """curvature, vk or verify --suite jets with a random subset of their flags."""
+    command = draw(st.sampled_from(["curvature", "vk", "verify"]))
+    if command == "verify":
+        argv = [command, "--suite", "jets"]
+        flags = [("--seed", st.integers(-2, 2**70).map(str) | st.sampled_from(["x", "1.5"]))]
+    else:
+        argv = [command, "--model", draw(st.sampled_from(MODEL_NAMES + ("nonsense",)))]
+        flags = [("--n", _INTEGER_TEXT), ("--m", _NUMBER_TEXT), ("--mu", _NUMBER_TEXT),
+                 ("--point", st.lists(_NUMBER_TEXT, max_size=5).map(",".join))]
+        if command == "vk":
+            flags.append(("--order", _INTEGER_TEXT))
+    for flag, values in flags:
+        if draw(st.booleans()):
+            argv += [flag, draw(values)]
+    return argv + draw(st.sampled_from([[], ["--json"]]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_cli_argv())
+def test_argv_fuzz_exits_0_or_one_error_line(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:   # argparse rejects the flags
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code in (0, 2)
+    if code == 2:
+        assert out == "" and "Traceback" not in err
+        assert "error:" in err.strip().split("\n")[-1]
+    else:
+        assert err == ""
+        assert not re.search(r"\b(nan|inf)\b", out, re.IGNORECASE)
+
+
 def test_unknown_model(capsys):
     code, _, err = run_cli(capsys, "curvature", "--model", "nonsense")
     assert code == 2
@@ -367,7 +412,19 @@ _FLAT2 ="[space]\nn = 2\n\n[metric]\ng_11 = 1\ng_22 = 1\n"
     (_FLAT2.replace("n = 2", "n = 2\npoint = 1, q"), "bad [space] point"),
     (_FLAT2 + "\n[ambient]\nlambda = x\n", "bad [ambient] lambda"),
     (_FLAT2.replace("n = 2", "n = 2\npoint = nan, 0"), "non-finite [space] point"),
-], ids=["key", "duplicate", "no-header", "point", "lambda", "nan-point"])
+    ("[space]\nn = 2\n", "model file needs [space] and [metric] sections"),
+    (_FLAT2.replace("n = 2", "n = two"), "bad [space] entry: "),
+    (_FLAT2 + "g_33 = 1\n", "metric key 'g_33' outside the 2x2 range"),
+    (_FLAT2.replace("g_22 = 1\n", ""), "missing diagonal metric component g_22"),
+    (_FLAT2.replace("n = 2", "n = 2\npoint = 1"), "default point needs 2 coordinates"),
+    (_FLAT2.replace("g_22 = 1", "g_22 = 1+*x"),
+     "unexpected token '*' (at offset 2) in [metric] g_22 of "),
+    (_FLAT2 + "\n[density]\nf = (1", " in [density] f of "),
+    (_FLAT2 + "\n[ambient]\nlambda = 0.1\ncoefficients = nope.txt\n",
+     "[ambient] gives both lambda and coefficients; keep one"),
+], ids=["key", "duplicate", "no-header", "point", "lambda", "nan-point", "sections",
+        "space-entry", "key-range", "diagonal", "point-count", "metric-syntax",
+        "density-syntax", "ambient-both"])
 def test_malformed_model_file_exits_2(capsys, tmp_path, text, cause):
     path = tmp_path / "bad.cfg"
     path.write_text(text)

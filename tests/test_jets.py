@@ -1,4 +1,5 @@
 import math
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -6,7 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wrvc.errors import DimensionMismatch, DomainError, OrderError
-from wrvc.jets import Jet
+from wrvc.jets import (
+    Jet,
+    _derivative_matrices,
+    _exponents,
+    _product_triples,
+    gradient_index,
+    hessian_index,
+)
 
 
 def random_jet(rng, dim, order, scale=1.0, shift=0.0):
@@ -215,3 +223,54 @@ def test_derivative_jet_matches_partial():
     d0 = a.derivative(0)
     assert d0.value == pytest.approx(a.partial((1, 0, 0)))
     assert d0.partial((0, 1, 0)) == pytest.approx(a.partial((1, 1, 0)))
+
+
+# -- index tables in any dimension ----------------------------------------
+
+
+def reference_exponents(dim, order):
+    """Every exponent tuple of degree <= order, from multisets of variables,
+    sorted by degree, then descending lex."""
+    rows = [tuple(c.count(i) for i in range(dim))
+            for degree in range(order + 1)
+            for c in combinations_with_replacement(range(dim), degree)]
+    return sorted(rows, key=lambda a: (sum(a), [-x for x in a]))
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_exponent_table_matches_an_independent_enumeration(dim):
+    for order in range(7):
+        assert _exponents(dim, order).tolist() == \
+            [list(a) for a in reference_exponents(dim, order)]
+    rank = {a: i for i, a in enumerate(reference_exponents(dim, 2))}
+    unit = [tuple(row) for row in np.eye(dim, dtype=int)]
+    assert gradient_index(dim).tolist() == [rank[u] for u in unit]
+    slots, factors = hessian_index(dim)
+    assert slots.tolist() == [[rank[tuple(np.add(u, v))] for v in unit] for u in unit]
+    assert np.array_equal(factors, 1.0 + np.eye(dim))
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_product_triples_and_derivative_matrices_identities(dim):
+    for order in range(7):
+        E = np.array(reference_exponents(dim, order)).reshape(-1, dim)
+        deg = E.sum(axis=1)
+        ia, ib, ic = _product_triples(dim, order)
+        assert np.array_equal(E[ia] + E[ib], E[ic])
+        # each pair of total degree <= order exactly once, in row-major order
+        assert np.array_equal(np.stack([ia, ib], axis=1),
+                              np.argwhere(deg[:, None] + deg <= order))
+        if order == 0:
+            continue
+        # D[l] maps x^alpha to alpha_l x^(alpha - e_l), one entry per alpha_l > 0
+        D = _derivative_matrices(dim, order)
+        lower = np.array(reference_exponents(dim, order - 1)).reshape(-1, dim)
+        axis, row, col = np.nonzero(D)
+        assert np.array_equal(E[col] - np.eye(dim, dtype=int)[axis], lower[row])
+        assert np.array_equal(D[axis, row, col], E[col, axis])
+        assert len(axis) == np.count_nonzero(E)
+
+
+def test_repr_names_variables_beyond_four():
+    assert repr(Jet.variable(4, 1.0, 5, 2)) == "Jet(dim=5, order=2: 1 + 1*x4)"
+    assert repr(Jet.variable(1, 0.0, 2, 1) * 3.0) == "Jet(dim=2, order=1: 3*y)"

@@ -257,6 +257,17 @@ def test_lambda_zero_gives_constant_expansion():
     assert np.allclose(volume_coefficients(a, 2.0).v, 0.0, atol=1e-14)
 
 
+@pytest.mark.parametrize("name, n, m, K", [
+    ("euclidean", 2, None, 1), ("qe_sphere", 2, 2.0, 2), ("qe_sphere", 4, 2.0, 3),
+    ("qe_sphere", 3, 2.0, 5), ("qe_sphere", 4, 2.5, 5), ("qe_sphere", 4, 8.0, 5),
+])
+def test_default_ambient_order_stops_at_the_determinacy_order(name, n, m, K):
+    # DEFAULT_AMBIENT_ORDER = 5, lowered to (n+m)/2 when n+m is an even integer
+    spec = builtin_model(name, n, m=m)
+    coeffs, _ = spec.volume_coefficients_at(spec.default_point)
+    assert len(coeffs) == K
+
+
 def test_non_finite_density_raises_domain_error():
     spec = dataclasses.replace(builtin_model("euclidean", 2, m=1.0),
                                f_expr=parse_expression("exp(x)"))

@@ -35,6 +35,7 @@ from wrvc.variational import (
     c_k_constant,
     delta_vk_identity_check,
     eigenvalue_bound_check,
+    field_laplace_beltrami,
     field_values,
     first_variation,
     functional_F_k,
@@ -181,7 +182,8 @@ def test_quadrature_paths_never_build_a_hessian(monkeypatch, grid3, qe3):
     for cls in (SphereField, Constant, AmbientCoordinate, Sum, Product):
         monkeypatch.setattr(cls, "hess", no_hessian)
     trial = random_combination(np.random.default_rng(4), 3)
-    assert delta_vk_identity_check(qe3, grid3, 2, trial) <= 1e-6
+    assert delta_vk_identity_check(
+        qe3, grid3, 2, field_laplace_beltrami(trial, grid3)) <= 1e-6
     assert second_variation(qe3, grid3, 2, trial).path_agreement <= 1e-6
     assert rayleigh_quotient(qe3, grid3, degree_two_harmonics(3)[0]) \
         == pytest.approx(8.0, abs=1e-4)
@@ -430,21 +432,22 @@ def test_first_variation_conformally_invariant_order(grid3):
 
 def test_divergence_identity(grid3, qe3):
     trials = coordinate_harmonics(3) + degree_two_harmonics(3)
-    for k in (1, 2, 3):
-        for field in trials[:4]:
-            assert delta_vk_identity_check(qe3, grid3, k, field) <= 1e-6
+    for field in trials[:4]:
+        lb = field_laplace_beltrami(field, grid3)
+        for k in (1, 2, 3):
+            assert delta_vk_identity_check(qe3, grid3, k, lb) <= 1e-6
 
 
 def test_divergence_identity_constant_field(grid3, qe3):
-    assert delta_vk_identity_check(qe3, grid3, 2, Constant(3.0)) == pytest.approx(
-        0.0, abs=1e-12
-    )
+    lb = field_laplace_beltrami(Constant(3.0), grid3)
+    assert delta_vk_identity_check(qe3, grid3, 2, lb) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_divergence_identity_needs_lam(grid3):
     rs = builtin_model("round_sphere_stereographic", 3, m=2.0)
     with pytest.raises(ModelError):
-        delta_vk_identity_check(rs, grid3, 1, AmbientCoordinate(0, 3))
+        delta_vk_identity_check(
+            rs, grid3, 1, field_laplace_beltrami(AmbientCoordinate(0, 3), grid3))
 
 
 def test_suite_evaluates_each_trial_laplacian_once(monkeypatch):
@@ -480,28 +483,6 @@ def test_suite_computes_node_D_once_per_grid(monkeypatch):
     suites.suite_variational(np.random.default_rng(suites.DEFAULT_SEED))
     assert len(grids) == 4
     assert len(calls) == len(grids)
-
-
-def test_divergence_identity_memo_cold_and_warm(qe3):
-    grid = QuadratureGrid(3, resolution=20)
-    trials = coordinate_harmonics(3)[:2] + degree_two_harmonics(3)[:2]
-    for field in trials:
-        for k in (1, 2, 3):
-            cold = delta_vk_identity_check(
-                qe3, QuadratureGrid(3, resolution=20), k, field)
-            warm = delta_vk_identity_check(qe3, grid, k, field)
-            assert warm == cold
-    # a field freed right after its check: an entry keyed by id alone would
-    # hand its values to the next field allocated at the same address
-    first = AmbientCoordinate(0, 3)
-    delta_vk_identity_check(qe3, grid, 1, first)
-    del first
-    second = AmbientCoordinate(2, 3)
-    for sign, values in zip(grid.charts, grid._laplace_beltrami(second)):
-        assert np.array_equal(
-            values, laplace_beltrami_values(second, sign, grid.points, grid.D))
-    assert delta_vk_identity_check(qe3, grid, 2, second) == \
-        delta_vk_identity_check(qe3, QuadratureGrid(3, resolution=20), 2, second)
 
 
 # -- second variation -----------------------------------------------------------
@@ -639,7 +620,8 @@ def test_grid_operations_without_lam_raise_one_message(grid3):
     message = ("grid operations need a proportional model; model "
                "'round_sphere_stereographic' has no proportionality constant")
     for call in (lambda: functional_F_k(rs, grid3, 1),
-                 lambda: delta_vk_identity_check(rs, grid3, 1, xi),
+                 lambda: delta_vk_identity_check(
+                     rs, grid3, 1, field_laplace_beltrami(xi, grid3)),
                  lambda: second_variation(rs, grid3, 1, xi),
                  lambda: eigenvalue_bound_check(rs, grid3)):
         with pytest.raises(ModelError) as exc:

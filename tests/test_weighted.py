@@ -119,6 +119,17 @@ def test_qe_sphere_invariants():
     assert w.Y == pytest.approx(0.5, abs=1e-11)
 
 
+@pytest.mark.parametrize("n, J", [(5, 11 / 6), (6, 16 / 7)])
+def test_round_sphere_J_beyond_model_dimensions(n, J):
+    # unit S^n with f = 1: J = (n(n-1) + m(m-1) mu) / (2(n+m-1)), m = 2, mu = 1
+    point = np.linspace(0.05, 0.3, n)
+    g = qe_sphere_mmp(point, n=n, order=2).g
+    w = weighted_invariants(MetricMeasurePoint(g, Jet.constant(1.0, n, 2), 2.0, 1.0))
+    assert w.J == pytest.approx(J, rel=1e-12, abs=0.0)
+    # Ric_phi = (n-1) g, so P = (n - 1 - J) g / (n + m - 2)
+    assert np.allclose(w.P, (n - 1 - J) / n * g.matrix, rtol=0.0, atol=1e-12)
+
+
 def test_gaussian_density_origin():
     w = weighted_invariants(gaussian_mmp([0.0, 0.0, 0.0]))
     assert np.allclose(w.ric_phi, np.eye(3), atol=1e-12)
