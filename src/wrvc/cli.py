@@ -257,9 +257,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_vk = sub.add_parser("vk", help="volume coefficients and obstruction norms")
     add_model_flags(p_vk)
     p_vk.add_argument("--order", type=int, default=None,
-                      help="truncation order K (v_1..v_K); default 5 or "
-                           "(n+m)/2 when n+m is an even integer, whichever "
-                           "is smaller, or the K of the model's coefficient file")
+                      help="truncation order K (v_1..v_K); default 5, or "
+                           "the K of the model's coefficient file, lowered to "
+                           "(n+m)/2 when n+m is an even integer")
     p_vk.set_defaults(func=cmd_vk)
 
     p_ver = sub.add_parser("verify", help="run the verification suites")

@@ -244,12 +244,12 @@ class ModelSpec:
         """The model's ambient expansion at one chart point, to order K.
 
         K = None means the coefficient file's own order, or for a generated
-        expansion ``DEFAULT_AMBIENT_ORDER`` lowered to the determinacy order
-        when n+m is an even integer (an explicit K above it stays an
-        error, raised where the volume series is read).  A coefficient
-        file holds one point's data, so ``point`` does not enter it; its
-        header must match the model's (n, m, mu), and a K above the file's
-        raises ``OrderError``.  A generated expansion that overflows or
+        expansion ``DEFAULT_AMBIENT_ORDER``, either lowered to the
+        determinacy order when n+m is an even integer (an explicit K above
+        it stays an error, raised where the volume series is read).  A
+        coefficient file holds one point's data, so ``point`` does not enter
+        it; its header must match the model's (n, m, mu), and a K above the
+        file's raises ``OrderError``.  A generated expansion that overflows or
         starts from a non-positive density raises a ``DomainError`` naming
         the model and the point (a coefficient file's errors name
         ``path:line`` instead).
@@ -257,8 +257,7 @@ class ModelSpec:
         if self.lam is not None:
             g, f = self._evaluate(point, 0)
             if K is None:
-                cap = determinacy_cap(self.n, self.m)   # None or >= 1
-                K = min(DEFAULT_AMBIENT_ORDER, int(cap or DEFAULT_AMBIENT_ORDER))
+                K = self._capped(DEFAULT_AMBIENT_ORDER)
             with self._checking("ambient expansion", point):
                 return quasi_einstein_coeffs(g.matrix, f[0], self.lam, K)
         if self.ambient_file is not None:
@@ -281,15 +280,17 @@ class ModelSpec:
         self._require_finite_at(np.hstack([coeffs.v, norms]), "volume series", point)
         return coeffs, norms
 
+    def _capped(self, K: int) -> int:
+        """K, lowered to the determinacy order when n+m is an even integer."""
+        return min(K, int(determinacy_cap(self.n, self.m) or K))
+
     def _file_ambient(self, K: int | None) -> AmbientExpansion:
         path = self.ambient_file
         expansion, _, _ = load_ambient_file(path, model=self)
         if K is None:
-            return expansion
-        if not 1 <= K <= expansion.K:
-            raise OrderError(
-                f"order K = {K} outside 1..{expansion.K} held by {path}"
-            )
+            K = self._capped(expansion.K)
+        elif not 1 <= K <= expansion.K:
+            raise OrderError(f"order K = {K} outside 1..{expansion.K} held by {path}")
         return AmbientExpansion(
             gcoeffs=expansion.gcoeffs[: K + 1],
             fcoeffs=expansion.fcoeffs[: K + 1],
@@ -434,17 +435,22 @@ def load_model_file(path) -> ModelSpec:
     """
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
-        read = cp.read(path)
+        with open(path) as fh:
+            text = fh.read()
+        cp.read_string(text, source=str(path))
+    except (OSError, UnicodeDecodeError):
+        raise ModelError(f"cannot read model file {path!r}")
     except configparser.DuplicateOptionError as exc:
         raise ModelError(f"{path}:{exc.lineno}: duplicate key {exc.option!r} "
                          f"in [{exc.section}]")
     except configparser.MissingSectionHeaderError as exc:
         raise ModelError(f"{path}:{exc.lineno}: no section header before "
                          f"{exc.line.strip()!r}")
+    except configparser.ParsingError as exc:
+        num, lines = exc.errors[0][0], text.split("\n")   # split as the parser does
+        raise ModelError(f"{path}:{num}: cannot parse {lines[num - 1].strip()!r}")
     except configparser.Error as exc:
         raise ModelError(f"{path}: {str(exc).splitlines()[0]}")
-    if not read:
-        raise ModelError(f"cannot read model file {path!r}")
     if "space" not in cp or "metric" not in cp:
         raise ModelError(f"{path}: model file needs [space] and [metric] sections")
     try:

@@ -401,8 +401,6 @@ def obstruction_tensors(a: AmbientExpansion) -> ObstructionSet:
     out = ObstructionSet()
     out.omegas.append(lam.coeffs[0].copy())
     for _ in range(2, a.K):
-        if lam.K < 1:
-            break
         lam = lam.derivative() - (gp_ginv * lam).symmetrize()
         out.omegas.append(lam.coeffs[0].copy())
     return out
@@ -495,9 +493,9 @@ def load_ambient_file(path, model=None):
         with open(path) as fh:
             raw = [(num, ln.strip()) for num, ln in enumerate(fh, start=1)
                    if ln.strip() and not ln.startswith("#")]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DomainError(f"cannot read ambient coefficient file {path}: "
-                          f"{exc.strerror}")
+                          f"{getattr(exc, 'strerror', None) or exc}")
     if not raw:
         raise DomainError(f"empty ambient coefficient file {path}")
 

@@ -161,11 +161,9 @@ def ric_phi_alternate(p: MetricMeasurePoint) -> np.ndarray:
 
 def conformal_rescale(p: MetricMeasurePoint, sigma: Jet) -> MetricMeasurePoint:
     """The structure (e^{2 sigma} g, e^{sigma} f), multiplying the jets
-    through; m, mu unchanged."""
-    scale_g = (sigma * 2.0).exp()
-    ghat = p.g.rescale(scale_g)
-    fhat = sigma.exp() * p.f
-    return MetricMeasurePoint(ghat, fhat, p.m, p.mu)
+    through; m, mu unchanged.  At m = 0 f stays 1: its weight f^0 is 1."""
+    fhat = p.f if p.m == 0 else sigma.exp() * p.f
+    return MetricMeasurePoint(p.g.rescale((sigma * 2.0).exp()), fhat, p.m, p.mu)
 
 
 @dataclass

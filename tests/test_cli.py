@@ -435,6 +435,40 @@ def test_malformed_model_file_exits_2(capsys, tmp_path, text, cause):
     assert f"{path}" in err and cause in err
 
 
+@pytest.mark.parametrize("text, line, shown", [
+    (_FLAT2.replace("[metric]", "[metric"), 4, "[metric"),
+    (_FLAT2 + "g_33\n", 7, "g_33"),
+], ids=["section", "no-value"])
+def test_model_file_syntax_error_names_the_line(capsys, tmp_path, text, line, shown):
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "vk", "--model", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}:{line}: cannot parse {shown!r}\n"
+
+
+@pytest.mark.parametrize("command", ["curvature", "vk"])
+def test_model_expression_bad_character_exits_2(capsys, tmp_path, command):
+    path = tmp_path / "bad.cfg"
+    path.write_text(_FLAT2.replace("g_11 = 1", "g_11 = 1 $ x"))
+    code, out, err = run_cli(capsys, command, "--model", str(path))
+    assert (code, out) == (2, "")
+    assert err == (f"error: unexpected character '$' (at offset 2) in [metric] "
+                   f"g_11 of {path}\n")
+
+
+@pytest.mark.parametrize("make", [
+    lambda path: path.mkdir(),
+    lambda path: path.write_bytes(_FLAT2.encode() + b"\xff\n"),
+], ids=["directory", "not-text"])
+def test_unreadable_model_file_exits_2(capsys, tmp_path, make):
+    path = tmp_path / "model.cfg"
+    make(path)
+    code, out, err = run_cli(capsys, "curvature", "--model", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot read model file {str(path)!r}\n"
+
+
 def _ambient_model(tmp_path, bad_row, header="2 2 0 2"):
     """A flat n=2, K=2 coefficient file whose fourth line is ``bad_row``,
     and a model file that reads it."""
@@ -474,6 +508,26 @@ def test_vk_bad_ambient_row_exits_2(capsys, tmp_path, bad_row, cause):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert f"{coeff_path}:{line}: {cause}" in err
+
+
+@pytest.mark.parametrize("text, cause", [
+    (None, "cannot read ambient coefficient file {}: No such file or directory"),
+    (b"2 2 0 2\n\xff\n", "cannot read ambient coefficient file {}: 'utf-8' codec "
+                          "can't decode byte 0xff"),
+    (b"# only a comment\n\n", "empty ambient coefficient file {}"),
+    (b"2 2 0\nf 0 1\n", "{}:1: header must be `n m mu K`"),
+    (b"2 2 0 2\nf 0 1\n\nh 1 0\n", "{}:4: unrecognized row in ambient file: 'h 1 0'"),
+    (b"2 2 0 2\ng 1 0 0\n", "{}:2: unrecognized row in ambient file: 'g 1 0 0'"),
+], ids=["missing", "not-text", "empty", "short-header", "unknown-row", "short-row"])
+def test_vk_unreadable_or_malformed_ambient_file_exits_2(capsys, tmp_path, text,
+                                                         cause):
+    coeff_path, model_path = _ambient_model(tmp_path, "f 1 0")
+    coeff_path.unlink()
+    if text is not None:
+        coeff_path.write_bytes(text)
+    code, out, err = run_cli(capsys, "vk", "--model", str(model_path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {cause.format(coeff_path)}") and err.count("\n") == 1
 
 
 def test_vk_coefficient_file_without_base_density_exits_2(capsys, tmp_path):
@@ -563,6 +617,19 @@ def test_vk_order_truncates_coefficient_file(capsys, tmp_path, order, keys):
                            *order, "--json")
     assert code == 0
     assert list(json.loads(out)["values"]) == ["point"] + keys
+
+
+def test_vk_default_order_of_coefficient_file_stops_at_determinacy(capsys, tmp_path):
+    # n + m = 4: a K = 3 file prints v_1, v_2 by default; --order 3 is an error
+    _, model_path = _ambient_model(tmp_path, "g 3 0 0 0.5", header="2 2 0 3")
+    code, out, _ = run_cli(capsys, "vk", "--model", str(model_path), "--json")
+    assert code == 0
+    assert list(json.loads(out)["values"]) == ["point", "v_1", "v_2",
+                                               "obstruction_norm_1"]
+    code, out, err = run_cli(capsys, "vk", "--model", str(model_path), "--order", "3")
+    assert (code, out) == (2, "")
+    assert err == ("error: order 3 is beyond determinacy order 2 for n+m = 4 "
+                   "(even-integer total dimension)\n")
 
 
 @pytest.mark.parametrize("order", ["3", "9", "0"])

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from wrvc.errors import DimensionMismatch, DomainError, OrderError
 from wrvc.jets import (
     Jet,
-    _derivative_matrices,
     _exponents,
     _product_triples,
+    _raised,
+    derivative_coeffs,
     gradient_index,
     hessian_index,
 )
@@ -262,13 +263,17 @@ def test_product_triples_and_derivative_matrices_identities(dim):
                               np.argwhere(deg[:, None] + deg <= order))
         if order == 0:
             continue
-        # D[l] maps x^alpha to alpha_l x^(alpha - e_l), one entry per alpha_l > 0
-        D = _derivative_matrices(dim, order)
+        # d/dx_l reaches x^beta of order - 1 from x^(beta + e_l), factor beta_l + 1,
+        # and gathers every x^alpha with alpha_l > 0 exactly once
+        slots, factors = _raised(dim, order)
         lower = np.array(reference_exponents(dim, order - 1)).reshape(-1, dim)
-        axis, row, col = np.nonzero(D)
-        assert np.array_equal(E[col] - np.eye(dim, dtype=int)[axis], lower[row])
-        assert np.array_equal(D[axis, row, col], E[col, axis])
-        assert len(axis) == np.count_nonzero(E)
+        assert np.array_equal(E[slots], lower + np.eye(dim, dtype=int)[:, None, :])
+        assert np.array_equal(factors, lower.T + 1.0)
+        for l in range(dim):
+            assert np.array_equal(np.sort(slots[l]), np.flatnonzero(E[:, l]))
+        # a gathered -0.0 comes out as +0.0, as from a sum with exact zeros
+        d = derivative_coeffs(np.full((2, len(E)), -0.0), dim, order)
+        assert d.shape == (dim, 2, len(lower)) and not np.signbit(d).any()
 
 
 def test_repr_names_variables_beyond_four():

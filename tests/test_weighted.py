@@ -215,6 +215,21 @@ def test_conformal_laws_random_omega(builder):
         assert max(dataclasses.astuple(rep)) <= 1e-9
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_conformal_laws_hold_unweighted(n):
+    # at m = 0 the density stays 1 under rescaling and phi is the zero jet:
+    # these are the classical laws for J, P and Y
+    rng = np.random.default_rng(79 + n)
+    for _ in range(5):
+        g = random_structure(rng, n=n).g
+        p = MetricMeasurePoint(g, Jet.constant(1.0, n, 4), 0.0)
+        omega = random_omega(rng, n=n)
+        assert conformal_rescale(p, omega).f is p.f
+        rep = check_conformal_laws(p, omega)
+        assert max(dataclasses.astuple(rep)) <= 1e-12
+    assert not p.phi().coeffs.any()
+
+
 def test_conformal_laws_evaluate_the_base_structure_once(monkeypatch):
     p = gaussian_mmp([0.3, -0.1, 0.2])
     rng = np.random.default_rng(78)
