@@ -5,42 +5,83 @@ either stereographic chart (value, Euclidean chart gradient, Euclidean
 chart Laplacian and Hessian, all batched over nodes).  The building
 blocks are the ambient-coordinate restrictions, which span the first
 nonzero eigenspace of the Laplacian; products of two of them supply
-degree-two trials.  Closed forms are used throughout, so grid evaluation
-is a few numpy expressions per field over shared node data (D = 1 + |x|^2,
-which the caller supplies), and the flat Laplacian never forms the
-(N, n, n) Hessian.
+degree-two trials.  Every evaluation takes one ``ChartTable``, a chart's
+coordinate-major node data with the closed forms of every ambient
+coordinate computed once, so a ``Sum``/``Product`` tree costs a few
+broadcasts over the node axis, and the flat Laplacian never forms the
+(n, n, N) Hessian.
 """
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
+from .errors import DomainError
 
-def node_D(X: np.ndarray) -> np.ndarray:
-    """D = 1 + |x|^2 per node, the one quantity every closed form shares."""
-    return 1.0 + np.einsum("ij,ij->i", X, X)
+
+class ChartTable:
+    """One stereographic chart's node data, built once per chart.
+
+    ``sign`` is the chart's +1.0 or -1.0, which flips the last ambient
+    coordinate between the two charts.  From the (N, n) node array ``X``
+    the table holds ``XT`` (n, N), ``D = 1 + |x|^2`` (N,), and the ambient
+    coordinates xi_0 .. xi_n as ``xi`` (n+1, N), their flat chart
+    gradients ``dxi`` (n+1, n, N) and flat chart Laplacians ``lap_xi``
+    (n+1, N).  In the chart, with |x|^2 = r^2 and D = 1 + r^2,
+    xi_a = 2 x_a / D for a < n and xi_n = sign (r^2 - 1)/D; their flat
+    Laplacians are x_a (16 r^2/D^3 - (8 + 4n)/D^2) and
+    sign (4n/D^2 - 16 r^2/D^3).  The arrays are read-only, since fields
+    return rows of them.
+    """
+
+    def __init__(self, sign: float, X: np.ndarray):
+        N, n = X.shape
+        XT = np.ascontiguousarray(X.T)
+        D = 1.0 + np.einsum("ij,ij->i", X, X)
+        D2 = D * D
+        r2_term = 16.0 * (D - 1.0) / (D2 * D)
+        xi, lap_xi = np.empty((n + 1, N)), np.empty((n + 1, N))
+        dxi = np.empty((n + 1, n, N))
+        xi[:n] = 2.0 * XT / D
+        xi[n] = sign * (D - 2.0) / D   # (r^2 - 1)/(r^2 + 1)
+        dxi[:n] = -4.0 * XT[:, None, :] * XT[None, :, :] / D**2
+        dxi[np.arange(n), np.arange(n)] += 2.0 / D
+        dxi[n] = sign * 4.0 * XT / D**2
+        lap_xi[:n] = XT * (r2_term - (8.0 + 4.0 * n) / D2)
+        lap_xi[n] = sign * (4.0 * n / D2 - r2_term)
+        for array in (XT, D, xi, dxi, lap_xi):
+            array.flags.writeable = False
+        self.sign, self.n = sign, n
+        self.XT, self.D, self.xi, self.dxi, self.lap_xi = XT, D, xi, dxi, lap_xi
+
+    def row(self, field: "AmbientCoordinate") -> int:
+        """The table row of an ambient coordinate of a sphere of this
+        chart's dimension."""
+        if field.n != self.n:
+            raise DomainError(
+                f"field dimension {field.n} does not match grid dimension {self.n}"
+            )
+        return field.a
 
 
 class SphereField:
-    """Base class.  Every evaluation takes ``(sign, X, D)``: ``sign`` is the
-    chart's +1.0 or -1.0, which flips the last ambient coordinate between
-    the two stereographic charts, and ``D = node_D(X)`` is computed once by
-    the caller (``QuadratureGrid.D`` on grid nodes) and passed down the
-    ``Sum``/``Product`` tree.
-    """
+    """Base class.  Every evaluation takes one ``ChartTable``; ``grad``
+    returns (n, N), ``hess`` (n, n, N) and the others (N,)."""
 
-    def value(self, sign, X: np.ndarray, D: np.ndarray) -> np.ndarray:
+    def value(self, table: ChartTable) -> np.ndarray:
         raise NotImplementedError
 
-    def grad(self, sign, X: np.ndarray, D: np.ndarray) -> np.ndarray:
+    def grad(self, table: ChartTable) -> np.ndarray:
         raise NotImplementedError
 
-    def hess(self, sign, X: np.ndarray, D: np.ndarray) -> np.ndarray:
+    def hess(self, table: ChartTable) -> np.ndarray:
         raise NotImplementedError
 
-    def laplacian(self, sign, X: np.ndarray, D: np.ndarray) -> np.ndarray:
+    def laplacian(self, table: ChartTable) -> np.ndarray:
         """Flat chart Laplacian, the trace of ``hess``, without the
-        (N, n, n) Hessian."""
+        (n, n, N) Hessian."""
         raise NotImplementedError
 
 
@@ -48,73 +89,57 @@ class Constant(SphereField):
     def __init__(self, c: float):
         self.c = float(c)
 
-    def value(self, sign, X, D):
-        return np.full(X.shape[0], self.c)
+    def value(self, table):
+        return np.full(len(table.D), self.c)
 
-    def grad(self, sign, X, D):
-        return np.zeros_like(X)
+    def grad(self, table):
+        return np.zeros(table.XT.shape)
 
-    def hess(self, sign, X, D):
-        n = X.shape[1]
-        return np.zeros((X.shape[0], n, n))
+    def hess(self, table):
+        return np.zeros(table.XT.shape[:1] + table.XT.shape)
 
-    def laplacian(self, sign, X, D):
-        return np.zeros(X.shape[0])
+    def laplacian(self, table):
+        return np.zeros(len(table.D))
 
 
 class AmbientCoordinate(SphereField):
     """Restriction of the ambient coordinate xi_a (0 <= a <= n) to S^n.
 
-    In a stereographic chart with |x|^2 = r^2 and D = 1 + r^2:
-    xi_a = 2 x_a / D for a < n, and xi_n = sign (r^2 - 1)/D.
-    These are eigenfunctions: Laplacian(xi_a) = -n xi_a.  Their flat
-    chart Laplacians are x_a (16 r^2/D^3 - (8 + 4n)/D^2) for a < n and
-    sign (4n/D^2 - 16 r^2/D^3) for a = n.
+    These are eigenfunctions: Laplacian(xi_a) = -n xi_a.  Value, gradient
+    and flat Laplacian are rows of the chart table (see ``ChartTable``);
+    only ``hess`` is computed per call.
     """
 
     def __init__(self, a: int, n: int):
-        if not 0 <= a <= n:
-            raise ValueError(f"ambient index {a} outside 0..{n}")
-        self.a = a
-        self.n = n
+        if not (isinstance(a, numbers.Integral) and isinstance(n, numbers.Integral)
+                and 0 <= a <= n):
+            raise DomainError(f"ambient index {a!r} is not an integer in 0..{n!r}")
+        self.a = int(a)
+        self.n = int(n)
 
-    def value(self, sign, X, D):
-        if self.a < self.n:
-            return 2.0 * X[:, self.a] / D
-        return sign * (D - 2.0) / D   # (r^2 - 1)/(r^2 + 1)
+    def value(self, table):
+        return table.xi[table.row(self)]
 
-    def grad(self, sign, X, D):
-        if self.a < self.n:
-            out = -4.0 * X[:, self.a, None] * X / D[:, None] ** 2
-            out[:, self.a] += 2.0 / D
-            return out
-        return sign * 4.0 * X / D[:, None] ** 2
+    def grad(self, table):
+        return table.dxi[table.row(self)]
 
-    def hess(self, sign, X, D):
-        n = X.shape[1]
+    def hess(self, table):
+        a, n = table.row(self), self.n
+        XT, D = table.XT, table.D
         eye = np.eye(n)
-        if self.a < self.n:
-            xa = X[:, self.a]
-            out = 16.0 * xa[:, None, None] * X[:, :, None] * X[:, None, :] \
-                / D[:, None, None] ** 3
-            out -= 4.0 * eye[self.a][None, :, None] * X[:, None, :] \
-                / D[:, None, None] ** 2
-            out -= 4.0 * eye[self.a][None, None, :] * X[:, :, None] \
-                / D[:, None, None] ** 2
-            out -= 4.0 * xa[:, None, None] * eye[None, :, :] \
-                / D[:, None, None] ** 2
+        if a < n:
+            xa = XT[a]
+            out = 16.0 * xa * XT[:, None, :] * XT[None, :, :] / D**3
+            out -= 4.0 * eye[a][:, None, None] * XT[None, :, :] / D**2
+            out -= 4.0 * eye[a][None, :, None] * XT[:, None, :] / D**2
+            out -= 4.0 * xa * eye[:, :, None] / D**2
             return out
-        out = -16.0 * X[:, :, None] * X[:, None, :] / D[:, None, None] ** 3
-        out += 4.0 * eye[None, :, :] / D[:, None, None] ** 2
-        return sign * out
+        out = -16.0 * XT[:, None, :] * XT[None, :, :] / D**3
+        out += 4.0 * eye[:, :, None] / D**2
+        return table.sign * out
 
-    def laplacian(self, sign, X, D):
-        n = X.shape[1]
-        D2 = D * D
-        r2_term = 16.0 * (D - 1.0) / (D2 * D)
-        if self.a < self.n:
-            return X[:, self.a] * (r2_term - (8.0 + 4.0 * n) / D2)
-        return sign * (4.0 * n / D2 - r2_term)
+    def laplacian(self, table):
+        return table.lap_xi[table.row(self)]
 
 
 class Sum(SphereField):
@@ -122,29 +147,28 @@ class Sum(SphereField):
         self.fields = tuple(fields)
         self.coeffs = tuple(float(c) for c in coeffs)
 
-    def value(self, sign, X, D):
-        out = np.zeros(X.shape[0])
+    def value(self, table):
+        out = np.zeros(len(table.D))
         for c, f in zip(self.coeffs, self.fields):
-            out += c * f.value(sign, X, D)
+            out += c * f.value(table)
         return out
 
-    def grad(self, sign, X, D):
-        out = np.zeros_like(X)
+    def grad(self, table):
+        out = np.zeros(table.XT.shape)
         for c, f in zip(self.coeffs, self.fields):
-            out += c * f.grad(sign, X, D)
+            out += c * f.grad(table)
         return out
 
-    def hess(self, sign, X, D):
-        n = X.shape[1]
-        out = np.zeros((X.shape[0], n, n))
+    def hess(self, table):
+        out = np.zeros(table.XT.shape[:1] + table.XT.shape)
         for c, f in zip(self.coeffs, self.fields):
-            out += c * f.hess(sign, X, D)
+            out += c * f.hess(table)
         return out
 
-    def laplacian(self, sign, X, D):
-        out = np.zeros(X.shape[0])
+    def laplacian(self, table):
+        out = np.zeros(len(table.D))
         for c, f in zip(self.coeffs, self.fields):
-            out += c * f.laplacian(sign, X, D)
+            out += c * f.laplacian(table)
         return out
 
 
@@ -153,34 +177,29 @@ class Product(SphereField):
         self.left = left
         self.right = right
 
-    def value(self, sign, X, D):
-        return self.left.value(sign, X, D) * self.right.value(sign, X, D)
+    def value(self, table):
+        return self.left.value(table) * self.right.value(table)
 
-    def grad(self, sign, X, D):
-        u, v = self.left.value(sign, X, D), self.right.value(sign, X, D)
-        du, dv = self.left.grad(sign, X, D), self.right.grad(sign, X, D)
-        return u[:, None] * dv + v[:, None] * du
+    def grad(self, table):
+        u, v = self.left.value(table), self.right.value(table)
+        du, dv = self.left.grad(table), self.right.grad(table)
+        return u * dv + v * du
 
-    def hess(self, sign, X, D):
-        u, v = self.left.value(sign, X, D), self.right.value(sign, X, D)
-        du, dv = self.left.grad(sign, X, D), self.right.grad(sign, X, D)
-        hu, hv = self.left.hess(sign, X, D), self.right.hess(sign, X, D)
-        cross = du[:, :, None] * dv[:, None, :]
-        return (
-            u[:, None, None] * hv
-            + v[:, None, None] * hu
-            + cross
-            + np.swapaxes(cross, 1, 2)
-        )
+    def hess(self, table):
+        u, v = self.left.value(table), self.right.value(table)
+        du, dv = self.left.grad(table), self.right.grad(table)
+        hu, hv = self.left.hess(table), self.right.hess(table)
+        cross = du[:, None, :] * dv[None, :, :]
+        return u * hv + v * hu + cross + np.swapaxes(cross, 0, 1)
 
-    def laplacian(self, sign, X, D):
+    def laplacian(self, table):
         left, right = self.left, self.right
-        u, v = left.value(sign, X, D), right.value(sign, X, D)
-        du, dv = left.grad(sign, X, D), right.grad(sign, X, D)
+        u, v = left.value(table), right.value(table)
+        du, dv = left.grad(table), right.grad(table)
         return (
-            u * right.laplacian(sign, X, D)
-            + v * left.laplacian(sign, X, D)
-            + 2.0 * np.einsum("ij,ij->i", du, dv)
+            u * right.laplacian(table)
+            + v * left.laplacian(table)
+            + 2.0 * np.einsum("ij,ij->j", du, dv)
         )
 
 

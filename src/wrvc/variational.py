@@ -8,9 +8,10 @@ azimuth).  The chart overlap is blended by a partition of unity whose
 radial profile is a C^11 polynomial smoothstep in log-radius; the two
 chart weights sum to the metric measure of the sphere.
 
-Trial fields enter through closed forms evaluated once per node array:
-the Laplace-Beltrami operator and the gradient norm are built from the
-flat chart Laplacian and gradient, never from an (N, n, n) Hessian.
+Trial fields are evaluated on each chart's ``ChartTable``, built once per
+grid on the first field evaluation: the Laplace-Beltrami operator and the
+gradient norm are built from the flat chart Laplacian and gradient, never
+from an (n, n, N) Hessian.
 Reductions sum fixed-size node chunks in index order, so results are
 bit-identical from run to run.
 """
@@ -18,15 +19,16 @@ bit-identical from run to run.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import DomainError, ModelError
 from .expr import has_vars
-from .fields import SphereField, coordinate_harmonics, node_D
+from .fields import ChartTable, SphereField, coordinate_harmonics
 from .models import ModelSpec
 from .rho import _volume_and_l_operator
 from .weighted import generalized_binomial
@@ -77,18 +79,18 @@ class QuadratureGrid:
     exactly, giving ~resolution^n nodes over both charts.  Node weights
     include the partition of unity and the round-metric volume factor,
     so ``sum(weights) = Vol(S^n)`` up to the radial quadrature error.
-    ``charts`` holds each chart's sign; both charts share the node array
-    ``points`` and its ``D = node_D(points)``, computed once here.
+    Both charts share the node array ``points``; ``charts`` holds their
+    ``ChartTable`` pair (signs +1.0 and -1.0), built on the first field
+    evaluation, so a grid used only for ``weight_sum`` never builds them.
     """
 
     def __init__(self, n: int, resolution: int = _DEFAULT_RESOLUTION):
-        if n not in (2, 3):
-            raise DomainError(f"grids cover sphere dimensions 2 and 3, got {n}")
-        if resolution < 4:
-            raise DomainError("resolution must be at least 4")
+        if not isinstance(n, numbers.Integral) or n not in (2, 3):
+            raise DomainError(f"grids cover sphere dimensions 2 and 3, got {n!r}")
+        if not isinstance(resolution, numbers.Integral) or resolution < 4:
+            raise DomainError(f"resolution must be an integer >= 4, got {resolution!r}")
         self.n = n
         self.resolution = resolution
-        self.charts = (1.0, -1.0)
 
         xs, ws = leggauss(resolution)
         r = 0.5 * _RADIUS * (xs + 1.0)
@@ -126,8 +128,12 @@ class QuadratureGrid:
         self.points = X[keep]
         self.weights = weights[keep]
         self.conf = conf[keep]
-        self.D = node_D(self.points)
         self._bound = {}   # id(model) -> GridStructure, which holds the model
+
+    @cached_property
+    def charts(self) -> tuple:
+        """The two charts' tables, built on the first field evaluation."""
+        return tuple(ChartTable(sign, self.points) for sign in (1.0, -1.0))
 
     def bind(self, model: ModelSpec) -> "GridStructure":
         """The model's data on this grid, built once per model object."""
@@ -180,7 +186,7 @@ class GridStructure:
 
         def accept_round(G, nodes):
             round_metric = np.eye(model.n)[:, :, None] * grid.conf
-            matches = np.isclose(G, round_metric, atol=1e-10).all(axis=2)
+            matches = np.isclose(G, round_metric, rtol=0.0, atol=1e-10).all(axis=2)
             if not matches.all():
                 i, j = np.argwhere(~matches)[0]
                 raise ModelError(
@@ -244,13 +250,12 @@ def functional_F_k(model: ModelSpec, grid: QuadratureGrid, k: int) -> float:
 
 def field_values(field: SphereField, grid: QuadratureGrid) -> list:
     """Per-chart values of the field on the grid nodes."""
-    return [field.value(sign, grid.points, grid.D) for sign in grid.charts]
+    return [field.value(table) for table in grid.charts]
 
 
 def field_laplace_beltrami(field: SphereField, grid: QuadratureGrid) -> list:
     """Per-chart Laplace-Beltrami values of the field on the grid nodes."""
-    return [laplace_beltrami_values(field, sign, grid.points, grid.D)
-            for sign in grid.charts]
+    return [laplace_beltrami_values(field, table) for table in grid.charts]
 
 
 def project_mean_zero(model: ModelSpec, grid: QuadratureGrid, field: SphereField):
@@ -272,15 +277,14 @@ def first_variation(model: ModelSpec, grid: QuadratureGrid, k: int,
         [vk * fm * v for v, fm in zip(omega_values, bound.fm)])
 
 
-def laplace_beltrami_values(field: SphereField, sign: float, X: np.ndarray,
-                            D: np.ndarray) -> np.ndarray:
-    """Laplacian of the field in the round metric, from chart data:
-    for g = conf * delta with conf = 4/D^2, D = node_D(X) = 1 + r^2,
+def laplace_beltrami_values(field: SphereField, table: ChartTable) -> np.ndarray:
+    """Laplacian of the field in the round metric, from one chart's table:
+    for g = conf * delta with conf = 4/D^2, D = 1 + r^2,
     Delta_g u = (D^2/4) (Delta u - 2 (n-2) x.grad u / D)."""
-    n = X.shape[1]
-    flat_lap = field.laplacian(sign, X, D)
-    radial = np.einsum("ij,ij->i", X, field.grad(sign, X, D))
-    return (D**2 / 4.0) * (flat_lap - (n - 2.0) * 2.0 * radial / D)
+    D = table.D
+    flat_lap = field.laplacian(table)
+    radial = np.einsum("ij,ij->j", table.XT, field.grad(table))
+    return (D**2 / 4.0) * (flat_lap - (table.n - 2.0) * 2.0 * radial / D)
 
 
 def delta_vk_identity_check(model: ModelSpec, grid: QuadratureGrid, k: int,
@@ -362,10 +366,10 @@ def _mass_and_energy(model: ModelSpec, grid: QuadratureGrid,
     fms = grid.bind(model).fm
     values = project_mean_zero(model, grid, field)
     mass = grid.integrate([v**2 * fm for v, fm in zip(values, fms)])
-    grads = (field.grad(sign, grid.points, grid.D) for sign in grid.charts)
+    grads = (field.grad(table) for table in grid.charts)
     energy = grid.integrate(
-        [(grid.D**2 / 4.0) * np.einsum("ij,ij->i", du, du) * fm
-         for du, fm in zip(grads, fms)]
+        [(table.D**2 / 4.0) * np.einsum("ij,ij->j", du, du) * fm
+         for table, du, fm in zip(grid.charts, grads, fms)]
     )
     return mass, energy
 

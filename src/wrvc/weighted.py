@@ -53,6 +53,9 @@ class MetricMeasurePoint:
     def __init__(self, g: MetricAtPoint, f: Jet, m: float, mu: float = 0.0):
         if f.dim != g.n:
             raise DomainError("density jet dimension does not match the metric")
+        if not (math.isfinite(m) and math.isfinite(mu)):
+            raise DomainError(
+                f"parameters m and mu must be finite, got m = {m}, mu = {mu}")
         if m < 0:
             raise DomainError(f"dimensional parameter m must be >= 0, got {m}")
         if g.n + m <= 2:

@@ -11,11 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wrvc import fields
 from wrvc.errors import DomainError, ModelError
 from wrvc.expr import evaluate, parse_expression
 from wrvc.fields import (
     AmbientCoordinate,
+    ChartTable,
     Constant,
     Product,
     SphereField,
@@ -94,19 +94,19 @@ def test_harmonic_fields_match_jets(a, sign):
     rng = np.random.default_rng(a)
     field = AmbientCoordinate(a, 3)
     X = rng.uniform(-1.5, 1.5, (6, 3))
-    D = fields.node_D(X)
-    vals = field.value(sign, X, D)
-    grads = field.grad(sign, X, D)
-    hesses = field.hess(sign, X, D)
+    table = ChartTable(sign, X)
+    vals = field.value(table)
+    grads = field.grad(table)
+    hesses = field.hess(table)
     for idx in range(len(X)):
         jet = field_as_jets(field, sign, X[idx])
         assert vals[idx] == pytest.approx(jet.value, abs=1e-12)
         for i in range(3):
             e = tuple(int(i == t) for t in range(3))
-            assert grads[idx, i] == pytest.approx(jet.partial(e), abs=1e-12)
+            assert grads[i, idx] == pytest.approx(jet.partial(e), abs=1e-12)
             for j in range(3):
                 e2 = tuple(int(i == t) + int(j == t) for t in range(3))
-                assert hesses[idx, i, j] == pytest.approx(
+                assert hesses[i, j, idx] == pytest.approx(
                     jet.partial(e2), abs=1e-11
                 )
 
@@ -115,49 +115,49 @@ def test_product_field_consistency():
     rng = np.random.default_rng(5)
     f = Product(AmbientCoordinate(0, 3), AmbientCoordinate(3, 3))
     X = rng.uniform(-1.0, 1.0, (4, 3))
-    D = fields.node_D(X)
+    table = ChartTable(1.0, X)
     u = AmbientCoordinate(0, 3)
     v = AmbientCoordinate(3, 3)
-    assert np.allclose(f.value(1.0, X, D), u.value(1.0, X, D) * v.value(1.0, X, D))
+    assert np.allclose(f.value(table), u.value(table) * v.value(table))
     # numeric derivative check of the product gradient
     eps = 1e-6
 
     def value_at(Y):
-        return f.value(1.0, Y, fields.node_D(Y))
+        return f.value(ChartTable(1.0, Y))
 
     for i in range(3):
         shift = np.zeros(3)
         shift[i] = eps
         num = (value_at(X + shift) - value_at(X - shift)) / (2 * eps)
-        assert np.allclose(f.grad(1.0, X, D)[:, i], num, atol=1e-8)
+        assert np.allclose(f.grad(table)[i], num, atol=1e-8)
 
 
 def test_harmonics_are_eigenfunctions():
     rng = np.random.default_rng(7)
     X = rng.uniform(-2.0, 2.0, (50, 3))
-    D = fields.node_D(X)
+    table = ChartTable(1.0, X)
     for field in coordinate_harmonics(3):
-        lap = laplace_beltrami_values(field, 1.0, X, D)
-        assert np.allclose(lap, -3.0 * field.value(1.0, X, D), atol=1e-11)
+        lap = laplace_beltrami_values(field, table)
+        assert np.allclose(lap, -3.0 * field.value(table), atol=1e-11)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]),
        st.sampled_from([1.0, -1.0]), st.floats(0.1, 4.0))
 def test_flat_laplacian_is_hessian_trace(seed, n, sign, spread):
-    # the closed-form flat Laplacian against the trace of the (N, n, n)
+    # the closed-form flat Laplacian against the trace of the (n, n, N)
     # Hessian, per node, relative to the size of the diagonal entries
     rng = np.random.default_rng(seed)
     field = random_combination(rng, n)
     X = rng.uniform(-spread, spread, (25, n))
-    D = fields.node_D(X)
-    hess = field.hess(sign, X, D)
-    trace = np.trace(hess, axis1=1, axis2=2)
-    scale = np.abs(np.diagonal(hess, axis1=1, axis2=2)).sum(axis=1)
-    lap = field.laplacian(sign, X, D)
+    table = ChartTable(sign, X)
+    hess = field.hess(table)
+    trace = np.trace(hess, axis1=0, axis2=1)
+    scale = np.abs(np.diagonal(hess, axis1=0, axis2=1)).sum(axis=1)
+    lap = field.laplacian(table)
     assert np.all(np.abs(lap - trace) <= 1e-12 * scale)
-    # per node: a sub-array of nodes with its slice of D gives the same rows
-    assert np.array_equal(field.laplacian(sign, X[::3], D[::3]), lap[::3])
+    # per node: the table of a sub-array of nodes gives the same entries
+    assert np.array_equal(field.laplacian(ChartTable(sign, X[::3])), lap[::3])
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -165,18 +165,18 @@ def test_flat_laplacian_is_hessian_trace(seed, n, sign, spread):
 def test_laplace_beltrami_eigenvalues(n, sign):
     # Delta xi = -l(l+n-1) xi: l = 1 for coordinates, l = 2 for xi_a xi_b
     X = np.random.default_rng(n).uniform(-2.0, 2.0, (60, n))
-    D = fields.node_D(X)
+    table = ChartTable(sign, X)
     for field in coordinate_harmonics(n):
-        lap = laplace_beltrami_values(field, sign, X, D)
-        assert np.allclose(lap, -n * field.value(sign, X, D), rtol=1e-12, atol=1e-12)
+        lap = laplace_beltrami_values(field, table)
+        assert np.allclose(lap, -n * field.value(table), rtol=1e-12, atol=1e-12)
     for field in degree_two_harmonics(n):
-        lap = laplace_beltrami_values(field, sign, X, D)
-        assert np.allclose(lap, -2.0 * (n + 1) * field.value(sign, X, D),
+        lap = laplace_beltrami_values(field, table)
+        assert np.allclose(lap, -2.0 * (n + 1) * field.value(table),
                            rtol=1e-12, atol=1e-12)
 
 
 def test_quadrature_paths_never_build_a_hessian(monkeypatch, grid3, qe3):
-    def no_hessian(self, sign, X, D):
+    def no_hessian(self, table):
         raise AssertionError(f"{type(self).__name__}.hess called")
 
     for cls in (SphereField, Constant, AmbientCoordinate, Sum, Product):
@@ -196,8 +196,8 @@ def test_chart_transition_consistency():
     X = rng.uniform(0.2, 1.5, (10, 3))
     Xb = X / np.sum(X**2, axis=1)[:, None]
     for field in coordinate_harmonics(3):
-        va = field.value(1.0, X, fields.node_D(X))
-        vb = field.value(-1.0, Xb, fields.node_D(Xb))
+        va = field.value(ChartTable(1.0, X))
+        vb = field.value(ChartTable(-1.0, Xb))
         assert np.allclose(va, vb, atol=1e-12)
 
 
@@ -266,6 +266,21 @@ def test_round_check_covers_every_node(grid3, qe3):
     bumped = dataclasses.replace(qe3, name="bumped", g_exprs=g)
     with pytest.raises(ModelError, match="g_11"):
         weighted_volume(bumped, grid3)
+
+
+@pytest.mark.parametrize("scale, rejected", [("(1+5e-6)", True), ("(1+1e-12)", False)])
+def test_round_check_is_absolute(grid3, qe3, scale, rejected):
+    # a metric off by a relative 5e-6 (absolute up to 2e-5) is not round:
+    # numpy's default rtol=1e-5 would accept it
+    g = [row[:] for row in qe3.g_exprs]
+    for i in range(3):
+        g[i][i] = parse_expression(f"4*{scale}/(1+x^2+y^2+z^2)^2")
+    scaled = dataclasses.replace(qe3, name="scaled", g_exprs=g)
+    if rejected:
+        with pytest.raises(ModelError, match="round stereographic metric"):
+            functional_F_k(scaled, grid3, 1)
+    else:
+        assert functional_F_k(scaled, grid3, 1) == functional_F_k(qe3, grid3, 1)
 
 
 def test_one_structure_and_one_unbatched_series_per_k(monkeypatch, qe3):
@@ -454,9 +469,9 @@ def test_suite_evaluates_each_trial_laplacian_once(monkeypatch):
     fields_seen = []
     original = variational.laplace_beltrami_values
 
-    def counted(field, sign, X, D):
+    def counted(field, table):
         fields_seen.append(field)
-        return original(field, sign, X, D)
+        return original(field, table)
 
     monkeypatch.setattr(variational, "laplace_beltrami_values", counted)
     suites.suite_variational(np.random.default_rng(suites.DEFAULT_SEED))
@@ -465,24 +480,87 @@ def test_suite_evaluates_each_trial_laplacian_once(monkeypatch):
     assert len({id(f) for f in fields_seen}) == 10
 
 
-def test_suite_computes_node_D_once_per_grid(monkeypatch):
-    grids, calls = [], []
-    init, node_D = QuadratureGrid.__init__, fields.node_D
+def test_suite_builds_each_chart_table_once_per_grid(monkeypatch):
+    # D and the xi_a closed forms are computed once per chart of the one grid
+    # that evaluates fields, and never on the grids used only for weight_sum
+    grids, builds = [], []
+    init, table_init = QuadratureGrid.__init__, ChartTable.__init__
 
     def counted_init(self, *args, **kwargs):
-        grids.append(args)
+        grids.append(self)
         init(self, *args, **kwargs)
 
-    def counted_node_D(X):
-        calls.append(len(X))
-        return node_D(X)
+    def counted_table(self, sign, X):
+        builds.append((sign, X))
+        table_init(self, sign, X)
 
     monkeypatch.setattr(QuadratureGrid, "__init__", counted_init)
-    monkeypatch.setattr(fields, "node_D", counted_node_D)
-    monkeypatch.setattr(variational, "node_D", counted_node_D)
+    monkeypatch.setattr(ChartTable, "__init__", counted_table)
     suites.suite_variational(np.random.default_rng(suites.DEFAULT_SEED))
     assert len(grids) == 4
-    assert len(calls) == len(grids)
+    evaluated = [grid for grid in grids if "charts" in vars(grid)]
+    assert len(evaluated) == 1
+    assert [(sign, X is evaluated[0].points) for sign, X in builds] == [
+        (1.0, True), (-1.0, True)]
+
+
+def test_ambient_coordinates_read_rows_of_the_chart_table(grid3):
+    for table in grid3.charts:
+        for field in coordinate_harmonics(3):
+            for method, rows in ((field.value, table.xi), (field.grad, table.dxi),
+                                 (field.laplacian, table.lap_xi)):
+                out = method(table)
+                assert out.base is rows and np.array_equal(out, rows[field.a])
+        for array in (table.XT, table.D, table.xi, table.dxi, table.lap_xi):
+            assert not array.flags.writeable
+    assert grid3.charts is grid3.charts
+    assert [table.sign for table in grid3.charts] == [1.0, -1.0]
+
+
+@pytest.mark.parametrize("field", [AmbientCoordinate(3, 3), AmbientCoordinate(2, 3),
+                                   random_combination(np.random.default_rng(2), 3)])
+def test_field_on_a_grid_of_another_dimension_raises(grid2, field):
+    message = "field dimension 3 does not match grid dimension 2"
+    for evaluate in (lambda: field_values(field, grid2),
+                     lambda: field_laplace_beltrami(field, grid2),
+                     lambda: field.grad(grid2.charts[1]),
+                     lambda: field.hess(grid2.charts[0])):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            evaluate()
+
+
+def test_constant_field_evaluates_on_any_grid(grid2):
+    table = grid2.charts[0]
+    c = Constant(2.5)
+    assert np.array_equal(c.value(table), np.full(len(table.D), 2.5))
+    assert c.grad(table).shape == table.XT.shape and not c.grad(table).any()
+    assert c.hess(table).shape == (2, 2, len(table.D))
+    assert not c.laplacian(table).any()
+
+
+@pytest.mark.parametrize("a, n", [(1.5, 3), (np.float64(1.0), 3), ("1", 3), (-1, 3),
+                                  (4, 3), (0, 2.0)])
+def test_ambient_coordinate_rejects_bad_indices(a, n):
+    with pytest.raises(DomainError):
+        AmbientCoordinate(a, n)
+
+
+def test_ambient_coordinate_accepts_numpy_integers():
+    field = AmbientCoordinate(np.int64(1), np.int32(3))
+    assert (field.a, field.n) == (1, 3) and type(field.a) is int
+
+
+@pytest.mark.parametrize("args", [(3, 4.5), (3.0, 10), (3, "10"), (4, 10), (3, 3)])
+def test_grid_rejects_bad_dimension_and_resolution(args):
+    with pytest.raises(DomainError):
+        QuadratureGrid(*args)
+
+
+def test_grid_used_only_for_weight_sum_builds_no_chart_tables():
+    grid = QuadratureGrid(3, resolution=10)
+    grid.weight_sum()
+    grid.bind(builtin_model("qe_sphere", 3, 2, 1))
+    assert "charts" not in vars(grid)
 
 
 # -- second variation -----------------------------------------------------------

@@ -90,6 +90,16 @@ def test_rejects_nonpositive_density():
         euclidean_mmp([0.0] * 3, f=Jet.constant(-1.0, 3, 4), m=2.0)
 
 
+@pytest.mark.parametrize("m, mu", [(float("nan"), 0.0), (float("inf"), 0.0),
+                                   (2.0, float("inf")), (2.0, float("nan")),
+                                   (2.0, float("-inf"))])
+def test_rejects_non_finite_parameters(m, mu):
+    # each density sign would otherwise slip past one of the comparison guards
+    for f in (Jet.constant(-1.0, 3, 4), Jet.constant(1.0, 3, 4)):
+        with pytest.raises(DomainError, match="must be finite"):
+            euclidean_mmp([0.0] * 3, f=f, m=m, mu=mu)
+
+
 def test_m_zero_requires_unit_density():
     x = coords([0.0, 0.0, 0.0])
     with pytest.raises(DomainError):
