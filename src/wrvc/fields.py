@@ -1,15 +1,14 @@
 """Vectorized scalar fields on the round sphere for quadrature trials.
 
 Fields are globally defined functions on the sphere, evaluated through
-either stereographic chart (value, Euclidean chart gradient, Euclidean
-chart Laplacian and Hessian, all batched over nodes).  The building
-blocks are the ambient-coordinate restrictions, which span the first
-nonzero eigenspace of the Laplacian; products of two of them supply
-degree-two trials.  Every evaluation takes one ``ChartTable``, a chart's
-coordinate-major node data with the closed forms of every ambient
-coordinate computed once, so a ``Sum``/``Product`` tree costs a few
-broadcasts over the node axis, and the flat Laplacian never forms the
-(n, n, N) Hessian.
+both stereographic charts at once (value, Euclidean chart gradient,
+Laplacian and Hessian, batched over a chart axis of length 2 and a node
+axis).  The building blocks are the ambient-coordinate restrictions,
+which span the first nonzero eigenspace of the Laplacian; products of two
+of them supply degree-two trials.  Every evaluation takes one
+``ChartTable``, the grid's node data with the closed forms of every
+ambient coordinate computed once, so a ``Sum``/``Product`` tree costs a
+few broadcasts, and the flat Laplacian never forms the Hessian.
 """
 
 from __future__ import annotations
@@ -22,43 +21,46 @@ from .errors import DomainError
 
 
 class ChartTable:
-    """One stereographic chart's node data, built once per chart.
+    """Both stereographic charts' node data, built once per grid.
 
-    ``sign`` is the chart's +1.0 or -1.0, which flips the last ambient
-    coordinate between the two charts.  From the (N, n) node array ``X``
-    the table holds ``XT`` (n, N), ``D = 1 + |x|^2`` (N,), and the ambient
-    coordinates xi_0 .. xi_n as ``xi`` (n+1, N), their flat chart
-    gradients ``dxi`` (n+1, n, N) and flat chart Laplacians ``lap_xi``
-    (n+1, N).  In the chart, with |x|^2 = r^2 and D = 1 + r^2,
-    xi_a = 2 x_a / D for a < n and xi_n = sign (r^2 - 1)/D; their flat
-    Laplacians are x_a (16 r^2/D^3 - (8 + 4n)/D^2) and
-    sign (4n/D^2 - 16 r^2/D^3).  The arrays are read-only, since fields
-    return rows of them.
+    The charts share the (N, n) node array ``X``, and so ``XT`` (n, N) and
+    ``D = 1 + |x|^2`` (N,); chart 2 flips the last ambient coordinate, so
+    ``sign`` is [[1.0], [-1.0]].  The ambient coordinates xi_0 .. xi_n are
+    ``xi`` (n+1, 2, N), their flat chart gradients ``dxi`` (n+1, n, 2, N)
+    and flat chart Laplacians ``lap_xi`` (n+1, 2, N).  With r^2 = |x|^2,
+    xi_a = 2 x_a / D for a < n and xi_n = sign (r^2 - 1)/D, with flat
+    Laplacians x_a (16 r^2/D^3 - (8 + 4n)/D^2) and
+    sign (4n/D^2 - 16 r^2/D^3).  Rows a < n are computed once and written
+    to both charts; chart 2's row n is chart 1's negated.  The arrays are
+    read-only, since fields return rows of them.
     """
 
-    def __init__(self, sign: float, X: np.ndarray):
+    def __init__(self, X: np.ndarray):
         N, n = X.shape
         XT = np.ascontiguousarray(X.T)
         D = 1.0 + np.einsum("ij,ij->i", X, X)
         D2 = D * D
         r2_term = 16.0 * (D - 1.0) / (D2 * D)
-        xi, lap_xi = np.empty((n + 1, N)), np.empty((n + 1, N))
-        dxi = np.empty((n + 1, n, N))
-        xi[:n] = 2.0 * XT / D
-        xi[n] = sign * (D - 2.0) / D   # (r^2 - 1)/(r^2 + 1)
-        dxi[:n] = -4.0 * XT[:, None, :] * XT[None, :, :] / D**2
-        dxi[np.arange(n), np.arange(n)] += 2.0 / D
-        dxi[n] = sign * 4.0 * XT / D**2
-        lap_xi[:n] = XT * (r2_term - (8.0 + 4.0 * n) / D2)
-        lap_xi[n] = sign * (4.0 * n / D2 - r2_term)
+        xi, lap_xi = np.empty((n + 1, 2, N)), np.empty((n + 1, 2, N))
+        dxi = np.empty((n + 1, n, 2, N))
+        xi[:n, 0] = 2.0 * XT / D
+        xi[n, 0] = (D - 2.0) / D   # (r^2 - 1)/(r^2 + 1)
+        dxi[:n, :, 0] = -4.0 * XT[:, None, :] * XT[None, :, :] / D**2
+        dxi[np.arange(n), np.arange(n), 0] += 2.0 / D
+        dxi[n, :, 0] = 4.0 * XT / D**2
+        lap_xi[:n, 0] = XT * (r2_term - (8.0 + 4.0 * n) / D2)
+        lap_xi[n, 0] = 4.0 * n / D2 - r2_term
+        for array in (xi, dxi, lap_xi):
+            array[:n, ..., 1, :] = array[:n, ..., 0, :]
+            np.negative(array[n, ..., 0, :], out=array[n, ..., 1, :])
         for array in (XT, D, xi, dxi, lap_xi):
             array.flags.writeable = False
-        self.sign, self.n = sign, n
+        self.sign, self.n = np.array([[1.0], [-1.0]]), n
         self.XT, self.D, self.xi, self.dxi, self.lap_xi = XT, D, xi, dxi, lap_xi
 
     def row(self, field: "AmbientCoordinate") -> int:
         """The table row of an ambient coordinate of a sphere of this
-        chart's dimension."""
+        table's dimension."""
         if field.n != self.n:
             raise DomainError(
                 f"field dimension {field.n} does not match grid dimension {self.n}"
@@ -68,7 +70,7 @@ class ChartTable:
 
 class SphereField:
     """Base class.  Every evaluation takes one ``ChartTable``; ``grad``
-    returns (n, N), ``hess`` (n, n, N) and the others (N,)."""
+    returns (n, 2, N), ``hess`` (n, n, 2, N) and the others (2, N)."""
 
     def value(self, table: ChartTable) -> np.ndarray:
         raise NotImplementedError
@@ -81,7 +83,7 @@ class SphereField:
 
     def laplacian(self, table: ChartTable) -> np.ndarray:
         """Flat chart Laplacian, the trace of ``hess``, without the
-        (n, n, N) Hessian."""
+        (n, n, 2, N) Hessian."""
         raise NotImplementedError
 
 
@@ -90,16 +92,16 @@ class Constant(SphereField):
         self.c = float(c)
 
     def value(self, table):
-        return np.full(len(table.D), self.c)
+        return np.full(table.xi.shape[1:], self.c)
 
     def grad(self, table):
-        return np.zeros(table.XT.shape)
+        return np.zeros(table.dxi.shape[1:])
 
     def hess(self, table):
-        return np.zeros(table.XT.shape[:1] + table.XT.shape)
+        return np.zeros((table.n,) + table.dxi.shape[1:])
 
     def laplacian(self, table):
-        return np.zeros(len(table.D))
+        return np.zeros(table.xi.shape[1:])
 
 
 class AmbientCoordinate(SphereField):
@@ -133,10 +135,10 @@ class AmbientCoordinate(SphereField):
             out -= 4.0 * eye[a][:, None, None] * XT[None, :, :] / D**2
             out -= 4.0 * eye[a][None, :, None] * XT[:, None, :] / D**2
             out -= 4.0 * xa * eye[:, :, None] / D**2
-            return out
+            return np.stack((out, out), axis=2)
         out = -16.0 * XT[:, None, :] * XT[None, :, :] / D**3
         out += 4.0 * eye[:, :, None] / D**2
-        return table.sign * out
+        return table.sign * out[:, :, None, :]
 
     def laplacian(self, table):
         return table.lap_xi[table.row(self)]
@@ -148,25 +150,25 @@ class Sum(SphereField):
         self.coeffs = tuple(float(c) for c in coeffs)
 
     def value(self, table):
-        out = np.zeros(len(table.D))
+        out = np.zeros(table.xi.shape[1:])
         for c, f in zip(self.coeffs, self.fields):
             out += c * f.value(table)
         return out
 
     def grad(self, table):
-        out = np.zeros(table.XT.shape)
+        out = np.zeros(table.dxi.shape[1:])
         for c, f in zip(self.coeffs, self.fields):
             out += c * f.grad(table)
         return out
 
     def hess(self, table):
-        out = np.zeros(table.XT.shape[:1] + table.XT.shape)
+        out = np.zeros((table.n,) + table.dxi.shape[1:])
         for c, f in zip(self.coeffs, self.fields):
             out += c * f.hess(table)
         return out
 
     def laplacian(self, table):
-        out = np.zeros(len(table.D))
+        out = np.zeros(table.xi.shape[1:])
         for c, f in zip(self.coeffs, self.fields):
             out += c * f.laplacian(table)
         return out
@@ -189,7 +191,7 @@ class Product(SphereField):
         u, v = self.left.value(table), self.right.value(table)
         du, dv = self.left.grad(table), self.right.grad(table)
         hu, hv = self.left.hess(table), self.right.hess(table)
-        cross = du[:, None, :] * dv[None, :, :]
+        cross = du[:, None] * dv[None, :]
         return u * hv + v * hu + cross + np.swapaxes(cross, 0, 1)
 
     def laplacian(self, table):
@@ -199,7 +201,7 @@ class Product(SphereField):
         return (
             u * right.laplacian(table)
             + v * left.laplacian(table)
-            + 2.0 * np.einsum("ij,ij->j", du, dv)
+            + 2.0 * np.einsum("ijk,ijk->jk", du, dv)
         )
 
 

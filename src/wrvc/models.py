@@ -306,10 +306,8 @@ class ModelSpec:
 
 
 def _delta_exprs(n, diagonal: str):
-    g = [[parse_expression("0") for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        g[i][i] = parse_expression(diagonal)
-    return g
+    diag, zero = parse_expression(diagonal), Num(0.0)
+    return [[diag if i == j else zero for j in range(n)] for i in range(n)]
 
 
 def _r2_text(n):

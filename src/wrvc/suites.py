@@ -433,7 +433,7 @@ def suite_variational(rng) -> list:
         fv_res = max(fv_res, abs(variational.first_variation(qe, grid, 1, vals)))
     out.append(CheckResult("variational", "first_variation_mean_zero", fv_res, 1e-8))
 
-    ones = [np.ones(len(grid.points))] * 2
+    ones = np.ones((2, len(grid.points)))
     out.append(CheckResult(
         "variational", "first_variation_constant_trial",
         abs(variational.first_variation(qe, grid, 1, ones)
@@ -446,14 +446,14 @@ def suite_variational(rng) -> list:
     out.append(CheckResult(
         "variational", "conformally_invariant_order",
         abs(variational.first_variation(
-            invariant_model, grid, 3, variational.field_values(omega, grid))),
+            invariant_model, grid, 3, omega.value(grid.table))),
         0.0,
     ))
 
     trials = coordinate_harmonics(3) + degree_two_harmonics(3)
     div_res = 0.0
     for field in trials:
-        lb = variational.field_laplace_beltrami(field, grid)
+        lb = variational.laplace_beltrami_values(field, grid.table)
         for k in (1, 2, 3):
             div_res = max(div_res, variational.delta_vk_identity_check(qe, grid, k, lb))
     out.append(CheckResult("variational", "divergence_identity", div_res, 1e-6))

@@ -8,12 +8,13 @@ azimuth).  The chart overlap is blended by a partition of unity whose
 radial profile is a C^11 polynomial smoothstep in log-radius; the two
 chart weights sum to the metric measure of the sphere.
 
-Trial fields are evaluated on each chart's ``ChartTable``, built once per
-grid on the first field evaluation: the Laplace-Beltrami operator and the
-gradient norm are built from the flat chart Laplacian and gradient, never
-from an (n, n, N) Hessian.
-Reductions sum fixed-size node chunks in index order, so results are
-bit-identical from run to run.
+The chart is an array axis: every per-node quantity (f^m, field values,
+integrands) is one (2, N) array, one row per chart.  Trial fields are
+evaluated on the grid's ``ChartTable``, built on the first field
+evaluation; the Laplace-Beltrami operator and the gradient norm come from
+the flat chart Laplacian and gradient, never from a Hessian.  Reductions
+sum chart 1, then chart 2, each in fixed-size node chunks in index order,
+so results are bit-identical from run to run.
 """
 
 from __future__ import annotations
@@ -79,9 +80,10 @@ class QuadratureGrid:
     exactly, giving ~resolution^n nodes over both charts.  Node weights
     include the partition of unity and the round-metric volume factor,
     so ``sum(weights) = Vol(S^n)`` up to the radial quadrature error.
-    Both charts share the node array ``points``; ``charts`` holds their
-    ``ChartTable`` pair (signs +1.0 and -1.0), built on the first field
-    evaluation, so a grid used only for ``weight_sum`` never builds them.
+    Both charts share the node array ``points``; ``table`` is their one
+    ``ChartTable``, built on the first field evaluation, so a grid used
+    only for ``weight_sum`` never builds it.  Per-node values are (2, N)
+    arrays, one row per chart.
     """
 
     def __init__(self, n: int, resolution: int = _DEFAULT_RESOLUTION):
@@ -96,26 +98,18 @@ class QuadratureGrid:
         r = 0.5 * _RADIUS * (xs + 1.0)
         wr = 0.5 * _RADIUS * ws
 
+        # the uniform circle rule; on S^2 it is lifted by Gauss-Legendre
+        # nodes in the polar cosine
         l_count = max(6, resolution // 4)
+        alpha = 2.0 * math.pi * np.arange(2 * l_count) / (2 * l_count)
+        dirs = np.stack([np.cos(alpha), np.sin(alpha)], axis=-1)
+        wdir = np.full(2 * l_count, 2.0 * math.pi / (2 * l_count))
         if n == 3:
             mu, wmu = leggauss(l_count)
-            phi = 2.0 * math.pi * np.arange(2 * l_count) / (2 * l_count)
-            wphi = 2.0 * math.pi / (2 * l_count)
             sin_theta = np.sqrt(1.0 - mu**2)
-            dirs = np.stack(
-                [
-                    np.outer(sin_theta, np.cos(phi)).ravel(),
-                    np.outer(sin_theta, np.sin(phi)).ravel(),
-                    np.repeat(mu, 2 * l_count),
-                ],
-                axis=-1,
-            )
-            wdir = np.repeat(wmu, 2 * l_count) * wphi
-        else:
-            m_count = 2 * l_count
-            alpha = 2.0 * math.pi * np.arange(m_count) / m_count
-            dirs = np.stack([np.cos(alpha), np.sin(alpha)], axis=-1)
-            wdir = np.full(m_count, 2.0 * math.pi / m_count)
+            dirs = np.concatenate([(sin_theta[:, None, None] * dirs).reshape(-1, 2),
+                                   np.repeat(mu, len(wdir))[:, None]], axis=1)
+            wdir = (wmu[:, None] * wdir).ravel()
 
         X = (r[:, None, None] * dirs[None, :, :]).reshape(-1, n)
         w_geom = (wr[:, None] * wdir[None, :]).ravel()
@@ -131,9 +125,9 @@ class QuadratureGrid:
         self._bound = {}   # id(model) -> GridStructure, which holds the model
 
     @cached_property
-    def charts(self) -> tuple:
-        """The two charts' tables, built on the first field evaluation."""
-        return tuple(ChartTable(sign, self.points) for sign in (1.0, -1.0))
+    def table(self) -> ChartTable:
+        """Both charts' node table, built on the first field evaluation."""
+        return ChartTable(self.points)
 
     def bind(self, model: ModelSpec) -> "GridStructure":
         """The model's data on this grid, built once per model object."""
@@ -149,12 +143,22 @@ class QuadratureGrid:
     def weight_sum(self) -> float:
         return 2.0 * _chunked_dot(self.weights, np.ones_like(self.weights))
 
-    def integrate(self, per_chart_values) -> float:
-        """Sum of w * value over both charts, fixed chunked order."""
+    def integrate(self, values) -> float:
+        """Sum of w * value over both charts of (2, N) ``values``: chart 1,
+        then chart 2, each in fixed chunked order."""
         total = 0.0
-        for values in per_chart_values:
-            total += _chunked_dot(self.weights, values)
+        for row in self._node_values(values):
+            total += _chunked_dot(self.weights, row)
         return total
+
+    def _node_values(self, values) -> np.ndarray:
+        """``values`` as (2, N); another shape would broadcast silently."""
+        values = np.asarray(values, dtype=float)
+        shape = (2, len(self.weights))
+        if values.shape != shape:
+            raise DomainError(f"per-node grid values need shape {shape}, "
+                              f"got {values.shape}")
+        return values
 
 
 def _chunked_dot(w: np.ndarray, v: np.ndarray) -> float:
@@ -169,9 +173,9 @@ def _chunked_dot(w: np.ndarray, v: np.ndarray) -> float:
 
 class GridStructure:
     """One model bound to one grid (``QuadratureGrid.bind``): the round-metric
-    check on every node, f^m per chart (chart 2's nodes are read at their
-    chart-1 coordinates X/|X|^2), the weighted volume, and memoized series
-    scales.
+    check on every node of both charts, f^m as a (2, N) array (chart 2's
+    nodes are read at their chart-1 coordinates X/|X|^2), the weighted
+    volume, and memoized series scales.
     The model's expansion g_rho = (1 + lam rho)^2 g, f_rho = (1 + lam rho) f
     scales g and f by functions of rho alone, so v_k = C(n+m, k) lam^k is
     one constant for every node, read from the series scales.  It keeps the
@@ -185,21 +189,24 @@ class GridStructure:
             )
 
         def accept_round(G, nodes):
-            round_metric = np.eye(model.n)[:, :, None] * grid.conf
-            matches = np.isclose(G, round_metric, rtol=0.0, atol=1e-10).all(axis=2)
-            if not matches.all():
-                i, j = np.argwhere(~matches)[0]
-                raise ModelError(
-                    "grid quadrature needs the round stereographic metric; "
-                    f"component g_{i + 1}{j + 1} of {model.name!r} differs"
-                )
+            # g_ij / conf against delta_ij, entry by entry: conf falls to
+            # ~1e-10 at chart 2's far nodes, so the tolerance is relative
+            conf = 4.0 / (1.0 + np.einsum("ij,ij->i", nodes, nodes)) ** 2
+            for i in range(model.n):
+                for j in range(model.n):
+                    if not (np.abs(G[i, j] / conf - float(i == j)) <= 1e-10).all():
+                        raise ModelError(
+                            "grid quadrature needs the round stereographic metric; "
+                            f"component g_{i + 1}{j + 1} of {model.name!r} differs"
+                        )
 
         self.model = model
-        fm = model._weight_on(grid.points, accept_round)
-        self.fm = (fm, fm)
-        if has_vars(model.f_expr):   # chart 2's nodes at chart-1 coordinates
-            X = grid.points
-            self.fm = (fm, model._weight_on(X / (X * X).sum(axis=1)[:, None], None))
+        # chart 2's nodes X/|X|^2: summing the columns of X * X in order gives
+        # (X * X).sum(axis=1) bit for bit, without its per-row cost
+        X = grid.points
+        r2 = sum((X * X).T)
+        self.fm = np.array([model._weight_on(nodes, accept_round)
+                            for nodes in (X, X / r2[:, None])])
         self.wvol = grid.integrate(self.fm)
         self._scales = {}
 
@@ -214,7 +221,7 @@ class GridStructure:
         return self.model.lam
 
     def vk(self, k: int) -> float:
-        """v_k, the same on every node (both charts)."""
+        """v_k, the same on every node of both charts."""
         return self.series_scales(k)[0]
 
     def series_scales(self, k: int):
@@ -245,45 +252,36 @@ def weighted_volume(model: ModelSpec, grid: QuadratureGrid) -> float:
 def functional_F_k(model: ModelSpec, grid: QuadratureGrid, k: int) -> float:
     """Quadrature of v_k f^m over the sphere."""
     bound = grid.bind(model)
-    return grid.integrate([bound.vk(k) * fm for fm in bound.fm])
-
-
-def field_values(field: SphereField, grid: QuadratureGrid) -> list:
-    """Per-chart values of the field on the grid nodes."""
-    return [field.value(table) for table in grid.charts]
-
-
-def field_laplace_beltrami(field: SphereField, grid: QuadratureGrid) -> list:
-    """Per-chart Laplace-Beltrami values of the field on the grid nodes."""
-    return [laplace_beltrami_values(field, table) for table in grid.charts]
+    return grid.integrate(bound.vk(k) * bound.fm)
 
 
 def project_mean_zero(model: ModelSpec, grid: QuadratureGrid, field: SphereField):
-    """Subtract the weighted mean; returns per-chart value arrays."""
+    """Subtract the weighted mean; returns the (2, N) values."""
     bound = grid.bind(model)
-    values = field_values(field, grid)
-    c = grid.integrate([v * fm for v, fm in zip(values, bound.fm)]) / bound.wvol
-    return [v - c for v in values]
+    values = field.value(grid.table)
+    c = grid.integrate(values * bound.fm) / bound.wvol
+    return values - c
 
 
 def first_variation(model: ModelSpec, grid: QuadratureGrid, k: int,
                     omega_values) -> float:
-    """(n+m-2k) * integral of v_k omega f^m, for per-chart value arrays
-    ``omega_values`` (``field_values`` or ``project_mean_zero``)."""
+    """(n+m-2k) * integral of v_k omega f^m, for the (2, N) values
+    ``omega_values`` of omega (``field.value(grid.table)`` or
+    ``project_mean_zero``)."""
+    omega_values = grid._node_values(omega_values)
     bound = grid.bind(model)
     vk = bound.vk(k)
     factor = model.n + model.m - 2.0 * k
-    return factor * grid.integrate(
-        [vk * fm * v for v, fm in zip(omega_values, bound.fm)])
+    return factor * grid.integrate(vk * bound.fm * omega_values)
 
 
 def laplace_beltrami_values(field: SphereField, table: ChartTable) -> np.ndarray:
-    """Laplacian of the field in the round metric, from one chart's table:
+    """(2, N) Laplacian of the field in the round metric, from the table:
     for g = conf * delta with conf = 4/D^2, D = 1 + r^2,
     Delta_g u = (D^2/4) (Delta u - 2 (n-2) x.grad u / D)."""
     D = table.D
     flat_lap = field.laplacian(table)
-    radial = np.einsum("ij,ij->j", table.XT, field.grad(table))
+    radial = np.einsum("ik,ijk->jk", table.XT, field.grad(table))
     return (D**2 / 4.0) * (flat_lap - (table.n - 2.0) * 2.0 * radial / D)
 
 
@@ -294,14 +292,14 @@ def delta_vk_identity_check(model: ModelSpec, grid: QuadratureGrid, k: int,
     At a proportional structure the second-order term reduces to
     l_k * Laplacian(omega), whose weighted integral must vanish; the
     returned magnitude is pure quadrature error.  ``lb_values`` holds the
-    per-chart Laplace-Beltrami values of omega
-    (``field_laplace_beltrami(omega, grid)``).
+    (2, N) Laplace-Beltrami values of omega
+    (``laplace_beltrami_values(omega, grid.table)``).
     """
+    lb_values = grid._node_values(lb_values)
     bound = grid.bind(model)
     _require_constant_density(model)
     _, lk = bound.series_scales(k)
-    vals = [lk * lb * fm for lb, fm in zip(lb_values, bound.fm)]
-    return abs(grid.integrate(vals))
+    return abs(grid.integrate(lk * lb_values * bound.fm))
 
 
 # -- second variation -----------------------------------------------------------
@@ -363,14 +361,12 @@ def _mass_and_energy(model: ModelSpec, grid: QuadratureGrid,
                      field: SphereField) -> tuple:
     """Weighted mass of the trial's mean-zero projection and its weighted
     Dirichlet energy, with |grad u|_g^2 = (D^2/4) |grad u|^2 in the chart."""
-    fms = grid.bind(model).fm
+    fm, table = grid.bind(model).fm, grid.table
     values = project_mean_zero(model, grid, field)
-    mass = grid.integrate([v**2 * fm for v, fm in zip(values, fms)])
-    grads = (field.grad(table) for table in grid.charts)
+    mass = grid.integrate(values**2 * fm)
+    du = field.grad(table)
     energy = grid.integrate(
-        [(table.D**2 / 4.0) * np.einsum("ij,ij->j", du, du) * fm
-         for table, du, fm in zip(grid.charts, grads, fms)]
-    )
+        (table.D**2 / 4.0) * np.einsum("ijk,ijk->jk", du, du) * fm)
     return mass, energy
 
 

@@ -406,15 +406,15 @@ def test_metric_at_evaluates_each_distinct_component_once(monkeypatch, model):
             if node not in distinct:
                 distinct.append(node)
     assert calls == distinct
-    # so does binding the model to a grid, whether or not its metric is the
-    # round one that grids need; the same pass then evaluates the (constant)
-    # density once, unless the metric was rejected
+    # so does binding the model to a grid, once per chart, whether or not
+    # its metric is the round one that grids need; the same pass then
+    # evaluates the (constant) density once, unless the metric was rejected
     if model.n in (2, 3):
         calls.clear()
         grid = QuadratureGrid(model.n, resolution=8)
         if model.name == "qe_sphere":
             grid.bind(model)
-            assert calls == distinct + [model.f_expr]
+            assert calls == (distinct + [model.f_expr]) * 2
         else:
             with pytest.raises(ModelError, match="round stereographic metric"):
                 grid.bind(model)

@@ -25,7 +25,7 @@ from wrvc.fields import (
     random_combination,
 )
 from wrvc.jets import Jet
-from wrvc.models import ModelSpec, builtin_model
+from wrvc.models import ModelSpec, builtin_model, load_model_file
 from wrvc.rho import AmbientExpansion
 from wrvc.weighted import weighted_invariants
 from wrvc import suites, variational
@@ -35,8 +35,6 @@ from wrvc.variational import (
     c_k_constant,
     delta_vk_identity_check,
     eigenvalue_bound_check,
-    field_laplace_beltrami,
-    field_values,
     first_variation,
     functional_F_k,
     laplace_beltrami_values,
@@ -94,10 +92,11 @@ def test_harmonic_fields_match_jets(a, sign):
     rng = np.random.default_rng(a)
     field = AmbientCoordinate(a, 3)
     X = rng.uniform(-1.5, 1.5, (6, 3))
-    table = ChartTable(sign, X)
-    vals = field.value(table)
-    grads = field.grad(table)
-    hesses = field.hess(table)
+    table = ChartTable(X)
+    chart = (1.0, -1.0).index(sign)
+    vals = field.value(table)[chart]
+    grads = field.grad(table)[:, chart]
+    hesses = field.hess(table)[:, :, chart]
     for idx in range(len(X)):
         jet = field_as_jets(field, sign, X[idx])
         assert vals[idx] == pytest.approx(jet.value, abs=1e-12)
@@ -115,15 +114,15 @@ def test_product_field_consistency():
     rng = np.random.default_rng(5)
     f = Product(AmbientCoordinate(0, 3), AmbientCoordinate(3, 3))
     X = rng.uniform(-1.0, 1.0, (4, 3))
-    table = ChartTable(1.0, X)
+    table = ChartTable(X)
     u = AmbientCoordinate(0, 3)
     v = AmbientCoordinate(3, 3)
     assert np.allclose(f.value(table), u.value(table) * v.value(table))
-    # numeric derivative check of the product gradient
+    # numeric derivative check of the product gradient, on both charts
     eps = 1e-6
 
     def value_at(Y):
-        return f.value(ChartTable(1.0, Y))
+        return f.value(ChartTable(Y))
 
     for i in range(3):
         shift = np.zeros(3)
@@ -135,29 +134,29 @@ def test_product_field_consistency():
 def test_harmonics_are_eigenfunctions():
     rng = np.random.default_rng(7)
     X = rng.uniform(-2.0, 2.0, (50, 3))
-    table = ChartTable(1.0, X)
+    table = ChartTable(X)
     for field in coordinate_harmonics(3):
         lap = laplace_beltrami_values(field, table)
         assert np.allclose(lap, -3.0 * field.value(table), atol=1e-11)
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]),
-       st.sampled_from([1.0, -1.0]), st.floats(0.1, 4.0))
-def test_flat_laplacian_is_hessian_trace(seed, n, sign, spread):
-    # the closed-form flat Laplacian against the trace of the (n, n, N)
-    # Hessian, per node, relative to the size of the diagonal entries
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]), st.floats(0.1, 4.0))
+def test_flat_laplacian_is_hessian_trace(seed, n, spread):
+    # the closed-form flat Laplacian against the trace of the (n, n, 2, N)
+    # Hessian, per chart and node, relative to the size of the diagonal entries
     rng = np.random.default_rng(seed)
     field = random_combination(rng, n)
     X = rng.uniform(-spread, spread, (25, n))
-    table = ChartTable(sign, X)
+    table = ChartTable(X)
     hess = field.hess(table)
     trace = np.trace(hess, axis1=0, axis2=1)
-    scale = np.abs(np.diagonal(hess, axis1=0, axis2=1)).sum(axis=1)
+    scale = np.abs(np.diagonal(hess, axis1=0, axis2=1)).sum(axis=-1)
     lap = field.laplacian(table)
+    assert lap.shape == (2, 25)
     assert np.all(np.abs(lap - trace) <= 1e-12 * scale)
     # per node: the table of a sub-array of nodes gives the same entries
-    assert np.array_equal(field.laplacian(ChartTable(sign, X[::3])), lap[::3])
+    assert np.array_equal(field.laplacian(ChartTable(X[::3])), lap[:, ::3])
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -165,13 +164,15 @@ def test_flat_laplacian_is_hessian_trace(seed, n, sign, spread):
 def test_laplace_beltrami_eigenvalues(n, sign):
     # Delta xi = -l(l+n-1) xi: l = 1 for coordinates, l = 2 for xi_a xi_b
     X = np.random.default_rng(n).uniform(-2.0, 2.0, (60, n))
-    table = ChartTable(sign, X)
+    table = ChartTable(X)
+    chart = (1.0, -1.0).index(sign)
     for field in coordinate_harmonics(n):
-        lap = laplace_beltrami_values(field, table)
-        assert np.allclose(lap, -n * field.value(table), rtol=1e-12, atol=1e-12)
+        lap = laplace_beltrami_values(field, table)[chart]
+        assert np.allclose(lap, -n * field.value(table)[chart],
+                           rtol=1e-12, atol=1e-12)
     for field in degree_two_harmonics(n):
-        lap = laplace_beltrami_values(field, table)
-        assert np.allclose(lap, -2.0 * (n + 1) * field.value(table),
+        lap = laplace_beltrami_values(field, table)[chart]
+        assert np.allclose(lap, -2.0 * (n + 1) * field.value(table)[chart],
                            rtol=1e-12, atol=1e-12)
 
 
@@ -183,7 +184,7 @@ def test_quadrature_paths_never_build_a_hessian(monkeypatch, grid3, qe3):
         monkeypatch.setattr(cls, "hess", no_hessian)
     trial = random_combination(np.random.default_rng(4), 3)
     assert delta_vk_identity_check(
-        qe3, grid3, 2, field_laplace_beltrami(trial, grid3)) <= 1e-6
+        qe3, grid3, 2, laplace_beltrami_values(trial, grid3.table)) <= 1e-6
     assert second_variation(qe3, grid3, 2, trial).path_agreement <= 1e-6
     assert rayleigh_quotient(qe3, grid3, degree_two_harmonics(3)[0]) \
         == pytest.approx(8.0, abs=1e-4)
@@ -196,9 +197,24 @@ def test_chart_transition_consistency():
     X = rng.uniform(0.2, 1.5, (10, 3))
     Xb = X / np.sum(X**2, axis=1)[:, None]
     for field in coordinate_harmonics(3):
-        va = field.value(ChartTable(1.0, X))
-        vb = field.value(ChartTable(-1.0, Xb))
+        va = field.value(ChartTable(X))[0]
+        vb = field.value(ChartTable(Xb))[1]
         assert np.allclose(va, vb, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_chart_two_negates_the_last_row_of_chart_one(n):
+    # rows a < n are sign-independent; row n of chart 2 is chart 1's
+    # negated, signed zeros included (x = (1, 0, ..) has xi_n = 0)
+    X = np.random.default_rng(n).uniform(-2.0, 2.0, (40, n))
+    X[0] = np.eye(n)[0]
+    table = ChartTable(X)
+    assert table.xi[n, 0, 0] == 0.0
+    for rows in (table.xi, table.dxi, table.lap_xi):
+        assert np.array_equal(rows[:n, ..., 1, :], rows[:n, ..., 0, :])
+        assert np.array_equal(rows[n, ..., 1, :], -rows[n, ..., 0, :])
+        assert np.array_equal(np.signbit(rows[n, ..., 1, :]),
+                              np.signbit(-rows[n, ..., 0, :]))
 
 
 # -- grid construction ------------------------------------------------------
@@ -269,9 +285,9 @@ def test_round_check_covers_every_node(grid3, qe3):
 
 
 @pytest.mark.parametrize("scale, rejected", [("(1+5e-6)", True), ("(1+1e-12)", False)])
-def test_round_check_is_absolute(grid3, qe3, scale, rejected):
-    # a metric off by a relative 5e-6 (absolute up to 2e-5) is not round:
-    # numpy's default rtol=1e-5 would accept it
+def test_round_check_is_relative_to_conf(grid3, qe3, scale, rejected):
+    # each g_ij / conf is compared with delta_ij to 1e-10: a metric off by
+    # a relative 5e-6 is not round, one off by a relative 1e-12 is
     g = [row[:] for row in qe3.g_exprs]
     for i in range(3):
         g[i][i] = parse_expression(f"4*{scale}/(1+x^2+y^2+z^2)^2")
@@ -281,6 +297,21 @@ def test_round_check_is_absolute(grid3, qe3, scale, rejected):
             functional_F_k(scaled, grid3, 1)
     else:
         assert functional_F_k(scaled, grid3, 1) == functional_F_k(qe3, grid3, 1)
+
+
+def test_round_check_covers_chart_two(tmp_path):
+    # round on chart 1's nodes (|x| < 3, where exp(r^2 - 60) < 1e-22), but
+    # not at chart 2's nodes, read at X/|X|^2 with r^2 up to ~1e5
+    path = tmp_path / "far.cfg"
+    path.write_text(
+        "[space]\nn = 3\nm = 2\nmu = 1\n\n[metric]\n" + "".join(
+            f"g_{i}{i} = 4/(1+x^2+y^2+z^2)^2*(1+exp(x^2+y^2+z^2-60))\n"
+            for i in (1, 2, 3))
+        + "\n[density]\nf = 0.7071067811865476\n\n[ambient]\nlambda = 0.25\n")
+    model = load_model_file(path)
+    with pytest.raises((ModelError, DomainError),
+                       match=re.escape(f"model {model.name!r}")):
+        functional_F_k(model, QuadratureGrid(3), 1)
 
 
 def test_one_structure_and_one_unbatched_series_per_k(monkeypatch, qe3):
@@ -354,9 +385,10 @@ def test_weighted_volume_reads_each_chart_at_its_own_points():
     for volume in volumes:
         assert abs(volume - exact) <= 1e-8 * exact
     assert volumes[0] == pytest.approx(volumes[1], rel=1e-12)
-    # a constant density is evaluated once and shared by both charts
+    # a constant density gives equal rows on both charts
     bound = grid.bind(builtin_model("qe_sphere", 3, 2.5, 1))
-    assert bound.fm[0] is bound.fm[1]
+    assert bound.fm.shape == (2, len(grid.weights))
+    assert np.array_equal(bound.fm[0], bound.fm[1])
 
 
 @pytest.mark.parametrize("density, message", [
@@ -428,7 +460,7 @@ def test_first_variation_mean_zero(grid3, qe3):
 
 
 def test_first_variation_constant(grid3, qe3):
-    ones = [np.ones(len(grid3.points))] * 2
+    ones = np.ones((2, len(grid3.points)))
     expected = 3.0 * 1.25 * math.pi**2
     assert first_variation(qe3, grid3, 1, ones) == pytest.approx(
         expected, abs=1e-4
@@ -438,23 +470,37 @@ def test_first_variation_constant(grid3, qe3):
 def test_first_variation_conformally_invariant_order(grid3):
     # n + m = 2k kills the variation for every trial
     model = builtin_model("qe_sphere", 3, 3, 1)
-    ones = [np.ones(len(grid3.points))] * 2
+    ones = np.ones((2, len(grid3.points)))
     assert first_variation(model, grid3, 3, ones) == 0.0
     rng = np.random.default_rng(3)
     omega = random_combination(rng, 3)
-    assert first_variation(model, grid3, 3, field_values(omega, grid3)) == 0.0
+    assert first_variation(model, grid3, 3, omega.value(grid3.table)) == 0.0
+
+
+def test_grid_values_of_another_shape_raise(grid3, qe3):
+    # a (N,) array would broadcast silently against the (2, N) f^m
+    N = len(grid3.weights)
+    for shape in ((N,), (1, N), (3, N), (2, N - 1), (N, 2), (2, N, 1), (2, 1)):
+        values = np.ones(shape)
+        message = re.escape(f"per-node grid values need shape (2, {N}), "
+                            f"got {shape}")
+        for call in (lambda: first_variation(qe3, grid3, 1, values),
+                     lambda: delta_vk_identity_check(qe3, grid3, 1, values),
+                     lambda: grid3.integrate(values)):
+            with pytest.raises(DomainError, match=f"^{message}$"):
+                call()
 
 
 def test_divergence_identity(grid3, qe3):
     trials = coordinate_harmonics(3) + degree_two_harmonics(3)
     for field in trials[:4]:
-        lb = field_laplace_beltrami(field, grid3)
+        lb = laplace_beltrami_values(field, grid3.table)
         for k in (1, 2, 3):
             assert delta_vk_identity_check(qe3, grid3, k, lb) <= 1e-6
 
 
 def test_divergence_identity_constant_field(grid3, qe3):
-    lb = field_laplace_beltrami(Constant(3.0), grid3)
+    lb = laplace_beltrami_values(Constant(3.0), grid3.table)
     assert delta_vk_identity_check(qe3, grid3, 2, lb) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -462,7 +508,7 @@ def test_divergence_identity_needs_lam(grid3):
     rs = builtin_model("round_sphere_stereographic", 3, m=2.0)
     with pytest.raises(ModelError):
         delta_vk_identity_check(
-            rs, grid3, 1, field_laplace_beltrami(AmbientCoordinate(0, 3), grid3))
+            rs, grid3, 1, laplace_beltrami_values(AmbientCoordinate(0, 3), grid3.table))
 
 
 def test_suite_evaluates_each_trial_laplacian_once(monkeypatch):
@@ -475,14 +521,15 @@ def test_suite_evaluates_each_trial_laplacian_once(monkeypatch):
 
     monkeypatch.setattr(variational, "laplace_beltrami_values", counted)
     suites.suite_variational(np.random.default_rng(suites.DEFAULT_SEED))
-    # ten trials, two charts each, shared by k = 1, 2, 3
-    assert len(fields_seen) == 20
+    # ten trials, both charts at once, shared by k = 1, 2, 3
+    assert len(fields_seen) == 10
     assert len({id(f) for f in fields_seen}) == 10
 
 
 def test_suite_builds_each_chart_table_once_per_grid(monkeypatch):
-    # D and the xi_a closed forms are computed once per chart of the one grid
-    # that evaluates fields, and never on the grids used only for weight_sum
+    # D and the xi_a closed forms are computed in one table for both charts
+    # of the one grid that evaluates fields, and never on the grids used
+    # only for weight_sum
     grids, builds = [], []
     init, table_init = QuadratureGrid.__init__, ChartTable.__init__
 
@@ -490,52 +537,55 @@ def test_suite_builds_each_chart_table_once_per_grid(monkeypatch):
         grids.append(self)
         init(self, *args, **kwargs)
 
-    def counted_table(self, sign, X):
-        builds.append((sign, X))
-        table_init(self, sign, X)
+    def counted_table(self, X):
+        builds.append(X)
+        table_init(self, X)
 
     monkeypatch.setattr(QuadratureGrid, "__init__", counted_init)
     monkeypatch.setattr(ChartTable, "__init__", counted_table)
     suites.suite_variational(np.random.default_rng(suites.DEFAULT_SEED))
     assert len(grids) == 4
-    evaluated = [grid for grid in grids if "charts" in vars(grid)]
+    evaluated = [grid for grid in grids if "table" in vars(grid)]
     assert len(evaluated) == 1
-    assert [(sign, X is evaluated[0].points) for sign, X in builds] == [
-        (1.0, True), (-1.0, True)]
+    assert len(builds) == 1 and builds[0] is evaluated[0].points
 
 
 def test_ambient_coordinates_read_rows_of_the_chart_table(grid3):
-    for table in grid3.charts:
-        for field in coordinate_harmonics(3):
-            for method, rows in ((field.value, table.xi), (field.grad, table.dxi),
-                                 (field.laplacian, table.lap_xi)):
-                out = method(table)
-                assert out.base is rows and np.array_equal(out, rows[field.a])
-        for array in (table.XT, table.D, table.xi, table.dxi, table.lap_xi):
-            assert not array.flags.writeable
-    assert grid3.charts is grid3.charts
-    assert [table.sign for table in grid3.charts] == [1.0, -1.0]
+    table = grid3.table
+    N = len(grid3.points)
+    for field in coordinate_harmonics(3):
+        for method, rows, shape in ((field.value, table.xi, (2, N)),
+                                    (field.grad, table.dxi, (3, 2, N)),
+                                    (field.laplacian, table.lap_xi, (2, N))):
+            out = method(table)
+            assert out.base is rows and np.array_equal(out, rows[field.a])
+            assert out.shape == shape
+    for array in (table.XT, table.D, table.xi, table.dxi, table.lap_xi):
+        assert not array.flags.writeable
+    assert grid3.table is table
+    assert np.array_equal(table.sign, [[1.0], [-1.0]])
 
 
 @pytest.mark.parametrize("field", [AmbientCoordinate(3, 3), AmbientCoordinate(2, 3),
                                    random_combination(np.random.default_rng(2), 3)])
 def test_field_on_a_grid_of_another_dimension_raises(grid2, field):
     message = "field dimension 3 does not match grid dimension 2"
-    for evaluate in (lambda: field_values(field, grid2),
-                     lambda: field_laplace_beltrami(field, grid2),
-                     lambda: field.grad(grid2.charts[1]),
-                     lambda: field.hess(grid2.charts[0])):
+    for evaluate in (lambda: field.value(grid2.table),
+                     lambda: laplace_beltrami_values(field, grid2.table),
+                     lambda: field.grad(grid2.table),
+                     lambda: field.hess(grid2.table)):
         with pytest.raises(DomainError, match=f"^{message}$"):
             evaluate()
 
 
 def test_constant_field_evaluates_on_any_grid(grid2):
-    table = grid2.charts[0]
+    table = grid2.table
+    N = len(table.D)
     c = Constant(2.5)
-    assert np.array_equal(c.value(table), np.full(len(table.D), 2.5))
-    assert c.grad(table).shape == table.XT.shape and not c.grad(table).any()
-    assert c.hess(table).shape == (2, 2, len(table.D))
-    assert not c.laplacian(table).any()
+    assert np.array_equal(c.value(table), np.full((2, N), 2.5))
+    assert c.grad(table).shape == (2, 2, N) and not c.grad(table).any()
+    assert c.hess(table).shape == (2, 2, 2, N)
+    assert c.laplacian(table).shape == (2, N) and not c.laplacian(table).any()
 
 
 @pytest.mark.parametrize("a, n", [(1.5, 3), (np.float64(1.0), 3), ("1", 3), (-1, 3),
@@ -560,7 +610,7 @@ def test_grid_used_only_for_weight_sum_builds_no_chart_tables():
     grid = QuadratureGrid(3, resolution=10)
     grid.weight_sum()
     grid.bind(builtin_model("qe_sphere", 3, 2, 1))
-    assert "charts" not in vars(grid)
+    assert "table" not in vars(grid)
 
 
 # -- second variation -----------------------------------------------------------
@@ -699,7 +749,7 @@ def test_grid_operations_without_lam_raise_one_message(grid3):
                "'round_sphere_stereographic' has no proportionality constant")
     for call in (lambda: functional_F_k(rs, grid3, 1),
                  lambda: delta_vk_identity_check(
-                     rs, grid3, 1, field_laplace_beltrami(xi, grid3)),
+                     rs, grid3, 1, laplace_beltrami_values(xi, grid3.table)),
                  lambda: second_variation(rs, grid3, 1, xi),
                  lambda: eigenvalue_bound_check(rs, grid3)):
         with pytest.raises(ModelError) as exc:
