@@ -205,8 +205,9 @@ def cmd_vk(args) -> int:
     values = {"point": np.asarray(point)}
     for k in range(1, len(coeffs) + 1):
         values[f"v_{k}"] = float(coeffs[k])
+    # Omega^(k) carries a factor (k-1)! from its k-1 rho-derivatives
     for k, norm in enumerate(norms, start=1):
-        values[f"obstruction_norm_{k}"] = float(norm)
+        values[f"obstruction_norm_over_factorial_{k}"] = float(norm) / math.factorial(k - 1)
     doc = ReportDocument(
         command="vk", model=_model_record(model), values=values
     )

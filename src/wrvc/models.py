@@ -47,6 +47,10 @@ DEFAULT_ORDER = 4
 DEFAULT_AMBIENT_ORDER = 5
 
 
+def _coords(point) -> str:
+    return ", ".join(f"{float(c):g}" for c in point)
+
+
 @dataclass
 class ModelSpec:
     """Symbolic definition of a metric measure structure on one chart, and
@@ -118,13 +122,14 @@ class ModelSpec:
         }
 
     def _evaluate(self, point, order: int = 0, accept_metric=MetricAtPoint,
-                  density: bool = True):
+                  density: bool = True, chart: int = 1):
         """The one evaluation pass: each distinct AST once over one
         environment (``_env``: jets of ``order`` at a point, node columns
         for order None), inside the model's error boundary, each result
         checked finite.  ``accept_metric(G, point)`` checks the (n, n, ...)
         metric (none is evaluated when it is None) before the density is
-        evaluated, so metric errors come first.  Returns (its result, f);
+        evaluated, so metric errors come first.  Errors name the nodes of
+        sphere chart ``chart`` (``_at_point``).  Returns (its result, f);
         values have the coefficient axis, or the node axis, last."""
         env = self._env(point, order)
         point = np.asarray(point, dtype=float)
@@ -136,7 +141,7 @@ class ModelSpec:
             # finite instead; a point or any node outside ``inside`` is an
             # error that names the model's domain too
             with (self._checking(what, point, "is undefined",
-                                 f" (model domain: {self.domain})"),
+                                 f" (model domain: {self.domain})", chart),
                   np.errstate(over="ignore", invalid="ignore", divide="ignore")):
                 if self.inside is not None and not np.all(self.inside(point)):
                     raise DomainError(f"{'the point' if point.ndim == 1 else 'a node'} "
@@ -149,52 +154,60 @@ class ModelSpec:
                             else np.broadcast_to(np.asarray(val, dtype=float), len(point))
                             if pad is None else np.concatenate([[float(val)], pad]))
             out = np.array([values[i] for i in slots])
-            self._require_finite_at(out, what, point)
+            self._require_finite_at(out, what, point, chart)
             return out
 
         metric = f = None
         if accept_metric is not None:
             G = run("metric", range(self._slots.max() + 1))[self._slots]
-            with self._checking("metric", point):
+            with self._checking("metric", point, chart=chart):
                 metric = accept_metric(G, point)
         if density:
             f = run("density", [self._density_slot])[0]
         return metric, f
 
-    def _at_point(self, what: str, point, detail: str) -> str:
+    def _at_point(self, what: str, point, detail: str, chart: int = 1) -> str:
+        """Where ``what`` failed: a point, or the nodes of sphere chart
+        ``chart``.  The chart-2 node with grid coordinates x is read at the
+        model point x/|x|^2, so a chart-2 node is named by both."""
+        head = f"{what} of model {self.name!r} {detail}"
         if np.ndim(point) == 2:
-            return f"{what} of model {self.name!r} {detail} on {len(point)} grid nodes"
-        coords = ", ".join(f"{float(c):g}" for c in point)
-        return f"{what} of model {self.name!r} {detail} at point ({coords})"
+            return f"{head} on {len(point)} {'' if chart == 1 else 'chart-2 '}grid nodes"
+        where = f"point ({_coords(point)})"
+        if chart == 2:
+            point = np.asarray(point, dtype=float)
+            grid = point / point.dot(point)
+            where = f"chart-2 grid node ({_coords(grid)}), model {where}"
+        return f"{head} at {where}"
 
     @contextmanager
     def _checking(self, what: str, point, detail: str = "is rejected",
-                  note: str = ""):
+                  note: str = "", chart: int = 1):
         """Name the model and the point on a ``DomainError`` raised while
         computing ``what`` at a point; a float overflow (``exp(1000)``,
         ``10^400``) reads as a value that is not finite."""
         try:
             yield
         except OverflowError as exc:
-            raise DomainError(self._at_point(what, point, "is not finite")) from exc
+            raise DomainError(self._at_point(what, point, "is not finite", chart)) from exc
         except DomainError as exc:
             raise DomainError(
-                f"{self._at_point(what, point, detail)}{note}: {exc}"
+                f"{self._at_point(what, point, detail, chart)}{note}: {exc}"
             ) from exc
 
-    def _require_finite_at(self, values, what: str, point):
+    def _require_finite_at(self, values, what: str, point, chart: int = 1):
         """A ``DomainError`` naming the point, or the first node of an
         (N, n) array, unless every value is finite."""
         finite = np.isfinite(values)
         if not finite.all():
             if np.ndim(point) == 2:
                 point = point[np.argmin(finite.reshape(-1, len(point)).all(axis=0))]
-            raise DomainError(self._at_point(what, point, "is not finite"))
+            raise DomainError(self._at_point(what, point, "is not finite", chart))
 
-    def _weight_on(self, nodes, accept_metric) -> np.ndarray:
-        """f^m on an (N, n) array of nodes, from one ``_evaluate`` pass;
-        f and f^m must be finite and positive."""
-        f = self._evaluate(nodes, None, accept_metric)[1]
+    def _weight_on(self, nodes, accept_metric, chart: int = 1) -> np.ndarray:
+        """f^m on an (N, n) array of the nodes of sphere chart ``chart``,
+        from one ``_evaluate`` pass; f and f^m must be finite and positive."""
+        f = self._evaluate(nodes, None, accept_metric, chart=chart)[1]
         if not (f > 0.0).all():
             raise DomainError(f"base density must be positive: the density of model "
                               f"{self.name!r} is not positive on every grid node")
@@ -204,7 +217,7 @@ class ModelSpec:
         if not ok.all():
             raise DomainError(self._at_point(f"weight f^m (m = {self.m:g})",
                                              nodes[np.argmin(ok)],
-                                             "is not a positive finite number"))
+                                             "is not a positive finite number", chart))
         return fm
 
     # -- pointwise structures ------------------------------------------
@@ -258,7 +271,9 @@ class ModelSpec:
             g, f = self._evaluate(point, 0)
             if K is None:
                 K = self._capped(DEFAULT_AMBIENT_ORDER)
-            with self._checking("ambient expansion", point):
+            # an overflow (inf * 0 = nan) meets the expansion's finiteness
+            # check instead of printing a warning
+            with self._checking("ambient expansion", point), np.errstate(all="ignore"):
                 return quasi_einstein_coeffs(g.matrix, f[0], self.lam, K)
         if self.ambient_file is not None:
             return self._file_ambient(K)

@@ -18,6 +18,13 @@ From it this module extracts
 * the second-order operator coefficients L_k from the series
   v(rho) * int_0^rho g^{ij}.
 
+All of these read a few series that an expansion computes once, on first
+use, and keeps read-only: g_rho^{-1}, g_rho' g_rho^{-1}, Lambda^(1), and per
+m the volume series and the L series.  The volume series takes
+log(det g_rho / det g) from Jacobi's formula, as int_0^rho tr(g' g^{-1}),
+so it needs no determinant; ``RhoSeries.matrix_det`` (a Laplace expansion)
+is the independent route that tests compare it with.
+
 When n+m is an even integer the expansion only determines orders
 k <= (n+m)/2; requests beyond that raise ``DeterminacyError``.
 """
@@ -26,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -249,28 +256,43 @@ class RhoSeries:
 # -- ambient expansions -----------------------------------------------------
 
 
-@dataclass
+def _read_only(series: RhoSeries) -> RhoSeries:
+    series.coeffs.flags.writeable = False
+    return series
+
+
+@dataclass(frozen=True)
 class AmbientExpansion:
     """Taylor data of (g_rho, f_rho) at one point.
 
     ``gcoeffs[k]`` and ``fcoeffs[k]`` are Taylor coefficients
     (1/k!) d_rho^k at rho = 0, so gcoeffs[0] is the base metric and
-    fcoeffs[0] the base density.  The base density must be positive and
-    the base metric positive definite.
+    fcoeffs[0] the base density.  The coefficients must be finite, the base
+    density positive and the base metric positive definite.
+
+    Both arrays are copied at construction and are read-only, and so is the
+    expansion, so its derived series (g_rho^{-1}, g_rho' g_rho^{-1},
+    Lambda^(1), and per m the volume series and the L series) are each
+    computed once, on first use, and kept read-only.
     """
 
     gcoeffs: np.ndarray   # (K+1, n, n)
     fcoeffs: np.ndarray   # (K+1,)
+    _by_m: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.gcoeffs = np.asarray(self.gcoeffs, dtype=float)
-        self.fcoeffs = np.asarray(self.fcoeffs, dtype=float)
+        for name in ("gcoeffs", "fcoeffs"):
+            arr = np.array(getattr(self, name), dtype=float)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
         g_shape, f_shape = self.gcoeffs.shape, self.fcoeffs.shape
         if len(g_shape) != 3 or g_shape[1] != g_shape[2] or f_shape != g_shape[:1]:
             raise DimensionMismatch(
                 f"an expansion needs gcoeffs (K+1, n, n) and fcoeffs (K+1,), "
                 f"got {g_shape} and {f_shape}"
             )
+        if not (np.isfinite(self.gcoeffs).all() and np.isfinite(self.fcoeffs).all()):
+            raise DomainError("expansion coefficients must be finite")
         if self.fcoeffs[0] <= 0.0:
             raise DomainError("base density must be positive")
         if np.linalg.eigvalsh(self.gcoeffs[0]).min() <= 0.0:
@@ -297,6 +319,46 @@ class AmbientExpansion:
 
     def f_series(self) -> RhoSeries:
         return RhoSeries(self.fcoeffs)
+
+    # -- derived series, each computed once --------------------------------
+
+    @cached_property
+    def _ginv(self) -> RhoSeries:
+        """g_rho^{-1}."""
+        return _read_only(self.g_series().matrix_inverse())
+
+    @cached_property
+    def _gp_ginv(self) -> RhoSeries:
+        """g_rho' g_rho^{-1}, order K - 1; g^{-1} g' is its transpose."""
+        return _read_only(self.g_series().derivative() * self._ginv)
+
+    @cached_property
+    def _lambda_one(self) -> RhoSeries:
+        """Lambda^(1) = (g'' - g' g^{-1} g' / 2) / 2, order K - 2."""
+        gp = self.g_series().derivative()
+        quad = (self._gp_ginv * gp) * 0.5
+        return _read_only(((gp.derivative() - quad) * 0.5).symmetrize())
+
+    def _volume(self, m: float) -> RhoSeries:
+        """(f_rho/f)^m (det g_rho/det g)^{1/2}, as exp(m log(f_rho/f)
+        + log(det g_rho/det g)/2), where Jacobi's formula gives
+        log(det g_rho/det g) = int_0^rho tr(g' g^{-1})."""
+        key = ("volume", float(m))
+        if key not in self._by_m:
+            exponent = m * self.f_series().scalar_log().coeffs
+            if self.K:
+                trace = np.trace(self._gp_ginv.coeffs, axis1=1, axis2=2)
+                exponent += 0.5 * RhoSeries(trace).antiderivative().coeffs
+            exponent[0] = 0.0     # both logs of ratios vanish at rho = 0
+            self._by_m[key] = _read_only(RhoSeries(exponent).scalar_exp())
+        return self._by_m[key]
+
+    def _l_series(self, m: float) -> RhoSeries:
+        """v(rho) int_0^rho g^{ij}(u) du."""
+        key = ("l", float(m))
+        if key not in self._by_m:
+            self._by_m[key] = _read_only(self._volume(m) * self._ginv.antiderivative())
+        return self._by_m[key]
 
 
 @dataclass
@@ -333,12 +395,10 @@ def check_determinacy(n: int, m: float, k: int):
 
 def volume_series(a: AmbientExpansion, m: float) -> RhoSeries:
     """The scalar series (f_rho/f)^m (det g_rho / det g)^{1/2}, as
-    exp(m log(f_rho/f) + log(det g_rho / det g) / 2)."""
-    log_f = a.f_series().scalar_log().coeffs
-    log_det = a.g_series().matrix_det().scalar_log().coeffs
-    exponent = m * log_f + 0.5 * log_det
-    exponent[0] = 0.0     # both logs of ratios vanish at rho = 0
-    return RhoSeries(exponent).scalar_exp()
+    exp(m log(f_rho/f) + int_0^rho tr(g' g^{-1}) / 2) (Jacobi's formula);
+    computed once per (expansion, m).  Each call returns a new series over
+    the same read-only coefficients."""
+    return RhoSeries(a._volume(m).coeffs)
 
 
 def volume_coefficients(a: AmbientExpansion, m: float) -> VolumeCoefficients:
@@ -346,22 +406,14 @@ def volume_coefficients(a: AmbientExpansion, m: float) -> VolumeCoefficients:
     if a.K < 1:
         raise OrderError("expansion must carry at least one rho order")
     check_determinacy(a.n, m, a.K)
-    return VolumeCoefficients(v=volume_series(a, m).coeffs[1:])
+    return VolumeCoefficients(v=a._volume(m).coeffs[1:])
 
 
 def lambda_one_series(a: AmbientExpansion) -> RhoSeries:
     """Lambda^(1)(rho) = (g'' - g' g^{-1} g' / 2) / 2 as a matrix series."""
     if a.K < 2:
         raise OrderError("Lambda^(1) needs K >= 2")
-    g = a.g_series()
-    gp = g.derivative()
-    return _lambda_one(gp, gp * g.matrix_inverse())
-
-
-def _lambda_one(gp: RhoSeries, gp_ginv: RhoSeries) -> RhoSeries:
-    """Lambda^(1) from g' and g' g^{-1}."""
-    quad = (gp_ginv * gp) * 0.5
-    return ((gp.derivative() - quad) * 0.5).symmetrize()
+    return RhoSeries(a._lambda_one.coeffs)
 
 
 @dataclass
@@ -392,12 +444,10 @@ def obstruction_tensors(a: AmbientExpansion) -> ObstructionSet:
     """
     if a.K < 2:
         raise OrderError("obstruction tensors need K >= 2")
-    g = a.g_series()
-    gp = g.derivative()
     # g^{-1} g' is the transpose of g' g^{-1}, so the correction is the
     # symmetric part of g' g^{-1} Lambda^(k)
-    gp_ginv = gp * g.matrix_inverse()
-    lam = _lambda_one(gp, gp_ginv)
+    gp_ginv = a._gp_ginv
+    lam = a._lambda_one
     out = ObstructionSet()
     out.omegas.append(lam.coeffs[0].copy())
     for _ in range(2, a.K):
@@ -415,9 +465,8 @@ def f_second_residual(a: AmbientExpansion, m: float):
         raise DomainError("self-consistency residual needs m > 0")
     if a.K < 2:
         raise OrderError("self-consistency residual needs K >= 2")
-    omega1 = lambda_one_series(a).coeffs[0]
-    ginv = np.linalg.inv(a.g)
-    trace = np.einsum("ij,ij->", ginv, omega1)
+    omega1 = a._lambda_one.coeffs[0]
+    trace = np.einsum("ij,ij->", a._ginv.coeffs[0], omega1)
     return abs(2.0 * a.fcoeffs[2] + (a.f / m) * trace)
 
 
@@ -430,21 +479,18 @@ def l_operator(a: AmbientExpansion, m: float, k: int) -> np.ndarray:
 
 
 def _volume_and_l_operator(a: AmbientExpansion, m: float, k: int):
-    """(v_k, L_k) from one volume series; the order checks of ``l_operator``."""
+    """(v_k, L_k) from the expansion's cached series; the order checks of
+    ``l_operator``."""
     if not 1 <= k <= a.K:
         raise OrderError(f"k = {k} outside 1..{a.K}")
     check_determinacy(a.n, m, k)
-    v = volume_series(a, m)
-    return v.coeffs[k], -_l_series(a, v).coeffs[k]
+    return a._volume(m).coeffs[k], -a._l_series(m).coeffs[k]
 
 
 def l_operator_series(a: AmbientExpansion, m: float) -> RhoSeries:
-    """The matrix series v(rho) * int_0^rho g^{ij}(u) du (order K)."""
-    return _l_series(a, volume_series(a, m))
-
-
-def _l_series(a: AmbientExpansion, v: RhoSeries) -> RhoSeries:
-    return v * a.g_series().matrix_inverse().antiderivative()
+    """The matrix series v(rho) * int_0^rho g^{ij}(u) du (order K);
+    computed once per (expansion, m), with read-only coefficients."""
+    return RhoSeries(a._l_series(m).coeffs)
 
 
 def poincare_to_ambient(r_coeffs, tol: float = 1e-12) -> RhoSeries:

@@ -205,8 +205,8 @@ class GridStructure:
         # (X * X).sum(axis=1) bit for bit, without its per-row cost
         X = grid.points
         r2 = sum((X * X).T)
-        self.fm = np.array([model._weight_on(nodes, accept_round)
-                            for nodes in (X, X / r2[:, None])])
+        self.fm = np.array([model._weight_on(nodes, accept_round, chart)
+                            for chart, nodes in ((1, X), (2, X / r2[:, None]))])
         self.wvol = grid.integrate(self.fm)
         self._scales = {}
 

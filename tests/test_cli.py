@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import warnings
 from pathlib import Path
@@ -11,6 +12,8 @@ from hypothesis import strategies as st
 from wrvc.cli import main, parse_point
 from wrvc.errors import WrvcError
 from wrvc.models import BUILTIN_NAMES as MODEL_NAMES
+from wrvc.models import builtin_model
+from wrvc.rho import obstruction_tensors
 
 
 def run_cli(capsys, *argv):
@@ -305,7 +308,22 @@ def test_vk_closed_form(capsys):
     for k, val in enumerate(expected, start=1):
         assert doc["values"][f"v_{k}"] == pytest.approx(val, abs=1e-12)
     for k in range(1, 5):
-        assert doc["values"][f"obstruction_norm_{k}"] <= 1e-12
+        assert doc["values"][f"obstruction_norm_over_factorial_{k}"] <= 1e-12
+
+
+def test_vk_obstruction_norms_divide_out_the_derivative_factorial(capsys):
+    # every obstruction of qe_sphere is 0; the raw sup |Omega^(31)| carries
+    # a 30! from the recursion's rho-derivatives and reads ~200
+    code, out, _ = run_cli(capsys, "vk", "--model", "qe_sphere", "--n", "4",
+                           "--m", "2.5", "--order", "32", "--json")
+    assert code == 0
+    values = json.loads(out)["values"]
+    model = builtin_model("qe_sphere", 4, 2.5)
+    raw = obstruction_tensors(model.ambient_at(model.default_point, K=32)).sup_norms()
+    assert len(raw) == 31
+    for k in range(1, 32):
+        assert values[f"obstruction_norm_over_factorial_{k}"] == raw[k - 1] / math.factorial(k - 1)
+        assert values[f"obstruction_norm_over_factorial_{k}"] <= 1e-12
 
 
 def test_vk_flat_zeros(capsys):
@@ -364,6 +382,19 @@ def test_vk_generated_expansion_error_names_model_and_point(capsys, tmp_path,
     assert code == 2
     assert out == ""
     assert err == f"error: ambient expansion of model '{path}' {tail}\n"
+
+
+def test_vk_non_finite_generated_expansion_exits_2_with_one_line(capsys, tmp_path):
+    # at K = 1, 2 lam g overflows to inf, and to nan on g's zero entries
+    path = tmp_path / "flat.cfg"
+    path.write_text(
+        "[space]\nn = 3\nm = 2\n\n[metric]\ng_11 = 1\ng_22 = 1\ng_33 = 1\n\n"
+        "[ambient]\nlambda = 1.5e308\n"
+    )
+    code, out, err = run_cli(capsys, "vk", "--model", str(path), "--order", "1")
+    assert (code, out) == (2, "")
+    assert err == (f"error: ambient expansion of model '{path}' is rejected at point "
+                   "(0, 0, 0): expansion coefficients must be finite\n")
 
 
 @pytest.mark.parametrize("lam", ["1e60", "1e154"])
@@ -607,9 +638,9 @@ def test_vk_relative_coefficient_path_is_relative_to_model_file(
 
 
 @pytest.mark.parametrize("order, keys", [
-    ([], ["v_1", "v_2", "obstruction_norm_1"]),
+    ([], ["v_1", "v_2", "obstruction_norm_over_factorial_1"]),
     (["--order", "1"], ["v_1"]),
-    (["--order", "2"], ["v_1", "v_2", "obstruction_norm_1"]),
+    (["--order", "2"], ["v_1", "v_2", "obstruction_norm_over_factorial_1"]),
 ])
 def test_vk_order_truncates_coefficient_file(capsys, tmp_path, order, keys):
     _, model_path = _ambient_model(tmp_path, "g 2 0 0 0.5")
@@ -625,7 +656,7 @@ def test_vk_default_order_of_coefficient_file_stops_at_determinacy(capsys, tmp_p
     code, out, _ = run_cli(capsys, "vk", "--model", str(model_path), "--json")
     assert code == 0
     assert list(json.loads(out)["values"]) == ["point", "v_1", "v_2",
-                                               "obstruction_norm_1"]
+                                               "obstruction_norm_over_factorial_1"]
     code, out, err = run_cli(capsys, "vk", "--model", str(model_path), "--order", "3")
     assert (code, out) == (2, "")
     assert err == ("error: order 3 is beyond determinacy order 2 for n+m = 4 "

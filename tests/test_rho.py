@@ -22,6 +22,7 @@ from wrvc.rho import (
     poincare_to_ambient,
     save_ambient_file,
     volume_coefficients,
+    volume_series,
 )
 from wrvc.weighted import sigma_k_phi
 
@@ -158,6 +159,21 @@ def test_expansion_of_other_shapes_rejected(g_shape, f_shape):
     gcoeffs[0] = 1.0
     with pytest.raises(DimensionMismatch, match="gcoeffs"):
         AmbientExpansion(gcoeffs=gcoeffs, fcoeffs=np.ones(f_shape))
+
+
+@pytest.mark.parametrize("where, value", [
+    (("g", (1, 0, 1)), float("nan")),
+    (("f", (1,)), float("inf")),
+    (("g", (0, 2, 2)), float("-inf")),
+    (("f", (0,)), float("nan")),
+])
+def test_expansion_with_non_finite_coefficients_rejected(where, value):
+    gcoeffs = np.zeros((3, 3, 3))
+    gcoeffs[0] = np.eye(3)
+    fcoeffs = np.array([1.0, 0.5, 0.0])
+    (gcoeffs if where[0] == "g" else fcoeffs)[where[1]] = value
+    with pytest.raises(DomainError, match="expansion coefficients must be finite"):
+        AmbientExpansion(gcoeffs=gcoeffs, fcoeffs=fcoeffs)
 
 
 def test_antiderivative_geometric():
@@ -334,8 +350,10 @@ def test_f_residual_linear_in_corruption():
     P = 0.3 * sym(rng, 3)
     a = lcf_candidate_ambient(g, 1.2, P, 0.4, 2.0, 4)
     eps = 1e-3
-    a.fcoeffs[2] += eps / 2.0   # Taylor slot stores f''/2
-    assert f_second_residual(a, 2.0) == pytest.approx(eps, rel=1e-9)
+    fc = a.fcoeffs.copy()
+    fc[2] += eps / 2.0   # Taylor slot stores f''/2
+    corrupted = AmbientExpansion(gcoeffs=a.gcoeffs, fcoeffs=fc)
+    assert f_second_residual(corrupted, 2.0) == pytest.approx(eps, rel=1e-9)
 
 
 def test_order_guards():
@@ -348,6 +366,108 @@ def test_order_guards():
         l_operator(a, 2.0, 5)
     with pytest.raises(DomainError):
         f_second_residual(quasi_einstein_coeffs(np.eye(3), 1.0, 0.2, 3), 0.0)
+
+
+def curved_expansion(rng, n, K):
+    """Random (g_rho, f_rho) to order K: generic, so not conformally flat."""
+    gc = np.array([spd(rng, n)] + [0.5 * sym(rng, n) for _ in range(K)])
+    fc = rng.uniform(-0.5, 0.5, K + 1)
+    fc[0] = rng.uniform(0.5, 2.0)
+    return AmbientExpansion(gcoeffs=gc, fcoeffs=fc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 8), st.floats(0.0, 4.0),
+       st.integers(0, 2**32 - 1))
+def test_jacobi_volume_series_matches_determinant_oracle(n, K, m, seed):
+    # log(det g_rho / det g) = int_0^rho tr(g' g^{-1}) against the Laplace
+    # determinant and its series log
+    a = curved_expansion(np.random.default_rng(seed), n, K)
+    det = a.g_series().matrix_det()
+    log_det = (det * (1.0 / det.coeffs[0])).scalar_log().coeffs
+    log_f = (a.f_series() * (1.0 / a.f)).scalar_log().coeffs
+    ref = RhoSeries(m * log_f + 0.5 * log_det).scalar_exp().coeffs
+    got = volume_series(a, m).coeffs
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
+
+
+def test_derived_series_computed_once_per_expansion_and_m(monkeypatch):
+    inverses, volumes = [], []
+    inverse, exp = RhoSeries.matrix_inverse, RhoSeries.scalar_exp
+
+    def counted_inverse(self):
+        inverses.append(self.K)
+        return inverse(self)
+
+    def counted_volume(self):   # only the volume series takes an exp
+        volumes.append(self.K)
+        return exp(self)
+
+    def no_det(self):
+        raise AssertionError("the volume path takes no determinant")
+
+    monkeypatch.setattr(RhoSeries, "matrix_inverse", counted_inverse)
+    monkeypatch.setattr(RhoSeries, "scalar_exp", counted_volume)
+    monkeypatch.setattr(RhoSeries, "matrix_det", no_det)
+    K = 5
+    a = curved_expansion(np.random.default_rng(30), 4, K)
+    for m in (1.3, 2.5, 1.3):
+        volume_coefficients(a, m)
+        obstruction_tensors(a)
+        for k in range(1, K + 1):
+            l_operator(a, m, k)
+        l_operator_series(a, m)
+        lambda_one_series(a)
+        f_second_residual(a, m)
+    assert inverses == [K]
+    assert volumes == [K, K]    # one per m: 1.3 and 2.5
+
+
+# every public reader of the cached series, as (a, m) -> array
+READERS = [
+    lambda a, m: volume_coefficients(a, m).v,
+    lambda a, m: volume_series(a, m).coeffs,
+    lambda a, m: l_operator_series(a, m).coeffs,
+    lambda a, m: lambda_one_series(a).coeffs,
+    lambda a, m: np.array(f_second_residual(a, m)),
+    lambda a, m: np.array(obstruction_tensors(a).omegas),
+] + [lambda a, m, k=k: l_operator(a, m, k) for k in range(1, 7)]
+
+
+def test_reused_expansion_matches_fresh_ones_bitwise():
+    a = curved_expansion(np.random.default_rng(31), 3, 6)
+    for m in (0.7, 2.5, 0.7):
+        for reader in READERS[::-1]:
+            reused = reader(a, m)
+            fresh = reader(AmbientExpansion(gcoeffs=a.gcoeffs, fcoeffs=a.fcoeffs), m)
+            assert np.array_equal(reused, fresh)
+
+
+def test_expansion_and_cached_arrays_are_read_only():
+    rng = np.random.default_rng(32)
+    gc = curved_expansion(rng, 3, 4).gcoeffs.copy()
+    fc = np.array([1.0, 0.3, -0.2, 0.1, 0.05])
+    a = AmbientExpansion(gcoeffs=gc, fcoeffs=fc)
+    before = volume_coefficients(a, 2.5).v.copy()
+    gc[1] += 1.0    # the caller's arrays were copied
+    fc[1] += 1.0
+    assert np.array_equal(volume_coefficients(a, 2.5).v, before)
+    cached = [a.gcoeffs, a.fcoeffs, a.g, volume_coefficients(a, 2.5).v,
+              volume_series(a, 2.5).coeffs, l_operator_series(a, 2.5).coeffs,
+              lambda_one_series(a).coeffs, a.g_series().coeffs]
+    for arr in cached:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[(0,) * arr.ndim] = 1.0
+    with pytest.raises(AttributeError):
+        a.gcoeffs = gc
+    # what is computed per call stays the caller's to change, and so does
+    # each returned series object
+    L = l_operator(a, 2.5, 1)
+    L[0, 0] = 1.0
+    obstruction_tensors(a).omegas[0][0, 0] = 1.0
+    volume_series(a, 2.5).coeffs = np.zeros(5)
+    assert np.array_equal(volume_coefficients(a, 2.5).v, before)
 
 
 # -- L operator ----------------------------------------------------------------

@@ -314,6 +314,30 @@ def test_round_check_covers_chart_two(tmp_path):
         functional_F_k(model, QuadratureGrid(3), 1)
 
 
+def test_failing_chart_two_node_named_by_grid_coordinates(tmp_path):
+    # exp overflows where |y|^2 > 769.8 in the model's chart, which only
+    # chart 2's nodes y = x/|x|^2 reach; the message gives the grid's x
+    path = tmp_path / "far.cfg"
+    path.write_text(
+        "[space]\nn = 3\nm = 2\nmu = 1\n\n[metric]\n" + "".join(
+            f"g_{i}{i} = 4/(1+x^2+y^2+z^2)^2*(1+exp(x^2+y^2+z^2-60))\n"
+            for i in (1, 2, 3))
+        + "\n[density]\nf = 0.7071067811865476\n\n[ambient]\nlambda = 0.25\n")
+    model = load_model_file(path)
+    grid = QuadratureGrid(3)
+    with pytest.raises(DomainError) as info:
+        functional_F_k(model, grid, 1)
+    match = re.fullmatch(
+        re.escape(f"metric of model {model.name!r} is not finite at chart-2 grid node (")
+        + r"([^)]*)\), model point \(([^)]*)\)", str(info.value))
+    assert match, str(info.value)
+    x, y = (np.array([float(c) for c in group.split(",")]) for group in match.groups())
+    assert np.linalg.norm(x) < 3.0
+    assert np.min(np.abs(grid.points - x).max(axis=1)) < 1e-5 * max(1.0, np.abs(x).max())
+    assert np.allclose(y, x / (x @ x), rtol=1e-5)
+    assert x @ x < 1.0 / 769.8
+
+
 def test_one_structure_and_one_unbatched_series_per_k(monkeypatch, qe3):
     structures, series, expansions = [], [], []
     init, scales = GridStructure.__init__, variational._volume_and_l_operator
