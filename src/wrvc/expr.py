@@ -11,13 +11,17 @@ Python's recursion limit.
 
 Expressions evaluate over floats or jets interchangeably; on jets the
 order-0 coefficient of the result equals the float evaluation.
+``intern`` hash-conses ASTs, so that equal subtrees are one node object,
+and ``evaluate`` with a ``memo`` evaluates each node object once per pass.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,8 +38,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str   # number | ident | op | end
     text: str
     pos: int
@@ -54,12 +57,8 @@ def tokenize(text: str) -> list[Token]:
             raise ExpressionError(
                 f"unexpected character {text[bad_at]!r}", position=bad_at
             )
-        if m.group("number") is not None:
-            tokens.append(Token("number", m.group("number"), m.start("number")))
-        elif m.group("ident") is not None:
-            tokens.append(Token("ident", m.group("ident"), m.start("ident")))
-        else:
-            tokens.append(Token("op", m.group("op"), m.start("op")))
+        kind = m.lastgroup   # the one alternative that matched
+        tokens.append(Token(kind, m.group(kind), m.start(kind)))
         pos = m.end()
     tokens.append(Token("end", "", len(text)))
     return tokens
@@ -215,8 +214,11 @@ def _children(node: Node) -> tuple:
 def parse_expression(text: str) -> Node:
     """Parse ``text``; an AST deeper than ``MAX_DEPTH`` (a long chain of
     left-associative operators) is rejected like a syntax error."""
-    root = _Parser(text).parse()
-    stack = [(root, 1)]
+    parser = _Parser(text)
+    root = parser.parse()
+    # each node has a token of its own, so a path of nodes from the root is
+    # no longer than the token list (its last token marks the end)
+    stack = [(root, 1)] if len(parser.tokens) - 1 > MAX_DEPTH else []
     while stack:
         node, depth = stack.pop()
         if depth > MAX_DEPTH:
@@ -229,14 +231,22 @@ def parse_expression(text: str) -> Node:
 
 
 def _constant_exponent(value, pos: int) -> float:
+    """The exponent as a float: a number, a jet with no higher terms, or
+    node values that are all one number."""
+    if isinstance(value, (float, int)):
+        return float(value)
     if isinstance(value, Jet):
         scale = max(1.0, abs(value.value))
-        if np.max(np.abs(value.coeffs[1:]), initial=0.0) > 1e-12 * scale:
-            raise ExpressionError(
-                "exponent must be a constant expression", position=pos
-            )
-        return value.value
-    return float(value)
+        varies = np.max(np.abs(value.coeffs[1:]), initial=0.0) > 1e-12 * scale
+        value = value.value
+    else:
+        value = np.asarray(value, dtype=float)
+        first = value.flat[0]
+        varies = not np.array_equal(value, np.full_like(value, first), equal_nan=True)
+        value = float(first)
+    if varies:
+        raise ExpressionError("exponent must be a constant expression", position=pos)
+    return value
 
 
 def _shown(x, bad) -> str:
@@ -278,49 +288,101 @@ def _call_scalar(name: str, x, pos: int):
         raise DomainError(f"{name}({x}) outside the function domain")
 
 
-def evaluate(node: Node, env: dict):
-    """Evaluate an AST over an environment of floats or jets."""
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
+def evaluate(node: Node, env: dict, memo: dict | None = None):
+    """Evaluate an AST over an environment of floats or jets.
+
+    ``memo`` (node id -> value), when given, serves every call of one pass
+    over one environment: each node object is then evaluated once, so an
+    AST from ``intern`` evaluates each distinct subexpression once.  It must
+    not outlive the pass (ids are reused once nodes are freed)."""
+    if memo is not None and id(node) in memo:
+        return memo[id(node)]
+    if isinstance(node, Binary):
+        a = evaluate(node.left, env, memo)
+        b = evaluate(node.right, env, memo)
+        op = node.op
+        if op == "+":
+            value = a + b
+        elif op == "-":
+            value = a - b
+        elif op == "*":
+            value = a * b
+        elif op == "^":
+            value = _power(a, b, node.pos)
+        elif isinstance(b, Jet):
+            value = a * b.reciprocal()
+        else:
+            bad = np.asarray(b) == 0.0
+            if bad.any():
+                raise DomainError("division by zero" if bad.ndim == 0 else
+                                  f"division by zero: the divisor is {_shown(b, bad)}")
+            value = a / b
+    elif isinstance(node, Num):
+        value = node.value
+    elif isinstance(node, Var):
         try:
-            return env[node.name]
+            value = env[node.name]
         except KeyError:
             raise ExpressionError(
                 f"unknown identifier {node.name!r}", position=node.pos
             )
-    if isinstance(node, Unary):
-        return -evaluate(node.operand, env)
-    if isinstance(node, Binary):
-        if node.op == "^":
-            return _power(
-                evaluate(node.left, env), evaluate(node.right, env), node.pos
-            )
-        a = evaluate(node.left, env)
-        b = evaluate(node.right, env)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if isinstance(b, Jet):
-            return a * b.reciprocal()
-        bad = np.asarray(b) == 0.0
-        if bad.any():
-            raise DomainError("division by zero" if bad.ndim == 0 else
-                              f"division by zero: the divisor is {_shown(b, bad)}")
-        return a / b
-    if isinstance(node, Call):
+    elif isinstance(node, Call):
         if node.name == "pow":
-            return _power(
-                evaluate(node.args[0], env), evaluate(node.args[1], env), node.pos
-            )
-        arg = evaluate(node.args[0], env)
-        if isinstance(arg, Jet):
-            return arg.apply(node.name)
-        return _call_scalar(node.name, arg, node.pos)
-    raise ExpressionError(f"cannot evaluate node {node!r}")
+            value = _power(evaluate(node.args[0], env, memo),
+                           evaluate(node.args[1], env, memo), node.pos)
+        else:
+            arg = evaluate(node.args[0], env, memo)
+            value = (arg.apply(node.name) if isinstance(arg, Jet)
+                     else _call_scalar(node.name, arg, node.pos))
+    elif isinstance(node, Unary):
+        value = -evaluate(node.operand, env, memo)
+    else:
+        raise ExpressionError(f"cannot evaluate node {node!r}")
+    if memo is not None:
+        memo[id(node)] = value
+    return value
+
+
+def intern(nodes) -> list:
+    """The ASTs ``nodes`` hash-consed: equal subtrees (positions aside)
+    become one node object, so ``evaluate`` with a memo evaluates each once.
+
+    The node kept for a subtree is its first occurrence in evaluation order
+    (the list in order, children left to right), the one an evaluation error
+    in it is first raised at, so error positions stay those of the input.
+    Numbers are equal by value and sign (0 and -0 stay apart)."""
+    table, done = {}, {}   # key -> node kept; id(input node) -> node kept
+
+    def canonical(node):
+        kept = done.get(id(node))
+        if kept is not None:   # an object met before (one AST in two slots)
+            return kept
+        kind, new = type(node), node
+        if kind is Num:   # the sign tells 0 from -0
+            key = (kind, node.value, math.copysign(1.0, node.value))
+        elif kind is Var:
+            key = (kind, node.name)
+        elif kind is Binary:
+            left, right = canonical(node.left), canonical(node.right)
+            key = (kind, node.op, id(left), id(right))
+            if key not in table and (left is not node.left or right is not node.right):
+                new = Binary(node.op, left, right, pos=node.pos)
+        elif kind is Call:
+            args = tuple(map(canonical, node.args))
+            key = (kind, node.name, *map(id, args))
+            if key not in table and any(map(operator.is_not, args, node.args)):
+                new = Call(node.name, args, pos=node.pos)
+        elif kind is Unary:
+            operand = canonical(node.operand)
+            key = (kind, id(operand))
+            if key not in table and operand is not node.operand:
+                new = Unary(operand, pos=node.pos)
+        else:   # not an AST node: left to ``evaluate`` to reject
+            key = (None, id(node))
+        kept = done[id(node)] = table.setdefault(key, new)
+        return kept
+
+    return [canonical(node) for node in nodes]
 
 
 def has_vars(node: Node) -> bool:

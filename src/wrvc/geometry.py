@@ -3,7 +3,9 @@
 Curvature is evaluated exactly from the metric jets: Christoffel symbols
 are kept as jet coefficients (one order below the metric) so their
 derivatives at the point are exact coefficients rather than finite
-differences.
+differences.  Curvature and covariant Hessians read only Gamma and its
+first derivatives at the point, so they work on the metric's 2-jet
+(``MetricAtPoint.two_jet``, a prefix slice of ``G`` in the graded layout).
 
 The metric is held as a coefficient array ``G`` of shape (n, n, ncoef)
 (see ``wrvc.jets``), and the inverse, determinant and Christoffel symbols
@@ -42,17 +44,11 @@ from .jets import (
 )
 
 
-def _constant_inverse(G0: np.ndarray) -> np.ndarray:
-    if abs(np.linalg.det(G0)) < 1e-300:
-        raise DomainError("singular constant-term matrix")
-    return np.linalg.inv(G0)
-
-
-def _inverse_coeffs(G: np.ndarray, dim: int, order: int) -> np.ndarray:
+def _inverse_coeffs(G: np.ndarray, dim: int, order: int, G0inv: np.ndarray) -> np.ndarray:
     """Inverse of the jet matrix G (n, n, ncoef) by the Neumann series
-    sum_{k <= order} X^k G0^{-1} with X = -G0^{-1} N, evaluated by Horner."""
+    sum_{k <= order} X^k G0^{-1} with X = -G0^{-1} N, evaluated by Horner;
+    ``G0inv`` is the inverse of the constant term G0."""
     n, _, nc = G.shape
-    G0inv = _constant_inverse(G[:, :, 0])
     X = -np.einsum("ik,kjc->ijc", G0inv, G)
     X[:, :, 0] = 0.0
     T = jet_matmul_operator(X, dim, order)
@@ -64,11 +60,11 @@ def _inverse_coeffs(G: np.ndarray, dim: int, order: int) -> np.ndarray:
     return from_columns(Y, nc)
 
 
-def _det_coeffs(G: np.ndarray, dim: int, order: int) -> np.ndarray:
+def _det_coeffs(G: np.ndarray, dim: int, order: int, G0inv: np.ndarray) -> np.ndarray:
     """det G = det(G0) exp(tr log(I + X)), X = G0^{-1} N nilpotent."""
     n, _, nc = G.shape
     G0 = G[:, :, 0]
-    X = np.einsum("ik,kjc->ijc", _constant_inverse(G0), G)
+    X = np.einsum("ik,kjc->ijc", G0inv, G)
     X[:, :, 0] = 0.0
     T = jet_matmul_operator(X, dim, order)
     power = to_columns(X)
@@ -88,6 +84,8 @@ class MetricAtPoint:
     ``G`` is the (n, n, ncoef) coefficient array of the metric jets,
     symmetric coefficient-wise, with a positive-definite constant-term
     matrix; the jet order is the one with ``ncoef = n_coeffs(n, order)``.
+    The inverse of the constant term is computed once and shared with the
+    cached 2-jet view ``two_jet``.
     """
 
     def __init__(self, G: np.ndarray, point):
@@ -114,21 +112,43 @@ class MetricAtPoint:
         self.order = order
         self._ginv0 = None
         self._gamma = None
+        self._two_jet = None
 
     @property
     def matrix(self) -> np.ndarray:
         """Constant-term metric matrix g_ij at the point."""
         return self.G[:, :, 0].copy()
 
-    @property
-    def inverse_matrix(self) -> np.ndarray:
+    def _inverse0(self) -> np.ndarray:
+        """The cached inverse of the constant-term matrix (not a copy)."""
         if self._ginv0 is None:
             self._ginv0 = np.linalg.inv(self.G[:, :, 0])
-        return self._ginv0.copy()
+        return self._ginv0
+
+    @property
+    def inverse_matrix(self) -> np.ndarray:
+        return self._inverse0().copy()
+
+    @property
+    def two_jet(self) -> "MetricAtPoint":
+        """The metric truncated to order 2, cached: a prefix slice of ``G``
+        that shares the constant-term inverse and is not re-validated.  A
+        metric of order <= 2 is its own 2-jet."""
+        if self._two_jet is None:
+            if self.order <= 2:
+                self._two_jet = self
+            else:
+                view = object.__new__(MetricAtPoint)
+                view.n, view.point, view.order = self.n, self.point, 2
+                view.G = self.G[:, :, :n_coeffs(self.n, 2)]
+                view._ginv0 = self._inverse0()
+                view._gamma = None
+                view._two_jet = self._two_jet = view
+        return self._two_jet
 
     def det_jet(self) -> Jet:
         return Jet._unchecked(
-            self.n, self.order, _det_coeffs(self.G, self.n, self.order)
+            self.n, self.order, _det_coeffs(self.G, self.n, self.order, self._inverse0())
         )
 
     def rescale(self, factor: Jet) -> "MetricAtPoint":
@@ -156,7 +176,7 @@ def _christoffel_coeffs(metric: MetricAtPoint) -> np.ndarray:
     """Gamma^k_{ij} as a (n, n, n, ncoef) array at the metric order - 1."""
     n, order = metric.n, metric.order - 1
     nc = n_coeffs(n, order)
-    ginv = _inverse_coeffs(metric.G[:, :, :nc], n, order)
+    ginv = _inverse_coeffs(metric.G[:, :, :nc], n, order, metric._inverse0())
     dg = derivative_coeffs(metric.G, n, metric.order)  # dg[l, i, j] = d_l g_ij
     # first-kind symbols [ij, l] = d_i g_jl + d_j g_il - d_l g_ij, indexed (l, i, j)
     first = np.einsum("ijlc->lijc", dg) + np.einsum("jilc->lijc", dg) - dg
@@ -183,12 +203,14 @@ def christoffel(metric: MetricAtPoint) -> np.ndarray:
 
 
 def curvature(metric: MetricAtPoint) -> CurvatureBundle:
-    """Riemann, Ricci and scalar curvature values at the point."""
+    """Riemann, Ricci and scalar curvature values at the point, from the
+    Christoffel symbols of the metric's 2-jet."""
     if metric.order < 2:
         raise OrderError("curvature needs metric jets of order >= 2")
+    metric = metric.two_jet
     coeffs = christoffel(metric)
-    g0 = metric.matrix
-    ginv0 = metric.inverse_matrix
+    g0 = metric.G[:, :, 0]
+    ginv0 = metric._inverse0()
     gv = coeffs[..., 0]
     # dgv[l, k, i, j] = d_l Gamma^k_{ij}
     dgv = np.moveaxis(coeffs[..., gradient_index(metric.n)], -1, 0)
@@ -207,12 +229,13 @@ def curvature(metric: MetricAtPoint) -> CurvatureBundle:
 
 
 def hessian(u: Jet, metric: MetricAtPoint) -> np.ndarray:
-    """Covariant Hessian (nabla^2 u)_ij at the point."""
+    """Covariant Hessian (nabla^2 u)_ij at the point (Gamma from the
+    metric's 2-jet)."""
     if u.order < 2:
         raise OrderError("hessian needs a jet of order >= 2")
     du = gradient(u, metric.n)
     slots, factors = hessian_index(metric.n)
-    gamma0 = christoffel(metric)[..., 0]
+    gamma0 = christoffel(metric.two_jet)[..., 0]
     return u.coeffs[slots] * factors - np.einsum("kij,k->ij", gamma0, du)
 
 
@@ -225,18 +248,18 @@ def gradient(u: Jet, n: int) -> np.ndarray:
 
 
 def laplacian(u: Jet, metric: MetricAtPoint) -> float:
-    return float(np.einsum("ij,ij->", metric.inverse_matrix, hessian(u, metric)))
+    return float(np.einsum("ij,ij->", metric._inverse0(), hessian(u, metric)))
 
 
 def grad_norm2(u: Jet, metric: MetricAtPoint) -> float:
     du = gradient(u, metric.n)
-    return float(du @ metric.inverse_matrix @ du)
+    return float(du @ metric._inverse0() @ du)
 
 
 def grad_inner(u: Jet, v: Jet, metric: MetricAtPoint) -> float:
     du = gradient(u, metric.n)
     dv = gradient(v, metric.n)
-    return float(du @ metric.inverse_matrix @ dv)
+    return float(du @ metric._inverse0() @ dv)
 
 
 def weighted_laplacian(u: Jet, phi: Jet, metric: MetricAtPoint) -> float:

@@ -339,17 +339,23 @@ class Jet:
             n = int(exponent)
             if n < 0:
                 return self.reciprocal() ** (-n)
+            if n == 0:
+                one = np.zeros_like(self.coeffs)
+                one[0] = 1.0
+                return Jet._unchecked(self.dim, self.order, one)
+            # binary powering that starts from the base: x^2 is one product
             dim, order = self.dim, self.order
-            result = np.zeros_like(self.coeffs)
-            result[0] = 1.0
+            result = None
             base = self.coeffs
-            while n:
+            while True:
                 if n & 1:
-                    result = mul_coeffs(result, base, dim, order)
-                if n > 1:
-                    base = mul_coeffs(base, base, dim, order)
+                    result = base if result is None else mul_coeffs(result, base, dim, order)
                 n >>= 1
-            return Jet._unchecked(dim, order, result)
+                if not n:
+                    break
+                base = mul_coeffs(base, base, dim, order)
+            return Jet._unchecked(dim, order, result.copy() if result is self.coeffs
+                                  else result)
         return self.apply("pow", float(exponent))
 
     # -- analytic composition ------------------------------------------

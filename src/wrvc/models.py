@@ -2,8 +2,10 @@
 plain-text model file format.
 
 A ``ModelSpec`` is symbolic: metric and density components are expression
-ASTs over named coordinates, evaluated by one private pass into jets at an
-interior chart point or into arrays on grid nodes.  Structures carrying a
+ASTs over named coordinates, hash-consed at construction (``expr.intern``)
+so that a subexpression they share is one node, and evaluated by one
+private pass, each distinct subexpression once, into jets at an interior
+chart point or into arrays on grid nodes.  Structures carrying a
 proportionality constant ``lam`` (so that P = lam g and J = (n+m) lam
 pointwise) also generate their canonical ambient expansion
 g_rho = (1+lam rho)^2 g, f_rho = (1+lam rho) f.
@@ -17,11 +19,12 @@ import os
 from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DomainError, ExpressionError, ModelError, OrderError
-from .expr import Node, Num, evaluate, parse_expression
+from .expr import Node, Num, evaluate, intern, parse_expression
 from .geometry import MetricAtPoint
 from .jets import Jet, n_coeffs
 from .rho import (
@@ -93,16 +96,23 @@ class ModelSpec:
                 raise ModelError(
                     f"model {self.name!r} repeats the coordinate name {name!r}"
                 )
-        # the distinct ASTs, metric components first, then the density unless
-        # it is one of them (``in`` and ``index`` try identity before
-        # equality); each (i, j) slot's index into them, and the density's
-        self._nodes = []
-        for node in [node for row in self.g_exprs for node in row] + [self.f_expr]:
-            if node not in self._nodes:
-                self._nodes.append(node)
-        self._slots = np.array([[self._nodes.index(node) for node in row]
-                                for row in self.g_exprs])
-        self._density_slot = self._nodes.index(self.f_expr)
+        # the ASTs hash-consed (``intern``) in evaluation order, metric
+        # components row by row, then the density: a subexpression shared by
+        # components, or by the metric and the density, is one node; the
+        # distinct metric components and each (i, j) slot's index into them
+        *metric, self._f_node = intern(
+            [node for row in self.g_exprs for node in row] + [self.f_expr])
+        distinct = {id(node): node for node in metric}
+        index = {key: i for i, key in enumerate(distinct)}
+        self._metric_nodes = list(distinct.values())
+        slots = iter(index[id(node)] for node in metric)
+        self._slots = np.array([[next(slots) for _ in row] for row in self.g_exprs])
+
+    @cached_property
+    def _f_alone(self) -> Node:
+        """The density interned on its own, for a pass that evaluates the
+        density alone: its error positions are then the density's own."""
+        return intern([self.f_expr])[0]
 
     # -- the evaluation boundary ---------------------------------------
 
@@ -123,20 +133,21 @@ class ModelSpec:
 
     def _evaluate(self, point, order: int = 0, accept_metric=MetricAtPoint,
                   density: bool = True, chart: int = 1):
-        """The one evaluation pass: each distinct AST once over one
-        environment (``_env``: jets of ``order`` at a point, node columns
-        for order None), inside the model's error boundary, each result
-        checked finite.  ``accept_metric(G, point)`` checks the (n, n, ...)
-        metric (none is evaluated when it is None) before the density is
-        evaluated, so metric errors come first.  Errors name the nodes of
-        sphere chart ``chart`` (``_at_point``).  Returns (its result, f);
-        values have the coefficient axis, or the node axis, last."""
+        """The one evaluation pass: each distinct subexpression once (one
+        ``evaluate`` memo for the pass) over one environment (``_env``: jets
+        of ``order`` at a point, node columns for order None), inside the
+        model's error boundary, each result checked finite.
+        ``accept_metric(G, point)`` checks the (n, n, ...) metric (none is
+        evaluated when it is None) before the density is evaluated, so
+        metric errors come first.  Errors name the nodes of sphere chart
+        ``chart`` (``_at_point``).  Returns (its result, f); values have the
+        coefficient axis, or the node axis, last."""
         env = self._env(point, order)
         point = np.asarray(point, dtype=float)
         pad = None if order is None else np.zeros(n_coeffs(self.n, order) - 1)
-        values = {}
+        memo = {}
 
-        def run(what, slots):
+        def run(what, nodes):
             # floating-point warnings are silenced: the values are checked
             # finite instead; a point or any node outside ``inside`` is an
             # error that names the model's domain too
@@ -146,24 +157,22 @@ class ModelSpec:
                 if self.inside is not None and not np.all(self.inside(point)):
                     raise DomainError(f"{'the point' if point.ndim == 1 else 'a node'} "
                                       "lies outside the domain")
-                for i in slots:
-                    if i not in values:
-                        val = evaluate(self._nodes[i], env)
-                        values[i] = (
-                            val.coeffs if isinstance(val, Jet)
-                            else np.broadcast_to(np.asarray(val, dtype=float), len(point))
-                            if pad is None else np.concatenate([[float(val)], pad]))
-            out = np.array([values[i] for i in slots])
+                values = [evaluate(node, env, memo) for node in nodes]
+                out = np.array([
+                    val.coeffs if isinstance(val, Jet)
+                    else np.broadcast_to(np.asarray(val, dtype=float), len(point))
+                    if pad is None else np.concatenate([[float(val)], pad])
+                    for val in values])
             self._require_finite_at(out, what, point, chart)
             return out
 
         metric = f = None
         if accept_metric is not None:
-            G = run("metric", range(self._slots.max() + 1))[self._slots]
+            G = run("metric", self._metric_nodes)[self._slots]
             with self._checking("metric", point, chart=chart):
                 metric = accept_metric(G, point)
         if density:
-            f = run("density", [self._density_slot])[0]
+            f = run("density", [self._f_alone if accept_metric is None else self._f_node])[0]
         return metric, f
 
     def _at_point(self, what: str, point, detail: str, chart: int = 1) -> str:

@@ -343,7 +343,7 @@ class AmbientExpansion:
         """(f_rho/f)^m (det g_rho/det g)^{1/2}, as exp(m log(f_rho/f)
         + log(det g_rho/det g)/2), where Jacobi's formula gives
         log(det g_rho/det g) = int_0^rho tr(g' g^{-1})."""
-        key = ("volume", float(m))
+        key = ("volume", _dimensional(m))
         if key not in self._by_m:
             exponent = m * self.f_series().scalar_log().coeffs
             if self.K:
@@ -376,9 +376,17 @@ class VolumeCoefficients:
         return self.v.shape[0]
 
 
+def _dimensional(m: float) -> float:
+    """m as a float; a ``DomainError`` unless it is finite and >= 0."""
+    if not (math.isfinite(m) and m >= 0):
+        raise DomainError(f"dimensional parameter m must be finite and >= 0, got {m}")
+    return float(m)
+
+
 def determinacy_cap(n: int, m: float) -> float | None:
-    """(n+m)/2 when n+m is an even natural number, else None (no cap)."""
-    nm = n + m
+    """(n+m)/2 when n+m is an even natural number, else None (no cap); m
+    must be finite and >= 0."""
+    nm = n + _dimensional(m)
     if abs(nm - round(nm)) < 1e-9 and round(nm) % 2 == 0 and round(nm) > 0:
         return round(nm) / 2
     return None

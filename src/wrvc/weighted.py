@@ -38,7 +38,7 @@ from .geometry import (
     laplacian,
     weighted_laplacian,
 )
-from .jets import Jet
+from .jets import Jet, n_coeffs
 
 _F_CONSTANT_TOL = 1e-12
 
@@ -48,7 +48,10 @@ class MetricMeasurePoint:
     plus the parameters (m, mu).
 
     ``phi()`` and ``weighted_invariants`` are computed once per structure
-    and cached on it, like the Christoffel symbols on its metric."""
+    and cached on it, like the Christoffel symbols on its metric.  The
+    invariants read the structure's 2-jet only: curvature and Hessians take
+    the metric's ``two_jet``, and phi is that of ``two_jet``, the structure
+    truncated to order 2."""
 
     def __init__(self, g: MetricAtPoint, f: Jet, m: float, mu: float = 0.0):
         if f.dim != g.n:
@@ -76,10 +79,30 @@ class MetricMeasurePoint:
         self.mu = float(mu)
         self._phi = None
         self._invariants = None
+        self._two_jet = None
+        # the density's 2-jet, a prefix slice of its coefficients
+        self._f2 = f if f.order <= 2 else Jet._unchecked(
+            f.dim, 2, f.coeffs[:n_coeffs(f.dim, 2)])
 
     @property
     def n(self) -> int:
         return self.g.n
+
+    @property
+    def two_jet(self) -> "MetricMeasurePoint":
+        """The structure truncated to order 2, cached: the metric's
+        ``two_jet`` and the density's 2-jet, not re-validated, with their
+        own ``phi()``.  A structure of order <= 2 is its own 2-jet."""
+        if self._two_jet is None:
+            if self.g.order <= 2 and self.f.order <= 2:
+                self._two_jet = self
+            else:
+                view = object.__new__(MetricMeasurePoint)
+                view.g, view.f, view.m, view.mu = self.g.two_jet, self._f2, self.m, self.mu
+                view._phi = view._invariants = None
+                view._f2 = view.f
+                view._two_jet = self._two_jet = view
+        return self._two_jet
 
     def phi(self) -> Jet:
         """phi = -m ln f (the zero jet when m = 0), cached on the structure."""
@@ -107,7 +130,8 @@ class WeightedInvariants:
 
 def weighted_invariants(p: MetricMeasurePoint) -> WeightedInvariants:
     """The weighted curvature invariants at the chart point, cached on the
-    structure (every caller shares one result)."""
+    structure (every caller shares one result).  Curvature and Hessians
+    read the metric's 2-jet, and phi is computed on ``p.two_jet``."""
     if p._invariants is None:
         p._invariants = _weighted_invariants(p)
     return p._invariants
@@ -121,7 +145,7 @@ def _weighted_invariants(p: MetricMeasurePoint) -> WeightedInvariants:
     ginv0 = p.g.inverse_matrix
 
     if m > 0:
-        phi = p.phi()
+        phi = p.two_jet.phi()
         dphi = gradient(phi, n)
         ric_phi = ric + hessian(phi, p.g) - np.outer(dphi, dphi) / m
         r_phi = (
@@ -202,7 +226,7 @@ def check_conformal_laws(p: MetricMeasurePoint, omega: Jet) -> ConformalLawRepor
     hat = weighted_invariants(conformal_rescale(p, omega * (-1.0 / N)))
     factor = math.exp(-2.0 * omega.value / N)
 
-    phi = p.phi()
+    phi = p.two_jet.phi()
     g0 = p.g.matrix
     domega = gradient(omega, n)
     grad2 = grad_norm2(omega, p.g)

@@ -5,7 +5,10 @@ Run ``python tests/golden/regenerate.py`` (with ``src`` on the path, or
 wrvc installed) to rewrite every ``*.out`` file in this directory.  A
 change that alters CLI output on purpose regenerates them in the same
 commit; ``tests/test_golden.py`` compares the committed files with fresh
-in-process runs.
+in-process runs.  ``regenerate.py --check`` rewrites nothing: it prints
+how each committed record differs from a fresh one (for a verify record,
+the first check that moved, with its old and new residual) and exits 1
+when any does.
 
 A record holds the command, the numpy version, the exit status, stderr
 and stdout.  Residual digits depend on numpy and its BLAS, so records
@@ -14,8 +17,10 @@ made under another numpy version are compared loosely (``compare``).
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
+import itertools
 import json
 import math
 import re
@@ -78,6 +83,29 @@ def _checks(stdout: str) -> list:
             for status, name, res, tol in _CHECK_LINE.findall(stdout)]
 
 
+def _first_difference(expected: str, actual: str) -> str:
+    """The first line where two records differ.  When the records differ
+    only in verify checks, that line lies in the first check that moved,
+    which is named with its old and new residual (and status or tolerance,
+    if those moved too)."""
+    pairs = itertools.zip_longest(expected.split("\n"), actual.split("\n"),
+                                  fillvalue="(end of record)")
+    number, (old, new) = next((i, pair) for i, pair in enumerate(pairs, 1)
+                              if pair[0] != pair[1])
+    want, got = _fields(expected), _fields(actual)
+    if all(want[key] == got[key] for key in ("command", "numpy", "exit", "stderr")):
+        for before, after in zip(_checks(want["stdout"]), _checks(got["stdout"])):
+            if before != after:
+                name, passed, residual, tolerance = before
+                moved = "".join(
+                    f", {what} {a!r} became {b!r}"
+                    for what, a, b in (("passed", passed, after[1]),
+                                       ("tolerance", tolerance, after[3])) if a != b)
+                return (f"line {number}: {name} residual {residual!r} "
+                        f"became {after[2]!r}{moved}")
+    return f"line {number}: {old!r} became {new!r}"
+
+
 def compare(expected: str, actual: str) -> list:
     """Differences between a golden record and a fresh one, as messages.
 
@@ -90,7 +118,8 @@ def compare(expected: str, actual: str) -> list:
     want, got = _fields(expected), _fields(actual)
     if want["numpy"] == got["numpy"]:
         return [] if expected == actual else [
-            f"{want['command']}: output differs from the golden record"]
+            f"{want['command']}: output differs from the golden record at "
+            f"{_first_difference(expected, actual)}"]
     problems = [f"{want['command']}: {key} differs"
                 for key in ("command", "exit", "stderr") if want[key] != got[key]]
     checks_want, checks_got = _checks(want["stdout"]), _checks(got["stdout"])
@@ -110,7 +139,27 @@ def compare(expected: str, actual: str) -> list:
     return problems
 
 
-def main() -> int:
+def check() -> list:
+    """How each committed record differs from a fresh run, as messages."""
+    problems = []
+    for argv in invocations():
+        path = GOLDEN_DIR / file_name(argv)
+        if not path.exists():
+            problems.append(f"# wrvc {' '.join(argv)}: no golden record {path.name}")
+        else:
+            problems += compare(path.read_text(), record(argv))
+    return problems
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--check", action="store_true",
+                        help="print how the records differ from fresh runs; rewrite nothing")
+    if parser.parse_args(argv).check:
+        problems = check()
+        print("\n".join(problems) if problems else
+              f"all {len(invocations())} records match")
+        return 1 if problems else 0
     for old in GOLDEN_DIR.glob("*.out"):
         old.unlink()
     for argv in invocations():

@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 from sympy import QQ, Matrix
 from sympy.polys.rings import ring
 
+import wrvc.expr
 import wrvc.models
 from wrvc.errors import ModelError
 from wrvc.expr import parse_expression
@@ -287,7 +288,7 @@ def check_against_exact(case):
                 for i in range(n)] for k in range(n)]
         assert_rel_close(got, exact.gamma(alpha), f"Gamma d^{alpha}")
 
-    inv = _inverse_coeffs(metric.G, n, metric.order)
+    inv = _inverse_coeffs(metric.G, n, metric.order, metric.inverse_matrix)
     det = metric.det_jet()
     for alpha in multi_indices(n, order):
         got = [[Jet(n, order, inv[i, j]).partial(alpha) for j in range(n)] for i in range(n)]
@@ -379,16 +380,65 @@ def test_counting_jets_sees_both_constructors():
     assert counter["built"] == 2
 
 
-def _count_evaluations(monkeypatch):
-    calls = []
-    original = wrvc.models.evaluate
+def _pointwise_values(p):
+    """Weighted invariants and curvature of a structure, one array each."""
+    w, b = weighted_invariants(p), curvature(p.g)
+    return [w.ric_phi, w.P, np.array([w.r_phi, w.J, w.Y, w.F_phi]),
+            b.riem, b.ric, np.array([b.scalar])]
 
-    def counted(node, env):
-        calls.append(node)
-        return original(node, env)
 
+@pytest.mark.parametrize("model", [
+    # n + m must exceed 2: the n = 2 built-ins other than qe_sphere take m = 1
+    builtin_model(name, n, m=1.0 if n == 2 and name != "qe_sphere" else None)
+    for name in wrvc.models.BUILTIN_NAMES for n in (2, 3, 4)
+] + [builtin_model("euclidean", 3, m=2.0), deformed_sphere(),
+     deformed_sphere(4, 2.5, 0.5)], ids=lambda model: f"{model.name}-{model.n}")
+def test_pointwise_values_do_not_depend_on_the_jet_order(model):
+    # everything printed reads the 2-jets, so jets of order 2..6 agree
+    point = model.default_point + np.linspace(0.1, 0.25, model.n)
+    values = [_pointwise_values(model.structure_at(point, order=k)) for k in range(2, 7)]
+    for quantity in zip(*values):
+        scale = max(np.max(np.abs(q)) for q in quantity)
+        for q in quantity[1:]:
+            assert np.max(np.abs(q - quantity[0])) <= 1e-14 * scale
+
+
+def _count_node_values(monkeypatch):
+    """Record every node whose value is computed (a memo hit is not)."""
+    computed = []
+    original = wrvc.expr.evaluate
+
+    def counted(node, env, memo=None):
+        if memo is None or id(node) not in memo:
+            computed.append(node)
+        return original(node, env, memo)
+
+    # the models' calls, and the recursive calls inside expr
     monkeypatch.setattr(wrvc.models, "evaluate", counted)
-    return calls
+    monkeypatch.setattr(wrvc.expr, "evaluate", counted)
+    return computed
+
+
+def _subtrees(nodes):
+    """Every subexpression of the ASTs, each once (equal by structure)."""
+    seen, stack = [], list(nodes)
+    while stack:
+        node = stack.pop()
+        if node not in seen:
+            seen.append(node)
+        stack.extend(wrvc.expr._children(node))
+    return seen
+
+
+def _once_each(computed, nodes):
+    """Each distinct subexpression of ``nodes`` was computed exactly once."""
+    distinct = _subtrees(nodes)
+    assert len(computed) == len(distinct)
+    assert all(sum(node == other for other in computed) == 1 for node in distinct)
+
+
+def _components(model):
+    return [node for row in model.g_exprs for node in row]
 
 
 @pytest.mark.parametrize("model", [
@@ -397,28 +447,25 @@ def _count_evaluations(monkeypatch):
     deformed_sphere(),
 ])
 def test_metric_at_evaluates_each_distinct_component_once(monkeypatch, model):
-    calls = _count_evaluations(monkeypatch)
+    computed = _count_node_values(monkeypatch)
     point = model.default_point + 0.1
     metric = model.metric_at(point)
-    distinct = []
-    for row in model.g_exprs:
-        for node in row:
-            if node not in distinct:
-                distinct.append(node)
-    assert calls == distinct
+    _once_each(computed, _components(model))
     # so does binding the model to a grid, once per chart, whether or not
     # its metric is the round one that grids need; the same pass then
     # evaluates the (constant) density once, unless the metric was rejected
     if model.n in (2, 3):
-        calls.clear()
+        computed.clear()
         grid = QuadratureGrid(model.n, resolution=8)
         if model.name == "qe_sphere":
             grid.bind(model)
-            assert calls == (distinct + [model.f_expr]) * 2
+            half = len(computed) // 2
+            for one_pass in (computed[:half], computed[half:]):
+                _once_each(one_pass, _components(model) + [model.f_expr])
         else:
             with pytest.raises(ModelError, match="round stereographic metric"):
                 grid.bind(model)
-            assert calls == distinct
+            _once_each(computed, _components(model))
     # and the jets agree with evaluating every component on its own
     monkeypatch.undo()
     env = model._env(point, 4)
@@ -437,9 +484,12 @@ def test_metric_at_model_file_mirrors_lower_triangle(monkeypatch, tmp_path):
         "[metric]\ng_11 = 2+x^2\ng_21 = 0.3*x*y\ng_22 = 1+y^2\n"
     )
     spec = load_model_file(path)
-    calls = _count_evaluations(monkeypatch)
+    computed = _count_node_values(monkeypatch)
     metric = spec.metric_at([0.2, 0.1])
-    assert len(calls) == 3
+    # 2, x, x^2, 2+x^2, 0.3, 0.3*x, y, 0.3*x*y, 1, y^2, 1+y^2: the 2 of
+    # 2+x^2 is the exponent's, and g_12 is g_21
+    _once_each(computed, _components(spec))
+    assert len(computed) == 11
     assert np.array_equal(metric.G[0, 1], metric.G[1, 0])
 
 
@@ -449,19 +499,33 @@ def test_metric_at_model_file_mirrors_lower_triangle(monkeypatch, tmp_path):
     deformed_sphere(),
 ])
 def test_structure_at_evaluates_each_distinct_ast_once(monkeypatch, model):
-    calls = _count_evaluations(monkeypatch)
+    computed = _count_node_values(monkeypatch)
     p = model.structure_at(model.default_point + 0.1)
-    distinct = []
-    for node in [node for row in model.g_exprs for node in row] + [model.f_expr]:
-        if node not in distinct:
-            distinct.append(node)
-    assert calls == distinct
-    assert len(calls) == {"euclidean": 2}.get(model.name, 3)
+    _once_each(computed, _components(model) + [model.f_expr])
+    # the deformed sphere's metric has 31 subexpressions and its density
+    # 20, of which 17 (the exponent and its parts) are the metric's
+    assert len(computed) == {"euclidean": 2, "qe_sphere": 16, "deformed": 34}[model.name]
     # the same values as the metric and the density on their own
     monkeypatch.undo()
     assert np.array_equal(p.g.G, model.metric_at(model.default_point + 0.1).G)
     assert np.array_equal(p.f.coeffs,
                           model.density_at(model.default_point + 0.1).coeffs)
+
+
+def test_deformed_sphere_evaluates_its_exponent_once(monkeypatch):
+    # the exponent w sits in the metric, 4 e^{2w}/(1+r^2)^2, and in the
+    # density, f0 e^w: one pass computes it, and each of its terms, once
+    model = deformed_sphere()
+    omega = parse_expression("0.1+0.2*x-0.15*y+0.05*x*y+0.1*x^2")
+    computed = _count_node_values(monkeypatch)
+    model.structure_at([0.2, -0.1, 0.3])
+    assert sum(node == omega for node in computed) == 1
+    assert sum(node == parse_expression("0.05*x*y") for node in computed) == 1
+    # the density alone, and the metric alone, compute it once as well
+    for evaluate_at in (model.density_at, model.metric_at):
+        computed.clear()
+        evaluate_at([0.2, -0.1, 0.3])
+        assert sum(node == omega for node in computed) == 1
 
 
 def test_expressions_are_evaluated_only_by_models():

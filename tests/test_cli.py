@@ -199,13 +199,27 @@ def test_rejected_structure_names_model_and_point(capsys, tmp_path, g_11, tail,
 
 
 def test_overflowing_curvature_exits_2(capsys, tmp_path):
-    # positive definite at x = 0, but the inverse metric's jets overflow
-    path = _model_2d(tmp_path, "x+2e-153")
+    # finite and positive definite at the origin, but the metric
+    # (1 + 1e308 y^2) dx^2 + dy^2 has Gauss curvature -1e308 there, so the
+    # scalar curvature -2e308 overflows
+    path = _model_2d(tmp_path, "1+1e308*y^2")
     code, out, err = run_cli(capsys, "curvature", "--model", str(path))
     assert code == 2
     assert out == ""
     assert err == (f"error: weighted curvature of model '{path}' is not finite "
                    "at point (0, 0)\n")
+
+
+def test_flat_metric_with_tiny_constant_term_has_zero_curvature(capsys, tmp_path):
+    # g_11 = x + 2e-153 depends on x alone, so the metric is flat; the
+    # order-3 and order-4 jets of its inverse overflow, but curvature reads
+    # the metric's 2-jet only
+    path = _model_2d(tmp_path, "x+2e-153")
+    code, out, err = run_cli(capsys, "curvature", "--model", str(path), "--json")
+    assert (code, err) == (0, "")
+    values = json.loads(out)["values"]
+    assert [values[key] for key in ("R_phi", "J", "Y", "F_phi")] == [0, 0, 0, 0]
+    assert values["Ric_phi"] == values["P"] == [[0, 0], [0, 0]]
 
 
 _LITERAL = st.one_of(

@@ -60,7 +60,7 @@ def random_metric(rng, n, order=4, scale=0.15):
 def test_inverse_coeffs_roundtrip():
     rng = np.random.default_rng(5)
     m = random_metric(rng, 3)
-    inv = _inverse_coeffs(m.G, 3, m.order)
+    inv = _inverse_coeffs(m.G, 3, m.order, m.inverse_matrix)
     for i in range(3):
         for j in range(3):
             acc = Jet.constant(0.0, 3, m.order)

@@ -70,3 +70,42 @@ def test_compare_across_numpy_versions_checks_status_and_tolerance():
     assert golden.compare(_other_numpy(text), text) == []
     assert golden.compare(_other_numpy(text), text.replace("= 1.25", "= 2.25", 1)) != []
     assert golden.compare(_other_numpy(text), text.replace("exit 0", "exit 2")) != []
+
+
+def test_compare_names_the_first_moved_check_and_its_residuals():
+    for flag, line in (([], 8), (["--json"], 12)):
+        text = _golden("verify", "--seed", "1", *flag)
+        key, end = ("residual = ", " ") if not flag else ('"residual": ', ",")
+        mutant = _move_first_residual_one_ulp(text, key, end)
+        old = golden._checks(golden._fields(text)["stdout"])[0][2]
+        new = float(np.nextafter(old, np.inf))
+        assert golden.compare(text, mutant) == [
+            f"# wrvc verify --seed 1{' --json' if flag else ''}: output differs from "
+            f"the golden record at line {line}: jets/ring_associativity residual "
+            f"{old!r} became {new!r}"]
+    # a difference outside the checks is shown as the two lines
+    text = _golden("curvature", "--model", "qe_sphere", "--n", "3")
+    assert golden.compare(text, text.replace("= 1.25", "= 2.25", 1)) == [
+        "# wrvc curvature --model qe_sphere --n 3: output differs from the golden "
+        "record at line 14: 'J           = 1.25' became 'J           = 2.25'"]
+
+
+def test_check_reports_without_rewriting(monkeypatch, tmp_path, capsys):
+    argv = ["verify", "--seed", "1"]
+    text = _golden(*argv)
+    mutant = _move_first_residual_one_ulp(text, "residual = ", " ")
+    (tmp_path / golden.file_name(argv)).write_text(mutant)
+    monkeypatch.setattr(golden, "GOLDEN_DIR", tmp_path)
+    monkeypatch.setattr(golden, "invocations", lambda: [argv, ["vk", "--model", "qe_sphere"]])
+    assert golden.main(["--check"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("# wrvc verify --seed 1: output differs from the golden "
+                             "record at line 8: jets/ring_associativity residual ")
+    assert out[1] == "# wrvc vk --model qe_sphere: no golden record vk_model_qe_sphere.out"
+    assert (tmp_path / golden.file_name(argv)).read_text() == mutant
+    assert sorted(p.name for p in tmp_path.iterdir()) == [golden.file_name(argv)]
+    # with the committed record in place it passes
+    (tmp_path / golden.file_name(argv)).write_text(text)
+    monkeypatch.setattr(golden, "invocations", lambda: [argv])
+    assert golden.main(["--check"]) == 0
+    assert capsys.readouterr().out == "all 1 records match\n"

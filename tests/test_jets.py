@@ -133,6 +133,31 @@ def test_pow_negative_integer_any_sign_base():
     assert np.allclose((inv * x).coeffs, [1, 0, 0, 0], atol=1e-14)
 
 
+def test_integer_power_starts_from_the_base(monkeypatch):
+    import wrvc.jets
+
+    products = []
+    original = wrvc.jets.mul_coeffs
+
+    def counted(a, b, dim, order):
+        products.append(1)
+        return original(a, b, dim, order)
+
+    monkeypatch.setattr(wrvc.jets, "mul_coeffs", counted)
+    x = Jet.variable(0, 0.7, 2, 4) + Jet.variable(1, -0.4, 2, 4) * 0.3
+    repeated = Jet.constant(1.0, 2, 4)
+    for k, cost in enumerate([0, 0, 1, 2, 2, 3, 3, 4, 3]):
+        products.clear()
+        power = x**k
+        assert len(products) == cost, k
+        assert np.allclose(power.coeffs, repeated.coeffs, rtol=1e-15, atol=0.0)
+        repeated = repeated * x
+    assert np.array_equal((x**1).coeffs, x.coeffs)
+    assert (x**1).coeffs is not x.coeffs       # a new value, not a view
+    assert np.array_equal((x**0).coeffs, Jet.constant(1.0, 2, 4).coeffs)
+    assert np.allclose((x**-2 * x**2).coeffs, Jet.constant(1.0, 2, 4).coeffs, atol=1e-14)
+
+
 def test_reciprocal_guard():
     with pytest.raises(DomainError):
         Jet.variable(0, 0.0, 1, 2).reciprocal()

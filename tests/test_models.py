@@ -2,9 +2,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wrvc.errors import DomainError, ExpressionError, ModelError
-from wrvc.expr import MAX_DEPTH, Num, evaluate, parse_expression, to_string
+from wrvc.expr import MAX_DEPTH, Num, Unary, evaluate, intern, parse_expression, to_string
 from wrvc.geometry import curvature
 from wrvc.jets import Jet
 from wrvc.models import (
@@ -123,6 +125,74 @@ def test_array_evaluation_matches_scalar():
     arr = evaluate(ast, {"x": xs, "y": ys})
     for i in range(3):
         assert arr[i] == pytest.approx(evaluate(ast, {"x": xs[i], "y": ys[i]}))
+
+
+def test_intern_shares_equal_subtrees_and_keeps_first_positions():
+    a, b = parse_expression("1+exp(2*x)"), parse_expression("exp(2*x)/x")
+    ia, ib = intern([a, b])
+    assert ia == a and ib == b                 # the same expressions
+    assert ia.right is ib.left                 # exp(2*x) is one node
+    assert ib.right is ia.right.args[0].right  # and so is x
+    assert ib.left.pos == 2                    # its first occurrence's position
+    assert intern([a, a]) == [ia, ia]
+    # equal numbers are one node, but 0 and -0 stay apart
+    zeros = intern([Num(0.0), Num(-0.0), Num(0.0)])
+    assert zeros[0] is zeros[2] and zeros[1] is not zeros[0]
+    x, minus_x = intern([parse_expression("x"), parse_expression("-x")])
+    assert isinstance(minus_x, Unary) and minus_x.operand is x
+
+
+_TERM = st.sampled_from(["x", "y", "q", "2", "0.5", "1e300", "0"])
+_TEXT = st.recursive(
+    _TERM,
+    lambda inner: st.one_of(
+        st.builds("({}){}({})".format, inner, st.sampled_from("+-*/^"), inner),
+        st.builds("{}({})".format, st.sampled_from(["exp", "log", "sqrt", "-"]), inner),
+        st.builds("pow({}, {})".format, inner, inner),
+    ),
+    max_leaves=6,
+)
+
+
+def _outcome(run):
+    """A pass's values, or its error's type and message."""
+    try:
+        with np.errstate(all="ignore"):
+            return [v.coeffs if isinstance(v, Jet) else np.asarray(v) for v in run()]
+    except (ExpressionError, DomainError, OverflowError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_TEXT, min_size=1, max_size=4), st.booleans())
+def test_one_memoized_pass_matches_evaluating_each_expression(texts, on_jets):
+    # the same values, bit for bit, and the same first error (message and
+    # position), over jets or node arrays; q is an unknown identifier
+    asts = [parse_expression(t) for t in texts]
+    env = ({"x": Jet.variable(0, 0.3, 2, 3), "y": Jet.variable(1, -0.2, 2, 3)}
+           if on_jets else {"x": np.array([0.3, 1.5]), "y": np.array([-0.2, 2.0])})
+    plain = _outcome(lambda: [evaluate(a, env) for a in asts])
+    memo = {}
+    shared = _outcome(lambda: [evaluate(a, env, memo) for a in intern(asts)])
+    if isinstance(plain, tuple):
+        assert shared == plain
+    else:
+        assert not isinstance(shared, tuple)
+        for u, v in zip(plain, shared):
+            assert np.array_equal(u, v, equal_nan=True)
+            assert np.array_equal(np.signbit(u), np.signbit(v))
+
+
+def test_shared_subexpression_errors_keep_their_own_positions(tmp_path):
+    # q*x is unknown in the metric at offset 6 and in the density at offset 4
+    path = tmp_path / "shared.cfg"
+    path.write_text("[space]\nn = 2\nm = 2\n\n[metric]\ng_11 = 1+exp(q*x)\n"
+                    "g_22 = 1\n\n[density]\nf = exp(q*x)+2\n")
+    spec = load_model_file(path)
+    for evaluate_at, offset in ((spec.structure_at, 6), (spec.metric_at, 6),
+                                (spec.density_at, 4)):
+        with pytest.raises(ExpressionError, match=rf"'q' \(at offset {offset}\)$"):
+            evaluate_at([0.1, 0.2])
 
 
 # -- builtin models --------------------------------------------------------
@@ -464,3 +534,13 @@ def test_pointwise_methods_take_one_point_only():
         for evaluate_at in (spec.metric_at, spec.density_at, spec.structure_at):
             with pytest.raises(ModelError, match="needs a point with 3 coordinates"):
                 evaluate_at(bad)
+
+
+def test_exponent_that_varies_over_nodes_is_an_expression_error():
+    nodes = {"x": np.array([0.5, 2.0]), "y": np.array([1.0, 1.0])}
+    with pytest.raises(ExpressionError, match=r"constant expression \(at offset 1\)"):
+        evaluate(parse_expression("x^x"), nodes)
+    with pytest.raises(ExpressionError, match=r"constant expression \(at offset 0\)"):
+        evaluate(parse_expression("pow(2, x)"), nodes)
+    # an exponent equal on every node is a constant
+    assert np.array_equal(evaluate(parse_expression("x^(2*y)"), nodes), [0.25, 4.0])

@@ -12,6 +12,7 @@ from wrvc.models import builtin_model, lcf_candidate_ambient, quasi_einstein_coe
 from wrvc.rho import (
     AmbientExpansion,
     RhoSeries,
+    check_determinacy,
     determinacy_cap,
     f_second_residual,
     l_operator,
@@ -301,6 +302,20 @@ def test_determinacy_cap():
     # within the cap both work
     a2 = quasi_einstein_coeffs(np.eye(2), 1.0, 0.1, 2)
     assert len(volume_coefficients(a2, 2.0)) == 2
+
+
+@pytest.mark.parametrize("m", [math.nan, math.inf, -math.inf, -3.0, -1e-300])
+def test_dimensional_parameter_must_be_finite_and_non_negative(m):
+    a = quasi_einstein_coeffs(np.eye(3), 1.0, 0.25, 3)
+    message = "dimensional parameter m must be finite and >= 0"
+    for call in (lambda: volume_coefficients(a, m), lambda: l_operator(a, m, 2),
+                 lambda: check_determinacy(3, m, 2), lambda: determinacy_cap(3, m),
+                 lambda: volume_series(a, m), lambda: l_operator_series(a, m)):
+        with pytest.raises(DomainError, match=message):
+            call()
+    # rejected before the expansion's per-m cache: no entry is added
+    assert a._by_m == {}
+    assert volume_coefficients(a, 0.0)[1] == pytest.approx(3 * 0.25)   # n lam
 
 
 # -- obstruction tensors -----------------------------------------------------
