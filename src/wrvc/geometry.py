@@ -8,8 +8,9 @@ first derivatives at the point, so they work on the metric's 2-jet
 (``MetricAtPoint.two_jet``, a prefix slice of ``G`` in the graded layout).
 
 The metric is held as a coefficient array ``G`` of shape (n, n, ncoef)
-(see ``wrvc.jets``), and the inverse, determinant and Christoffel symbols
-are array contractions on it: the inverse is the Neumann series
+(see ``wrvc.jets``), and the inverse, determinant, Christoffel symbols and
+conformal rescale are jet-matrix products on it (``jets.product_coeffs``,
+gathered product triples): the inverse is the Neumann series
 ``sum_k (-G0^{-1} N)^k G0^{-1}`` in the part ``N`` of ``G`` with zero
 constant term, which is nilpotent in the truncated ring.
 
@@ -31,15 +32,11 @@ from .jets import (
     Jet,
     compose_coeffs,
     derivative_coeffs,
-    from_columns,
     gradient_index,
     hessian_index,
-    jet_matmul,
-    jet_matmul_operator,
     jet_order,
-    mult_matrix,
     n_coeffs,
-    to_columns,
+    product_coeffs,
     _univariate_coeffs,
 )
 
@@ -48,34 +45,28 @@ def _inverse_coeffs(G: np.ndarray, dim: int, order: int, G0inv: np.ndarray) -> n
     """Inverse of the jet matrix G (n, n, ncoef) by the Neumann series
     sum_{k <= order} X^k G0^{-1} with X = -G0^{-1} N, evaluated by Horner;
     ``G0inv`` is the inverse of the constant term G0."""
-    n, _, nc = G.shape
     X = -np.einsum("ik,kjc->ijc", G0inv, G)
     X[:, :, 0] = 0.0
-    T = jet_matmul_operator(X, dim, order)
-    Y0 = np.zeros((n * nc, n))
-    Y0[::nc] = G0inv
+    Y0 = np.zeros_like(X)
+    Y0[:, :, 0] = G0inv
     Y = Y0
     for _ in range(order):
-        Y = Y0 + T @ Y
-    return from_columns(Y, nc)
+        Y = Y0 + product_coeffs(X, Y, dim, order, matmul=True)
+    return Y
 
 
 def _det_coeffs(G: np.ndarray, dim: int, order: int, G0inv: np.ndarray) -> np.ndarray:
     """det G = det(G0) exp(tr log(I + X)), X = G0^{-1} N nilpotent."""
-    n, _, nc = G.shape
-    G0 = G[:, :, 0]
     X = np.einsum("ik,kjc->ijc", G0inv, G)
     X[:, :, 0] = 0.0
-    T = jet_matmul_operator(X, dim, order)
-    power = to_columns(X)
-    log_det = np.zeros(nc)
+    power = X
+    log_det = np.zeros(G.shape[-1])
     for k in range(1, order + 1):
         if k > 1:
-            power = T @ power
-        trace = np.einsum("qcq->c", power.reshape(n, nc, n))
-        log_det += (-1.0) ** (k + 1) / k * trace
+            power = product_coeffs(X, power, dim, order, matmul=True)
+        log_det += (-1.0) ** (k + 1) / k * np.einsum("qqc->c", power)
     exp_coeffs = _univariate_coeffs("exp", 0.0, order, None)
-    return np.linalg.det(G0) * compose_coeffs(log_det, exp_coeffs, dim, order)
+    return np.linalg.det(G[:, :, 0]) * compose_coeffs(log_det, exp_coeffs, dim, order)
 
 
 class MetricAtPoint:
@@ -159,8 +150,8 @@ class MetricAtPoint:
             )
         order = min(self.order, factor.order)
         nc = n_coeffs(self.n, order)
-        M = mult_matrix(factor.coeffs[:nc], self.n, order)
-        return MetricAtPoint(self.G[:, :, :nc] @ M.T, self.point)
+        G = product_coeffs(factor.coeffs[:nc], self.G[:, :, :nc], self.n, order)
+        return MetricAtPoint(G, self.point)
 
 
 @dataclass
@@ -180,7 +171,7 @@ def _christoffel_coeffs(metric: MetricAtPoint) -> np.ndarray:
     dg = derivative_coeffs(metric.G, n, metric.order)  # dg[l, i, j] = d_l g_ij
     # first-kind symbols [ij, l] = d_i g_jl + d_j g_il - d_l g_ij, indexed (l, i, j)
     first = np.einsum("ijlc->lijc", dg) + np.einsum("jilc->lijc", dg) - dg
-    gamma = 0.5 * jet_matmul(ginv, first.reshape(n, n * n, nc), n, order)
+    gamma = 0.5 * product_coeffs(ginv, first.reshape(n, n * n, nc), n, order, matmul=True)
     gamma = gamma.reshape(n, n, n, nc)
     rows, cols = _upper_pairs(n)
     gamma[:, cols, rows] = gamma[:, rows, cols]   # exactly symmetric in (i, j)
@@ -192,6 +183,7 @@ def _upper_pairs(n: int):
     return np.triu_indices(n, 1)
 
 
+# christoffel and curvature keep their names: perfbench/tracing.py times them
 def christoffel(metric: MetricAtPoint) -> np.ndarray:
     """Christoffel symbols Gamma^k_{ij}, cached on the metric, as a
     (n, n, n, ncoef) coefficient array at the metric order - 1."""

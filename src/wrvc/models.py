@@ -45,6 +45,9 @@ BUILTIN_NAMES = (
 )
 
 _COORD_NAMES = ("x", "y", "z", "w")
+# the keys of each model-file section; [metric] keys are g_ij, checked as read
+_FILE_KEYS = {"space": {"n", "m", "mu", "coords", "point"}, "metric": None,
+              "density": {"f"}, "ambient": {"lambda", "coefficients"}}
 
 DEFAULT_ORDER = 4
 DEFAULT_AMBIENT_ORDER = 5
@@ -245,12 +248,13 @@ class ModelSpec:
             return MetricMeasurePoint(g, Jet._unchecked(self.n, order, f),
                                       self.m, self.mu)
 
-    def invariants_at(self, point, order: int = DEFAULT_ORDER):
+    def invariants_at(self, point):
         """Weighted invariants at a chart point, with the best-fit
-        proportionality constant and its residual (``quasi_einstein_residual``).
-        Values that overflow (a nearly singular metric, a density near 0)
-        raise a ``DomainError`` naming the model and the point."""
-        p = self.structure_at(point, order)
+        proportionality constant and its residual (``quasi_einstein_residual``),
+        from the structure's 2-jet, all that they read.  Values that overflow
+        (a nearly singular metric, a density near 0) raise a ``DomainError``
+        naming the model and the point."""
+        p = self.structure_at(point, 2)
         what = "weighted curvature"
         with self._checking(what, point), np.errstate(all="ignore"):
             w = weighted_invariants(p)
@@ -454,6 +458,8 @@ def load_model_file(path) -> ModelSpec:
     component expressions g_ij (1-based indices, lower triangle
     sufficient, missing off-diagonal entries default to 0); [density]
     with f; optional [ambient] with lambda or a coefficients file path.
+    Any other section or key, and a component given both as g_ij and as
+    g_ji, is an error.
     """
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
@@ -473,6 +479,12 @@ def load_model_file(path) -> ModelSpec:
         raise ModelError(f"{path}:{num}: cannot parse {lines[num - 1].strip()!r}")
     except configparser.Error as exc:
         raise ModelError(f"{path}: {str(exc).splitlines()[0]}")
+    for section in (["DEFAULT"] if cp.defaults() else []) + cp.sections():
+        if section not in _FILE_KEYS:
+            raise ModelError(f"{path}: unknown section [{section}]")
+        for key in cp.options(section):
+            if _FILE_KEYS[section] is not None and key not in _FILE_KEYS[section]:
+                raise ModelError(f"{path}: unknown key {key!r} in [{section}]")
     if "space" not in cp or "metric" not in cp:
         raise ModelError(f"{path}: model file needs [space] and [metric] sections")
     try:
@@ -491,7 +503,8 @@ def load_model_file(path) -> ModelSpec:
         except ExpressionError as exc:
             raise ModelError(f"{exc} in [{section}] {key} of {path}")
 
-    entries = {}   # (i, j) with i >= j -> AST; key syntax bounds i, j to 0..8
+    # (i, j) with i >= j -> its AST and its key; key syntax bounds i, j to 0..8
+    entries, given = {}, {}
     for key, text in cp.items("metric"):
         if not (key.startswith("g_") and len(key) == 4 and key[2:].isdecimal()):
             raise ModelError(
@@ -500,7 +513,11 @@ def load_model_file(path) -> ModelSpec:
         i, j = int(key[2]) - 1, int(key[3]) - 1
         if not (0 <= i < n and 0 <= j < n):
             raise ModelError(f"{path}: metric key {key!r} outside the {n}x{n} range")
-        entries[max(i, j), min(i, j)] = parse("metric", key, text)
+        ij = max(i, j), min(i, j)
+        if ij in given:
+            raise ModelError(f"{path}: [metric] gives both {given[ij]} and {key}; keep one")
+        given[ij] = key
+        entries[ij] = parse("metric", key, text)
     for i in range(n):   # stops by i = 9, so the table below stays small
         if (i, i) not in entries:
             raise ModelError(f"{path}: missing diagonal metric component g_{i + 1}{i + 1}")

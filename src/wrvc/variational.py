@@ -30,8 +30,8 @@ from numpy.polynomial.legendre import leggauss
 from .errors import DomainError, ModelError
 from .expr import has_vars
 from .fields import ChartTable, SphereField, coordinate_harmonics
+from . import rho
 from .models import ModelSpec
-from .rho import _volume_and_l_operator
 from .weighted import generalized_binomial
 
 _CHUNK = 8192
@@ -231,7 +231,9 @@ class GridStructure:
             self.lam   # raises unless the expansion is the lam-scaled one
             model = self.model
             a = model.ambient_at(model.default_point, K=k)
-            vk, L = _volume_and_l_operator(a, model.m, k)
+            # read through the module, so spans wrapped around rho's public names see them
+            L = rho.l_operator(a, model.m, k)
+            vk = rho.volume_coefficients(a, model.m)[k]
             self._scales[k] = float(vk), float(np.trace(L @ a.g) / model.n)
         return self._scales[k]
 

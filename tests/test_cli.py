@@ -480,6 +480,27 @@ def test_malformed_model_file_exits_2(capsys, tmp_path, text, cause):
     assert f"{path}" in err and cause in err
 
 
+@pytest.mark.parametrize("text, message", [
+    (_FLAT2 + "g_12 = 0.1\ng_21 = 0.3\n", "[metric] gives both g_12 and g_21; keep one"),
+    (_FLAT2 + "g_21 = 0.3\ng_12 = 0.1\n", "[metric] gives both g_21 and g_12; keep one"),
+    (_FLAT2.replace("n = 2", "n = 2\nbogus = 7"), "unknown key 'bogus' in [space]"),
+    (_FLAT2.replace("n = 2", "n = 2\nm = 2\nnu = 3"), "unknown key 'nu' in [space]"),
+    (_FLAT2 + "\n[density]\nf = 1\ng = 2\n", "unknown key 'g' in [density]"),
+    (_FLAT2 + "\n[ambient]\nlamda = 0.5\n", "unknown key 'lamda' in [ambient]"),
+    (_FLAT2 + "\n[extra]\n", "unknown section [extra]"),
+    ("[spce]\nn = 2\n\n[metric]\ng_11 = 1\ng_22 = 1\n", "unknown section [spce]"),
+    ("[DEFAULT]\nm = 2\n\n" + _FLAT2, "unknown section [DEFAULT]"),
+], ids=["conflict", "conflict-reversed", "space-key", "space-typo", "density-key",
+        "ambient-key", "section", "section-typo", "default-section"])
+def test_model_file_conflicting_or_unknown_entry_exits_2(capsys, tmp_path, text, message):
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    for command in ("curvature", "vk"):
+        code, out, err = run_cli(capsys, command, "--model", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: {message}\n"
+
+
 @pytest.mark.parametrize("text, line, shown", [
     (_FLAT2.replace("[metric]", "[metric"), 4, "[metric"),
     (_FLAT2 + "g_33\n", 7, "g_33"),

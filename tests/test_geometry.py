@@ -12,7 +12,7 @@ from wrvc.geometry import (
     laplacian,
     weighted_laplacian,
 )
-from wrvc.jets import Jet, n_coeffs
+from wrvc.jets import Jet, n_coeffs, product_coeffs
 
 
 def coords(point, order=4):
@@ -69,6 +69,39 @@ def test_inverse_coeffs_roundtrip():
             target = 1.0 if i == j else 0.0
             assert abs(acc.value - target) < 1e-12
             assert np.allclose(acc.coeffs[1:], 0.0, atol=1e-12)
+
+
+def test_round_s6_at_order_7_matches_the_closed_form():
+    # a dense multiplication operator for one of these products would take
+    # 0.25-0.85 GiB; the whole test peaks at ~125 MiB
+    n, order = 6, 7
+    point = np.linspace(-0.3, 0.4, n)
+    m = sphere_metric(point, order)
+    factor = Jet(n, order, m.G[0, 0])
+    # Neumann inverse: the closed form delta / factor, and G G^{-1} = I
+    inv = _inverse_coeffs(m.G, n, order, m.inverse_matrix)
+    assert np.allclose(inv, np.eye(n)[:, :, None] * factor.reciprocal().coeffs,
+                       rtol=0.0, atol=1e-13)
+    identity = np.zeros_like(m.G)
+    identity[:, :, 0] = np.eye(n)
+    assert np.allclose(product_coeffs(m.G, inv, n, order, matmul=True), identity,
+                       rtol=0.0, atol=1e-13)
+    # g = e^{2u} delta: Gamma^k_ij = delta_ki d_j u + delta_kj d_i u - delta_ij d_k u
+    u = (factor * 0.25).log() * 0.5
+    du = np.array([u.derivative(j).coeffs for j in range(n)])
+    d = np.eye(n)
+    exact = (np.einsum("ki,jc->kijc", d, du) + np.einsum("kj,ic->kijc", d, du)
+             - np.einsum("ij,kc->kijc", d, du))
+    gamma = christoffel(m)
+    assert gamma.shape == exact.shape
+    assert np.allclose(gamma, exact, rtol=0.0, atol=1e-12)
+    # unit sphere: R_abcd = g_ac g_bd - g_ad g_bc, Ric = 5 g, R = 30
+    curv = curvature(m)
+    g = m.matrix
+    riem = np.einsum("ac,bd->abcd", g, g) - np.einsum("ad,bc->abcd", g, g)
+    assert np.allclose(curv.riem, riem, rtol=0.0, atol=1e-13)
+    assert np.allclose(curv.ric, 5.0 * g, rtol=0.0, atol=1e-13)
+    assert abs(curv.scalar - 30.0) < 1e-12
 
 
 def test_metric_validation():

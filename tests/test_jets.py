@@ -15,6 +15,9 @@ from wrvc.jets import (
     derivative_coeffs,
     gradient_index,
     hessian_index,
+    mul_coeffs,
+    n_coeffs,
+    product_coeffs,
 )
 
 
@@ -281,11 +284,16 @@ def test_product_triples_and_derivative_matrices_identities(dim):
     for order in range(7):
         E = np.array(reference_exponents(dim, order)).reshape(-1, dim)
         deg = E.sum(axis=1)
-        ia, ib, ic = _product_triples(dim, order)
+        ia, ib, ic, starts = _product_triples(dim, order)
         assert np.array_equal(E[ia] + E[ib], E[ic])
-        # each pair of total degree <= order exactly once, in row-major order
+        # each pair of total degree <= order exactly once, sorted by product
+        # slot and row-major within a slot; starts opens each slot's run
+        pairs = np.argwhere(deg[:, None] + deg <= order)
+        rank = {tuple(a): i for i, a in enumerate(E.tolist())}
+        slot = np.array([rank[tuple(E[i] + E[j])] for i, j in pairs])
         assert np.array_equal(np.stack([ia, ib], axis=1),
-                              np.argwhere(deg[:, None] + deg <= order))
+                              pairs[np.argsort(slot, kind="stable")])
+        assert np.array_equal(starts, np.flatnonzero(np.diff(ic, prepend=-1)))
         if order == 0:
             continue
         # d/dx_l reaches x^beta of order - 1 from x^(beta + e_l), factor beta_l + 1,
@@ -304,3 +312,28 @@ def test_product_triples_and_derivative_matrices_identities(dim):
 def test_repr_names_variables_beyond_four():
     assert repr(Jet.variable(4, 1.0, 5, 2)) == "Jet(dim=5, order=2: 1 + 1*x4)"
     assert repr(Jet.variable(1, 0.0, 2, 1) * 3.0) == "Jet(dim=2, order=1: 3*y)"
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_product_coeffs_matches_per_entry_products(dim):
+    rng = np.random.default_rng(dim)
+    for order in range(6):
+        nc = n_coeffs(dim, order)
+
+        def close(got, want):
+            assert got.shape == want.shape
+            assert np.allclose(got, want, rtol=0.0, atol=1e-14 * max(1.0, np.abs(want).max()))
+
+        a, b = rng.standard_normal((2, 3, nc)), rng.standard_normal((2, 3, nc))
+        close(product_coeffs(a, b, dim, order),
+              np.array([[mul_coeffs(a[i, j], b[i, j], dim, order) for j in range(3)]
+                        for i in range(2)]))
+        s = rng.standard_normal(nc)          # a scalar jet times a jet matrix
+        close(product_coeffs(s, b, dim, order),
+              np.array([[mul_coeffs(s, b[i, j], dim, order) for j in range(3)]
+                        for i in range(2)]))
+        c = rng.standard_normal((3, 4, nc))  # jet matrices (2, 3) @ (3, 4)
+        close(product_coeffs(a, c, dim, order, matmul=True),
+              np.array([[sum(mul_coeffs(a[i, k], c[k, j], dim, order) for k in range(3))
+                         for j in range(4)] for i in range(2)]))
+

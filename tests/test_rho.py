@@ -12,6 +12,7 @@ from wrvc.models import builtin_model, lcf_candidate_ambient, quasi_einstein_coe
 from wrvc.rho import (
     AmbientExpansion,
     RhoSeries,
+    _cauchy,
     check_determinacy,
     determinacy_cap,
     f_second_residual,
@@ -141,6 +142,31 @@ def test_matrix_shaped_coefficients_multiply_as_matrices():
     ref = np.array([sum(g[i] @ h[k - i] for i in range(k + 1)) for k in range(3)])
     assert RhoSeries(g).kind == "matrix"
     assert np.max(np.abs(got - ref)) < 1e-14
+
+
+@pytest.mark.parametrize("Ka, Kb", [(0, 0), (3, 3), (5, 2), (1, 4)])
+def test_cauchy_matches_a_naive_double_loop(Ka, Kb):
+    rng = np.random.default_rng(10 * Ka + Kb)
+    K = min(Ka, Kb)
+
+    def naive(a, b, product):
+        return np.array([sum(product(a[i], b[k - i]) for i in range(k + 1))
+                         for k in range(K + 1)])
+
+    sa, sb = rng.standard_normal(Ka + 1), rng.standard_normal(Kb + 1)
+    ma, mb = rng.standard_normal((Ka + 1, 3, 3)), rng.standard_normal((Kb + 1, 3, 3))
+    cases = [
+        (_cauchy(sa, sb), naive(sa, sb, np.multiply)),
+        (_cauchy(ma, mb, matmul=True), naive(ma, mb, np.matmul)),
+        (_cauchy(ma, mb), naive(ma, mb, np.multiply)),
+        (_cauchy(sa[:, None, None], mb), naive(sa, mb, np.multiply)),
+        (_cauchy(ma, sb[:, None, None]), naive(ma, sb, np.multiply)),
+    ]
+    for got, want in cases:
+        assert got.shape == want.shape
+        assert np.allclose(got, want, rtol=0.0, atol=1e-14 * max(1.0, np.abs(want).max()))
+    assert np.array_equal((RhoSeries(sa) * RhoSeries(mb)).coeffs, cases[3][0])
+
 
 
 @pytest.mark.parametrize("shape", [(3, 4, 2, 2), (3, 2, 3), (3, 4), ()])

@@ -28,7 +28,7 @@ from wrvc.jets import Jet
 from wrvc.models import ModelSpec, builtin_model, load_model_file
 from wrvc.rho import AmbientExpansion
 from wrvc.weighted import weighted_invariants
-from wrvc import suites, variational
+from wrvc import rho, suites, variational
 from wrvc.variational import (
     GridStructure,
     QuadratureGrid,
@@ -340,23 +340,29 @@ def test_failing_chart_two_node_named_by_grid_coordinates(tmp_path):
 
 def test_one_structure_and_one_unbatched_series_per_k(monkeypatch, qe3):
     structures, series, expansions = [], [], []
-    init, scales = GridStructure.__init__, variational._volume_and_l_operator
+    init = GridStructure.__init__
+    l_operator, volume_coefficients = rho.l_operator, rho.volume_coefficients
     post_init = AmbientExpansion.__post_init__
 
     def counted_init(self, *args):
         structures.append(args)
         init(self, *args)
 
-    def counted_scales(a, m, k):
+    def counted_l_operator(a, m, k):
         series.append((a.gcoeffs.ndim, k))
-        return scales(a, m, k)
+        return l_operator(a, m, k)
+
+    def counted_volume_coefficients(a, m):
+        series.append((a.gcoeffs.ndim, "v"))
+        return volume_coefficients(a, m)
 
     def counted_expansion(self):
         post_init(self)
         expansions.append(self.gcoeffs.ndim)
 
     monkeypatch.setattr(GridStructure, "__init__", counted_init)
-    monkeypatch.setattr(variational, "_volume_and_l_operator", counted_scales)
+    monkeypatch.setattr(rho, "l_operator", counted_l_operator)
+    monkeypatch.setattr(rho, "volume_coefficients", counted_volume_coefficients)
     monkeypatch.setattr(AmbientExpansion, "__post_init__", counted_expansion)
     grid = QuadratureGrid(3, resolution=20)
     for k in (1, 2, 3):
@@ -365,7 +371,7 @@ def test_one_structure_and_one_unbatched_series_per_k(monkeypatch, qe3):
     first_variation(qe3, grid, 2, project_mean_zero(qe3, grid, trial))
     second_variation(qe3, grid, 2, trial)
     assert len(structures) == 1
-    assert series == [(3, 1), (3, 2), (3, 3)]
+    assert series == [(3, 1), (3, "v"), (3, 2), (3, "v"), (3, 3), (3, "v")]
     assert expansions == [3, 3, 3]   # no grid function builds a batched one
 
 
