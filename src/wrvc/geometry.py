@@ -124,17 +124,18 @@ class MetricAtPoint:
     def two_jet(self) -> "MetricAtPoint":
         """The metric truncated to order 2, cached: a prefix slice of ``G``
         that shares the constant-term inverse and is not re-validated.  A
-        metric of order <= 2 is its own 2-jet."""
+        metric of order <= 2 is its own 2-jet.  No metric or view refers to
+        itself, so reference counting frees a metric when its last user
+        drops it, without the cycle collector."""
+        if self.order <= 2:
+            return self
         if self._two_jet is None:
-            if self.order <= 2:
-                self._two_jet = self
-            else:
-                view = object.__new__(MetricAtPoint)
-                view.n, view.point, view.order = self.n, self.point, 2
-                view.G = self.G[:, :, :n_coeffs(self.n, 2)]
-                view._ginv0 = self._inverse0()
-                view._gamma = None
-                view._two_jet = self._two_jet = view
+            view = object.__new__(MetricAtPoint)
+            view.n, view.point, view.order = self.n, self.point, 2
+            view.G = self.G[:, :, :n_coeffs(self.n, 2)]
+            view._ginv0 = self._inverse0()
+            view._gamma = view._two_jet = None
+            self._two_jet = view
         return self._two_jet
 
     def det_jet(self) -> Jet:

@@ -5,10 +5,12 @@ A ``ModelSpec`` is symbolic: metric and density components are expression
 ASTs over named coordinates, hash-consed at construction (``expr.intern``)
 so that a subexpression they share is one node, and evaluated by one
 private pass, each distinct subexpression once, into jets at an interior
-chart point or into arrays on grid nodes.  Structures carrying a
-proportionality constant ``lam`` (so that P = lam g and J = (n+m) lam
-pointwise) also generate their canonical ambient expansion
-g_rho = (1+lam rho)^2 g, f_rho = (1+lam rho) f.
+chart point or into arrays on grid nodes.  Every pass evaluates and
+checks the metric first, then the density (``metric_at`` stops after the
+metric), so a model's metric errors come before its density errors.
+Structures carrying a proportionality constant ``lam`` (so that
+P = lam g and J = (n+m) lam pointwise) also generate their canonical
+ambient expansion g_rho = (1+lam rho)^2 g, f_rho = (1+lam rho) f.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import os
 from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -111,12 +112,6 @@ class ModelSpec:
         slots = iter(index[id(node)] for node in metric)
         self._slots = np.array([[next(slots) for _ in row] for row in self.g_exprs])
 
-    @cached_property
-    def _f_alone(self) -> Node:
-        """The density interned on its own, for a pass that evaluates the
-        density alone: its error positions are then the density's own."""
-        return intern([self.f_expr])[0]
-
     # -- the evaluation boundary ---------------------------------------
 
     def _env(self, point, order):
@@ -140,10 +135,10 @@ class ModelSpec:
         ``evaluate`` memo for the pass) over one environment (``_env``: jets
         of ``order`` at a point, node columns for order None), inside the
         model's error boundary, each result checked finite.
-        ``accept_metric(G, point)`` checks the (n, n, ...) metric (none is
-        evaluated when it is None) before the density is evaluated, so
-        metric errors come first.  Errors name the nodes of sphere chart
-        ``chart`` (``_at_point``).  Returns (its result, f); values have the
+        ``accept_metric(G, point)`` checks the (n, n, ...) metric, and then
+        the density is evaluated unless ``density`` is False, so metric
+        errors come first.  Errors name the nodes of sphere chart ``chart``
+        (``_at_point``).  Returns (its result, f or None); values have the
         coefficient axis, or the node axis, last."""
         env = self._env(point, order)
         point = np.asarray(point, dtype=float)
@@ -169,13 +164,10 @@ class ModelSpec:
             self._require_finite_at(out, what, point, chart)
             return out
 
-        metric = f = None
-        if accept_metric is not None:
-            G = run("metric", self._metric_nodes)[self._slots]
-            with self._checking("metric", point, chart=chart):
-                metric = accept_metric(G, point)
-        if density:
-            f = run("density", [self._f_alone if accept_metric is None else self._f_node])[0]
+        G = run("metric", self._metric_nodes)[self._slots]
+        with self._checking("metric", point, chart=chart):
+            metric = accept_metric(G, point)
+        f = run("density", [self._f_node])[0] if density else None
         return metric, f
 
     def _at_point(self, what: str, point, detail: str, chart: int = 1) -> str:
@@ -237,10 +229,6 @@ class ModelSpec:
     def metric_at(self, point, order: int = DEFAULT_ORDER) -> MetricAtPoint:
         """Metric jets at a point."""
         return self._evaluate(point, order, density=False)[0]
-
-    def density_at(self, point, order: int = DEFAULT_ORDER) -> Jet:
-        f = self._evaluate(point, order, accept_metric=None)[1]
-        return Jet._unchecked(self.n, order, f)
 
     def structure_at(self, point, order: int = DEFAULT_ORDER) -> MetricMeasurePoint:
         g, f = self._evaluate(point, order)
@@ -323,11 +311,6 @@ class ModelSpec:
             gcoeffs=expansion.gcoeffs[: K + 1],
             fcoeffs=expansion.fcoeffs[: K + 1],
         )
-
-    def random_points(self, rng, count: int) -> np.ndarray:
-        """Sample points in the box of half-width 0.8 around the default
-        point, which lies inside the chart for every built-in model."""
-        return self.default_point + rng.uniform(-0.8, 0.8, size=(count, self.n))
 
 
 # -- builtin structures ---------------------------------------------------

@@ -22,10 +22,11 @@ From it this module extracts
 
 All of these read a few series that an expansion computes once, on first
 use, and keeps read-only: g_rho^{-1}, g_rho' g_rho^{-1}, Lambda^(1), and per
-m the volume series and the L series.  The volume series takes
-log(det g_rho / det g) from Jacobi's formula, as int_0^rho tr(g' g^{-1}),
-so it needs no determinant; ``RhoSeries.matrix_det`` (a Laplace expansion)
-is the independent route that tests compare it with.
+m the volume series and the L series.  The volume series, read through
+``volume_coefficients``, takes log(det g_rho / det g) from Jacobi's
+formula, as int_0^rho tr(g' g^{-1}), so it needs no determinant;
+``RhoSeries.matrix_det`` (a Laplace expansion) is the independent route
+that tests compare it with.
 
 When n+m is an even integer the expansion only determines orders
 k <= (n+m)/2; requests beyond that raise ``DeterminacyError``.
@@ -44,6 +45,7 @@ from .errors import DeterminacyError, DimensionMismatch, DomainError, OrderError
 from .jets import _product_triples
 
 _LEADING_TOL = 1e-300
+_ODD_POWER_TOL = 1e-12   # odd r-power content poincare_to_ambient accepts
 MAX_AMBIENT_ORDER = 32   # largest K taken from a file header or the command line
 MAX_DIM = 4              # largest n taken from a model or a file header
 
@@ -410,14 +412,6 @@ def check_determinacy(n: int, m: float, k: int):
         )
 
 
-def volume_series(a: AmbientExpansion, m: float) -> RhoSeries:
-    """The scalar series (f_rho/f)^m (det g_rho / det g)^{1/2}, as
-    exp(m log(f_rho/f) + int_0^rho tr(g' g^{-1}) / 2) (Jacobi's formula);
-    computed once per (expansion, m).  Each call returns a new series over
-    the same read-only coefficients."""
-    return RhoSeries(a._volume(m).coeffs)
-
-
 def volume_coefficients(a: AmbientExpansion, m: float) -> VolumeCoefficients:
     """Extract v_1..v_K; errors when K exceeds the determinacy cap."""
     if a.K < 1:
@@ -504,17 +498,17 @@ def l_operator_series(a: AmbientExpansion, m: float) -> RhoSeries:
     return RhoSeries(a._l_series(m).coeffs)
 
 
-def poincare_to_ambient(r_coeffs, tol: float = 1e-12) -> RhoSeries:
+def poincare_to_ambient(r_coeffs) -> RhoSeries:
     """Substitute r^2 = -2 rho into an even series in r.
 
     The coefficient of r^{2k} becomes the coefficient of rho^k times
-    (-2)^k.  Odd-power content above ``tol`` is rejected.
+    (-2)^k.  Odd-power content above ``_ODD_POWER_TOL`` is rejected.
     """
     r = np.asarray(r_coeffs, dtype=float)
     if r.ndim != 1:
         raise DimensionMismatch("expected a 1-D array of r-coefficients")
     odd = r[1::2]
-    if odd.size and np.max(np.abs(odd)) > tol:
+    if odd.size and np.max(np.abs(odd)) > _ODD_POWER_TOL:
         raise DomainError(
             f"odd powers of r present (max magnitude {np.max(np.abs(odd)):g})"
         )

@@ -42,8 +42,9 @@ _BOUND_TOL = 1e-6    # margin of the eigenvalue bound against 2(n+m) lam
 
 
 @lru_cache(maxsize=None)
-def _step_coeffs(p: int):
+def _step_coeffs():
     # antiderivative coefficients of (1 - t^2)^p and its total mass
+    p = _PROFILE_DEGREE
     c = np.zeros(2 * p + 1)
     for j in range(p + 1):
         c[2 * j] = math.comb(p, j) * (-1.0) ** j
@@ -53,9 +54,10 @@ def _step_coeffs(p: int):
     return anti, total
 
 
-def smoothstep_down(s, p: int = _PROFILE_DEGREE):
-    """C^p ramp: 1 for s <= -1, 0 for s >= 1, with S(s) + S(-s) = 1."""
-    anti, total = _step_coeffs(p)
+def smoothstep_down(s):
+    """C^p ramp, p = _PROFILE_DEGREE: 1 for s <= -1, 0 for s >= 1, with
+    S(s) + S(-s) = 1."""
+    anti, total = _step_coeffs()
     s = np.clip(np.asarray(s, dtype=float), -1.0, 1.0)
     mass = np.polynomial.polynomial.polyval(s, anti) - \
         np.polynomial.polynomial.polyval(-1.0, anti)

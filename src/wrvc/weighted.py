@@ -2,7 +2,8 @@
 
 A structure is the tuple (g, f, m, mu) on an n-dimensional chart: a
 metric, a positive density, a real dimensional parameter m >= 0 and an
-auxiliary curvature parameter mu.  With phi = -m ln f the module
+auxiliary curvature parameter mu.  With phi = -m ln f (taken on the
+density's 2-jet, all that the invariants read) the module
 evaluates the drift-modified Ricci and scalar curvatures, the
 trace-adjusted tensors (P, J, Y), the density invariant F_phi, the
 weighted sigma_k curvature, and the quadratic-order conformal change
@@ -50,8 +51,8 @@ class MetricMeasurePoint:
     ``phi()`` and ``weighted_invariants`` are computed once per structure
     and cached on it, like the Christoffel symbols on its metric.  The
     invariants read the structure's 2-jet only: curvature and Hessians take
-    the metric's ``two_jet``, and phi is that of ``two_jet``, the structure
-    truncated to order 2."""
+    the metric's ``two_jet``, and ``phi()`` is that of the density's
+    2-jet."""
 
     def __init__(self, g: MetricAtPoint, f: Jet, m: float, mu: float = 0.0):
         if f.dim != g.n:
@@ -79,38 +80,23 @@ class MetricMeasurePoint:
         self.mu = float(mu)
         self._phi = None
         self._invariants = None
-        self._two_jet = None
-        # the density's 2-jet, a prefix slice of its coefficients
-        self._f2 = f if f.order <= 2 else Jet._unchecked(
-            f.dim, 2, f.coeffs[:n_coeffs(f.dim, 2)])
 
     @property
     def n(self) -> int:
         return self.g.n
 
-    @property
-    def two_jet(self) -> "MetricMeasurePoint":
-        """The structure truncated to order 2, cached: the metric's
-        ``two_jet`` and the density's 2-jet, not re-validated, with their
-        own ``phi()``.  A structure of order <= 2 is its own 2-jet."""
-        if self._two_jet is None:
-            if self.g.order <= 2 and self.f.order <= 2:
-                self._two_jet = self
-            else:
-                view = object.__new__(MetricMeasurePoint)
-                view.g, view.f, view.m, view.mu = self.g.two_jet, self._f2, self.m, self.mu
-                view._phi = view._invariants = None
-                view._f2 = view.f
-                view._two_jet = self._two_jet = view
-        return self._two_jet
-
     def phi(self) -> Jet:
-        """phi = -m ln f (the zero jet when m = 0), cached on the structure."""
+        """phi = -m ln f on the density's 2-jet (the zero jet when m = 0),
+        cached on the structure."""
         if self._phi is None:
+            n, order = self.n, min(self.f.order, 2)
             if self.m == 0:
-                self._phi = Jet.constant(0.0, self.g.n, self.f.order)
+                self._phi = Jet.constant(0.0, n, order)
             else:
-                self._phi = self.f.log() * (-self.m)
+                # the log of a prefix view of f, scaled in place: two jets, not three
+                f2 = Jet._unchecked(n, order, self.f.coeffs[:n_coeffs(n, order)])
+                self._phi = f2.log()
+                self._phi.coeffs *= -self.m
         return self._phi
 
 
@@ -131,7 +117,7 @@ class WeightedInvariants:
 def weighted_invariants(p: MetricMeasurePoint) -> WeightedInvariants:
     """The weighted curvature invariants at the chart point, cached on the
     structure (every caller shares one result).  Curvature and Hessians
-    read the metric's 2-jet, and phi is computed on ``p.two_jet``."""
+    read the metric's 2-jet, and phi that of the density (``p.phi()``)."""
     if p._invariants is None:
         p._invariants = _weighted_invariants(p)
     return p._invariants
@@ -145,7 +131,7 @@ def _weighted_invariants(p: MetricMeasurePoint) -> WeightedInvariants:
     ginv0 = p.g.inverse_matrix
 
     if m > 0:
-        phi = p.two_jet.phi()
+        phi = p.phi()
         dphi = gradient(phi, n)
         ric_phi = ric + hessian(phi, p.g) - np.outer(dphi, dphi) / m
         r_phi = (
@@ -226,7 +212,7 @@ def check_conformal_laws(p: MetricMeasurePoint, omega: Jet) -> ConformalLawRepor
     hat = weighted_invariants(conformal_rescale(p, omega * (-1.0 / N)))
     factor = math.exp(-2.0 * omega.value / N)
 
-    phi = p.two_jet.phi()
+    phi = p.phi()
     g0 = p.g.matrix
     domega = gradient(omega, n)
     grad2 = grad_norm2(omega, p.g)
@@ -296,9 +282,8 @@ def sigma_k_phi(Y: float, P: np.ndarray, g: np.ndarray, m: float, k: int) -> flo
     if k == 0:
         return 1.0
     A = np.linalg.solve(g, P)
-    if m == 0:
-        return elementary_symmetric_matrix(A, k)
-    t = Y / m
+    # at m = 0 only the j = 0 term is left: C(0, j) = 0 for j >= 1
+    t = 0.0 if m == 0 else Y / m
     total = 0.0
     for j in range(k + 1):
         c = generalized_binomial(m, j)

@@ -7,7 +7,7 @@ change that alters CLI output on purpose regenerates them in the same
 commit; ``tests/test_golden.py`` compares the committed files with fresh
 in-process runs.  ``regenerate.py --check`` rewrites nothing: it prints
 how each committed record differs from a fresh one (for a verify record,
-the first check that moved, with its old and new residual) and exits 1
+every check that moved, each with its old and new residual) and exits 1
 when any does.
 
 A record holds the command, the numpy version, the exit status, stderr
@@ -83,27 +83,44 @@ def _checks(stdout: str) -> list:
             for status, name, res, tol in _CHECK_LINE.findall(stdout)]
 
 
-def _first_difference(expected: str, actual: str) -> str:
-    """The first line where two records differ.  When the records differ
-    only in verify checks, that line lies in the first check that moved,
-    which is named with its old and new residual (and status or tolerance,
-    if those moved too)."""
-    pairs = itertools.zip_longest(expected.split("\n"), actual.split("\n"),
-                                  fillvalue="(end of record)")
-    number, (old, new) = next((i, pair) for i, pair in enumerate(pairs, 1)
-                              if pair[0] != pair[1])
+def _residual_lines(text: str) -> list:
+    """The line number of each verify check's residual in a record, in the
+    order of ``_checks``."""
+    lines = text.split("\n")
+    start = lines.index("# stdout") + 1
+    return [number for number, line in enumerate(lines[start:], start + 1)
+            if _CHECK_LINE.search(line) or line.lstrip().startswith('"residual": ')]
+
+
+def _differences(expected: str, actual: str) -> list:
+    """Where two records differ: every verify check that moved, named at the
+    line of its residual with its old and new residual (and status or
+    tolerance, if those moved too), then the first other line that differs,
+    if there is one."""
     want, got = _fields(expected), _fields(actual)
+    found, covered = [], set()
     if all(want[key] == got[key] for key in ("command", "numpy", "exit", "stderr")):
-        for before, after in zip(_checks(want["stdout"]), _checks(got["stdout"])):
-            if before != after:
+        # a JSON check holds its residual, tolerance and status on three lines
+        span = 3 if want["stdout"].startswith("{") else 1
+        for number, before, after in zip(_residual_lines(expected),
+                                         _checks(want["stdout"]), _checks(got["stdout"])):
+            if before != after and before[0] == after[0]:
                 name, passed, residual, tolerance = before
                 moved = "".join(
                     f", {what} {a!r} became {b!r}"
                     for what, a, b in (("passed", passed, after[1]),
                                        ("tolerance", tolerance, after[3])) if a != b)
-                return (f"line {number}: {name} residual {residual!r} "
-                        f"became {after[2]!r}{moved}")
-    return f"line {number}: {old!r} became {new!r}"
+                found.append(f"line {number}: {name} residual {residual!r} "
+                             f"became {after[2]!r}{moved}")
+                covered.update(range(number, number + span))
+    pairs = itertools.zip_longest(expected.split("\n"), actual.split("\n"),
+                                  fillvalue="(end of record)")
+    other = next(((number, pair) for number, pair in enumerate(pairs, 1)
+                  if pair[0] != pair[1] and number not in covered), None)
+    if other is not None:
+        number, (old, new) = other
+        found.append(f"line {number}: {old!r} became {new!r}")
+    return found
 
 
 def compare(expected: str, actual: str) -> list:
@@ -118,8 +135,8 @@ def compare(expected: str, actual: str) -> list:
     want, got = _fields(expected), _fields(actual)
     if want["numpy"] == got["numpy"]:
         return [] if expected == actual else [
-            f"{want['command']}: output differs from the golden record at "
-            f"{_first_difference(expected, actual)}"]
+            f"{want['command']}: output differs from the golden record at {where}"
+            for where in _differences(expected, actual)]
     problems = [f"{want['command']}: {key} differs"
                 for key in ("command", "exit", "stderr") if want[key] != got[key]]
     checks_want, checks_got = _checks(want["stdout"]), _checks(got["stdout"])

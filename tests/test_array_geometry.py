@@ -12,7 +12,10 @@ under test.
 """
 
 import ast
+import dataclasses
+import gc
 import math
+import weakref
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -40,7 +43,7 @@ from wrvc.geometry import (
 from wrvc.jets import Jet, n_coeffs
 from wrvc.models import ModelSpec, builtin_model, load_model_file
 from wrvc.variational import QuadratureGrid
-from wrvc.weighted import weighted_invariants
+from wrvc.weighted import check_conformal_laws, weighted_invariants
 
 REL_TOL = 1e-12
 
@@ -356,6 +359,23 @@ def test_weighted_invariants_builds_few_jets():
     assert counter["built"] <= 2
 
 
+@pytest.mark.parametrize("order", [2, 4])
+def test_evaluated_structures_are_freed_without_the_cycle_collector(order):
+    # the cached 2-jet views and phi hold no reference back to themselves,
+    # so dropping a structure frees its jets at once
+    model = deformed_sphere()
+    gc.disable()
+    try:
+        p = model.structure_at([0.2, -0.1, 0.3], order=order)
+        weighted_invariants(p)
+        check_conformal_laws(p, Jet.variable(0, 0.2, 3, 2) * 0.3)
+        refs = [weakref.ref(obj) for obj in (p, p.g, p.g.two_jet, p.phi().coeffs)]
+        del p
+        assert [ref() for ref in refs] == [None] * 4
+    finally:
+        gc.enable()
+
+
 @pytest.mark.parametrize("model", [
     builtin_model("qe_sphere", 3, 2.0, 1.0),
     builtin_model("hyperbolic_upper_half", 4),
@@ -505,11 +525,15 @@ def test_structure_at_evaluates_each_distinct_ast_once(monkeypatch, model):
     # the deformed sphere's metric has 31 subexpressions and its density
     # 20, of which 17 (the exponent and its parts) are the metric's
     assert len(computed) == {"euclidean": 2, "qe_sphere": 16, "deformed": 34}[model.name]
-    # the same values as the metric and the density on their own
+    # the same values as the metric on its own, and as the density next to
+    # a flat metric instead of the model's
     monkeypatch.undo()
     assert np.array_equal(p.g.G, model.metric_at(model.default_point + 0.1).G)
+    flat = dataclasses.replace(model, g_exprs=[[parse_expression(str(int(i == j)))
+                                                for j in range(model.n)]
+                                               for i in range(model.n)])
     assert np.array_equal(p.f.coeffs,
-                          model.density_at(model.default_point + 0.1).coeffs)
+                          flat.structure_at(model.default_point + 0.1).f.coeffs)
 
 
 def test_deformed_sphere_evaluates_its_exponent_once(monkeypatch):
@@ -521,11 +545,10 @@ def test_deformed_sphere_evaluates_its_exponent_once(monkeypatch):
     model.structure_at([0.2, -0.1, 0.3])
     assert sum(node == omega for node in computed) == 1
     assert sum(node == parse_expression("0.05*x*y") for node in computed) == 1
-    # the density alone, and the metric alone, compute it once as well
-    for evaluate_at in (model.density_at, model.metric_at):
-        computed.clear()
-        evaluate_at([0.2, -0.1, 0.3])
-        assert sum(node == omega for node in computed) == 1
+    # the metric alone computes it once as well
+    computed.clear()
+    model.metric_at([0.2, -0.1, 0.3])
+    assert sum(node == omega for node in computed) == 1
 
 
 def test_expressions_are_evaluated_only_by_models():

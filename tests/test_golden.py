@@ -32,11 +32,13 @@ def _golden(*argv):
     return (golden.GOLDEN_DIR / golden.file_name(list(argv))).read_text()
 
 
-def _move_first_residual_one_ulp(text, key, end):
-    head, sep, tail = text.partition(key)
-    value, _, rest = tail.partition(end)
+def _move_residual_one_ulp(text, key, end, which=0):
+    """Move the residual of check ``which`` (0 = the first) up by one ulp."""
+    parts = text.split(key)
+    value, _, rest = parts[which + 1].partition(end)
     moved = float(np.nextafter(float(value), np.inf))
-    return f"{head}{sep}{moved:.17g}{end}{rest}"
+    parts[which + 1] = f"{moved:.17g}{end}{rest}"
+    return key.join(parts)
 
 
 def _other_numpy(text):
@@ -47,7 +49,7 @@ def test_compare_rejects_a_one_ulp_residual_change():
     for text, key, end in ((_golden("verify", "--seed", "1"), "residual = ", " "),
                            (_golden("verify", "--seed", "1", "--json"),
                             '"residual": ', ",")):
-        mutant = _move_first_residual_one_ulp(text, key, end)
+        mutant = _move_residual_one_ulp(text, key, end)
         assert mutant != text
         assert golden.compare(text, mutant) != []
         # under another numpy version the same move is inside the tolerance
@@ -76,7 +78,7 @@ def test_compare_names_the_first_moved_check_and_its_residuals():
     for flag, line in (([], 8), (["--json"], 12)):
         text = _golden("verify", "--seed", "1", *flag)
         key, end = ("residual = ", " ") if not flag else ('"residual": ', ",")
-        mutant = _move_first_residual_one_ulp(text, key, end)
+        mutant = _move_residual_one_ulp(text, key, end)
         old = golden._checks(golden._fields(text)["stdout"])[0][2]
         new = float(np.nextafter(old, np.inf))
         assert golden.compare(text, mutant) == [
@@ -90,10 +92,46 @@ def test_compare_names_the_first_moved_check_and_its_residuals():
         "record at line 14: 'J           = 1.25' became 'J           = 2.25'"]
 
 
+def test_compare_names_every_moved_check_and_its_residuals(monkeypatch, tmp_path, capsys):
+    argv = ["verify", "--seed", "1"]
+    for flag, at in (([], (8, 11)), (["--json"], (12, 33))):
+        text = _golden(*argv, *flag)
+        key, end = ("residual = ", " ") if not flag else ('"residual": ', ",")
+        mutant = _move_residual_one_ulp(_move_residual_one_ulp(text, key, end, 0),
+                                        key, end, 3)
+        checks = golden._checks(golden._fields(text)["stdout"])
+        moved = [
+            f"# wrvc {' '.join(argv + flag)}: output differs from the golden record "
+            f"at line {line}: {checks[k][0]} residual {checks[k][2]!r} became "
+            f"{float(np.nextafter(checks[k][2], np.inf))!r}"
+            for line, k in zip(at, (0, 3))]
+        assert [name for name, *_ in checks[:4:3]] == ["jets/ring_associativity",
+                                                        "jets/exp_homomorphism"]
+        assert golden.compare(text, mutant) == moved
+        # a line that differs outside the checks comes after them
+        lines = text.split("\n")
+        number = len(lines) - (3 if flag else 2)   # seed, or the check count
+        changed = lines[number - 1] + " "
+        other = mutant.replace(lines[number - 1], changed)
+        assert golden.compare(text, other) == moved + [
+            f"# wrvc {' '.join(argv + flag)}: output differs from the golden record "
+            f"at line {number}: {lines[number - 1]!r} became {changed!r}"]
+    # --check prints the same lines
+    (tmp_path / golden.file_name(argv)).write_text(
+        _move_residual_one_ulp(_move_residual_one_ulp(_golden(*argv), "residual = ", " ", 0),
+                               "residual = ", " ", 3))
+    monkeypatch.setattr(golden, "GOLDEN_DIR", tmp_path)
+    monkeypatch.setattr(golden, "invocations", lambda: [argv])
+    assert golden.main(["--check"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split(": ")[2].split()[0] for line in out] == [
+        "jets/ring_associativity", "jets/exp_homomorphism"]
+
+
 def test_check_reports_without_rewriting(monkeypatch, tmp_path, capsys):
     argv = ["verify", "--seed", "1"]
     text = _golden(*argv)
-    mutant = _move_first_residual_one_ulp(text, "residual = ", " ")
+    mutant = _move_residual_one_ulp(text, "residual = ", " ")
     (tmp_path / golden.file_name(argv)).write_text(mutant)
     monkeypatch.setattr(golden, "GOLDEN_DIR", tmp_path)
     monkeypatch.setattr(golden, "invocations", lambda: [argv, ["vk", "--model", "qe_sphere"]])

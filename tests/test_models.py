@@ -184,18 +184,24 @@ def test_one_memoized_pass_matches_evaluating_each_expression(texts, on_jets):
 
 
 def test_shared_subexpression_errors_keep_their_own_positions(tmp_path):
-    # q*x is unknown in the metric at offset 6 and in the density at offset 4
+    # q*x is unknown in the metric at offset 6 and in the density at offset 4;
+    # every pass evaluates the metric first, so the metric's offset is named
     path = tmp_path / "shared.cfg"
     path.write_text("[space]\nn = 2\nm = 2\n\n[metric]\ng_11 = 1+exp(q*x)\n"
                     "g_22 = 1\n\n[density]\nf = exp(q*x)+2\n")
     spec = load_model_file(path)
-    for evaluate_at, offset in ((spec.structure_at, 6), (spec.metric_at, 6),
-                                (spec.density_at, 4)):
-        with pytest.raises(ExpressionError, match=rf"'q' \(at offset {offset}\)$"):
+    for evaluate_at in (spec.structure_at, spec.metric_at):
+        with pytest.raises(ExpressionError, match=r"'q' \(at offset 6\)$"):
             evaluate_at([0.1, 0.2])
 
 
 # -- builtin models --------------------------------------------------------
+
+
+def random_points(spec, rng, count):
+    """Points in the box of half-width 0.8 around the model's default point,
+    which lies inside the chart for every built-in model."""
+    return spec.default_point + rng.uniform(-0.8, 0.8, size=(count, spec.n))
 
 
 def test_unknown_model_name():
@@ -225,7 +231,7 @@ def test_qe_sphere_constants():
 def test_qe_sphere_many_points():
     spec = builtin_model("qe_sphere", 3, 2, 1)
     rng = np.random.default_rng(4)
-    for point in spec.random_points(rng, 20):
+    for point in random_points(spec, rng, 20):
         p = spec.structure_at(point)
         _, res = quasi_einstein_residual(
             weighted_invariants(p), p.g.matrix, 3, 2.0
@@ -243,7 +249,7 @@ def test_euclidean_invariants_vanish():
 def test_round_sphere_unweighted_curvature():
     spec = builtin_model("round_sphere_stereographic", 3)
     rng = np.random.default_rng(5)
-    for point in spec.random_points(rng, 5):
+    for point in random_points(spec, rng, 5):
         p = spec.structure_at(point)
         w = weighted_invariants(p)
         assert np.allclose(w.ric_phi, 2.0 * p.g.matrix, atol=1e-10)
@@ -262,10 +268,10 @@ def test_random_points_box_around_default_point():
     for name in ("euclidean", "round_sphere_stereographic", "qe_sphere"):
         spec = builtin_model(name, 3)
         rng, twin = np.random.default_rng(8), np.random.default_rng(8)
-        assert np.array_equal(spec.random_points(rng, 7),
+        assert np.array_equal(random_points(spec, rng, 7),
                               twin.uniform(-0.8, 0.8, size=(7, 3)))
     spec = builtin_model("hyperbolic_upper_half", 3)
-    pts = spec.random_points(np.random.default_rng(8), 200)
+    pts = random_points(spec, np.random.default_rng(8), 200)
     assert np.all((pts[:, -1] > 0.2) & (pts[:, -1] < 1.8))
     assert pts[:, -1].min() < 0.3
     for point in list(pts[:: 20]) + [pts[np.argmin(pts[:, -1])]]:
@@ -277,14 +283,14 @@ def test_builtin_models_evaluate_on_domain():
     for name in BUILTIN_NAMES:
         spec = builtin_model(name, 3, m=2.0 if name == "qe_sphere" else None,
                              mu=1.0 if name == "qe_sphere" else None)
-        for point in spec.random_points(rng, 10):
+        for point in random_points(spec, rng, 10):
             spec.structure_at(point)   # must not raise
 
 
 def test_domain_predicate_rejects_points_off_the_domain():
     spec = builtin_model("hyperbolic_upper_half", 2, m=1.0)
     for point in ([0.0, -1.0], [0.4, 0.0], [-2.0, -1e-12]):
-        for evaluate_at in (spec.metric_at, spec.density_at, spec.structure_at):
+        for evaluate_at in (spec.metric_at, spec.structure_at):
             with pytest.raises(DomainError, match=r"\(model domain: points with "
                                r"y > 0\): the point lies outside the domain"):
                 evaluate_at(point)
@@ -306,7 +312,7 @@ def test_quasi_einstein_ambient_structure():
     point = [0.1, 0.2, 0.0]
     a = spec.ambient_at(point, K=5)
     g0 = spec.metric_at(point, 0).matrix
-    f0 = spec.density_at(point, 0).value
+    f0 = spec.structure_at(point, 0).f.value
     lam = spec.lam
     assert np.allclose(a.gcoeffs[0], g0)
     assert np.allclose(a.gcoeffs[1], 2 * lam * g0)
@@ -344,7 +350,7 @@ def test_non_finite_density_raises_domain_error():
     with np.errstate(all="raise"):   # any warning left unsuppressed raises
         with pytest.raises(DomainError, match=r"density of model 'euclidean' "
                            r"is not finite at point \(1000, 0\)"):
-            spec.density_at([1000.0, 0.0])
+            spec.structure_at([1000.0, 0.0])
 
 
 def test_missing_lambda_errors():
@@ -531,7 +537,7 @@ def test_pointwise_methods_take_one_point_only():
     # node arrays are for grids; a pointwise method rejects them
     spec = builtin_model("qe_sphere", 3, 2.0, 1.0)
     for bad in (np.zeros((4, 3)), 0.5, [0.0, 0.0]):
-        for evaluate_at in (spec.metric_at, spec.density_at, spec.structure_at):
+        for evaluate_at in (spec.metric_at, spec.structure_at):
             with pytest.raises(ModelError, match="needs a point with 3 coordinates"):
                 evaluate_at(bad)
 

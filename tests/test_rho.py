@@ -24,7 +24,6 @@ from wrvc.rho import (
     poincare_to_ambient,
     save_ambient_file,
     volume_coefficients,
-    volume_series,
 )
 from wrvc.weighted import sigma_k_phi
 
@@ -336,7 +335,7 @@ def test_dimensional_parameter_must_be_finite_and_non_negative(m):
     message = "dimensional parameter m must be finite and >= 0"
     for call in (lambda: volume_coefficients(a, m), lambda: l_operator(a, m, 2),
                  lambda: check_determinacy(3, m, 2), lambda: determinacy_cap(3, m),
-                 lambda: volume_series(a, m), lambda: l_operator_series(a, m)):
+                 lambda: l_operator_series(a, m)):
         with pytest.raises(DomainError, match=message):
             call()
     # rejected before the expansion's per-m cache: no entry is added
@@ -428,7 +427,8 @@ def test_jacobi_volume_series_matches_determinant_oracle(n, K, m, seed):
     log_det = (det * (1.0 / det.coeffs[0])).scalar_log().coeffs
     log_f = (a.f_series() * (1.0 / a.f)).scalar_log().coeffs
     ref = RhoSeries(m * log_f + 0.5 * log_det).scalar_exp().coeffs
-    got = volume_series(a, m).coeffs
+    # the series itself: past the determinacy order, volume_coefficients raises
+    got = a._volume(m).coeffs
     assert got.shape == ref.shape
     assert np.max(np.abs(got - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
 
@@ -468,7 +468,6 @@ def test_derived_series_computed_once_per_expansion_and_m(monkeypatch):
 # every public reader of the cached series, as (a, m) -> array
 READERS = [
     lambda a, m: volume_coefficients(a, m).v,
-    lambda a, m: volume_series(a, m).coeffs,
     lambda a, m: l_operator_series(a, m).coeffs,
     lambda a, m: lambda_one_series(a).coeffs,
     lambda a, m: np.array(f_second_residual(a, m)),
@@ -495,7 +494,7 @@ def test_expansion_and_cached_arrays_are_read_only():
     fc[1] += 1.0
     assert np.array_equal(volume_coefficients(a, 2.5).v, before)
     cached = [a.gcoeffs, a.fcoeffs, a.g, volume_coefficients(a, 2.5).v,
-              volume_series(a, 2.5).coeffs, l_operator_series(a, 2.5).coeffs,
+              l_operator_series(a, 2.5).coeffs,
               lambda_one_series(a).coeffs, a.g_series().coeffs]
     for arr in cached:
         with pytest.raises(ValueError, match="read-only"):
@@ -507,8 +506,9 @@ def test_expansion_and_cached_arrays_are_read_only():
     L = l_operator(a, 2.5, 1)
     L[0, 0] = 1.0
     obstruction_tensors(a).omegas[0][0, 0] = 1.0
-    volume_series(a, 2.5).coeffs = np.zeros(5)
+    l_operator_series(a, 2.5).coeffs = np.zeros(5)
     assert np.array_equal(volume_coefficients(a, 2.5).v, before)
+    assert np.array_equal(l_operator_series(a, 2.5).coeffs[1], -l_operator(a, 2.5, 1))
 
 
 # -- L operator ----------------------------------------------------------------

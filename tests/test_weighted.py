@@ -269,8 +269,10 @@ def test_conformal_laws_evaluate_the_base_structure_once(monkeypatch):
     assert got == expected
     assert sum(metric is p.g for metric in metrics) == 1
     assert len(metrics) == 21   # plus one per rescaled structure
-    # phi is read at order 2: the log of the density's 2-jet, taken once
-    assert sum(jet is p.two_jet.f for jet in logs) == 1
+    # phi is read at order 2: the log of the density's 2-jet, a view of its
+    # coefficients, taken once
+    assert sum(jet.order == 2 and np.shares_memory(jet.coeffs, p.f.coeffs)
+               for jet in logs) == 1
     assert not any(jet is p.f for jet in logs)
     assert p.phi() is p.phi()
     assert weighted_invariants(p) is weighted_invariants(p)
