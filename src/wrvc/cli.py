@@ -29,9 +29,11 @@ class UsageError(WrvcError):
     pass
 
 
-def _at_most(value, limit: int, flag: str):
-    if value is not None and value > limit:
-        raise UsageError(f"{flag} {value} is above the largest supported value {limit}")
+def _within(value, low: int, high: int, flag: str):
+    if value is not None and value < low:
+        raise UsageError(f"{flag} {value} is below the smallest supported value {low}")
+    if value is not None and value > high:
+        raise UsageError(f"{flag} {value} is above the largest supported value {high}")
     return value
 
 
@@ -197,7 +199,7 @@ def cmd_curvature(args) -> int:
 
 
 def cmd_vk(args) -> int:
-    order = _at_most(args.order, MAX_AMBIENT_ORDER, "--order")
+    order = _within(args.order, 1, MAX_AMBIENT_ORDER, "--order")
     model = resolve_model(args)
     point = (parse_point(args.point, model.n) if args.point
              else model.default_point)

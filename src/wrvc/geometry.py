@@ -8,11 +8,16 @@ first derivatives at the point, so they work on the metric's 2-jet
 (``MetricAtPoint.two_jet``, a prefix slice of ``G`` in the graded layout).
 
 The metric is held as a coefficient array ``G`` of shape (n, n, ncoef)
-(see ``wrvc.jets``), and the inverse, determinant, Christoffel symbols and
-conformal rescale are jet-matrix products on it (``jets.product_coeffs``,
-gathered product triples): the inverse is the Neumann series
+(see ``wrvc.jets``), or (..., n, n, ncoef) for a stack of metrics at one
+point, and the inverse, determinant, Christoffel symbols and conformal
+rescale are jet-matrix products on it (``jets.product_coeffs``, gathered
+product triples): the inverse is the Neumann series
 ``sum_k (-G0^{-1} N)^k G0^{-1}`` in the part ``N`` of ``G`` with zero
-constant term, which is nilpotent in the truncated ring.
+constant term, which is nilpotent in the truncated ring.  Everything but
+the determinant takes the leading batch axes of a stack: one call
+evaluates every metric of it, each row with the arithmetic it has alone
+(the same einsum subscripts with ``...``, per-row sums), and a single
+metric is the batch shape ().
 
 Sign convention: ``R^a_{bcd} = d_c Gamma^a_{db} - d_d Gamma^a_{cb}
 + Gamma^a_{ce} Gamma^e_{db} - Gamma^a_{de} Gamma^e_{cb}`` with
@@ -42,13 +47,13 @@ from .jets import (
 
 
 def _inverse_coeffs(G: np.ndarray, dim: int, order: int, G0inv: np.ndarray) -> np.ndarray:
-    """Inverse of the jet matrix G (n, n, ncoef) by the Neumann series
+    """Inverses of the jet matrices G (..., n, n, ncoef) by the Neumann series
     sum_{k <= order} X^k G0^{-1} with X = -G0^{-1} N, evaluated by Horner;
-    ``G0inv`` is the inverse of the constant term G0."""
-    X = -np.einsum("ik,kjc->ijc", G0inv, G)
-    X[:, :, 0] = 0.0
+    ``G0inv`` (..., n, n) holds the inverses of the constant terms G0."""
+    X = -np.einsum("...ik,...kjc->...ijc", G0inv, G)
+    X[..., 0] = 0.0
     Y0 = np.zeros_like(X)
-    Y0[:, :, 0] = G0inv
+    Y0[..., 0] = G0inv
     Y = Y0
     for _ in range(order):
         Y = Y0 + product_coeffs(X, Y, dim, order, matmul=True)
@@ -69,34 +74,72 @@ def _det_coeffs(G: np.ndarray, dim: int, order: int, G0inv: np.ndarray) -> np.nd
     return np.linalg.det(G[:, :, 0]) * compose_coeffs(log_det, exp_coeffs, dim, order)
 
 
-class MetricAtPoint:
-    """A Riemannian metric's jets at one chart point.
+def stack_note(index) -> str:
+    """The words that name structure ``index`` of a stack in an error
+    message: nothing for a single structure (``index == ()``)."""
+    index = tuple(int(i) for i in index)
+    if not index:
+        return ""
+    return f" in structure {index[0] if len(index) == 1 else index} of the stack"
 
-    ``G`` is the (n, n, ncoef) coefficient array of the metric jets,
-    symmetric coefficient-wise, with a positive-definite constant-term
-    matrix; the jet order is the one with ``ncoef = n_coeffs(n, order)``.
-    The inverse of the constant term is computed once and shared with the
-    cached 2-jet view ``two_jet``.
+
+def _require_positive_definite(g0: np.ndarray):
+    """A ``DomainError`` naming the first matrix of g0 (..., n, n) that has
+    no Cholesky factor."""
+    try:
+        np.linalg.cholesky(g0)
+    except np.linalg.LinAlgError:
+        for where in np.ndindex(g0.shape[:-2]):
+            try:
+                np.linalg.cholesky(g0[where])
+            except np.linalg.LinAlgError:
+                raise DomainError("constant-term metric is not positive definite"
+                                  + stack_note(where)) from None
+
+
+def _jet_coeffs(u, n: int, least: int, what: str) -> np.ndarray:
+    """The coefficient array of a jet in ``n`` variables, or of jets given
+    as an array (..., ncoef), checked to be of order >= ``least``."""
+    if isinstance(u, Jet):
+        if u.dim != n:
+            raise DimensionMismatch(f"jet of dimension {u.dim} in a chart of dimension {n}")
+        coeffs, order = u.coeffs, u.order
+    else:
+        coeffs, order = u, jet_order(n, u.shape[-1])
+    if order < least:
+        raise OrderError(f"{what} needs a jet of order >= {least}")
+    return coeffs
+
+
+class MetricAtPoint:
+    """A Riemannian metric's jets at one chart point, or a stack of them.
+
+    ``G`` is the (..., n, n, ncoef) coefficient array of the metric jets.
+    Leading batch axes, if any, index a stack of metrics at one chart
+    point, and every function below acts on the whole stack at once, each
+    row with the arithmetic of that metric alone; a single metric is the
+    batch shape ().  Each metric is symmetric coefficient-wise, with a
+    positive-definite constant-term matrix (a failure names the metric's
+    index in the stack); the jet order is the one with
+    ``ncoef = n_coeffs(n, order)``.  The inverse of the constant term is
+    computed once and shared with the cached 2-jet view ``two_jet``.
     """
 
     def __init__(self, G: np.ndarray, point):
         G = np.asarray(G, dtype=float)
-        if G.ndim != 3 or G.shape[0] != G.shape[1]:
+        if G.ndim < 3 or G.shape[-3] != G.shape[-2]:
             raise DimensionMismatch(
-                f"metric coefficients need shape (n, n, ncoef), got {G.shape}"
+                f"metric coefficients need shape (..., n, n, ncoef), got {G.shape}"
             )
-        n = G.shape[0]
-        order = jet_order(n, G.shape[2])
-        transposed = G.transpose(1, 0, 2)
+        n = G.shape[-2]
+        order = jet_order(n, G.shape[-1])
+        transposed = G.swapaxes(-3, -2)
         if not np.array_equal(G, transposed):
-            symmetric = np.isclose(G, transposed, atol=1e-12).all(axis=2)
+            symmetric = np.isclose(G, transposed, atol=1e-12).all(axis=-1)
             if not symmetric.all():
-                i, j = np.argwhere(~symmetric)[0]
-                raise DomainError(f"metric jets not symmetric at ({i},{j})")
-        try:
-            np.linalg.cholesky(G[:, :, 0])
-        except np.linalg.LinAlgError:
-            raise DomainError("constant-term metric is not positive definite")
+                *where, i, j = np.argwhere(~symmetric)[0]
+                raise DomainError(f"metric jets not symmetric at ({i},{j}){stack_note(where)}")
+        _require_positive_definite(G[..., 0])
         self.n = n
         self.G = G
         self.point = np.asarray(point, dtype=float)
@@ -108,12 +151,12 @@ class MetricAtPoint:
     @property
     def matrix(self) -> np.ndarray:
         """Constant-term metric matrix g_ij at the point."""
-        return self.G[:, :, 0].copy()
+        return self.G[..., 0].copy()
 
     def _inverse0(self) -> np.ndarray:
         """The cached inverse of the constant-term matrix (not a copy)."""
         if self._ginv0 is None:
-            self._ginv0 = np.linalg.inv(self.G[:, :, 0])
+            self._ginv0 = np.linalg.inv(self.G[..., 0])
         return self._ginv0
 
     @property
@@ -132,50 +175,53 @@ class MetricAtPoint:
         if self._two_jet is None:
             view = object.__new__(MetricAtPoint)
             view.n, view.point, view.order = self.n, self.point, 2
-            view.G = self.G[:, :, :n_coeffs(self.n, 2)]
+            view.G = self.G[..., :n_coeffs(self.n, 2)]
             view._ginv0 = self._inverse0()
             view._gamma = view._two_jet = None
             self._two_jet = view
         return self._two_jet
 
     def det_jet(self) -> Jet:
+        """det g as a jet (a single metric only)."""
         return Jet._unchecked(
             self.n, self.order, _det_coeffs(self.G, self.n, self.order, self._inverse0())
         )
 
-    def rescale(self, factor: Jet) -> "MetricAtPoint":
-        """Pointwise conformal rescale g -> factor * g (factor a positive jet)."""
-        if factor.dim != self.n:
-            raise DimensionMismatch(
-                f"jet dims differ: {self.n} vs {factor.dim}"
-            )
-        order = min(self.order, factor.order)
+    def rescale(self, factor) -> "MetricAtPoint":
+        """Pointwise conformal rescale g -> factor * g, for a positive jet
+        ``factor`` or positive jets (..., ncoef): a stack, one metric per
+        row of ``factor``, broadcast against the metric's own batch axes."""
+        factor = _jet_coeffs(factor, self.n, 0, "rescale")
+        order = min(self.order, jet_order(self.n, factor.shape[-1]))
         nc = n_coeffs(self.n, order)
-        G = product_coeffs(factor.coeffs[:nc], self.G[:, :, :nc], self.n, order)
+        G = product_coeffs(factor[..., None, None, :nc], self.G[..., :nc], self.n, order)
         return MetricAtPoint(G, self.point)
 
 
 @dataclass
 class CurvatureBundle:
-    """Pointwise curvature tensors at the point."""
+    """Pointwise curvature tensors at the point, with the metric's batch axes
+    leading."""
 
     riem: np.ndarray      # R_{ijkl}, antisymmetric pairs (ij) and (kl)
     ric: np.ndarray       # Ric_ij
-    scalar: float
+    scalar: float         # an array of the batch shape for a stack
 
 
 def _christoffel_coeffs(metric: MetricAtPoint) -> np.ndarray:
-    """Gamma^k_{ij} as a (n, n, n, ncoef) array at the metric order - 1."""
+    """Gamma^k_{ij} as a (..., n, n, n, ncoef) array at the metric order - 1."""
     n, order = metric.n, metric.order - 1
     nc = n_coeffs(n, order)
-    ginv = _inverse_coeffs(metric.G[:, :, :nc], n, order, metric._inverse0())
-    dg = derivative_coeffs(metric.G, n, metric.order)  # dg[l, i, j] = d_l g_ij
+    ginv = _inverse_coeffs(metric.G[..., :nc], n, order, metric._inverse0())
+    dg = derivative_coeffs(metric.G, n, metric.order)  # dg[l, ..., i, j] = d_l g_ij
     # first-kind symbols [ij, l] = d_i g_jl + d_j g_il - d_l g_ij, indexed (l, i, j)
-    first = np.einsum("ijlc->lijc", dg) + np.einsum("jilc->lijc", dg) - dg
-    gamma = 0.5 * product_coeffs(ginv, first.reshape(n, n * n, nc), n, order, matmul=True)
-    gamma = gamma.reshape(n, n, n, nc)
+    first = (np.einsum("i...jlc->...lijc", dg) + np.einsum("j...ilc->...lijc", dg)
+             - np.einsum("l...ijc->...lijc", dg))
+    gamma = 0.5 * product_coeffs(ginv, first.reshape(*first.shape[:-3], n * n, nc),
+                                 n, order, matmul=True)
+    gamma = gamma.reshape(first.shape)
     rows, cols = _upper_pairs(n)
-    gamma[:, cols, rows] = gamma[:, rows, cols]   # exactly symmetric in (i, j)
+    gamma[..., cols, rows, :] = gamma[..., rows, cols, :]   # exactly symmetric in (i, j)
     return gamma
 
 
@@ -187,7 +233,7 @@ def _upper_pairs(n: int):
 # christoffel and curvature keep their names: perfbench/tracing.py times them
 def christoffel(metric: MetricAtPoint) -> np.ndarray:
     """Christoffel symbols Gamma^k_{ij}, cached on the metric, as a
-    (n, n, n, ncoef) coefficient array at the metric order - 1."""
+    (..., n, n, n, ncoef) coefficient array at the metric order - 1."""
     if metric._gamma is None:
         if metric.order < 1:
             raise OrderError("christoffel needs metric jets of order >= 1")
@@ -197,64 +243,83 @@ def christoffel(metric: MetricAtPoint) -> np.ndarray:
 
 def curvature(metric: MetricAtPoint) -> CurvatureBundle:
     """Riemann, Ricci and scalar curvature values at the point, from the
-    Christoffel symbols of the metric's 2-jet."""
+    Christoffel symbols of the metric's 2-jet; for a stack, one row per
+    metric."""
     if metric.order < 2:
         raise OrderError("curvature needs metric jets of order >= 2")
     metric = metric.two_jet
     coeffs = christoffel(metric)
-    g0 = metric.G[:, :, 0]
-    ginv0 = metric._inverse0()
     gv = coeffs[..., 0]
-    # dgv[l, k, i, j] = d_l Gamma^k_{ij}
-    dgv = np.moveaxis(coeffs[..., gradient_index(metric.n)], -1, 0)
+    # dgv[..., l, k, i, j] = d_l Gamma^k_{ij}, C-ordered: the layout fixes the
+    # strides of every view below and so the order of the einsum sums
+    dgv = coeffs.transpose(*range(coeffs.ndim - 4), -1, -4, -3, -2).take(
+        gradient_index(metric.n), axis=-4)
 
     # R^a_{bcd} with the antisymmetric derivative pair in (c, d)
     up = (
-        np.einsum("cadb->abcd", dgv)
-        - np.einsum("dacb->abcd", dgv)
-        + np.einsum("ace,edb->abcd", gv, gv)
-        - np.einsum("ade,ecb->abcd", gv, gv)
+        np.einsum("...cadb->...abcd", dgv)
+        - np.einsum("...dacb->...abcd", dgv)
+        + np.einsum("...ace,...edb->...abcd", gv, gv)
+        - np.einsum("...ade,...ecb->...abcd", gv, gv)
     )
-    riem = np.einsum("ae,ebcd->abcd", g0, up)
-    ric = np.einsum("abad->bd", up)
-    scalar = float(np.einsum("bd,bd->", ginv0, ric))
-    return CurvatureBundle(riem=riem, ric=ric, scalar=scalar)
+    riem = np.einsum("...ae,...ebcd->...abcd", metric.G[..., 0], up)
+    ric = np.einsum("...abad->...bd", up)
+    return CurvatureBundle(riem=riem, ric=ric, scalar=trace(metric, ric))
 
 
-def hessian(u: Jet, metric: MetricAtPoint) -> np.ndarray:
+# -- scalar jets on a metric ---------------------------------------------------
+#
+# u, v and phi below are jets, or jets given as coefficient arrays (..., ncoef)
+# in the chart's n variables; values broadcast against a stack of metrics.
+
+
+def trace(metric: MetricAtPoint, h: np.ndarray):
+    """g^{ij} h_ij at the point, for a (..., n, n) array h."""
+    return np.einsum("...ij,...ij->...", metric._inverse0(), h)
+
+
+def inner(metric: MetricAtPoint, du: np.ndarray, dv: np.ndarray):
+    """g^{ij} du_i dv_j at the point, for covectors (..., n)."""
+    ginv = metric._inverse0()
+    if du.ndim == dv.ndim == ginv.ndim - 1 == 1:   # one row: no stack indexing
+        return du @ ginv @ dv
+    # each row a gemv and a dot, as one row alone
+    return (du[..., None, :] @ ginv @ dv[..., :, None])[..., 0, 0]
+
+
+# the gathers below are ``take``s: a C-ordered result, whatever the stack, so
+# the matmul and einsum kernels see the same strides in every row (a stack
+# gathered by a[..., idx] comes out transposed, and BLAS sums a strided
+# vector in another order)
+
+
+def gradient(u, n: int) -> np.ndarray:
+    return _jet_coeffs(u, n, 1, "gradient").take(gradient_index(n), axis=-1)
+
+
+def hessian(u, metric: MetricAtPoint) -> np.ndarray:
     """Covariant Hessian (nabla^2 u)_ij at the point (Gamma from the
-    metric's 2-jet)."""
-    if u.order < 2:
-        raise OrderError("hessian needs a jet of order >= 2")
-    du = gradient(u, metric.n)
+    metric's 2-jet), of shape (..., n, n) for jets u or metrics in a stack."""
+    u = _jet_coeffs(u, metric.n, 2, "hessian")
     slots, factors = hessian_index(metric.n)
     gamma0 = christoffel(metric.two_jet)[..., 0]
-    return u.coeffs[slots] * factors - np.einsum("kij,k->ij", gamma0, du)
+    du = u.take(gradient_index(metric.n), axis=-1)
+    return u.take(slots, axis=-1) * factors - np.einsum("...kij,...k->...ij", gamma0, du)
 
 
-def gradient(u: Jet, n: int) -> np.ndarray:
-    if u.dim != n:
-        raise DimensionMismatch(f"jet of dimension {u.dim} in a chart of dimension {n}")
-    if u.order < 1:
-        raise OrderError("gradient needs a jet of order >= 1")
-    return u.coeffs[gradient_index(n)]
+def laplacian(u, metric: MetricAtPoint):
+    return trace(metric, hessian(u, metric))
 
 
-def laplacian(u: Jet, metric: MetricAtPoint) -> float:
-    return float(np.einsum("ij,ij->", metric._inverse0(), hessian(u, metric)))
-
-
-def grad_norm2(u: Jet, metric: MetricAtPoint) -> float:
+def grad_norm2(u, metric: MetricAtPoint):
     du = gradient(u, metric.n)
-    return float(du @ metric._inverse0() @ du)
+    return inner(metric, du, du)
 
 
-def grad_inner(u: Jet, v: Jet, metric: MetricAtPoint) -> float:
-    du = gradient(u, metric.n)
-    dv = gradient(v, metric.n)
-    return float(du @ metric._inverse0() @ dv)
+def grad_inner(u, v, metric: MetricAtPoint):
+    return inner(metric, gradient(u, metric.n), gradient(v, metric.n))
 
 
-def weighted_laplacian(u: Jet, phi: Jet, metric: MetricAtPoint) -> float:
+def weighted_laplacian(u, phi, metric: MetricAtPoint):
     """Drift Laplacian: Delta u - <grad phi, grad u>_g."""
     return laplacian(u, metric) - grad_inner(phi, u, metric)

@@ -13,11 +13,13 @@ anywhere downstream.
 The one product structure is ``_product_triples(dim, order)``: every pair
 of monomials whose product survives the truncation, sorted by product
 slot.  A scalar product gathers both factors by it and adds by
-``bincount`` (``mul_coeffs``); jet arrays multiply entrywise or as jet
-matrices by gathering, contracting and adding each slot's run of
-triples with one ``reduceat`` (``product_coeffs``).  No multiplication
-operator of (ncoef, ncoef) entries is built, and composition with
-exp, log and powers is Horner on the scalar product (``compose_coeffs``).
+``bincount`` (``mul_coeffs``; a stack of scalar jets offsets each row's
+slots); jet arrays multiply entrywise or as jet matrices by gathering,
+contracting and adding each slot's run of triples with one ``reduceat``
+(``product_coeffs``).  No multiplication operator of (ncoef, ncoef)
+entries is built, and composition with exp, log and powers is Horner on
+the scalar product (``compose_coeffs``; ``compose_rows`` composes exp or
+log with every row of a stack at its own constant term).
 """
 
 from __future__ import annotations
@@ -127,28 +129,50 @@ def jet_order(dim: int, nc: int) -> int:
 # -- coefficient-array arithmetic ---------------------------------------------
 #
 # A jet-valued tensor is a float array of shape (..., ncoef): the leading axes
-# index the tensor entries, the last one the graded monomials of one
-# (dim, order).  The functions below act on such arrays directly, so a matrix
-# of jets costs a few numpy calls instead of one Python object per entry.
+# index the tensor entries (and, before them, the structures of a stack), the
+# last one the graded monomials of one (dim, order).  The functions below act
+# on such arrays directly, so a matrix of jets costs a few numpy calls instead
+# of one Python object per entry, and each row of a stack gets the arithmetic
+# it would get alone.
 
 
 def mul_coeffs(a: np.ndarray, b: np.ndarray, dim: int, order: int) -> np.ndarray:
-    """Truncated product of two scalar jets given as coefficient vectors."""
+    """Truncated products of scalar jets given as coefficient arrays (...,
+    ncoef), broadcast over the leading axes.  Each product slot adds its
+    terms by ``bincount`` in triple order; a stack offsets each row's slots
+    by its row, so a row's sums are those of that row alone."""
     # bincount, not reduceat: reduceat was ~15% slower at (3, 4) and moved ring residuals
     ia, ib, ic, _ = _product_triples(dim, order)
-    return np.bincount(ic, a[ia] * b[ib], minlength=a.shape[-1])
+    if a.ndim + b.ndim == 2:   # one row: offset 0, and a[ia] gathers ~5x faster than a[..., ia]
+        return np.bincount(ic, a[ia] * b[ib], minlength=a.shape[-1])
+    terms = a.take(ia, axis=-1) * b.take(ib, axis=-1)
+    rows, nc = terms.shape[:-1], a.shape[-1]
+    count = math.prod(rows)
+    return np.bincount(_row_slots(dim, order, count), terms.ravel(),
+                       minlength=count * nc).reshape(*rows, nc)
+
+
+@lru_cache(maxsize=None)
+def _row_slots(dim: int, order: int, count: int) -> np.ndarray:
+    """The product slots of ``count`` stacked rows, flat: row r's triples
+    land in slots offset by r * ncoef."""
+    ic = _product_triples(dim, order)[2]
+    slots = (ic + n_coeffs(dim, order) * np.arange(count)[:, None]).ravel()
+    slots.flags.writeable = False
+    return slots
 
 
 def product_coeffs(a: np.ndarray, b: np.ndarray, dim: int, order: int,
                    matmul: bool = False) -> np.ndarray:
     """Truncated products of jet arrays a and b (..., ncoef) of one (dim,
-    order): entrywise with broadcasting, or as jet matrices (p, q, ncoef)
-    and (q, r, ncoef) when ``matmul``.  The gathered terms of each product
-    slot are one run of the triples, added by one ``reduceat``."""
+    order): entrywise with broadcasting, or as jet matrices (..., p, q,
+    ncoef) and (..., q, r, ncoef) when ``matmul``, broadcast over the axes
+    before the matrix axes.  The gathered terms of each product slot are
+    one run of the triples, added by one ``reduceat``."""
     ia, ib, _, starts = _product_triples(dim, order)
     # take, not a[..., ia]: 1.3-3x faster on the last axis at n = 3, orders 1-4
     a, b = a.take(ia, axis=-1), b.take(ib, axis=-1)
-    terms = np.einsum("ijt,jkt->ikt", a, b) if matmul else a * b
+    terms = np.einsum("...ijt,...jkt->...ikt", a, b) if matmul else a * b
     return np.add.reduceat(terms, starts, axis=-1)
 
 
@@ -162,16 +186,45 @@ def derivative_coeffs(a: np.ndarray, dim: int, order: int) -> np.ndarray:
 
 
 def compose_coeffs(a: np.ndarray, c: np.ndarray, dim: int, order: int) -> np.ndarray:
-    """sum_k c[k] (a - a0)^k for a scalar jet a, by Horner on ``mul_coeffs``
+    """sum_k c[..., k] (a - a0)^k for scalar jets a (..., ncoef) and their
+    univariate coefficients c (..., order + 1), by Horner on ``mul_coeffs``
     (exact to the truncation order)."""
+    # x.T[0] is the constant slot of every row: a scalar for one jet (~4x
+    # faster than x[..., 0] there), a view for a stack
     u = a.copy()
-    u[0] = 0.0
+    u.T[0] = 0.0
+    c = c.T
     out = np.zeros_like(u)
-    out[0] = c[order]
+    out.T[0] = c[order]
     for k in range(order - 1, -1, -1):
         out = mul_coeffs(u, out, dim, order)
-        out[0] += c[k]
+        out.T[0] += c[k]
     return out
+
+
+def compose_rows(fn: str, a: np.ndarray, dim: int, order: int,
+                 alpha: float | None = None) -> np.ndarray:
+    """The analytic function ``fn`` composed with jets a (..., ncoef), each
+    row at its own constant term (``Jet.apply``); a stack of rows takes exp
+    and log, with the arithmetic of each row alone."""
+    a0 = a[0] if a.ndim == 1 else a[..., :1]
+    return compose_coeffs(a, _univariate_coeffs(fn, a0, order, alpha), dim, order)
+
+
+def any_true(mask) -> bool:
+    """np.any of a bool array or scalar: a scalar's own truth costs ~1/30 of
+    np.any, which matters on the one-structure path."""
+    return bool(mask.any()) if getattr(mask, "ndim", 0) else bool(mask)
+
+
+def math_map(fn, x):
+    """A ``math`` function at each entry of x (a float or an array).  Its
+    results are those of a Python float: numpy's own exp and log loops round
+    some last bits differently, and a row of a stack must equal that row
+    evaluated alone."""
+    if not getattr(x, "ndim", 0):
+        return fn(x)
+    return np.frompyfunc(fn, 1, 1)(x).astype(float)
 
 
 _SCALARS = (int, float, np.floating, np.integer)
@@ -364,10 +417,9 @@ class Jet:
         composed with the zero-constant part by Horner evaluation, which is
         exact to the truncation order.
         """
-        c = _univariate_coeffs(fn, self.value, self.order, alpha)
         return Jet._unchecked(
             self.dim, self.order,
-            compose_coeffs(self.coeffs, c, self.dim, self.order),
+            compose_rows(fn, self.coeffs, self.dim, self.order, alpha),
         )
 
     def exp(self):
@@ -396,19 +448,21 @@ class Jet:
         return f"Jet(dim={self.dim}, order={self.order}: {' + '.join(terms) or '0'})"
 
 
-def _univariate_coeffs(fn: str, a0: float, order: int, alpha: float | None):
-    """Taylor coefficients c_k = fn^(k)(a0)/k! for k = 0..order."""
+def _univariate_coeffs(fn: str, a0, order: int, alpha: float | None):
+    """Taylor coefficients c_k = fn^(k)(a0)/k! for k = 0..order, shape
+    (order + 1,); for exp and log, a0 may be an array (..., 1) of constant
+    terms, and then the coefficients of each are along the last axis."""
     k = np.arange(order + 1)
     if fn == "exp":
         return np.exp(a0) / _factorials(order)
     if fn == "log":
-        if a0 <= 0.0:
-            raise DomainError(f"log of non-positive constant term {a0}")
-        c = np.empty(order + 1)
-        c[0] = math.log(a0)
+        if any_true(a0 <= 0.0):
+            raise DomainError(f"log of non-positive constant term {np.min(a0)}")
+        c = np.empty(getattr(a0, "shape", ())[:-1] + (order + 1,))
+        c[..., :1] = math_map(math.log, a0)
         if order >= 1:
             kk = k[1:]
-            c[1:] = ((-1.0) ** (kk + 1)) / (kk * a0**kk)
+            c[..., 1:] = ((-1.0) ** (kk + 1)) / (kk * a0**kk)
         return c
     if fn == "sqrt":
         if a0 <= 0.0:

@@ -72,6 +72,7 @@ class ModelSpec:
     g_exprs: list              # n x n nested list of expression ASTs, read at construction
     f_expr: Node
     lam: float | None = None   # proportionality constant, when known
+    lam_declared: bool = False  # lam read from a model file, so checked where it expands
     ambient_file: str | None = None
     default_point: np.ndarray = None
     domain: str = "all points of the chart"
@@ -275,13 +276,33 @@ class ModelSpec:
             # an overflow (inf * 0 = nan) meets the expansion's finiteness
             # check instead of printing a warning
             with self._checking("ambient expansion", point), np.errstate(all="ignore"):
-                return quasi_einstein_coeffs(g.matrix, f[0], self.lam, K)
+                expansion = quasi_einstein_coeffs(g.matrix, f[0], self.lam, K)
+            if self.lam_declared:
+                self._require_declared_lam(point, g.matrix)
+            return expansion
         if self.ambient_file is not None:
             return self._file_ambient(K)
         raise ModelError(
             f"model {self.name!r} carries no ambient generator "
             "(no proportionality constant and no coefficient file)"
         )
+
+    def _require_declared_lam(self, point, g: np.ndarray):
+        """A ``ModelError`` unless the declared lam is the structure's at the
+        point (``g`` the metric matrix there): P = lam g, and the fitted
+        J/(n+m) equals lam, both to 1e-9 relative (the scales floored at
+        1e-3, in units of g for P), so that a flat model declares 0."""
+        w, fitted, _ = self.invariants_at(point)
+        scale = np.abs(g).max()
+        deviation = np.abs(w.P - self.lam * g).max()
+        if (deviation > 1e-9 * max(np.abs(w.P).max(), abs(self.lam) * scale, 1e-3 * scale)
+                or abs(fitted - self.lam) > 1e-9 * max(abs(fitted), abs(self.lam), 1e-3)):
+            raise ModelError(
+                f"{self._at_point('ambient expansion', point, 'is rejected')}: "
+                f"[ambient] lambda = {self.lam:.10g} does not hold: the structure "
+                f"fits lambda = J/(n+m) = {fitted:.10g}, and max|P - lambda g| = "
+                f"{deviation:.3g}"
+            )
 
     def volume_coefficients_at(self, point, K: int | None = None):
         """v_1..v_K of the ambient expansion at a chart point (``ambient_at``)
@@ -540,7 +561,7 @@ def load_model_file(path) -> ModelSpec:
 
     return ModelSpec(
         name=str(path), n=n, m=m, mu=mu, coords=coords,
-        g_exprs=g_exprs, f_expr=f_expr, lam=lam,
+        g_exprs=g_exprs, f_expr=f_expr, lam=lam, lam_declared=lam is not None,
         ambient_file=ambient_file, default_point=default_point,
         domain="not declared by the model file",
     )

@@ -256,8 +256,7 @@ def suite_conformal(rng) -> list:
     out = []
     for label, p in _conformal_models():
         res_J = res_P = res_Y = 0.0
-        for _ in range(20):
-            rep = check_conformal_laws(p, _random_omega(rng))
+        for rep in check_conformal_laws(p, [_random_omega(rng) for _ in range(20)]):
             res_J = max(res_J, rep.residual_J)
             res_P = max(res_P, rep.residual_P)
             res_Y = max(res_Y, rep.residual_Y)

@@ -7,7 +7,9 @@ density's 2-jet, all that the invariants read) the module
 evaluates the drift-modified Ricci and scalar curvatures, the
 trace-adjusted tensors (P, J, Y), the density invariant F_phi, the
 weighted sigma_k curvature, and the quadratic-order conformal change
-identities of (J, P, Y).
+identities of (J, P, Y).  A stack of structures at one chart point (a
+metric and a density with leading batch axes) is evaluated in one pass by
+the same functions; one structure is the batch shape ().
 
 Conventions:
 
@@ -28,35 +30,66 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DimensionMismatch, DomainError
 from .geometry import (
     MetricAtPoint,
+    _jet_coeffs,
     curvature,
     grad_inner,
     grad_norm2,
     gradient,
     hessian,
+    inner,
     laplacian,
+    stack_note,
+    trace,
     weighted_laplacian,
 )
-from .jets import Jet, n_coeffs
+from .jets import (
+    Jet,
+    any_true,
+    compose_rows,
+    jet_order,
+    math_map,
+    mul_coeffs,
+    n_coeffs,
+)
 
 _F_CONSTANT_TOL = 1e-12
 
 
+def _first(bad) -> tuple:
+    """The index of the first true entry of a boolean array (() if 0-d)."""
+    return tuple(np.argwhere(bad)[0])
+
+
 class MetricMeasurePoint:
     """Pointwise data of a smooth metric measure structure: jets of g and f
-    plus the parameters (m, mu).
+    plus the parameters (m, mu), or a stack of such structures.
 
-    ``phi()`` and ``weighted_invariants`` are computed once per structure
-    and cached on it, like the Christoffel symbols on its metric.  The
+    A stack has a stacked metric ``g`` (``MetricAtPoint`` with leading batch
+    axes) and a density ``f`` given as a coefficient array (..., ncoef)
+    whose leading axes broadcast against the metric's; a single jet ``f``
+    is one density shared by the whole stack.  The checks below name the
+    index of the structure that fails them.  ``phi()`` and
+    ``weighted_invariants`` are computed once per structure or stack and
+    cached on it, like the Christoffel symbols on its metric.  The
     invariants read the structure's 2-jet only: curvature and Hessians take
     the metric's ``two_jet``, and ``phi()`` is that of the density's
     2-jet."""
 
-    def __init__(self, g: MetricAtPoint, f: Jet, m: float, mu: float = 0.0):
-        if f.dim != g.n:
-            raise DomainError("density jet dimension does not match the metric")
+    def __init__(self, g: MetricAtPoint, f, m: float, mu: float = 0.0):
+        if isinstance(f, Jet):
+            if f.dim != g.n:
+                raise DomainError("density jet dimension does not match the metric")
+            fc, self._f_order = f.coeffs, f.order
+        else:
+            fc = np.asarray(f, dtype=float)
+            self._f_order = jet_order(g.n, fc.shape[-1])
+            batch = g.G.shape[:-3]
+            if np.broadcast_shapes(fc.shape[:-1], batch) != batch:
+                raise DimensionMismatch(f"densities of shape {fc.shape[:-1]} for a "
+                                        f"stack of {batch} metrics")
         if not (math.isfinite(m) and math.isfinite(mu)):
             raise DomainError(
                 f"parameters m and mu must be finite, got m = {m}, mu = {mu}")
@@ -67,15 +100,20 @@ class MetricMeasurePoint:
                 f"n + m = {g.n + m} <= 2 is rejected (trace-adjustment "
                 "denominator vanishes)"
             )
-        if m > 0 and f.value <= 0:
-            raise DomainError(f"density must be positive, got f = {f.value}")
-        if m == 0 and not (
-            abs(f.value - 1.0) <= _F_CONSTANT_TOL
-            and np.all(np.abs(f.coeffs[1:]) <= _F_CONSTANT_TOL)
-        ):
-            raise DomainError("m = 0 requires the density f to be identically 1")
+        f0 = fc.T[0].T   # a scalar for one density
+        if m > 0 and any_true(f0 <= 0):
+            where = _first(f0 <= 0)
+            raise DomainError(
+                f"density must be positive, got f = {float(f0[where])}{stack_note(where)}")
+        if m == 0:
+            constant = (np.abs(f0 - 1.0) <= _F_CONSTANT_TOL) & np.all(
+                np.abs(fc[..., 1:]) <= _F_CONSTANT_TOL, axis=-1)
+            if not np.all(constant):
+                raise DomainError("m = 0 requires the density f to be identically 1"
+                                  + stack_note(_first(~constant)))
         self.g = g
         self.f = f
+        self._fc = fc
         self.m = float(m)
         self.mu = float(mu)
         self._phi = None
@@ -85,24 +123,25 @@ class MetricMeasurePoint:
     def n(self) -> int:
         return self.g.n
 
-    def phi(self) -> Jet:
-        """phi = -m ln f on the density's 2-jet (the zero jet when m = 0),
-        cached on the structure."""
+    def phi(self):
+        """phi = -m ln f on the density's 2-jet (zero when m = 0), cached on
+        the structure: a jet when ``f`` is one, else coefficients (..., ncoef)."""
         if self._phi is None:
-            n, order = self.n, min(self.f.order, 2)
+            n, order = self.n, min(self._f_order, 2)
+            f2 = self._fc[..., :n_coeffs(n, order)]
             if self.m == 0:
-                self._phi = Jet.constant(0.0, n, order)
+                phi = np.zeros_like(f2)
             else:
-                # the log of a prefix view of f, scaled in place: two jets, not three
-                f2 = Jet._unchecked(n, order, self.f.coeffs[:n_coeffs(n, order)])
-                self._phi = f2.log()
-                self._phi.coeffs *= -self.m
+                phi = compose_rows("log", f2, n, order)
+                phi *= -self.m
+            self._phi = Jet._unchecked(n, order, phi) if isinstance(self.f, Jet) else phi
         return self._phi
 
 
 @dataclass
 class WeightedInvariants:
-    """All pointwise weighted invariants of one structure."""
+    """All pointwise weighted invariants of one structure, or of a stack
+    (each field then has the stack's batch axes leading)."""
 
     ric_phi: np.ndarray
     r_phi: float
@@ -116,40 +155,39 @@ class WeightedInvariants:
 
 def weighted_invariants(p: MetricMeasurePoint) -> WeightedInvariants:
     """The weighted curvature invariants at the chart point, cached on the
-    structure (every caller shares one result).  Curvature and Hessians
-    read the metric's 2-jet, and phi that of the density (``p.phi()``)."""
+    structure (every caller shares one result), for one structure or a
+    whole stack in one pass.  Curvature and Hessians read the metric's
+    2-jet, and phi that of the density (``p.phi()``)."""
     if p._invariants is None:
         p._invariants = _weighted_invariants(p)
     return p._invariants
 
 
 def _weighted_invariants(p: MetricMeasurePoint) -> WeightedInvariants:
-    n, m, mu = p.n, p.m, p.mu
-    bundle = curvature(p.g)
+    n, m, mu, g = p.n, p.m, p.mu, p.g
+    bundle = curvature(g)
     ric, scal = bundle.ric, bundle.scalar
-    g0 = p.g.matrix
-    ginv0 = p.g.inverse_matrix
 
     if m > 0:
-        phi = p.phi()
+        phi = _jet_coeffs(p.phi(), n, 0, "phi")
         dphi = gradient(phi, n)
-        ric_phi = ric + hessian(phi, p.g) - np.outer(dphi, dphi) / m
+        hess_phi = hessian(phi, g)
+        ric_phi = ric + hess_phi - dphi[..., :, None] * dphi[..., None, :] / m
         r_phi = (
             scal
-            + 2.0 * laplacian(phi, p.g)
-            - (m + 1.0) / m * grad_norm2(phi, p.g)
-            + m * (m - 1.0) * mu * math.exp(2.0 * phi.value / m)
+            + 2.0 * trace(g, hess_phi)
+            - (m + 1.0) / m * inner(g, dphi, dphi)
+            + m * (m - 1.0) * mu * math_map(math.exp, 2.0 * phi[..., 0] / m)
         )
     else:
         ric_phi = ric.copy()
         r_phi = scal
 
     J = r_phi / (2.0 * (n + m - 1.0))
-    P = (ric_phi - J * g0) / (n + m - 2.0)
-    Y = 0.0 if m == 0 else J - float(np.einsum("ij,ij->", ginv0, P))
+    P = (ric_phi - np.asarray(J)[..., None, None] * g.G[..., 0]) / (n + m - 2.0)
+    Y = np.zeros(np.shape(J))[()] if m == 0 else J - trace(g, P)
 
-    f0 = p.f.value
-    F_phi = f0 * laplacian(p.f, p.g) + (m - 1.0) * (grad_norm2(p.f, p.g) - mu)
+    F_phi = p._fc[..., 0] * laplacian(p._fc, g) + (m - 1.0) * (grad_norm2(p._fc, g) - mu)
 
     return WeightedInvariants(
         ric_phi=ric_phi, r_phi=r_phi, P=P, J=J, Y=Y, F_phi=F_phi, n=n, m=m
@@ -161,22 +199,35 @@ def ric_phi_alternate(p: MetricMeasurePoint) -> np.ndarray:
 
     Must agree with the phi-formula by the logarithmic-derivative identity.
     """
-    if p.f.value <= 0:
+    f0 = p._fc[..., 0]
+    if any_true(f0 <= 0):
         raise DomainError("density must be positive")
     ric = curvature(p.g).ric
     if p.m == 0:
         return ric
-    return ric - (p.m / p.f.value) * hessian(p.f, p.g)
+    return ric - np.asarray(p.m / f0)[..., None, None] * hessian(p._fc, p.g)
 
 
 # -- conformal change ----------------------------------------------------
 
 
-def conformal_rescale(p: MetricMeasurePoint, sigma: Jet) -> MetricMeasurePoint:
+def conformal_rescale(p: MetricMeasurePoint, sigma) -> MetricMeasurePoint:
     """The structure (e^{2 sigma} g, e^{sigma} f), multiplying the jets
-    through; m, mu unchanged.  At m = 0 f stays 1: its weight f^0 is 1."""
-    fhat = p.f if p.m == 0 else sigma.exp() * p.f
-    return MetricMeasurePoint(p.g.rescale((sigma * 2.0).exp()), fhat, p.m, p.mu)
+    through; m, mu unchanged.  ``sigma`` is a jet, or jets (..., ncoef):
+    then the result is a stack, one rescaled structure per row of sigma, in
+    one pass.  At m = 0 f stays 1 (the same object): its weight f^0 is 1."""
+    n = p.n
+    s = _jet_coeffs(sigma, n, 0, "conformal rescale")
+    order = jet_order(n, s.shape[-1])
+    g = p.g.rescale(compose_rows("exp", s * 2.0, n, order))
+    if p.m == 0:
+        return MetricMeasurePoint(g, p.f, p.m, p.mu)
+    k = min(order, p._f_order)
+    nc = n_coeffs(n, k)
+    f = mul_coeffs(compose_rows("exp", s, n, order)[..., :nc], p._fc[..., :nc], n, k)
+    if isinstance(sigma, Jet) and isinstance(p.f, Jet):
+        f = Jet._unchecked(n, k, f)
+    return MetricMeasurePoint(g, f, p.m, p.mu)
 
 
 @dataclass
@@ -186,9 +237,11 @@ class ConformalLawReport:
     residual_Y: float
 
 
-def check_conformal_laws(p: MetricMeasurePoint, omega: Jet) -> ConformalLawReport:
+def check_conformal_laws(p: MetricMeasurePoint, omegas) -> list[ConformalLawReport]:
     """Compare a direct re-evaluation on the rescaled structure against the
-    quadratic-order change identities for (J, P, Y).
+    quadratic-order change identities for (J, P, Y), for each deformation
+    omega of a sequence of jets of one order; one report per deformation,
+    in order.
 
     The structure is rescaled by sigma = -omega/(n+m-2), that is
     (g, f) -> (e^{-2 omega/(n+m-2)} g, e^{-omega/(n+m-2)} f).  With
@@ -202,37 +255,47 @@ def check_conformal_laws(p: MetricMeasurePoint, omega: Jet) -> ConformalLawRepor
                                    - m |grad omega|^2 / (2 N^2)
 
     Equivalently the unnormalized quantities (N J, N P, N Y) satisfy the
-    same identities with the 1/N factors absorbed.  Returns the absolute
-    residual of each of the three laws.
+    same identities with the 1/N factors absorbed.  Each report holds the
+    absolute residual of each of the three laws.
+
+    One stacked pass: the invariants of ``p`` (one structure) are computed
+    once, and every rescaled structure is a row of one stack
+    (``conformal_rescale`` of the stacked omegas).  Each row's arithmetic
+    is that of its deformation checked alone, so a report does not depend
+    on the other deformations beside it.
     """
     n, m = p.n, p.m
     N = n + m - 2.0
+    W = [_jet_coeffs(w, n, 0, "a conformal law") for w in omegas]
+    if len({w.shape for w in W}) != 1:
+        raise DimensionMismatch("the conformal laws need one or more deformations "
+                                "of one jet order")
+    W = np.stack(W)
 
     base = weighted_invariants(p)
-    hat = weighted_invariants(conformal_rescale(p, omega * (-1.0 / N)))
-    factor = math.exp(-2.0 * omega.value / N)
+    hat = weighted_invariants(conformal_rescale(p, W * (-1.0 / N)))
+    factor = math_map(math.exp, -2.0 * W[:, 0] / N)
 
-    phi = p.phi()
-    g0 = p.g.matrix
-    domega = gradient(omega, n)
-    grad2 = grad_norm2(omega, p.g)
-    hess_omega = hessian(omega, p.g)
-    lap_phi_omega = weighted_laplacian(omega, phi, p.g)
+    phi = _jet_coeffs(p.phi(), n, 0, "phi")
+    g0 = p.g.G[..., 0]
+    domega = gradient(W, n)
+    grad2 = grad_norm2(W, p.g)
+    hess_omega = hessian(W, p.g)
+    lap_phi_omega = weighted_laplacian(W, phi, p.g)
 
     rhs_J = base.J + (lap_phi_omega - 0.5 * grad2) / N
     rhs_P = (
         base.P
         + hess_omega / N
-        + np.outer(domega, domega) / N**2
-        - grad2 * g0 / (2.0 * N**2)
+        + domega[:, :, None] * domega[:, None, :] / N**2
+        - grad2[:, None, None] * g0 / (2.0 * N**2)
     )
-    rhs_Y = base.Y - grad_inner(phi, omega, p.g) / N - m * grad2 / (2.0 * N**2)
+    rhs_Y = base.Y - grad_inner(phi, W, p.g) / N - m * grad2 / (2.0 * N**2)
 
-    return ConformalLawReport(
-        residual_J=abs(factor * hat.J - rhs_J),
-        residual_P=float(np.max(np.abs(hat.P - rhs_P))),
-        residual_Y=abs(factor * hat.Y - rhs_Y),
-    )
+    residuals = zip(np.abs(factor * hat.J - rhs_J),
+                    np.max(np.abs(hat.P - rhs_P), axis=(-2, -1)),
+                    np.abs(factor * hat.Y - rhs_Y))
+    return [ConformalLawReport(float(J), float(P), float(Y)) for J, P, Y in residuals]
 
 
 # -- symmetric polynomial curvature ----------------------------------------

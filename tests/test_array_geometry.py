@@ -368,7 +368,7 @@ def test_evaluated_structures_are_freed_without_the_cycle_collector(order):
     try:
         p = model.structure_at([0.2, -0.1, 0.3], order=order)
         weighted_invariants(p)
-        check_conformal_laws(p, Jet.variable(0, 0.2, 3, 2) * 0.3)
+        check_conformal_laws(p, [Jet.variable(0, 0.2, 3, 2) * 0.3])
         refs = [weakref.ref(obj) for obj in (p, p.g, p.g.two_jet, p.phi().coeffs)]
         del p
         assert [ref() for ref in refs] == [None] * 4

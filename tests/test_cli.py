@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from wrvc.cli import main, parse_point
 from wrvc.errors import WrvcError
 from wrvc.models import BUILTIN_NAMES as MODEL_NAMES
-from wrvc.models import builtin_model
+from wrvc.models import ModelSpec, builtin_model
 from wrvc.rho import obstruction_tensors
 
 
@@ -379,19 +379,38 @@ def test_vk_model_file(capsys, tmp_path):
     assert doc["values"]["v_1"] == pytest.approx(1.25, abs=1e-12)
 
 
-@pytest.mark.parametrize("density, lam, point, tail", [
-    ("1", "1e300", "0,0,0", "is not finite at point (0, 0, 0)"),
-    ("-1", "0.25", "0.5,0,1",
-     "is rejected at point (0.5, 0, 1): base density must be positive"),
-], ids=["overflowing_lambda", "negative_density"])
-def test_vk_generated_expansion_error_names_model_and_point(capsys, tmp_path,
-                                                             density, lam, point,
-                                                             tail):
+def _small_sphere(tmp_path, lam: str):
+    """A model file whose true lambda is ``lam``: the round S^3 of radius
+    a = 1/(2 sqrt(lam)), g = 4 a^2 delta/(1+|x|^2)^2, with f = 1, m = 2 and
+    mu = 8 lam, which make P = lam g and J = (n+m) lam."""
+    path = tmp_path / "sphere.cfg"
+    g = f"{1 / float(lam):.17g}/(1+x^2+y^2+z^2)^2"
+    path.write_text(
+        f"[space]\nn = 3\nm = 2\nmu = {8 * float(lam):.17g}\n\n"
+        f"[metric]\ng_11 = {g}\ng_22 = {g}\ng_33 = {g}\n\n"
+        f"[ambient]\nlambda = {lam}\n"
+    )
+    return path
+
+
+def _flat(tmp_path, density: str, lam: str):
     path = tmp_path / "flat.cfg"
     path.write_text(
         "[space]\nn = 3\nm = 2\n\n[metric]\ng_11 = 1\ng_22 = 1\ng_33 = 1\n\n"
         f"[density]\nf = {density}\n\n[ambient]\nlambda = {lam}\n"
     )
+    return path
+
+
+@pytest.mark.parametrize("model, point, tail", [
+    # lam^2 g overflows at K = 2 on a model whose lambda is 1e300
+    (lambda tmp: _small_sphere(tmp, "1e300"), "0,0,0", "is not finite at point (0, 0, 0)"),
+    (lambda tmp: _flat(tmp, "-1", "0.25"), "0.5,0,1",
+     "is rejected at point (0.5, 0, 1): base density must be positive"),
+], ids=["overflowing_lambda", "negative_density"])
+def test_vk_generated_expansion_error_names_model_and_point(capsys, tmp_path,
+                                                             model, point, tail):
+    path = model(tmp_path)
     code, out, err = run_cli(capsys, "vk", "--model", str(path), "--point", point)
     assert code == 2
     assert out == ""
@@ -399,7 +418,9 @@ def test_vk_generated_expansion_error_names_model_and_point(capsys, tmp_path,
 
 
 def test_vk_non_finite_generated_expansion_exits_2_with_one_line(capsys, tmp_path):
-    # at K = 1, 2 lam g overflows to inf, and to nan on g's zero entries
+    # at K = 1, 2 lam g overflows to inf, and to nan on g's zero entries.  No
+    # model has lambda = 1.5e308 (its curvature would overflow first), so the
+    # model is flat: the expansion is checked before the declared lambda
     path = tmp_path / "flat.cfg"
     path.write_text(
         "[space]\nn = 3\nm = 2\n\n[metric]\ng_11 = 1\ng_22 = 1\ng_33 = 1\n\n"
@@ -411,20 +432,72 @@ def test_vk_non_finite_generated_expansion_exits_2_with_one_line(capsys, tmp_pat
                    "(0, 0, 0): expansion coefficients must be finite\n")
 
 
-@pytest.mark.parametrize("lam", ["1e60", "1e154"])
-def test_vk_overflowing_series_names_model_and_point(capsys, tmp_path, lam):
-    # the expansion itself is finite; its volume series and obstructions
-    # overflow to inf and nan
-    path = tmp_path / "flat.cfg"
-    path.write_text(
-        "[space]\nn = 3\nm = 2\n\n[metric]\ng_11 = 1\ng_22 = 1\ng_33 = 1\n\n"
-        f"[ambient]\nlambda = {lam}\n"
-    )
-    code, out, err = run_cli(capsys, "vk", "--model", str(path))
+@pytest.mark.parametrize("lam, order", [("1e60", ["--order", "6"]), ("1e154", [])],
+                         ids=["1e60", "1e154"])
+def test_vk_overflowing_series_names_model_and_point(capsys, tmp_path, lam, order):
+    # the expansion itself is finite; its volume series overflows (v_6 ~ lam^6
+    # at lambda = 1e60, v_3 ~ lam^3 at 1e154)
+    path = _small_sphere(tmp_path, lam)
+    code, out, err = run_cli(capsys, "vk", "--model", str(path), *order)
     assert code == 2
     assert out == ""
     assert err == (f"error: volume series of model '{path}' is not finite "
                    "at point (0, 0, 0)\n")
+
+
+@pytest.mark.parametrize("lam", ["1e-3", "0.25", "1e60", "1e154"])
+def test_vk_declared_lambda_of_a_quasi_einstein_model_is_accepted(capsys, tmp_path, lam):
+    code, out, _ = run_cli(capsys, "vk", "--model", str(_small_sphere(tmp_path, lam)),
+                           "--order", "1", "--json")
+    assert code == 0
+    assert json.loads(out)["values"]["v_1"] == pytest.approx(5 * float(lam), rel=1e-12)
+
+
+@pytest.mark.parametrize("text, declared, fitted, deviation", [
+    # round S^3 with f = 1, m = 2, mu = 1: not quasi-Einstein, J = 1
+    ("[space]\nn = 3\nm = 2\nmu = 1\n\n[metric]\n"
+     "g_11 = 4/(1+x^2+y^2+z^2)^2\ng_22 = 4/(1+x^2+y^2+z^2)^2\n"
+     "g_33 = 4/(1+x^2+y^2+z^2)^2\n\n[ambient]\nlambda = 0.7\n", "0.7", "0.2", "1.47"),
+    # flat, where lambda is 0
+    ("[space]\nn = 3\nm = 2\n\n[metric]\ng_11 = 1\ng_22 = 1\ng_33 = 1\n\n"
+     "[ambient]\nlambda = 0.5\n", "0.5", "0", "0.5"),
+    # the right lambda of a small sphere, declared with 1e-6 relative error
+    (None, "1.000001e+60", "1e+60", "1e-06"),
+], ids=["round_sphere", "flat", "small_sphere"])
+def test_vk_wrong_declared_lambda_exits_2_naming_both(capsys, tmp_path, text, declared,
+                                                      fitted, deviation):
+    if text is None:
+        path = _small_sphere(tmp_path, "1e60")
+        path.write_text(path.read_text().replace("lambda = 1e60", "lambda = 1.000001e60"))
+    else:
+        path = tmp_path / "wrong.cfg"
+        path.write_text(text)
+    code, out, err = run_cli(capsys, "vk", "--model", str(path))
+    assert (code, out) == (2, "")
+    assert err == (f"error: ambient expansion of model '{path}' is rejected at point "
+                   f"(0, 0, 0): [ambient] lambda = {declared} does not hold: the "
+                   f"structure fits lambda = J/(n+m) = {fitted}, and max|P - lambda g| "
+                   f"= {deviation}\n")
+
+
+def test_builtin_lambda_is_not_checked(monkeypatch):
+    # built-ins derive lam, so ambient_at evaluates no invariants for them
+    def fail(*args):
+        raise AssertionError("invariants evaluated")
+
+    monkeypatch.setattr(ModelSpec, "invariants_at", fail)
+    for name in ("euclidean", "qe_sphere", "round_sphere_stereographic"):
+        builtin_model(name, 3).ambient_at([0.1, 0.2, 0.0])
+
+
+@pytest.mark.parametrize("model", ["qe_sphere", "coefficient-file"])
+@pytest.mark.parametrize("order", ["0", "-3"])
+def test_vk_order_below_one_names_its_flag(capsys, tmp_path, model, order):
+    if model == "coefficient-file":
+        model = str(_ambient_model(tmp_path, "f 1 0")[1])
+    code, out, err = run_cli(capsys, "vk", "--model", model, "--order", order)
+    assert (code, out) == (2, "")
+    assert err == f"error: --order {order} is below the smallest supported value 1\n"
 
 
 def test_repeated_coordinate_name_exits_2(capsys, tmp_path):
@@ -698,7 +771,7 @@ def test_vk_default_order_of_coefficient_file_stops_at_determinacy(capsys, tmp_p
                    "(even-integer total dimension)\n")
 
 
-@pytest.mark.parametrize("order", ["3", "9", "0"])
+@pytest.mark.parametrize("order", ["3", "9"])
 def test_vk_order_beyond_coefficient_file_exits_2(capsys, tmp_path, order):
     coeff_path, model_path = _ambient_model(tmp_path, "f 1 0")
     code, out, err = run_cli(capsys, "vk", "--model", str(model_path),

@@ -12,6 +12,7 @@ from wrvc.jets import (
     _exponents,
     _product_triples,
     _raised,
+    compose_rows,
     derivative_coeffs,
     gradient_index,
     hessian_index,
@@ -336,4 +337,31 @@ def test_product_coeffs_matches_per_entry_products(dim):
         close(product_coeffs(a, c, dim, order, matmul=True),
               np.array([[sum(mul_coeffs(a[i, k], c[k, j], dim, order) for k in range(3))
                          for j in range(4)] for i in range(2)]))
+
+
+@pytest.mark.parametrize("dim", range(1, 5))
+def test_stacked_rows_equal_each_row_alone(dim):
+    # a leading batch axis changes no row's arithmetic: products, jet-matrix
+    # products and compositions of a stack equal those of each row, bit for bit
+    rng = np.random.default_rng(40 + dim)
+    for order in range(5):
+        nc = n_coeffs(dim, order)
+        a, b = rng.standard_normal((2, 5, 3, nc))
+        got = mul_coeffs(a, b, dim, order)
+        assert got.shape == (5, 3, nc)
+        assert all(np.array_equal(got[r, s], mul_coeffs(a[r, s], b[r, s], dim, order))
+                   for r in range(5) for s in range(3))
+        got = mul_coeffs(a[:, 0], b[0, 0], dim, order)   # broadcast against one jet
+        assert all(np.array_equal(got[r], mul_coeffs(a[r, 0], b[0, 0], dim, order))
+                   for r in range(5))
+        m, q = rng.standard_normal((2, 4, 3, 3, nc))
+        got = product_coeffs(m, q, dim, order, matmul=True)
+        assert all(np.array_equal(got[r], product_coeffs(m[r], q[r], dim, order, matmul=True))
+                   for r in range(4))
+        u = 0.3 * a[:, 0]
+        u[:, 0] += 1.5
+        for fn in ("exp", "log"):
+            got = compose_rows(fn, u, dim, order)
+            assert all(np.array_equal(got[r], Jet(dim, order, u[r]).apply(fn).coeffs)
+                       for r in range(5))
 

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from wrvc import weighted
-from wrvc.errors import DomainError
+from wrvc.errors import DimensionMismatch, DomainError
 from wrvc.geometry import MetricAtPoint
 from wrvc.jets import Jet, n_coeffs
+from wrvc.suites import _conformal_models, _random_omega
 from wrvc.weighted import (
     MetricMeasurePoint,
     check_conformal_laws,
@@ -208,7 +209,7 @@ def test_rescale_volume_density_identity():
 
 def test_conformal_laws_zero_deformation():
     p = qe_sphere_mmp([0.1, 0.2, 0.0])
-    rep = check_conformal_laws(p, Jet.constant(0.0, 3, 2))
+    [rep] = check_conformal_laws(p, [Jet.constant(0.0, 3, 2)])
     assert max(dataclasses.astuple(rep)) == pytest.approx(0.0, abs=1e-14)
 
 
@@ -220,8 +221,7 @@ def test_conformal_laws_zero_deformation():
 def test_conformal_laws_random_omega(builder):
     rng = np.random.default_rng(77)
     p = builder()
-    for _ in range(10):
-        rep = check_conformal_laws(p, random_omega(rng))
+    for rep in check_conformal_laws(p, [random_omega(rng) for _ in range(10)]):
         assert max(dataclasses.astuple(rep)) <= 1e-9
 
 
@@ -235,7 +235,7 @@ def test_conformal_laws_hold_unweighted(n):
         p = MetricMeasurePoint(g, Jet.constant(1.0, n, 4), 0.0)
         omega = random_omega(rng, n=n)
         assert conformal_rescale(p, omega).f is p.f
-        rep = check_conformal_laws(p, omega)
+        [rep] = check_conformal_laws(p, [omega])
         assert max(dataclasses.astuple(rep)) <= 1e-12
     assert not p.phi().coeffs.any()
 
@@ -244,38 +244,124 @@ def test_conformal_laws_evaluate_the_base_structure_once(monkeypatch):
     p = gaussian_mmp([0.3, -0.1, 0.2])
     rng = np.random.default_rng(78)
     omegas = [random_omega(rng) for _ in range(20)]
-    # the same laws on a fresh copy of the structure for every deformation
+    # each deformation checked alone, on a fresh copy of the structure
     expected = [
-        dataclasses.astuple(check_conformal_laws(gaussian_mmp([0.3, -0.1, 0.2]), w))
+        dataclasses.astuple(check_conformal_laws(gaussian_mmp([0.3, -0.1, 0.2]), [w])[0])
         for w in omegas
     ]
-    metrics, logs = [], []
-    curvature, log = weighted.curvature, Jet.log
+    metrics = []
+    curvature = weighted.curvature
 
     def counted_curvature(metric):
         metrics.append(metric)
         return curvature(metric)
 
-    def counted_log(self):
-        logs.append(self)
-        return log(self)
-
     monkeypatch.setattr(weighted, "curvature", counted_curvature)
-    monkeypatch.setattr(Jet, "log", counted_log)
-    got = [
-        dataclasses.astuple(check_conformal_laws(p, w))
-        for w in omegas
-    ]
+    got = [dataclasses.astuple(rep) for rep in check_conformal_laws(p, omegas)]
     assert got == expected
-    assert sum(metric is p.g for metric in metrics) == 1
-    assert len(metrics) == 21   # plus one per rescaled structure
-    # phi is read at order 2: the log of the density's 2-jet, a view of its
-    # coefficients, taken once
-    assert sum(jet.order == 2 and np.shares_memory(jet.coeffs, p.f.coeffs)
-               for jet in logs) == 1
-    assert not any(jet is p.f for jet in logs)
+    # the base structure once, then the 20 rescaled structures as one stack
+    assert metrics[0] is p.g
+    assert [metric.G.shape[:-3] for metric in metrics] == [(), (20,)]
+    # a second check reuses the base invariants cached on the structure
+    check_conformal_laws(p, omegas[:3])
+    assert [metric.G.shape[:-3] for metric in metrics[2:]] == [(3,)]
+    # phi is read at order 2, from the density's 2-jet, once
     assert p.phi() is p.phi()
+    assert p.phi().order == 2
     assert weighted_invariants(p) is weighted_invariants(p)
+
+
+@pytest.mark.parametrize("label", [label for label, _ in _conformal_models()])
+def test_conformal_laws_of_a_stack_equal_each_deformation_alone(label):
+    # the verify suite's models and draws: the stacked pass is that suite's
+    # check, and each of its reports is bit for bit the one-deformation check
+    p = dict(_conformal_models())[label]
+    rng = np.random.default_rng(20240601)
+    omegas = [_random_omega(rng) for _ in range(20)]
+    stacked = check_conformal_laws(p, omegas)
+    alone = [check_conformal_laws(p, [w])[0] for w in omegas]
+    assert [dataclasses.astuple(r) for r in stacked] == [dataclasses.astuple(r) for r in alone]
+    assert max(max(dataclasses.astuple(r)) for r in stacked) <= 1e-9
+
+
+def test_conformal_laws_need_deformations_of_one_order():
+    p = qe_sphere_mmp([0.1, 0.2, 0.0])
+    with pytest.raises(DimensionMismatch):
+        check_conformal_laws(p, [Jet.constant(0.0, 3, 2), Jet.constant(0.0, 3, 3)])
+    with pytest.raises(DimensionMismatch):
+        check_conformal_laws(p, [])
+
+
+def _stack(structures):
+    """One stacked structure from single structures of one (n, m, mu)."""
+    first = structures[0]
+    g = MetricAtPoint(np.stack([q.g.G for q in structures]), first.g.point)
+    f = np.stack([q.f.coeffs for q in structures])
+    return MetricMeasurePoint(g, f, first.m, first.mu)
+
+
+@pytest.mark.parametrize("n, m", [(3, 2.0), (3, 0.0), (4, 1.5), (4, 0.0), (2, 0.7)])
+def test_weighted_invariants_of_a_stack_equal_each_structure_alone(n, m):
+    rng = np.random.default_rng(int(10 * n + 3 * m))
+    structures = [random_structure(rng, n=n, m=m or 2.0) for _ in range(7)]
+    if m == 0:
+        structures = [MetricMeasurePoint(q.g, Jet.constant(1.0, n, 4), 0.0, q.mu)
+                      for q in structures]
+    w = weighted_invariants(_stack(structures))
+    assert w.P.shape == (7, n, n) and w.J.shape == (7,)
+    for b, q in enumerate(structures):
+        alone = weighted_invariants(q)
+        for field in ("ric_phi", "r_phi", "P", "J", "Y", "F_phi"):
+            assert np.array_equal(getattr(w, field)[b], getattr(alone, field)), field
+
+
+def test_conformal_rescale_of_a_stack_equals_each_rescale_alone():
+    rng = np.random.default_rng(5)
+    p = random_structure(rng, m=1.3)
+    sigmas = [random_omega(rng, order=3) for _ in range(4)]
+    q = conformal_rescale(p, np.stack([s.coeffs for s in sigmas]))
+    for b, s in enumerate(sigmas):
+        alone = conformal_rescale(p, s)
+        assert np.array_equal(q.g.G[b], alone.g.G)
+        assert np.array_equal(q.f[b], alone.f.coeffs)
+    # m = 0: the density stays the one unit jet, shared by the stack
+    p0 = MetricMeasurePoint(p.g, Jet.constant(1.0, 3, 4), 0.0)
+    assert conformal_rescale(p0, np.stack([s.coeffs for s in sigmas])).f is p0.f
+
+
+def _failing_stack(fault, b):
+    rng = np.random.default_rng(11)
+    structures = [random_structure(rng) for _ in range(4)]
+    G = np.stack([q.g.G for q in structures])
+    f = np.stack([q.f.coeffs for q in structures])
+    if fault == "symmetry":
+        G[b, 0, 1, 3] += 1e-6
+    elif fault == "definite":
+        G[b, :, :, 0] = -np.eye(3)
+    else:
+        f[b, 0] = -0.5
+    return MetricMeasurePoint(MetricAtPoint(G, structures[0].g.point), f, 2.0, 0.3)
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("symmetry", "metric jets not symmetric at (0,1) in structure 2 of the stack"),
+    ("definite", "constant-term metric is not positive definite in structure 2 of the stack"),
+    ("density", "density must be positive, got f = -0.5 in structure 2 of the stack"),
+])
+def test_a_failing_structure_is_named_by_its_index_in_the_stack(fault, message):
+    with pytest.raises(DomainError) as info:
+        _failing_stack(fault, 2)
+    assert str(info.value) == message
+
+
+def test_m_zero_stack_names_the_density_that_is_not_one():
+    rng = np.random.default_rng(12)
+    g = MetricAtPoint(np.stack([random_structure(rng).g.G for _ in range(3)]), [0.0] * 3)
+    f = np.zeros((3, n_coeffs(3, 4)))
+    f[:, 0] = 1.0
+    f[1, 2] = 0.1
+    with pytest.raises(DomainError, match="identically 1 in structure 1 of the stack"):
+        MetricMeasurePoint(g, f, 0.0)
 
 
 # -- sigma_k ------------------------------------------------------------------
