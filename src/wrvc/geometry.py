@@ -1,17 +1,17 @@
 """Classical Riemannian quantities at a chart point from jet-valued metrics.
 
-Curvature is evaluated exactly from the metric jets: Christoffel symbols
-are kept as jet coefficients (one order below the metric) so their
-derivatives at the point are exact coefficients rather than finite
-differences.  Curvature and covariant Hessians read only Gamma and its
-first derivatives at the point, so they work on the metric's 2-jet
-(``MetricAtPoint.two_jet``, a prefix slice of ``G`` in the graded layout).
+Curvature is evaluated exactly from the metric jets: Christoffel and
+Riemann tensors are jets in ``dim >= n`` variables, differentiated along
+the first n (``christoffel_coeffs``, ``riemann_coeffs``), so derivatives
+at the point are exact coefficients.  Curvature and Hessians read Gamma of
+the metric's 2-jet (``christoffel``, a prefix slice of ``G``), and
+``curvature`` is the order-0 Riemann jet.
 
 The metric is held as a coefficient array ``G`` of shape (n, n, ncoef)
 (see ``wrvc.jets``), or (..., n, n, ncoef) for a stack of metrics at one
-point, and the inverse, determinant, Christoffel symbols and conformal
-rescale are jet-matrix products on it (``jets.product_coeffs``, gathered
-product triples): the inverse is the Neumann series
+point, and the inverse, determinant, Christoffel and Riemann tensors and
+conformal rescale are contractions of jet arrays (``jets.contract_coeffs``,
+gathered product triples): the inverse is the Neumann series
 ``sum_k (-G0^{-1} N)^k G0^{-1}`` in the part ``N`` of ``G`` with zero
 constant term, which is nilpotent in the truncated ring.  Everything but
 the determinant takes the leading batch axes of a stack: one call
@@ -36,12 +36,12 @@ from .errors import DimensionMismatch, DomainError, OrderError
 from .jets import (
     Jet,
     compose_coeffs,
+    contract_coeffs,
     derivative_coeffs,
     gradient_index,
     hessian_index,
     jet_order,
     n_coeffs,
-    product_coeffs,
     _univariate_coeffs,
 )
 
@@ -56,7 +56,7 @@ def _inverse_coeffs(G: np.ndarray, dim: int, order: int, G0inv: np.ndarray) -> n
     Y0[..., 0] = G0inv
     Y = Y0
     for _ in range(order):
-        Y = Y0 + product_coeffs(X, Y, dim, order, matmul=True)
+        Y = Y0 + contract_coeffs("...ik,...kj->...ij", X, Y, dim, order)
     return Y
 
 
@@ -68,7 +68,7 @@ def _det_coeffs(G: np.ndarray, dim: int, order: int, G0inv: np.ndarray) -> np.nd
     log_det = np.zeros(G.shape[-1])
     for k in range(1, order + 1):
         if k > 1:
-            power = product_coeffs(X, power, dim, order, matmul=True)
+            power = contract_coeffs("...ik,...kj->...ij", X, power, dim, order)
         log_det += (-1.0) ** (k + 1) / k * np.einsum("qqc->c", power)
     exp_coeffs = _univariate_coeffs("exp", 0.0, order, None)
     return np.linalg.det(G[:, :, 0]) * compose_coeffs(log_det, exp_coeffs, dim, order)
@@ -121,8 +121,8 @@ class MetricAtPoint:
     batch shape ().  Each metric is symmetric coefficient-wise, with a
     positive-definite constant-term matrix (a failure names the metric's
     index in the stack); the jet order is the one with
-    ``ncoef = n_coeffs(n, order)``.  The inverse of the constant term is
-    computed once and shared with the cached 2-jet view ``two_jet``.
+    ``ncoef = n_coeffs(n, order)``.  The inverse of the constant term and
+    ``christoffel`` are cached; neither refers back to the metric.
     """
 
     def __init__(self, G: np.ndarray, point):
@@ -146,7 +146,6 @@ class MetricAtPoint:
         self.order = order
         self._ginv0 = None
         self._gamma = None
-        self._two_jet = None
 
     @property
     def matrix(self) -> np.ndarray:
@@ -163,24 +162,6 @@ class MetricAtPoint:
     def inverse_matrix(self) -> np.ndarray:
         return self._inverse0().copy()
 
-    @property
-    def two_jet(self) -> "MetricAtPoint":
-        """The metric truncated to order 2, cached: a prefix slice of ``G``
-        that shares the constant-term inverse and is not re-validated.  A
-        metric of order <= 2 is its own 2-jet.  No metric or view refers to
-        itself, so reference counting frees a metric when its last user
-        drops it, without the cycle collector."""
-        if self.order <= 2:
-            return self
-        if self._two_jet is None:
-            view = object.__new__(MetricAtPoint)
-            view.n, view.point, view.order = self.n, self.point, 2
-            view.G = self.G[..., :n_coeffs(self.n, 2)]
-            view._ginv0 = self._inverse0()
-            view._gamma = view._two_jet = None
-            self._two_jet = view
-        return self._two_jet
-
     def det_jet(self) -> Jet:
         """det g as a jet (a single metric only)."""
         return Jet._unchecked(
@@ -194,7 +175,7 @@ class MetricAtPoint:
         factor = _jet_coeffs(factor, self.n, 0, "rescale")
         order = min(self.order, jet_order(self.n, factor.shape[-1]))
         nc = n_coeffs(self.n, order)
-        G = product_coeffs(factor[..., None, None, :nc], self.G[..., :nc], self.n, order)
+        G = contract_coeffs("...,...ij->...ij", factor[..., :nc], self.G[..., :nc], self.n, order)
         return MetricAtPoint(G, self.point)
 
 
@@ -208,18 +189,21 @@ class CurvatureBundle:
     scalar: float         # an array of the batch shape for a stack
 
 
-def _christoffel_coeffs(metric: MetricAtPoint) -> np.ndarray:
-    """Gamma^k_{ij} as a (..., n, n, n, ncoef) array at the metric order - 1."""
-    n, order = metric.n, metric.order - 1
-    nc = n_coeffs(n, order)
-    ginv = _inverse_coeffs(metric.G[..., :nc], n, order, metric._inverse0())
-    dg = derivative_coeffs(metric.G, n, metric.order)  # dg[l, ..., i, j] = d_l g_ij
+def christoffel_coeffs(G: np.ndarray, dim: int, order: int,
+                       G0inv: np.ndarray) -> np.ndarray:
+    """Gamma^k_{ij} of the jet metrics G (..., n, n, ncoef) of order ``order``
+    in ``dim >= n`` variables, differentiating along the first n: a
+    (..., n, n, n, ncoef) array at order - 1.  ``G0inv`` (..., n, n) holds
+    the inverses of the constant terms."""
+    if order < 1:
+        raise OrderError("christoffel needs metric jets of order >= 1")
+    n = G.shape[-2]
+    ginv = _inverse_coeffs(G[..., :n_coeffs(dim, order - 1)], dim, order - 1, G0inv)
+    dg = derivative_coeffs(G, dim, order)[:n]   # dg[l, ..., i, j] = d_l g_ij
     # first-kind symbols [ij, l] = d_i g_jl + d_j g_il - d_l g_ij, indexed (l, i, j)
     first = (np.einsum("i...jlc->...lijc", dg) + np.einsum("j...ilc->...lijc", dg)
              - np.einsum("l...ijc->...lijc", dg))
-    gamma = 0.5 * product_coeffs(ginv, first.reshape(*first.shape[:-3], n * n, nc),
-                                 n, order, matmul=True)
-    gamma = gamma.reshape(first.shape)
+    gamma = 0.5 * contract_coeffs("...kl,...lij->...kij", ginv, first, dim, order - 1)
     rows, cols = _upper_pairs(n)
     gamma[..., cols, rows, :] = gamma[..., rows, cols, :]   # exactly symmetric in (i, j)
     return gamma
@@ -230,38 +214,37 @@ def _upper_pairs(n: int):
     return np.triu_indices(n, 1)
 
 
+def riemann_coeffs(gamma: np.ndarray, dim: int, order: int) -> np.ndarray:
+    """R^a_{bcd} as a (..., n, n, n, n, ncoef) array at order ``order``, from
+    Christoffel jets gamma (..., n, n, n, ncoef) of order + 1 in ``dim >= n``
+    variables, differentiating along the first n."""
+    n = gamma.shape[-2]
+    # d[..., a, b, c, d] = d_c Gamma^a_{db}, q[..., a, b, c, d] = Gamma^a_{ce} Gamma^e_{db}
+    d = np.einsum("c...adbt->...abcdt", derivative_coeffs(gamma, dim, order + 1)[:n])
+    q = contract_coeffs("...ace,...edb->...abcd", gamma, gamma, dim, order)
+    # antisymmetrised in (c, d) term by term: (d + q) - swap rounds differently
+    # and moves curvature and conformal-law residuals in the golden records
+    return d - d.swapaxes(-3, -2) + q - q.swapaxes(-3, -2)
+
+
 # christoffel and curvature keep their names: perfbench/tracing.py times them
 def christoffel(metric: MetricAtPoint) -> np.ndarray:
-    """Christoffel symbols Gamma^k_{ij}, cached on the metric, as a
-    (..., n, n, n, ncoef) coefficient array at the metric order - 1."""
+    """Christoffel symbols Gamma^k_{ij} of the metric's 2-jet (order 1, or 0
+    for a metric of order 1), cached on the metric; ``christoffel_coeffs``
+    gives them at full order."""
     if metric._gamma is None:
-        if metric.order < 1:
-            raise OrderError("christoffel needs metric jets of order >= 1")
-        metric._gamma = _christoffel_coeffs(metric)
+        n, order = metric.n, min(metric.order, 2)
+        metric._gamma = christoffel_coeffs(metric.G[..., :n_coeffs(n, order)], n, order,
+                                           metric._inverse0())
     return metric._gamma
 
 
 def curvature(metric: MetricAtPoint) -> CurvatureBundle:
-    """Riemann, Ricci and scalar curvature values at the point, from the
-    Christoffel symbols of the metric's 2-jet; for a stack, one row per
-    metric."""
+    """Riemann, Ricci and scalar curvature values at the point: the order-0
+    Riemann jet of ``christoffel(metric)``; for a stack, one row per metric."""
     if metric.order < 2:
         raise OrderError("curvature needs metric jets of order >= 2")
-    metric = metric.two_jet
-    coeffs = christoffel(metric)
-    gv = coeffs[..., 0]
-    # dgv[..., l, k, i, j] = d_l Gamma^k_{ij}, C-ordered: the layout fixes the
-    # strides of every view below and so the order of the einsum sums
-    dgv = coeffs.transpose(*range(coeffs.ndim - 4), -1, -4, -3, -2).take(
-        gradient_index(metric.n), axis=-4)
-
-    # R^a_{bcd} with the antisymmetric derivative pair in (c, d)
-    up = (
-        np.einsum("...cadb->...abcd", dgv)
-        - np.einsum("...dacb->...abcd", dgv)
-        + np.einsum("...ace,...edb->...abcd", gv, gv)
-        - np.einsum("...ade,...ecb->...abcd", gv, gv)
-    )
+    up = riemann_coeffs(christoffel(metric), metric.n, 0)[..., 0]
     riem = np.einsum("...ae,...ebcd->...abcd", metric.G[..., 0], up)
     ric = np.einsum("...abad->...bd", up)
     return CurvatureBundle(riem=riem, ric=ric, scalar=trace(metric, ric))
@@ -302,7 +285,7 @@ def hessian(u, metric: MetricAtPoint) -> np.ndarray:
     metric's 2-jet), of shape (..., n, n) for jets u or metrics in a stack."""
     u = _jet_coeffs(u, metric.n, 2, "hessian")
     slots, factors = hessian_index(metric.n)
-    gamma0 = christoffel(metric.two_jet)[..., 0]
+    gamma0 = christoffel(metric)[..., 0]
     du = u.take(gradient_index(metric.n), axis=-1)
     return u.take(slots, axis=-1) * factors - np.einsum("...kij,...k->...ij", gamma0, du)
 

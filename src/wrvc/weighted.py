@@ -75,8 +75,8 @@ class MetricMeasurePoint:
     ``weighted_invariants`` are computed once per structure or stack and
     cached on it, like the Christoffel symbols on its metric.  The
     invariants read the structure's 2-jet only: curvature and Hessians take
-    the metric's ``two_jet``, and ``phi()`` is that of the density's
-    2-jet."""
+    the Christoffel symbols of the metric's 2-jet, and ``phi()`` is that of
+    the density's 2-jet."""
 
     def __init__(self, g: MetricAtPoint, f, m: float, mu: float = 0.0):
         if isinstance(f, Jet):
@@ -125,16 +125,15 @@ class MetricMeasurePoint:
 
     def phi(self):
         """phi = -m ln f on the density's 2-jet (zero when m = 0), cached on
-        the structure: a jet when ``f`` is one, else coefficients (..., ncoef)."""
+        the structure, as coefficients (..., ncoef)."""
         if self._phi is None:
             n, order = self.n, min(self._f_order, 2)
             f2 = self._fc[..., :n_coeffs(n, order)]
             if self.m == 0:
-                phi = np.zeros_like(f2)
+                self._phi = np.zeros_like(f2)
             else:
-                phi = compose_rows("log", f2, n, order)
-                phi *= -self.m
-            self._phi = Jet._unchecked(n, order, phi) if isinstance(self.f, Jet) else phi
+                self._phi = compose_rows("log", f2, n, order)
+                self._phi *= -self.m
         return self._phi
 
 
@@ -169,7 +168,7 @@ def _weighted_invariants(p: MetricMeasurePoint) -> WeightedInvariants:
     ric, scal = bundle.ric, bundle.scalar
 
     if m > 0:
-        phi = _jet_coeffs(p.phi(), n, 0, "phi")
+        phi = p.phi()
         dphi = gradient(phi, n)
         hess_phi = hessian(phi, g)
         ric_phi = ric + hess_phi - dphi[..., :, None] * dphi[..., None, :] / m
@@ -276,7 +275,7 @@ def check_conformal_laws(p: MetricMeasurePoint, omegas) -> list[ConformalLawRepo
     hat = weighted_invariants(conformal_rescale(p, W * (-1.0 / N)))
     factor = math_map(math.exp, -2.0 * W[:, 0] / N)
 
-    phi = _jet_coeffs(p.phi(), n, 0, "phi")
+    phi = p.phi()
     g0 = p.g.G[..., 0]
     domega = gradient(W, n)
     grad2 = grad_norm2(W, p.g)

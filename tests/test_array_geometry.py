@@ -37,6 +37,7 @@ from wrvc.geometry import (
     MetricAtPoint,
     _inverse_coeffs,
     christoffel,
+    christoffel_coeffs,
     curvature,
     hessian,
 )
@@ -285,7 +286,7 @@ def check_against_exact(case):
                   for i in range(n)])
     metric = MetricAtPoint(G, [float(p) for p in point])
 
-    gamma = christoffel(metric)
+    gamma = christoffel_coeffs(metric.G, n, metric.order, metric.inverse_matrix)
     for alpha in multi_indices(n, order - 1):
         got = [[[Jet(n, order - 1, gamma[k, i, j]).partial(alpha) for j in range(n)]
                 for i in range(n)] for k in range(n)]
@@ -361,15 +362,15 @@ def test_weighted_invariants_builds_few_jets():
 
 @pytest.mark.parametrize("order", [2, 4])
 def test_evaluated_structures_are_freed_without_the_cycle_collector(order):
-    # the cached 2-jet views and phi hold no reference back to themselves,
-    # so dropping a structure frees its jets at once
+    # the cached Christoffel symbols and phi hold no reference back to
+    # themselves, so dropping a structure frees its jets at once
     model = deformed_sphere()
     gc.disable()
     try:
         p = model.structure_at([0.2, -0.1, 0.3], order=order)
         weighted_invariants(p)
         check_conformal_laws(p, [Jet.variable(0, 0.2, 3, 2) * 0.3])
-        refs = [weakref.ref(obj) for obj in (p, p.g, p.g.two_jet, p.phi().coeffs)]
+        refs = [weakref.ref(obj) for obj in (p, p.g, christoffel(p.g), p.phi())]
         del p
         assert [ref() for ref in refs] == [None] * 4
     finally:
@@ -386,7 +387,7 @@ def test_christoffel_is_one_cached_coefficient_array(model):
     n = model.n
     gamma = christoffel(metric)
     assert isinstance(gamma, np.ndarray)
-    assert gamma.shape == (n, n, n, n_coeffs(n, metric.order - 1))
+    assert gamma.shape == (n, n, n, n_coeffs(n, 1))   # the 2-jet's, whatever the order
     assert christoffel(metric) is gamma
     curvature(metric)
     assert christoffel(metric) is gamma

@@ -5,14 +5,16 @@ from wrvc.errors import DimensionMismatch, DomainError, OrderError
 from wrvc.geometry import (
     MetricAtPoint,
     christoffel,
+    christoffel_coeffs,
     curvature,
     grad_norm2,
     _inverse_coeffs,
     hessian,
     laplacian,
+    riemann_coeffs,
     weighted_laplacian,
 )
-from wrvc.jets import Jet, n_coeffs, product_coeffs
+from wrvc.jets import Jet, contract_coeffs, gradient_index, n_coeffs
 
 
 def coords(point, order=4):
@@ -84,7 +86,7 @@ def test_round_s6_at_order_7_matches_the_closed_form():
                        rtol=0.0, atol=1e-13)
     identity = np.zeros_like(m.G)
     identity[:, :, 0] = np.eye(n)
-    assert np.allclose(product_coeffs(m.G, inv, n, order, matmul=True), identity,
+    assert np.allclose(contract_coeffs("...ik,...kj->...ij", m.G, inv, n, order), identity,
                        rtol=0.0, atol=1e-13)
     # g = e^{2u} delta: Gamma^k_ij = delta_ki d_j u + delta_kj d_i u - delta_ij d_k u
     u = (factor * 0.25).log() * 0.5
@@ -92,7 +94,7 @@ def test_round_s6_at_order_7_matches_the_closed_form():
     d = np.eye(n)
     exact = (np.einsum("ki,jc->kijc", d, du) + np.einsum("kj,ic->kijc", d, du)
              - np.einsum("ij,kc->kijc", d, du))
-    gamma = christoffel(m)
+    gamma = christoffel_coeffs(m.G, n, order, m.inverse_matrix)
     assert gamma.shape == exact.shape
     assert np.allclose(gamma, exact, rtol=0.0, atol=1e-12)
     # unit sphere: R_abcd = g_ac g_bd - g_ad g_bc, Ric = 5 g, R = 30
@@ -241,6 +243,59 @@ def test_insufficient_order():
     m = euclidean_metric([0.0, 0.0], order=1)
     with pytest.raises(OrderError):
         curvature(m)
+
+
+# -- Riemann jets ------------------------------------------------------------
+
+
+def test_curvature_is_the_order_0_riemann_jet():
+    rng = np.random.default_rng(12)
+    single = random_metric(rng, 3)
+    stack = MetricAtPoint(np.stack([single.G, random_metric(rng, 3).G]), single.point)
+    for m in (single, sphere_metric([0.1, -0.2, 0.3]), stack):
+        up = riemann_coeffs(christoffel(m), m.n, 0)
+        assert up.shape == m.G.shape[:-3] + (3, 3, 3, 3, 1)
+        lowered = np.einsum("...ae,...ebcd->...abcd", m.G[..., 0], up[..., 0])
+        assert np.array_equal(lowered, curvature(m).riem)
+
+
+def test_contracted_second_bianchi_identity_of_the_order_1_ricci_jet():
+    # g^{ca} (nabla_c Ric)_{ab} = d_b R / 2 at the point, from the order-1
+    # Ricci jet of a random order-3 metric and Gamma at the point
+    rng = np.random.default_rng(26)
+    n, order = 3, 3
+    G = rng.uniform(-0.2, 0.2, (n, n, n_coeffs(n, order)))
+    G = G + G.swapaxes(0, 1)
+    G[:, :, 0] += 2.0 * np.eye(n)
+    G0inv = np.linalg.inv(G[:, :, 0])
+    gamma = christoffel_coeffs(G, n, order, G0inv)
+    ric = np.einsum("abad...->bd...", riemann_coeffs(gamma, n, 1))
+    ginv = _inverse_coeffs(G[:, :, :n_coeffs(n, 1)], n, 1, G0inv)
+    scalar = contract_coeffs("ij,ij->", ginv, ric, n, 1)
+    grad = gradient_index(n)
+    gamma0, ric0 = gamma[..., 0], ric[..., 0]
+    # (nabla_c Ric)_{ab} = d_c Ric_ab - Gamma^e_{ca} Ric_eb - Gamma^e_{cb} Ric_ae
+    nabla = (np.einsum("abc->cab", ric[..., grad]) - np.einsum("eca,eb->cab", gamma0, ric0)
+             - np.einsum("ecb,ae->cab", gamma0, ric0))
+    lhs = np.einsum("ca,cab->b", G0inv, nabla)
+    rhs = 0.5 * scalar[grad]
+    assert np.abs(rhs).max() > 0.1
+    assert np.abs(lhs - rhs).max() <= 1e-14
+
+
+def test_ricci_jet_of_the_rho_scaled_round_s3_is_2g_in_every_slot():
+    # (1 + rho)^2 g_{S^3} as order-5 jets in (x, y, z, rho): Gamma and
+    # Riemann differentiate along x, y, z only, so rho is a parameter and
+    # the constant scale drops out of Ricci: Ric = 2 g_{S^3}, free of rho
+    n, dim, order = 3, 4, 5
+    x = [Jet.variable(i, c, dim, order) for i, c in enumerate([0.1, -0.2, 0.3, 0.0])]
+    sphere = 4.0 * (1.0 + x[0] * x[0] + x[1] * x[1] + x[2] * x[2]) ** (-2)
+    G = np.eye(n)[:, :, None] * ((1.0 + x[3]) * (1.0 + x[3]) * sphere).coeffs
+    gamma = christoffel_coeffs(G, dim, order, np.linalg.inv(G[:, :, 0]))
+    ric = np.einsum("abad...->bd...", riemann_coeffs(gamma, dim, order - 2))
+    expected = 2.0 * np.eye(n)[:, :, None] * sphere.coeffs[:n_coeffs(dim, order - 2)]
+    assert ric.shape == expected.shape
+    assert np.abs(ric - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 # -- derivative operators --------------------------------------------------

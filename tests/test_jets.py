@@ -13,12 +13,12 @@ from wrvc.jets import (
     _product_triples,
     _raised,
     compose_rows,
+    contract_coeffs,
     derivative_coeffs,
     gradient_index,
     hessian_index,
     mul_coeffs,
     n_coeffs,
-    product_coeffs,
 )
 
 
@@ -326,17 +326,22 @@ def test_product_coeffs_matches_per_entry_products(dim):
             assert np.allclose(got, want, rtol=0.0, atol=1e-14 * max(1.0, np.abs(want).max()))
 
         a, b = rng.standard_normal((2, 3, nc)), rng.standard_normal((2, 3, nc))
-        close(product_coeffs(a, b, dim, order),
+        close(contract_coeffs("...ij,...ij->...ij", a, b, dim, order),
               np.array([[mul_coeffs(a[i, j], b[i, j], dim, order) for j in range(3)]
                         for i in range(2)]))
         s = rng.standard_normal(nc)          # a scalar jet times a jet matrix
-        close(product_coeffs(s, b, dim, order),
+        close(contract_coeffs("...,...ij->...ij", s, b, dim, order),
               np.array([[mul_coeffs(s, b[i, j], dim, order) for j in range(3)]
                         for i in range(2)]))
         c = rng.standard_normal((3, 4, nc))  # jet matrices (2, 3) @ (3, 4)
-        close(product_coeffs(a, c, dim, order, matmul=True),
+        close(contract_coeffs("...ik,...kj->...ij", a, c, dim, order),
               np.array([[sum(mul_coeffs(a[i, k], c[k, j], dim, order) for k in range(3))
                          for j in range(4)] for i in range(2)]))
+        # no matmul: a matrix into the first index of a 3-tensor, as Gamma = g^-1 [ij, l]
+        t = rng.standard_normal((3, 2, 3, nc))
+        close(contract_coeffs("...kl,...lij->...kij", c.swapaxes(0, 1), t, dim, order),
+              np.array([[[sum(mul_coeffs(c[l, k], t[l, i, j], dim, order) for l in range(3))
+                          for j in range(3)] for i in range(2)] for k in range(4)]))
 
 
 @pytest.mark.parametrize("dim", range(1, 5))
@@ -355,8 +360,9 @@ def test_stacked_rows_equal_each_row_alone(dim):
         assert all(np.array_equal(got[r], mul_coeffs(a[r, 0], b[0, 0], dim, order))
                    for r in range(5))
         m, q = rng.standard_normal((2, 4, 3, 3, nc))
-        got = product_coeffs(m, q, dim, order, matmul=True)
-        assert all(np.array_equal(got[r], product_coeffs(m[r], q[r], dim, order, matmul=True))
+        matmul = "...ik,...kj->...ij"
+        got = contract_coeffs(matmul, m, q, dim, order)
+        assert all(np.array_equal(got[r], contract_coeffs(matmul, m[r], q[r], dim, order))
                    for r in range(4))
         u = 0.3 * a[:, 0]
         u[:, 0] += 1.5

@@ -58,7 +58,8 @@ def test_tracer_restores_originals(traced_run):
     assert [key for key in before if after[key] is not before[key]] == []
 
 
-@pytest.mark.parametrize("name", ["geometry.christoffel", "models.structure_at",
+@pytest.mark.parametrize("name", ["geometry.christoffel", "geometry.curvature",
+                                  "weighted.weighted_invariants", "models.structure_at",
                                   "fields.eval", "variational.grid_build"] + [
     f"suites.{suite}" for suite in tracing.SUITE_NAMES
 ])
