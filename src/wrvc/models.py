@@ -381,7 +381,7 @@ def builtin_model(name: str, n: int = 3, m: float | None = None,
             )
         return ModelSpec(name=name, n=n, m=m, mu=mu, coords=coords,
                          f_expr=Num(math.sqrt(c2)),
-                         lam=(n - 1) / (2.0 * (n + m - 1)), **sphere)
+                         lam=(n - 1) / (n + m - 1) / 2.0, **sphere)
 
     m = 0.0 if m is None else float(m)
     mu = 0.0 if mu is None else float(mu)

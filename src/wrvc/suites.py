@@ -17,7 +17,7 @@ from . import variational
 from .errors import DeterminacyError
 from .fields import AmbientCoordinate, coordinate_harmonics, degree_two_harmonics, random_combination
 from .geometry import MetricAtPoint, curvature, laplacian
-from .jets import Jet, n_coeffs
+from .jets import Jet, hessian_index, n_coeffs
 from .models import builtin_model, lcf_candidate_ambient
 from .rho import (
     RhoSeries,
@@ -74,7 +74,7 @@ def _contract(suite, name, ok) -> CheckResult:
 
 
 def _random_jet(rng, dim, order, scale=1.0):
-    return Jet(dim, order, rng.uniform(-scale, scale, Jet(dim, order).coeffs.shape))
+    return Jet(dim, order, rng.uniform(-scale, scale, n_coeffs(dim, order)))
 
 
 def _sym(rng, n, scale=1.0):
@@ -82,35 +82,51 @@ def _sym(rng, n, scale=1.0):
     return 0.5 * (a + a.T)
 
 
-def _coords(point, order=4):
-    n = len(point)
-    return [Jet.variable(i, point[i], n, order) for i in range(n)]
-
-
-def _random_poly(rng, coords, scale):
-    u = Jet.constant(rng.uniform(-scale, scale), coords[0].dim, coords[0].order)
-    for k in range(len(coords)):
-        u = u + rng.uniform(-scale, scale) * coords[k]
-        for l in range(k, len(coords)):
-            u = u + rng.uniform(-scale, scale) * coords[k] * coords[l]
-    return u
+def _random_poly(rng, point, order, scale):
+    """c + sum_k r_k x_k + sum_{k<=l} r_kl x_k x_l as a jet of ``order`` at
+    ``point``, its coefficients written directly.  The draws (c, then r_k
+    and r_kk .. r_kn for each k) and every coefficient's sum are those of
+    the same polynomial built from coordinate jets, bit for bit."""
+    x = [float(v) for v in point]
+    n = len(x)
+    draws = iter(rng.uniform(-scale, scale, 1 + n + n * (n + 1) // 2).tolist())
+    quadratic, _ = hessian_index(n)
+    coeffs = np.zeros(n_coeffs(n, order))
+    c = next(draws)
+    linear = [0.0] * n
+    for k in range(n):
+        r = next(draws)
+        c += r * x[k]
+        linear[k] += r
+        for l in range(k, n):
+            r = next(draws)
+            a0 = r * x[k]   # the constant term of r * x_k, times x_l below
+            c += a0 * x[l]
+            if k == l:
+                linear[k] += a0 + a0
+            else:
+                linear[k] += r * x[l]
+                linear[l] += a0
+            coeffs[quadratic[k, l]] = r
+    coeffs[0] = c
+    coeffs[1:n + 1] = linear
+    return Jet(n, order, coeffs)
 
 
 def _random_metric(rng, n=3, order=4, scale=0.12):
-    x = _coords(rng.uniform(-0.2, 0.2, n), order)
+    point = rng.uniform(-0.2, 0.2, n)
     G = np.zeros((n, n, n_coeffs(n, order)))
     for i in range(n):
         for j in range(i, n):
-            pert = _random_poly(rng, x, scale)
-            pert.coeffs[0] = rng.uniform(-scale, scale)
-            G[i, j] = G[j, i] = (pert + (1.0 if i == j else 0.0)).coeffs
-    return MetricAtPoint(G, [xi.value for xi in x])
+            pert = _random_poly(rng, point, order, scale).coeffs
+            pert[0] = rng.uniform(-scale, scale) + (1.0 if i == j else 0.0)
+            G[i, j] = G[j, i] = pert
+    return MetricAtPoint(G, point)
 
 
 def _random_structure(rng, n=3, m=2.0, mu=0.3, order=4):
     metric = _random_metric(rng, n, order)
-    x = _coords(metric.point, order)
-    f = _random_poly(rng, x, 0.25).exp()
+    f = _random_poly(rng, metric.point, order, 0.25).exp()
     return MetricMeasurePoint(metric, f, m, mu)
 
 
@@ -218,8 +234,7 @@ def suite_curvature(rng) -> list:
     prod_res = 0.0
     for _ in range(3):
         metric = _random_metric(rng)
-        x = _coords(metric.point, 4)
-        u, v = _random_poly(rng, x, 0.5), _random_poly(rng, x, 0.5)
+        u, v = (_random_poly(rng, metric.point, 4, 0.5) for _ in range(2))
         inner = float(
             np.array([u.partial(tuple(int(i == t) for t in range(3)))
                       for i in range(3)])
@@ -243,7 +258,7 @@ def _conformal_models():
             [0.0, 0.0, 0.0])),
     ]
     # flat structure with a Gaussian density: nonconstant drift term
-    x = _coords([0.3, -0.1, 0.2], 4)
+    x = [Jet.variable(i, v, 3, 4) for i, v in enumerate([0.3, -0.1, 0.2])]
     G = np.zeros((3, 3, n_coeffs(3, 4)))
     G[:, :, 0] = np.eye(3)
     g = MetricAtPoint(G, [0.3, -0.1, 0.2])

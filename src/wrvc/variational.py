@@ -6,7 +6,9 @@ carries a polar-form tensor grid: Gauss-Legendre nodes in the radius
 product rule (Gauss-Legendre in the polar cosine, uniform in the
 azimuth).  The chart overlap is blended by a partition of unity whose
 radial profile is a C^11 polynomial smoothstep in log-radius; the two
-chart weights sum to the metric measure of the sphere.
+chart weights sum to the metric measure of the sphere.  Each
+Gauss-Legendre rule is computed once per degree (``_gauss_legendre``) and
+shared, read-only, by every grid.
 
 The chart is an array axis: every per-node quantity (f^m, field values,
 integrands) is one (2, N) array, one row per chart.  Trial fields are
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
+from numpy.polynomial import legendre
 
 from .errors import DomainError, ModelError
 from .expr import has_vars
@@ -39,6 +41,16 @@ _DEFAULT_RESOLUTION = 40
 _RADIUS = 3.0        # chart radius where the partition of unity reaches 0
 _PROFILE_DEGREE = 11
 _BOUND_TOL = 1e-6    # margin of the eigenvalue bound against 2(n+m) lam
+
+
+@lru_cache(maxsize=None)
+def _gauss_legendre(degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's Gauss-Legendre (nodes, weights) on [-1, 1], computed once per
+    degree and returned read-only."""
+    rule = legendre.leggauss(degree)
+    for arr in rule:
+        arr.flags.writeable = False
+    return rule
 
 
 @lru_cache(maxsize=None)
@@ -96,7 +108,7 @@ class QuadratureGrid:
         self.n = n
         self.resolution = resolution
 
-        xs, ws = leggauss(resolution)
+        xs, ws = _gauss_legendre(resolution)
         r = 0.5 * _RADIUS * (xs + 1.0)
         wr = 0.5 * _RADIUS * ws
 
@@ -107,7 +119,7 @@ class QuadratureGrid:
         dirs = np.stack([np.cos(alpha), np.sin(alpha)], axis=-1)
         wdir = np.full(2 * l_count, 2.0 * math.pi / (2 * l_count))
         if n == 3:
-            mu, wmu = leggauss(l_count)
+            mu, wmu = _gauss_legendre(l_count)
             sin_theta = np.sqrt(1.0 - mu**2)
             dirs = np.concatenate([(sin_theta[:, None, None] * dirs).reshape(-1, 2),
                                    np.repeat(mu, len(wdir))[:, None]], axis=1)
@@ -177,7 +189,8 @@ class GridStructure:
     """One model bound to one grid (``QuadratureGrid.bind``): the round-metric
     check on every node of both charts, f^m as a (2, N) array (chart 2's
     nodes are read at their chart-1 coordinates X/|X|^2), the weighted
-    volume, and memoized series scales.
+    volume, and the series scales of every order, read from one ambient
+    expansion at the model's default point.
     The model's expansion g_rho = (1 + lam rho)^2 g, f_rho = (1 + lam rho) f
     scales g and f by functions of rho alone, so v_k = C(n+m, k) lam^k is
     one constant for every node, read from the series scales.  It keeps the
@@ -228,16 +241,28 @@ class GridStructure:
 
     def series_scales(self, k: int):
         """(v_k, l_k) at the reference point, extracted through the rho-series
-        path: v_k scalar and the scale l_k with (L_k)^{ij} = l_k g^{ij}."""
+        path: v_k scalar and the scale l_k with (L_k)^{ij} = l_k g^{ij}.
+        The first request reads every order 1..K of one expansion at the
+        default order K; a k outside 1..K builds one expansion to order k
+        (a k above the determinacy order raises there)."""
         if k not in self._scales:
             self.lam   # raises unless the expansion is the lam-scaled one
             model = self.model
-            a = model.ambient_at(model.default_point, K=k)
-            # read through the module, so spans wrapped around rho's public names see them
-            L = rho.l_operator(a, model.m, k)
-            vk = rho.volume_coefficients(a, model.m)[k]
-            self._scales[k] = float(vk), float(np.trace(L @ a.g) / model.n)
+            if not self._scales:
+                a = model.ambient_at(model.default_point)
+                self._read_scales(a, range(1, a.K + 1))
+            if k not in self._scales:
+                self._read_scales(model.ambient_at(model.default_point, K=k), (k,))
         return self._scales[k]
+
+    def _read_scales(self, a, orders):
+        # read through the module, so spans wrapped around rho's public names
+        # see them; L_k first, as it names a k outside 1..K or above the cap
+        m = self.model.m
+        L = [rho.l_operator(a, m, k) for k in orders]
+        v = rho.volume_coefficients(a, m)
+        for k, Lk in zip(orders, L):
+            self._scales[k] = float(v[k]), float(np.trace(Lk @ a.g) / self.model.n)
 
 
 def _require_constant_density(model: ModelSpec):

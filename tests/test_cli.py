@@ -14,6 +14,7 @@ from wrvc.errors import WrvcError
 from wrvc.models import BUILTIN_NAMES as MODEL_NAMES
 from wrvc.models import ModelSpec, builtin_model
 from wrvc.rho import obstruction_tensors
+from wrvc.weighted import generalized_binomial
 
 
 def run_cli(capsys, *argv):
@@ -518,6 +519,26 @@ def test_qe_sphere_overflowing_density_constant_exits_2(capsys):
     assert out == ""
     assert err == ("error: qe_sphere needs a finite density constant "
                    "(m-1) mu/(n-1) (got m = 1e+308, mu = 1e+308)\n")
+
+
+@pytest.mark.parametrize("m", [2.0, 1e6, 1e300, 1e308])
+def test_vk_qe_sphere_at_huge_m_tends_to_the_exponential_series(capsys, m):
+    # lam = (n-1)/(2(n+m-1)) once overflowed at m = 1e308 (2(n+m-1) = inf),
+    # and every v_k read 0; v_k = C(n+m, k) lam^k -> 1/k! as m grows.  The
+    # reference multiplies the binomial in factor by factor, as
+    # generalized_binomial(n+m, k) alone overflows for m >~ 1e154
+    n = 3
+    code, out, err = run_cli(capsys, "vk", "--model", "qe_sphere", "--n", str(n),
+                             "--m", repr(m), "--json")
+    assert code == 0 and err == ""
+    values = json.loads(out)["values"]
+    lam = (n - 1) / (n + m - 1) / 2.0
+    for k in range(1, 6):
+        expected = math.prod((n + m - i) * lam / (i + 1) for i in range(k))
+        if m < 1e150:
+            assert expected == pytest.approx(generalized_binomial(n + m, k) * lam**k,
+                                             rel=1e-14)
+        assert values[f"v_{k}"] == pytest.approx(expected, rel=1e-12)
 
 
 _FLAT2 ="[space]\nn = 2\n\n[metric]\ng_11 = 1\ng_22 = 1\n"

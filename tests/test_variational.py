@@ -8,10 +8,11 @@ import weakref
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wrvc.errors import DomainError, ModelError
+from wrvc.errors import DeterminacyError, DomainError, ModelError
 from wrvc.expr import evaluate, parse_expression
 from wrvc.fields import (
     AmbientCoordinate,
@@ -338,7 +339,7 @@ def test_failing_chart_two_node_named_by_grid_coordinates(tmp_path):
     assert x @ x < 1.0 / 769.8
 
 
-def test_one_structure_and_one_unbatched_series_per_k(monkeypatch, qe3):
+def test_one_structure_and_one_unbatched_expansion_for_every_k(monkeypatch, qe3):
     structures, series, expansions = [], [], []
     init = GridStructure.__init__
     l_operator, volume_coefficients = rho.l_operator, rho.volume_coefficients
@@ -371,8 +372,83 @@ def test_one_structure_and_one_unbatched_series_per_k(monkeypatch, qe3):
     first_variation(qe3, grid, 2, project_mean_zero(qe3, grid, trial))
     second_variation(qe3, grid, 2, trial)
     assert len(structures) == 1
-    assert series == [(3, 1), (3, "v"), (3, 2), (3, "v"), (3, 3), (3, "v")]
-    assert expansions == [3, 3, 3]   # no grid function builds a batched one
+    # the first request reads every order of the default K = 5 expansion
+    assert series == [(3, 1), (3, 2), (3, 3), (3, 4), (3, 5), (3, "v")]
+    assert expansions == [3]   # one expansion, and no grid function builds a batched one
+
+
+def _counted_expansions(monkeypatch):
+    orders = []
+    post_init = AmbientExpansion.__post_init__
+
+    def counted(self):
+        post_init(self)
+        orders.append(self.K)
+
+    monkeypatch.setattr(AmbientExpansion, "__post_init__", counted)
+    return orders
+
+
+def test_order_above_the_default_builds_one_more_expansion(monkeypatch, qe3):
+    orders = _counted_expansions(monkeypatch)
+    bound = QuadratureGrid(3, resolution=10).bind(qe3)
+    bound.series_scales(2)
+    assert orders == [5]
+    for k in (1, 3, 4, 5):
+        bound.series_scales(k)
+    assert orders == [5]
+    assert abs(bound.vk(6)) <= 1e-15   # C(n+m, 6) lam^6 with n+m = 5
+    assert orders == [5, 6]
+
+
+def test_order_above_the_determinacy_cap_still_raises(monkeypatch):
+    model = builtin_model("qe_sphere", 3, 3, 1)   # n + m = 6: K capped at 3
+    orders = _counted_expansions(monkeypatch)
+    bound = QuadratureGrid(3, resolution=10).bind(model)
+    bound.series_scales(1)
+    assert orders == [3]
+    with pytest.raises(DeterminacyError, match="beyond determinacy order 3"):
+        bound.series_scales(4)
+    assert orders == [3, 4]
+
+
+@pytest.mark.parametrize("args", [("qe_sphere", 3, 2, 1), ("qe_sphere", 3, 3, 1),
+                                  ("qe_sphere", 2, 2, 1),
+                                  ("round_sphere_stereographic", 3)])
+def test_scales_of_one_expansion_equal_those_of_the_order_k_expansion(args):
+    model = builtin_model(*args)
+    bound = QuadratureGrid(model.n, resolution=10).bind(model)
+    cap = rho.determinacy_cap(model.n, model.m) or 5
+    for k in range(1, min(5, int(cap)) + 1):
+        a = model.ambient_at(model.default_point, K=k)
+        L = rho.l_operator(a, model.m, k)
+        expected = (float(rho.volume_coefficients(a, model.m)[k]),
+                    float(np.trace(L @ a.g) / model.n))
+        assert bound.series_scales(k) == expected   # bit for bit
+
+
+def test_gauss_legendre_rule_is_numpys_read_only_and_computed_once_per_degree(
+        monkeypatch):
+    for degree in (6, 10, 40):
+        nodes, weights = variational._gauss_legendre(degree)
+        ref_nodes, ref_weights = leggauss(degree)
+        assert nodes.tobytes() == ref_nodes.tobytes()
+        assert weights.tobytes() == ref_weights.tobytes()
+        assert not nodes.flags.writeable and not weights.flags.writeable
+        with pytest.raises(ValueError):
+            nodes[0] = 0.0
+    degrees = []
+    original = variational.legendre.leggauss
+
+    def counted(degree):
+        degrees.append(degree)
+        return original(degree)
+
+    monkeypatch.setattr(variational.legendre, "leggauss", counted)
+    variational._gauss_legendre.cache_clear()
+    suites.suite_variational(np.random.default_rng(suites.DEFAULT_SEED))
+    # four grids (resolution 40 twice, 10 and 20) ask for seven rules
+    assert sorted(degrees) == [6, 10, 20, 40]
 
 
 def test_grid_vk_closed_form(qe3):
