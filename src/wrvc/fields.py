@@ -1,23 +1,42 @@
 """Vectorized scalar fields on the round sphere for quadrature trials.
 
-Fields are globally defined functions on the sphere, evaluated through
-both stereographic charts at once (value, Euclidean chart gradient,
-Laplacian and Hessian, batched over a chart axis of length 2 and a node
-axis).  The building blocks are the ambient-coordinate restrictions,
-which span the first nonzero eigenspace of the Laplacian; products of two
-of them supply degree-two trials.  Every evaluation takes one
-``ChartTable``, the grid's node data with the closed forms of every
-ambient coordinate computed once, so a ``Sum``/``Product`` tree costs a
-few broadcasts, and the flat Laplacian never forms the Hessian.
+Fields are globally defined functions on the sphere.  Every trial the
+library builds is a polynomial of degree <= 2 in the ambient coordinates
+xi in R^{n+1}: a ``Constant``, an ``AmbientCoordinate`` (the first nonzero
+eigenspace of the Laplacian), a ``Product`` of two of them (degree-two
+trials) and any ``Sum`` of these.  ``coefficients(n)`` reduces a field to
+that form, u = c + b.xi + xi^T C xi with C symmetric, and a ``Product``
+of degree above 2 raises there.  With w = b + 2 C xi, the round-metric
+gradient norm and Laplace-Beltrami operator follow from xi alone,
+
+    |grad u|_g^2 = |w|^2 - (xi.w)^2,
+    Delta_g u = 2 tr C - n b.xi - 2(n+1) xi^T C xi,
+
+the restriction formulas for a function on S^n in R^{n+1}, so no
+quadrature path needs a chart derivative (``wrvc.variational``).
+
+Every evaluation takes one ``ChartTable``, the grid's node data with the
+ambient coordinates on both stereographic charts at once (a chart axis of
+length 2 before the node axis).  ``value`` is the tree's value, a few
+broadcasts per node; ``grad`` and ``hess`` are the Euclidean chart
+derivatives, kept as the chart-calculus oracle of the tests, and the
+table builds the flat gradients they read on first use.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DomainError
+
+
+def _check_dimension(field_n: int, n: int):
+    if field_n != n:
+        raise DomainError(f"field dimension {field_n} does not match grid dimension {n}")
 
 
 class ChartTable:
@@ -26,51 +45,71 @@ class ChartTable:
     The charts share the (N, n) node array ``X``, and so ``XT`` (n, N) and
     ``D = 1 + |x|^2`` (N,); chart 2 flips the last ambient coordinate, so
     ``sign`` is [[1.0], [-1.0]].  The ambient coordinates xi_0 .. xi_n are
-    ``xi`` (n+1, 2, N), their flat chart gradients ``dxi`` (n+1, n, 2, N)
-    and flat chart Laplacians ``lap_xi`` (n+1, 2, N).  With r^2 = |x|^2,
-    xi_a = 2 x_a / D for a < n and xi_n = sign (r^2 - 1)/D, with flat
-    Laplacians x_a (16 r^2/D^3 - (8 + 4n)/D^2) and
-    sign (4n/D^2 - 16 r^2/D^3).  Rows a < n are computed once and written
-    to both charts; chart 2's row n is chart 1's negated.  The arrays are
-    read-only, since fields return rows of them.
+    ``xi`` (n+1, 2, N): with r^2 = |x|^2, xi_a = 2 x_a / D for a < n and
+    xi_n = sign (r^2 - 1)/D.  Their flat chart gradients ``dxi``
+    (n+1, n, 2, N) are built on first use: only the chart derivatives
+    ``grad`` and ``hess`` read them, and the quadrature reads ``xi`` only.
+    Rows a < n are computed once and written to both charts; chart 2's row
+    n is chart 1's negated.  The arrays are read-only, since fields return
+    rows of them.
     """
 
     def __init__(self, X: np.ndarray):
         N, n = X.shape
         XT = np.ascontiguousarray(X.T)
         D = 1.0 + np.einsum("ij,ij->i", X, X)
-        D2 = D * D
-        r2_term = 16.0 * (D - 1.0) / (D2 * D)
-        xi, lap_xi = np.empty((n + 1, 2, N)), np.empty((n + 1, 2, N))
-        dxi = np.empty((n + 1, n, 2, N))
+        xi = np.empty((n + 1, 2, N))
         xi[:n, 0] = 2.0 * XT / D
         xi[n, 0] = (D - 2.0) / D   # (r^2 - 1)/(r^2 + 1)
+        _fill_chart_two(xi, n)
+        for array in (XT, D, xi):
+            array.flags.writeable = False
+        self.sign, self.n = np.array([[1.0], [-1.0]]), n
+        self.XT, self.D, self.xi = XT, D, xi
+
+    @cached_property
+    def dxi(self) -> np.ndarray:
+        """(n+1, n, 2, N) flat chart gradients of the ambient coordinates."""
+        n, XT, D = self.n, self.XT, self.D
+        dxi = np.empty((n + 1, n) + self.xi.shape[1:])
         dxi[:n, :, 0] = -4.0 * XT[:, None, :] * XT[None, :, :] / D**2
         dxi[np.arange(n), np.arange(n), 0] += 2.0 / D
         dxi[n, :, 0] = 4.0 * XT / D**2
-        lap_xi[:n, 0] = XT * (r2_term - (8.0 + 4.0 * n) / D2)
-        lap_xi[n, 0] = 4.0 * n / D2 - r2_term
-        for array in (xi, dxi, lap_xi):
-            array[:n, ..., 1, :] = array[:n, ..., 0, :]
-            np.negative(array[n, ..., 0, :], out=array[n, ..., 1, :])
-        for array in (XT, D, xi, dxi, lap_xi):
-            array.flags.writeable = False
-        self.sign, self.n = np.array([[1.0], [-1.0]]), n
-        self.XT, self.D, self.xi, self.dxi, self.lap_xi = XT, D, xi, dxi, lap_xi
+        _fill_chart_two(dxi, n)
+        dxi.flags.writeable = False
+        return dxi
 
     def row(self, field: "AmbientCoordinate") -> int:
         """The table row of an ambient coordinate of a sphere of this
         table's dimension."""
-        if field.n != self.n:
-            raise DomainError(
-                f"field dimension {field.n} does not match grid dimension {self.n}"
-            )
+        _check_dimension(field.n, self.n)
         return field.a
+
+
+def _fill_chart_two(array: np.ndarray, n: int):
+    # chart 2 repeats rows a < n of chart 1 and negates row n
+    array[:n, ..., 1, :] = array[:n, ..., 0, :]
+    np.negative(array[n, ..., 0, :], out=array[n, ..., 1, :])
+
+
+def _finite_real(c, what: str) -> float:
+    if not isinstance(c, numbers.Real) or not math.isfinite(c):
+        raise DomainError(f"{what} {c!r} is not a finite real number")
+    return float(c)
+
+
+def _require_field(field, what: str):
+    if not isinstance(field, SphereField):
+        raise DomainError(f"{what} {field!r} is not a SphereField")
+
+
+def _degree(b: np.ndarray, C: np.ndarray) -> int:
+    return 2 if np.count_nonzero(C) else 1 if np.count_nonzero(b) else 0
 
 
 class SphereField:
     """Base class.  Every evaluation takes one ``ChartTable``; ``grad``
-    returns (n, 2, N), ``hess`` (n, n, 2, N) and the others (2, N)."""
+    returns (n, 2, N), ``hess`` (n, n, 2, N) and ``value`` (2, N)."""
 
     def value(self, table: ChartTable) -> np.ndarray:
         raise NotImplementedError
@@ -81,35 +120,35 @@ class SphereField:
     def hess(self, table: ChartTable) -> np.ndarray:
         raise NotImplementedError
 
-    def laplacian(self, table: ChartTable) -> np.ndarray:
-        """Flat chart Laplacian, the trace of ``hess``, without the
-        (n, n, 2, N) Hessian."""
+    def coefficients(self, n: int) -> tuple:
+        """(c, b, C) with u = c + b.xi + xi^T C xi on S^n: a float, an
+        (n+1,) array and a symmetric (n+1, n+1) array."""
         raise NotImplementedError
 
 
 class Constant(SphereField):
     def __init__(self, c: float):
-        self.c = float(c)
+        self.c = _finite_real(c, "constant")
 
     def value(self, table):
         return np.full(table.xi.shape[1:], self.c)
 
     def grad(self, table):
-        return np.zeros(table.dxi.shape[1:])
+        return np.zeros((table.n,) + table.xi.shape[1:])
 
     def hess(self, table):
-        return np.zeros((table.n,) + table.dxi.shape[1:])
+        return np.zeros((table.n, table.n) + table.xi.shape[1:])
 
-    def laplacian(self, table):
-        return np.zeros(table.xi.shape[1:])
+    def coefficients(self, n):
+        return self.c, np.zeros(n + 1), np.zeros((n + 1, n + 1))
 
 
 class AmbientCoordinate(SphereField):
     """Restriction of the ambient coordinate xi_a (0 <= a <= n) to S^n.
 
-    These are eigenfunctions: Laplacian(xi_a) = -n xi_a.  Value, gradient
-    and flat Laplacian are rows of the chart table (see ``ChartTable``);
-    only ``hess`` is computed per call.
+    These are eigenfunctions: Laplacian(xi_a) = -n xi_a.  Value and
+    gradient are rows of the chart table (see ``ChartTable``); only
+    ``hess`` is computed per call.
     """
 
     def __init__(self, a: int, n: int):
@@ -140,14 +179,26 @@ class AmbientCoordinate(SphereField):
         out += 4.0 * eye[:, :, None] / D**2
         return table.sign * out[:, :, None, :]
 
-    def laplacian(self, table):
-        return table.lap_xi[table.row(self)]
+    def coefficients(self, n):
+        _check_dimension(self.n, n)
+        b = np.zeros(n + 1)
+        b[self.a] = 1.0
+        return 0.0, b, np.zeros((n + 1, n + 1))
 
 
 class Sum(SphereField):
+    """sum_i coeffs[i] * fields[i]: as many finite real coefficients as
+    fields."""
+
     def __init__(self, fields, coeffs):
-        self.fields = tuple(fields)
-        self.coeffs = tuple(float(c) for c in coeffs)
+        fields, coeffs = tuple(fields), tuple(coeffs)
+        if len(fields) != len(coeffs):
+            raise DomainError(f"a Sum needs one coefficient per field, got "
+                              f"{len(fields)} fields and {len(coeffs)} coefficients")
+        for field in fields:
+            _require_field(field, "Sum term")
+        self.fields = fields
+        self.coeffs = tuple(_finite_real(c, "Sum coefficient") for c in coeffs)
 
     def value(self, table):
         out = np.zeros(table.xi.shape[1:])
@@ -156,26 +207,34 @@ class Sum(SphereField):
         return out
 
     def grad(self, table):
-        out = np.zeros(table.dxi.shape[1:])
+        out = np.zeros((table.n,) + table.xi.shape[1:])
         for c, f in zip(self.coeffs, self.fields):
             out += c * f.grad(table)
         return out
 
     def hess(self, table):
-        out = np.zeros((table.n,) + table.dxi.shape[1:])
+        out = np.zeros((table.n, table.n) + table.xi.shape[1:])
         for c, f in zip(self.coeffs, self.fields):
             out += c * f.hess(table)
         return out
 
-    def laplacian(self, table):
-        out = np.zeros(table.xi.shape[1:])
-        for c, f in zip(self.coeffs, self.fields):
-            out += c * f.laplacian(table)
-        return out
+    def coefficients(self, n):
+        c, b, C = 0.0, np.zeros(n + 1), np.zeros((n + 1, n + 1))
+        for k, f in zip(self.coeffs, self.fields):
+            fc, fb, fC = f.coefficients(n)
+            c += k * fc
+            b += k * fb
+            C += k * fC
+        return c, b, C
 
 
 class Product(SphereField):
+    """left * right; as a grid trial, of degree <= 2 in the ambient
+    coordinates."""
+
     def __init__(self, left: SphereField, right: SphereField):
+        _require_field(left, "Product factor")
+        _require_field(right, "Product factor")
         self.left = left
         self.right = right
 
@@ -194,15 +253,17 @@ class Product(SphereField):
         cross = du[:, None] * dv[None, :]
         return u * hv + v * hu + cross + np.swapaxes(cross, 0, 1)
 
-    def laplacian(self, table):
-        left, right = self.left, self.right
-        u, v = left.value(table), right.value(table)
-        du, dv = left.grad(table), right.grad(table)
-        return (
-            u * right.laplacian(table)
-            + v * left.laplacian(table)
-            + 2.0 * np.einsum("ijk,ijk->jk", du, dv)
-        )
+    def coefficients(self, n):
+        c1, b1, C1 = self.left.coefficients(n)
+        c2, b2, C2 = self.right.coefficients(n)
+        degree = _degree(b1, C1) + _degree(b2, C2)
+        if degree > 2:
+            raise DomainError(
+                f"a Product of degree {degree} is not a grid trial: grid trials "
+                "are polynomials of degree <= 2 in the ambient coordinates"
+            )
+        cross = b1[:, None] * b2
+        return c1 * c2, c1 * b2 + c2 * b1, c1 * C2 + c2 * C1 + 0.5 * (cross + cross.T)
 
 
 def coordinate_harmonics(n: int) -> list:

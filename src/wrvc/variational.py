@@ -8,15 +8,25 @@ azimuth).  The chart overlap is blended by a partition of unity whose
 radial profile is a C^11 polynomial smoothstep in log-radius; the two
 chart weights sum to the metric measure of the sphere.  Each
 Gauss-Legendre rule is computed once per degree (``_gauss_legendre``) and
-shared, read-only, by every grid.
+shared, read-only, by every grid; the radial factors are computed once per
+radius and repeated over the directions.
 
 The chart is an array axis: every per-node quantity (f^m, field values,
 integrands) is one (2, N) array, one row per chart.  Trial fields are
 evaluated on the grid's ``ChartTable``, built on the first field
-evaluation; the Laplace-Beltrami operator and the gradient norm come from
-the flat chart Laplacian and gradient, never from a Hessian.  Reductions
-sum chart 1, then chart 2, each in fixed-size node chunks in index order,
-so results are bit-identical from run to run.
+evaluation.  Values come from the field tree (``value``); the round-metric
+gradient norm and Laplace-Beltrami values come from the trial's ambient
+quadratic form u = c + b.xi + xi^T C xi (``SphereField.coefficients``,
+degree <= 2): with w = b + 2 C xi,
+|grad u|_g^2 = |w|^2 - (xi.w)^2 and
+Delta_g u = 2 tr C - n b.xi - 2(n+1) xi^T C xi, evaluated on the table's
+``xi`` alone, so no quadrature path reads a chart derivative (the flat
+chart Laplacian these replaced is gone; ``grad``, ``hess`` and the table's
+lazy ``dxi`` remain the tests' oracle).  A trial of degree above 2 raises
+there, and so does a constant trial, whose mean-zero projection is
+rounding (``_CONSTANT_FRACTION``).
+Reductions sum chart 1, then chart 2, each in fixed-size node chunks in
+index order, so results are bit-identical from run to run.
 """
 
 from __future__ import annotations
@@ -41,6 +51,10 @@ _DEFAULT_RESOLUTION = 40
 _RADIUS = 3.0        # chart radius where the partition of unity reaches 0
 _PROFILE_DEGREE = 11
 _BOUND_TOL = 1e-6    # margin of the eigenvalue bound against 2(n+m) lam
+# a trial whose mean-zero projection keeps at most this fraction of its
+# weighted square integral is constant up to rounding (a constant's
+# projection keeps ~1e-32 of it)
+_CONSTANT_FRACTION = 1e-24
 
 
 @lru_cache(maxsize=None)
@@ -125,17 +139,18 @@ class QuadratureGrid:
                                    np.repeat(mu, len(wdir))[:, None]], axis=1)
             wdir = (wmu[:, None] * wdir).ravel()
 
-        X = (r[:, None, None] * dirs[None, :, :]).reshape(-1, n)
-        w_geom = (wr[:, None] * wdir[None, :]).ravel()
-        rr = np.repeat(r, dirs.shape[0])
-        psi = partition_profile(rr)
-        conf = 4.0 / (1.0 + rr**2) ** 2
-        weights = w_geom * psi * rr ** (n - 1) * conf ** (n / 2.0)
-
+        # the radial factors on the resolution radii, each repeated over the
+        # directions; radii outside the partition's support carry no nodes
+        psi = partition_profile(r)
+        conf = 4.0 / (1.0 + r**2) ** 2
         keep = psi > 0.0
-        self.points = X[keep]
-        self.weights = weights[keep]
-        self.conf = conf[keep]
+        r, wr, psi, conf = r[keep], wr[keep], psi[keep], conf[keep]
+        count = dirs.shape[0]
+        w_geom = (wr[:, None] * wdir[None, :]).ravel()
+        self.points = (r[:, None, None] * dirs[None, :, :]).reshape(-1, n)
+        self.weights = (w_geom * np.repeat(psi, count) * np.repeat(r ** (n - 1), count)
+                        * np.repeat(conf ** (n / 2.0), count))
+        self.conf = np.repeat(conf, count)
         self._bound = {}   # id(model) -> GridStructure, which holds the model
 
     @cached_property
@@ -286,10 +301,13 @@ def functional_F_k(model: ModelSpec, grid: QuadratureGrid, k: int) -> float:
 
 def project_mean_zero(model: ModelSpec, grid: QuadratureGrid, field: SphereField):
     """Subtract the weighted mean; returns the (2, N) values."""
-    bound = grid.bind(model)
-    values = field.value(grid.table)
-    c = grid.integrate(values * bound.fm) / bound.wvol
-    return values - c
+    return _mean_zero(grid, grid.bind(model), field.value(grid.table))[0]
+
+
+def _mean_zero(grid: QuadratureGrid, bound: GridStructure, values) -> tuple:
+    """(values minus their weighted mean, the mean)."""
+    mean = grid.integrate(values * bound.fm) / bound.wvol
+    return values - mean, mean
 
 
 def first_variation(model: ModelSpec, grid: QuadratureGrid, k: int,
@@ -304,14 +322,37 @@ def first_variation(model: ModelSpec, grid: QuadratureGrid, k: int,
     return factor * grid.integrate(vk * bound.fm * omega_values)
 
 
+def _ambient_form(field: SphereField, table: ChartTable) -> tuple:
+    """The trial reduced once to u = c + b.xi + xi^T C xi and evaluated on
+    the table's nodes: (tr C, b.xi, xi^T C xi, |w|^2) with w = b + 2 C xi,
+    the last three flat over both charts (2N,).  C xi is formed one row at
+    a time, so no (n+1, 2N) temporary is allocated, and with numpy's own
+    loops, not BLAS, so each node's entries do not depend on the others.
+    A zero row of C leaves w_a = b_a, a constant, and is skipped: a
+    coordinate trial reads no row of C xi, a product of two coordinates
+    two."""
+    _, b, C = field.coefficients(table.n)
+    xi = table.xi.reshape(table.n + 1, -1)
+    bxi = np.einsum("a,ak->k", b, xi)
+    active = C.any(axis=1)
+    xCx = np.zeros_like(bxi)
+    w2 = np.full_like(bxi, np.sum(b[~active] ** 2))
+    for a in np.flatnonzero(active):
+        row = np.einsum("b,bk->k", C[a], xi)   # (C xi)_a
+        xCx += xi[a] * row
+        row *= 2.0
+        row += b[a]                            # w_a
+        w2 += row * row
+    return np.trace(C), bxi, xCx, w2
+
+
 def laplace_beltrami_values(field: SphereField, table: ChartTable) -> np.ndarray:
-    """(2, N) Laplacian of the field in the round metric, from the table:
-    for g = conf * delta with conf = 4/D^2, D = 1 + r^2,
-    Delta_g u = (D^2/4) (Delta u - 2 (n-2) x.grad u / D)."""
-    D = table.D
-    flat_lap = field.laplacian(table)
-    radial = np.einsum("ik,ijk->jk", table.XT, field.grad(table))
-    return (D**2 / 4.0) * (flat_lap - (table.n - 2.0) * 2.0 * radial / D)
+    """(2, N) Laplacian of the field in the round metric, from the ambient
+    form: Delta_g u = 2 tr C - n b.xi - 2(n+1) xi^T C xi."""
+    n = table.n
+    trace, bxi, xCx, _ = _ambient_form(field, table)
+    lb = 2.0 * trace - n * bxi - 2.0 * (n + 1) * xCx
+    return lb.reshape(table.xi.shape[1:])
 
 
 def delta_vk_identity_check(model: ModelSpec, grid: QuadratureGrid, k: int,
@@ -389,13 +430,23 @@ def second_variation_sign_certificate(n: int, m: float, k: int, lam: float) -> i
 def _mass_and_energy(model: ModelSpec, grid: QuadratureGrid,
                      field: SphereField) -> tuple:
     """Weighted mass of the trial's mean-zero projection and its weighted
-    Dirichlet energy, with |grad u|_g^2 = (D^2/4) |grad u|^2 in the chart."""
-    fm, table = grid.bind(model).fm, grid.table
-    values = project_mean_zero(model, grid, field)
-    mass = grid.integrate(values**2 * fm)
-    du = field.grad(table)
-    energy = grid.integrate(
-        (table.D**2 / 4.0) * np.einsum("ijk,ijk->jk", du, du) * fm)
+    Dirichlet energy, with |grad u|_g^2 = |w|^2 - (xi.w)^2 from the ambient
+    form (xi.w = b.xi + 2 xi^T C xi).  A projection whose mass is at most
+    _CONSTANT_FRACTION of the weighted integral of u^2, which is
+    mass + mean^2 * wvol, is rounding left by a constant trial, and raises."""
+    bound, table = grid.bind(model), grid.table
+    fm = bound.fm
+    projected, mean = _mean_zero(grid, bound, field.value(table))
+    mass = grid.integrate(projected**2 * fm)
+    square = mass + mean * mean * bound.wvol
+    if not mass > _CONSTANT_FRACTION * square:
+        raise DomainError(
+            f"the trial is constant on the sphere: its mean-zero projection "
+            f"has weighted mass {mass:.3e} against {square:.3e} for the trial"
+        )
+    _, bxi, xCx, w2 = _ambient_form(field, table)
+    grad2 = w2 - (bxi + 2.0 * xCx) ** 2
+    energy = grid.integrate(grad2.reshape(table.xi.shape[1:]) * fm)
     return mass, energy
 
 

@@ -142,22 +142,65 @@ def test_harmonics_are_eigenfunctions():
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]), st.floats(0.1, 4.0))
-def test_flat_laplacian_is_hessian_trace(seed, n, spread):
-    # the closed-form flat Laplacian against the trace of the (n, n, 2, N)
-    # Hessian, per chart and node, relative to the size of the diagonal entries
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]), st.floats(0.01, 10.0))
+def test_ambient_form_matches_the_chart_calculus_oracle(seed, n, spread):
+    # Laplace-Beltrami values and gradient norms from the ambient form against
+    # (D^2/4)(tr hess - 2(n-2) x.grad/D) and (D^2/4)|grad|^2 of the chart
+    # derivatives, per chart and node, relative to the size of the terms
     rng = np.random.default_rng(seed)
     field = random_combination(rng, n)
     X = rng.uniform(-spread, spread, (25, n))
     table = ChartTable(X)
-    hess = field.hess(table)
-    trace = np.trace(hess, axis1=0, axis2=1)
-    scale = np.abs(np.diagonal(hess, axis1=0, axis2=1)).sum(axis=-1)
-    lap = field.laplacian(table)
-    assert lap.shape == (2, 25)
-    assert np.all(np.abs(lap - trace) <= 1e-12 * scale)
+    D = table.D
+    hess_diag = np.diagonal(field.hess(table), axis1=0, axis2=1)
+    grad = field.grad(table)
+    radial = np.einsum("ik,ijk->jk", table.XT, grad)
+    oracle_lb = (D**2 / 4.0) * (hess_diag.sum(axis=-1) - 2.0 * (n - 2) * radial / D)
+    oracle_scale = (D**2 / 4.0) * (np.abs(hess_diag).sum(axis=-1)
+                                   + 2.0 * (n - 2) * np.abs(radial) / D)
+    oracle_grad2 = (D**2 / 4.0) * np.einsum("ijk,ijk->jk", grad, grad)
+
+    # the form's pieces as the energy reads them: |grad u|_g^2 = |w|^2 - (xi.w)^2
+    # with xi.w = b.xi + 2 xi^T C xi
+    trace, *parts = variational._ambient_form(field, table)
+    bxi, xCx, w2 = (part.reshape(2, 25) for part in parts)
+    form_scale = 2.0 * np.abs(trace) + n * np.abs(bxi) + 2.0 * (n + 1) * np.abs(xCx)
+    lb = laplace_beltrami_values(field, table)
+    assert lb.shape == (2, 25)
+    assert np.all(np.abs(lb - oracle_lb) <= 1e-12 * (form_scale + oracle_scale))
+    grad2 = w2 - (bxi + 2.0 * xCx) ** 2
+    assert np.all(np.abs(grad2 - oracle_grad2) <= 1e-12 * w2)
+    # the form's value is the tree's value
+    c = field.coefficients(n)[0]
+    assert np.allclose(c + bxi + xCx, field.value(table), rtol=0.0, atol=1e-13)
     # per node: the table of a sub-array of nodes gives the same entries
-    assert np.array_equal(field.laplacian(ChartTable(X[::3])), lap[:, ::3])
+    assert np.array_equal(laplace_beltrami_values(field, ChartTable(X[::3])),
+                          lb[:, ::3])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_coefficients_of_the_trial_classes(n):
+    eye = np.eye(n + 1)
+    c, b, C = Constant(2.5).coefficients(n)
+    assert c == 2.5 and not b.any() and not C.any() and C.shape == (n + 1, n + 1)
+    for a in range(n + 1):
+        c, b, C = AmbientCoordinate(a, n).coefficients(n)
+        assert c == 0.0 and np.array_equal(b, eye[a]) and not C.any()
+    for a in range(n + 1):
+        for d in range(n + 1):
+            c, b, C = Product(AmbientCoordinate(a, n),
+                              AmbientCoordinate(d, n)).coefficients(n)
+            expected = 0.5 * (np.outer(eye[a], eye[d]) + np.outer(eye[d], eye[a]))
+            assert c == 0.0 and not b.any() and np.array_equal(C, expected)
+    # (2 + xi_0)(3 xi_1 - 1) = -2 + 6 xi_1 - xi_0 + 3 xi_0 xi_1
+    left = Sum([Constant(2.0), AmbientCoordinate(0, n)], [1.0, 1.0])
+    right = Sum([AmbientCoordinate(1, n), Constant(1.0)], [3.0, -1.0])
+    c, b, C = Product(left, right).coefficients(n)
+    assert c == -2.0
+    assert np.array_equal(b, 6.0 * eye[1] - eye[0])
+    assert np.array_equal(C, 1.5 * (np.outer(eye[0], eye[1]) + np.outer(eye[1], eye[0])))
+    _, _, C = random_combination(np.random.default_rng(n), n).coefficients(n)
+    assert np.array_equal(C, C.T)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -177,19 +220,62 @@ def test_laplace_beltrami_eigenvalues(n, sign):
                            rtol=1e-12, atol=1e-12)
 
 
-def test_quadrature_paths_never_build_a_hessian(monkeypatch, grid3, qe3):
-    def no_hessian(self, table):
-        raise AssertionError(f"{type(self).__name__}.hess called")
+def test_quadrature_paths_never_read_chart_derivatives(monkeypatch, qe3):
+    # neither grad nor hess runs, and no table builds the flat gradients
+    def no_derivative(self, table):
+        raise AssertionError(f"{type(self).__name__} chart derivative called")
+
+    def no_dxi(self):
+        raise AssertionError("ChartTable.dxi built")
 
     for cls in (SphereField, Constant, AmbientCoordinate, Sum, Product):
-        monkeypatch.setattr(cls, "hess", no_hessian)
+        monkeypatch.setattr(cls, "grad", no_derivative)
+        monkeypatch.setattr(cls, "hess", no_derivative)
+    monkeypatch.setattr(ChartTable, "dxi", property(no_dxi))
+    grid = QuadratureGrid(3)
     trial = random_combination(np.random.default_rng(4), 3)
+    assert abs(first_variation(qe3, grid, 2, project_mean_zero(qe3, grid, trial))) <= 1e-8
     assert delta_vk_identity_check(
-        qe3, grid3, 2, laplace_beltrami_values(trial, grid3.table)) <= 1e-6
-    assert second_variation(qe3, grid3, 2, trial).path_agreement <= 1e-6
-    assert rayleigh_quotient(qe3, grid3, degree_two_harmonics(3)[0]) \
+        qe3, grid, 2, laplace_beltrami_values(trial, grid.table)) <= 1e-6
+    assert second_variation(qe3, grid, 2, trial).path_agreement <= 1e-6
+    assert rayleigh_quotient(qe3, grid, degree_two_harmonics(3)[0]) \
         == pytest.approx(8.0, abs=1e-4)
-    assert eigenvalue_bound_check(qe3, grid3).passed
+    assert eigenvalue_bound_check(qe3, grid).passed
+    assert all(check.passed for check in suites.suite_variational(
+        np.random.default_rng(suites.DEFAULT_SEED)))
+
+
+def test_chart_table_builds_dxi_on_first_use():
+    X = np.random.default_rng(9).uniform(-2.0, 2.0, (30, 3))
+    table = ChartTable(X)
+    assert "dxi" not in vars(table)
+    AmbientCoordinate(1, 3).hess(table)
+    AmbientCoordinate(3, 3).value(table)
+    assert "dxi" not in vars(table)
+    grad = AmbientCoordinate(1, 3).grad(table)
+    dxi = vars(table)["dxi"]
+    assert grad.base is dxi and not dxi.flags.writeable
+    assert table.dxi is dxi and dxi.shape == (4, 3, 2, 30)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_degree_three_product_raises_on_the_grid_path(n, grid2, grid3, qe3):
+    grid, model = {2: (grid2, builtin_model("qe_sphere", 2, 2, 1)),
+                   3: (grid3, qe3)}[n]
+    cubic = Product(Product(AmbientCoordinate(0, n), AmbientCoordinate(1, n)),
+                    Sum([AmbientCoordinate(1, n), Constant(1.0)], [1.0, 2.0]))
+    message = ("a Product of degree 3 is not a grid trial: grid trials are "
+               "polynomials of degree <= 2 in the ambient coordinates")
+    for call in (lambda: cubic.coefficients(n),
+                 lambda: laplace_beltrami_values(cubic, grid.table),
+                 lambda: rayleigh_quotient(model, grid, cubic),
+                 lambda: second_variation(model, grid, 1, cubic)):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            call()
+    # a degree-two factor times a constant stays a grid trial
+    scaled = Product(Constant(2.0), degree_two_harmonics(n)[0])
+    assert rayleigh_quotient(model, grid, scaled) == pytest.approx(
+        2.0 * (n + 1), abs=1e-4)
 
 
 def test_chart_transition_consistency():
@@ -211,7 +297,7 @@ def test_chart_two_negates_the_last_row_of_chart_one(n):
     X[0] = np.eye(n)[0]
     table = ChartTable(X)
     assert table.xi[n, 0, 0] == 0.0
-    for rows in (table.xi, table.dxi, table.lap_xi):
+    for rows in (table.xi, table.dxi):
         assert np.array_equal(rows[:n, ..., 1, :], rows[:n, ..., 0, :])
         assert np.array_equal(rows[n, ..., 1, :], -rows[n, ..., 0, :])
         assert np.array_equal(np.signbit(rows[n, ..., 1, :]),
@@ -236,6 +322,37 @@ def test_grid_refinement_reduces_error():
     errs = [abs(QuadratureGrid(3, resolution=res).weight_sum() - S3_VOL)
             for res in (10, 20)]
     assert errs[0] / errs[1] >= 4.0
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("resolution", [4, 10, 20, 40, 80])
+def test_grid_nodes_equal_the_per_node_formula(n, resolution):
+    # the radial factors are computed once per radius and repeated over the
+    # directions; every node array equals the formula evaluated node by node
+    radius = variational._RADIUS
+    xs, ws = leggauss(resolution)
+    r, wr = 0.5 * radius * (xs + 1.0), 0.5 * radius * ws
+    l_count = max(6, resolution // 4)
+    alpha = 2.0 * math.pi * np.arange(2 * l_count) / (2 * l_count)
+    dirs = np.stack([np.cos(alpha), np.sin(alpha)], axis=-1)
+    wdir = np.full(2 * l_count, 2.0 * math.pi / (2 * l_count))
+    if n == 3:
+        mu, wmu = leggauss(l_count)
+        sin_theta = np.sqrt(1.0 - mu**2)
+        dirs = np.concatenate([(sin_theta[:, None, None] * dirs).reshape(-1, 2),
+                               np.repeat(mu, len(wdir))[:, None]], axis=1)
+        wdir = (wmu[:, None] * wdir).ravel()
+    X = (r[:, None, None] * dirs[None, :, :]).reshape(-1, n)
+    rr = np.repeat(r, len(dirs))
+    psi = partition_profile(rr)
+    conf = 4.0 / (1.0 + rr**2) ** 2
+    weights = (wr[:, None] * wdir[None, :]).ravel() * psi * rr ** (n - 1) \
+        * conf ** (n / 2.0)
+    keep = psi > 0.0
+    grid = QuadratureGrid(n, resolution)
+    assert np.array_equal(grid.points, X[keep])
+    assert np.array_equal(grid.weights, weights[keep])
+    assert np.array_equal(grid.conf, conf[keep])
 
 
 def test_grid_guards():
@@ -661,12 +778,11 @@ def test_ambient_coordinates_read_rows_of_the_chart_table(grid3):
     N = len(grid3.points)
     for field in coordinate_harmonics(3):
         for method, rows, shape in ((field.value, table.xi, (2, N)),
-                                    (field.grad, table.dxi, (3, 2, N)),
-                                    (field.laplacian, table.lap_xi, (2, N))):
+                                    (field.grad, table.dxi, (3, 2, N))):
             out = method(table)
             assert out.base is rows and np.array_equal(out, rows[field.a])
             assert out.shape == shape
-    for array in (table.XT, table.D, table.xi, table.dxi, table.lap_xi):
+    for array in (table.XT, table.D, table.xi, table.dxi):
         assert not array.flags.writeable
     assert grid3.table is table
     assert np.array_equal(table.sign, [[1.0], [-1.0]])
@@ -678,6 +794,7 @@ def test_field_on_a_grid_of_another_dimension_raises(grid2, field):
     message = "field dimension 3 does not match grid dimension 2"
     for evaluate in (lambda: field.value(grid2.table),
                      lambda: laplace_beltrami_values(field, grid2.table),
+                     lambda: field.coefficients(2),
                      lambda: field.grad(grid2.table),
                      lambda: field.hess(grid2.table)):
         with pytest.raises(DomainError, match=f"^{message}$"):
@@ -690,8 +807,8 @@ def test_constant_field_evaluates_on_any_grid(grid2):
     c = Constant(2.5)
     assert np.array_equal(c.value(table), np.full((2, N), 2.5))
     assert c.grad(table).shape == (2, 2, N) and not c.grad(table).any()
-    assert c.hess(table).shape == (2, 2, 2, N)
-    assert c.laplacian(table).shape == (2, N) and not c.laplacian(table).any()
+    assert c.hess(table).shape == (2, 2, 2, N) and not c.hess(table).any()
+    assert not laplace_beltrami_values(c, table).any()
 
 
 @pytest.mark.parametrize("a, n", [(1.5, 3), (np.float64(1.0), 3), ("1", 3), (-1, 3),
@@ -756,6 +873,50 @@ def test_second_variation_guards(grid3):
     eu = builtin_model("euclidean", 3, m=2.0)
     with pytest.raises(ModelError):
         second_variation(eu, grid3, 1, xi)   # lam = 0 and not a sphere model
+
+
+@pytest.mark.parametrize("c", [0.0, 0.1, 3.7, 1e5])
+def test_constant_trials_raise(grid3, qe3, c):
+    # the mean-zero projection of a constant is rounding: no quotient, no sign
+    xi = AmbientCoordinate(0, 3)
+    for trial in (Constant(c), Sum([Constant(c), xi], [1.0, 0.0])):
+        for call in (lambda: rayleigh_quotient(qe3, grid3, trial),
+                     lambda: second_variation(qe3, grid3, 2, trial)):
+            with pytest.raises(DomainError,
+                               match="^the trial is constant on the sphere: "):
+                call()
+
+
+def test_a_large_offset_is_not_a_constant_trial(grid3, qe3):
+    xi = AmbientCoordinate(0, 3)
+    offset = Sum([Constant(1e5), xi], [1.0, 1.0])
+    assert rayleigh_quotient(qe3, grid3, offset) == pytest.approx(
+        rayleigh_quotient(qe3, grid3, xi), rel=1e-9)
+
+
+@pytest.mark.parametrize("terms, coeffs, message", [
+    ((0, 1), [1.0], "a Sum needs one coefficient per field, got 2 fields and 1 coefficients"),
+    ((0,), [1.0, 2.0], "a Sum needs one coefficient per field, got 1 fields and 2 coefficients"),
+    ((0, 1), [1.0, float("nan")], "Sum coefficient nan is not a finite real number"),
+    ((0,), [float("-inf")], "Sum coefficient -inf is not a finite real number"),
+    ((0,), ["1"], "Sum coefficient '1' is not a finite real number"),
+    ((0, 1.0), [1.0, 1.0], "Sum term 1.0 is not a SphereField"),
+])
+def test_sum_rejects_mismatched_and_non_finite_terms(terms, coeffs, message):
+    fields = [AmbientCoordinate(t, 3) if isinstance(t, int) else t for t in terms]
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        Sum(fields, coeffs)
+
+
+def test_product_and_constant_reject_what_is_not_a_field():
+    xi = AmbientCoordinate(0, 3)
+    for left, right, bad in ((xi, 2.0, "2.0"), (None, xi, "None")):
+        with pytest.raises(DomainError,
+                           match=f"^Product factor {bad} is not a SphereField$"):
+            Product(left, right)
+    with pytest.raises(DomainError, match="^constant nan is not a finite real number$"):
+        Constant(float("nan"))
+    assert Sum([xi], [np.float64(2.0)]).coeffs == (2.0,)
 
 
 def test_c_k_invariant():
