@@ -138,8 +138,11 @@ class ModelSpec:
         model's error boundary, each result checked finite.
         ``accept_metric(G, point)`` checks the (n, n, ...) metric, and then
         the density is evaluated unless ``density`` is False, so metric
-        errors come first.  Errors name the nodes of sphere chart ``chart``
-        (``_at_point``).  Returns (its result, f or None); values have the
+        errors come first; for order None it is ``accept_metric(rows,
+        slots, nodes)``, with each distinct metric component's values once
+        (``rows``) and the ``(n, n)`` table of their indices, so no
+        ``(n, n, N)`` array is gathered.  Errors name the nodes of sphere
+        chart ``chart`` (``_at_point``).  Returns (its result, f or None); values have the
         coefficient axis, or the node axis, last."""
         env = self._env(point, order)
         point = np.asarray(point, dtype=float)
@@ -165,9 +168,10 @@ class ModelSpec:
             self._require_finite_at(out, what, point, chart)
             return out
 
-        G = run("metric", self._metric_nodes)[self._slots]
+        rows = run("metric", self._metric_nodes)
         with self._checking("metric", point, chart=chart):
-            metric = accept_metric(G, point)
+            metric = (accept_metric(rows, self._slots, point) if order is None
+                      else accept_metric(rows[self._slots], point))
         f = run("density", [self._f_node])[0] if density else None
         return metric, f
 

@@ -1,16 +1,16 @@
 """Truncated power series in the expansion parameter rho and the ambient
 coefficient pipeline built on them.
 
-``RhoSeries`` holds Taylor coefficients c_0..c_K at one point (so the
-stored entry k is (1/k!) d_rho^k at 0, not the raw derivative).  The shape
-of the coefficients says what they are: ``(K+1,)`` is a scalar series and
-``(K+1, n, n)`` a matrix series.  Every series product is one truncated
-Cauchy product, the product of one-variable jets: it gathers the pairs
-(i, k - i) of ``jets._product_triples(1, K)`` into a single multiply and
-adds each order's pairs by a cached 0/1 matrix.
+A series at one point is an array of Taylor coefficients c_0..c_K, order
+axis first (entry k is (1/k!) d_rho^k at 0): ``(K+1,)`` is a scalar series,
+``(K+1, n, n)`` a matrix series.  Each operation is one kernel on such
+arrays, and each ``RhoSeries`` method one call of it.  The product
+``_cauchy`` is that of one-variable jets: it gathers the pairs (i, k - i)
+of ``jets._product_triples(1, K)`` into a single multiply and adds each
+order's pairs by a 0/1 matrix, both from one cached lookup per K.
 
 The ambient data of a structure at a point is an ``AmbientExpansion``:
-coefficient lists of the metric family g_rho and density family f_rho.
+coefficient arrays of the metric family g_rho and density family f_rho.
 From it this module extracts
 
 * the volume coefficients v_k of (f_rho/f)^m (det g_rho / det g)^{1/2},
@@ -20,13 +20,13 @@ From it this module extracts
 * the second-order operator coefficients L_k from the series
   v(rho) * int_0^rho g^{ij}.
 
-All of these read a few series that an expansion computes once, on first
+All of these read a few arrays that an expansion computes once, on first
 use, and keeps read-only: g_rho^{-1}, g_rho' g_rho^{-1}, Lambda^(1), and per
-m the volume series and the L series.  The volume series, read through
-``volume_coefficients``, takes log(det g_rho / det g) from Jacobi's
-formula, as int_0^rho tr(g' g^{-1}), so it needs no determinant;
-``RhoSeries.matrix_det`` (a Laplace expansion) is the independent route
-that tests compare it with.
+m the volume series and the L series; none builds a ``RhoSeries``.  The
+volume series, read through ``volume_coefficients``, takes log(det g_rho /
+det g) from Jacobi's formula, as int_0^rho tr(g' g^{-1}), so it needs no
+determinant; ``RhoSeries.matrix_det`` (a Laplace expansion) is the
+independent route that tests compare it with.
 
 When n+m is an even integer the expansion only determines orders
 k <= (n+m)/2; requests beyond that raise ``DeterminacyError``.
@@ -50,15 +50,19 @@ MAX_AMBIENT_ORDER = 32   # largest K taken from a file header or the command lin
 MAX_DIM = 4              # largest n taken from a model or a file header
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @lru_cache(maxsize=None)
-def _order_sums(K: int) -> np.ndarray:
-    """The (K+1, pairs) 0/1 matrix that adds each order's run of the pairs
-    (i, k - i) of ``_product_triples(1, K)``."""
-    k = _product_triples(1, K)[2]
+def _cauchy_tables(K: int):
+    """The pairs (i, k - i) of ``_product_triples(1, K)`` as two index
+    arrays, and the (K+1, pairs) 0/1 matrix that adds each order's run."""
+    i, j, k, _ = _product_triples(1, K)
     sums = np.zeros((K + 1, k.size))
     sums[k, np.arange(k.size)] = 1.0
-    sums.flags.writeable = False
-    return sums
+    return i, j, _read_only(sums)
 
 
 def _cauchy(a: np.ndarray, b: np.ndarray, matmul: bool = False) -> np.ndarray:
@@ -67,11 +71,81 @@ def _cauchy(a: np.ndarray, b: np.ndarray, matmul: bool = False) -> np.ndarray:
     one-variable jets, with the order axis first.  Coefficients multiply
     elementwise with broadcasting, or as matrices when ``matmul``."""
     K = min(a.shape[0], b.shape[0]) - 1
-    i, j, _, _ = _product_triples(1, K)
-    prod = np.matmul(a[i], b[j]) if matmul else a[i] * b[j]
+    i, j, sums = _cauchy_tables(K)
+    a, b = a.take(i, axis=0), b.take(j, axis=0)
+    prod = np.matmul(a, b) if matmul else a * b
     # a 0/1 matrix, not reduceat: 0 * inf turns an overflow into nan in every order;
     # reduceat let a flat model with lambda = 1e60 exit 0 with obstruction norms ~3.7e224
-    return (_order_sums(K) @ prod.reshape(i.size, -1)).reshape((K + 1,) + prod.shape[1:])
+    return (sums @ prod.reshape(i.size, -1)).reshape((K + 1,) + prod.shape[1:])
+
+
+@lru_cache(maxsize=None)
+def _orders(start: int, stop: int, ndim: int) -> np.ndarray:
+    """start..stop-1, read-only, shaped to scale an ``ndim``-array's order axis."""
+    return _read_only(np.arange(start, stop, dtype=float).reshape((-1,) + (1,) * (ndim - 1)))
+
+
+def _derivative(a: np.ndarray) -> np.ndarray:
+    """d/d rho; the truncation order drops by one."""
+    if a.shape[0] < 2:
+        raise OrderError("cannot differentiate an order-0 series")
+    return a[1:] * _orders(1, a.shape[0], a.ndim)
+
+
+def _antiderivative(a: np.ndarray) -> np.ndarray:
+    """int_0^rho; vanishing constant term, order grows by one."""
+    return np.concatenate([np.zeros((1,) + a.shape[1:]), a / _orders(1, len(a) + 1, a.ndim)])
+
+
+def _symmetrize(a: np.ndarray) -> np.ndarray:
+    return 0.5 * (a + np.swapaxes(a, -1, -2))
+
+
+# _scalar_exp and _scalar_log keep their recurrences: through jets.compose_coeffs
+# the qe_sphere n=3 v_3 read 0.15624999999999994 for 0.15625
+def _scalar_exp(a: np.ndarray) -> np.ndarray:
+    ja = a * _orders(0, a.shape[0], 1)
+    out = np.empty_like(a)
+    out[0] = np.exp(a[0])
+    for k in range(1, a.shape[0]):
+        out[k] = np.einsum("i,i->", ja[1 : k + 1], out[k - 1 :: -1]) / k
+    return out
+
+
+def _scalar_log(a: np.ndarray) -> np.ndarray:
+    if a[0] <= 0.0:
+        raise DomainError("series log needs a positive leading coefficient")
+    out = np.empty_like(a)
+    jout = np.empty_like(a)   # j * out[j]
+    out[0] = np.log(a[0])
+    for k in range(1, a.shape[0]):
+        acc = np.einsum("i,i->", jout[1:k], a[k - 1 : 0 : -1])
+        out[k] = (a[k] - acc / k) / a[0]
+        jout[k] = k * out[k]
+    return out
+
+
+def _matrix_inverse(a: np.ndarray) -> np.ndarray:
+    # the order recursion takes 33 us where a gathered Neumann inverse took 84 us
+    try:
+        b0 = np.linalg.inv(a[0])
+    except np.linalg.LinAlgError:
+        raise DomainError("series inverse needs an invertible leading matrix")
+    out = np.empty_like(a)
+    out[0], minus_b0 = b0, -b0
+    for k in range(1, a.shape[0]):
+        out[k] = minus_b0 @ np.einsum("ijl,ilm->jm", a[1 : k + 1], out[k - 1 :: -1])
+    return out
+
+
+def _series_method(kernel, kind: str | None = None):
+    """The ``RhoSeries`` method that calls ``kernel`` (on a ``kind`` series)."""
+    def method(self) -> "RhoSeries":
+        if kind is not None:
+            self._require(kind)
+        return RhoSeries(kernel(self.coeffs))
+    method.__name__, method.__doc__ = kernel.__name__[1:], kernel.__doc__
+    return method
 
 
 @lru_cache(maxsize=None)
@@ -90,9 +164,7 @@ def _laplace_tables(n: int):
         cols, sub, dest, sign = (np.array(col) for col in zip(*terms))
         signed = np.zeros((len(sets), len(terms)))
         signed[dest, np.arange(len(terms))] = sign
-        for arr in (cols, sub, signed):
-            arr.flags.writeable = False
-        levels.append((n - s, cols, sub, signed))
+        levels.append((n - s, _read_only(cols), _read_only(sub), _read_only(signed)))
         prev = {S: idx for idx, S in enumerate(sets)}
     return levels
 
@@ -100,7 +172,8 @@ def _laplace_tables(n: int):
 class RhoSeries:
     """Polynomial in rho at one point, truncated at order K: coefficients
     of shape ``(K+1,)`` make a scalar series, ``(K+1, n, n)`` a matrix
-    series, and any other shape is rejected."""
+    series, and any other shape is rejected.  The arithmetic is the
+    module's kernels."""
 
     def __init__(self, coeffs):
         self.coeffs = np.asarray(coeffs, dtype=float)
@@ -162,28 +235,14 @@ class RhoSeries:
 
     __rmul__ = __mul__
 
-    # -- calculus ---------------------------------------------------------
+    # -- calculus and heads: one kernel call each ----------------------------
 
-    def derivative(self) -> "RhoSeries":
-        """d/d rho; the truncation order drops by one."""
-        if self.K < 1:
-            raise OrderError("cannot differentiate an order-0 series")
-        return RhoSeries(self.coeffs[1:] * self._orders(1, self.K + 1))
-
-    def antiderivative(self) -> "RhoSeries":
-        """int_0^rho; vanishing constant term, order grows by one."""
-        out = np.concatenate(
-            [np.zeros((1,) + self.coeffs.shape[1:]),
-             self.coeffs / self._orders(1, self.K + 2)]
-        )
-        return RhoSeries(out)
-
-    def _orders(self, start: int, stop: int) -> np.ndarray:
-        """start..stop-1 shaped to scale coefficients along the order axis."""
-        shape = (-1,) + (1,) * (self.coeffs.ndim - 1)
-        return np.arange(start, stop, dtype=float).reshape(shape)
-
-    # -- scalar transcendental heads ---------------------------------------
+    derivative = _series_method(_derivative)
+    antiderivative = _series_method(_antiderivative)
+    scalar_exp = _series_method(_scalar_exp, "scalar")
+    scalar_log = _series_method(_scalar_log, "scalar")
+    matrix_inverse = _series_method(_matrix_inverse, "matrix")
+    symmetrize = _series_method(_symmetrize, "matrix")
 
     def scalar_inverse(self) -> "RhoSeries":
         self._require("scalar")
@@ -194,48 +253,6 @@ class RhoSeries:
         out[0] = 1.0 / a[0]
         for k in range(1, self.K + 1):
             out[k] = -np.einsum("i,i->", a[1 : k + 1], out[k - 1 :: -1]) / a[0]
-        return RhoSeries(out)
-
-    # scalar_exp and scalar_log keep their recurrences: through jets.compose_coeffs
-    # the qe_sphere n=3 v_3 read 0.15624999999999994 for 0.15625
-    def scalar_exp(self) -> "RhoSeries":
-        self._require("scalar")
-        a = self.coeffs
-        ja = a * self._orders(0, self.K + 1)
-        out = np.empty_like(a)
-        out[0] = np.exp(a[0])
-        for k in range(1, self.K + 1):
-            out[k] = np.einsum("i,i->", ja[1 : k + 1], out[k - 1 :: -1]) / k
-        return RhoSeries(out)
-
-    def scalar_log(self) -> "RhoSeries":
-        self._require("scalar")
-        a = self.coeffs
-        if a[0] <= 0.0:
-            raise DomainError("series log needs a positive leading coefficient")
-        out = np.empty_like(a)
-        jout = np.empty_like(a)   # j * out[j]
-        out[0] = np.log(a[0])
-        for k in range(1, self.K + 1):
-            acc = np.einsum("i,i->", jout[1:k], a[k - 1 : 0 : -1])
-            out[k] = (a[k] - acc / k) / a[0]
-            jout[k] = k * out[k]
-        return RhoSeries(out)
-
-    # -- matrix heads -------------------------------------------------------
-
-    def matrix_inverse(self) -> "RhoSeries":
-        # the order recursion takes 33 us where a gathered Neumann inverse took 84 us
-        self._require("matrix")
-        a = self.coeffs
-        try:
-            b0 = np.linalg.inv(a[0])
-        except np.linalg.LinAlgError:
-            raise DomainError("series inverse needs an invertible leading matrix")
-        out = np.empty_like(a)
-        out[0] = b0
-        for k in range(1, self.K + 1):
-            out[k] = -b0 @ np.einsum("ijl,ilm->jm", a[1 : k + 1], out[k - 1 :: -1])
         return RhoSeries(out)
 
     def matrix_det(self) -> "RhoSeries":
@@ -252,10 +269,6 @@ class RhoSeries:
             minors = signed @ _cauchy(a[:, row, cols], minors[:, sub])
         return RhoSeries(minors[:, 0, 0])
 
-    def symmetrize(self) -> "RhoSeries":
-        self._require("matrix")
-        return RhoSeries(0.5 * (self.coeffs + np.swapaxes(self.coeffs, -1, -2)))
-
     def _require(self, kind: str):
         if self.kind != kind:
             raise DimensionMismatch(f"operation needs a {kind} series")
@@ -265,11 +278,6 @@ class RhoSeries:
 
 
 # -- ambient expansions -----------------------------------------------------
-
-
-def _read_only(series: RhoSeries) -> RhoSeries:
-    series.coeffs.flags.writeable = False
-    return series
 
 
 @dataclass(frozen=True)
@@ -284,7 +292,7 @@ class AmbientExpansion:
     Both arrays are copied at construction and are read-only, and so is the
     expansion, so its derived series (g_rho^{-1}, g_rho' g_rho^{-1},
     Lambda^(1), and per m the volume series and the L series) are each
-    computed once, on first use, and kept read-only.
+    computed once, on first use, as read-only coefficient arrays.
     """
 
     gcoeffs: np.ndarray   # (K+1, n, n)
@@ -334,41 +342,41 @@ class AmbientExpansion:
     # -- derived series, each computed once --------------------------------
 
     @cached_property
-    def _ginv(self) -> RhoSeries:
+    def _ginv(self) -> np.ndarray:
         """g_rho^{-1}."""
-        return _read_only(self.g_series().matrix_inverse())
+        return _read_only(_matrix_inverse(self.gcoeffs))
 
     @cached_property
-    def _gp_ginv(self) -> RhoSeries:
+    def _gp_ginv(self) -> np.ndarray:
         """g_rho' g_rho^{-1}, order K - 1; g^{-1} g' is its transpose."""
-        return _read_only(self.g_series().derivative() * self._ginv)
+        return _read_only(_cauchy(_derivative(self.gcoeffs), self._ginv, matmul=True))
 
     @cached_property
-    def _lambda_one(self) -> RhoSeries:
+    def _lambda_one(self) -> np.ndarray:
         """Lambda^(1) = (g'' - g' g^{-1} g' / 2) / 2, order K - 2."""
-        gp = self.g_series().derivative()
-        quad = (self._gp_ginv * gp) * 0.5
-        return _read_only(((gp.derivative() - quad) * 0.5).symmetrize())
+        gp = _derivative(self.gcoeffs)
+        quad = _cauchy(self._gp_ginv, gp, matmul=True) * 0.5
+        return _read_only(_symmetrize((_derivative(gp) - quad[: len(gp) - 1]) * 0.5))
 
-    def _volume(self, m: float) -> RhoSeries:
+    def _volume(self, m: float) -> np.ndarray:
         """(f_rho/f)^m (det g_rho/det g)^{1/2}, as exp(m log(f_rho/f)
         + log(det g_rho/det g)/2), where Jacobi's formula gives
         log(det g_rho/det g) = int_0^rho tr(g' g^{-1})."""
         key = ("volume", _dimensional(m))
         if key not in self._by_m:
-            exponent = m * self.f_series().scalar_log().coeffs
+            exponent = m * _scalar_log(self.fcoeffs)
             if self.K:
-                trace = np.trace(self._gp_ginv.coeffs, axis1=1, axis2=2)
-                exponent += 0.5 * RhoSeries(trace).antiderivative().coeffs
+                exponent += 0.5 * _antiderivative(np.trace(self._gp_ginv, axis1=1, axis2=2))
             exponent[0] = 0.0     # both logs of ratios vanish at rho = 0
-            self._by_m[key] = _read_only(RhoSeries(exponent).scalar_exp())
+            self._by_m[key] = _read_only(_scalar_exp(exponent))
         return self._by_m[key]
 
-    def _l_series(self, m: float) -> RhoSeries:
+    def _l_series(self, m: float) -> np.ndarray:
         """v(rho) int_0^rho g^{ij}(u) du."""
         key = ("l", float(m))
         if key not in self._by_m:
-            self._by_m[key] = _read_only(self._volume(m) * self._ginv.antiderivative())
+            self._by_m[key] = _read_only(
+                _cauchy(self._volume(m)[:, None, None], _antiderivative(self._ginv)))
         return self._by_m[key]
 
 
@@ -417,14 +425,14 @@ def volume_coefficients(a: AmbientExpansion, m: float) -> VolumeCoefficients:
     if a.K < 1:
         raise OrderError("expansion must carry at least one rho order")
     check_determinacy(a.n, m, a.K)
-    return VolumeCoefficients(v=a._volume(m).coeffs[1:])
+    return VolumeCoefficients(v=a._volume(m)[1:])
 
 
 def lambda_one_series(a: AmbientExpansion) -> RhoSeries:
     """Lambda^(1)(rho) = (g'' - g' g^{-1} g' / 2) / 2 as a matrix series."""
     if a.K < 2:
         raise OrderError("Lambda^(1) needs K >= 2")
-    return RhoSeries(a._lambda_one.coeffs)
+    return RhoSeries(a._lambda_one)
 
 
 @dataclass
@@ -459,12 +467,12 @@ def obstruction_tensors(a: AmbientExpansion) -> ObstructionSet:
     # symmetric part of g' g^{-1} Lambda^(k)
     gp_ginv = a._gp_ginv
     lam = a._lambda_one
-    out = ObstructionSet()
-    out.omegas.append(lam.coeffs[0].copy())
+    omegas = [lam[0].copy()]
     for _ in range(2, a.K):
-        lam = lam.derivative() - (gp_ginv * lam).symmetrize()
-        out.omegas.append(lam.coeffs[0].copy())
-    return out
+        step = _cauchy(gp_ginv, lam, matmul=True)[: len(lam) - 1]
+        lam = _derivative(lam) - _symmetrize(step)
+        omegas.append(lam[0].copy())
+    return ObstructionSet(omegas)
 
 
 def f_second_residual(a: AmbientExpansion, m: float):
@@ -476,8 +484,7 @@ def f_second_residual(a: AmbientExpansion, m: float):
         raise DomainError("self-consistency residual needs m > 0")
     if a.K < 2:
         raise OrderError("self-consistency residual needs K >= 2")
-    omega1 = a._lambda_one.coeffs[0]
-    trace = np.einsum("ij,ij->", a._ginv.coeffs[0], omega1)
+    trace = np.einsum("ij,ij->", a._ginv[0], a._lambda_one[0])
     return abs(2.0 * a.fcoeffs[2] + (a.f / m) * trace)
 
 
@@ -489,13 +496,13 @@ def l_operator(a: AmbientExpansion, m: float, k: int) -> np.ndarray:
     if not 1 <= k <= a.K:
         raise OrderError(f"k = {k} outside 1..{a.K}")
     check_determinacy(a.n, m, k)
-    return -a._l_series(m).coeffs[k]
+    return -a._l_series(m)[k]
 
 
 def l_operator_series(a: AmbientExpansion, m: float) -> RhoSeries:
     """The matrix series v(rho) * int_0^rho g^{ij}(u) du (order K);
     computed once per (expansion, m), with read-only coefficients."""
-    return RhoSeries(a._l_series(m).coeffs)
+    return RhoSeries(a._l_series(m))
 
 
 def poincare_to_ambient(r_coeffs) -> RhoSeries:
@@ -509,12 +516,9 @@ def poincare_to_ambient(r_coeffs) -> RhoSeries:
         raise DimensionMismatch("expected a 1-D array of r-coefficients")
     odd = r[1::2]
     if odd.size and np.max(np.abs(odd)) > _ODD_POWER_TOL:
-        raise DomainError(
-            f"odd powers of r present (max magnitude {np.max(np.abs(odd)):g})"
-        )
+        raise DomainError(f"odd powers of r present (max magnitude {np.max(np.abs(odd)):g})")
     even = r[0::2]
-    k = np.arange(even.size, dtype=float)
-    return RhoSeries(even * (-2.0) ** k)
+    return RhoSeries(even * (-2.0) ** np.arange(even.size, dtype=float))
 
 
 # -- plain-text coefficient files ---------------------------------------------
@@ -522,14 +526,10 @@ def poincare_to_ambient(r_coeffs) -> RhoSeries:
 
 def save_ambient_file(a: AmbientExpansion, m: float, mu: float, path):
     """Write `n m mu K` then `g k i j value` / `f k value` rows."""
-    n, K = a.n, a.K
-    lines = [f"{n} {m:.17g} {mu:.17g} {K}"]
-    for k in range(K + 1):
-        for i in range(n):
-            for j in range(n):
-                lines.append(f"g {k} {i} {j} {a.gcoeffs[k, i, j]:.17g}")
-    for k in range(K + 1):
-        lines.append(f"f {k} {a.fcoeffs[k]:.17g}")
+    lines = ([f"{a.n} {m:.17g} {mu:.17g} {a.K}"]
+             + [f"g {k} {i} {j} {a.gcoeffs[k, i, j]:.17g}"
+                for k, i, j in np.ndindex(a.gcoeffs.shape)]
+             + [f"f {k} {value:.17g}" for k, value in enumerate(a.fcoeffs)])
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -580,8 +580,7 @@ def load_ambient_file(path, model=None):
     if model is not None and (n, m, mu) != (model.n, model.m, model.mu):
         fail(num, f"header n m mu = {n} {m:g} {mu:g} does not match model "
                   f"{model.name!r} (n m mu = {model.n} {model.m:g} {model.mu:g})")
-    gcoeffs = np.zeros((K + 1, n, n))
-    fcoeffs = np.zeros(K + 1)
+    gcoeffs, fcoeffs = np.zeros((K + 1, n, n)), np.zeros(K + 1)
     for num, ln in raw[1:]:
         parts = ln.split()
         if parts[0] == "g" and len(parts) == 5:

@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 from numpy.polynomial import legendre
@@ -218,25 +218,31 @@ class GridStructure:
                 f"model dimension {model.n} does not match grid dimension {grid.n}"
             )
 
-        def accept_round(G, nodes):
-            # g_ij / conf against delta_ij, entry by entry: conf falls to
-            # ~1e-10 at chart 2's far nodes, so the tolerance is relative
-            conf = 4.0 / (1.0 + np.einsum("ij,ij->i", nodes, nodes)) ** 2
-            for i in range(model.n):
-                for j in range(model.n):
-                    if not (np.abs(G[i, j] / conf - float(i == j)) <= 1e-10).all():
-                        raise ModelError(
-                            "grid quadrature needs the round stereographic metric; "
-                            f"component g_{i + 1}{j + 1} of {model.name!r} differs"
-                        )
+        def accept_round(rows, slots, nodes, conf):
+            # g_ij / conf against delta_ij, once per distinct component on or
+            # off the diagonal, the first failure named in row-major order:
+            # conf falls to ~1e-10 at chart 2's far nodes, so the tolerance
+            # is relative
+            passed = {}
+            for (i, j), d in np.ndenumerate(slots):
+                if (d, i == j) not in passed:
+                    passed[d, i == j] = (np.abs(rows[d] / conf - float(i == j)) <= 1e-10).all()
+                if not passed[d, i == j]:
+                    raise ModelError(
+                        "grid quadrature needs the round stereographic metric; "
+                        f"component g_{i + 1}{j + 1} of {model.name!r} differs"
+                    )
 
         self.model = model
-        # chart 2's nodes X/|X|^2: summing the columns of X * X in order gives
-        # (X * X).sum(axis=1) bit for bit, without its per-row cost
+        # chart 2's nodes X/|X|^2, where the conformal factor 4/(1+|y|^2)^2 is
+        # 4 r^4/(1+r^2)^2 with r^2 = |X|^2: summing the columns of X * X in
+        # order gives (X * X).sum(axis=1) bit for bit, without its per-row cost
         X = grid.points
         r2 = sum((X * X).T)
-        self.fm = np.array([model._weight_on(nodes, accept_round, chart)
-                            for chart, nodes in ((1, X), (2, X / r2[:, None]))])
+        self.fm = np.array([
+            model._weight_on(nodes, partial(accept_round, conf=conf), chart)
+            for chart, nodes, conf in ((1, X, grid.conf),
+                                       (2, X / r2[:, None], 4.0 * r2**2 / (1.0 + r2) ** 2))])
         self.wvol = grid.integrate(self.fm)
         self._scales = {}
 

@@ -369,11 +369,17 @@ def quasi_einstein_residual(
     w: WeightedInvariants, g: np.ndarray, n: int, m: float
 ) -> tuple[float, float]:
     """Best-fit proportionality constant lambda = J/(n+m) and the residual
-    max(|P - lambda g|_inf, |tr_g P - n lambda|)."""
+    max(|P - lambda g|_inf / max(|P|_inf, |lambda| |g|_inf),
+    |tr_g P - n lambda| / max(|tr_g P|, n |lambda|)), each part relative to
+    its own scale (P is in units of curvature times g, the trace in units of
+    lambda).  The scales are floored at 1e-3 (in units of g for P), so a
+    flat structure reads about 0."""
     lam = w.J / (n + m)
     tr_P = float(np.trace(np.linalg.solve(g, w.P)))
+    g_scale = float(np.max(np.abs(g)))
     residual = max(
-        float(np.max(np.abs(w.P - lam * g))),
-        abs(tr_P - n * lam),
+        float(np.max(np.abs(w.P - lam * g)))
+        / max(float(np.max(np.abs(w.P))), abs(lam) * g_scale, 1e-3 * g_scale),
+        abs(tr_P - n * lam) / max(abs(tr_P), n * abs(lam), 1e-3),
     )
     return lam, residual

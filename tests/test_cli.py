@@ -394,6 +394,17 @@ def _small_sphere(tmp_path, lam: str):
     return path
 
 
+@pytest.mark.parametrize("lam", ["1e-3", "0.25", "1e60"])
+def test_curvature_qe_residual_is_relative_to_each_part_scale(capsys, tmp_path, lam):
+    # P = lam g holds on every small sphere, so rounding at the scale of P or
+    # of lambda must not read as a residual (at lambda = 1e60 the absolute
+    # parts mixed into 7.1e44)
+    code, out, _ = run_cli(capsys, "curvature", "--model",
+                           str(_small_sphere(tmp_path, lam)), "--json")
+    assert code == 0
+    assert json.loads(out)["values"]["qe_residual"] <= 1e-12
+
+
 def _flat(tmp_path, density: str, lam: str):
     path = tmp_path / "flat.cfg"
     path.write_text(

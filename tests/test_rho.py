@@ -13,6 +13,8 @@ from wrvc.rho import (
     AmbientExpansion,
     RhoSeries,
     _cauchy,
+    _matrix_inverse,
+    _scalar_exp,
     check_determinacy,
     determinacy_cap,
     f_second_residual,
@@ -428,41 +430,92 @@ def test_jacobi_volume_series_matches_determinant_oracle(n, K, m, seed):
     log_f = (a.f_series() * (1.0 / a.f)).scalar_log().coeffs
     ref = RhoSeries(m * log_f + 0.5 * log_det).scalar_exp().coeffs
     # the series itself: past the determinacy order, volume_coefficients raises
-    got = a._volume(m).coeffs
+    got = a._volume(m)
     assert got.shape == ref.shape
     assert np.max(np.abs(got - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
 
 
 def test_derived_series_computed_once_per_expansion_and_m(monkeypatch):
-    inverses, volumes = [], []
-    inverse, exp = RhoSeries.matrix_inverse, RhoSeries.scalar_exp
+    # the kernels are counted where the expansion calls them, and so is
+    # every series object built
+    inverses, volumes, built = [], [], []
+    init = RhoSeries.__init__
 
-    def counted_inverse(self):
-        inverses.append(self.K)
-        return inverse(self)
+    def counted_inverse(a):
+        inverses.append(a.shape[0] - 1)
+        return _matrix_inverse(a)
 
-    def counted_volume(self):   # only the volume series takes an exp
-        volumes.append(self.K)
-        return exp(self)
+    def counted_volume(a):   # only the volume series takes an exp
+        volumes.append(a.shape[0] - 1)
+        return _scalar_exp(a)
+
+    def counted_init(self, coeffs):
+        built.append(np.shape(coeffs))
+        init(self, coeffs)
 
     def no_det(self):
         raise AssertionError("the volume path takes no determinant")
 
-    monkeypatch.setattr(RhoSeries, "matrix_inverse", counted_inverse)
-    monkeypatch.setattr(RhoSeries, "scalar_exp", counted_volume)
+    monkeypatch.setattr("wrvc.rho._matrix_inverse", counted_inverse)
+    monkeypatch.setattr("wrvc.rho._scalar_exp", counted_volume)
+    monkeypatch.setattr(RhoSeries, "__init__", counted_init)
     monkeypatch.setattr(RhoSeries, "matrix_det", no_det)
     K = 5
     a = curved_expansion(np.random.default_rng(30), 4, K)
     for m in (1.3, 2.5, 1.3):
+        before = len(built)
         volume_coefficients(a, m)
         obstruction_tensors(a)
         for k in range(1, K + 1):
             l_operator(a, m, k)
+        # the first pass runs on a fresh expansion: no reader builds a series
+        assert len(built) == before
         l_operator_series(a, m)
         lambda_one_series(a)
         f_second_residual(a, m)
     assert inverses == [K]
     assert volumes == [K, K]    # one per m: 1.3 and 2.5
+
+
+def series_reference(a, m):
+    """v_1..v_K, L_1..L_K, Lambda^(1) and the obstructions of an expansion
+    from public ``RhoSeries`` operations only, in the pipeline's order."""
+    g, f = a.g_series(), a.f_series()
+    ginv = g.matrix_inverse()
+    gp = g.derivative()
+    gp_ginv = gp * ginv
+    trace = RhoSeries(np.trace(gp_ginv.coeffs, axis1=1, axis2=2))
+    exponent = f.scalar_log() * m + trace.antiderivative() * 0.5
+    volume = (exponent - exponent.coeffs[0]).scalar_exp()
+    L = volume * ginv.antiderivative()
+    ref = {"v": volume.coeffs[1:], "L": [-L.coeffs[k] for k in range(1, a.K + 1)]}
+    if a.K >= 2:
+        lam = ((gp.derivative() - (gp_ginv * gp) * 0.5) * 0.5).symmetrize()
+        ref["lambda_one"] = lam.coeffs
+        omegas = [lam.coeffs[0]]
+        for _ in range(2, a.K):
+            lam = lam.derivative() - (gp_ginv * lam).symmetrize()
+            omegas.append(lam.coeffs[0])
+        ref["omegas"] = omegas
+    return ref
+
+
+@pytest.mark.parametrize("K", range(1, 7))
+@pytest.mark.parametrize("n", range(1, 5))
+def test_pipeline_is_bit_identical_to_public_series_operations(n, K):
+    rng = np.random.default_rng(100 * n + K)
+    for m in (0.7, 1.3, 2.5):
+        a = curved_expansion(rng, n, K)
+        ref = series_reference(a, m)
+        assert np.array_equal(volume_coefficients(a, m).v, ref["v"])
+        for k in range(1, K + 1):
+            assert np.array_equal(l_operator(a, m, k), ref["L"][k - 1])
+        if K >= 2:
+            assert np.array_equal(lambda_one_series(a).coeffs, ref["lambda_one"])
+            omegas = obstruction_tensors(a).omegas
+            assert len(omegas) == len(ref["omegas"])
+            for got, want in zip(omegas, ref["omegas"]):
+                assert np.array_equal(got, want)
 
 
 # every public reader of the cached series, as (a, m) -> array

@@ -417,6 +417,26 @@ def test_round_check_is_relative_to_conf(grid3, qe3, scale, rejected):
         assert functional_F_k(scaled, grid3, 1) == functional_F_k(qe3, grid3, 1)
 
 
+ROUND3 = "4/(1+x^2+y^2+z^2)^2"
+
+
+@pytest.mark.parametrize("entries, named", [
+    # one distinct component on and off the diagonal: round on it, not off it
+    ({(i, j): ROUND3 for i in range(3) for j in range(3)}, "g_12"),
+    # the first failure in row-major order, after components that pass
+    ({(1, 1): f"1.1*{ROUND3}", (2, 2): f"1.1*{ROUND3}"}, "g_22"),
+    ({(1, 2): "0.001", (2, 1): "0.001"}, "g_23"),
+], ids=["shared_component", "diagonal", "off_diagonal"])
+def test_round_check_names_the_first_failing_component_in_row_major_order(
+        grid3, qe3, entries, named):
+    g = [row[:] for row in qe3.g_exprs]
+    for (i, j), text in entries.items():
+        g[i][j] = parse_expression(text)
+    model = dataclasses.replace(qe3, name="off", g_exprs=g)
+    with pytest.raises(ModelError, match=f"component {named} of 'off' differs"):
+        weighted_volume(model, grid3)
+
+
 def test_round_check_covers_chart_two(tmp_path):
     # round on chart 1's nodes (|x| < 3, where exp(r^2 - 60) < 1e-22), but
     # not at chart 2's nodes, read at X/|X|^2 with r^2 up to ~1e5
