@@ -310,7 +310,7 @@ def evaluate(node: Node, env: dict, memo: dict | None = None):
         elif op == "^":
             value = _power(a, b, node.pos)
         elif isinstance(b, Jet):
-            value = a * b.reciprocal()
+            value = a / b
         else:
             bad = np.asarray(b) == 0.0
             if bad.any():

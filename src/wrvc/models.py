@@ -9,8 +9,8 @@ chart point or into arrays on grid nodes.  Every pass evaluates and
 checks the metric first, then the density (``metric_at`` stops after the
 metric), so a model's metric errors come before its density errors.
 Structures carrying a proportionality constant ``lam`` (so that
-P = lam g and J = (n+m) lam pointwise) also generate their canonical
-ambient expansion g_rho = (1+lam rho)^2 g, f_rho = (1+lam rho) f.
+P = lam g and J = (n+m) lam pointwise) also generate their ambient
+expansion, ``lcf_candidate_ambient`` at (P, Y) = (lam g, m lam).
 """
 
 from __future__ import annotations
@@ -266,12 +266,12 @@ class ModelSpec:
         expansion ``DEFAULT_AMBIENT_ORDER``, either lowered to the
         determinacy order when n+m is an even integer (an explicit K above
         it stays an error, raised where the volume series is read).  A
-        coefficient file holds one point's data, so ``point`` does not enter
-        it; its header must match the model's (n, m, mu), and a K above the
-        file's raises ``OrderError``.  A generated expansion that overflows or
-        starts from a non-positive density raises a ``DomainError`` naming
-        the model and the point (a coefficient file's errors name
-        ``path:line`` instead).
+        coefficient file holds the default point's data, so another point
+        raises ``ModelError``; its header must match the model's (n, m, mu),
+        and a K above the file's raises ``OrderError``.  A generated expansion
+        that overflows or starts from a non-positive density raises a
+        ``DomainError`` naming the model and the point (a coefficient file's
+        errors name ``path:line`` instead).
         """
         if self.lam is not None:
             g, f = self._evaluate(point, 0)
@@ -280,33 +280,33 @@ class ModelSpec:
             # an overflow (inf * 0 = nan) meets the expansion's finiteness
             # check instead of printing a warning
             with self._checking("ambient expansion", point), np.errstate(all="ignore"):
-                expansion = quasi_einstein_coeffs(g.matrix, f[0], self.lam, K)
+                expansion = lcf_candidate_ambient(g.matrix, f[0], self.lam * g.matrix,
+                                                  self.m * self.lam, self.m, K)
             if self.lam_declared:
-                self._require_declared_lam(point, g.matrix)
+                self._require_declared_lam(point)
             return expansion
         if self.ambient_file is not None:
+            if not np.array_equal(point, self.default_point):
+                raise ModelError(f"{self.ambient_file} holds the ambient data of model "
+                                 f"{self.name!r} at ({_coords(self.default_point)}) "
+                                 f"only, not at ({_coords(point)})")
             return self._file_ambient(K)
         raise ModelError(
             f"model {self.name!r} carries no ambient generator "
             "(no proportionality constant and no coefficient file)"
         )
 
-    def _require_declared_lam(self, point, g: np.ndarray):
-        """A ``ModelError`` unless the declared lam is the structure's at the
-        point (``g`` the metric matrix there): P = lam g, and the fitted
-        J/(n+m) equals lam, both to 1e-9 relative (the scales floored at
-        1e-3, in units of g for P), so that a flat model declares 0."""
-        w, fitted, _ = self.invariants_at(point)
-        scale = np.abs(g).max()
-        deviation = np.abs(w.P - self.lam * g).max()
-        if (deviation > 1e-9 * max(np.abs(w.P).max(), abs(self.lam) * scale, 1e-3 * scale)
+    def _require_declared_lam(self, point):
+        """A ``ModelError`` unless ``quasi_einstein_residual`` (the
+        ``qe_residual`` of ``curvature``) is at most 1e-9 at the point and the
+        fitted J/(n+m) is lam to 1e-9 relative (floored at 1e-3: flat is 0)."""
+        _, fitted, residual = self.invariants_at(point)
+        if (residual > 1e-9
                 or abs(fitted - self.lam) > 1e-9 * max(abs(fitted), abs(self.lam), 1e-3)):
             raise ModelError(
                 f"{self._at_point('ambient expansion', point, 'is rejected')}: "
-                f"[ambient] lambda = {self.lam:.10g} does not hold: the structure "
-                f"fits lambda = J/(n+m) = {fitted:.10g}, and max|P - lambda g| = "
-                f"{deviation:.3g}"
-            )
+                f"[ambient] lambda = {self.lam:.10g} does not hold: the structure fits "
+                f"lambda = J/(n+m) = {fitted:.10g} with qe_residual = {residual:.3g}")
 
     def volume_coefficients_at(self, point, K: int | None = None):
         """v_1..v_K of the ambient expansion at a chart point (``ambient_at``)
@@ -413,24 +413,6 @@ def builtin_model(name: str, n: int = 3, m: float | None = None,
 # -- ambient generators -----------------------------------------------------
 
 
-def quasi_einstein_coeffs(g, f, lam: float, K: int) -> AmbientExpansion:
-    """Expansion of g_rho = (1+lam rho)^2 g, f_rho = (1+lam rho) f at one
-    point: g is (n, n) and f a scalar."""
-    if K < 1:
-        raise ModelError("ambient expansion needs K >= 1")
-    g = np.asarray(g, dtype=float)
-    f = np.asarray(f, dtype=float)
-    gcoeffs = np.zeros((K + 1,) + g.shape)
-    fcoeffs = np.zeros((K + 1,) + f.shape)
-    gcoeffs[0] = g
-    gcoeffs[1] = 2.0 * lam * g
-    if K >= 2:
-        gcoeffs[2] = lam**2 * g
-    fcoeffs[0] = f
-    fcoeffs[1] = lam * f
-    return AmbientExpansion(gcoeffs=gcoeffs, fcoeffs=fcoeffs)
-
-
 def lcf_candidate_ambient(g, f, P, Y: float, m: float, K: int) -> AmbientExpansion:
     """Conformally-flat-type expansion from pointwise data (P, Y):
 
@@ -438,6 +420,8 @@ def lcf_candidate_ambient(g, f, P, Y: float, m: float, K: int) -> AmbientExpansi
         f_rho = f (1 + rho Y/m).
 
     The density slope Y/m is taken to be 0 at m = 0 (where Y vanishes).
+    The expansion is exact for proportional structures: at (P, Y) =
+    (lam g, m lam) it is (1 + lam rho)^2 g, (1 + lam rho) f for m > 0.
     """
     if K < 1:
         raise ModelError("ambient expansion needs K >= 1")

@@ -333,12 +333,6 @@ class AmbientExpansion:
     def f(self) -> float:
         return self.fcoeffs[0]
 
-    def g_series(self) -> RhoSeries:
-        return RhoSeries(self.gcoeffs)
-
-    def f_series(self) -> RhoSeries:
-        return RhoSeries(self.fcoeffs)
-
     # -- derived series, each computed once --------------------------------
 
     @cached_property
@@ -525,10 +519,14 @@ def poincare_to_ambient(r_coeffs) -> RhoSeries:
 
 
 def save_ambient_file(a: AmbientExpansion, m: float, mu: float, path):
-    """Write `n m mu K` then `g k i j value` / `f k value` rows."""
+    """Write `n m mu K` then `g k i j value` / `f k value` rows.  The metric
+    rows are its symmetric part G/2 + G^T/2 (halves first, so entries near
+    the float limit do not overflow): a coefficient such as P g^{-1} P is
+    symmetric only up to rounding, and ``load_ambient_file`` rejects a
+    (j, i) row that differs from the (i, j) row."""
+    g = 0.5 * a.gcoeffs + 0.5 * np.swapaxes(a.gcoeffs, -1, -2)
     lines = ([f"{a.n} {m:.17g} {mu:.17g} {a.K}"]
-             + [f"g {k} {i} {j} {a.gcoeffs[k, i, j]:.17g}"
-                for k, i, j in np.ndindex(a.gcoeffs.shape)]
+             + [f"g {k} {i} {j} {g[k, i, j]:.17g}" for k, i, j in np.ndindex(g.shape)]
              + [f"f {k} {value:.17g}" for k, value in enumerate(a.fcoeffs)])
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -538,8 +536,11 @@ def load_ambient_file(path, model=None):
     """Read a coefficient file; returns (expansion, m, mu).
 
     The header must match ``model`` (a ``ModelSpec``) when one is given.  A
-    malformed header or row raises ``DomainError`` naming ``path:line``;
-    base data that ``AmbientExpansion`` rejects names the header's line."""
+    ``g k i j`` row sets both (i, j) and (j, i), so one triangle suffices; a
+    later row for the same (k, i, j) overwrites it.  A malformed header or
+    row, or a (k, j, i) row that differs from the (k, i, j) row, raises
+    ``DomainError`` naming ``path:line``; base data that ``AmbientExpansion``
+    rejects names the header's line."""
     try:
         with open(path) as fh:
             raw = [(num, ln.strip()) for num, ln in enumerate(fh, start=1)
@@ -581,19 +582,23 @@ def load_ambient_file(path, model=None):
         fail(num, f"header n m mu = {n} {m:g} {mu:g} does not match model "
                   f"{model.name!r} (n m mu = {model.n} {model.m:g} {model.mu:g})")
     gcoeffs, fcoeffs = np.zeros((K + 1, n, n)), np.zeros(K + 1)
+    rows = {}   # (k, i, j) -> the value its last row gave
     for num, ln in raw[1:]:
         parts = ln.split()
         if parts[0] == "g" and len(parts) == 5:
             k = index(num, parts[1], K + 1, "k")
             i = index(num, parts[2], n, "i")
             j = index(num, parts[3], n, "j")
-            gcoeffs[k, i, j] = number(num, parts[4])
+            value = number(num, parts[4])
+            if i != j and rows.get((k, j, i), value) != value:
+                fail(num, f"g {k} {i} {j} = {value:.17g} differs from "
+                          f"g {k} {j} {i} = {rows[k, j, i]:.17g}; the metric is symmetric")
+            # a row sets both triangles, so one triangle reads as written
+            rows[k, i, j] = gcoeffs[k, i, j] = gcoeffs[k, j, i] = value
         elif parts[0] == "f" and len(parts) == 3:
             fcoeffs[index(num, parts[1], K + 1, "k")] = number(num, parts[2])
         else:
             fail(num, f"unrecognized row in ambient file: {ln!r}")
-    # halves first, so two entries near the float limit do not overflow
-    gcoeffs = 0.5 * gcoeffs + 0.5 * np.swapaxes(gcoeffs, -1, -2)
     try:
         expansion = AmbientExpansion(gcoeffs=gcoeffs, fcoeffs=fcoeffs)
     except DomainError as exc:

@@ -204,8 +204,8 @@ class GridStructure:
     """One model bound to one grid (``QuadratureGrid.bind``): the round-metric
     check on every node of both charts, f^m as a (2, N) array (chart 2's
     nodes are read at their chart-1 coordinates X/|X|^2), the weighted
-    volume, and the series scales of every order, read from one ambient
-    expansion at the model's default point.
+    volume, and the series scales of each order, read once from one lazily
+    built expansion at the model's default point and order.
     The model's expansion g_rho = (1 + lam rho)^2 g, f_rho = (1 + lam rho) f
     scales g and f by functions of rho alone, so v_k = C(n+m, k) lam^k is
     one constant for every node, read from the series scales.  It keeps the
@@ -260,30 +260,26 @@ class GridStructure:
         """v_k, the same on every node of both charts."""
         return self.series_scales(k)[0]
 
+    @cached_property
+    def _expansion(self) -> rho.AmbientExpansion:
+        self.lam   # raises unless the expansion is the lam-scaled one
+        return self.model.ambient_at(self.model.default_point)
+
     def series_scales(self, k: int):
         """(v_k, l_k) at the reference point, extracted through the rho-series
         path: v_k scalar and the scale l_k with (L_k)^{ij} = l_k g^{ij}.
-        The first request reads every order 1..K of one expansion at the
-        default order K; a k outside 1..K builds one expansion to order k
-        (a k above the determinacy order raises there)."""
+        Each k is read once, from the default-order expansion, or from an
+        order-k one for a k above its order (above the cap, that raises)."""
         if k not in self._scales:
-            self.lam   # raises unless the expansion is the lam-scaled one
-            model = self.model
-            if not self._scales:
-                a = model.ambient_at(model.default_point)
-                self._read_scales(a, range(1, a.K + 1))
-            if k not in self._scales:
-                self._read_scales(model.ambient_at(model.default_point, K=k), (k,))
+            model, a = self.model, self._expansion
+            if k > a.K:
+                a = model.ambient_at(model.default_point, K=k)
+            # read through the module, so spans wrapped around rho's public names
+            # see them; L_k first, as it names a k outside 1..K or above the cap
+            L = rho.l_operator(a, model.m, k)
+            self._scales[k] = (float(rho.volume_coefficients(a, model.m)[k]),
+                               float(np.trace(L @ a.g) / model.n))
         return self._scales[k]
-
-    def _read_scales(self, a, orders):
-        # read through the module, so spans wrapped around rho's public names
-        # see them; L_k first, as it names a k outside 1..K or above the cap
-        m = self.model.m
-        L = [rho.l_operator(a, m, k) for k in orders]
-        v = rho.volume_coefficients(a, m)
-        for k, Lk in zip(orders, L):
-            self._scales[k] = float(v[k]), float(np.trace(Lk @ a.g) / self.model.n)
 
 
 def _require_constant_density(model: ModelSpec):

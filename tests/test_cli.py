@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from wrvc.cli import main, parse_point
 from wrvc.errors import WrvcError
 from wrvc.models import BUILTIN_NAMES as MODEL_NAMES
-from wrvc.models import ModelSpec, builtin_model
-from wrvc.rho import obstruction_tensors
+from wrvc.models import ModelSpec, builtin_model, lcf_candidate_ambient
+from wrvc.rho import load_ambient_file, obstruction_tensors, save_ambient_file
 from wrvc.weighted import generalized_binomial
 
 
@@ -414,19 +414,21 @@ def _flat(tmp_path, density: str, lam: str):
     return path
 
 
-@pytest.mark.parametrize("model, point, tail", [
-    # lam^2 g overflows at K = 2 on a model whose lambda is 1e300
-    (lambda tmp: _small_sphere(tmp, "1e300"), "0,0,0", "is not finite at point (0, 0, 0)"),
-    (lambda tmp: _flat(tmp, "-1", "0.25"), "0.5,0,1",
+@pytest.mark.parametrize("model, point, stage, tail", [
+    # at lambda = 1e300 the expansion's P g^-1 P = lam^2 g is finite, as g is
+    # 1e-300 delta, and its volume series, of size lam^k, overflows
+    (lambda tmp: _small_sphere(tmp, "1e300"), "0,0,0", "volume series",
+     "is not finite at point (0, 0, 0)"),
+    (lambda tmp: _flat(tmp, "-1", "0.25"), "0.5,0,1", "ambient expansion",
      "is rejected at point (0.5, 0, 1): base density must be positive"),
 ], ids=["overflowing_lambda", "negative_density"])
 def test_vk_generated_expansion_error_names_model_and_point(capsys, tmp_path,
-                                                             model, point, tail):
+                                                             model, point, stage, tail):
     path = model(tmp_path)
     code, out, err = run_cli(capsys, "vk", "--model", str(path), "--point", point)
     assert code == 2
     assert out == ""
-    assert err == f"error: ambient expansion of model '{path}' {tail}\n"
+    assert err == f"error: {stage} of model '{path}' {tail}\n"
 
 
 def test_vk_non_finite_generated_expansion_exits_2_with_one_line(capsys, tmp_path):
@@ -465,19 +467,23 @@ def test_vk_declared_lambda_of_a_quasi_einstein_model_is_accepted(capsys, tmp_pa
     assert json.loads(out)["values"]["v_1"] == pytest.approx(5 * float(lam), rel=1e-12)
 
 
-@pytest.mark.parametrize("text, declared, fitted, deviation", [
+_ROUND_SPHERE_LAMBDA = (
     # round S^3 with f = 1, m = 2, mu = 1: not quasi-Einstein, J = 1
-    ("[space]\nn = 3\nm = 2\nmu = 1\n\n[metric]\n"
-     "g_11 = 4/(1+x^2+y^2+z^2)^2\ng_22 = 4/(1+x^2+y^2+z^2)^2\n"
-     "g_33 = 4/(1+x^2+y^2+z^2)^2\n\n[ambient]\nlambda = 0.7\n", "0.7", "0.2", "1.47"),
+    "[space]\nn = 3\nm = 2\nmu = 1\n\n[metric]\n"
+    "g_11 = 4/(1+x^2+y^2+z^2)^2\ng_22 = 4/(1+x^2+y^2+z^2)^2\n"
+    "g_33 = 4/(1+x^2+y^2+z^2)^2\n\n[ambient]\nlambda = 0.7\n")
+
+
+@pytest.mark.parametrize("text, declared, fitted, residual", [
+    (_ROUND_SPHERE_LAMBDA, "0.7", "0.2", "0.4"),
     # flat, where lambda is 0
     ("[space]\nn = 3\nm = 2\n\n[metric]\ng_11 = 1\ng_22 = 1\ng_33 = 1\n\n"
-     "[ambient]\nlambda = 0.5\n", "0.5", "0", "0.5"),
+     "[ambient]\nlambda = 0.5\n", "0.5", "0", "0"),
     # the right lambda of a small sphere, declared with 1e-6 relative error
-    (None, "1.000001e+60", "1e+60", "1e-06"),
+    (None, "1.000001e+60", "1e+60", "0"),
 ], ids=["round_sphere", "flat", "small_sphere"])
 def test_vk_wrong_declared_lambda_exits_2_naming_both(capsys, tmp_path, text, declared,
-                                                      fitted, deviation):
+                                                      fitted, residual):
     if text is None:
         path = _small_sphere(tmp_path, "1e60")
         path.write_text(path.read_text().replace("lambda = 1e60", "lambda = 1.000001e60"))
@@ -488,8 +494,24 @@ def test_vk_wrong_declared_lambda_exits_2_naming_both(capsys, tmp_path, text, de
     assert (code, out) == (2, "")
     assert err == (f"error: ambient expansion of model '{path}' is rejected at point "
                    f"(0, 0, 0): [ambient] lambda = {declared} does not hold: the "
-                   f"structure fits lambda = J/(n+m) = {fitted}, and max|P - lambda g| "
-                   f"= {deviation}\n")
+                   f"structure fits lambda = J/(n+m) = {fitted} with qe_residual "
+                   f"= {residual}\n")
+
+
+def test_declared_lambda_error_reads_the_qe_residual_curvature_prints(capsys, tmp_path):
+    # one P = lambda g test: the rejection reports the residual of
+    # ``curvature`` for the same file and point
+    path = tmp_path / "wrong.cfg"
+    path.write_text(_ROUND_SPHERE_LAMBDA)
+    point = ("--point", "0.1,0.2,0")
+    code, out, _ = run_cli(capsys, "curvature", "--model", str(path), *point, "--json")
+    assert code == 0
+    values = json.loads(out)["values"]
+    assert values["qe_residual"] > 1e-9
+    code, out, err = run_cli(capsys, "vk", "--model", str(path), *point)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"fits lambda = J/(n+m) = {values['lambda']:.10g} "
+                        f"with qe_residual = {values['qe_residual']:.3g}\n")
 
 
 def test_builtin_lambda_is_not_checked(monkeypatch):
@@ -719,6 +741,76 @@ def test_vk_coefficient_row_near_float_limit_exits_2(capsys, tmp_path):
     assert out == ""
     assert err == (f"error: volume series of model '{model_path}' is not "
                    "finite at point (0, 0)\n")
+
+
+_G0 = np.array([[1.0, 0.3], [0.3, 1.0]])
+_P0 = np.array([[0.2, 0.05], [0.05, -0.1]])
+
+
+def _saved_ambient_model(tmp_path, rows=None, point=None):
+    """A model file reading the coefficient file ``save_ambient_file``
+    writes for an n = 2, K = 3 expansion with g_0 = [[1, 0.3], [0.3, 1]],
+    keeping the rows for which ``rows`` is true, and [space] ``point``."""
+    a = lcf_candidate_ambient(_G0, 1.0, _P0, 0.4, 2.0, 3)
+    tmp_path.mkdir(exist_ok=True)
+    coeff_path = tmp_path / "amb.txt"
+    save_ambient_file(a, 2.0, 0.0, coeff_path)
+    lines = coeff_path.read_text().splitlines(keepends=True)
+    coeff_path.write_text("".join(ln for ln in lines if rows is None or rows(ln)))
+    model_path = tmp_path / "model.cfg"
+    model_path.write_text(
+        "[space]\nn = 2\nm = 2\nmu = 0\n" + (f"point = {point}\n" if point else "")
+        + "\n[metric]\ng_11 = 1\ng_22 = 1\n\n"
+        f"[ambient]\ncoefficients = {coeff_path}\n"
+    )
+    return coeff_path, model_path
+
+
+def test_one_triangle_coefficient_file_reads_as_the_full_file(capsys, tmp_path):
+    # each g k 0 1 row sets (0, 1) and (1, 0), so without its g k 1 0 rows
+    # the file still reads g_01 = 0.3, not half of it
+    full_path, full_model = _saved_ambient_model(tmp_path / "full", None)
+    one_path, one_model = _saved_ambient_model(
+        tmp_path / "one", lambda ln: not re.match(r"g \d+ 1 0 ", ln))
+    assert one_path.read_text().count("\n") == full_path.read_text().count("\n") - 4
+    full, one = load_ambient_file(full_path)[0], load_ambient_file(one_path)[0]
+    assert full.gcoeffs.tobytes() == one.gcoeffs.tobytes()
+    assert full.fcoeffs.tobytes() == one.fcoeffs.tobytes()
+    outputs = []
+    for model in (full_model, one_model):
+        code, out, err = run_cli(capsys, "vk", "--model", str(model), "--json")
+        assert (code, err) == (0, "")
+        outputs.append(json.loads(out)["values"])
+    assert outputs[0] == outputs[1]
+    # v_1 = tr(g^-1 P) + Y for the conformally flat candidate
+    v1 = np.trace(np.linalg.solve(_G0, _P0)) + 0.4
+    assert outputs[0]["v_1"] == pytest.approx(v1, rel=1e-12)
+
+
+def test_conflicting_coefficient_rows_exit_2_with_one_line(capsys, tmp_path):
+    coeff_path, model_path = _saved_ambient_model(tmp_path)
+    text = coeff_path.read_text()
+    row = next(ln for ln in text.splitlines() if ln.startswith("g 2 1 0 "))
+    coeff_path.write_text(text.replace(row, "g 2 1 0 0.5"))
+    line = text.splitlines().index(row) + 1
+    code, out, err = run_cli(capsys, "vk", "--model", str(model_path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {coeff_path}:{line}: g 2 1 0 = 0.5 differs from g 2 0 1")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("point", [None, "0.25, -0.5"])
+def test_vk_point_on_a_coefficient_file_model(capsys, tmp_path, point):
+    # the file holds one point's data, so only the model's default point reads it
+    coeff_path, model_path = _saved_ambient_model(tmp_path, point=point)
+    default = "0,0" if point is None else "0.25,-0.5"
+    expected = run_cli(capsys, "vk", "--model", str(model_path))
+    assert expected[0] == 0
+    assert run_cli(capsys, "vk", "--model", str(model_path), "--point", default) == expected
+    code, out, err = run_cli(capsys, "vk", "--model", str(model_path), "--point", "5,7")
+    assert (code, out) == (2, "")
+    assert err == (f"error: {coeff_path} holds the ambient data of model '{model_path}' "
+                   f"at ({default.replace(',', ', ')}) only, not at (5, 7)\n")
 
 
 # mostly in-range indices and finite values, so that most files get past

@@ -361,14 +361,13 @@ def test_missing_lambda_errors():
 
 
 def test_lcf_specializes_to_quasi_einstein():
+    # at P = lam g, Y = m lam the candidate is (1 + lam rho)^2 g, (1 + lam rho) f
     rng = np.random.default_rng(7)
     g = np.eye(3) + 0.2 * _sym(rng, 3)
     lam, m, f = 0.3, 2.0, 1.1
     a = lcf_candidate_ambient(g, f, lam * g, m * lam, m, 4)
-    b = __import__("wrvc.models", fromlist=["quasi_einstein_coeffs"]) \
-        .quasi_einstein_coeffs(g, f, lam, 4)
-    assert np.allclose(a.gcoeffs[:3], b.gcoeffs[:3], atol=1e-13)
-    assert np.allclose(a.fcoeffs[:2], b.fcoeffs[:2], atol=1e-13)
+    assert np.allclose(a.gcoeffs, [g, 2 * lam * g, lam**2 * g, 0 * g, 0 * g], atol=1e-13)
+    assert np.allclose(a.fcoeffs, [f, lam * f, 0, 0, 0], atol=1e-13)
 
 
 def test_lcf_random_diagonal_oracle():

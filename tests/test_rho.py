@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wrvc.errors import DeterminacyError, DimensionMismatch, DomainError, OrderError
-from wrvc.models import builtin_model, lcf_candidate_ambient, quasi_einstein_coeffs
+from wrvc.models import builtin_model, lcf_candidate_ambient
 from wrvc.rho import (
     AmbientExpansion,
     RhoSeries,
@@ -80,8 +80,8 @@ def test_matrix_det_conformal():
     rng = np.random.default_rng(4)
     g = spd(rng, 3)
     lam = 0.25
-    a = quasi_einstein_coeffs(g, 1.0, lam, 6)
-    det = a.g_series().matrix_det()
+    a = lcf_candidate_ambient(g, 1.0, lam * g, 2.0 * lam, 2.0, 6)
+    det = RhoSeries(a.gcoeffs).matrix_det()
     # (1 + lam rho)^6 det g for a 3x3 conformal family
     expected = np.array([math.comb(6, k) * lam**k for k in range(7)]) * np.linalg.det(g)
     assert np.allclose(det.coeffs, expected, atol=1e-12)
@@ -268,7 +268,7 @@ def test_singular_leading_matrix_rejected():
 def test_quasi_einstein_closed_form():
     rng = np.random.default_rng(6)
     g = spd(rng, 3)
-    a = quasi_einstein_coeffs(g, 0.9, 0.25, 5)
+    a = lcf_candidate_ambient(g, 0.9, 0.25 * g, 0.5, 2.0, 5)
     v = volume_coefficients(a, 2.0)
     expected = [5 / 4, 5 / 8, 5 / 32, 5 / 256, 1 / 1024]
     assert np.allclose(v.v, expected, atol=1e-12)
@@ -321,19 +321,19 @@ def test_determinacy_cap():
     assert determinacy_cap(2, 2.0) == 2
     assert determinacy_cap(3, 2.5) is None          # non-integer total
     assert determinacy_cap(3, 3.0) == 3
-    a = quasi_einstein_coeffs(np.eye(2), 1.0, 0.1, 3)
+    a = lcf_candidate_ambient(np.eye(2), 1.0, 0.1 * np.eye(2), 0.2, 2.0, 3)
     with pytest.raises(DeterminacyError, match="beyond determinacy order 2"):
         volume_coefficients(a, 2.0)
     with pytest.raises(DeterminacyError):
         l_operator(a, 2.0, 3)
     # within the cap both work
-    a2 = quasi_einstein_coeffs(np.eye(2), 1.0, 0.1, 2)
+    a2 = lcf_candidate_ambient(np.eye(2), 1.0, 0.1 * np.eye(2), 0.2, 2.0, 2)
     assert len(volume_coefficients(a2, 2.0)) == 2
 
 
 @pytest.mark.parametrize("m", [math.nan, math.inf, -math.inf, -3.0, -1e-300])
 def test_dimensional_parameter_must_be_finite_and_non_negative(m):
-    a = quasi_einstein_coeffs(np.eye(3), 1.0, 0.25, 3)
+    a = lcf_candidate_ambient(np.eye(3), 1.0, 0.25 * np.eye(3), 0.5, 2.0, 3)
     message = "dimensional parameter m must be finite and >= 0"
     for call in (lambda: volume_coefficients(a, m), lambda: l_operator(a, m, 2),
                  lambda: check_determinacy(3, m, 2), lambda: determinacy_cap(3, m),
@@ -351,7 +351,7 @@ def test_dimensional_parameter_must_be_finite_and_non_negative(m):
 def test_quasi_einstein_is_flat():
     rng = np.random.default_rng(9)
     g = spd(rng, 3)
-    a = quasi_einstein_coeffs(g, 0.8, 0.25, 5)
+    a = lcf_candidate_ambient(g, 0.8, 0.25 * g, 0.5, 2.0, 5)
     assert np.max(np.abs(lambda_one_series(a).coeffs)) < 1e-13
     obs = obstruction_tensors(a)
     assert len(obs.omegas) == 4
@@ -399,15 +399,16 @@ def test_f_residual_linear_in_corruption():
 
 
 def test_order_guards():
-    a = quasi_einstein_coeffs(np.eye(3), 1.0, 0.2, 1)
+    a = lcf_candidate_ambient(np.eye(3), 1.0, 0.2 * np.eye(3), 0.4, 2.0, 1)
     with pytest.raises(OrderError):
         lambda_one_series(a)
     with pytest.raises(OrderError):
         obstruction_tensors(a)
     with pytest.raises(OrderError):
         l_operator(a, 2.0, 5)
+    a = lcf_candidate_ambient(np.eye(3), 1.0, 0.2 * np.eye(3), 0.4, 2.0, 3)
     with pytest.raises(DomainError):
-        f_second_residual(quasi_einstein_coeffs(np.eye(3), 1.0, 0.2, 3), 0.0)
+        f_second_residual(a, 0.0)
 
 
 def curved_expansion(rng, n, K):
@@ -425,9 +426,9 @@ def test_jacobi_volume_series_matches_determinant_oracle(n, K, m, seed):
     # log(det g_rho / det g) = int_0^rho tr(g' g^{-1}) against the Laplace
     # determinant and its series log
     a = curved_expansion(np.random.default_rng(seed), n, K)
-    det = a.g_series().matrix_det()
+    det = RhoSeries(a.gcoeffs).matrix_det()
     log_det = (det * (1.0 / det.coeffs[0])).scalar_log().coeffs
-    log_f = (a.f_series() * (1.0 / a.f)).scalar_log().coeffs
+    log_f = (RhoSeries(a.fcoeffs) * (1.0 / a.f)).scalar_log().coeffs
     ref = RhoSeries(m * log_f + 0.5 * log_det).scalar_exp().coeffs
     # the series itself: past the determinacy order, volume_coefficients raises
     got = a._volume(m)
@@ -480,7 +481,7 @@ def test_derived_series_computed_once_per_expansion_and_m(monkeypatch):
 def series_reference(a, m):
     """v_1..v_K, L_1..L_K, Lambda^(1) and the obstructions of an expansion
     from public ``RhoSeries`` operations only, in the pipeline's order."""
-    g, f = a.g_series(), a.f_series()
+    g, f = RhoSeries(a.gcoeffs), RhoSeries(a.fcoeffs)
     ginv = g.matrix_inverse()
     gp = g.derivative()
     gp_ginv = gp * ginv
@@ -548,7 +549,7 @@ def test_expansion_and_cached_arrays_are_read_only():
     assert np.array_equal(volume_coefficients(a, 2.5).v, before)
     cached = [a.gcoeffs, a.fcoeffs, a.g, volume_coefficients(a, 2.5).v,
               l_operator_series(a, 2.5).coeffs,
-              lambda_one_series(a).coeffs, a.g_series().coeffs]
+              lambda_one_series(a).coeffs]
     for arr in cached:
         with pytest.raises(ValueError, match="read-only"):
             arr[(0,) * arr.ndim] = 1.0
@@ -571,7 +572,7 @@ def test_l_operator_closed_form():
     rng = np.random.default_rng(13)
     g = spd(rng, 3)
     lam, m = 0.25, 2.0
-    a = quasi_einstein_coeffs(g, 0.9, lam, 5)
+    a = lcf_candidate_ambient(g, 0.9, lam * g, 2.0 * lam, 2.0, 5)
     ginv = np.linalg.inv(g)
     for k in range(1, 6):
         closed = -math.comb(4, k - 1) * lam ** (k - 1) * ginv
@@ -594,7 +595,7 @@ def test_l_series_product_form():
     rng = np.random.default_rng(14)
     g = spd(rng, 3)
     lam, m = 0.25, 2.0
-    a = quasi_einstein_coeffs(g, 0.9, lam, 5)
+    a = lcf_candidate_ambient(g, 0.9, lam * g, 2.0 * lam, 2.0, 5)
     S = l_operator_series(a, m)
     ginv = np.linalg.inv(g)
     for k in range(6):

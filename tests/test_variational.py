@@ -509,8 +509,8 @@ def test_one_structure_and_one_unbatched_expansion_for_every_k(monkeypatch, qe3)
     first_variation(qe3, grid, 2, project_mean_zero(qe3, grid, trial))
     second_variation(qe3, grid, 2, trial)
     assert len(structures) == 1
-    # the first request reads every order of the default K = 5 expansion
-    assert series == [(3, 1), (3, 2), (3, 3), (3, 4), (3, 5), (3, "v")]
+    # each k is read once, L_k first, from the default K = 5 expansion
+    assert series == [(3, 1), (3, "v"), (3, 2), (3, "v"), (3, 3), (3, "v")]
     assert expansions == [3]   # one expansion, and no grid function builds a batched one
 
 
