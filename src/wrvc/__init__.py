@@ -34,7 +34,6 @@ from .models import (
 from .rho import (
     AmbientExpansion,
     ObstructionSet,
-    RhoSeries,
     VolumeCoefficients,
     determinacy_cap,
     f_second_residual,

@@ -136,20 +136,15 @@ def _print(doc: ReportDocument, as_json: bool) -> int:
     return doc.exit_status
 
 
-def parse_point(text: str, n: int) -> np.ndarray:
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != n:
-        raise UsageError(
-            f"point needs {n} comma-separated coordinates, got {len(parts)}"
-        )
+def parse_point(text: str) -> np.ndarray:
+    """Comma-separated coordinates as floats; the model checks their count
+    and that each is finite (``ModelSpec._point``)."""
     values = []
-    for token in parts:
+    for token in (p.strip() for p in text.split(",")):
         try:
             values.append(float(token))
         except ValueError:
             raise UsageError(f"bad coordinate {token!r} in point {text!r}")
-        if not math.isfinite(values[-1]):
-            raise UsageError(f"non-finite coordinate {token!r} in point {text!r}")
     return np.array(values)
 
 
@@ -177,7 +172,7 @@ def _model_record(model) -> dict:
 
 def cmd_curvature(args) -> int:
     model = resolve_model(args)
-    point = (parse_point(args.point, model.n) if args.point
+    point = (parse_point(args.point) if args.point
              else model.default_point)
     w, lam, residual = model.invariants_at(point)
     doc = ReportDocument(
@@ -201,7 +196,7 @@ def cmd_curvature(args) -> int:
 def cmd_vk(args) -> int:
     order = _within(args.order, 1, MAX_AMBIENT_ORDER, "--order")
     model = resolve_model(args)
-    point = (parse_point(args.point, model.n) if args.point
+    point = (parse_point(args.point) if args.point
              else model.default_point)
     coeffs, norms = model.volume_coefficients_at(point, K=order)
     values = {"point": np.asarray(point)}

@@ -17,7 +17,9 @@ constant term, which is nilpotent in the truncated ring.  Everything but
 the determinant takes the leading batch axes of a stack: one call
 evaluates every metric of it, each row with the arithmetic it has alone
 (the same einsum subscripts with ``...``, per-row sums), and a single
-metric is the batch shape ().
+metric is the batch shape ().  The inverse, Christoffel and Riemann
+kernels keep an object dtype (exact on ``Fraction`` metrics); the
+determinant is float.
 
 Sign convention: ``R^a_{bcd} = d_c Gamma^a_{db} - d_d Gamma^a_{cb}
 + Gamma^a_{ce} Gamma^e_{db} - Gamma^a_{de} Gamma^e_{cb}`` with
@@ -51,7 +53,7 @@ def _inverse_coeffs(G: np.ndarray, dim: int, order: int, G0inv: np.ndarray) -> n
     sum_{k <= order} X^k G0^{-1} with X = -G0^{-1} N, evaluated by Horner;
     ``G0inv`` (..., n, n) holds the inverses of the constant terms G0."""
     X = -np.einsum("...ik,...kjc->...ijc", G0inv, G)
-    X[..., 0] = 0.0
+    X[..., 0] = 0
     Y0 = np.zeros_like(X)
     Y0[..., 0] = G0inv
     Y = Y0
@@ -203,7 +205,7 @@ def christoffel_coeffs(G: np.ndarray, dim: int, order: int,
     # first-kind symbols [ij, l] = d_i g_jl + d_j g_il - d_l g_ij, indexed (l, i, j)
     first = (np.einsum("i...jlc->...lijc", dg) + np.einsum("j...ilc->...lijc", dg)
              - np.einsum("l...ijc->...lijc", dg))
-    gamma = 0.5 * contract_coeffs("...kl,...lij->...kij", ginv, first, dim, order - 1)
+    gamma = contract_coeffs("...kl,...lij->...kij", ginv, first, dim, order - 1) / 2
     rows, cols = _upper_pairs(n)
     gamma[..., cols, rows, :] = gamma[..., rows, cols, :]   # exactly symmetric in (i, j)
     return gamma

@@ -21,6 +21,9 @@ scalar jet, Gamma times Gamma).  No multiplication operator of (ncoef,
 ncoef) entries is built, and composition with exp, log and powers is
 Horner on the scalar product (``compose_coeffs``; ``compose_rows``
 composes exp or log with every row of a stack at its own constant term).
+``contract_coeffs`` and ``derivative_coeffs`` keep an object dtype, so
+``Fraction`` coefficients stay exact; ``mul_coeffs`` adds by ``bincount``,
+so it and all built on it (``compose_coeffs``, ``Jet``) are float.
 """
 
 from __future__ import annotations
@@ -91,7 +94,7 @@ def _raised(dim: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     lower order holds x^E[c]; d/dx_l reaches it from x^(E[c] + e_l) with the
     factor E[c]_l + 1, so d/dx_l of a jet is ``coeffs[..., slots[l]] * factors[l]``."""
     E = _exponents(dim, order - 1)
-    return _rank(E + np.eye(dim, dtype=int)[:, None, :], dim, order), E.T + 1.0
+    return _rank(E + np.eye(dim, dtype=int)[:, None, :], dim, order), E.T + 1
 
 
 @lru_cache(maxsize=None)
@@ -182,8 +185,8 @@ def derivative_coeffs(a: np.ndarray, dim: int, order: int) -> np.ndarray:
     """All first derivatives of jets a (..., ncoef) at order ``order``:
     shape (dim, ..., n_coeffs(dim, order-1))."""
     slots, factors = _raised(dim, order)
-    # + 0.0 turns a gathered -0.0 into +0.0, as a sum with exact zeros would
-    d = a[..., slots] * factors + 0.0
+    # + 0 turns a gathered -0.0 into +0.0, as a sum with exact zeros would
+    d = a[..., slots] * factors + 0
     return d.transpose(d.ndim - 2, *range(d.ndim - 2), d.ndim - 1)
 
 

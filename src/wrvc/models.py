@@ -61,8 +61,10 @@ def _coords(point) -> str:
 @dataclass
 class ModelSpec:
     """Symbolic definition of a metric measure structure on one chart, and
-    the one boundary for model input: the parameters are checked here, and
-    every expression is evaluated by one private pass (``_evaluate``)."""
+    the one boundary for model input: the parameters are checked here, a
+    point must have n finite coordinates (``_point``, before anything is
+    evaluated), and every expression is evaluated by one private pass
+    (``_evaluate``)."""
 
     name: str
     n: int
@@ -115,16 +117,23 @@ class ModelSpec:
 
     # -- the evaluation boundary ---------------------------------------
 
-    def _env(self, point, order):
-        """Coordinates as jets of ``order`` at a point, or, for order None,
-        as the columns of an (N, n) array of nodes."""
+    def _point(self, point) -> np.ndarray:
+        """A point as floats; a ``ModelError`` naming the model unless it has
+        n coordinates, each finite (grid nodes are built finite and skip it)."""
         point = np.asarray(point, dtype=float)
-        if point.ndim != (2 if order is None else 1) or point.shape[-1] != self.n:
-            raise ModelError(
-                f"model {self.name!r} needs a point with {self.n} coordinates"
-            )
+        if point.shape != (self.n,):
+            raise ModelError(f"model {self.name!r} needs a point with {self.n} coordinates")
+        if not np.isfinite(point).all():
+            raise ModelError(f"model {self.name!r} needs a finite point, got a "
+                             f"non-finite coordinate in ({_coords(point)})")
+        return point
+
+    def _env(self, point, order):
+        """Coordinates as jets of ``order`` at a point (``_point``), or, for
+        order None, as the columns of an (N, n) array of nodes."""
         if order is None:
             return {name: point[:, i] for i, name in enumerate(self.coords)}
+        point = self._point(point)
         return {
             name: Jet.variable(i, point[i], self.n, order)
             for i, name in enumerate(self.coords)
@@ -285,6 +294,7 @@ class ModelSpec:
             if self.lam_declared:
                 self._require_declared_lam(point)
             return expansion
+        point = self._point(point)   # the evaluating branch above checks it in _env
         if self.ambient_file is not None:
             if not np.array_equal(point, self.default_point):
                 raise ModelError(f"{self.ambient_file} holds the ambient data of model "

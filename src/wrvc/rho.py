@@ -3,11 +3,12 @@ coefficient pipeline built on them.
 
 A series at one point is an array of Taylor coefficients c_0..c_K, order
 axis first (entry k is (1/k!) d_rho^k at 0): ``(K+1,)`` is a scalar series,
-``(K+1, n, n)`` a matrix series.  Each operation is one kernel on such
-arrays, and each ``RhoSeries`` method one call of it.  The product
-``_cauchy`` is that of one-variable jets: it gathers the pairs (i, k - i)
-of ``jets._product_triples(1, K)`` into a single multiply and adds each
-order's pairs by a 0/1 matrix, both from one cached lookup per K.
+``(K+1, n, n)`` a matrix series.  Each operation is one module-level kernel
+on such arrays, and arrays are the only form the pipeline and its readers
+use.  The product ``_cauchy`` is that of one-variable jets: it gathers the
+pairs (i, k - i) of ``jets._product_triples(1, K)`` into a single multiply
+and adds each order's pairs by a 0/1 matrix, both from one cached lookup
+per K.
 
 The ambient data of a structure at a point is an ``AmbientExpansion``:
 coefficient arrays of the metric family g_rho and density family f_rho.
@@ -22,11 +23,12 @@ From it this module extracts
 
 All of these read a few arrays that an expansion computes once, on first
 use, and keeps read-only: g_rho^{-1}, g_rho' g_rho^{-1}, Lambda^(1), and per
-m the volume series and the L series; none builds a ``RhoSeries``.  The
-volume series, read through ``volume_coefficients``, takes log(det g_rho /
-det g) from Jacobi's formula, as int_0^rho tr(g' g^{-1}), so it needs no
-determinant; ``RhoSeries.matrix_det`` (a Laplace expansion) is the
-independent route that tests compare it with.
+m the volume series and the L series; ``lambda_one_series`` and
+``l_operator_series`` return those arrays themselves.  The volume series,
+read through ``volume_coefficients``, takes log(det g_rho / det g) from
+Jacobi's formula, as int_0^rho tr(g' g^{-1}), so it needs no determinant;
+the series class below, with a product and a Laplace-expansion
+determinant, is the independent route that tests compare it with.
 
 When n+m is an even integer the expansion only determines orders
 k <= (n+m)/2; requests beyond that raise ``DeterminacyError``.
@@ -138,14 +140,14 @@ def _matrix_inverse(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _series_method(kernel, kind: str | None = None):
-    """The ``RhoSeries`` method that calls ``kernel`` (on a ``kind`` series)."""
-    def method(self) -> "RhoSeries":
-        if kind is not None:
-            self._require(kind)
-        return RhoSeries(kernel(self.coeffs))
-    method.__name__, method.__doc__ = kernel.__name__[1:], kernel.__doc__
-    return method
+def _scalar_inverse(a: np.ndarray) -> np.ndarray:
+    if abs(a[0]) <= _LEADING_TOL:
+        raise DomainError("series inverse needs a nonzero leading coefficient")
+    out = np.empty_like(a)
+    out[0] = 1.0 / a[0]
+    for k in range(1, a.shape[0]):
+        out[k] = -np.einsum("i,i->", a[1 : k + 1], out[k - 1 :: -1]) / a[0]
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -172,8 +174,11 @@ def _laplace_tables(n: int):
 class RhoSeries:
     """Polynomial in rho at one point, truncated at order K: coefficients
     of shape ``(K+1,)`` make a scalar series, ``(K+1, n, n)`` a matrix
-    series, and any other shape is rejected.  The arithmetic is the
-    module's kernels."""
+    series, and any other shape is rejected.  No library path builds one:
+    the pipeline runs on coefficient arrays, and this class is the oracle
+    the tests compare it with, a product (``_cauchy``) and the Laplace
+    ``matrix_det``.  It stays in this module while ``perfbench/tracing.py``
+    wraps that product and determinant."""
 
     def __init__(self, coeffs):
         self.coeffs = np.asarray(coeffs, dtype=float)
@@ -192,35 +197,6 @@ class RhoSeries:
     def K(self) -> int:
         return self.coeffs.shape[0] - 1
 
-    @property
-    def n(self) -> int:
-        if self.kind != "matrix":
-            raise DimensionMismatch("scalar series has no matrix size")
-        return self.coeffs.shape[-1]
-
-    # -- linear structure ------------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, RhoSeries):
-            if self.kind != other.kind:
-                raise DimensionMismatch("cannot add scalar and matrix series")
-            K = min(self.K, other.K)
-            return RhoSeries(self.coeffs[: K + 1] + other.coeffs[: K + 1])
-        out = self.coeffs.copy()
-        out[0] = out[0] + other
-        return RhoSeries(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RhoSeries(-self.coeffs)
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, RhoSeries) else -np.asarray(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if not isinstance(other, RhoSeries):
             return RhoSeries(self.coeffs * float(other))
@@ -235,46 +211,20 @@ class RhoSeries:
 
     __rmul__ = __mul__
 
-    # -- calculus and heads: one kernel call each ----------------------------
-
-    derivative = _series_method(_derivative)
-    antiderivative = _series_method(_antiderivative)
-    scalar_exp = _series_method(_scalar_exp, "scalar")
-    scalar_log = _series_method(_scalar_log, "scalar")
-    matrix_inverse = _series_method(_matrix_inverse, "matrix")
-    symmetrize = _series_method(_symmetrize, "matrix")
-
-    def scalar_inverse(self) -> "RhoSeries":
-        self._require("scalar")
-        a = self.coeffs
-        if abs(a[0]) <= _LEADING_TOL:
-            raise DomainError("series inverse needs a nonzero leading coefficient")
-        out = np.empty_like(a)
-        out[0] = 1.0 / a[0]
-        for k in range(1, self.K + 1):
-            out[k] = -np.einsum("i,i->", a[1 : k + 1], out[k - 1 :: -1]) / a[0]
-        return RhoSeries(out)
-
     def matrix_det(self) -> "RhoSeries":
         """Laplace expansion down the rows: the minor on the trailing rows
         is built once per column set, and each level is one Cauchy product
         of its stacked terms.  A trailing axis of length 1 makes each
         level's signed sum over terms a matrix product.  It stays the oracle
-        (the tracer's rho.matrix_det span wraps it): a log-det route missed
-        the permutation expansion by 2e-12 at n = 1, K = 4."""
-        self._require("matrix")
+        for the Jacobi-formula volume series: a log-det route missed the
+        permutation expansion by 2e-12 at n = 1, K = 4."""
+        if self.kind != "matrix":
+            raise DimensionMismatch("a determinant needs a matrix series")
         a = self.coeffs[..., None]
         minors = a[:, -1]
-        for row, cols, sub, signed in _laplace_tables(self.n):
+        for row, cols, sub, signed in _laplace_tables(self.coeffs.shape[-1]):
             minors = signed @ _cauchy(a[:, row, cols], minors[:, sub])
         return RhoSeries(minors[:, 0, 0])
-
-    def _require(self, kind: str):
-        if self.kind != kind:
-            raise DimensionMismatch(f"operation needs a {kind} series")
-
-    def __repr__(self):
-        return f"RhoSeries(kind={self.kind}, K={self.K}, shape={self.coeffs.shape})"
 
 
 # -- ambient expansions -----------------------------------------------------
@@ -422,11 +372,12 @@ def volume_coefficients(a: AmbientExpansion, m: float) -> VolumeCoefficients:
     return VolumeCoefficients(v=a._volume(m)[1:])
 
 
-def lambda_one_series(a: AmbientExpansion) -> RhoSeries:
-    """Lambda^(1)(rho) = (g'' - g' g^{-1} g' / 2) / 2 as a matrix series."""
+def lambda_one_series(a: AmbientExpansion) -> np.ndarray:
+    """Lambda^(1)(rho) = (g'' - g' g^{-1} g' / 2) / 2, coefficients (K-1, n, n);
+    the expansion's cached read-only array."""
     if a.K < 2:
         raise OrderError("Lambda^(1) needs K >= 2")
-    return RhoSeries(a._lambda_one)
+    return a._lambda_one
 
 
 @dataclass
@@ -493,13 +444,13 @@ def l_operator(a: AmbientExpansion, m: float, k: int) -> np.ndarray:
     return -a._l_series(m)[k]
 
 
-def l_operator_series(a: AmbientExpansion, m: float) -> RhoSeries:
-    """The matrix series v(rho) * int_0^rho g^{ij}(u) du (order K);
-    computed once per (expansion, m), with read-only coefficients."""
-    return RhoSeries(a._l_series(m))
+def l_operator_series(a: AmbientExpansion, m: float) -> np.ndarray:
+    """v(rho) * int_0^rho g^{ij}(u) du, coefficients (K+1, n, n); computed
+    once per (expansion, m) and returned as that read-only array."""
+    return a._l_series(m)
 
 
-def poincare_to_ambient(r_coeffs) -> RhoSeries:
+def poincare_to_ambient(r_coeffs) -> np.ndarray:
     """Substitute r^2 = -2 rho into an even series in r.
 
     The coefficient of r^{2k} becomes the coefficient of rho^k times
@@ -512,7 +463,7 @@ def poincare_to_ambient(r_coeffs) -> RhoSeries:
     if odd.size and np.max(np.abs(odd)) > _ODD_POWER_TOL:
         raise DomainError(f"odd powers of r present (max magnitude {np.max(np.abs(odd)):g})")
     even = r[0::2]
-    return RhoSeries(even * (-2.0) ** np.arange(even.size, dtype=float))
+    return even * (-2.0) ** np.arange(even.size, dtype=float)
 
 
 # -- plain-text coefficient files ---------------------------------------------

@@ -40,8 +40,9 @@ from wrvc.geometry import (
     christoffel_coeffs,
     curvature,
     hessian,
+    riemann_coeffs,
 )
-from wrvc.jets import Jet, n_coeffs
+from wrvc.jets import Jet, _exponents, n_coeffs
 from wrvc.models import ModelSpec, builtin_model, load_model_file
 from wrvc.variational import QuadratureGrid
 from wrvc.weighted import check_conformal_laws, weighted_invariants
@@ -307,6 +308,45 @@ def check_against_exact(case):
 
     du = derivatives(taylor_at(u_poly, point), n, 2)
     assert_rel_close(hessian(jet_poly(u_poly, jx), metric), exact.hessian(du), "Hessian")
+
+
+@pytest.mark.parametrize("n, order", [(2, 4), (3, 3)])
+def test_geometry_kernels_are_exact_on_fraction_coefficients(n, order):
+    # the jet core is dtype-generic: a metric's Taylor coefficients given as
+    # Fractions stay Fractions through the inverse, Christoffel and Riemann
+    # kernels, equal to the exact reference with no rounding at all
+    rng = np.random.default_rng(40 + n)
+    _, _, point, entries, _ = metric_case(lambda lo, hi: int(rng.integers(lo, hi + 1)),
+                                          n, order)
+    exact = ExactGeometry(entries, point, order)
+    E = [tuple(a) for a in _exponents(n, order).tolist()]
+    G = np.array([[[exact.dg[a][i][j] / factorial(a) for a in E] for j in range(n)]
+                  for i in range(n)], dtype=object)
+    G0inv = np.array(exact.dh[(0,) * n], dtype=object)
+    inv = _inverse_coeffs(G, n, order, G0inv)
+    gamma = christoffel_coeffs(G, n, order, G0inv)
+    riem = riemann_coeffs(gamma, n, order - 2)
+    for got in (inv, gamma, riem):
+        assert all(type(c) is Fraction for c in got.flat)
+
+    def taylor(a, value):   # a derivative value as the Taylor coefficient of slot a
+        return value / factorial(a)
+
+    dG = exact.dgamma   # dG[alpha][k][i][j] = d^alpha Gamma^k_ij
+    up = lambda a, s: tuple(x + int(t == s) for t, x in enumerate(a))  # noqa: E731
+    for c, a in enumerate(E):
+        assert inv[..., c].tolist() == [[taylor(a, v) for v in row] for row in exact.dh[a]]
+        if sum(a) <= order - 1:
+            assert gamma[..., c].tolist() == [[[taylor(a, v) for v in row] for row in block]
+                                              for block in dG[a]]
+        if sum(a) <= order - 2:
+            # d^alpha R^p_{qrs} by the Leibniz rule on the exact Gamma derivatives
+            want = [[[[taylor(a, dG[up(a, r)][p][s][q] - dG[up(a, s)][p][r][q] + sum(
+                binom(a, b) * (dG[b][p][r][t] * dG[sub(a, b)][t][s][q]
+                               - dG[b][p][s][t] * dG[sub(a, b)][t][r][q])
+                for b in below(a) for t in range(n)))
+                for s in range(n)] for r in range(n)] for q in range(n)] for p in range(n)]
+            assert riem[..., c].tolist() == want
 
 
 # -- structural guards --------------------------------------------------------------

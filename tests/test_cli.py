@@ -80,10 +80,14 @@ def test_curvature_malformed_point(capsys):
     assert "'x'" in err
 
 
-def test_parse_point_errors():
-    with pytest.raises(WrvcError):
-        parse_point("1,2", 3)
-    assert np.allclose(parse_point("1, 2, 3", 3), [1.0, 2.0, 3.0])
+def test_parse_point_errors(capsys):
+    assert np.array_equal(parse_point("1, 2, 3"), [1.0, 2.0, 3.0])
+    with pytest.raises(WrvcError, match="bad coordinate 'x' in point '1,x'"):
+        parse_point("1,x")
+    # the model checks the count
+    code, out, err = run_cli(capsys, "curvature", "--model", "qe_sphere", "--point", "1,2")
+    assert (code, out) == (2, "")
+    assert err == "error: model 'qe_sphere' needs a point with 3 coordinates\n"
 
 
 @pytest.mark.parametrize("point", ["nan,0,0", "0,inf,0", "0,0,-inf"])

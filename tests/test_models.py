@@ -1,4 +1,6 @@
 import dataclasses
+import math
+import re
 
 import numpy as np
 import pytest
@@ -532,13 +534,45 @@ def test_model_file_and_builtin_parameter_errors_come_from_model_spec(tmp_path):
             builtin_model("qe_sphere", n)
 
 
+def _pointwise_methods(spec):
+    return (spec.metric_at, spec.structure_at, spec.invariants_at, spec.ambient_at,
+            spec.volume_coefficients_at)
+
+
 def test_pointwise_methods_take_one_point_only():
     # node arrays are for grids; a pointwise method rejects them
     spec = builtin_model("qe_sphere", 3, 2.0, 1.0)
     for bad in (np.zeros((4, 3)), 0.5, [0.0, 0.0]):
-        for evaluate_at in (spec.metric_at, spec.structure_at):
+        for evaluate_at in _pointwise_methods(spec):
             with pytest.raises(ModelError, match="needs a point with 3 coordinates"):
                 evaluate_at(bad)
+
+
+def _coefficient_file_model(tmp_path):
+    a = lcf_candidate_ambient(np.eye(3), 1.0, 0.1 * np.eye(3), 0.2, 2.0, 3)
+    coeff_path = tmp_path / "amb.txt"
+    save_ambient_file(a, 2.0, 0.0, coeff_path)
+    model_path = tmp_path / "model.cfg"
+    model_path.write_text("[space]\nn = 3\nm = 2\nmu = 0\n\n"
+                          "[metric]\ng_11 = 1\ng_22 = 1\ng_33 = 1\n\n"
+                          f"[ambient]\ncoefficients = {coeff_path}\n")
+    return load_model_file(model_path)
+
+
+@pytest.mark.parametrize("bad", [[math.nan, 0.0, 0.0], [0.0, math.inf, 0.0],
+                                 [0.0, 0.5, -math.inf]])
+@pytest.mark.parametrize("name", ["euclidean", "round_sphere_stereographic",
+                                  "hyperbolic_upper_half", "coefficient file"])
+def test_non_finite_point_is_one_model_error(tmp_path, name, bad):
+    # checked before anything is evaluated: euclidean read J = 0 at nan, the
+    # sphere blamed its metric, and a coefficient file compared the point
+    spec = (_coefficient_file_model(tmp_path) if name == "coefficient file"
+            else builtin_model(name, 3))
+    message = (f"model {spec.name!r} needs a finite point, got a non-finite "
+               f"coordinate in ({', '.join(f'{c:g}' for c in bad)})")
+    for evaluate_at in _pointwise_methods(spec):
+        with pytest.raises(ModelError, match=re.escape(message)):
+            evaluate_at(bad)
 
 
 def test_exponent_that_varies_over_nodes_is_an_expression_error():

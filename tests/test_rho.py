@@ -12,9 +12,14 @@ from wrvc.models import builtin_model, lcf_candidate_ambient
 from wrvc.rho import (
     AmbientExpansion,
     RhoSeries,
+    _antiderivative,
     _cauchy,
+    _derivative,
     _matrix_inverse,
     _scalar_exp,
+    _scalar_inverse,
+    _scalar_log,
+    _symmetrize,
     check_determinacy,
     determinacy_cap,
     f_second_residual,
@@ -27,6 +32,7 @@ from wrvc.rho import (
     save_ambient_file,
     volume_coefficients,
 )
+from wrvc.suites import SUITE_NAMES, run_suites
 from wrvc.weighted import sigma_k_phi
 
 
@@ -52,26 +58,24 @@ def test_mul_truncates_to_min_order():
 
 def test_scalar_inverse_roundtrip():
     rng = np.random.default_rng(1)
-    s = RhoSeries(np.concatenate([[2.0], rng.uniform(-1, 1, 6)]))
-    prod = s * s.scalar_inverse()
+    s = np.concatenate([[2.0], rng.uniform(-1, 1, 6)])
+    prod = _cauchy(s, _scalar_inverse(s))
     expected = np.zeros(7)
     expected[0] = 1.0
-    assert np.allclose(prod.coeffs, expected, atol=1e-12)
+    assert np.allclose(prod, expected, atol=1e-12)
 
 
 def test_scalar_log_exp_roundtrip():
     rng = np.random.default_rng(2)
-    s = RhoSeries(np.concatenate([[1.5], rng.uniform(-0.8, 0.8, 5)]))
-    back = s.scalar_exp().scalar_log()
-    assert np.allclose(back.coeffs, s.coeffs, atol=1e-12)
+    s = np.concatenate([[1.5], rng.uniform(-0.8, 0.8, 5)])
+    assert np.allclose(_scalar_log(_scalar_exp(s)), s, atol=1e-12)
 
 
 def test_matrix_inverse_roundtrip():
     rng = np.random.default_rng(3)
     coeffs = rng.uniform(-0.3, 0.3, (5, 3, 3))
     coeffs[0] = spd(rng, 3)
-    M = RhoSeries(coeffs)
-    prod = (M * M.matrix_inverse()).coeffs
+    prod = _cauchy(coeffs, _matrix_inverse(coeffs), matmul=True)
     prod[0] -= np.eye(3)
     assert np.max(np.abs(prod)) < 1e-12
 
@@ -128,11 +132,11 @@ def test_jacobi_formula(n):
     coeffs = rng.uniform(-0.3, 0.3, (6, n, n))
     coeffs = 0.5 * (coeffs + np.swapaxes(coeffs, -1, -2))
     coeffs[0] += np.eye(n)
-    g = RhoSeries(coeffs)
-    lhs = g.matrix_det().scalar_log().derivative()
-    rhs = np.trace((g.matrix_inverse() * g.derivative()).coeffs, axis1=-2, axis2=-1)
-    assert lhs.K == 4 and rhs.shape == lhs.coeffs.shape
-    assert np.max(np.abs(lhs.coeffs - rhs)) < 1e-12
+    lhs = _derivative(_scalar_log(RhoSeries(coeffs).matrix_det().coeffs))
+    rhs = np.trace(_cauchy(_matrix_inverse(coeffs), _derivative(coeffs), matmul=True),
+                   axis1=-2, axis2=-1)
+    assert lhs.shape == rhs.shape == (5,)
+    assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
 def test_matrix_shaped_coefficients_multiply_as_matrices():
@@ -207,16 +211,15 @@ def test_expansion_with_non_finite_coefficients_rejected(where, value):
 def test_antiderivative_geometric():
     lam = 0.25
     # (1 + lam u)^{-2} integrates to rho / (1 + lam rho)
-    base = RhoSeries(np.array([(-1.0) ** k * (k + 1) * lam**k for k in range(6)]))
-    anti = base.antiderivative()
+    base = np.array([(-1.0) ** k * (k + 1) * lam**k for k in range(6)])
     expected = np.concatenate([[0.0], [(-lam) ** k for k in range(6)]])
-    assert np.allclose(anti.coeffs, expected, atol=1e-13)
+    assert np.allclose(_antiderivative(base), expected, atol=1e-13)
 
 
 def test_derivative_inverse_of_antiderivative():
     rng = np.random.default_rng(5)
-    s = RhoSeries(rng.uniform(-1, 1, 6))
-    assert np.allclose(s.antiderivative().derivative().coeffs, s.coeffs)
+    s = rng.uniform(-1, 1, 6)
+    assert np.allclose(_derivative(_antiderivative(s)), s)
 
 
 series_tail = st.lists(
@@ -228,8 +231,8 @@ series_tail = st.lists(
 @settings(max_examples=40, deadline=None)
 @given(series_tail, st.floats(min_value=0.5, max_value=3.0))
 def test_inverse_roundtrip_property(tail, head):
-    s = RhoSeries(np.array([head] + tail))
-    prod = (s * s.scalar_inverse()).coeffs
+    s = np.array([head] + tail)
+    prod = _cauchy(s, _scalar_inverse(s))
     prod[0] -= 1.0
     assert np.max(np.abs(prod)) < 1e-12
 
@@ -237,29 +240,28 @@ def test_inverse_roundtrip_property(tail, head):
 @settings(max_examples=40, deadline=None)
 @given(series_tail, st.floats(min_value=-1.0, max_value=1.0))
 def test_exp_log_roundtrip_property(tail, head):
-    s = RhoSeries(np.array([head] + tail))
-    back = s.scalar_exp().scalar_log()
-    assert np.max(np.abs(back.coeffs - s.coeffs)) < 1e-11
+    s = np.array([head] + tail)
+    assert np.max(np.abs(_scalar_log(_scalar_exp(s)) - s)) < 1e-11
 
 
 @settings(max_examples=30, deadline=None)
 @given(series_tail, series_tail)
 def test_product_derivative_rule_property(a_tail, b_tail):
-    a = RhoSeries(np.array([1.0] + a_tail))
-    b = RhoSeries(np.array([1.0] + b_tail))
-    lhs = (a * b).derivative()
-    rhs = a.derivative() * b + a * b.derivative()
-    assert np.max(np.abs(lhs.coeffs - rhs.coeffs)) < 1e-12
+    a = np.array([1.0] + a_tail)
+    b = np.array([1.0] + b_tail)
+    lhs = _derivative(_cauchy(a, b))
+    rhs = _cauchy(_derivative(a), b) + _cauchy(a, _derivative(b))
+    assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
 def test_singular_leading_matrix_rejected():
     coeffs = np.zeros((3, 2, 2))
     with pytest.raises(DomainError):
-        RhoSeries(coeffs).matrix_inverse()
+        _matrix_inverse(coeffs)
     with pytest.raises(DomainError):
-        RhoSeries(np.zeros(4)).scalar_inverse()
+        _scalar_inverse(np.zeros(4))
     with pytest.raises(DomainError):
-        RhoSeries(np.array([-1.0, 0.0])).scalar_log()
+        _scalar_log(np.array([-1.0, 0.0]))
 
 
 # -- volume coefficients ---------------------------------------------------
@@ -352,7 +354,7 @@ def test_quasi_einstein_is_flat():
     rng = np.random.default_rng(9)
     g = spd(rng, 3)
     a = lcf_candidate_ambient(g, 0.8, 0.25 * g, 0.5, 2.0, 5)
-    assert np.max(np.abs(lambda_one_series(a).coeffs)) < 1e-13
+    assert np.max(np.abs(lambda_one_series(a))) < 1e-13
     obs = obstruction_tensors(a)
     assert len(obs.omegas) == 4
     assert np.max(obs.sup_norms()) < 1e-12
@@ -365,7 +367,7 @@ def test_lcf_is_flat():
     g = spd(rng, 3)
     P = 0.4 * sym(rng, 3)
     a = lcf_candidate_ambient(g, 1.2, P, 0.7, 2.5, 5)
-    assert np.max(np.abs(lambda_one_series(a).coeffs)) < 1e-12
+    assert np.max(np.abs(lambda_one_series(a))) < 1e-12
     assert np.max(obstruction_tensors(a).sup_norms()) < 1e-12
     assert np.max(f_second_residual(a, 2.5)) < 1e-13
 
@@ -380,7 +382,7 @@ def test_quadratic_bump_obstruction():
     fc = np.zeros(4)
     fc[0] = 1.0
     a = AmbientExpansion(gcoeffs=gc, fcoeffs=fc)
-    assert np.allclose(lambda_one_series(a).coeffs[0], h, atol=1e-13)
+    assert np.allclose(lambda_one_series(a)[0], h, atol=1e-13)
     obs = obstruction_tensors(a)
     assert np.allclose(obs.omegas[0], h, atol=1e-13)
     assert np.max(np.abs(obs.omegas[1])) < 1e-13
@@ -427,9 +429,9 @@ def test_jacobi_volume_series_matches_determinant_oracle(n, K, m, seed):
     # determinant and its series log
     a = curved_expansion(np.random.default_rng(seed), n, K)
     det = RhoSeries(a.gcoeffs).matrix_det()
-    log_det = (det * (1.0 / det.coeffs[0])).scalar_log().coeffs
-    log_f = (RhoSeries(a.fcoeffs) * (1.0 / a.f)).scalar_log().coeffs
-    ref = RhoSeries(m * log_f + 0.5 * log_det).scalar_exp().coeffs
+    log_det = _scalar_log((det * (1.0 / det.coeffs[0])).coeffs)
+    log_f = _scalar_log((RhoSeries(a.fcoeffs) * (1.0 / a.f)).coeffs)
+    ref = _scalar_exp(m * log_f + 0.5 * log_det)
     # the series itself: past the determinacy order, volume_coefficients raises
     got = a._volume(m)
     assert got.shape == ref.shape
@@ -438,7 +440,7 @@ def test_jacobi_volume_series_matches_determinant_oracle(n, K, m, seed):
 
 def test_derived_series_computed_once_per_expansion_and_m(monkeypatch):
     # the kernels are counted where the expansion calls them, and so is
-    # every series object built
+    # every series object built: no reader and no verify row builds one
     inverses, volumes, built = [], [], []
     init = RhoSeries.__init__
 
@@ -464,39 +466,44 @@ def test_derived_series_computed_once_per_expansion_and_m(monkeypatch):
     K = 5
     a = curved_expansion(np.random.default_rng(30), 4, K)
     for m in (1.3, 2.5, 1.3):
-        before = len(built)
         volume_coefficients(a, m)
         obstruction_tensors(a)
         for k in range(1, K + 1):
             l_operator(a, m, k)
-        # the first pass runs on a fresh expansion: no reader builds a series
-        assert len(built) == before
         l_operator_series(a, m)
         lambda_one_series(a)
         f_second_residual(a, m)
+    poincare_to_ambient([1.0, 0.0, -0.25, 0.0, 0.25**2 / 4.0])
     assert inverses == [K]
     assert volumes == [K, K]    # one per m: 1.3 and 2.5
+    assert built == []
+    run_suites(SUITE_NAMES)
+    assert built == []
 
 
 def series_reference(a, m):
     """v_1..v_K, L_1..L_K, Lambda^(1) and the obstructions of an expansion
-    from public ``RhoSeries`` operations only, in the pipeline's order."""
-    g, f = RhoSeries(a.gcoeffs), RhoSeries(a.fcoeffs)
-    ginv = g.matrix_inverse()
-    gp = g.derivative()
-    gp_ginv = gp * ginv
-    trace = RhoSeries(np.trace(gp_ginv.coeffs, axis1=1, axis2=2))
-    exponent = f.scalar_log() * m + trace.antiderivative() * 0.5
-    volume = (exponent - exponent.coeffs[0]).scalar_exp()
-    L = volume * ginv.antiderivative()
-    ref = {"v": volume.coeffs[1:], "L": [-L.coeffs[k] for k in range(1, a.K + 1)]}
+    from the series kernels and ``RhoSeries`` products, composed afresh on
+    the expansion's coefficients in the pipeline's order."""
+    def times(x, y):
+        return (RhoSeries(x) * RhoSeries(y)).coeffs
+
+    ginv = _matrix_inverse(a.gcoeffs)
+    gp = _derivative(a.gcoeffs)
+    gp_ginv = times(gp, ginv)
+    exponent = (_scalar_log(a.fcoeffs) * m
+                + _antiderivative(np.trace(gp_ginv, axis1=1, axis2=2)) * 0.5)
+    exponent[0] = 0.0   # both logs of ratios vanish at rho = 0
+    volume = _scalar_exp(exponent)
+    L = times(volume, _antiderivative(ginv))
+    ref = {"v": volume[1:], "L": [-L[k] for k in range(1, a.K + 1)]}
     if a.K >= 2:
-        lam = ((gp.derivative() - (gp_ginv * gp) * 0.5) * 0.5).symmetrize()
-        ref["lambda_one"] = lam.coeffs
-        omegas = [lam.coeffs[0]]
+        lam = _symmetrize((_derivative(gp) - times(gp_ginv, gp)[: a.K - 1] * 0.5) * 0.5)
+        ref["lambda_one"] = lam
+        omegas = [lam[0]]
         for _ in range(2, a.K):
-            lam = lam.derivative() - (gp_ginv * lam).symmetrize()
-            omegas.append(lam.coeffs[0])
+            lam = _derivative(lam) - _symmetrize(times(gp_ginv, lam)[: len(lam) - 1])
+            omegas.append(lam[0])
         ref["omegas"] = omegas
     return ref
 
@@ -512,7 +519,7 @@ def test_pipeline_is_bit_identical_to_public_series_operations(n, K):
         for k in range(1, K + 1):
             assert np.array_equal(l_operator(a, m, k), ref["L"][k - 1])
         if K >= 2:
-            assert np.array_equal(lambda_one_series(a).coeffs, ref["lambda_one"])
+            assert np.array_equal(lambda_one_series(a), ref["lambda_one"])
             omegas = obstruction_tensors(a).omegas
             assert len(omegas) == len(ref["omegas"])
             for got, want in zip(omegas, ref["omegas"]):
@@ -522,8 +529,8 @@ def test_pipeline_is_bit_identical_to_public_series_operations(n, K):
 # every public reader of the cached series, as (a, m) -> array
 READERS = [
     lambda a, m: volume_coefficients(a, m).v,
-    lambda a, m: l_operator_series(a, m).coeffs,
-    lambda a, m: lambda_one_series(a).coeffs,
+    l_operator_series,
+    lambda a, m: lambda_one_series(a),
     lambda a, m: np.array(f_second_residual(a, m)),
     lambda a, m: np.array(obstruction_tensors(a).omegas),
 ] + [lambda a, m, k=k: l_operator(a, m, k) for k in range(1, 7)]
@@ -548,21 +555,21 @@ def test_expansion_and_cached_arrays_are_read_only():
     fc[1] += 1.0
     assert np.array_equal(volume_coefficients(a, 2.5).v, before)
     cached = [a.gcoeffs, a.fcoeffs, a.g, volume_coefficients(a, 2.5).v,
-              l_operator_series(a, 2.5).coeffs,
-              lambda_one_series(a).coeffs]
+              l_operator_series(a, 2.5), lambda_one_series(a)]
     for arr in cached:
         with pytest.raises(ValueError, match="read-only"):
             arr[(0,) * arr.ndim] = 1.0
     with pytest.raises(AttributeError):
         a.gcoeffs = gc
-    # what is computed per call stays the caller's to change, and so does
-    # each returned series object
+    # the series readers return the cached arrays themselves, and what is
+    # computed per call stays the caller's to change
+    assert l_operator_series(a, 2.5) is l_operator_series(a, 2.5)
+    assert lambda_one_series(a) is lambda_one_series(a)
     L = l_operator(a, 2.5, 1)
     L[0, 0] = 1.0
     obstruction_tensors(a).omegas[0][0, 0] = 1.0
-    l_operator_series(a, 2.5).coeffs = np.zeros(5)
     assert np.array_equal(volume_coefficients(a, 2.5).v, before)
-    assert np.array_equal(l_operator_series(a, 2.5).coeffs[1], -l_operator(a, 2.5, 1))
+    assert np.array_equal(l_operator_series(a, 2.5)[1], -l_operator(a, 2.5, 1))
 
 
 # -- L operator ----------------------------------------------------------------
@@ -600,17 +607,15 @@ def test_l_series_product_form():
     ginv = np.linalg.inv(g)
     for k in range(6):
         coeff = math.comb(4, k - 1) * lam ** (k - 1) if k >= 1 else 0.0
-        assert np.allclose(S.coeffs[k], coeff * ginv, atol=1e-12)
+        assert np.allclose(S[k], coeff * ginv, atol=1e-12)
 
 
 # -- substitution and files -----------------------------------------------------
 
 
 def test_poincare_substitution():
-    assert np.allclose(poincare_to_ambient([1.0, 0.0, 1.0]).coeffs, [1.0, -2.0])
-    assert np.allclose(
-        poincare_to_ambient([0.0, 0.0, 0.0, 0.0, 1.0]).coeffs, [0.0, 0.0, 4.0]
-    )
+    assert np.allclose(poincare_to_ambient([1.0, 0.0, 1.0]), [1.0, -2.0])
+    assert np.allclose(poincare_to_ambient([0.0, 0.0, 0.0, 0.0, 1.0]), [0.0, 0.0, 4.0])
 
 
 def test_poincare_roundtrip_quasi_einstein_profile():
@@ -620,8 +625,7 @@ def test_poincare_roundtrip_quasi_einstein_profile():
     r_coeffs[0] = 1.0
     r_coeffs[2] = -lam
     r_coeffs[4] = lam**2 / 4.0
-    rho = poincare_to_ambient(r_coeffs)
-    assert np.allclose(rho.coeffs, [1.0, 2 * lam, lam**2], atol=1e-14)
+    assert np.allclose(poincare_to_ambient(r_coeffs), [1.0, 2 * lam, lam**2], atol=1e-14)
 
 
 def test_poincare_rejects_odd_content():

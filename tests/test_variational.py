@@ -615,6 +615,24 @@ def _with_density(text, name="qe_sphere"):
                                f_expr=parse_expression(text))
 
 
+@pytest.mark.parametrize("operation", [
+    lambda model, grid: rayleigh_quotient(model, grid, degree_two_harmonics(3)[0]),
+    lambda model, grid: second_variation(model, grid, 2, degree_two_harmonics(3)[0]),
+    lambda model, grid: delta_vk_identity_check(
+        model, grid, 2, laplace_beltrami_values(degree_two_harmonics(3)[0], grid.table)),
+    eigenvalue_bound_check,
+], ids=["rayleigh_quotient", "second_variation", "delta_vk_identity_check",
+        "eigenvalue_bound_check"])
+def test_grid_variations_need_a_constant_density(operation):
+    # f = 2 + xi_3 is positive on the sphere: the weight binds, and only the
+    # operations that drop drift terms reject it
+    model = _with_density("2+(x^2+y^2+z^2-1)/(x^2+y^2+z^2+1)")
+    grid = QuadratureGrid(3, resolution=10)
+    with pytest.raises(ModelError, match="needs a constant density"):
+        operation(model, grid)
+    assert weighted_volume(model, grid) > 0.0
+
+
 def test_weighted_volume_reads_each_chart_at_its_own_points():
     # f = 2 +- xi_3 with xi_3 = (r^2-1)/(r^2+1) in chart 1: the weighted
     # volume is 4 pi int_0^pi (2 +- cos t)^(5/2) sin^2 t dt, the same for
