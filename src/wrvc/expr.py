@@ -6,13 +6,15 @@ right-associative; unary minus sits between ``^`` and ``* /``; the binary
 arithmetic operators are left-associative.  Whitespace is insignificant.
 Errors carry the byte offset of the offending token.  An expression may
 nest at most ``MAX_DEPTH`` levels (parentheses, operands and call
-arguments), so the recursive parser, evaluator and printer stay within
+arguments), so the recursive parser, compiler and printer stay within
 Python's recursion limit.
 
-Expressions evaluate over floats or jets interchangeably; on jets the
-order-0 coefficient of the result equals the float evaluation.
+Expressions evaluate over floats, node arrays or jets interchangeably; on
+jets the order-0 coefficient of the result equals the float evaluation.
 ``intern`` hash-conses ASTs, so that equal subtrees are one node object,
-and ``evaluate`` with a ``memo`` evaluates each node object once per pass.
+and ``Program`` compiles ASTs into one straight-line program, one
+instruction per node object, run over coefficient arrays or node arrays;
+``evaluate`` compiles and runs one AST.
 """
 
 from __future__ import annotations
@@ -20,13 +22,22 @@ from __future__ import annotations
 import math
 import operator
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, ExpressionError
-from .jets import Jet
+from .errors import DimensionMismatch, DomainError, ExpressionError
+from .jets import (
+    Jet,
+    compose_rows,
+    mul_coeffs,
+    n_coeffs,
+    power_coeffs,
+    reciprocal_coeffs,
+    shifted_coeffs,
+)
 
 FUNCTIONS = {"sin": 1, "cos": 1, "exp": 1, "log": 1, "sqrt": 1, "pow": 2}
 MAX_DEPTH = 200
@@ -228,25 +239,40 @@ def parse_expression(text: str) -> Node:
 
 
 # -- evaluation ---------------------------------------------------------------
+#
+# ASTs compile into one straight-line program (``Program``): one instruction
+# per node object, in post-order (children left to right), so an AST from
+# ``intern`` runs each distinct subexpression once, and a pass raises its
+# first error where a depth-first walk would.  An operand either varies (a
+# jet as its coefficient array, or node values) or is a constant float, and
+# each instruction picks its operation for those kinds when it is compiled.
 
 
-def _constant_exponent(value, pos: int) -> float:
-    """The exponent as a float: a number, a jet with no higher terms, or
-    node values that are all one number."""
+def _exponent(value, pos: int) -> float:
+    """The exponent as a float: a number, or node values that are all one
+    number."""
     if isinstance(value, (float, int)):
         return float(value)
-    if isinstance(value, Jet):
-        scale = max(1.0, abs(value.value))
-        varies = np.max(np.abs(value.coeffs[1:]), initial=0.0) > 1e-12 * scale
-        value = value.value
-    else:
-        value = np.asarray(value, dtype=float)
-        first = value.flat[0]
-        varies = not np.array_equal(value, np.full_like(value, first), equal_nan=True)
-        value = float(first)
-    if varies:
+    value = np.asarray(value, dtype=float)
+    first = value.flat[0]
+    if not np.array_equal(value, np.full_like(value, first), equal_nan=True):
+        raise ExpressionError("exponent must be a constant expression", position=pos)
+    return float(first)
+
+
+def _jet_exponent(coeffs: np.ndarray, pos: int) -> float:
+    """The exponent from the coefficients of a jet with no higher terms."""
+    value = float(coeffs[0])
+    if np.max(np.abs(coeffs[1:]), initial=0.0) > 1e-12 * max(1.0, abs(value)):
         raise ExpressionError("exponent must be a constant expression", position=pos)
     return value
+
+
+def _integer(alpha: float) -> int | None:
+    """alpha as an int when it is one to 1e-12, else None."""
+    if math.isfinite(alpha) and abs(alpha - round(alpha)) < 1e-12:
+        return int(round(alpha))
+    return None
 
 
 def _shown(x, bad) -> str:
@@ -258,21 +284,31 @@ def _shown(x, bad) -> str:
     return f"an array of shape {np.shape(x)}, first offending entry {first}"
 
 
-def _power(base, exponent, pos: int):
-    alpha = _constant_exponent(exponent, pos)
-    if math.isfinite(alpha) and abs(alpha - round(alpha)) < 1e-12:
-        k = int(round(alpha))
-        if isinstance(base, Jet):
-            return base**k
+def _scalar_power(base, alpha: float, pos: int):
+    k = _integer(alpha)
+    if k is not None:
         if k < 0 and np.any(np.asarray(base) == 0.0):
             raise ExpressionError("zero raised to a negative power", position=pos)
         return base**k
-    if isinstance(base, Jet):
-        return base.apply("pow", alpha)  # jets check their own domain
     bad = np.asarray(base) <= 0.0
     if bad.any():
         raise DomainError(f"pow({alpha}) needs a positive base, got {_shown(base, bad)}")
     return base**alpha
+
+
+def _jet_power(a: np.ndarray, alpha: float, jet) -> np.ndarray:
+    k = _integer(alpha)
+    if k is not None:
+        return power_coeffs(a, k, *jet)
+    return compose_rows("pow", a, *jet, alpha)   # jets check their own domain
+
+
+def _divide(a, b):
+    bad = np.asarray(b) == 0.0
+    if bad.any():
+        raise DomainError("division by zero" if bad.ndim == 0 else
+                          f"division by zero: the divisor is {_shown(b, bad)}")
+    return a / b
 
 
 def _call_scalar(name: str, x, pos: int):
@@ -288,64 +324,182 @@ def _call_scalar(name: str, x, pos: int):
         raise DomainError(f"{name}({x}) outside the function domain")
 
 
-def evaluate(node: Node, env: dict, memo: dict | None = None):
-    """Evaluate an AST over an environment of floats or jets.
+def _unknown(a, b, node, jet):
+    if isinstance(node, Var):
+        raise ExpressionError(f"unknown identifier {node.name!r}", position=node.pos)
+    raise ExpressionError(f"cannot evaluate node {node!r}")
 
-    ``memo`` (node id -> value), when given, serves every call of one pass
-    over one environment: each node object is then evaluated once, so an
-    AST from ``intern`` evaluates each distinct subexpression once.  It must
-    not outlive the pass (ids are reused once nodes are freed)."""
-    if memo is not None and id(node) in memo:
-        return memo[id(node)]
-    if isinstance(node, Binary):
-        a = evaluate(node.left, env, memo)
-        b = evaluate(node.right, env, memo)
-        op = node.op
-        if op == "+":
-            value = a + b
-        elif op == "-":
-            value = a - b
-        elif op == "*":
-            value = a * b
-        elif op == "^":
-            value = _power(a, b, node.pos)
-        elif isinstance(b, Jet):
-            value = a / b
-        else:
-            bad = np.asarray(b) == 0.0
-            if bad.any():
-                raise DomainError("division by zero" if bad.ndim == 0 else
-                                  f"division by zero: the divisor is {_shown(b, bad)}")
-            value = a / b
-    elif isinstance(node, Num):
-        value = node.value
-    elif isinstance(node, Var):
-        try:
-            value = env[node.name]
-        except KeyError:
-            raise ExpressionError(
-                f"unknown identifier {node.name!r}", position=node.pos
-            )
-    elif isinstance(node, Call):
-        if node.name == "pow":
-            value = _power(evaluate(node.args[0], env, memo),
-                           evaluate(node.args[1], env, memo), node.pos)
-        else:
-            arg = evaluate(node.args[0], env, memo)
-            value = (arg.apply(node.name) if isinstance(arg, Jet)
-                     else _call_scalar(node.name, arg, node.pos))
-    elif isinstance(node, Unary):
-        value = -evaluate(node.operand, env, memo)
-    else:
-        raise ExpressionError(f"cannot evaluate node {node!r}")
-    if memo is not None:
-        memo[id(node)] = value
-    return value
+
+# Each operation is fn(a, b, node, jet): its operands' values (b unused by
+# one-operand kinds), its AST node (the position errors name, or the
+# function's name) and the (dim, order) of a pass on jets (None on values).
+# Values: Python floats, and node arrays, by Python's operators.
+_VALUE_OPS = {
+    "num": lambda a, b, node, jet: node.value,
+    "+": lambda a, b, node, jet: a + b,
+    "-": lambda a, b, node, jet: a - b,
+    "*": lambda a, b, node, jet: a * b,
+    "/": lambda a, b, node, jet: _divide(a, b),
+    "^": lambda a, b, node, jet: _scalar_power(a, _exponent(b, node.pos), node.pos),
+    "neg": lambda a, b, node, jet: -a,
+    "call": lambda a, b, node, jet: _call_scalar(node.name, a, node.pos),
+    "unknown": _unknown,
+}
+# Jets, by whether each operand varies (True: a coefficient array) or not (a
+# float), with the arithmetic of ``Jet``'s operators; an operation whose
+# operands are all floats takes its ``_VALUE_OPS`` form.
+_JET_OPS = {
+    ("+", True, True): lambda a, b, node, jet: a + b,
+    ("+", True, False): lambda a, b, node, jet: shifted_coeffs(a, b),
+    ("+", False, True): lambda a, b, node, jet: shifted_coeffs(b, a),
+    ("-", True, True): lambda a, b, node, jet: a - b,
+    ("-", True, False): lambda a, b, node, jet: shifted_coeffs(a, -b),
+    ("-", False, True): lambda a, b, node, jet: shifted_coeffs(-b, a),
+    ("*", True, True): lambda a, b, node, jet: mul_coeffs(a, b, *jet),
+    ("*", True, False): lambda a, b, node, jet: a * b,
+    ("*", False, True): lambda a, b, node, jet: b * a,
+    ("/", True, True): lambda a, b, node, jet: mul_coeffs(a, reciprocal_coeffs(b, *jet),
+                                                          *jet),
+    ("/", True, False): lambda a, b, node, jet: _divide(a, b),
+    ("/", False, True): lambda a, b, node, jet: reciprocal_coeffs(b, *jet) * a,
+    ("^", True, True): lambda a, b, node, jet: _jet_power(
+        a, _jet_exponent(b, node.pos), jet),
+    ("^", True, False): lambda a, b, node, jet: _jet_power(a, _exponent(b, node.pos), jet),
+    ("^", False, True): lambda a, b, node, jet: _scalar_power(
+        a, _jet_exponent(b, node.pos), node.pos),
+    ("neg", True): lambda a, b, node, jet: -a,
+    ("call", True): lambda a, b, node, jet: compose_rows(node.name, a, *jet),
+}
+
+
+def _operation(node: Node) -> tuple[str, tuple]:
+    """The operation of a node and its operand nodes."""
+    kind = type(node)
+    if kind is Binary:
+        return node.op, (node.left, node.right)
+    if kind is Call:
+        return ("^" if node.name == "pow" else "call"), node.args
+    if kind is Unary:
+        return "neg", (node.operand,)
+    if kind is Num:
+        return "num", ()
+    return "unknown", ()   # a Var that is no input, or not an AST node
+
+
+class Program:
+    """ASTs compiled into one straight-line program over named inputs.
+
+    ``nodes`` is the node of each instruction: each node object that the
+    ASTs reach, once, in post-order, so the instruction of the k-th AST,
+    ``outputs[k]``, comes after all it reads, and the first k outputs need
+    the prefix ``nodes[:ends[k]]``.  ``varies[i]`` tells whether instruction
+    i varies with the inputs: in a pass on jets its value is then a
+    coefficient array, else a float.  An instruction whose operands are all
+    constants is computed here, once; one that raises stays in the program,
+    so that its error comes at its place in each pass.
+    """
+
+    def __init__(self, asts, names, varying=None):
+        """``names``: the inputs, in the order ``registers`` takes their
+        values; an identifier that is none of them raises when its
+        instruction runs.  ``varying``: the names whose values vary (all by
+        default); in a pass on jets the others are floats."""
+        varying = set(names if varying is None else varying)
+        inputs = {name: i for i, name in enumerate(names)}
+        index, nodes, varies, init = {}, [], [], []
+        computed = set()   # the instructions computed here
+        code, self._inputs = [], []   # code: (dst, jet op, value op, a, b, node)
+
+        def visit(node):
+            if id(node) in index:
+                return index[id(node)]
+            op, operands = _operation(node)
+            args = list(map(visit, operands))   # no frame per level: MAX_DEPTH
+            kinds = [varies[i] for i in args]
+            dst = index[id(node)] = len(nodes)
+            nodes.append(node)
+            init.append(None)
+            if isinstance(node, Var) and node.name in inputs:
+                varies.append(node.name in varying)
+                self._inputs.append((dst, inputs[node.name]))
+                return dst
+            # a power varies with its base only: its exponent is a number
+            varies.append(kinds[0] if op == "^" else any(kinds))
+            a, b = (args + [dst, dst])[:2]   # the ones a node lacks are unused
+            if computed.issuperset(args):
+                try:
+                    init[dst] = _VALUE_OPS[op](init[a], init[b], node, None)
+                    computed.add(dst)
+                    return dst
+                except Exception:   # raised again, in its place, by each pass
+                    pass
+            jet_op = _JET_OPS[(op, *kinds)] if any(kinds) else _VALUE_OPS[op]
+            code.append((dst, jet_op, _VALUE_OPS[op], a, b, node))
+            return dst
+
+        self.outputs = [visit(node) for node in asts]
+        self.nodes, self.varies, self._init = tuple(nodes), tuple(varies), init
+        self.ends = [0]
+        for out in self.outputs:
+            self.ends.append(max(self.ends[-1], out + 1))
+        # each output prefix's instructions: a prefix of the code
+        dsts = [entry[0] for entry in code]
+        self._code_ends = [bisect_left(dsts, end) for end in self.ends]
+        self._jet_code = [(dst, op, a, b, node) for dst, op, _, a, b, node in code]
+        self._value_code = [(dst, op, a, b, node) for dst, _, op, a, b, node in code]
+
+    def registers(self, values) -> list:
+        """A pass's register file: the constants, and ``values`` of the
+        inputs in ``names`` order (jets as coefficient arrays)."""
+        regs = self._init.copy()
+        for dst, i in self._inputs:
+            regs[dst] = values[i]
+        return regs
+
+    def run(self, regs, first: int, last: int, jet=None, out=None):
+        """Run on ``regs`` the instructions that outputs first..last-1 need
+        beyond those of the outputs before ``first``: on jets of (dim, order)
+        ``jet``, or, for jet None, on floats and node arrays.  With ``out``,
+        write those outputs into its rows first..last-1: a (rows, ncoef)
+        array of zeros for jets, or (rows, N) for N nodes."""
+        code = self._value_code if jet is None else self._jet_code
+        for dst, op, a, b, node in code[self._code_ends[first]:self._code_ends[last]]:
+            regs[dst] = op(regs[a], regs[b], node, jet)
+        if out is not None:
+            for row in range(first, last):
+                i = self.outputs[row]
+                if jet is None or self.varies[i]:
+                    out[row] = regs[i]
+                else:
+                    out[row, 0] = regs[i]
+
+
+def evaluate(node: Node, env: dict):
+    """Evaluate an AST over an environment of floats, node arrays or jets,
+    by one ``Program`` compiled for the call.  Jets, which must share their
+    dimension, are read at the lowest order among them, and the value is a
+    jet when it varies with them; names bound to numbers are constants."""
+    jets = {name: value for name, value in env.items() if isinstance(value, Jet)}
+    jet, values = None, list(env.values())
+    if jets:
+        dims = {j.dim for j in jets.values()}
+        if len(dims) > 1:
+            raise DimensionMismatch(f"jet dims differ: {sorted(dims)}")
+        jet = (dims.pop(), min(j.order for j in jets.values()))
+        nc = n_coeffs(*jet)
+        values = [v.coeffs[:nc] if name in jets else v for name, v in env.items()]
+    program = Program(intern([node]), list(env), jets)
+    regs = program.registers(values)
+    program.run(regs, 0, 1, jet)
+    out = program.outputs[0]
+    if jet is not None and program.varies[out]:
+        return Jet._unchecked(*jet, regs[out])
+    return regs[out]
 
 
 def intern(nodes) -> list:
     """The ASTs ``nodes`` hash-consed: equal subtrees (positions aside)
-    become one node object, so ``evaluate`` with a memo evaluates each once.
+    become one node object, so a ``Program`` of them computes each once.
 
     The node kept for a subtree is its first occurrence in evaluation order
     (the list in order, children left to right), the one an evaluation error
@@ -377,7 +531,7 @@ def intern(nodes) -> list:
             key = (kind, id(operand))
             if key not in table and operand is not node.operand:
                 new = Unary(operand, pos=node.pos)
-        else:   # not an AST node: left to ``evaluate`` to reject
+        else:   # not an AST node: left to ``Program`` to reject
             key = (None, id(node))
         kept = done[id(node)] = table.setdefault(key, new)
         return kept

@@ -21,9 +21,13 @@ scalar jet, Gamma times Gamma).  No multiplication operator of (ncoef,
 ncoef) entries is built, and composition with exp, log and powers is
 Horner on the scalar product (``compose_coeffs``; ``compose_rows``
 composes exp or log with every row of a stack at its own constant term).
-``contract_coeffs`` and ``derivative_coeffs`` keep an object dtype, so
-``Fraction`` coefficients stay exact; ``mul_coeffs`` adds by ``bincount``,
-so it and all built on it (``compose_coeffs``, ``Jet``) are float.
+The scalar operations that ``Jet`` and the expression program
+(``expr.Program``) share act on coefficient arrays: ``mul_coeffs``,
+``compose_rows``, ``shifted_coeffs``, ``reciprocal_coeffs`` and
+``power_coeffs``.  ``contract_coeffs`` and ``derivative_coeffs`` keep an
+object dtype, so ``Fraction`` coefficients stay exact; ``mul_coeffs`` adds
+by ``bincount``, so it and all built on it (``compose_coeffs``, ``Jet``)
+are float.
 """
 
 from __future__ import annotations
@@ -216,6 +220,41 @@ def compose_rows(fn: str, a: np.ndarray, dim: int, order: int,
     return compose_coeffs(a, _univariate_coeffs(fn, a0, order, alpha), dim, order)
 
 
+def shifted_coeffs(a: np.ndarray, c: float) -> np.ndarray:
+    """A jet plus a constant: a copy of a with c added to its constant term."""
+    out = a.copy()
+    out[0] += c
+    return out
+
+
+def reciprocal_coeffs(a: np.ndarray, dim: int, order: int) -> np.ndarray:
+    """1/a, the composition with pow(-1); a constant term within
+    ``_RECIPROCAL_FLOOR`` of 0 is a ``DomainError``."""
+    if abs(a[0]) <= _RECIPROCAL_FLOOR:
+        raise DomainError("reciprocal of a jet with (near-)zero constant term")
+    return compose_rows("pow", a, dim, order, -1.0)
+
+
+def power_coeffs(a: np.ndarray, k: int, dim: int, order: int) -> np.ndarray:
+    """a^k for an integer k: a negative k through the reciprocal, k = 0 the
+    constant 1, else binary powering that starts from the base (a^2 is one
+    product, and a^1 is a itself, not a copy)."""
+    if k < 0:
+        a, k = reciprocal_coeffs(a, dim, order), -k
+    if k == 0:
+        one = np.zeros_like(a)
+        one[0] = 1.0
+        return one
+    result = None
+    while True:
+        if k & 1:
+            result = a if result is None else mul_coeffs(result, a, dim, order)
+        k >>= 1
+        if not k:
+            return result
+        a = mul_coeffs(a, a, dim, order)
+
+
 def any_true(mask) -> bool:
     """np.any of a bool array or scalar: a scalar's own truth costs ~1/30 of
     np.any, which matters on the one-structure path."""
@@ -336,9 +375,7 @@ class Jet:
         return self.coeffs[:nc], other.coeffs[:nc], k
 
     def _shifted(self, value: float) -> "Jet":
-        out = self.coeffs.copy()
-        out[0] += value
-        return Jet._unchecked(self.dim, self.order, out)
+        return Jet._unchecked(self.dim, self.order, shifted_coeffs(self.coeffs, value))
 
     def __add__(self, other):
         if isinstance(other, Jet):
@@ -375,9 +412,8 @@ class Jet:
     __rmul__ = __mul__
 
     def reciprocal(self) -> "Jet":
-        if abs(self.value) <= _RECIPROCAL_FLOOR:
-            raise DomainError("reciprocal of a jet with (near-)zero constant term")
-        return self.apply("pow", -1.0)
+        return Jet._unchecked(self.dim, self.order,
+                              reciprocal_coeffs(self.coeffs, self.dim, self.order))
 
     def __truediv__(self, other):
         if isinstance(other, _SCALARS):
@@ -391,26 +427,9 @@ class Jet:
 
     def __pow__(self, exponent):
         if isinstance(exponent, (int, np.integer)):
-            n = int(exponent)
-            if n < 0:
-                return self.reciprocal() ** (-n)
-            if n == 0:
-                one = np.zeros_like(self.coeffs)
-                one[0] = 1.0
-                return Jet._unchecked(self.dim, self.order, one)
-            # binary powering that starts from the base: x^2 is one product
-            dim, order = self.dim, self.order
-            result = None
-            base = self.coeffs
-            while True:
-                if n & 1:
-                    result = base if result is None else mul_coeffs(result, base, dim, order)
-                n >>= 1
-                if not n:
-                    break
-                base = mul_coeffs(base, base, dim, order)
-            return Jet._unchecked(dim, order, result.copy() if result is self.coeffs
-                                  else result)
+            out = power_coeffs(self.coeffs, int(exponent), self.dim, self.order)
+            return Jet._unchecked(self.dim, self.order,
+                                  out.copy() if out is self.coeffs else out)
         return self.apply("pow", float(exponent))
 
     # -- analytic composition ------------------------------------------

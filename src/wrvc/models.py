@@ -3,11 +3,13 @@ plain-text model file format.
 
 A ``ModelSpec`` is symbolic: metric and density components are expression
 ASTs over named coordinates, hash-consed at construction (``expr.intern``)
-so that a subexpression they share is one node, and evaluated by one
-private pass, each distinct subexpression once, into jets at an interior
-chart point or into arrays on grid nodes.  Every pass evaluates and
-checks the metric first, then the density (``metric_at`` stops after the
-metric), so a model's metric errors come before its density errors.
+so that a subexpression they share is one node, and compiled there into one
+``expr.Program``, one instruction per distinct subexpression.  One private
+pass runs it, into jet coefficient arrays at an interior chart point or
+into arrays on grid nodes.  The metric's instructions are a prefix of the
+program: every pass runs and checks the metric first, then the density
+(``metric_at`` stops after the metric), so a model's metric errors come
+before its density errors.
 Structures carrying a proportionality constant ``lam`` (so that
 P = lam g and J = (n+m) lam pointwise) also generate their ambient
 expansion, ``lcf_candidate_ambient`` at (P, Y) = (lam g, m lam).
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ExpressionError, ModelError, OrderError
-from .expr import Node, Num, evaluate, intern, parse_expression
+from .expr import Node, Num, Program, intern, parse_expression
 from .geometry import MetricAtPoint
 from .jets import Jet, n_coeffs
 from .rho import (
@@ -54,8 +56,15 @@ DEFAULT_ORDER = 4
 DEFAULT_AMBIENT_ORDER = 5
 
 
+def _coord(c: float) -> str:
+    """A coordinate by ``:g`` when that reads back as the same float, else by
+    ``repr``, so that two points are never named alike."""
+    text = f"{c:g}"
+    return text if float(text) == c else repr(c)
+
+
 def _coords(point) -> str:
-    return ", ".join(f"{float(c):g}" for c in point)
+    return ", ".join(_coord(float(c)) for c in point)
 
 
 @dataclass
@@ -63,8 +72,8 @@ class ModelSpec:
     """Symbolic definition of a metric measure structure on one chart, and
     the one boundary for model input: the parameters are checked here, a
     point must have n finite coordinates (``_point``, before anything is
-    evaluated), and every expression is evaluated by one private pass
-    (``_evaluate``)."""
+    evaluated), and every expression is evaluated by one private pass of
+    the model's compiled program (``_evaluate``)."""
 
     name: str
     n: int
@@ -106,14 +115,15 @@ class ModelSpec:
         # the ASTs hash-consed (``intern``) in evaluation order, metric
         # components row by row, then the density: a subexpression shared by
         # components, or by the metric and the density, is one node; the
-        # distinct metric components and each (i, j) slot's index into them
-        *metric, self._f_node = intern(
+        # program's outputs are the distinct metric components, then the
+        # density, and each (i, j) slot holds its component's output
+        *metric, f_node = intern(
             [node for row in self.g_exprs for node in row] + [self.f_expr])
         distinct = {id(node): node for node in metric}
         index = {key: i for i, key in enumerate(distinct)}
-        self._metric_nodes = list(distinct.values())
         slots = iter(index[id(node)] for node in metric)
         self._slots = np.array([[next(slots) for _ in row] for row in self.g_exprs])
+        self._program = Program([*distinct.values(), f_node], self.coords)
 
     # -- the evaluation boundary ---------------------------------------
 
@@ -128,37 +138,37 @@ class ModelSpec:
                              f"non-finite coordinate in ({_coords(point)})")
         return point
 
-    def _env(self, point, order):
-        """Coordinates as jets of ``order`` at a point (``_point``), or, for
-        order None, as the columns of an (N, n) array of nodes."""
-        if order is None:
-            return {name: point[:, i] for i, name in enumerate(self.coords)}
-        point = self._point(point)
-        return {
-            name: Jet.variable(i, point[i], self.n, order)
-            for i, name in enumerate(self.coords)
-        }
-
     def _evaluate(self, point, order: int = 0, accept_metric=MetricAtPoint,
                   density: bool = True, chart: int = 1):
-        """The one evaluation pass: each distinct subexpression once (one
-        ``evaluate`` memo for the pass) over one environment (``_env``: jets
-        of ``order`` at a point, node columns for order None), inside the
-        model's error boundary, each result checked finite.
-        ``accept_metric(G, point)`` checks the (n, n, ...) metric, and then
-        the density is evaluated unless ``density`` is False, so metric
-        errors come first; for order None it is ``accept_metric(rows,
+        """The one evaluation pass of the model's program, inside its error
+        boundary, each result checked finite: on jets of ``order`` at a point
+        (``_point``), the coordinates written straight into coefficient
+        arrays, or, for order None, on the columns of an (N, n) array of
+        nodes.  ``accept_metric(G, point)`` checks the (n, n, ...) metric,
+        and then the density is evaluated unless ``density`` is False, so
+        metric errors come first; for order None it is ``accept_metric(rows,
         slots, nodes)``, with each distinct metric component's values once
         (``rows``) and the ``(n, n)`` table of their indices, so no
         ``(n, n, N)`` array is gathered.  Errors name the nodes of sphere
-        chart ``chart`` (``_at_point``).  Returns (its result, f or None); values have the
-        coefficient axis, or the node axis, last."""
-        env = self._env(point, order)
-        point = np.asarray(point, dtype=float)
-        pad = None if order is None else np.zeros(n_coeffs(self.n, order) - 1)
-        memo = {}
+        chart ``chart`` (``_at_point``).  Returns (its result, f or None);
+        values have the coefficient axis, or the node axis, last."""
+        program = self._program
+        rows = len(program.outputs) - 1   # the distinct metric components
+        if order is None:
+            point = np.asarray(point, dtype=float)
+            jet, values = None, point.T
+            out = np.empty((rows + 1, len(point)))
+        else:
+            point = self._point(point)
+            jet, nc = (self.n, order), n_coeffs(self.n, order)
+            values = np.zeros((self.n, nc))
+            values[:, 0] = point
+            if order:   # x_i is the monomial of slot 1 + i
+                values[:, 1:self.n + 1] = np.eye(self.n)
+            out = np.zeros((rows + 1, nc))
+        regs = program.registers(values)
 
-        def run(what, nodes):
+        def run(what, first, last):
             # floating-point warnings are silenced: the values are checked
             # finite instead; a point or any node outside ``inside`` is an
             # error that names the model's domain too
@@ -168,21 +178,17 @@ class ModelSpec:
                 if self.inside is not None and not np.all(self.inside(point)):
                     raise DomainError(f"{'the point' if point.ndim == 1 else 'a node'} "
                                       "lies outside the domain")
-                values = [evaluate(node, env, memo) for node in nodes]
-                out = np.array([
-                    val.coeffs if isinstance(val, Jet)
-                    else np.broadcast_to(np.asarray(val, dtype=float), len(point))
-                    if pad is None else np.concatenate([[float(val)], pad])
-                    for val in values])
-            self._require_finite_at(out, what, point, chart)
-            return out
+                program.run(regs, first, last, jet, out)
+            self._require_finite_at(out[first:last], what, point, chart)
 
-        rows = run("metric", self._metric_nodes)
+        run("metric", 0, rows)
         with self._checking("metric", point, chart=chart):
-            metric = (accept_metric(rows, self._slots, point) if order is None
-                      else accept_metric(rows[self._slots], point))
-        f = run("density", [self._f_node])[0] if density else None
-        return metric, f
+            metric = (accept_metric(out[:rows], self._slots, point) if order is None
+                      else accept_metric(out[self._slots], point))
+        if not density:
+            return metric, None
+        run("density", rows, rows + 1)
+        return metric, out[rows]
 
     def _at_point(self, what: str, point, detail: str, chart: int = 1) -> str:
         """Where ``what`` failed: a point, or the nodes of sphere chart
@@ -294,7 +300,7 @@ class ModelSpec:
             if self.lam_declared:
                 self._require_declared_lam(point)
             return expansion
-        point = self._point(point)   # the evaluating branch above checks it in _env
+        point = self._point(point)   # the evaluating branch above checks it in _evaluate
         if self.ambient_file is not None:
             if not np.array_equal(point, self.default_point):
                 raise ModelError(f"{self.ambient_file} holds the ambient data of model "

@@ -465,18 +465,16 @@ def test_pointwise_values_do_not_depend_on_the_jet_order(model):
 
 
 def _count_node_values(monkeypatch):
-    """Record every node whose value is computed (a memo hit is not)."""
+    """Record the node of every program instruction that a pass runs (its
+    constants were computed when the program was compiled)."""
     computed = []
-    original = wrvc.expr.evaluate
+    original = wrvc.expr.Program.run
 
-    def counted(node, env, memo=None):
-        if memo is None or id(node) not in memo:
-            computed.append(node)
-        return original(node, env, memo)
+    def counted(program, regs, first, last, *args):
+        computed.extend(program.nodes[program.ends[first]:program.ends[last]])
+        return original(program, regs, first, last, *args)
 
-    # the models' calls, and the recursive calls inside expr
-    monkeypatch.setattr(wrvc.models, "evaluate", counted)
-    monkeypatch.setattr(wrvc.expr, "evaluate", counted)
+    monkeypatch.setattr(wrvc.expr.Program, "run", counted)
     return computed
 
 
@@ -529,10 +527,10 @@ def test_metric_at_evaluates_each_distinct_component_once(monkeypatch, model):
             _once_each(computed, _components(model))
     # and the jets agree with evaluating every component on its own
     monkeypatch.undo()
-    env = model._env(point, 4)
+    env = {name: Jet.variable(i, point[i], model.n, 4) for i, name in enumerate(model.coords)}
     for i in range(model.n):
         for j in range(model.n):
-            val = wrvc.models.evaluate(model.g_exprs[i][j], env)
+            val = wrvc.expr.evaluate(model.g_exprs[i][j], env)
             if not isinstance(val, Jet):
                 val = Jet.constant(float(val), model.n, 4)
             assert np.array_equal(metric.G[i, j], val.coeffs)
@@ -593,11 +591,26 @@ def test_deformed_sphere_evaluates_its_exponent_once(monkeypatch):
 
 
 def test_expressions_are_evaluated_only_by_models():
-    # wrvc.models is the one boundary that evaluates model expressions
-    calls = set()
+    # wrvc.models is the one boundary that evaluates model expressions: it
+    # and expr's own ``evaluate`` are all that compile a program, and no
+    # module calls ``evaluate``
+    compiled, calls = set(), set()
     for path in Path(wrvc.models.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Call) and getattr(
-                    node.func, "id", getattr(node.func, "attr", None)) == "evaluate":
-                calls.add(path.name)
-    assert calls == {"expr.py", "models.py"}
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name == "Program":
+                    compiled.add(path.name)
+                if name == "evaluate":
+                    calls.add(path.name)
+    assert compiled == {"expr.py", "models.py"}
+    assert calls == set()
+
+
+def test_structure_at_builds_one_jet():
+    # the program runs on coefficient arrays: the one jet is the density's
+    model = deformed_sphere()
+    with counting_jets() as counter:
+        p = model.structure_at([0.2, -0.1, 0.3], order=4)
+    assert counter["built"] == 1
+    assert isinstance(p.f, Jet)

@@ -817,6 +817,17 @@ def test_vk_point_on_a_coefficient_file_model(capsys, tmp_path, point):
                    f"at ({default.replace(',', ', ')}) only, not at (5, 7)\n")
 
 
+def test_vk_names_a_point_that_rounds_to_the_default_in_full(capsys, tmp_path):
+    # 0.1000001 prints as 0.1 under :g; a coordinate whose :g text reads
+    # back as another float is printed by repr, so the two points differ
+    coeff_path, model_path = _saved_ambient_model(tmp_path, point="0.1, 0.2")
+    code, out, err = run_cli(capsys, "vk", "--model", str(model_path),
+                             "--point", "0.1000001,0.2")
+    assert (code, out) == (2, "")
+    assert err == (f"error: {coeff_path} holds the ambient data of model '{model_path}' "
+                   "at (0.1, 0.2) only, not at (0.1000001, 0.2)\n")
+
+
 # mostly in-range indices and finite values, so that most files get past
 # the row checks to the base data and the series
 _COEFF_INDEX = st.sampled_from(["0", "1"] * 4 + ["2", "-1", "3", "x"])

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from expr_reference import program_values, reference_evaluate
 from wrvc.errors import DomainError, ExpressionError, ModelError
 from wrvc.expr import MAX_DEPTH, Num, Unary, evaluate, intern, parse_expression, to_string
 from wrvc.geometry import curvature
@@ -168,14 +169,15 @@ def _outcome(run):
 @settings(max_examples=150, deadline=None)
 @given(st.lists(_TEXT, min_size=1, max_size=4), st.booleans())
 def test_one_memoized_pass_matches_evaluating_each_expression(texts, on_jets):
-    # the same values, bit for bit, and the same first error (message and
-    # position), over jets or node arrays; q is an unknown identifier
+    # one program pass over the interned expressions gives the recursive
+    # reference's values on each expression alone, bit for bit, and the
+    # same first error (message and position), over jets or node arrays; q
+    # is an unknown identifier
     asts = [parse_expression(t) for t in texts]
     env = ({"x": Jet.variable(0, 0.3, 2, 3), "y": Jet.variable(1, -0.2, 2, 3)}
            if on_jets else {"x": np.array([0.3, 1.5]), "y": np.array([-0.2, 2.0])})
-    plain = _outcome(lambda: [evaluate(a, env) for a in asts])
-    memo = {}
-    shared = _outcome(lambda: [evaluate(a, env, memo) for a in intern(asts)])
+    plain = _outcome(lambda: [reference_evaluate(a, env) for a in asts])
+    shared = _outcome(lambda: program_values(asts, env))
     if isinstance(plain, tuple):
         assert shared == plain
     else:
@@ -195,6 +197,9 @@ def test_shared_subexpression_errors_keep_their_own_positions(tmp_path):
     for evaluate_at in (spec.structure_at, spec.metric_at):
         with pytest.raises(ExpressionError, match=r"'q' \(at offset 6\)$"):
             evaluate_at([0.1, 0.2])
+    # q*x is one instruction of the model's program, the metric's
+    shared = [node for node in spec._program.nodes if node == parse_expression("q*x")]
+    assert len(shared) == 1 and shared[0].pos == 7
 
 
 # -- builtin models --------------------------------------------------------

@@ -5,8 +5,10 @@ import pytest
 
 from wrvc import weighted
 from wrvc.errors import DimensionMismatch, DomainError
+from wrvc.expr import parse_expression as parse
 from wrvc.geometry import MetricAtPoint
 from wrvc.jets import Jet, n_coeffs
+from wrvc.models import ModelSpec
 from wrvc.suites import _conformal_models, _random_omega
 from wrvc.weighted import (
     MetricMeasurePoint,
@@ -476,3 +478,38 @@ def test_quasi_einstein_residual_cases():
     _, res = quasi_einstein_residual(weighted_invariants(wrong), wrong.g.matrix,
                                      3, 2.0)
     assert res > 0.01
+
+
+# a curved base: (g, f) with every first and second derivative nonzero
+_BASE_METRIC = {(0, 0): "1+0.2*x^2+0.1*y-0.05*y*{z}", (1, 1): "exp(0.3*x-0.1*y^2)",
+                (0, 1): "0.1*x*y+0.05", (2, 2): "1+0.1*z^2+0.2*x*z"}
+_BASE_DENSITY = "1.3+0.2*x-0.1*y+0.05*x*y+0.1*{z}^2"
+
+
+@pytest.mark.parametrize("n, m, mu", [(2, 2, 0.7), (2, 2, -0.6), (3, 1, 0.5),
+                                      (2, 1, -0.4)])
+def test_weighted_invariants_are_the_warped_product_curvature_at_rho_0(n, m, mu):
+    # for integer m, (g, f, m, mu) is the warped product g + f^2 h_mu with
+    # h_mu = (1 + mu|y|^2/4)^-2 delta, the m-dimensional space form of
+    # curvature mu: at y = 0 its J is the weighted J, its P has the x-block
+    # P and the fibre block (Y/m) f^2 delta, and no mixed block
+    names = ("x", "y", "z", "w")
+    z = "z" if n == 3 else "0"
+    text = {key: v.format(z=z) for key, v in _BASE_METRIC.items() if max(key) < n}
+    g = [[parse(text.get((min(i, j), max(i, j)), "0")) for j in range(n)] for i in range(n)]
+    f = _BASE_DENSITY.format(z=z)
+    point = np.array([0.1, -0.2, 0.15][:n])
+    small = ModelSpec(name="base", n=n, m=float(m), mu=mu, coords=names[:n], g_exprs=g,
+                      f_expr=parse(f))
+    fibre = parse(f"({f})^2/(1+{mu!r}*({'+'.join(f'{y}^2' for y in names[n:n + m])})/4)^2")
+    G = [[g[i][j] if i < n and j < n else fibre if i == j else parse("0")
+          for j in range(n + m)] for i in range(n + m)]
+    total = ModelSpec(name="warped", n=n + m, m=0.0, mu=0.0, coords=names[:n + m],
+                      g_exprs=G, f_expr=parse("1"))
+    w = weighted_invariants(small.structure_at(point, 2))
+    W = weighted_invariants(total.structure_at(np.r_[point, np.zeros(m)], 2))
+    f0 = small.structure_at(point, 0).f.value
+    assert abs(W.J - w.J) <= 1e-14
+    assert np.max(np.abs(W.P[:n, :n] - w.P)) <= 1e-14
+    assert np.max(np.abs(W.P[n:, n:] - w.Y / m * f0**2 * np.eye(m))) <= 1e-14
+    assert np.max(np.abs(W.P[:n, n:])) == 0.0
