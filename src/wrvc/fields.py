@@ -17,10 +17,14 @@ quadrature path needs a chart derivative (``wrvc.variational``).
 
 Every evaluation takes one ``ChartTable``, the grid's node data with the
 ambient coordinates on both stereographic charts at once (a chart axis of
-length 2 before the node axis).  ``value`` is the tree's value, a few
-broadcasts per node; ``grad`` and ``hess`` are the Euclidean chart
-derivatives, kept as the chart-calculus oracle of the tests, and the
-table builds the flat gradients they read on first use.
+length 2 before the node axis).  ``ChartTable.trial`` evaluates a trial's
+ambient form in one pass, forms its values, gradient norms and
+Laplace-Beltrami values from it on first read, and keeps the last trial
+it read, so every quadrature reader of one trial shares one evaluation.
+``value``, the tree's value, is now an oracle like ``grad`` and ``hess``,
+the Euclidean chart derivatives: the tests check the form against it, and
+no quadrature function calls it.  The table builds the flat gradients
+``grad`` and ``hess`` read on first use.
 """
 
 from __future__ import annotations
@@ -51,7 +55,8 @@ class ChartTable:
     ``grad`` and ``hess`` read them, and the quadrature reads ``xi`` only.
     Rows a < n are computed once and written to both charts; chart 2's row
     n is chart 1's negated.  The arrays are read-only, since fields return
-    rows of them.
+    rows of them.  The table also holds one trial's ``TrialValues``
+    (``trial``).
     """
 
     def __init__(self, X: np.ndarray):
@@ -66,6 +71,7 @@ class ChartTable:
             array.flags.writeable = False
         self.sign, self.n = np.array([[1.0], [-1.0]]), n
         self.XT, self.D, self.xi = XT, D, xi
+        self._trial = (None, None)   # (field, its TrialValues)
 
     @cached_property
     def dxi(self) -> np.ndarray:
@@ -79,11 +85,92 @@ class ChartTable:
         dxi.flags.writeable = False
         return dxi
 
+    def trial(self, field: "SphereField") -> "TrialValues":
+        """The trial's values on both charts, evaluated from its ambient
+        form (``_ambient_form``).  The table keeps the last trial it read,
+        the field object itself, so a read of the same object evaluates
+        nothing and a freed field's recycled id never matches; one trial
+        at a time bounds the memory."""
+        _require_field(field, "trial")
+        if self._trial[0] is not field:
+            self._trial = (field, _ambient_form(field, self))
+        return self._trial[1]
+
     def row(self, field: "AmbientCoordinate") -> int:
         """The table row of an ambient coordinate of a sphere of this
         table's dimension."""
         _check_dimension(field.n, self.n)
         return field.a
+
+
+class TrialValues:
+    """One trial on one table, from its ambient form u = c + b.xi + xi^T C xi
+    with w = b + 2 C xi: the terms b.xi, xi^T C xi and |w|^2, flat over both
+    charts (2N,), and the (2, N) read-only arrays the grid reads, each
+    formed from the terms on its first read:
+
+        value      u = c + b.xi + xi^T C xi,
+        grad2      |grad u|_g^2 = |w|^2 - (xi.w)^2, xi.w = b.xi + 2 xi^T C xi,
+        laplacian  Delta_g u = 2 tr C - n b.xi - 2(n+1) xi^T C xi.
+
+    A term that is the same on every node (xi^T C xi and |w|^2 of a trial
+    with C = 0) is a float, and broadcasts."""
+
+    def __init__(self, table: ChartTable, c, trace, bxi, xCx, w2):
+        self._shape, self._n = table.xi.shape[1:], table.n
+        self._c, self._trace, self._bxi, self._xCx, self._w2 = c, trace, bxi, xCx, w2
+
+    def _out(self, flat: np.ndarray) -> np.ndarray:
+        out = flat.reshape(self._shape)
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def value(self) -> np.ndarray:
+        value = self._c + self._bxi
+        value += self._xCx
+        return self._out(value)
+
+    @cached_property
+    def grad2(self) -> np.ndarray:
+        xw = self._bxi + 2.0 * self._xCx
+        np.multiply(xw, xw, out=xw)
+        return self._out(np.subtract(self._w2, xw, out=xw))
+
+    @cached_property
+    def laplacian(self) -> np.ndarray:
+        n = self._n
+        lap = n * self._bxi
+        np.subtract(2.0 * self._trace, lap, out=lap)
+        lap -= 2.0 * (n + 1) * self._xCx
+        return self._out(lap)
+
+
+def _ambient_form(field: "SphereField", table: ChartTable) -> TrialValues:
+    """The trial reduced once to u = c + b.xi + xi^T C xi and its terms
+    evaluated on the table's nodes (``TrialValues``).  C xi is formed one
+    row at a time, so no (n+1, 2N) temporary is allocated, and with
+    numpy's own loops, not BLAS, so each node's entries do not depend on
+    the others.  A zero row of C leaves w_a = b_a, a constant, and is
+    skipped: a coordinate trial reads no row of C xi and keeps
+    xi^T C xi = 0 and |w|^2 = |b|^2 as floats, a product of two
+    coordinates reads two rows, formed in two work arrays.  A constant, a
+    coordinate and a product of two coordinates get the tree's ``value``
+    bit for bit; other sums round differently from the tree."""
+    n = table.n
+    c, b, C = field.coefficients(n)
+    xi = table.xi.reshape(n + 1, -1)
+    bxi = np.einsum("a,ak->k", b, xi)
+    active = C.any(axis=1)
+    xCx, w2 = 0.0, np.sum(b[~active] ** 2)   # floats until the first row
+    row, term = np.empty_like(bxi), np.empty_like(bxi)
+    for a in np.flatnonzero(active):
+        np.einsum("b,bk->k", C[a], xi, out=row)   # (C xi)_a
+        xCx += np.multiply(xi[a], row, out=term)
+        row *= 2.0
+        row += b[a]                               # w_a
+        w2 += np.multiply(row, row, out=term)
+    return TrialValues(table, c, np.trace(C), bxi, xCx, w2)
 
 
 def _fill_chart_two(array: np.ndarray, n: int):
@@ -100,7 +187,9 @@ def _finite_real(c, what: str) -> float:
 
 def _require_field(field, what: str):
     if not isinstance(field, SphereField):
-        raise DomainError(f"{what} {field!r} is not a SphereField")
+        # one line, also for an array, whose repr spans lines
+        shown = " ".join(repr(field).split())
+        raise DomainError(f"{what} {shown} is not a SphereField")
 
 
 def _degree(b: np.ndarray, C: np.ndarray) -> int:

@@ -37,6 +37,7 @@ k <= (n+m)/2; requests beyond that raise ``DeterminacyError``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import combinations
@@ -436,10 +437,11 @@ def f_second_residual(a: AmbientExpansion, m: float):
 def l_operator(a: AmbientExpansion, m: float, k: int) -> np.ndarray:
     """Minus the k-th Taylor coefficient of v(rho) int_0^rho g^{ij}(u) du.
 
-    Returns the contravariant symmetric matrix (L_k)^{ij}.
+    Returns the contravariant symmetric matrix (L_k)^{ij}.  An order k that
+    is not an integer in 1..K (a bool is not one) raises ``OrderError``.
     """
-    if not 1 <= k <= a.K:
-        raise OrderError(f"k = {k} outside 1..{a.K}")
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or not 1 <= k <= a.K:
+        raise OrderError(f"order k = {k!r} is not an integer in 1..{a.K}")
     check_determinacy(a.n, m, k)
     return -a._l_series(m)[k]
 

@@ -14,17 +14,17 @@ radius and repeated over the directions.
 The chart is an array axis: every per-node quantity (f^m, field values,
 integrands) is one (2, N) array, one row per chart.  Trial fields are
 evaluated on the grid's ``ChartTable``, built on the first field
-evaluation.  Values come from the field tree (``value``); the round-metric
-gradient norm and Laplace-Beltrami values come from the trial's ambient
-quadratic form u = c + b.xi + xi^T C xi (``SphereField.coefficients``,
-degree <= 2): with w = b + 2 C xi,
-|grad u|_g^2 = |w|^2 - (xi.w)^2 and
-Delta_g u = 2 tr C - n b.xi - 2(n+1) xi^T C xi, evaluated on the table's
-``xi`` alone, so no quadrature path reads a chart derivative (the flat
-chart Laplacian these replaced is gone; ``grad``, ``hess`` and the table's
-lazy ``dxi`` remain the tests' oracle).  A trial of degree above 2 raises
-there, and so does a constant trial, whose mean-zero projection is
-rounding (``_CONSTANT_FRACTION``).
+evaluation, by ``ChartTable.trial``: the trial's ambient quadratic form
+u = c + b.xi + xi^T C xi (``SphereField.coefficients``, degree <= 2),
+evaluated in one pass over the table's ``xi``, gives the values, and with
+w = b + 2 C xi, |grad u|_g^2 = |w|^2 - (xi.w)^2 and
+Delta_g u = 2 tr C - n b.xi - 2(n+1) xi^T C xi, so no quadrature path
+reads the field tree or a chart derivative (``value``, ``grad``, ``hess``
+and the table's lazy ``dxi`` remain the tests' oracle).  The table keeps
+the last trial it evaluated, so the mean-zero projection, the mass, the
+energy and the Laplace-Beltrami values of one trial share one evaluation.
+A trial of degree above 2 raises there, and so does a constant trial,
+whose mean-zero projection is rounding (``_CONSTANT_FRACTION``).
 Reductions sum chart 1, then chart 2, each in fixed-size node chunks in
 index order, so results are bit-identical from run to run.
 """
@@ -270,16 +270,19 @@ class GridStructure:
         path: v_k scalar and the scale l_k with (L_k)^{ij} = l_k g^{ij}.
         Each k is read once, from the default-order expansion, or from an
         order-k one for a k above its order (above the cap, that raises)."""
-        if k not in self._scales:
+        # 2.0 and True would find the scales of 2 and 1; l_operator rejects them
+        scales = self._scales.get(k) if type(k) is int else None
+        if scales is None:
             model, a = self.model, self._expansion
-            if k > a.K:
+            if isinstance(k, numbers.Integral) and k > a.K:
                 a = model.ambient_at(model.default_point, K=k)
             # read through the module, so spans wrapped around rho's public names
-            # see them; L_k first, as it names a k outside 1..K or above the cap
+            # see them; L_k first, as it names a k that is not an integer in
+            # 1..K or is above the cap
             L = rho.l_operator(a, model.m, k)
-            self._scales[k] = (float(rho.volume_coefficients(a, model.m)[k]),
-                               float(np.trace(L @ a.g) / model.n))
-        return self._scales[k]
+            scales = self._scales[k] = (float(rho.volume_coefficients(a, model.m)[k]),
+                                        float(np.trace(L @ a.g) / model.n))
+        return scales
 
 
 def _require_constant_density(model: ModelSpec):
@@ -303,7 +306,8 @@ def functional_F_k(model: ModelSpec, grid: QuadratureGrid, k: int) -> float:
 
 def project_mean_zero(model: ModelSpec, grid: QuadratureGrid, field: SphereField):
     """Subtract the weighted mean; returns the (2, N) values."""
-    return _mean_zero(grid, grid.bind(model), field.value(grid.table))[0]
+    bound = grid.bind(model)
+    return _mean_zero(grid, bound, grid.table.trial(field).value)[0]
 
 
 def _mean_zero(grid: QuadratureGrid, bound: GridStructure, values) -> tuple:
@@ -315,7 +319,7 @@ def _mean_zero(grid: QuadratureGrid, bound: GridStructure, values) -> tuple:
 def first_variation(model: ModelSpec, grid: QuadratureGrid, k: int,
                     omega_values) -> float:
     """(n+m-2k) * integral of v_k omega f^m, for the (2, N) values
-    ``omega_values`` of omega (``field.value(grid.table)`` or
+    ``omega_values`` of omega (``grid.table.trial(field).value`` or
     ``project_mean_zero``)."""
     omega_values = grid._node_values(omega_values)
     bound = grid.bind(model)
@@ -324,37 +328,11 @@ def first_variation(model: ModelSpec, grid: QuadratureGrid, k: int,
     return factor * grid.integrate(vk * bound.fm * omega_values)
 
 
-def _ambient_form(field: SphereField, table: ChartTable) -> tuple:
-    """The trial reduced once to u = c + b.xi + xi^T C xi and evaluated on
-    the table's nodes: (tr C, b.xi, xi^T C xi, |w|^2) with w = b + 2 C xi,
-    the last three flat over both charts (2N,).  C xi is formed one row at
-    a time, so no (n+1, 2N) temporary is allocated, and with numpy's own
-    loops, not BLAS, so each node's entries do not depend on the others.
-    A zero row of C leaves w_a = b_a, a constant, and is skipped: a
-    coordinate trial reads no row of C xi, a product of two coordinates
-    two."""
-    _, b, C = field.coefficients(table.n)
-    xi = table.xi.reshape(table.n + 1, -1)
-    bxi = np.einsum("a,ak->k", b, xi)
-    active = C.any(axis=1)
-    xCx = np.zeros_like(bxi)
-    w2 = np.full_like(bxi, np.sum(b[~active] ** 2))
-    for a in np.flatnonzero(active):
-        row = np.einsum("b,bk->k", C[a], xi)   # (C xi)_a
-        xCx += xi[a] * row
-        row *= 2.0
-        row += b[a]                            # w_a
-        w2 += row * row
-    return np.trace(C), bxi, xCx, w2
-
-
 def laplace_beltrami_values(field: SphereField, table: ChartTable) -> np.ndarray:
-    """(2, N) Laplacian of the field in the round metric, from the ambient
-    form: Delta_g u = 2 tr C - n b.xi - 2(n+1) xi^T C xi."""
-    n = table.n
-    trace, bxi, xCx, _ = _ambient_form(field, table)
-    lb = 2.0 * trace - n * bxi - 2.0 * (n + 1) * xCx
-    return lb.reshape(table.xi.shape[1:])
+    """(2, N) Laplacian of the field in the round metric, read-only, from
+    the ambient form: Delta_g u = 2 tr C - n b.xi - 2(n+1) xi^T C xi
+    (``ChartTable.trial``)."""
+    return table.trial(field).laplacian
 
 
 def delta_vk_identity_check(model: ModelSpec, grid: QuadratureGrid, k: int,
@@ -432,13 +410,14 @@ def second_variation_sign_certificate(n: int, m: float, k: int, lam: float) -> i
 def _mass_and_energy(model: ModelSpec, grid: QuadratureGrid,
                      field: SphereField) -> tuple:
     """Weighted mass of the trial's mean-zero projection and its weighted
-    Dirichlet energy, with |grad u|_g^2 = |w|^2 - (xi.w)^2 from the ambient
-    form (xi.w = b.xi + 2 xi^T C xi).  A projection whose mass is at most
-    _CONSTANT_FRACTION of the weighted integral of u^2, which is
-    mass + mean^2 * wvol, is rounding left by a constant trial, and raises."""
-    bound, table = grid.bind(model), grid.table
-    fm = bound.fm
-    projected, mean = _mean_zero(grid, bound, field.value(table))
+    Dirichlet energy, with |grad u|_g^2 = |w|^2 - (xi.w)^2, both read from
+    the trial's one evaluation (``ChartTable.trial``).  A projection whose
+    mass is at most _CONSTANT_FRACTION of the weighted integral of u^2,
+    which is mass + mean^2 * wvol, is rounding left by a constant trial,
+    and raises."""
+    bound = grid.bind(model)
+    fm, trial = bound.fm, grid.table.trial(field)
+    projected, mean = _mean_zero(grid, bound, trial.value)
     mass = grid.integrate(projected**2 * fm)
     square = mass + mean * mean * bound.wvol
     if not mass > _CONSTANT_FRACTION * square:
@@ -446,9 +425,7 @@ def _mass_and_energy(model: ModelSpec, grid: QuadratureGrid,
             f"the trial is constant on the sphere: its mean-zero projection "
             f"has weighted mass {mass:.3e} against {square:.3e} for the trial"
         )
-    _, bxi, xCx, w2 = _ambient_form(field, table)
-    grad2 = w2 - (bxi + 2.0 * xCx) ** 2
-    energy = grid.integrate(grad2.reshape(table.xi.shape[1:]) * fm)
+    energy = grid.integrate(trial.grad2 * fm)
     return mass, energy
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 import time
 from itertools import permutations
 
@@ -411,6 +412,15 @@ def test_order_guards():
     a = lcf_candidate_ambient(np.eye(3), 1.0, 0.2 * np.eye(3), 0.4, 2.0, 3)
     with pytest.raises(DomainError):
         f_second_residual(a, 0.0)
+
+
+@pytest.mark.parametrize("k", [2.5, 2.0, np.float64(2.0), "2", True, None, 0, 4])
+def test_l_operator_order_is_an_integer_in_range(k):
+    a = lcf_candidate_ambient(np.eye(3), 1.0, 0.2 * np.eye(3), 0.4, 2.0, 3)
+    with pytest.raises(OrderError, match=re.escape(
+            f"order k = {k!r} is not an integer in 1..3") + "$"):
+        l_operator(a, 2.0, k)
+    assert np.array_equal(l_operator(a, 2.0, np.int64(2)), l_operator(a, 2.0, 2))
 
 
 def curved_expansion(rng, n, K):

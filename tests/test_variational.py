@@ -12,7 +12,7 @@ from numpy.polynomial.legendre import leggauss
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wrvc.errors import DeterminacyError, DomainError, ModelError
+from wrvc.errors import DeterminacyError, DomainError, ModelError, OrderError
 from wrvc.expr import evaluate, parse_expression
 from wrvc.fields import (
     AmbientCoordinate,
@@ -160,19 +160,21 @@ def test_ambient_form_matches_the_chart_calculus_oracle(seed, n, spread):
                                    + 2.0 * (n - 2) * np.abs(radial) / D)
     oracle_grad2 = (D**2 / 4.0) * np.einsum("ijk,ijk->jk", grad, grad)
 
-    # the form's pieces as the energy reads them: |grad u|_g^2 = |w|^2 - (xi.w)^2
-    # with xi.w = b.xi + 2 xi^T C xi
-    trace, *parts = variational._ambient_form(field, table)
-    bxi, xCx, w2 = (part.reshape(2, 25) for part in parts)
-    form_scale = 2.0 * np.abs(trace) + n * np.abs(bxi) + 2.0 * (n + 1) * np.abs(xCx)
+    # the scales of the form's terms: b.xi, xi^T C xi and |w|^2, w = b + 2 C xi
+    c, b, C = field.coefficients(n)
+    bxi = np.einsum("a,ajk->jk", b, table.xi)
+    Cxi = np.einsum("ab,bjk->ajk", C, table.xi)
+    xCx = np.einsum("ajk,ajk->jk", table.xi, Cxi)
+    w = b[:, None, None] + 2.0 * Cxi
+    w2 = np.einsum("ajk,ajk->jk", w, w)
+    form_scale = 2.0 * np.abs(np.trace(C)) + n * np.abs(bxi) + 2.0 * (n + 1) * np.abs(xCx)
+    trial = table.trial(field)
     lb = laplace_beltrami_values(field, table)
-    assert lb.shape == (2, 25)
+    assert lb is trial.laplacian and lb.shape == (2, 25)
     assert np.all(np.abs(lb - oracle_lb) <= 1e-12 * (form_scale + oracle_scale))
-    grad2 = w2 - (bxi + 2.0 * xCx) ** 2
-    assert np.all(np.abs(grad2 - oracle_grad2) <= 1e-12 * w2)
-    # the form's value is the tree's value
-    c = field.coefficients(n)[0]
-    assert np.allclose(c + bxi + xCx, field.value(table), rtol=0.0, atol=1e-13)
+    assert np.all(np.abs(trial.grad2 - oracle_grad2) <= 1e-12 * w2)
+    # the form's value is the tree's value up to rounding
+    assert np.allclose(trial.value, field.value(table), rtol=0.0, atol=1e-13)
     # per node: the table of a sub-array of nodes gives the same entries
     assert np.array_equal(laplace_beltrami_values(field, ChartTable(X[::3])),
                           lb[:, ::3])
@@ -268,6 +270,7 @@ def test_degree_three_product_raises_on_the_grid_path(n, grid2, grid3, qe3):
                "polynomials of degree <= 2 in the ambient coordinates")
     for call in (lambda: cubic.coefficients(n),
                  lambda: laplace_beltrami_values(cubic, grid.table),
+                 lambda: project_mean_zero(model, grid, cubic),
                  lambda: rayleigh_quotient(model, grid, cubic),
                  lambda: second_variation(model, grid, 1, cubic)):
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
@@ -276,6 +279,120 @@ def test_degree_three_product_raises_on_the_grid_path(n, grid2, grid3, qe3):
     scaled = Product(Constant(2.0), degree_two_harmonics(n)[0])
     assert rayleigh_quotient(model, grid, scaled) == pytest.approx(
         2.0 * (n + 1), abs=1e-4)
+
+
+def test_one_trial_is_evaluated_once_across_the_grid_readers(monkeypatch, qe3):
+    # project_mean_zero, the mass and energy of both variations and of the
+    # quotient, and the Laplace-Beltrami values share one evaluation
+    grid = QuadratureGrid(3, resolution=10)
+    trial = random_combination(np.random.default_rng(5), 3)
+    reduced = []
+    coefficients = Sum.coefficients
+
+    def counted(self, n):
+        if self is trial:
+            reduced.append(n)
+        return coefficients(self, n)
+
+    def no_value(self, table):
+        raise AssertionError(f"{type(self).__name__}.value called")
+
+    monkeypatch.setattr(Sum, "coefficients", counted)
+    for cls in (SphereField, Constant, AmbientCoordinate, Sum, Product):
+        monkeypatch.setattr(cls, "value", no_value)
+    values = project_mean_zero(qe3, grid, trial)
+    assert abs(first_variation(qe3, grid, 2, values)) <= 1e-8
+    assert second_variation(qe3, grid, 2, trial).path_agreement <= 1e-6
+    assert rayleigh_quotient(qe3, grid, trial) > 0.0
+    lb = laplace_beltrami_values(trial, grid.table)
+    assert delta_vk_identity_check(qe3, grid, 2, lb) <= 1e-6
+    assert reduced == [3]
+
+
+def test_the_table_holds_one_trial():
+    table = ChartTable(np.random.default_rng(6).uniform(-2.0, 2.0, (40, 3)))
+    rng = np.random.default_rng(7)
+    refs = []
+    for _ in range(3):
+        trial = random_combination(rng, 3)
+        values = table.trial(trial)
+        assert table.trial(trial) is values
+        refs.append([weakref.ref(trial)] + [weakref.ref(array) for array in (
+            values.value, values.grad2, values.laplacian)])
+    del trial, values
+    alive = [[ref() is not None for ref in group] for group in refs]
+    assert alive == [[False] * 4, [False] * 4, [True] * 4]
+    field, values = table._trial
+    assert field is refs[2][0]() and values.value is refs[2][1]()
+
+
+def test_a_new_trial_gets_its_own_values_when_it_reuses_a_freed_id():
+    # the slot holds the field itself: a slot keyed by id alone would hand
+    # a new trial at a recycled address the freed trial's values
+    table = ChartTable(np.random.default_rng(8).uniform(-2.0, 2.0, (40, 3)))
+    for c in range(1, 20):
+        old = Constant(float(c))
+        assert np.array_equal(table.trial(old).value, np.full((2, 40), float(c)))
+        del old
+        new = Constant(-float(c))
+        assert np.array_equal(table.trial(new).value, np.full((2, 40), -float(c)))
+        del new
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_form_values_of_the_harmonics_are_the_tree_values(n, grid2, grid3):
+    table = {2: grid2, 3: grid3}[n].table
+    trials = ([Constant(c) for c in (0.0, 1.0, -3.7, 1e5)]
+              + coordinate_harmonics(n) + degree_two_harmonics(n))
+    for trial in trials:
+        assert np.array_equal(table.trial(trial).value, trial.value(table))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_form_values_of_random_trials_round_like_the_tree(n, seed, grid2, grid3):
+    # each route sums the trial's T terms, so each is within T eps S of u,
+    # with S the sum of the terms' magnitudes at the node
+    table = {2: grid2, 3: grid3}[n].table
+    trial = random_combination(np.random.default_rng(seed), n)
+    tree = trial.value(table)
+    S = sum(abs(c) * np.abs(f.value(table)) for c, f in zip(trial.coeffs, trial.fields))
+    bound = 2 * len(trial.fields) * np.finfo(float).eps * S
+    assert np.all(np.abs(table.trial(trial).value - tree) <= bound)
+
+
+@pytest.mark.parametrize("bad", [None, "x", 2.0, np.ones((2, 3))])
+def test_a_grid_trial_that_is_not_a_field_raises(bad, grid3, qe3):
+    message = f"^trial {re.escape(' '.join(repr(bad).split()))} is not a SphereField$"
+    if isinstance(bad, np.ndarray):
+        bad = np.ones((2, len(grid3.weights)))
+        message = r"^trial array\(\[\[1\., 1\., 1\., \.\.\., 1\., 1\., 1\.\], " \
+                  r"\[1\., 1\., 1\., \.\.\., 1\., 1\., 1\.\]\], " \
+                  rf"shape=\(2, {len(grid3.weights)}\)\) is not a SphereField$"
+    for call in (lambda: grid3.table.trial(bad),
+                 lambda: project_mean_zero(qe3, grid3, bad),
+                 lambda: rayleigh_quotient(qe3, grid3, bad),
+                 lambda: second_variation(qe3, grid3, 2, bad),
+                 lambda: laplace_beltrami_values(bad, grid3.table)):
+        with pytest.raises(DomainError, match=message):
+            call()
+
+
+@pytest.mark.parametrize("k", [2.5, 2.0, "2", True])
+def test_a_grid_order_that_is_not_an_integer_raises(k, grid3, qe3):
+    # also after k = 2 and k = 1 are read, whose scales 2.0 and True equal
+    functional_F_k(qe3, grid3, 1)
+    functional_F_k(qe3, grid3, 2)
+    values = project_mean_zero(qe3, grid3, AmbientCoordinate(0, 3))
+    lb = laplace_beltrami_values(AmbientCoordinate(0, 3), grid3.table)
+    message = f"^order k = {re.escape(repr(k))} is not an integer in 1\\.\\.5$"
+    for call in (lambda: functional_F_k(qe3, grid3, k),
+                 lambda: first_variation(qe3, grid3, k, values),
+                 lambda: delta_vk_identity_check(qe3, grid3, k, lb),
+                 lambda: second_variation(qe3, grid3, k, AmbientCoordinate(0, 3))):
+        with pytest.raises(OrderError, match=message):
+            call()
+    assert functional_F_k(qe3, grid3, np.int64(2)) == functional_F_k(qe3, grid3, 2)
 
 
 def test_chart_transition_consistency():
@@ -687,12 +804,15 @@ def test_grid_checks_the_domain_on_every_node():
 
 def test_bound_grid_freed_without_cycle_collector(qe3):
     grid = QuadratureGrid(3, resolution=10)
-    second_variation(qe3, grid, 2, AmbientCoordinate(0, 3))
-    ref = weakref.ref(grid)
+    trial = AmbientCoordinate(0, 3)
+    second_variation(qe3, grid, 2, trial)
+    assert grid.table.trial(trial) is grid.table._trial[1]   # the slot is filled
+    refs = [weakref.ref(grid), weakref.ref(grid.table),
+            weakref.ref(grid.table.trial(trial).value)]
     gc.disable()
     try:
         del grid
-        assert ref() is None
+        assert [ref() for ref in refs] == [None, None, None]
     finally:
         gc.enable()
 
