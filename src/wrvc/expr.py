@@ -335,7 +335,6 @@ def _unknown(a, b, node, jet):
 # function's name) and the (dim, order) of a pass on jets (None on values).
 # Values: Python floats, and node arrays, by Python's operators.
 _VALUE_OPS = {
-    "num": lambda a, b, node, jet: node.value,
     "+": lambda a, b, node, jet: a + b,
     "-": lambda a, b, node, jet: a - b,
     "*": lambda a, b, node, jet: a * b,
@@ -394,9 +393,9 @@ class Program:
     ``outputs[k]``, comes after all it reads, and the first k outputs need
     the prefix ``nodes[:ends[k]]``.  ``varies[i]`` tells whether instruction
     i varies with the inputs: in a pass on jets its value is then a
-    coefficient array, else a float.  An instruction whose operands are all
-    constants is computed here, once; one that raises stays in the program,
-    so that its error comes at its place in each pass.
+    coefficient array, else a float.  Only number literals are set here;
+    every other instruction, constant or not, runs in each pass, so an
+    error comes at its place.
     """
 
     def __init__(self, asts, names, varying=None):
@@ -407,7 +406,6 @@ class Program:
         varying = set(names if varying is None else varying)
         inputs = {name: i for i, name in enumerate(names)}
         index, nodes, varies, init = {}, [], [], []
-        computed = set()   # the instructions computed here
         code, self._inputs = [], []   # code: (dst, jet op, value op, a, b, node)
 
         def visit(node):
@@ -425,14 +423,10 @@ class Program:
                 return dst
             # a power varies with its base only: its exponent is a number
             varies.append(kinds[0] if op == "^" else any(kinds))
+            if op == "num":   # a literal: set in every register file
+                init[dst] = node.value
+                return dst
             a, b = (args + [dst, dst])[:2]   # the ones a node lacks are unused
-            if computed.issuperset(args):
-                try:
-                    init[dst] = _VALUE_OPS[op](init[a], init[b], node, None)
-                    computed.add(dst)
-                    return dst
-                except Exception:   # raised again, in its place, by each pass
-                    pass
             jet_op = _JET_OPS[(op, *kinds)] if any(kinds) else _VALUE_OPS[op]
             code.append((dst, jet_op, _VALUE_OPS[op], a, b, node))
             return dst
@@ -449,7 +443,7 @@ class Program:
         self._value_code = [(dst, op, a, b, node) for dst, _, op, a, b, node in code]
 
     def registers(self, values) -> list:
-        """A pass's register file: the constants, and ``values`` of the
+        """A pass's register file: the number literals, and ``values`` of the
         inputs in ``names`` order (jets as coefficient arrays)."""
         regs = self._init.copy()
         for dst, i in self._inputs:

@@ -454,6 +454,10 @@ def suite_variational(rng) -> list:
 
     invariant_model = builtin_model("qe_sphere", 3, 3, 1)
     omega = random_combination(rng, 3)
+    # the trial is read through its own ``value`` (the chart oracle), not
+    # ``grid.table.trial``: this is the one call of that oracle on the verify
+    # path, and it keeps the ``fields.eval`` span of a traced run, which
+    # tests/test_perfbench_tracer.py requires
     out.append(CheckResult(
         "variational", "conformally_invariant_order",
         abs(variational.first_variation(

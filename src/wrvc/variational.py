@@ -204,8 +204,8 @@ class GridStructure:
     """One model bound to one grid (``QuadratureGrid.bind``): the round-metric
     check on every node of both charts, f^m as a (2, N) array (chart 2's
     nodes are read at their chart-1 coordinates X/|X|^2), the weighted
-    volume, and the series scales of each order, read once from one lazily
-    built expansion at the model's default point and order.
+    volume, and the series scales of each order, read on each request from
+    one lazily built expansion at the model's default point and order.
     The model's expansion g_rho = (1 + lam rho)^2 g, f_rho = (1 + lam rho) f
     scales g and f by functions of rho alone, so v_k = C(n+m, k) lam^k is
     one constant for every node, read from the series scales.  It keeps the
@@ -244,7 +244,6 @@ class GridStructure:
             for chart, nodes, conf in ((1, X, grid.conf),
                                        (2, X / r2[:, None], 4.0 * r2**2 / (1.0 + r2) ** 2))])
         self.wvol = grid.integrate(self.fm)
-        self._scales = {}
 
     @property
     def lam(self) -> float:
@@ -268,21 +267,18 @@ class GridStructure:
     def series_scales(self, k: int):
         """(v_k, l_k) at the reference point, extracted through the rho-series
         path: v_k scalar and the scale l_k with (L_k)^{ij} = l_k g^{ij}.
-        Each k is read once, from the default-order expansion, or from an
-        order-k one for a k above its order (above the cap, that raises)."""
-        # 2.0 and True would find the scales of 2 and 1; l_operator rejects them
-        scales = self._scales.get(k) if type(k) is int else None
-        if scales is None:
-            model, a = self.model, self._expansion
-            if isinstance(k, numbers.Integral) and k > a.K:
-                a = model.ambient_at(model.default_point, K=k)
-            # read through the module, so spans wrapped around rho's public names
-            # see them; L_k first, as it names a k that is not an integer in
-            # 1..K or is above the cap
-            L = rho.l_operator(a, model.m, k)
-            scales = self._scales[k] = (float(rho.volume_coefficients(a, model.m)[k]),
-                                        float(np.trace(L @ a.g) / model.n))
-        return scales
+        Each k is read from the default-order expansion, which keeps every
+        series it derives, or from an order-k one for a k above its order
+        (above the cap, that raises)."""
+        model, a = self.model, self._expansion
+        if isinstance(k, numbers.Integral) and k > a.K:
+            a = model.ambient_at(model.default_point, K=k)
+        # read through the module, so spans wrapped around rho's public names
+        # see them; L_k first, as it names a k that is not an integer in
+        # 1..K or is above the cap
+        L = rho.l_operator(a, model.m, k)
+        return (float(rho.volume_coefficients(a, model.m)[k]),
+                float(np.trace(L @ a.g) / model.n))
 
 
 def _require_constant_density(model: ModelSpec):

@@ -72,11 +72,11 @@ class MetricMeasurePoint:
     whose leading axes broadcast against the metric's; a single jet ``f``
     is one density shared by the whole stack.  The checks below name the
     index of the structure that fails them.  ``phi()`` and
-    ``weighted_invariants`` are computed once per structure or stack and
-    cached on it, like the Christoffel symbols on its metric.  The
-    invariants read the structure's 2-jet only: curvature and Hessians take
-    the Christoffel symbols of the metric's 2-jet, and ``phi()`` is that of
-    the density's 2-jet."""
+    ``weighted_invariants`` are computed on each call; the Christoffel
+    symbols they read stay cached on the metric.  The invariants read the
+    structure's 2-jet only: curvature and Hessians take the Christoffel
+    symbols of the metric's 2-jet, and ``phi()`` is that of the density's
+    2-jet."""
 
     def __init__(self, g: MetricAtPoint, f, m: float, mu: float = 0.0):
         if isinstance(f, Jet):
@@ -116,25 +116,21 @@ class MetricMeasurePoint:
         self._fc = fc
         self.m = float(m)
         self.mu = float(mu)
-        self._phi = None
-        self._invariants = None
 
     @property
     def n(self) -> int:
         return self.g.n
 
     def phi(self):
-        """phi = -m ln f on the density's 2-jet (zero when m = 0), cached on
-        the structure, as coefficients (..., ncoef)."""
-        if self._phi is None:
-            n, order = self.n, min(self._f_order, 2)
-            f2 = self._fc[..., :n_coeffs(n, order)]
-            if self.m == 0:
-                self._phi = np.zeros_like(f2)
-            else:
-                self._phi = compose_rows("log", f2, n, order)
-                self._phi *= -self.m
-        return self._phi
+        """phi = -m ln f on the density's 2-jet (zero when m = 0), as
+        coefficients (..., ncoef)."""
+        n, order = self.n, min(self._f_order, 2)
+        f2 = self._fc[..., :n_coeffs(n, order)]
+        if self.m == 0:
+            return np.zeros_like(f2)
+        phi = compose_rows("log", f2, n, order)
+        phi *= -self.m
+        return phi
 
 
 @dataclass
@@ -153,16 +149,9 @@ class WeightedInvariants:
 
 
 def weighted_invariants(p: MetricMeasurePoint) -> WeightedInvariants:
-    """The weighted curvature invariants at the chart point, cached on the
-    structure (every caller shares one result), for one structure or a
-    whole stack in one pass.  Curvature and Hessians read the metric's
-    2-jet, and phi that of the density (``p.phi()``)."""
-    if p._invariants is None:
-        p._invariants = _weighted_invariants(p)
-    return p._invariants
-
-
-def _weighted_invariants(p: MetricMeasurePoint) -> WeightedInvariants:
+    """The weighted curvature invariants at the chart point, for one
+    structure or a whole stack in one pass.  Curvature and Hessians read
+    the metric's 2-jet, and phi that of the density (``p.phi()``)."""
     n, m, mu, g = p.n, p.m, p.mu, p.g
     bundle = curvature(g)
     ric, scal = bundle.ric, bundle.scalar

@@ -466,7 +466,7 @@ def test_pointwise_values_do_not_depend_on_the_jet_order(model):
 
 def _count_node_values(monkeypatch):
     """Record the node of every program instruction that a pass runs (its
-    constants were computed when the program was compiled)."""
+    number literals included)."""
     computed = []
     original = wrvc.expr.Program.run
 

@@ -626,9 +626,16 @@ def test_one_structure_and_one_unbatched_expansion_for_every_k(monkeypatch, qe3)
     first_variation(qe3, grid, 2, project_mean_zero(qe3, grid, trial))
     second_variation(qe3, grid, 2, trial)
     assert len(structures) == 1
-    # each k is read once, L_k first, from the default K = 5 expansion
-    assert series == [(3, 1), (3, "v"), (3, 2), (3, "v"), (3, 3), (3, "v")]
+    # every read is L_k first, from the default K = 5 expansion; both
+    # variations read k = 2
+    assert series == ([(3, 1), (3, "v"), (3, 2), (3, "v"), (3, 3), (3, "v")]
+                      + [(3, 2), (3, "v")] * 2)
     assert expansions == [3]   # one expansion, and no grid function builds a batched one
+    # repeated reads of each k return equal scales
+    bound = grid.bind(qe3)
+    for k in (1, 2, 3):
+        assert bound.series_scales(k) == bound.series_scales(k)
+    assert len(structures) == 1 and expansions == [3]
 
 
 def _counted_expansions(monkeypatch):

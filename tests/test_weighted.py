@@ -264,13 +264,24 @@ def test_conformal_laws_evaluate_the_base_structure_once(monkeypatch):
     # the base structure once, then the 20 rescaled structures as one stack
     assert metrics[0] is p.g
     assert [metric.G.shape[:-3] for metric in metrics] == [(), (20,)]
-    # a second check reuses the base invariants cached on the structure
-    check_conformal_laws(p, omegas[:3])
-    assert [metric.G.shape[:-3] for metric in metrics[2:]] == [(3,)]
-    # phi is read at order 2, from the density's 2-jet, once
-    assert p.phi() is p.phi()
+    # a second check evaluates the base structure again, then its stack,
+    # and reports the first call's floats bit for bit
+    again = [dataclasses.astuple(rep) for rep in check_conformal_laws(p, omegas[:3])]
+    assert [metric.G.shape[:-3] for metric in metrics[2:]] == [(), (3,)]
+    assert _bits(again) == _bits(got[:3])
+    # phi is read at order 2, from the density's 2-jet; every evaluation of
+    # phi and of the invariants gives the same bits
+    assert p.phi().tobytes() == p.phi().tobytes()
     assert p.phi().shape == (n_coeffs(3, 2),)
-    assert weighted_invariants(p) is weighted_invariants(p)
+    assert _bits(dataclasses.astuple(weighted_invariants(p))) == _bits(
+        dataclasses.astuple(weighted_invariants(p)))
+
+
+def _bits(values):
+    """Each value's bytes (floats and arrays), in order, nested as given."""
+    if isinstance(values, (list, tuple)):
+        return [_bits(v) for v in values]
+    return np.asarray(values, dtype=float).tobytes()
 
 
 @pytest.mark.parametrize("label", [label for label, _ in _conformal_models()])
