@@ -11,16 +11,16 @@ Python's recursion limit.
 
 Expressions evaluate over floats, node arrays or jets interchangeably; on
 jets the order-0 coefficient of the result equals the float evaluation.
-``intern`` hash-conses ASTs, so that equal subtrees are one node object,
-and ``Program`` compiles ASTs into one straight-line program, one
-instruction per node object, run over coefficient arrays or node arrays;
-``evaluate`` compiles and runs one AST.
+``Program`` compiles ASTs into one straight-line program, one instruction
+per distinct subexpression, run over coefficient arrays or node arrays;
+compiling decides what is shared and what is constant, and rejects an
+exponent that is not constant.  ``evaluate`` compiles and runs one AST.
 """
 
 from __future__ import annotations
 
 import math
-import operator
+import numbers
 import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -241,31 +241,11 @@ def parse_expression(text: str) -> Node:
 # -- evaluation ---------------------------------------------------------------
 #
 # ASTs compile into one straight-line program (``Program``): one instruction
-# per node object, in post-order (children left to right), so an AST from
-# ``intern`` runs each distinct subexpression once, and a pass raises its
-# first error where a depth-first walk would.  An operand either varies (a
-# jet as its coefficient array, or node values) or is a constant float, and
-# each instruction picks its operation for those kinds when it is compiled.
-
-
-def _exponent(value, pos: int) -> float:
-    """The exponent as a float: a number, or node values that are all one
-    number."""
-    if isinstance(value, (float, int)):
-        return float(value)
-    value = np.asarray(value, dtype=float)
-    first = value.flat[0]
-    if not np.array_equal(value, np.full_like(value, first), equal_nan=True):
-        raise ExpressionError("exponent must be a constant expression", position=pos)
-    return float(first)
-
-
-def _jet_exponent(coeffs: np.ndarray, pos: int) -> float:
-    """The exponent from the coefficients of a jet with no higher terms."""
-    value = float(coeffs[0])
-    if np.max(np.abs(coeffs[1:]), initial=0.0) > 1e-12 * max(1.0, abs(value)):
-        raise ExpressionError("exponent must be a constant expression", position=pos)
-    return value
+# per distinct subexpression, in post-order (children left to right), so a
+# pass runs each once and raises its first error where a depth-first walk
+# would.  An operand either varies (a jet as its coefficient array, or node
+# values) or is a constant float, and each instruction picks its operation
+# for those kinds when it is compiled.
 
 
 def _integer(alpha: float) -> int | None:
@@ -333,13 +313,14 @@ def _unknown(a, b, node, jet):
 # Each operation is fn(a, b, node, jet): its operands' values (b unused by
 # one-operand kinds), its AST node (the position errors name, or the
 # function's name) and the (dim, order) of a pass on jets (None on values).
-# Values: Python floats, and node arrays, by Python's operators.
+# Values: Python floats, and node arrays, by Python's operators.  An
+# exponent is always a constant, taken as a Python float.
 _VALUE_OPS = {
     "+": lambda a, b, node, jet: a + b,
     "-": lambda a, b, node, jet: a - b,
     "*": lambda a, b, node, jet: a * b,
     "/": lambda a, b, node, jet: _divide(a, b),
-    "^": lambda a, b, node, jet: _scalar_power(a, _exponent(b, node.pos), node.pos),
+    "^": lambda a, b, node, jet: _scalar_power(a, float(b), node.pos),
     "neg": lambda a, b, node, jet: -a,
     "call": lambda a, b, node, jet: _call_scalar(node.name, a, node.pos),
     "unknown": _unknown,
@@ -361,41 +342,45 @@ _JET_OPS = {
                                                           *jet),
     ("/", True, False): lambda a, b, node, jet: _divide(a, b),
     ("/", False, True): lambda a, b, node, jet: reciprocal_coeffs(b, *jet) * a,
-    ("^", True, True): lambda a, b, node, jet: _jet_power(
-        a, _jet_exponent(b, node.pos), jet),
-    ("^", True, False): lambda a, b, node, jet: _jet_power(a, _exponent(b, node.pos), jet),
-    ("^", False, True): lambda a, b, node, jet: _scalar_power(
-        a, _jet_exponent(b, node.pos), node.pos),
+    ("^", True, False): lambda a, b, node, jet: _jet_power(a, float(b), jet),
     ("neg", True): lambda a, b, node, jet: -a,
     ("call", True): lambda a, b, node, jet: compose_rows(node.name, a, *jet),
 }
 
 
-def _operation(node: Node) -> tuple[str, tuple]:
-    """The operation of a node and its operand nodes."""
+def _operation(node: Node) -> tuple[str, object, tuple]:
+    """The operation of a node, what tells it from other nodes of that
+    operation with the same operands, and its operand nodes."""
     kind = type(node)
     if kind is Binary:
-        return node.op, (node.left, node.right)
+        return node.op, None, (node.left, node.right)
     if kind is Call:
-        return ("^" if node.name == "pow" else "call"), node.args
+        return ("^" if node.name == "pow" else "call"), node.name, node.args
     if kind is Unary:
-        return "neg", (node.operand,)
-    if kind is Num:
-        return "num", ()
-    return "unknown", ()   # a Var that is no input, or not an AST node
+        return "neg", None, (node.operand,)
+    if kind is Num:   # the sign tells 0 from -0
+        return "num", (node.value, math.copysign(1.0, node.value)), ()
+    if kind is Var:   # an input, or an identifier that is none
+        return "unknown", node.name, ()
+    return "unknown", id(node), ()   # not an AST node
 
 
 class Program:
     """ASTs compiled into one straight-line program over named inputs.
 
-    ``nodes`` is the node of each instruction: each node object that the
-    ASTs reach, once, in post-order, so the instruction of the k-th AST,
-    ``outputs[k]``, comes after all it reads, and the first k outputs need
-    the prefix ``nodes[:ends[k]]``.  ``varies[i]`` tells whether instruction
-    i varies with the inputs: in a pass on jets its value is then a
-    coefficient array, else a float.  Only number literals are set here;
-    every other instruction, constant or not, runs in each pass, so an
-    error comes at its place.
+    Compiling is the one pass that decides what the program shares and
+    what is constant.  ``nodes`` is the node of each instruction, in
+    post-order: one per distinct subexpression, keyed by its operation and
+    its operand instructions (numbers by value and sign, so 0 and -0 stay
+    apart), and kept at its first occurrence, the node an error in it is
+    first raised at.  So the instruction of the k-th AST, ``outputs[k]``,
+    comes after all it reads, and the first k outputs need the prefix
+    ``nodes[:ends[k]]``.  ``varies[i]`` tells whether instruction i varies
+    with the inputs: in a pass on jets its value is then a coefficient
+    array, else a float.  A power whose exponent varies raises an
+    ``ExpressionError`` here, at the power's position.  Only number
+    literals are set when compiling; every other instruction, constant or
+    not, runs in each pass, so an error comes at its place.
     """
 
     def __init__(self, asts, names, varying=None):
@@ -405,30 +390,35 @@ class Program:
         default); in a pass on jets the others are floats."""
         varying = set(names if varying is None else varying)
         inputs = {name: i for i, name in enumerate(names)}
-        index, nodes, varies, init = {}, [], [], []
+        index, seen, nodes, varies, init = {}, {}, [], [], []
         code, self._inputs = [], []   # code: (dst, jet op, value op, a, b, node)
 
         def visit(node):
-            if id(node) in index:
-                return index[id(node)]
-            op, operands = _operation(node)
+            dst = seen.get(id(node))
+            if dst is not None:   # an object met before (one AST in two slots)
+                return dst
+            op, tag, operands = _operation(node)
             args = list(map(visit, operands))   # no frame per level: MAX_DEPTH
+            dst = seen[id(node)] = index.setdefault((op, tag, *args), len(nodes))
+            if dst < len(nodes):   # an equal subexpression met before
+                return dst
             kinds = [varies[i] for i in args]
-            dst = index[id(node)] = len(nodes)
             nodes.append(node)
             init.append(None)
-            if isinstance(node, Var) and node.name in inputs:
-                varies.append(node.name in varying)
-                self._inputs.append((dst, inputs[node.name]))
-                return dst
-            # a power varies with its base only: its exponent is a number
-            varies.append(kinds[0] if op == "^" else any(kinds))
-            if op == "num":   # a literal: set in every register file
+            if op == "unknown" and tag in inputs:
+                varies.append(tag in varying)
+                self._inputs.append((dst, inputs[tag]))
+            elif op == "num":   # a literal: set in every register file
+                varies.append(False)
                 init[dst] = node.value
-                return dst
-            a, b = (args + [dst, dst])[:2]   # the ones a node lacks are unused
-            jet_op = _JET_OPS[(op, *kinds)] if any(kinds) else _VALUE_OPS[op]
-            code.append((dst, jet_op, _VALUE_OPS[op], a, b, node))
+            else:
+                if op == "^" and kinds[1]:
+                    raise ExpressionError("exponent must be a constant expression",
+                                          position=node.pos)
+                varies.append(any(kinds))
+                a, b = (args + [dst, dst])[:2]   # the ones a node lacks are unused
+                jet_op = _JET_OPS[(op, *kinds)] if any(kinds) else _VALUE_OPS[op]
+                code.append((dst, jet_op, _VALUE_OPS[op], a, b, node))
             return dst
 
         self.outputs = [visit(node) for node in asts]
@@ -450,29 +440,23 @@ class Program:
             regs[dst] = values[i]
         return regs
 
-    def run(self, regs, first: int, last: int, jet=None, out=None):
+    def run(self, regs, first: int, last: int, jet=None):
         """Run on ``regs`` the instructions that outputs first..last-1 need
         beyond those of the outputs before ``first``: on jets of (dim, order)
-        ``jet``, or, for jet None, on floats and node arrays.  With ``out``,
-        write those outputs into its rows first..last-1: a (rows, ncoef)
-        array of zeros for jets, or (rows, N) for N nodes."""
+        ``jet``, or, for jet None, on floats and node arrays.  Output k's
+        value is then ``regs[outputs[k]]``."""
         code = self._value_code if jet is None else self._jet_code
         for dst, op, a, b, node in code[self._code_ends[first]:self._code_ends[last]]:
             regs[dst] = op(regs[a], regs[b], node, jet)
-        if out is not None:
-            for row in range(first, last):
-                i = self.outputs[row]
-                if jet is None or self.varies[i]:
-                    out[row] = regs[i]
-                else:
-                    out[row, 0] = regs[i]
 
 
 def evaluate(node: Node, env: dict):
     """Evaluate an AST over an environment of floats, node arrays or jets,
-    by one ``Program`` compiled for the call.  Jets, which must share their
-    dimension, are read at the lowest order among them, and the value is a
-    jet when it varies with them; names bound to numbers are constants."""
+    by one ``Program`` compiled for the call.  A name bound to a real
+    number is a constant; jets and arrays vary, so an exponent that reads
+    one raises.  Jets, which must share their dimension, are read at the
+    lowest order among them, and the value is a jet when it varies with
+    them."""
     jets = {name: value for name, value in env.items() if isinstance(value, Jet)}
     jet, values = None, list(env.values())
     if jets:
@@ -482,60 +466,14 @@ def evaluate(node: Node, env: dict):
         jet = (dims.pop(), min(j.order for j in jets.values()))
         nc = n_coeffs(*jet)
         values = [v.coeffs[:nc] if name in jets else v for name, v in env.items()]
-    program = Program(intern([node]), list(env), jets)
+    program = Program([node], list(env),
+                      [name for name, v in env.items() if not isinstance(v, numbers.Real)])
     regs = program.registers(values)
     program.run(regs, 0, 1, jet)
     out = program.outputs[0]
     if jet is not None and program.varies[out]:
         return Jet._unchecked(*jet, regs[out])
     return regs[out]
-
-
-def intern(nodes) -> list:
-    """The ASTs ``nodes`` hash-consed: equal subtrees (positions aside)
-    become one node object, so a ``Program`` of them computes each once.
-
-    The node kept for a subtree is its first occurrence in evaluation order
-    (the list in order, children left to right), the one an evaluation error
-    in it is first raised at, so error positions stay those of the input.
-    Numbers are equal by value and sign (0 and -0 stay apart)."""
-    table, done = {}, {}   # key -> node kept; id(input node) -> node kept
-
-    def canonical(node):
-        kept = done.get(id(node))
-        if kept is not None:   # an object met before (one AST in two slots)
-            return kept
-        kind, new = type(node), node
-        if kind is Num:   # the sign tells 0 from -0
-            key = (kind, node.value, math.copysign(1.0, node.value))
-        elif kind is Var:
-            key = (kind, node.name)
-        elif kind is Binary:
-            left, right = canonical(node.left), canonical(node.right)
-            key = (kind, node.op, id(left), id(right))
-            if key not in table and (left is not node.left or right is not node.right):
-                new = Binary(node.op, left, right, pos=node.pos)
-        elif kind is Call:
-            args = tuple(map(canonical, node.args))
-            key = (kind, node.name, *map(id, args))
-            if key not in table and any(map(operator.is_not, args, node.args)):
-                new = Call(node.name, args, pos=node.pos)
-        elif kind is Unary:
-            operand = canonical(node.operand)
-            key = (kind, id(operand))
-            if key not in table and operand is not node.operand:
-                new = Unary(operand, pos=node.pos)
-        else:   # not an AST node: left to ``Program`` to reject
-            key = (None, id(node))
-        kept = done[id(node)] = table.setdefault(key, new)
-        return kept
-
-    return [canonical(node) for node in nodes]
-
-
-def has_vars(node: Node) -> bool:
-    """Whether the AST references any identifier (is not a constant)."""
-    return isinstance(node, Var) or any(has_vars(c) for c in _children(node))
 
 
 # -- printing ------------------------------------------------------------------

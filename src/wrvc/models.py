@@ -2,9 +2,10 @@
 plain-text model file format.
 
 A ``ModelSpec`` is symbolic: metric and density components are expression
-ASTs over named coordinates, hash-consed at construction (``expr.intern``)
-so that a subexpression they share is one node, and compiled there into one
-``expr.Program``, one instruction per distinct subexpression.  One private
+ASTs over named coordinates, compiled at construction into one
+``expr.Program``, one instruction per distinct subexpression, so that a
+subexpression they share is computed once; an exponent that is not
+constant is rejected there, when the model is built.  One private
 pass runs it, into jet coefficient arrays at an interior chart point or
 into arrays on grid nodes.  The metric's instructions are a prefix of the
 program: every pass runs and checks the metric first, then the density
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ExpressionError, ModelError, OrderError
-from .expr import Node, Num, Program, intern, parse_expression
+from .expr import Node, Num, Program, parse_expression
 from .geometry import MetricAtPoint
 from .jets import Jet, n_coeffs
 from .rho import (
@@ -112,18 +113,17 @@ class ModelSpec:
                 raise ModelError(
                     f"model {self.name!r} repeats the coordinate name {name!r}"
                 )
-        # the ASTs hash-consed (``intern``) in evaluation order, metric
-        # components row by row, then the density: a subexpression shared by
-        # components, or by the metric and the density, is one node; the
-        # program's outputs are the distinct metric components, then the
-        # density, and each (i, j) slot holds its component's output
-        *metric, f_node = intern(
-            [node for row in self.g_exprs for node in row] + [self.f_expr])
-        distinct = {id(node): node for node in metric}
-        index = {key: i for i, key in enumerate(distinct)}
-        slots = iter(index[id(node)] for node in metric)
-        self._slots = np.array([[next(slots) for _ in row] for row in self.g_exprs])
-        self._program = Program([*distinct.values(), f_node], self.coords)
+        # one program for the components row by row, then the density: a
+        # subexpression shared by components, or by the metric and the
+        # density, is one instruction; the rows are the distinct metric
+        # instructions, then the density's (which may be one of them), and
+        # each (i, j) slot holds its component's row
+        self._program = Program(
+            [node for row in self.g_exprs for node in row] + [self.f_expr], self.coords)
+        *metric, f_out = self._program.outputs
+        distinct = list(dict.fromkeys(metric))
+        self._rows = distinct + [f_out]
+        self._slots = np.array([distinct.index(out) for out in metric]).reshape(self.n, -1)
 
     # -- the evaluation boundary ---------------------------------------
 
@@ -152,8 +152,8 @@ class ModelSpec:
         ``(n, n, N)`` array is gathered.  Errors name the nodes of sphere
         chart ``chart`` (``_at_point``).  Returns (its result, f or None);
         values have the coefficient axis, or the node axis, last."""
-        program = self._program
-        rows = len(program.outputs) - 1   # the distinct metric components
+        program, n2 = self._program, self.n * self.n
+        rows = len(self._rows) - 1   # the distinct metric components
         if order is None:
             point = np.asarray(point, dtype=float)
             jet, values = None, point.T
@@ -168,7 +168,7 @@ class ModelSpec:
             out = np.zeros((rows + 1, nc))
         regs = program.registers(values)
 
-        def run(what, first, last):
+        def run(what, first, last, part):
             # floating-point warnings are silenced: the values are checked
             # finite instead; a point or any node outside ``inside`` is an
             # error that names the model's domain too
@@ -178,16 +178,21 @@ class ModelSpec:
                 if self.inside is not None and not np.all(self.inside(point)):
                     raise DomainError(f"{'the point' if point.ndim == 1 else 'a node'} "
                                       "lies outside the domain")
-                program.run(regs, first, last, jet, out)
-            self._require_finite_at(out[first:last], what, point, chart)
+                program.run(regs, first, last, jet)
+            for row, i in enumerate(self._rows[part], part.start):
+                if jet is None or program.varies[i]:
+                    out[row] = regs[i]
+                else:   # a constant sets the value term
+                    out[row, 0] = regs[i]
+            self._require_finite_at(out[part], what, point, chart)
 
-        run("metric", 0, rows)
+        run("metric", 0, n2, slice(0, rows))
         with self._checking("metric", point, chart=chart):
             metric = (accept_metric(out[:rows], self._slots, point) if order is None
                       else accept_metric(out[self._slots], point))
         if not density:
             return metric, None
-        run("density", rows, rows + 1)
+        run("density", n2, n2 + 1, slice(rows, rows + 1))
         return metric, out[rows]
 
     def _at_point(self, what: str, point, detail: str, chart: int = 1) -> str:

@@ -40,7 +40,6 @@ import numpy as np
 from numpy.polynomial import legendre
 
 from .errors import DomainError, ModelError
-from .expr import has_vars
 from .fields import ChartTable, SphereField, coordinate_harmonics
 from . import rho
 from .models import ModelSpec
@@ -207,10 +206,11 @@ class GridStructure:
     volume, and the series scales of each order, read on each request from
     one lazily built expansion at the model's default point and order.
     The model's expansion g_rho = (1 + lam rho)^2 g, f_rho = (1 + lam rho) f
-    scales g and f by functions of rho alone, so v_k = C(n+m, k) lam^k is
-    one constant for every node, read from the series scales.  It keeps the
-    grid's arrays, never the grid, so the grid's memo of structures forms no
-    reference cycle."""
+    scales g and f by functions of rho alone, so for a constant density
+    v_k = C(n+m, k) lam^k is one constant for every node, read from the
+    series scales; the expansion raises for a density that varies.  It
+    keeps the grid's arrays, never the grid, so the grid's memo of
+    structures forms no reference cycle."""
 
     def __init__(self, model: ModelSpec, grid: QuadratureGrid):
         if model.n != grid.n:
@@ -261,7 +261,10 @@ class GridStructure:
 
     @cached_property
     def _expansion(self) -> rho.AmbientExpansion:
-        self.lam   # raises unless the expansion is the lam-scaled one
+        # raises unless the expansion is the lam-scaled one, read at the
+        # default point for every node: that needs a constant density
+        self.lam
+        _require_constant_density(self.model)
         return self.model.ambient_at(self.model.default_point)
 
     def series_scales(self, k: int):
@@ -282,7 +285,9 @@ class GridStructure:
 
 
 def _require_constant_density(model: ModelSpec):
-    if has_vars(model.f_expr):
+    """A ``ModelError`` unless the model's compiled density is constant."""
+    program = model._program
+    if program.varies[program.outputs[-1]]:
         raise ModelError(
             "this operation needs a constant density (drift terms are not "
             "evaluated on grids)"
@@ -343,7 +348,6 @@ def delta_vk_identity_check(model: ModelSpec, grid: QuadratureGrid, k: int,
     """
     lb_values = grid._node_values(lb_values)
     bound = grid.bind(model)
-    _require_constant_density(model)
     _, lk = bound.series_scales(k)
     return abs(grid.integrate(lk * lb_values * bound.fm))
 
@@ -444,16 +448,14 @@ def second_variation(model: ModelSpec, grid: QuadratureGrid, k: int,
     projected to weighted mean zero first.
     """
     bound = grid.bind(model)
-    _require_constant_density(model)
     n, m, lam = model.n, model.m, bound.lam
     if lam == 0.0:
         raise ModelError("second variation needs a nonzero proportionality "
                          "constant")
     nm = n + m
 
+    vk, lk = bound.series_scales(k)   # the model's checks before the trial's
     omega2, dirichlet = _mass_and_energy(model, grid, field)
-
-    vk, lk = bound.series_scales(k)
     q_general = -(nm - 2.0 * k) * (2.0 * k * vk * omega2 + lk * dirichlet)
 
     ck = c_k_constant(n, m, k)

@@ -2,10 +2,13 @@
 ``wrvc.expr.Program`` must match bit for bit.
 
 ``reference_evaluate`` walks an AST over an environment of floats, node
-arrays or ``Jet`` objects, by ``Jet``'s operators, with one value per node
-object in ``memo`` when one is given (a pass over ``intern``-ed ASTs then
-evaluates each distinct subexpression once).  It shares no compiled
-program, operation table or exponent check with the code under test.
+arrays or ``Jet`` objects, by ``Jet``'s operators, with one value per
+structure in ``memo`` when one is given (equal subtrees, numbers equal by
+value and sign, then evaluate once).  ``reference_check`` rejects, in
+post-order, the first power whose exponent names a jet or an array, by
+the syntax alone; ``reference_values`` checks a list of ASTs so, then
+evaluates each on its own.  It shares no compiled program, operation
+table, memo or exponent check with the code under test.
 ``program_values`` runs that code, one pass the way a model runs it.
 """
 
@@ -14,25 +17,35 @@ import math
 import numpy as np
 
 from wrvc.errors import DomainError, ExpressionError
-from wrvc.expr import Binary, Call, Num, Program, Unary, Var, intern
+from wrvc.expr import Binary, Call, Num, Program, Unary, Var
 from wrvc.jets import Jet
 
 
-def _constant_exponent(value, pos: int) -> float:
-    if isinstance(value, (float, int)):
-        return float(value)
-    if isinstance(value, Jet):
-        scale = max(1.0, abs(value.value))
-        varies = np.max(np.abs(value.coeffs[1:]), initial=0.0) > 1e-12 * scale
-        value = value.value
-    else:
-        value = np.asarray(value, dtype=float)
-        first = value.flat[0]
-        varies = not np.array_equal(value, np.full_like(value, first), equal_nan=True)
-        value = float(first)
-    if varies:
-        raise ExpressionError("exponent must be a constant expression", position=pos)
-    return value
+def _varying(env: dict) -> set:
+    return {name for name, value in env.items() if isinstance(value, (Jet, np.ndarray))}
+
+
+def reference_check(node, varying: set) -> bool:
+    """Whether the AST names a varying identifier; raises the error of the
+    first power, children first, whose exponent does."""
+    if isinstance(node, Var):
+        return node.name in varying
+    if isinstance(node, Binary):
+        left = reference_check(node.left, varying)
+        right = reference_check(node.right, varying)
+        if node.op == "^" and right:
+            raise ExpressionError("exponent must be a constant expression",
+                                  position=node.pos)
+        return left or right
+    if isinstance(node, Call):
+        names = [reference_check(arg, varying) for arg in node.args]
+        if node.name == "pow" and names[1]:
+            raise ExpressionError("exponent must be a constant expression",
+                                  position=node.pos)
+        return any(names)
+    if isinstance(node, Unary):
+        return reference_check(node.operand, varying)
+    return False
 
 
 def _shown(x, bad) -> str:
@@ -42,8 +55,7 @@ def _shown(x, bad) -> str:
     return f"an array of shape {np.shape(x)}, first offending entry {first}"
 
 
-def _power(base, exponent, pos: int):
-    alpha = _constant_exponent(exponent, pos)
+def _power(base, alpha, pos: int):
     if math.isfinite(alpha) and abs(alpha - round(alpha)) < 1e-12:
         k = int(round(alpha))
         if isinstance(base, Jet):
@@ -72,10 +84,29 @@ def _call_scalar(name: str, x, pos: int):
         raise DomainError(f"{name}({x}) outside the function domain")
 
 
+def _structure(node):
+    """A key equal for equal subtrees, positions aside; numbers by value
+    and sign, so 0 and -0 differ."""
+    if isinstance(node, Num):
+        return ("Num", node.value, math.copysign(1.0, node.value))
+    if isinstance(node, Var):
+        return ("Var", node.name)
+    if isinstance(node, Unary):
+        return ("Unary", _structure(node.operand))
+    if isinstance(node, Binary):
+        return ("Binary", node.op, _structure(node.left), _structure(node.right))
+    if isinstance(node, Call):
+        return ("Call", node.name, *map(_structure, node.args))
+    return ("other", id(node))
+
+
 def reference_evaluate(node, env: dict, memo: dict | None = None):
-    """Evaluate an AST over floats, node arrays or jets, recursively."""
-    if memo is not None and id(node) in memo:
-        return memo[id(node)]
+    """Evaluate an AST over floats, node arrays or jets, recursively; its
+    exponents must not vary (``reference_check``)."""
+    if memo is not None:
+        key = _structure(node)
+        if key in memo:
+            return memo[key]
     if isinstance(node, Binary):
         a = reference_evaluate(node.left, env, memo)
         b = reference_evaluate(node.right, env, memo)
@@ -118,17 +149,26 @@ def reference_evaluate(node, env: dict, memo: dict | None = None):
     else:
         raise ExpressionError(f"cannot evaluate node {node!r}")
     if memo is not None:
-        memo[id(node)] = value
+        memo[key] = value
     return value
 
 
+def reference_values(asts, env: dict) -> list:
+    """The values of ``asts``, each evaluated on its own, after every
+    exponent of every AST is checked, as compiling them checks it."""
+    for node in asts:
+        reference_check(node, _varying(env))
+    return [reference_evaluate(node, env) for node in asts]
+
+
 def program_values(asts, env: dict) -> list:
-    """The values of ``asts`` from one pass of one ``Program`` over them,
-    interned: jets (of one dimension and order) in and out as coefficient
-    arrays, a value that does not vary with them as a float."""
+    """The values of ``asts`` from one pass of one ``Program`` over them:
+    jets (of one dimension and order) in and out as coefficient arrays, a
+    value that does not vary with them as a float; names bound to jets or
+    arrays vary."""
     jets = [name for name, value in env.items() if isinstance(value, Jet)]
     jet = (env[jets[0]].dim, env[jets[0]].order) if jets else None
-    program = Program(intern(asts), list(env), jets)
+    program = Program(asts, list(env), _varying(env))
     regs = program.registers([value.coeffs if isinstance(value, Jet) else value
                               for value in env.values()])
     program.run(regs, 0, len(asts), jet)

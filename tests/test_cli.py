@@ -188,6 +188,16 @@ def test_non_finite_constant_expression_exits_2(capsys, tmp_path, g_11, tail):
     assert err == f"error: metric of model '{path}' {tail}\n"
 
 
+@pytest.mark.parametrize("command", ["curvature", "vk"])
+def test_varying_exponent_exits_2_when_the_model_is_built(capsys, tmp_path, command):
+    # the file has no [ambient] section, so vk would also say that it carries
+    # no ambient generator; the exponent is rejected first, as the model is read
+    path = _model_2d(tmp_path, "2+x^y")
+    code, out, err = run_cli(capsys, command, "--model", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: exponent must be a constant expression (at offset 3)\n"
+
+
 @pytest.mark.parametrize("g_11, tail, message", [
     ("-1", "", "metric of model '{}' is rejected at point (0, 0): "
      "constant-term metric is not positive definite"),

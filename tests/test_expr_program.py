@@ -10,9 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from expr_reference import program_values, reference_evaluate
+from expr_reference import program_values, reference_evaluate, reference_values
 from wrvc.errors import DomainError, ExpressionError
-from wrvc.expr import Program, intern, parse_expression
+from wrvc.expr import Program, parse_expression
 from wrvc.jets import Jet, n_coeffs
 from wrvc.models import BUILTIN_NAMES, builtin_model
 from wrvc.variational import QuadratureGrid
@@ -27,11 +27,15 @@ def _identical(u, v) -> bool:
             and np.array_equal(np.signbit(u), np.signbit(v)))
 
 
+def _asts(model):
+    return [node for row in model.g_exprs for node in row] + [model.f_expr]
+
+
 def _reference(model, env, width):
     """The model's (n, n, width) metric and (width,) density by the
-    reference, one memo over the interned components, as the models
+    reference, one structural memo over the components, as the models
     evaluated them before they were compiled."""
-    *metric, f = intern([node for row in model.g_exprs for node in row] + [model.f_expr])
+    *metric, f = _asts(model)
     memo = {}
 
     def row(node):
@@ -75,24 +79,28 @@ def test_benchmark_deformed_spheres_match_the_reference():
 ], ids=["qe_sphere", "round_sphere", "euclidean", "deformed"])
 def test_grid_node_values_match_the_reference(model):
     # the model's program on both charts' nodes, without the model's
-    # finiteness check: the deformed density overflows at chart 2's far nodes
-    program = model._program
-    outputs = [program.nodes[i] for i in program.outputs]
+    # finiteness check: the deformed density overflows at chart 2's far
+    # nodes; every component's and the density's output register
+    program, asts = model._program, _asts(model)
     X = QuadratureGrid(3, 20).points
     for nodes in (X, X / (X * X).sum(axis=1)[:, None]):   # chart 1, chart 2
-        out = np.empty((len(outputs), len(nodes)))
         env, memo = dict(zip(model.coords, nodes.T)), {}
         with np.errstate(all="ignore"):
-            program.run(program.registers(nodes.T), 0, len(outputs), None, out)
-            reference = [np.broadcast_to(reference_evaluate(node, env, memo), len(nodes))
-                         for node in outputs]
-        assert all(map(_identical, out, reference))
+            regs = program.registers(nodes.T)
+            program.run(regs, 0, len(asts))
+            reference = [reference_evaluate(node, env, memo) for node in asts]
+        values = [np.broadcast_to(regs[i], len(nodes)) for i in program.outputs]
+        assert len(values) == model.n**2 + 1
+        assert all(_identical(u, np.broadcast_to(v, len(nodes)))
+                   for u, v in zip(values, reference))
 
 
 # every expression that fails in tests/test_models.py and tests/test_cli.py
-# (q is an unknown identifier; x^x and pow(2, x) fail where x varies)
+# (q is an unknown identifier; x^x, pow(2, x), x^(x-x+2) and the
+# 1e-14*y exponent fail to compile where x and y vary)
 FAILING = ["log(0.0)", "1 + q", "x^x", "pow(2, x)", "1+exp(q*x)", "exp(q*x)+2",
-           "1/x^2", "exp(1000)", "10^400", "2+sin(1e400)", "x^(1e400-1e400)"]
+           "1/x^2", "exp(1000)", "10^400", "2+sin(1e400)", "x^(1e400-1e400)",
+           "x^(x-x+2)", "(1+x^2)^(1+1e-14*y)", "2+x^y"]
 
 
 def _outcome(run):
@@ -111,7 +119,7 @@ def test_failing_expressions_raise_as_the_reference_does():
     for text in FAILING:
         ast = parse_expression(text)
         outcomes = [(_outcome(lambda: program_values([ast], env)),
-                     _outcome(lambda: [reference_evaluate(ast, env)])) for env in envs]
+                     _outcome(lambda: reference_values([ast], env))) for env in envs]
         assert any(isinstance(reference, tuple) for _, reference in outcomes), text
         for program, reference in outcomes:
             if isinstance(reference, tuple):
@@ -124,8 +132,7 @@ def test_failing_expressions_raise_as_the_reference_does():
 def test_a_prefix_of_the_outputs_runs_a_prefix_of_the_program():
     # as metric_at runs the metric only: log(0), a constant that raises,
     # stays an instruction of the second output's part, raised in its place
-    program = Program(intern([parse_expression("x*2^3"), parse_expression("x+log(0)")]),
-                      ["x"])
+    program = Program([parse_expression("x*2^3"), parse_expression("x+log(0)")], ["x"])
     assert program.ends == [0, 5, 8]
     regs = program.registers([0.5])
     program.run(regs, 0, 1)

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expr_reference import program_values, reference_evaluate
+from expr_reference import program_values, reference_values
 from wrvc.errors import DomainError, ExpressionError, ModelError
-from wrvc.expr import MAX_DEPTH, Num, Unary, evaluate, intern, parse_expression, to_string
+from wrvc.expr import MAX_DEPTH, Num, Program, Var, evaluate, parse_expression, to_string
 from wrvc.geometry import curvature
 from wrvc.jets import Jet
 from wrvc.models import (
@@ -130,19 +130,21 @@ def test_array_evaluation_matches_scalar():
         assert arr[i] == pytest.approx(evaluate(ast, {"x": xs[i], "y": ys[i]}))
 
 
-def test_intern_shares_equal_subtrees_and_keeps_first_positions():
+def test_program_shares_equal_subexpressions_and_keeps_first_positions():
     a, b = parse_expression("1+exp(2*x)"), parse_expression("exp(2*x)/x")
-    ia, ib = intern([a, b])
-    assert ia == a and ib == b                 # the same expressions
-    assert ia.right is ib.left                 # exp(2*x) is one node
-    assert ib.right is ia.right.args[0].right  # and so is x
-    assert ib.left.pos == 2                    # its first occurrence's position
-    assert intern([a, a]) == [ia, ia]
-    # equal numbers are one node, but 0 and -0 stay apart
-    zeros = intern([Num(0.0), Num(-0.0), Num(0.0)])
-    assert zeros[0] is zeros[2] and zeros[1] is not zeros[0]
-    x, minus_x = intern([parse_expression("x"), parse_expression("-x")])
-    assert isinstance(minus_x, Unary) and minus_x.operand is x
+    program = Program([a, b], ["x"])
+    assert [program.nodes[i] for i in program.outputs] == [a, b]   # the same expressions
+    # 1, 2, x, 2*x, exp(2*x), 1+exp(2*x), exp(2*x)/x: exp(2*x) is one
+    # instruction, and so is x
+    assert len(program.nodes) == 7
+    exp_2x = [node for node in program.nodes if node == b.left]
+    assert len(exp_2x) == 1 and exp_2x[0].pos == 2   # its first occurrence's position
+    assert sum(node == Var("x") for node in program.nodes) == 1
+    assert Program([a, a], ["x"]).outputs == [5, 5]
+    # equal numbers are one instruction, but 0 and -0 stay apart
+    assert Program([Num(0.0), Num(-0.0), Num(0.0)], []).outputs == [0, 1, 0]
+    minus_x = Program([parse_expression("x"), parse_expression("-x")], ["x"])
+    assert minus_x.outputs == [0, 1] and len(minus_x.nodes) == 2
 
 
 _TERM = st.sampled_from(["x", "y", "q", "2", "0.5", "1e300", "0"])
@@ -176,7 +178,7 @@ def test_one_memoized_pass_matches_evaluating_each_expression(texts, on_jets):
     asts = [parse_expression(t) for t in texts]
     env = ({"x": Jet.variable(0, 0.3, 2, 3), "y": Jet.variable(1, -0.2, 2, 3)}
            if on_jets else {"x": np.array([0.3, 1.5]), "y": np.array([-0.2, 2.0])})
-    plain = _outcome(lambda: [reference_evaluate(a, env) for a in asts])
+    plain = _outcome(lambda: reference_values(asts, env))
     shared = _outcome(lambda: program_values(asts, env))
     if isinstance(plain, tuple):
         assert shared == plain
@@ -586,5 +588,30 @@ def test_exponent_that_varies_over_nodes_is_an_expression_error():
         evaluate(parse_expression("x^x"), nodes)
     with pytest.raises(ExpressionError, match=r"constant expression \(at offset 0\)"):
         evaluate(parse_expression("pow(2, x)"), nodes)
-    # an exponent equal on every node is a constant
-    assert np.array_equal(evaluate(parse_expression("x^(2*y)"), nodes), [0.25, 4.0])
+    # an exponent that reads an array varies, even when its values are equal
+    with pytest.raises(ExpressionError, match=r"constant expression \(at offset 1\)"):
+        evaluate(parse_expression("x^(2*y)"), nodes)
+
+
+@pytest.mark.parametrize("k", [np.float64(2.0), np.int64(2), np.float32(2.0), 2, 2.0])
+def test_exponent_bound_to_a_real_number_is_a_constant(k):
+    nodes = np.array([0.5, 2.0])
+    assert np.array_equal(evaluate(parse_expression("x^k"), {"x": nodes, "k": k}),
+                          [0.25, 4.0])
+    # the exponent is taken as a float, whatever the binding's type
+    value = evaluate(parse_expression("x^(k/4)"), {"x": 2.0, "k": k})
+    assert float(value) == math.sqrt(2.0)
+    x = Jet.variable(0, 0.5, 1, 3)
+    value = evaluate(parse_expression("pow(x, k/4)"), {"x": x, "k": k})
+    assert np.array_equal(value.coeffs, x.apply("pow", 0.5).coeffs)
+
+
+@pytest.mark.parametrize("g_11, offset", [("(1+x^2)^(1+1e-14*y)", 7), ("x^(x-x+2)", 1)])
+def test_exponent_that_varies_raises_when_the_model_is_loaded(tmp_path, g_11, offset):
+    # the exponents vary with the coordinates, however little or however
+    # they cancel: a model file that names one is rejected as it is read
+    path = tmp_path / "exponent.cfg"
+    path.write_text(f"[space]\nn = 2\nm = 1\n\n[metric]\ng_11 = {g_11}\ng_22 = 1\n")
+    with pytest.raises(ExpressionError, match=rf"^exponent must be a constant "
+                                              rf"expression \(at offset {offset}\)$"):
+        load_model_file(path)

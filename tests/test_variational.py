@@ -757,6 +757,25 @@ def test_grid_variations_need_a_constant_density(operation):
     assert weighted_volume(model, grid) > 0.0
 
 
+def test_grid_v_k_readers_need_a_constant_density(tmp_path):
+    # the round metric with a declared lambda that fits at the origin only:
+    # v_k is read at the default point, so F_k and the first variation
+    # would integrate the origin's v_k against every node's weight
+    path = tmp_path / "drift.cfg"
+    path.write_text("[space]\nn = 3\nm = 2\nmu = 2.15\n\n[metric]\n"
+                    + "".join(f"g_{i}{i} = 4/(1+x^2+y^2+z^2)^2\n" for i in (1, 2, 3))
+                    + "\n[density]\nf = exp(0.3*(x^2+y^2+z^2)/(1+x^2+y^2+z^2))\n"
+                    "\n[ambient]\nlambda = 0.2125\n")
+    model = load_model_file(path)
+    grid = QuadratureGrid(3, resolution=10)
+    for operation in (lambda: functional_F_k(model, grid, 1),
+                      lambda: first_variation(model, grid, 1, grid.table.trial(
+                          coordinate_harmonics(3)[0]).value)):
+        with pytest.raises(ModelError, match="needs a constant density"):
+            operation()
+    assert weighted_volume(model, grid) > 0.0
+
+
 def test_weighted_volume_reads_each_chart_at_its_own_points():
     # f = 2 +- xi_3 with xi_3 = (r^2-1)/(r^2+1) in chart 1: the weighted
     # volume is 4 pi int_0^pi (2 +- cos t)^(5/2) sin^2 t dt, the same for
