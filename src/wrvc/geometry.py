@@ -36,7 +36,6 @@ import numpy as np
 
 from .errors import DimensionMismatch, DomainError, OrderError
 from .jets import (
-    Jet,
     compose_coeffs,
     contract_coeffs,
     derivative_coeffs,
@@ -100,17 +99,12 @@ def _require_positive_definite(g0: np.ndarray):
 
 
 def _jet_coeffs(u, n: int, least: int, what: str) -> np.ndarray:
-    """The coefficient array of a jet in ``n`` variables, or of jets given
-    as an array (..., ncoef), checked to be of order >= ``least``."""
-    if isinstance(u, Jet):
-        if u.dim != n:
-            raise DimensionMismatch(f"jet of dimension {u.dim} in a chart of dimension {n}")
-        coeffs, order = u.coeffs, u.order
-    else:
-        coeffs, order = u, jet_order(n, u.shape[-1])
-    if order < least:
+    """Scalar jets in ``n`` variables given as a float array (..., ncoef),
+    checked to be of order >= ``least``."""
+    u = np.asarray(u, dtype=float)
+    if jet_order(n, u.shape[-1]) < least:
         raise OrderError(f"{what} needs a jet of order >= {least}")
-    return coeffs
+    return u
 
 
 class MetricAtPoint:
@@ -120,9 +114,9 @@ class MetricAtPoint:
     Leading batch axes, if any, index a stack of metrics at one chart
     point, and every function below acts on the whole stack at once, each
     row with the arithmetic of that metric alone; a single metric is the
-    batch shape ().  Each metric is symmetric coefficient-wise, with a
-    positive-definite constant-term matrix (a failure names the metric's
-    index in the stack); the jet order is the one with
+    batch shape ().  Each metric is finite and symmetric coefficient-wise,
+    with a positive-definite constant-term matrix (a failure names the
+    metric's index in the stack); the jet order is the one with
     ``ncoef = n_coeffs(n, order)``.  The inverse of the constant term and
     ``christoffel`` are cached; neither refers back to the metric.
     """
@@ -135,6 +129,9 @@ class MetricAtPoint:
             )
         n = G.shape[-2]
         order = jet_order(n, G.shape[-1])
+        if not np.isfinite(G).all():
+            *where, i, j, _ = np.argwhere(~np.isfinite(G))[0]
+            raise DomainError(f"metric jets must be finite at ({i},{j}){stack_note(where)}")
         transposed = G.swapaxes(-3, -2)
         if not np.array_equal(G, transposed):
             symmetric = np.isclose(G, transposed, atol=1e-12).all(axis=-1)
@@ -164,16 +161,14 @@ class MetricAtPoint:
     def inverse_matrix(self) -> np.ndarray:
         return self._inverse0().copy()
 
-    def det_jet(self) -> Jet:
-        """det g as a jet (a single metric only)."""
-        return Jet._unchecked(
-            self.n, self.order, _det_coeffs(self.G, self.n, self.order, self._inverse0())
-        )
+    def det_coeffs(self) -> np.ndarray:
+        """det g as jet coefficients (ncoef,) (a single metric only)."""
+        return _det_coeffs(self.G, self.n, self.order, self._inverse0())
 
     def rescale(self, factor) -> "MetricAtPoint":
-        """Pointwise conformal rescale g -> factor * g, for a positive jet
-        ``factor`` or positive jets (..., ncoef): a stack, one metric per
-        row of ``factor``, broadcast against the metric's own batch axes."""
+        """Pointwise conformal rescale g -> factor * g, for positive jets
+        ``factor`` (..., ncoef): one (ncoef,) factor, or a stack, one metric
+        per row, broadcast against the metric's own batch axes."""
         factor = _jet_coeffs(factor, self.n, 0, "rescale")
         order = min(self.order, jet_order(self.n, factor.shape[-1]))
         nc = n_coeffs(self.n, order)
@@ -254,8 +249,8 @@ def curvature(metric: MetricAtPoint) -> CurvatureBundle:
 
 # -- scalar jets on a metric ---------------------------------------------------
 #
-# u, v and phi below are jets, or jets given as coefficient arrays (..., ncoef)
-# in the chart's n variables; values broadcast against a stack of metrics.
+# u, v and phi below are jets given as coefficient arrays (..., ncoef) in the
+# chart's n variables; values broadcast against a stack of metrics.
 
 
 def trace(metric: MetricAtPoint, h: np.ndarray):

@@ -30,7 +30,7 @@ import numpy as np
 from .errors import DomainError, ExpressionError, ModelError, OrderError
 from .expr import Node, Num, Program, parse_expression
 from .geometry import MetricAtPoint
-from .jets import Jet, n_coeffs
+from .jets import n_coeffs
 from .rho import (
     MAX_DIM,
     AmbientExpansion,
@@ -258,8 +258,7 @@ class ModelSpec:
     def structure_at(self, point, order: int = DEFAULT_ORDER) -> MetricMeasurePoint:
         g, f = self._evaluate(point, order)
         with self._checking("structure", point):
-            return MetricMeasurePoint(g, Jet._unchecked(self.n, order, f),
-                                      self.m, self.mu)
+            return MetricMeasurePoint(g, f, self.m, self.mu)
 
     def invariants_at(self, point):
         """Weighted invariants at a chart point, with the best-fit

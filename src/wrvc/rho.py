@@ -237,8 +237,9 @@ class AmbientExpansion:
 
     ``gcoeffs[k]`` and ``fcoeffs[k]`` are Taylor coefficients
     (1/k!) d_rho^k at rho = 0, so gcoeffs[0] is the base metric and
-    fcoeffs[0] the base density.  The coefficients must be finite, the base
-    density positive and the base metric positive definite.
+    fcoeffs[0] the base density.  The coefficients must be finite, each
+    metric coefficient symmetric (to 1e-12 of the largest |coefficient|),
+    the base density positive and the base metric positive definite.
 
     Both arrays are copied at construction and are read-only, and so is the
     expansion, so its derived series (g_rho^{-1}, g_rho' g_rho^{-1},
@@ -261,8 +262,13 @@ class AmbientExpansion:
                 f"an expansion needs gcoeffs (K+1, n, n) and fcoeffs (K+1,), "
                 f"got {g_shape} and {f_shape}"
             )
-        if not (np.isfinite(self.gcoeffs).all() and np.isfinite(self.fcoeffs).all()):
+        g = self.gcoeffs
+        scale = np.abs(g).max()   # NaN or inf unless every entry of g is finite
+        if not (math.isfinite(scale) and np.isfinite(self.fcoeffs).all()):
             raise DomainError("expansion coefficients must be finite")
+        # g - g^T is antisymmetric: its largest entry is its largest |entry|
+        if (g - g.swapaxes(1, 2)).max() > 1e-12 * scale:
+            raise DomainError("expansion metric coefficients must be symmetric")
         if self.fcoeffs[0] <= 0.0:
             raise DomainError("base density must be positive")
         if np.linalg.eigvalsh(self.gcoeffs[0]).min() <= 0.0:
@@ -327,17 +333,23 @@ class AmbientExpansion:
 
 @dataclass
 class VolumeCoefficients:
-    """v_1..v_K extracted from an expansion."""
+    """v_1..v_K extracted from an expansion: ``v[k]`` is v_k, for an order
+    k that ``l_operator`` takes (an integer in 1..K, not a bool)."""
 
     v: np.ndarray
 
     def __getitem__(self, k: int):
-        if not 1 <= k <= self.v.shape[0]:
-            raise OrderError(f"v_{k} not available (have 1..{self.v.shape[0]})")
+        _require_order(k, self.v.shape[0])
         return self.v[k - 1]
 
     def __len__(self):
         return self.v.shape[0]
+
+
+def _require_order(k, K: int):
+    """An ``OrderError`` unless k is an integer in 1..K (a bool is not one)."""
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or not 1 <= k <= K:
+        raise OrderError(f"order k = {k!r} is not an integer in 1..{K}")
 
 
 def _dimensional(m: float) -> float:
@@ -440,8 +452,7 @@ def l_operator(a: AmbientExpansion, m: float, k: int) -> np.ndarray:
     Returns the contravariant symmetric matrix (L_k)^{ij}.  An order k that
     is not an integer in 1..K (a bool is not one) raises ``OrderError``.
     """
-    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or not 1 <= k <= a.K:
-        raise OrderError(f"order k = {k!r} is not an integer in 1..{a.K}")
+    _require_order(k, a.K)
     check_determinacy(a.n, m, k)
     return -a._l_series(m)[k]
 

@@ -129,11 +129,12 @@ def _random_metric(rng, n=3, order=4, scale=0.12):
 def _random_structure(rng, n=3, m=2.0, mu=0.3, order=4):
     metric = _random_metric(rng, n, order)
     f = _random_poly(rng, metric.point, order, 0.25).exp()
-    return MetricMeasurePoint(metric, f, m, mu)
+    return MetricMeasurePoint(metric, f.coeffs, m, mu)
 
 
-def _random_omega(rng, n=3, order=2, scale=0.4):
-    return _random_jet(rng, n, order, scale)
+def _random_omega(rng):
+    """Twenty deformations omega, the rows of a (20, ncoef) array of 2-jets in 3 variables."""
+    return rng.uniform(-0.4, 0.4, (20, n_coeffs(3, 2)))
 
 
 # -- suites ------------------------------------------------------------------
@@ -244,8 +245,8 @@ def suite_curvature(rng) -> list:
             @ np.array([v.partial(tuple(int(i == t) for t in range(3)))
                         for i in range(3)])
         )
-        lhs = laplacian(u * v, metric)
-        rhs = u.value * laplacian(v, metric) + v.value * laplacian(u, metric) \
+        lhs = laplacian((u * v).coeffs, metric)
+        rhs = u.value * laplacian(v.coeffs, metric) + v.value * laplacian(u.coeffs, metric) \
             + 2.0 * inner
         prod_res = max(prod_res, abs(lhs - rhs))
     out.append(CheckResult("curvature", "laplacian_product_rule", prod_res, 1e-10))
@@ -265,7 +266,7 @@ def _conformal_models():
     G[:, :, 0] = np.eye(3)
     g = MetricAtPoint(G, [0.3, -0.1, 0.2])
     f = (sum(xi * xi for xi in x) * (-0.25)).exp()
-    models.append(("gaussian_density", MetricMeasurePoint(g, f, 2.0, 0.0)))
+    models.append(("gaussian_density", MetricMeasurePoint(g, f.coeffs, 2.0, 0.0)))
     return models
 
 
@@ -273,7 +274,7 @@ def suite_conformal(rng) -> list:
     out = []
     for label, p in _conformal_models():
         res_J = res_P = res_Y = 0.0
-        for rep in check_conformal_laws(p, [_random_omega(rng) for _ in range(20)]):
+        for rep in check_conformal_laws(p, _random_omega(rng)):
             res_J = max(res_J, rep.residual_J)
             res_P = max(res_P, rep.residual_P)
             res_Y = max(res_Y, rep.residual_Y)
@@ -291,10 +292,11 @@ def suite_conformal(rng) -> list:
     density = 0.0
     for _ in range(5):
         p = _random_structure(rng, m=2.0)
-        omega = _random_omega(rng, order=4)
-        q = conformal_rescale(p, omega)
-        lhs = q.f ** 2 * q.g.det_jet().sqrt()
-        rhs = (omega * 5.0).exp() * p.f ** 2 * p.g.det_jet().sqrt()
+        omega = _random_jet(rng, 3, 4, 0.4)
+        q = conformal_rescale(p, omega.coeffs)
+        lhs = Jet(3, 4, q.f) ** 2 * Jet(3, 4, q.g.det_coeffs()).sqrt()
+        rhs = ((omega * 5.0).exp() * Jet(3, 4, p.f) ** 2
+               * Jet(3, 4, p.g.det_coeffs()).sqrt())
         scale = max(1.0, np.abs(lhs.coeffs).max())
         density = max(density, np.abs(lhs.coeffs - rhs.coeffs).max() / scale)
     out.append(CheckResult("conformal", "volume_density_scaling", density, 1e-11))

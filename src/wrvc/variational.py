@@ -277,11 +277,9 @@ class GridStructure:
         if isinstance(k, numbers.Integral) and k > a.K:
             a = model.ambient_at(model.default_point, K=k)
         # read through the module, so spans wrapped around rho's public names
-        # see them; L_k first, as it names a k that is not an integer in
-        # 1..K or is above the cap
-        L = rho.l_operator(a, model.m, k)
-        return (float(rho.volume_coefficients(a, model.m)[k]),
-                float(np.trace(L @ a.g) / model.n))
+        # see them
+        vk = float(rho.volume_coefficients(a, model.m)[k])
+        return vk, float(np.trace(rho.l_operator(a, model.m, k) @ a.g) / model.n)
 
 
 def _require_constant_density(model: ModelSpec):

@@ -46,7 +46,6 @@ from .geometry import (
     weighted_laplacian,
 )
 from .jets import (
-    Jet,
     any_true,
     compose_rows,
     jet_order,
@@ -67,29 +66,26 @@ class MetricMeasurePoint:
     """Pointwise data of a smooth metric measure structure: jets of g and f
     plus the parameters (m, mu), or a stack of such structures.
 
-    A stack has a stacked metric ``g`` (``MetricAtPoint`` with leading batch
-    axes) and a density ``f`` given as a coefficient array (..., ncoef)
-    whose leading axes broadcast against the metric's; a single jet ``f``
-    is one density shared by the whole stack.  The checks below name the
-    index of the structure that fails them.  ``phi()`` and
-    ``weighted_invariants`` are computed on each call; the Christoffel
-    symbols they read stay cached on the metric.  The invariants read the
-    structure's 2-jet only: curvature and Hessians take the Christoffel
-    symbols of the metric's 2-jet, and ``phi()`` is that of the density's
-    2-jet."""
+    The density ``f`` is a finite coefficient array (..., ncoef) whose
+    leading axes broadcast against the metric's batch axes: a stack has a
+    stacked metric ``g`` (``MetricAtPoint`` with leading batch axes) and
+    one density row per structure, or one (ncoef,) density shared by the
+    whole stack.  The checks below name the index of the structure that
+    fails them.  ``phi()`` and ``weighted_invariants`` are computed on each
+    call; the Christoffel symbols they read stay cached on the metric.  The
+    invariants read the structure's 2-jet only: curvature and Hessians take
+    the Christoffel symbols of the metric's 2-jet, and ``phi()`` is that of
+    the density's 2-jet."""
 
     def __init__(self, g: MetricAtPoint, f, m: float, mu: float = 0.0):
-        if isinstance(f, Jet):
-            if f.dim != g.n:
-                raise DomainError("density jet dimension does not match the metric")
-            fc, self._f_order = f.coeffs, f.order
-        else:
-            fc = np.asarray(f, dtype=float)
-            self._f_order = jet_order(g.n, fc.shape[-1])
-            batch = g.G.shape[:-3]
-            if np.broadcast_shapes(fc.shape[:-1], batch) != batch:
-                raise DimensionMismatch(f"densities of shape {fc.shape[:-1]} for a "
-                                        f"stack of {batch} metrics")
+        f = _jet_coeffs(f, g.n, 0, "a density")
+        batch = g.G.shape[:-3]
+        if f.ndim > 1 and np.broadcast_shapes(f.shape[:-1], batch) != batch:
+            raise DimensionMismatch(f"densities of shape {f.shape[:-1]} for a "
+                                    f"stack of {batch} metrics")
+        if not np.isfinite(f).all():
+            raise DomainError("density jets must be finite"
+                              + stack_note(np.argwhere(~np.isfinite(f))[0][:-1]))
         if not (math.isfinite(m) and math.isfinite(mu)):
             raise DomainError(
                 f"parameters m and mu must be finite, got m = {m}, mu = {mu}")
@@ -100,20 +96,19 @@ class MetricMeasurePoint:
                 f"n + m = {g.n + m} <= 2 is rejected (trace-adjustment "
                 "denominator vanishes)"
             )
-        f0 = fc.T[0].T   # a scalar for one density
+        f0 = f.T[0].T   # a scalar for one density
         if m > 0 and any_true(f0 <= 0):
             where = _first(f0 <= 0)
             raise DomainError(
                 f"density must be positive, got f = {float(f0[where])}{stack_note(where)}")
         if m == 0:
             constant = (np.abs(f0 - 1.0) <= _F_CONSTANT_TOL) & np.all(
-                np.abs(fc[..., 1:]) <= _F_CONSTANT_TOL, axis=-1)
+                np.abs(f[..., 1:]) <= _F_CONSTANT_TOL, axis=-1)
             if not np.all(constant):
                 raise DomainError("m = 0 requires the density f to be identically 1"
                                   + stack_note(_first(~constant)))
         self.g = g
         self.f = f
-        self._fc = fc
         self.m = float(m)
         self.mu = float(mu)
 
@@ -124,8 +119,8 @@ class MetricMeasurePoint:
     def phi(self):
         """phi = -m ln f on the density's 2-jet (zero when m = 0), as
         coefficients (..., ncoef)."""
-        n, order = self.n, min(self._f_order, 2)
-        f2 = self._fc[..., :n_coeffs(n, order)]
+        n, order = self.n, min(jet_order(self.n, self.f.shape[-1]), 2)
+        f2 = self.f[..., :n_coeffs(n, order)]
         if self.m == 0:
             return np.zeros_like(f2)
         phi = compose_rows("log", f2, n, order)
@@ -175,7 +170,7 @@ def weighted_invariants(p: MetricMeasurePoint) -> WeightedInvariants:
     P = (ric_phi - np.asarray(J)[..., None, None] * g.G[..., 0]) / (n + m - 2.0)
     Y = np.zeros(np.shape(J))[()] if m == 0 else J - trace(g, P)
 
-    F_phi = p._fc[..., 0] * laplacian(p._fc, g) + (m - 1.0) * (grad_norm2(p._fc, g) - mu)
+    F_phi = p.f[..., 0] * laplacian(p.f, g) + (m - 1.0) * (grad_norm2(p.f, g) - mu)
 
     return WeightedInvariants(
         ric_phi=ric_phi, r_phi=r_phi, P=P, J=J, Y=Y, F_phi=F_phi, n=n, m=m
@@ -187,13 +182,13 @@ def ric_phi_alternate(p: MetricMeasurePoint) -> np.ndarray:
 
     Must agree with the phi-formula by the logarithmic-derivative identity.
     """
-    f0 = p._fc[..., 0]
+    f0 = p.f[..., 0]
     if any_true(f0 <= 0):
         raise DomainError("density must be positive")
     ric = curvature(p.g).ric
     if p.m == 0:
         return ric
-    return ric - np.asarray(p.m / f0)[..., None, None] * hessian(p._fc, p.g)
+    return ric - np.asarray(p.m / f0)[..., None, None] * hessian(p.f, p.g)
 
 
 # -- conformal change ----------------------------------------------------
@@ -201,20 +196,19 @@ def ric_phi_alternate(p: MetricMeasurePoint) -> np.ndarray:
 
 def conformal_rescale(p: MetricMeasurePoint, sigma) -> MetricMeasurePoint:
     """The structure (e^{2 sigma} g, e^{sigma} f), multiplying the jets
-    through; m, mu unchanged.  ``sigma`` is a jet, or jets (..., ncoef):
-    then the result is a stack, one rescaled structure per row of sigma, in
-    one pass.  At m = 0 f stays 1 (the same object): its weight f^0 is 1."""
+    through; m, mu unchanged.  ``sigma`` is a coefficient array (...,
+    ncoef): one (ncoef,) jet, or a stack, one rescaled structure per row of
+    sigma, in one pass.  At m = 0 f stays 1 (the same array): its weight
+    f^0 is 1."""
     n = p.n
     s = _jet_coeffs(sigma, n, 0, "conformal rescale")
     order = jet_order(n, s.shape[-1])
     g = p.g.rescale(compose_rows("exp", s * 2.0, n, order))
     if p.m == 0:
         return MetricMeasurePoint(g, p.f, p.m, p.mu)
-    k = min(order, p._f_order)
+    k = min(order, jet_order(n, p.f.shape[-1]))
     nc = n_coeffs(n, k)
-    f = mul_coeffs(compose_rows("exp", s, n, order)[..., :nc], p._fc[..., :nc], n, k)
-    if isinstance(sigma, Jet) and isinstance(p.f, Jet):
-        f = Jet._unchecked(n, k, f)
+    f = mul_coeffs(compose_rows("exp", s, n, order)[..., :nc], p.f[..., :nc], n, k)
     return MetricMeasurePoint(g, f, p.m, p.mu)
 
 
@@ -228,8 +222,8 @@ class ConformalLawReport:
 def check_conformal_laws(p: MetricMeasurePoint, omegas) -> list[ConformalLawReport]:
     """Compare a direct re-evaluation on the rescaled structure against the
     quadratic-order change identities for (J, P, Y), for each deformation
-    omega of a sequence of jets of one order; one report per deformation,
-    in order.
+    omega, a row of the (B, ncoef) coefficient array ``omegas``; one report
+    per row, in order.
 
     The structure is rescaled by sigma = -omega/(n+m-2), that is
     (g, f) -> (e^{-2 omega/(n+m-2)} g, e^{-omega/(n+m-2)} f).  With
@@ -248,17 +242,16 @@ def check_conformal_laws(p: MetricMeasurePoint, omegas) -> list[ConformalLawRepo
 
     One stacked pass: the invariants of ``p`` (one structure) are computed
     once, and every rescaled structure is a row of one stack
-    (``conformal_rescale`` of the stacked omegas).  Each row's arithmetic
+    (``conformal_rescale`` of the omegas).  Each row's arithmetic
     is that of its deformation checked alone, so a report does not depend
     on the other deformations beside it.
     """
     n, m = p.n, p.m
     N = n + m - 2.0
-    W = [_jet_coeffs(w, n, 0, "a conformal law") for w in omegas]
-    if len({w.shape for w in W}) != 1:
-        raise DimensionMismatch("the conformal laws need one or more deformations "
-                                "of one jet order")
-    W = np.stack(W)
+    W = _jet_coeffs(omegas, n, 0, "a conformal law")
+    if W.ndim != 2 or not len(W):
+        raise DimensionMismatch(f"the conformal laws need deformations (B >= 1, ncoef), "
+                                f"not {W.shape}")
 
     base = weighted_invariants(p)
     hat = weighted_invariants(conformal_rescale(p, W * (-1.0 / N)))

@@ -116,6 +116,29 @@ def test_metric_validation():
         MetricAtPoint(np.array([[-one, zero], [zero, one]]), [0.0, 0.0])
 
 
+@pytest.mark.parametrize("i, j, c, value", [(0, 0, 0, float("inf")),
+                                             (0, 1, 1, float("nan")),
+                                             (1, 1, 3, float("-inf"))])
+def test_metric_jets_must_be_finite(i, j, c, value):
+    # an infinite value term would read R = 0, and a NaN slope would fail
+    # the symmetry check with the wrong message
+    G = np.zeros((2, 2, n_coeffs(2, 4)))
+    G[:, :, 0] = np.eye(2)
+    G[i, j, c] = G[j, i, c] = value
+    with pytest.raises(DomainError,
+                       match=rf"^metric jets must be finite at \({i},{j}\)$"):
+        MetricAtPoint(G, [0.0, 0.0])
+
+
+def test_scalar_jets_are_coefficient_arrays():
+    m = euclidean_metric([0.0, 0.0])
+    u = Jet.constant(2.5, 2, 4)
+    for call in (lambda: hessian(u, m), lambda: grad_norm2(u, m), lambda: m.rescale(u)):
+        with pytest.raises(TypeError):
+            call()
+    assert m.rescale(u.coeffs).matrix.tolist() == [[2.5, 0.0], [0.0, 2.5]]
+
+
 @pytest.mark.parametrize("shape", [
     (2, 3, 15),    # not square
     (2, 2),        # no coefficient axis
@@ -304,14 +327,14 @@ def test_ricci_jet_of_the_rho_scaled_round_s3_is_2g_in_every_slot():
 def test_hessian_flat_quadratic():
     m = euclidean_metric([0.0, 0.0, 0.0])
     x = coords([0.0, 0.0, 0.0])
-    u = sum(xi * xi for xi in x) * 0.5
+    u = (sum(xi * xi for xi in x) * 0.5).coeffs
     assert np.allclose(hessian(u, m), np.eye(3), atol=1e-13)
     assert laplacian(u, m) == pytest.approx(3.0)
 
 
 def test_hessian_constant():
     m = euclidean_metric([0.0, 0.0])
-    u = Jet.constant(2.5, 2, 4)
+    u = Jet.constant(2.5, 2, 4).coeffs
     assert np.allclose(hessian(u, m), 0.0)
     assert grad_norm2(u, m) == pytest.approx(0.0)
 
@@ -322,7 +345,7 @@ def test_weighted_laplacian_drift():
     x = coords([1.0, 0.0, 0.0])
     phi = sum(xi * xi for xi in x) * 0.5
     u = x[0]
-    assert weighted_laplacian(u, phi, m) == pytest.approx(-1.0)
+    assert weighted_laplacian(u.coeffs, phi.coeffs, m) == pytest.approx(-1.0)
 
 
 def test_laplacian_product_rule():
@@ -339,7 +362,7 @@ def test_laplacian_product_rule():
                     u = u + rng.uniform(-1, 1) * cs[k] * cs[l]
             return u
         u, v = rand_field(), rand_field()
-        lhs = laplacian(u * v, m)
+        lhs = laplacian((u * v).coeffs, m)
         inner = float(
             np.array([u.partial(tuple(int(i == a) for a in range(n)))
                       for i in range(n)])
@@ -347,5 +370,5 @@ def test_laplacian_product_rule():
             @ np.array([v.partial(tuple(int(i == a) for a in range(n)))
                         for i in range(n)])
         )
-        rhs = u.value * laplacian(v, m) + v.value * laplacian(u, m) + 2 * inner
+        rhs = u.value * laplacian(v.coeffs, m) + v.value * laplacian(u.coeffs, m) + 2 * inner
         assert lhs == pytest.approx(rhs, abs=1e-10)

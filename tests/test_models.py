@@ -229,7 +229,7 @@ def test_qe_sphere_constants():
     spec = builtin_model("qe_sphere", 3, 2, 1)
     assert spec.lam == pytest.approx(0.25)
     p = spec.structure_at([0.1, 0.2, 0.0])
-    assert p.f.value == pytest.approx(np.sqrt(0.5))
+    assert p.f[0] == pytest.approx(np.sqrt(0.5))
     lam, res = quasi_einstein_residual(
         weighted_invariants(p), p.g.matrix, 3, 2.0
     )
@@ -321,7 +321,7 @@ def test_quasi_einstein_ambient_structure():
     point = [0.1, 0.2, 0.0]
     a = spec.ambient_at(point, K=5)
     g0 = spec.metric_at(point, 0).matrix
-    f0 = spec.structure_at(point, 0).f.value
+    f0 = spec.structure_at(point, 0).f[0]
     lam = spec.lam
     assert np.allclose(a.gcoeffs[0], g0)
     assert np.allclose(a.gcoeffs[1], 2 * lam * g0)

@@ -657,3 +657,29 @@ def test_ambient_file_roundtrip(tmp_path):
     v0 = volume_coefficients(a, m)
     v1 = volume_coefficients(loaded, m)
     assert np.allclose(v0.v, v1.v)
+
+
+def test_an_asymmetric_metric_coefficient_is_rejected():
+    # eigvalsh reads one triangle, so the positive-definiteness check alone
+    # would take g_0 = [[1, 0.5], [0, 1]]
+    g = np.array([np.eye(2), 0.3 * np.eye(2), 0.1 * np.eye(2)])
+    g[0, 0, 1] = 0.5
+    with pytest.raises(DomainError, match="^expansion metric coefficients must be symmetric$"):
+        AmbientExpansion(gcoeffs=g, fcoeffs=[1.0, 0.2, 0.05])
+    # rounding-level asymmetry, as in P g^{-1} P, passes
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        a = rng.uniform(-1, 1, (4, 4))
+        g0 = np.eye(4) + 0.1 * (a + a.T)
+        b = rng.uniform(-1, 1, (4, 4))
+        lcf_candidate_ambient(g0, 1.0, 0.3 * (b + b.T), 0.4, 2.0, 3)
+
+
+@pytest.mark.parametrize("k", [True, 2.0, "2", 2.5, 0, 4])
+def test_volume_coefficient_order_is_an_integer_in_range(k):
+    a = lcf_candidate_ambient(np.eye(3), 1.0, 0.2 * np.eye(3), 0.4, 2.0, 3)
+    v = volume_coefficients(a, 2.0)
+    with pytest.raises(OrderError, match=re.escape(
+            f"order k = {k!r} is not an integer in 1..3") + "$"):
+        v[k]
+    assert v[np.int64(2)] == v[2] == v.v[1]

@@ -35,7 +35,7 @@ def euclidean_mmp(point, f=None, m=0.0, mu=0.0, order=4):
     g = MetricAtPoint(G, point)
     if f is None:
         f = Jet.constant(1.0, n, order)
-    return MetricMeasurePoint(g, f, m, mu)
+    return MetricMeasurePoint(g, f.coeffs, m, mu)
 
 
 def qe_sphere_mmp(point, n=3, m=2.0, mu=1.0, order=4):
@@ -44,7 +44,7 @@ def qe_sphere_mmp(point, n=3, m=2.0, mu=1.0, order=4):
     factor = 4.0 * (1.0 + r2) ** (-2)
     g = MetricAtPoint(np.eye(n)[:, :, None] * factor.coeffs, point)
     f = Jet.constant(np.sqrt((m - 1) * mu / (n - 1)), n, order)
-    return MetricMeasurePoint(g, f, m, mu)
+    return MetricMeasurePoint(g, f.coeffs, m, mu)
 
 
 def gaussian_mmp(point, m=2.0, order=4):
@@ -72,12 +72,12 @@ def random_structure(rng, n=3, m=2.0, mu=0.3, order=4):
             u = u + rng.uniform(-0.3, 0.3) * x[k] * x[l]
     f = u.exp()
     metric = MetricAtPoint(G, [xi.value for xi in x])
-    return MetricMeasurePoint(metric, f, m, mu)
+    return MetricMeasurePoint(metric, f.coeffs, m, mu)
 
 
-def random_omega(rng, n=3, order=2, scale=0.4):
-    size = Jet(n, order).coeffs.shape[0]
-    return Jet(n, order, rng.uniform(-scale, scale, size))
+def random_omega(rng, *count, n=3, order=2, scale=0.4):
+    """One deformation (ncoef,), or ``count`` of them as the rows of one array."""
+    return rng.uniform(-scale, scale, (*count, n_coeffs(n, order)))
 
 
 # -- construction guards ----------------------------------------------------
@@ -101,6 +101,26 @@ def test_rejects_non_finite_parameters(m, mu):
     for f in (Jet.constant(-1.0, 3, 4), Jet.constant(1.0, 3, 4)):
         with pytest.raises(DomainError, match="must be finite"):
             euclidean_mmp([0.0] * 3, f=f, m=m, mu=mu)
+
+
+@pytest.mark.parametrize("slot, value", [(0, float("nan")), (2, float("inf")),
+                                         (0, float("-inf"))])
+def test_rejects_a_density_that_is_not_finite(slot, value):
+    # a NaN value term or an infinite slope would read J = F_phi = nan
+    f = Jet.constant(1.0, 3, 4)
+    f.coeffs[slot] = value
+    with pytest.raises(DomainError, match="^density jets must be finite$"):
+        euclidean_mmp([0.0] * 3, f=f, m=2.0)
+
+
+def test_a_jet_object_is_not_a_density_or_a_deformation():
+    p = qe_sphere_mmp([0.1, 0.2, 0.0])
+    one = Jet.constant(1.0, 3, 4)
+    for call in (lambda: MetricMeasurePoint(p.g, one, 2.0, 1.0),
+                 lambda: conformal_rescale(p, one),
+                 lambda: check_conformal_laws(p, [one])):
+        with pytest.raises(TypeError):
+            call()
 
 
 def test_m_zero_requires_unit_density():
@@ -137,7 +157,7 @@ def test_round_sphere_J_beyond_model_dimensions(n, J):
     # unit S^n with f = 1: J = (n(n-1) + m(m-1) mu) / (2(n+m-1)), m = 2, mu = 1
     point = np.linspace(0.05, 0.3, n)
     g = qe_sphere_mmp(point, n=n, order=2).g
-    w = weighted_invariants(MetricMeasurePoint(g, Jet.constant(1.0, n, 2), 2.0, 1.0))
+    w = weighted_invariants(MetricMeasurePoint(g, Jet.constant(1.0, n, 2).coeffs, 2.0, 1.0))
     assert w.J == pytest.approx(J, rel=1e-12, abs=0.0)
     # Ric_phi = (n-1) g, so P = (n - 1 - J) g / (n + m - 2)
     assert np.allclose(w.P, (n - 1 - J) / n * g.matrix, rtol=0.0, atol=1e-12)
@@ -183,17 +203,17 @@ def test_ric_phi_alternate_constant_density():
 
 def test_rescale_identity():
     p = qe_sphere_mmp([0.1, 0.0, 0.0])
-    q = conformal_rescale(p, Jet.constant(0.0, 3, 4))
+    q = conformal_rescale(p, Jet.constant(0.0, 3, 4).coeffs)
     assert np.allclose(q.g.matrix, p.g.matrix)
-    assert q.f.value == pytest.approx(p.f.value)
+    assert q.f[0] == pytest.approx(p.f[0])
 
 
 def test_rescale_constant_scale():
     p = qe_sphere_mmp([0.1, 0.0, 0.0])
     s = 1.7
-    q = conformal_rescale(p, Jet.constant(np.log(s), 3, 4))
+    q = conformal_rescale(p, Jet.constant(np.log(s), 3, 4).coeffs)
     assert np.allclose(q.g.matrix, s**2 * p.g.matrix, atol=1e-12)
-    assert q.f.value == pytest.approx(s * p.f.value)
+    assert q.f[0] == pytest.approx(s * p.f[0])
 
 
 def test_rescale_volume_density_identity():
@@ -203,15 +223,16 @@ def test_rescale_volume_density_identity():
     omega = random_omega(rng, order=4)
     q = conformal_rescale(p, omega)
     n, m = 3, 2.0
-    lhs = q.f ** 2 * q.g.det_jet().sqrt()
-    rhs = (omega * (n + m)).exp() * p.f ** 2 * p.g.det_jet().sqrt()
+    jet = lambda coeffs: Jet(n, 4, coeffs)  # noqa: E731
+    lhs = jet(q.f) ** 2 * jet(q.g.det_coeffs()).sqrt()
+    rhs = (jet(omega) * (n + m)).exp() * jet(p.f) ** 2 * jet(p.g.det_coeffs()).sqrt()
     scale = max(1.0, np.abs(lhs.coeffs).max())
     assert np.allclose(lhs.coeffs, rhs.coeffs, atol=1e-11 * scale)
 
 
 def test_conformal_laws_zero_deformation():
     p = qe_sphere_mmp([0.1, 0.2, 0.0])
-    [rep] = check_conformal_laws(p, [Jet.constant(0.0, 3, 2)])
+    [rep] = check_conformal_laws(p, np.zeros((1, n_coeffs(3, 2))))
     assert max(dataclasses.astuple(rep)) == pytest.approx(0.0, abs=1e-14)
 
 
@@ -223,7 +244,7 @@ def test_conformal_laws_zero_deformation():
 def test_conformal_laws_random_omega(builder):
     rng = np.random.default_rng(77)
     p = builder()
-    for rep in check_conformal_laws(p, [random_omega(rng) for _ in range(10)]):
+    for rep in check_conformal_laws(p, random_omega(rng, 10)):
         assert max(dataclasses.astuple(rep)) <= 1e-9
 
 
@@ -234,10 +255,10 @@ def test_conformal_laws_hold_unweighted(n):
     rng = np.random.default_rng(79 + n)
     for _ in range(5):
         g = random_structure(rng, n=n).g
-        p = MetricMeasurePoint(g, Jet.constant(1.0, n, 4), 0.0)
+        p = MetricMeasurePoint(g, Jet.constant(1.0, n, 4).coeffs, 0.0)
         omega = random_omega(rng, n=n)
         assert conformal_rescale(p, omega).f is p.f
-        [rep] = check_conformal_laws(p, [omega])
+        [rep] = check_conformal_laws(p, omega[None])
         assert max(dataclasses.astuple(rep)) <= 1e-12
     assert not p.phi().any()
 
@@ -245,10 +266,10 @@ def test_conformal_laws_hold_unweighted(n):
 def test_conformal_laws_evaluate_the_base_structure_once(monkeypatch):
     p = gaussian_mmp([0.3, -0.1, 0.2])
     rng = np.random.default_rng(78)
-    omegas = [random_omega(rng) for _ in range(20)]
+    omegas = random_omega(rng, 20)
     # each deformation checked alone, on a fresh copy of the structure
     expected = [
-        dataclasses.astuple(check_conformal_laws(gaussian_mmp([0.3, -0.1, 0.2]), [w])[0])
+        dataclasses.astuple(check_conformal_laws(gaussian_mmp([0.3, -0.1, 0.2]), w[None])[0])
         for w in omegas
     ]
     metrics = []
@@ -290,26 +311,28 @@ def test_conformal_laws_of_a_stack_equal_each_deformation_alone(label):
     # check, and each of its reports is bit for bit the one-deformation check
     p = dict(_conformal_models())[label]
     rng = np.random.default_rng(20240601)
-    omegas = [_random_omega(rng) for _ in range(20)]
+    omegas = _random_omega(rng)
     stacked = check_conformal_laws(p, omegas)
-    alone = [check_conformal_laws(p, [w])[0] for w in omegas]
+    alone = [check_conformal_laws(p, w[None])[0] for w in omegas]
     assert [dataclasses.astuple(r) for r in stacked] == [dataclasses.astuple(r) for r in alone]
     assert max(max(dataclasses.astuple(r)) for r in stacked) <= 1e-9
 
 
 def test_conformal_laws_need_deformations_of_one_order():
+    # one (B, ncoef) array holds deformations of one order; a single
+    # (ncoef,) jet, no deformations or no jet order at all are rejected
     p = qe_sphere_mmp([0.1, 0.2, 0.0])
-    with pytest.raises(DimensionMismatch):
-        check_conformal_laws(p, [Jet.constant(0.0, 3, 2), Jet.constant(0.0, 3, 3)])
-    with pytest.raises(DimensionMismatch):
-        check_conformal_laws(p, [])
+    for omegas in (np.zeros(n_coeffs(3, 2)), [], np.zeros((0, n_coeffs(3, 2))),
+                   np.zeros((2, 7))):
+        with pytest.raises(DimensionMismatch):
+            check_conformal_laws(p, omegas)
 
 
 def _stack(structures):
     """One stacked structure from single structures of one (n, m, mu)."""
     first = structures[0]
     g = MetricAtPoint(np.stack([q.g.G for q in structures]), first.g.point)
-    f = np.stack([q.f.coeffs for q in structures])
+    f = np.stack([q.f for q in structures])
     return MetricMeasurePoint(g, f, first.m, first.mu)
 
 
@@ -318,7 +341,7 @@ def test_weighted_invariants_of_a_stack_equal_each_structure_alone(n, m):
     rng = np.random.default_rng(int(10 * n + 3 * m))
     structures = [random_structure(rng, n=n, m=m or 2.0) for _ in range(7)]
     if m == 0:
-        structures = [MetricMeasurePoint(q.g, Jet.constant(1.0, n, 4), 0.0, q.mu)
+        structures = [MetricMeasurePoint(q.g, Jet.constant(1.0, n, 4).coeffs, 0.0, q.mu)
                       for q in structures]
     w = weighted_invariants(_stack(structures))
     assert w.P.shape == (7, n, n) and w.J.shape == (7,)
@@ -331,26 +354,30 @@ def test_weighted_invariants_of_a_stack_equal_each_structure_alone(n, m):
 def test_conformal_rescale_of_a_stack_equals_each_rescale_alone():
     rng = np.random.default_rng(5)
     p = random_structure(rng, m=1.3)
-    sigmas = [random_omega(rng, order=3) for _ in range(4)]
-    q = conformal_rescale(p, np.stack([s.coeffs for s in sigmas]))
+    sigmas = random_omega(rng, 4, order=3)
+    q = conformal_rescale(p, sigmas)
     for b, s in enumerate(sigmas):
         alone = conformal_rescale(p, s)
         assert np.array_equal(q.g.G[b], alone.g.G)
-        assert np.array_equal(q.f[b], alone.f.coeffs)
+        assert np.array_equal(q.f[b], alone.f)
     # m = 0: the density stays the one unit jet, shared by the stack
-    p0 = MetricMeasurePoint(p.g, Jet.constant(1.0, 3, 4), 0.0)
-    assert conformal_rescale(p0, np.stack([s.coeffs for s in sigmas])).f is p0.f
+    p0 = MetricMeasurePoint(p.g, Jet.constant(1.0, 3, 4).coeffs, 0.0)
+    assert conformal_rescale(p0, sigmas).f is p0.f
 
 
 def _failing_stack(fault, b):
     rng = np.random.default_rng(11)
     structures = [random_structure(rng) for _ in range(4)]
     G = np.stack([q.g.G for q in structures])
-    f = np.stack([q.f.coeffs for q in structures])
+    f = np.stack([q.f for q in structures])
     if fault == "symmetry":
         G[b, 0, 1, 3] += 1e-6
     elif fault == "definite":
         G[b, :, :, 0] = -np.eye(3)
+    elif fault == "metric_finite":
+        G[b, 1, 1, 4] = np.inf
+    elif fault == "density_finite":
+        f[b, 3] = np.nan
     else:
         f[b, 0] = -0.5
     return MetricMeasurePoint(MetricAtPoint(G, structures[0].g.point), f, 2.0, 0.3)
@@ -360,6 +387,8 @@ def _failing_stack(fault, b):
     ("symmetry", "metric jets not symmetric at (0,1) in structure 2 of the stack"),
     ("definite", "constant-term metric is not positive definite in structure 2 of the stack"),
     ("density", "density must be positive, got f = -0.5 in structure 2 of the stack"),
+    ("metric_finite", "metric jets must be finite at (1,1) in structure 2 of the stack"),
+    ("density_finite", "density jets must be finite in structure 2 of the stack"),
 ])
 def test_a_failing_structure_is_named_by_its_index_in_the_stack(fault, message):
     with pytest.raises(DomainError) as info:
@@ -485,7 +514,7 @@ def test_quasi_einstein_residual_cases():
 
     # wrong constant density breaks the quasi-Einstein balance
     wrong = qe_sphere_mmp([0.1, 0.2, 0.0])
-    wrong = MetricMeasurePoint(wrong.g, Jet.constant(1.0, 3, 4), 2.0, 1.0)
+    wrong = MetricMeasurePoint(wrong.g, Jet.constant(1.0, 3, 4).coeffs, 2.0, 1.0)
     _, res = quasi_einstein_residual(weighted_invariants(wrong), wrong.g.matrix,
                                      3, 2.0)
     assert res > 0.01
@@ -519,7 +548,7 @@ def test_weighted_invariants_are_the_warped_product_curvature_at_rho_0(n, m, mu)
                       g_exprs=G, f_expr=parse("1"))
     w = weighted_invariants(small.structure_at(point, 2))
     W = weighted_invariants(total.structure_at(np.r_[point, np.zeros(m)], 2))
-    f0 = small.structure_at(point, 0).f.value
+    f0 = small.structure_at(point, 0).f[0]
     assert abs(W.J - w.J) <= 1e-14
     assert np.max(np.abs(W.P[:n, :n] - w.P)) <= 1e-14
     assert np.max(np.abs(W.P[n:, n:] - w.Y / m * f0**2 * np.eye(m))) <= 1e-14
