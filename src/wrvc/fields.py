@@ -15,15 +15,16 @@ gradient norm and Laplace-Beltrami operator follow from xi alone,
 the restriction formulas for a function on S^n in R^{n+1}, so no
 quadrature path needs a chart derivative (``wrvc.variational``).
 
-Every evaluation takes one ``ChartTable``, the grid's node data with the
-ambient coordinates on both stereographic charts at once (a chart axis of
-length 2 before the node axis).  ``ChartTable.trial`` evaluates a trial's
-ambient form in one pass, forms its values, gradient norms and
-Laplace-Beltrami values from it on first read, and keeps the last trial
-it read, so every quadrature reader of one trial shares one evaluation.
+Every evaluation takes one ``ChartTable``: the node arrays of a
+``ChartNodes``, the ambient coordinates on both stereographic charts at
+once (a chart axis of length 2 before the node axis), and one trial
+slot.  ``ChartTable.trial`` evaluates a trial's ambient form in one pass,
+forms its values, gradient norms and Laplace-Beltrami values from it on
+first read, and keeps the last trial it read, so every quadrature reader
+of one trial shares one evaluation.
 ``value``, the tree's value, is now an oracle like ``grad`` and ``hess``,
 the Euclidean chart derivatives: the tests check the form against it, and
-no quadrature function calls it.  The table builds the flat gradients
+no quadrature function calls it.  The nodes build the flat gradients
 ``grad`` and ``hess`` read on first use.
 """
 
@@ -43,8 +44,8 @@ def _check_dimension(field_n: int, n: int):
         raise DomainError(f"field dimension {field_n} does not match grid dimension {n}")
 
 
-class ChartTable:
-    """Both stereographic charts' node data, built once per grid.
+class ChartNodes:
+    """Both stereographic charts' node arrays, read-only.
 
     The charts share the (N, n) node array ``X``, and so ``XT`` (n, N) and
     ``D = 1 + |x|^2`` (N,); chart 2 flips the last ambient coordinate, so
@@ -55,8 +56,7 @@ class ChartTable:
     ``grad`` and ``hess`` read them, and the quadrature reads ``xi`` only.
     Rows a < n are computed once and written to both charts; chart 2's row
     n is chart 1's negated.  The arrays are read-only, since fields return
-    rows of them.  The table also holds one trial's ``TrialValues``
-    (``trial``).
+    rows of them and every ``ChartTable`` on these nodes shares them.
     """
 
     def __init__(self, X: np.ndarray):
@@ -67,11 +67,11 @@ class ChartTable:
         xi[:n, 0] = 2.0 * XT / D
         xi[n, 0] = (D - 2.0) / D   # (r^2 - 1)/(r^2 + 1)
         _fill_chart_two(xi, n)
-        for array in (XT, D, xi):
+        sign = np.array([[1.0], [-1.0]])
+        for array in (XT, D, xi, sign):
             array.flags.writeable = False
-        self.sign, self.n = np.array([[1.0], [-1.0]]), n
+        self.sign, self.n = sign, n
         self.XT, self.D, self.xi = XT, D, xi
-        self._trial = (None, None)   # (field, its TrialValues)
 
     @cached_property
     def dxi(self) -> np.ndarray:
@@ -84,6 +84,27 @@ class ChartTable:
         _fill_chart_two(dxi, n)
         dxi.flags.writeable = False
         return dxi
+
+
+class ChartTable:
+    """What every field evaluation takes: the shared arrays of one
+    ``ChartNodes`` (``nodes``; ``n``, ``sign``, ``XT``, ``D``, ``xi`` and
+    the lazy ``dxi`` read through to them) and one trial's ``TrialValues``
+    (``trial``), the table's own.  Tables on the same nodes share every
+    array and no trial, so freeing a table frees its trial and nothing
+    else.
+    """
+
+    def __init__(self, nodes: ChartNodes):
+        self.nodes = nodes
+        self.n, self.sign = nodes.n, nodes.sign
+        self.XT, self.D, self.xi = nodes.XT, nodes.D, nodes.xi
+        self._trial = (None, None)   # (field, its TrialValues)
+
+    @property
+    def dxi(self) -> np.ndarray:
+        """The nodes' flat chart gradients, built on their first read."""
+        return self.nodes.dxi
 
     def trial(self, field: "SphereField") -> "TrialValues":
         """The trial's values on both charts, evaluated from its ambient

@@ -100,8 +100,12 @@ def _require_positive_definite(g0: np.ndarray):
 
 def _jet_coeffs(u, n: int, least: int, what: str) -> np.ndarray:
     """Scalar jets in ``n`` variables given as a float array (..., ncoef),
-    checked to be of order >= ``least``."""
+    checked to be of order >= ``least``; a 0-d value has no coefficient
+    axis."""
     u = np.asarray(u, dtype=float)
+    if u.ndim == 0:
+        raise DimensionMismatch(f"{what} needs a jet coefficient array (..., ncoef), "
+                                f"not the scalar {float(u)!r}")
     if jet_order(n, u.shape[-1]) < least:
         raise OrderError(f"{what} needs a jet of order >= {least}")
     return u

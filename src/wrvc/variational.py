@@ -9,11 +9,17 @@ radial profile is a C^11 polynomial smoothstep in log-radius; the two
 chart weights sum to the metric measure of the sphere.  Each
 Gauss-Legendre rule is computed once per degree (``_gauss_legendre``) and
 shared, read-only, by every grid; the radial factors are computed once per
-radius and repeated over the directions.
+radius and repeated over the directions.  Everything else a grid reads
+that depends on (n, resolution) alone, the nodes, weights and conformal
+factors of both charts and the chart table's arrays, is one node set,
+built once per (n, resolution) and shared read-only by every grid of that
+size (``_node_set``, which keeps the eight most recently used).  A grid
+owns only its model bindings and its table's trial slot, so dropping a
+grid frees those and no node array.
 
 The chart is an array axis: every per-node quantity (f^m, field values,
 integrands) is one (2, N) array, one row per chart.  Trial fields are
-evaluated on the grid's ``ChartTable``, built on the first field
+evaluated on the grid's ``ChartTable``, made on the first field
 evaluation, by ``ChartTable.trial``: the trial's ambient quadratic form
 u = c + b.xi + xi^T C xi (``SphereField.coefficients``, degree <= 2),
 evaluated in one pass over the table's ``xi``, gives the values, and with
@@ -40,7 +46,7 @@ import numpy as np
 from numpy.polynomial import legendre
 
 from .errors import DomainError, ModelError
-from .fields import ChartTable, SphereField, coordinate_harmonics
+from .fields import ChartNodes, ChartTable, SphereField, coordinate_harmonics
 from . import rho
 from .models import ModelSpec
 from .weighted import generalized_binomial
@@ -99,28 +105,16 @@ def partition_profile(r):
     return smoothstep_down(s)
 
 
-class QuadratureGrid:
-    """Two-chart quadrature for integrals over the round n-sphere.
+class _NodeSet:
+    """The arrays of every grid of one (n, resolution), built once
+    (``_node_set``) and read-only: the nodes ``points`` (N, n) both charts
+    share, their ``weights`` and round-metric factor ``conf``, chart 2's
+    nodes ``points2`` = X/|X|^2 at their chart-1 coordinates with their
+    factor ``conf2`` = 4 r^4/(1+r^2)^2, and the chart table's arrays
+    ``chart``, built on the first field evaluation of any grid of the
+    set."""
 
-    ``resolution`` is the radial Gauss-Legendre count per chart; the
-    angular rule is sized to integrate the low-degree harmonic trials
-    exactly, giving ~resolution^n nodes over both charts.  Node weights
-    include the partition of unity and the round-metric volume factor,
-    so ``sum(weights) = Vol(S^n)`` up to the radial quadrature error.
-    Both charts share the node array ``points``; ``table`` is their one
-    ``ChartTable``, built on the first field evaluation, so a grid used
-    only for ``weight_sum`` never builds it.  Per-node values are (2, N)
-    arrays, one row per chart.
-    """
-
-    def __init__(self, n: int, resolution: int = _DEFAULT_RESOLUTION):
-        if not isinstance(n, numbers.Integral) or n not in (2, 3):
-            raise DomainError(f"grids cover sphere dimensions 2 and 3, got {n!r}")
-        if not isinstance(resolution, numbers.Integral) or resolution < 4:
-            raise DomainError(f"resolution must be an integer >= 4, got {resolution!r}")
-        self.n = n
-        self.resolution = resolution
-
+    def __init__(self, n: int, resolution: int):
         xs, ws = _gauss_legendre(resolution)
         r = 0.5 * _RADIUS * (xs + 1.0)
         wr = 0.5 * _RADIUS * ws
@@ -146,16 +140,65 @@ class QuadratureGrid:
         r, wr, psi, conf = r[keep], wr[keep], psi[keep], conf[keep]
         count = dirs.shape[0]
         w_geom = (wr[:, None] * wdir[None, :]).ravel()
-        self.points = (r[:, None, None] * dirs[None, :, :]).reshape(-1, n)
+        self.points = X = (r[:, None, None] * dirs[None, :, :]).reshape(-1, n)
         self.weights = (w_geom * np.repeat(psi, count) * np.repeat(r ** (n - 1), count)
                         * np.repeat(conf ** (n / 2.0), count))
         self.conf = np.repeat(conf, count)
+        # chart 2's factor 4/(1+|y|^2)^2 at y = X/|X|^2 is 4 r^4/(1+r^2)^2
+        # with r^2 = |X|^2: summing the columns of X * X in order gives
+        # (X * X).sum(axis=1) bit for bit, without its per-row cost
+        r2 = sum((X * X).T)
+        self.points2 = X / r2[:, None]
+        self.conf2 = 4.0 * r2**2 / (1.0 + r2) ** 2
+        for array in (self.points, self.weights, self.conf, self.points2, self.conf2):
+            array.flags.writeable = False
+
+    @cached_property
+    def chart(self) -> ChartNodes:
+        return ChartNodes(self.points)
+
+
+@lru_cache(maxsize=8)
+def _node_set(n: int, resolution: int) -> _NodeSet:
+    """The node set of (n, resolution), shared by every grid of that size;
+    the eight most recently used are kept."""
+    return _NodeSet(n, resolution)
+
+
+class QuadratureGrid:
+    """Two-chart quadrature for integrals over the round n-sphere.
+
+    ``resolution`` is the radial Gauss-Legendre count per chart; the
+    angular rule is sized to integrate the low-degree harmonic trials
+    exactly, giving ~resolution^n nodes over both charts.  Node weights
+    include the partition of unity and the round-metric volume factor,
+    so ``sum(weights) = Vol(S^n)`` up to the radial quadrature error.
+    Both charts share the node array ``points``.  ``points``, ``weights``
+    and ``conf`` are the read-only arrays of the node set of
+    (n, resolution), built once and shared by every grid of that size
+    (``_node_set``).  A grid owns only its model bindings (``bind``) and
+    ``table``, its ``ChartTable`` on the node set's shared chart arrays
+    with its own trial slot, made on the first field evaluation, so a grid
+    used only for ``weight_sum`` builds no chart arrays.  Per-node values
+    are (2, N) arrays, one row per chart.
+    """
+
+    def __init__(self, n: int, resolution: int = _DEFAULT_RESOLUTION):
+        if not isinstance(n, numbers.Integral) or n not in (2, 3):
+            raise DomainError(f"grids cover sphere dimensions 2 and 3, got {n!r}")
+        if not isinstance(resolution, numbers.Integral) or resolution < 4:
+            raise DomainError(f"resolution must be an integer >= 4, got {resolution!r}")
+        self.n = n
+        self.resolution = resolution
+        self._nodes = nodes = _node_set(n, resolution)
+        self.points, self.weights, self.conf = nodes.points, nodes.weights, nodes.conf
         self._bound = {}   # id(model) -> GridStructure, which holds the model
 
     @cached_property
     def table(self) -> ChartTable:
-        """Both charts' node table, built on the first field evaluation."""
-        return ChartTable(self.points)
+        """Both charts' table on the shared node arrays, with this grid's
+        trial slot; made on the first field evaluation."""
+        return ChartTable(self._nodes.chart)
 
     def bind(self, model: ModelSpec) -> "GridStructure":
         """The model's data on this grid, built once per model object."""
@@ -202,14 +245,14 @@ def _chunked_dot(w: np.ndarray, v: np.ndarray) -> float:
 class GridStructure:
     """One model bound to one grid (``QuadratureGrid.bind``): the round-metric
     check on every node of both charts, f^m as a (2, N) array (chart 2's
-    nodes are read at their chart-1 coordinates X/|X|^2), the weighted
-    volume, and the series scales of each order, read on each request from
-    one lazily built expansion at the model's default point and order.
-    The model's expansion g_rho = (1 + lam rho)^2 g, f_rho = (1 + lam rho) f
-    scales g and f by functions of rho alone, so for a constant density
-    v_k = C(n+m, k) lam^k is one constant for every node, read from the
-    series scales; the expansion raises for a density that varies.  It
-    keeps the grid's arrays, never the grid, so the grid's memo of
+    nodes are read at their chart-1 coordinates X/|X|^2, from the grid's
+    node set), the weighted volume, and v_k and the series scales of each
+    order, read on each request from one lazily built expansion at the
+    model's default point and order.  The model's expansion
+    g_rho = (1 + lam rho)^2 g, f_rho = (1 + lam rho) f scales g and f by
+    functions of rho alone, so for a constant density v_k = C(n+m, k) lam^k
+    is one constant for every node; the expansion raises for a density
+    that varies.  It keeps f^m, never the grid, so the grid's memo of
     structures forms no reference cycle."""
 
     def __init__(self, model: ModelSpec, grid: QuadratureGrid):
@@ -234,15 +277,11 @@ class GridStructure:
                     )
 
         self.model = model
-        # chart 2's nodes X/|X|^2, where the conformal factor 4/(1+|y|^2)^2 is
-        # 4 r^4/(1+r^2)^2 with r^2 = |X|^2: summing the columns of X * X in
-        # order gives (X * X).sum(axis=1) bit for bit, without its per-row cost
-        X = grid.points
-        r2 = sum((X * X).T)
+        nodes = grid._nodes
         self.fm = np.array([
-            model._weight_on(nodes, partial(accept_round, conf=conf), chart)
-            for chart, nodes, conf in ((1, X, grid.conf),
-                                       (2, X / r2[:, None], 4.0 * r2**2 / (1.0 + r2) ** 2))])
+            model._weight_on(points, partial(accept_round, conf=conf), chart)
+            for chart, points, conf in ((1, nodes.points, nodes.conf),
+                                        (2, nodes.points2, nodes.conf2))])
         self.wvol = grid.integrate(self.fm)
 
     @property
@@ -256,8 +295,9 @@ class GridStructure:
         return self.model.lam
 
     def vk(self, k: int) -> float:
-        """v_k, the same on every node of both charts."""
-        return self.series_scales(k)[0]
+        """v_k, the same on every node of both charts, read alone from the
+        series of ``_expansion_to(k)``."""
+        return float(rho.volume_coefficients(self._expansion_to(k), self.model.m)[k])
 
     @cached_property
     def _expansion(self) -> rho.AmbientExpansion:
@@ -267,15 +307,20 @@ class GridStructure:
         _require_constant_density(self.model)
         return self.model.ambient_at(self.model.default_point)
 
-    def series_scales(self, k: int):
-        """(v_k, l_k) at the reference point, extracted through the rho-series
-        path: v_k scalar and the scale l_k with (L_k)^{ij} = l_k g^{ij}.
-        Each k is read from the default-order expansion, which keeps every
-        series it derives, or from an order-k one for a k above its order
-        (above the cap, that raises)."""
+    def _expansion_to(self, k) -> rho.AmbientExpansion:
+        """The default-order expansion, which keeps every series it
+        derives, or an order-k one for a k above its order (above the cap,
+        that raises)."""
         model, a = self.model, self._expansion
         if isinstance(k, numbers.Integral) and k > a.K:
             a = model.ambient_at(model.default_point, K=k)
+        return a
+
+    def series_scales(self, k: int):
+        """(v_k, l_k) at the reference point, extracted through the rho-series
+        path: v_k scalar and the scale l_k with (L_k)^{ij} = l_k g^{ij},
+        both read from ``_expansion_to(k)``, v_k first."""
+        model, a = self.model, self._expansion_to(k)
         # read through the module, so spans wrapped around rho's public names
         # see them
         vk = float(rho.volume_coefficients(a, model.m)[k])

@@ -247,6 +247,10 @@ def check_conformal_laws(p: MetricMeasurePoint, omegas) -> list[ConformalLawRepo
     on the other deformations beside it.
     """
     n, m = p.n, p.m
+    batch = p.g.G.shape[:-3]
+    if batch:
+        raise DimensionMismatch(f"the conformal laws take one structure, not a "
+                                f"stack of {batch}")
     N = n + m - 2.0
     W = _jet_coeffs(omegas, n, 0, "a conformal law")
     if W.ndim != 2 or not len(W):

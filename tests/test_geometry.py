@@ -139,6 +139,14 @@ def test_scalar_jets_are_coefficient_arrays():
     assert m.rescale(u.coeffs).matrix.tolist() == [[2.5, 0.0], [0.0, 2.5]]
 
 
+def test_a_scalar_is_not_a_jet_coefficient_array():
+    # a 0-d value has no coefficient axis to read an order from
+    m = euclidean_metric([0.0, 0.0])
+    with pytest.raises(DimensionMismatch, match=r"^hessian needs a jet coefficient "
+                       r"array \(\.\.\., ncoef\), not the scalar 2\.5$"):
+        hessian(2.5, m)
+
+
 @pytest.mark.parametrize("shape", [
     (2, 3, 15),    # not square
     (2, 2),        # no coefficient axis

@@ -16,6 +16,7 @@ from wrvc.errors import DeterminacyError, DomainError, ModelError, OrderError
 from wrvc.expr import evaluate, parse_expression
 from wrvc.fields import (
     AmbientCoordinate,
+    ChartNodes,
     ChartTable,
     Constant,
     Product,
@@ -50,6 +51,11 @@ from wrvc.variational import (
 
 S3_VOL = 2.0 * math.pi**2
 S2_VOL = 4.0 * math.pi
+
+
+def table_on(X):
+    """A chart table on the (N, n) nodes X."""
+    return ChartTable(ChartNodes(X))
 
 
 @pytest.fixture(scope="module")
@@ -93,7 +99,7 @@ def test_harmonic_fields_match_jets(a, sign):
     rng = np.random.default_rng(a)
     field = AmbientCoordinate(a, 3)
     X = rng.uniform(-1.5, 1.5, (6, 3))
-    table = ChartTable(X)
+    table = table_on(X)
     chart = (1.0, -1.0).index(sign)
     vals = field.value(table)[chart]
     grads = field.grad(table)[:, chart]
@@ -115,7 +121,7 @@ def test_product_field_consistency():
     rng = np.random.default_rng(5)
     f = Product(AmbientCoordinate(0, 3), AmbientCoordinate(3, 3))
     X = rng.uniform(-1.0, 1.0, (4, 3))
-    table = ChartTable(X)
+    table = table_on(X)
     u = AmbientCoordinate(0, 3)
     v = AmbientCoordinate(3, 3)
     assert np.allclose(f.value(table), u.value(table) * v.value(table))
@@ -123,7 +129,7 @@ def test_product_field_consistency():
     eps = 1e-6
 
     def value_at(Y):
-        return f.value(ChartTable(Y))
+        return f.value(table_on(Y))
 
     for i in range(3):
         shift = np.zeros(3)
@@ -135,7 +141,7 @@ def test_product_field_consistency():
 def test_harmonics_are_eigenfunctions():
     rng = np.random.default_rng(7)
     X = rng.uniform(-2.0, 2.0, (50, 3))
-    table = ChartTable(X)
+    table = table_on(X)
     for field in coordinate_harmonics(3):
         lap = laplace_beltrami_values(field, table)
         assert np.allclose(lap, -3.0 * field.value(table), atol=1e-11)
@@ -150,7 +156,7 @@ def test_ambient_form_matches_the_chart_calculus_oracle(seed, n, spread):
     rng = np.random.default_rng(seed)
     field = random_combination(rng, n)
     X = rng.uniform(-spread, spread, (25, n))
-    table = ChartTable(X)
+    table = table_on(X)
     D = table.D
     hess_diag = np.diagonal(field.hess(table), axis1=0, axis2=1)
     grad = field.grad(table)
@@ -176,7 +182,7 @@ def test_ambient_form_matches_the_chart_calculus_oracle(seed, n, spread):
     # the form's value is the tree's value up to rounding
     assert np.allclose(trial.value, field.value(table), rtol=0.0, atol=1e-13)
     # per node: the table of a sub-array of nodes gives the same entries
-    assert np.array_equal(laplace_beltrami_values(field, ChartTable(X[::3])),
+    assert np.array_equal(laplace_beltrami_values(field, table_on(X[::3])),
                           lb[:, ::3])
 
 
@@ -210,7 +216,7 @@ def test_coefficients_of_the_trial_classes(n):
 def test_laplace_beltrami_eigenvalues(n, sign):
     # Delta xi = -l(l+n-1) xi: l = 1 for coordinates, l = 2 for xi_a xi_b
     X = np.random.default_rng(n).uniform(-2.0, 2.0, (60, n))
-    table = ChartTable(X)
+    table = table_on(X)
     chart = (1.0, -1.0).index(sign)
     for field in coordinate_harmonics(n):
         lap = laplace_beltrami_values(field, table)[chart]
@@ -249,13 +255,13 @@ def test_quadrature_paths_never_read_chart_derivatives(monkeypatch, qe3):
 
 def test_chart_table_builds_dxi_on_first_use():
     X = np.random.default_rng(9).uniform(-2.0, 2.0, (30, 3))
-    table = ChartTable(X)
-    assert "dxi" not in vars(table)
+    table = table_on(X)
+    assert "dxi" not in vars(table.nodes)
     AmbientCoordinate(1, 3).hess(table)
     AmbientCoordinate(3, 3).value(table)
-    assert "dxi" not in vars(table)
+    assert "dxi" not in vars(table.nodes)
     grad = AmbientCoordinate(1, 3).grad(table)
-    dxi = vars(table)["dxi"]
+    dxi = vars(table.nodes)["dxi"]
     assert grad.base is dxi and not dxi.flags.writeable
     assert table.dxi is dxi and dxi.shape == (4, 3, 2, 30)
 
@@ -310,7 +316,7 @@ def test_one_trial_is_evaluated_once_across_the_grid_readers(monkeypatch, qe3):
 
 
 def test_the_table_holds_one_trial():
-    table = ChartTable(np.random.default_rng(6).uniform(-2.0, 2.0, (40, 3)))
+    table = table_on(np.random.default_rng(6).uniform(-2.0, 2.0, (40, 3)))
     rng = np.random.default_rng(7)
     refs = []
     for _ in range(3):
@@ -329,7 +335,7 @@ def test_the_table_holds_one_trial():
 def test_a_new_trial_gets_its_own_values_when_it_reuses_a_freed_id():
     # the slot holds the field itself: a slot keyed by id alone would hand
     # a new trial at a recycled address the freed trial's values
-    table = ChartTable(np.random.default_rng(8).uniform(-2.0, 2.0, (40, 3)))
+    table = table_on(np.random.default_rng(8).uniform(-2.0, 2.0, (40, 3)))
     for c in range(1, 20):
         old = Constant(float(c))
         assert np.array_equal(table.trial(old).value, np.full((2, 40), float(c)))
@@ -401,8 +407,8 @@ def test_chart_transition_consistency():
     X = rng.uniform(0.2, 1.5, (10, 3))
     Xb = X / np.sum(X**2, axis=1)[:, None]
     for field in coordinate_harmonics(3):
-        va = field.value(ChartTable(X))[0]
-        vb = field.value(ChartTable(Xb))[1]
+        va = field.value(table_on(X))[0]
+        vb = field.value(table_on(Xb))[1]
         assert np.allclose(va, vb, atol=1e-12)
 
 
@@ -412,7 +418,7 @@ def test_chart_two_negates_the_last_row_of_chart_one(n):
     # negated, signed zeros included (x = (1, 0, ..) has xi_n = 0)
     X = np.random.default_rng(n).uniform(-2.0, 2.0, (40, n))
     X[0] = np.eye(n)[0]
-    table = ChartTable(X)
+    table = table_on(X)
     assert table.xi[n, 0, 0] == 0.0
     for rows in (table.xi, table.dxi):
         assert np.array_equal(rows[:n, ..., 1, :], rows[:n, ..., 0, :])
@@ -626,10 +632,9 @@ def test_one_structure_and_one_unbatched_expansion_for_every_k(monkeypatch, qe3)
     first_variation(qe3, grid, 2, project_mean_zero(qe3, grid, trial))
     second_variation(qe3, grid, 2, trial)
     assert len(structures) == 1
-    # every read is v_k, then L_k, from the default K = 5 expansion; both
-    # variations read k = 2
-    assert series == ([(3, "v"), (3, 1), (3, "v"), (3, 2), (3, "v"), (3, 3)]
-                      + [(3, "v"), (3, 2)] * 2)
+    # every read is from the default K = 5 expansion: F_k and the first
+    # variation read v_k alone, the second variation v_2, then L_2
+    assert series == [(3, "v")] * 4 + [(3, "v"), (3, 2)]
     assert expansions == [3]   # one expansion, and no grid function builds a batched one
     # repeated reads of each k return equal scales
     bound = grid.bind(qe3)
@@ -707,8 +712,9 @@ def test_gauss_legendre_rule_is_numpys_read_only_and_computed_once_per_degree(
 
     monkeypatch.setattr(variational.legendre, "leggauss", counted)
     variational._gauss_legendre.cache_clear()
+    variational._node_set.cache_clear()
     suites.suite_variational(np.random.default_rng(suites.DEFAULT_SEED))
-    # four grids (resolution 40 twice, 10 and 20) ask for seven rules
+    # four node sets (resolution 40 twice, 10 and 20) ask for seven rules
     assert sorted(degrees) == [6, 10, 20, 40]
 
 
@@ -843,6 +849,62 @@ def test_bound_grid_freed_without_cycle_collector(qe3):
         gc.enable()
 
 
+def test_grids_of_one_size_share_read_only_node_arrays():
+    first, second = QuadratureGrid(3, resolution=10), QuadratureGrid(3, resolution=10)
+    for name in ("points", "weights", "conf"):
+        assert getattr(first, name) is getattr(second, name)
+    assert first.table is not second.table
+    assert first.table.nodes is second.table.nodes
+    for name in ("XT", "D", "xi", "dxi", "sign"):
+        assert getattr(first.table, name) is getattr(second.table, name)
+    nodes = first._nodes
+    assert nodes is second._nodes is variational._node_set(3, 10)
+    shared = [first.points, first.weights, first.conf, nodes.points2, nodes.conf2,
+              first.table.XT, first.table.D, first.table.xi, first.table.dxi,
+              first.table.sign]
+    for array in shared:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[(0,) * array.ndim] = 1.0
+    assert QuadratureGrid(3, resolution=20).points is not first.points
+    assert QuadratureGrid(2, resolution=10).points is not first.points
+
+
+def _grid_results(model, grid):
+    trial = random_combination(np.random.default_rng(12), 3)
+    report = second_variation(model, grid, 2, trial)
+    bound = eigenvalue_bound_check(model, grid)
+    return ([weighted_volume(model, grid)]
+            + [functional_F_k(model, grid, k) for k in (1, 2, 3)]
+            + [first_variation(model, grid, 2, project_mean_zero(model, grid, trial))]
+            + list(dataclasses.astuple(report))
+            + [bound.min_quotient] + bound.quotients)
+
+
+def test_cold_and_warm_node_sets_give_the_same_bits(qe3):
+    variational._node_set.cache_clear()
+    cold = _grid_results(qe3, QuadratureGrid(3, resolution=20))
+    warm_grid = QuadratureGrid(3, resolution=20)
+    assert variational._node_set.cache_info().hits >= 1
+    warm = _grid_results(qe3, warm_grid)
+    assert np.array(cold).tobytes() == np.array(warm).tobytes()
+
+
+def test_node_set_cache_keeps_at_most_its_bound():
+    bound = variational._node_set.cache_info().maxsize
+    variational._node_set.cache_clear()
+    refs = []
+    for resolution in range(4, 4 + bound + 3):
+        grid = QuadratureGrid(2, resolution=resolution)
+        grid.table.xi   # the chart arrays too
+        refs.append(weakref.ref(grid._nodes))
+        del grid
+    gc.collect()
+    alive = [ref() for ref in refs if ref() is not None]
+    assert len(alive) == bound
+    assert variational._node_set.cache_info().currsize == bound
+
+
 def test_functional_F_k(grid3, qe3):
     for k, vk in ((1, 1.25), (2, 0.625)):
         assert functional_F_k(qe3, grid3, k) == pytest.approx(
@@ -933,27 +995,32 @@ def test_suite_evaluates_each_trial_laplacian_once(monkeypatch):
     assert len({id(f) for f in fields_seen}) == 10
 
 
-def test_suite_builds_each_chart_table_once_per_grid(monkeypatch):
-    # D and the xi_a closed forms are computed in one table for both charts
-    # of the one grid that evaluates fields, and never on the grids used
-    # only for weight_sum
+def test_suite_builds_chart_arrays_once_per_node_set(monkeypatch):
+    # D and the xi_a closed forms are computed once per (n, resolution), for
+    # both charts, over two suite runs: each run's one evaluating grid has
+    # its own table on the shared arrays, and the grids used only for
+    # weight_sum build none
     grids, builds = [], []
-    init, table_init = QuadratureGrid.__init__, ChartTable.__init__
+    init, nodes_init = QuadratureGrid.__init__, ChartNodes.__init__
 
     def counted_init(self, *args, **kwargs):
         grids.append(self)
         init(self, *args, **kwargs)
 
-    def counted_table(self, X):
+    def counted_nodes(self, X):
         builds.append(X)
-        table_init(self, X)
+        nodes_init(self, X)
 
     monkeypatch.setattr(QuadratureGrid, "__init__", counted_init)
-    monkeypatch.setattr(ChartTable, "__init__", counted_table)
-    suites.suite_variational(np.random.default_rng(suites.DEFAULT_SEED))
-    assert len(grids) == 4
+    monkeypatch.setattr(ChartNodes, "__init__", counted_nodes)
+    variational._node_set.cache_clear()
+    for _ in range(2):
+        suites.suite_variational(np.random.default_rng(suites.DEFAULT_SEED))
+    assert len(grids) == 8
     evaluated = [grid for grid in grids if "table" in vars(grid)]
-    assert len(evaluated) == 1
+    assert [(grid.n, grid.resolution) for grid in evaluated] == [(3, 40)] * 2
+    first, second = (grid.table for grid in evaluated)
+    assert first is not second and first.nodes is second.nodes
     assert len(builds) == 1 and builds[0] is evaluated[0].points
 
 

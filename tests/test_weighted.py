@@ -328,6 +328,28 @@ def test_conformal_laws_need_deformations_of_one_order():
             check_conformal_laws(p, omegas)
 
 
+def test_a_scalar_density_or_conformal_factor_is_rejected():
+    # a 0-d value has no coefficient axis to read an order from
+    p = qe_sphere_mmp([0.1, 0.2, 0.0])
+    for call, what in ((lambda: MetricMeasurePoint(p.g, 1.0, 2.0, 1.0), "a density"),
+                       (lambda: conformal_rescale(p, 0.3), "conformal rescale")):
+        with pytest.raises(DimensionMismatch, match=f"^{what} needs a jet coefficient "
+                           r"array \(\.\.\., ncoef\), not the scalar"):
+            call()
+
+
+def test_conformal_laws_take_one_structure():
+    # a stacked structure is rejected before any rescale
+    p = qe_sphere_mmp([0.1, 0.2, 0.0])
+    omegas = np.zeros((3, p.f.shape[-1]))
+    for stacked in (_stack([p] * 3),
+                    MetricMeasurePoint(MetricAtPoint(np.stack([p.g.G] * 3), p.g.point),
+                                       p.f, p.m, p.mu)):
+        with pytest.raises(DimensionMismatch, match=r"^the conformal laws take one "
+                           r"structure, not a stack of \(3,\)$"):
+            check_conformal_laws(stacked, omegas)
+
+
 def _stack(structures):
     """One stacked structure from single structures of one (n, m, mu)."""
     first = structures[0]
